@@ -20,7 +20,9 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -86,8 +88,6 @@ def _merged_grid(cfg: dict, args) -> Grid:
 
 def _merged_solver(cfg: dict, args) -> SolverConfig:
     section = dict(cfg.get("solver", {}))
-    if getattr(args, "seed", None) is not None:
-        section["seed"] = args.seed
     if getattr(args, "trace", False):
         section["trace"] = True
     try:
@@ -107,6 +107,18 @@ def _merged_profile(cfg: dict, args, c: float) -> ProfileSpec:
         return ProfileSpec(kind=kind, **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad profile: {exc}") from exc
+
+
+def _exponent(p) -> float:
+    p = float(p)
+    if not (math.isfinite(p) and p > 2):
+        raise ConfigError(f"exponent p must be finite and exceed 2, got {p}")
+    return p
+
+
+def _dumps(payload: dict) -> str:
+    """Standard JSON only: a NaN or infinity raises ValueError (exit 2)."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _constants_payload(params: Optional[Params], p: float) -> dict:
@@ -161,7 +173,7 @@ def cmd_classify(args) -> int:
         "certificate": label.certificate,
         "thresholds": _constants_payload(params, params.p),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload))
     return EXIT_OK
 
 
@@ -170,15 +182,13 @@ def cmd_constants(args) -> int:
     p = args.p if args.p is not None else cfg.get("params", {}).get("p")
     if p is None:
         raise ConfigError("constants requires an exponent p")
-    p = float(p)
-    if p <= 2:
-        raise ConfigError(f"exponent p must exceed 2, got {p}")
+    p = _exponent(p)
     params = None
     try:
         params = _merged_params(cfg, args)
     except ConfigError:
         pass  # partial parameter sets are fine for the constants command
-    print(json.dumps(_constants_payload(params, p), indent=2, sort_keys=True))
+    print(_dumps(_constants_payload(params, p)))
     return EXIT_OK
 
 
@@ -221,9 +231,7 @@ def cmd_sweep(args) -> int:
     p = args.p if args.p is not None else section.get("p")
     if gamma is None or p is None:
         raise ConfigError("sweep requires gamma and p")
-    gamma, p = float(gamma), float(p)
-    if p <= 2:
-        raise ConfigError(f"exponent p must exceed 2, got {p}")
+    gamma, p = float(gamma), _exponent(p)
     if args.a_min <= 0 and gamma < 0:
         raise ConfigError("sweep over a requires positive couplings for gamma < 0")
     if not (args.a_min < args.a_max and args.c_min < args.c_max):
@@ -283,15 +291,13 @@ def cmd_solve(args) -> int:
             "params": {"gamma": params.gamma, "a": params.a,
                        "p": params.p, "c": params.c},
             "grid": {"L": grid.extent, "n": grid.n},
-            "solver": {
-                "tol_grad": solver_cfg.tol_grad, "tol_Q": solver_cfg.tol_Q,
-                "max_iter": solver_cfg.max_iter, "seed": solver_cfg.seed,
-                "backtrack": solver_cfg.backtrack, "armijo": solver_cfg.armijo,
-            },
+            "solver": dataclasses.asdict(solver_cfg),
+            "branch": args.branch,
         }
         payload["constants"] = _constants_payload(params, params.p)
+        text = _dumps(payload)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write(text)
         if solver_cfg.trace and report.trace:
             with open(out / "trace.csv", "w", encoding="utf-8") as fh:
                 fh.write("iter,F,Q,grad_res,A,C,V\n")
@@ -320,7 +326,7 @@ def cmd_verify(args) -> int:
         "checks": [r.as_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload))
     return EXIT_OK if payload["all_passed"] else EXIT_VERIFY_FAILED
 
 
@@ -341,7 +347,6 @@ def _add_common(sub, params=True, grid=False, output=False):
         sub.add_argument("--grid-n", type=int, help="nodes per side (power of two)")
     if output:
         sub.add_argument("--out", help="output directory (default: cwd)")
-        sub.add_argument("--seed", type=int, help="record/propagate RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -76,6 +76,9 @@ class Params:
     c: float
 
     def __post_init__(self):
+        for name in ("gamma", "a", "p", "c"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p <= 2:
             raise ValueError(f"exponent p must exceed 2, got {self.p}")
         if self.c <= 0:

@@ -55,8 +55,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.extent <= 0:
-            raise ValueError(f"grid extent must be positive, got {self.extent}")
+        if not (np.isfinite(self.extent) and self.extent > 0):
+            raise ValueError(f"grid extent must be positive and finite, got {self.extent}")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {self.n}")
 
@@ -123,8 +123,8 @@ class Field:
 def make_grid(L: float, n: int) -> Grid:
     """Create the uniform grid on [-L/2, L/2)^2 with spacing h = L/n.
 
-    Requires L > 0 and n a power of two with n >= 16 (powers of two keep the
-    zero-padded transforms fast).
+    Requires a finite L > 0 and n a power of two with n >= 16 (powers of
+    two keep the zero-padded transforms fast).
     """
     return Grid(extent=float(L), n=int(n))
 

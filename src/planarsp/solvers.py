@@ -1,11 +1,15 @@
 """Regime-specific constrained flows on the mass sphere.
 
-All solvers share the same skeleton: an explicit projected-gradient step
-u <- normalize(u - tau * d, c) with Armijo backtracking, where d is the
-tangent part of the relevant gradient.  The trial step size is seeded by
-the previous accepted step (Barzilai-Borwein estimate when available),
-then halved until the objective decreases; accepted steps are therefore
-monotone by construction.
+All four solvers run one projected-flow engine on an objective that says
+what is descended (or ascended) and which iterates are admissible.  Each
+step moves along the Sobolev (H^1) representation (1 - beta Delta)^-1 of
+the L2 gradient, projected onto the tangent of the mass sphere and, when
+the objective is invariant along the dilation orbit, off that orbit:
+u <- normalize(u -/+ tau * d, c).  The change of metric removes the
+Laplacian stiffness from the flow (Danaila & Kazemi, SIAM J. Sci. Comput.
+32, 2010).  The trial step size is the Barzilai-Borwein estimate from the
+previous accepted move, halved until the Armijo test holds at an
+admissible point; accepted steps are therefore monotone by construction.
 
   global_minimize        descent of F          (gamma > 0 bounded regimes)
   local_minimize_capped  descent of F with steps rejected above the
@@ -19,10 +23,10 @@ covariance of the gradient under dilation,
 
     grad I(u) = s^2 (-Delta u) + gamma (w - c log s) u - a s^(p-2) |u|^(p-2) u
 
-with s the branch point of u, evaluated entirely on the original grid.
-A dilation is resampled only to recenter the fiber parameter near 1 and
-once at the end, after which the flow re-converges so the reported field
-itself satisfies the residual certificates.
+with s the branch point of u, evaluated entirely on the original grid
+(s = 1 gives grad F).  A dilation is resampled only to recenter the fiber
+parameter near 1 and once at the end, after which the flow re-converges so
+the reported field itself satisfies the residual certificates.
 """
 
 from __future__ import annotations
@@ -32,14 +36,15 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.integrate import quad
 
 from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, RegimeError)
 from .fiber import (BranchPoint, FiberScalars, critical_points, dilate, g as fiber_g,
-                    phi as fiber_phi, t_star)
-from .functionals import (EnergyBreakdown, KernelTable, Params, _core, _grad_values,
+                    t_star)
+from .functionals import (EnergyBreakdown, KernelTable, Params, _Core, _core,
                           el_residual, energy, kernel_table, kinetic,
                           lagrange_multiplier, pnorm, pohozaev_residual)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
@@ -69,7 +74,6 @@ class SolverConfig:
     step0: Optional[float] = None   # default 0.1 / max(1, A(init))
     backtrack: float = 0.5
     armijo: float = 1e-4
-    seed: int = 0
     v_margin: float = 1e-3      # guard margin to the boundary of V, times k0
     boundary_tol: float = 1e-8  # admissible boundary mass fraction
     trace: bool = False
@@ -79,6 +83,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if not (0.0 < self.backtrack < 1.0):
             raise ValueError("backtrack factor must lie in (0, 1)")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,6 @@ class SolveReport:
     objective: float
     regime: K.RegimeLabel
     mode: str
-    seed: int
     branch: Optional[str] = None
     s_branch: Optional[float] = None
     gpp: Optional[float] = None
@@ -127,7 +132,6 @@ class SolveReport:
             "pohozaev_residual": self.pohozaev_res,
             "el_residual": self.el_res,
             "iters": self.iters,
-            "seed": self.seed,
             "breakdown": {
                 "A": self.breakdown.A,
                 "C": self.breakdown.C,
@@ -190,6 +194,11 @@ def _gn_on_branch(grid: Grid, params: Params, branch: str) -> Field:
     return u
 
 
+def _pohozaev_q(A: float, C: float, params: Params) -> float:
+    return A - params.a * (params.p - 2.0) / params.p * C \
+        - 0.25 * params.gamma * params.c ** 2
+
+
 def _q_scale(A: float, params: Params) -> float:
     return A + 0.25 * abs(params.gamma) * params.c ** 2
 
@@ -199,12 +208,11 @@ def _l2(values: np.ndarray, h: float) -> float:
 
 
 def _finalize(u: Field, params: Params, table: KernelTable, regime: K.RegimeLabel,
-              cfg: SolverConfig, mode: str, iters: int, converged: bool,
-              trace: List[TraceRow], branch_info=None) -> SolveReport:
+              mode: str, iters: int, converged: bool,
+              trace: List[TraceRow]) -> SolveReport:
     bd = energy(u, params, table)
     lam = lagrange_multiplier(u, params, table)
-    q = bd.A - params.a * (params.p - 2.0) / params.p * bd.C \
-        - 0.25 * params.gamma * params.c ** 2
+    q = _pohozaev_q(bd.A, bd.C, params)
     report = SolveReport(
         field=u,
         breakdown=bd,
@@ -218,47 +226,237 @@ def _finalize(u: Field, params: Params, table: KernelTable, regime: K.RegimeLabe
         objective=bd.F,
         regime=regime,
         mode=mode,
-        seed=cfg.seed,
         trace=trace,
     )
     report.extras["boundary_mass_fraction"] = boundary_mass_fraction(u)
-    if branch_info is not None:
-        report.branch, report.s_branch, report.gpp = branch_info
     return report
 
 
 # ---------------------------------------------------------------------------
-# Energy descent (global and capped)
+# Projected-flow engine
 # ---------------------------------------------------------------------------
 
+# Squared decay length of the Sobolev metric (1 - beta Delta).
+_SOBOLEV_BETA = 0.25
 
-def _descend_energy(u: Field, params: Params, cfg: SolverConfig,
-                    table: KernelTable, regime: K.RegimeLabel, mode: str,
-                    cap: Optional[float] = None) -> SolveReport:
-    h = u.grid.h
-    c = params.c
-    core = _core(u, params, table)
-    tau = cfg.step0 if cfg.step0 is not None else 0.1 / max(1.0, core.A)
+
+@dataclass(frozen=True)
+class _Point:
+    """An admissible iterate, evaluated.
+
+    The objective reads F at the dilation u^s: s = 1 for F itself, the fiber
+    branch point for I; gpp is g''(s) when s is a branch point."""
+
+    core: _Core
+    value: float
+    s: float = 1.0
+    gpp: Optional[float] = None
+
+
+def _smooth_direction(vals: np.ndarray, table: KernelTable) -> np.ndarray:
+    """Inverse-Helmholtz (1 - beta Delta)^-1 applied spectrally on the
+    padded grid: the Sobolev-metric representation of a gradient
+    direction.  The change of metric removes the Laplacian stiffness from
+    the flow while keeping every step a descent step; the short-range
+    kernel (decay length sqrt(beta)) keeps the direction from smearing
+    mass toward the boundary frame."""
+    n = vals.shape[0]
+    spec = sfft.rfft2(vals, s=(2 * n, 2 * n)) / (1.0 + _SOBOLEV_BETA * table.k2)
+    return sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
+
+
+class _Objective:
+    """What a flow descends (sense = +1) or ascends (sense = -1).
+
+    Subclasses define evaluate(u): the evaluated point, or None when u is
+    not admissible.  The hooks default to an objective with no invariant
+    orbit, no recentering and no refusal of a failed line search."""
+
+    sense = 1
+
+    def __init__(self, params: Params, table: KernelTable, mode: str):
+        self.params, self.table, self.mode = params, table, mode
+
+    def orbit(self, u: Field) -> Optional[np.ndarray]:
+        """A direction the objective is invariant along."""
+        return None
+
+    def recenter(self, u: Field, pt: _Point, stalled: bool) -> Optional[Field]:
+        """A field to restart from; stalled says the tangent gradient has
+        converged while Q has not."""
+        return None
+
+    def settle(self, u: Field, pt: _Point) -> Tuple[Field, _Point]:
+        """The field to certify once the flow stops."""
+        return u, pt
+
+    def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
+        """The error to raise when no trial step was accepted."""
+        return None
+
+    def annotate(self, report: SolveReport, pt: _Point) -> None:
+        """Objective-specific fields of a report."""
+
+
+class _Energy(_Objective):
+    """F on the mass sphere; with a kinetic cap, points with A >= cap are
+    inadmissible, so every iterate is strictly interior."""
+
+    def __init__(self, params: Params, table: KernelTable, mode: str,
+                 cap: Optional[float] = None):
+        super().__init__(params, table, mode)
+        self.cap = cap
+
+    def evaluate(self, u: Field) -> Optional[_Point]:
+        core = _core(u, self.params, self.table)
+        if self.cap is not None and core.A >= self.cap:
+            return None
+        return _Point(core, core.F)
+
+    def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
+        if self.cap is not None and pt.core.A > 0.999 * self.cap:
+            return CapBoundaryError(
+                f"{self.mode}: flow pinned at the kinetic cap A = k0 = {self.cap}; "
+                "this contradicts interiority of the capped minimizer and "
+                "signals a discretization or regime error")
+        return None
+
+    def annotate(self, report: SolveReport, pt: _Point) -> None:
+        if self.cap is not None:
+            report.extras["k0"] = self.cap
+            report.extras["cap_interior"] = report.breakdown.A < self.cap
+
+
+class _FiberBranch(_Objective):
+    """I(u) = F(u^s) with s the requested fiber critical point of u.
+
+    By dilation covariance the gradient of I is evaluated on the original
+    grid; I is invariant along the dilation orbit, whose direction is
+    projected out of every step so s stays pinned near 1.  Iterates whose
+    effective width c/A falls below a couple of grid cells are inadmissible
+    (drift along fibers could otherwise concentrate the iterate past what
+    the grid resolves); with a V margin, so are iterates within
+    v_margin * k0 of the boundary of V."""
+
+    def __init__(self, params: Params, table: KernelTable, mode: str, branch: str,
+                 sense: int = 1, v_margin: Optional[float] = None):
+        super().__init__(params, table, mode)
+        self.branch, self.sense = branch, sense
+        self.a_resolved = params.c / (2.0 * table.grid.h) ** 2
+        self.v_floor = None if v_margin is None else (1.0 + v_margin) * K.k0(params)
+        self.recenters = 0
+
+    def evaluate(self, u: Field) -> Optional[_Point]:
+        core = _core(u, self.params, self.table)
+        if core.A > self.a_resolved:
+            return None
+        sc = FiberScalars(A=core.A, C=core.C, V=core.V, params=self.params)
+        if self.v_floor is not None:
+            ts = t_star(sc)
+            if ts * ts * sc.A <= self.v_floor:
+                return None
+        bp = _branch_of(sc, self.branch)
+        return _Point(core, bp.g, bp.s, bp.gpp)
+
+    def orbit(self, u: Field) -> Optional[np.ndarray]:
+        # d/dt (t u(tx)) at t = 1 = u + x.grad u.  Second-order differences
+        # are plenty: the vector only projects numerical drift along the
+        # orbit out of step directions.
+        x = u.grid.coords1d()
+        du_dx = np.gradient(u.values, u.grid.h, axis=0)
+        du_dy = np.gradient(u.values, u.grid.h, axis=1)
+        return u.values + x[:, None] * du_dx + x[None, :] * du_dy
+
+    def recenter(self, u: Field, pt: _Point, stalled: bool) -> Optional[Field]:
+        # Off the Pohozaev set once tangent-converged: materialize the branch
+        # dilation (s is near 1 by now).  Far from s = 1: a safety recentering,
+        # rarely reached with the orbit projection.
+        if (stalled and self.recenters < 8) or abs(pt.s - 1.0) > 0.4:
+            self.recenters += 1
+            return normalize(dilate(u, pt.s), self.params.c)
+        return None
+
+    def settle(self, u: Field, pt: _Point) -> Tuple[Field, _Point]:
+        # Certify on the materialized branch point when the fiber parameter
+        # has not fully recentered.
+        if abs(pt.s - 1.0) <= 1e-9:
+            return u, pt
+        u = normalize(dilate(u, pt.s), self.params.c)
+        return u, self.evaluate(u) or pt
+
+    def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
+        if guard_rejects >= 40:
+            return GuardFloorError(
+                f"{self.mode}: step floor reached against the boundary of V; "
+                "the iterate is being driven to a degenerate fiber")
+        return None
+
+    def annotate(self, report: SolveReport, pt: _Point) -> None:
+        report.branch, report.s_branch, report.gpp = self.branch, pt.s, pt.gpp
+        report.extras["recenters"] = self.recenters
+
+
+def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
+          regime: K.RegimeLabel) -> SolveReport:
+    """Run the projected Sobolev-gradient flow of obj from u until the
+    tangent gradient and Q both certify; raises ConvergenceError (with the
+    report) when they do not."""
+    params, table, mode, sense = obj.params, obj.table, obj.mode, obj.sense
+    h, c = u.grid.h, params.c
+    pt = obj.evaluate(u)
+    if pt is None:
+        raise RegimeError(
+            f"{mode}: initial field is not admissible (outside the guarded "
+            "set, or more concentrated than the grid resolves)")
+    tau = cfg.step0 if cfg.step0 is not None else 0.1 / max(1.0, pt.core.A)
     trace: List[TraceRow] = []
     prev_u = prev_d = None
     converged = False
-    it = 0
     boundary_strikes = 0
 
-    for it in range(cfg.max_iter):
-        grad = _grad_values(u.values, params, core)
-        lam = -(core.A + params.gamma * core.V - params.a * core.C) / c
-        d = grad + lam * u.values
-        dnorm = _l2(d, h)
-        res = dnorm / (1.0 + _l2(grad, h))
-        q = core.A - params.a * (params.p - 2.0) / params.p * core.C \
-            - 0.25 * params.gamma * c ** 2
-        qres = abs(q) / _q_scale(core.A, params)
+    def report_at(u: Field, pt: _Point, converged: bool) -> SolveReport:
+        report = _finalize(u, params, table, regime, mode, it, converged, trace)
+        obj.annotate(report, pt)
+        return report
+
+    for it in range(cfg.max_iter + 1):
+        # L2 gradient of the objective and the tangent part of it, by the
+        # dilation covariance of grad F (see the module docstring).
+        core, s = pt.core, pt.s
+        log_s, sp2 = math.log(s), s ** (params.p - 2.0)
+        nonlin = np.abs(u.values) ** (params.p - 2.0) * u.values
+        grad = (s * s * core.neg_lap + params.gamma * (core.w - c * log_s) * u.values
+                - params.a * sp2 * nonlin)
+        lam = -(s * s * core.A + params.gamma * (core.V - c * c * log_s)
+                - params.a * sp2 * core.C) / c
+        d_raw = grad + lam * u.values
+        # The orbit component of the raw gradient is pure discretization
+        # noise (the objective is invariant along the orbit); project it out
+        # of both the step direction and the convergence measure.  The orbit
+        # direction of the reported solution is separately certified through
+        # Q, which vanishes on the Pohozaev set.
+        fib = obj.orbit(u)
+        if fib is not None:
+            fib -= (h * h * float(np.sum(fib * u.values)) / c) * u.values
+            fib_norm2 = h * h * float(np.sum(fib * fib))
+            d_raw = d_raw - (h * h * float(np.sum(d_raw * fib)) / fib_norm2) * fib
+        res = _l2(d_raw, h) / (1.0 + _l2(grad, h))
+        q = _pohozaev_q(core.A, core.C, params)
         if cfg.trace:
             trace.append(TraceRow(it, core.F, q, res, core.A, core.C, core.V))
-        if res < cfg.tol_grad and qres < cfg.tol_Q:
+        if res < cfg.tol_grad and abs(q) / _q_scale(core.A, params) < cfg.tol_Q:
             converged = True
             break
+        if it == cfg.max_iter:
+            break
+        moved = obj.recenter(u, pt, res < cfg.tol_grad)
+        if moved is not None:
+            u, pt = moved, obj.evaluate(moved)
+            if pt is None:
+                raise GuardFloorError(f"{mode}: recentered iterate is no "
+                                      "longer admissible")
+            prev_u = prev_d = None
+            continue
         if res < 1e-3 * cfg.tol_grad:
             break  # at the stationarity floor; Q will not improve by flowing
         if it % 25 == 0:
@@ -269,60 +467,59 @@ def _descend_energy(u: Field, params: Params, cfg: SolverConfig,
                     f"{mode}: iterate leaks mass through the boundary frame "
                     f"(fraction {frac:.2e}); the domain is too small")
 
+        # Sobolev-metric direction, projected onto the sphere tangent and off
+        # the orbit; the raw direction if that is not a descent direction.
+        d_h = _smooth_direction(d_raw, table)
+        d = d_h - (h * h * float(np.sum(d_h * u.values)) / c) * u.values
+        if fib is not None:
+            d -= (h * h * float(np.sum(d * fib)) / fib_norm2) * fib
+        slope = h * h * float(np.sum(d_raw * d))  # <grad, d> in L2
+        if slope <= 0:
+            d = d_raw
+            slope = h * h * float(np.sum(d_raw * d))
+
         # Barzilai-Borwein trial step from the previous accepted move.
         if prev_u is not None:
             s_vec = u.values - prev_u
             y_vec = d - prev_d
-            sy = float(np.sum(s_vec * y_vec))
+            sy = sense * float(np.sum(s_vec * y_vec))
             if sy > 0:
-                tau = min(max(float(np.sum(s_vec * s_vec)) / sy, 1e-12), 1e3)
+                tau = min(max(float(np.sum(s_vec * s_vec)) / sy, 1e-12), 1.0)
         prev_u, prev_d = u.values, d
 
-        accepted = False
+        # Armijo backtracking; inadmissible trial points count as guard rejects.
         step = tau
+        guard_rejects = 0
         for _ in range(60):
-            v = normalize(Field(u.grid, u.values - step * d), c)
-            core_v = _core(v, params, table)
-            if cap is not None and core_v.A > cap:
-                step *= cfg.backtrack
-                continue
-            if core_v.F <= core.F - cfg.armijo * step * dnorm * dnorm:
-                u, core = v, core_v
-                tau = step
-                accepted = True
+            v = normalize(Field(u.grid, u.values - sense * step * d), c)
+            pt_v = obj.evaluate(v)
+            if pt_v is None:
+                guard_rejects += 1
+            elif sense * (pt.value - pt_v.value) >= cfg.armijo * step * slope:
+                u, pt, tau = v, pt_v, step
                 break
             step *= cfg.backtrack
-        if not accepted:
-            if cap is not None and core.A > 0.999 * cap:
-                raise CapBoundaryError(
-                    f"{mode}: flow pinned at the kinetic cap A = k0 = {cap}; "
-                    "this contradicts interiority of the capped minimizer and "
-                    "signals a discretization or regime error",
-                    report=_finalize(u, params, table, regime, cfg, mode, it,
-                                     False, trace),
-                )
+        else:
+            err = obj.refusal(pt, guard_rejects)
+            if err is not None:
+                err.report = report_at(u, pt, False)
+                raise err
             break  # line search exhausted: accept current point as stationary
 
-    if not converged:
-        # Re-test the residuals at the final point before giving up.
-        grad = _grad_values(u.values, params, core)
-        lam = -(core.A + params.gamma * core.V - params.a * core.C) / c
-        res = _l2(grad + lam * u.values, h) / (1.0 + _l2(grad, h))
-        q = core.A - params.a * (params.p - 2.0) / params.p * core.C \
-            - 0.25 * params.gamma * c ** 2
-        converged = res < cfg.tol_grad and abs(q) / _q_scale(core.A, params) < cfg.tol_Q
-    report = _finalize(u, params, table, regime, cfg, mode, it, converged, trace)
-    if cap is not None:
-        report.extras["k0"] = cap
-        report.extras["cap_interior"] = report.breakdown.A < cap
-        if converged and not report.breakdown.A < cap:
-            raise CapBoundaryError(
-                f"{mode}: converged onto the kinetic cap", report=report)
-    if not converged:
+    u, pt = obj.settle(u, pt)
+    report = report_at(u, pt, converged)
+    report.converged = bool(converged and report.q_residual < cfg.tol_Q)
+    if not report.converged:
         raise ConvergenceError(
-            f"{mode}: no convergence within {cfg.max_iter} iterations "
-            f"(tangent residual {res:.3e})", report=report)
+            f"{mode}: no certified convergence within {cfg.max_iter} iterations "
+            f"(tangent residual {res:.3e}, q residual {report.q_residual:.3e})",
+            report=report)
     return report
+
+
+# ---------------------------------------------------------------------------
+# Solvers
+# ---------------------------------------------------------------------------
 
 
 def global_minimize(params: Params, grid: Grid, config: SolverConfig,
@@ -340,7 +537,7 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
         )
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
-    report = _descend_energy(u0, params, config, table, regime, "global_minimize")
+    report = _flow(u0, _Energy(params, table, "global_minimize"), config, regime)
     # Analytic lower-bound diagnostic at the converged kinetic level.
     A = report.breakdown.A
     bound = 0.5 * A - 0.25 * abs(params.gamma) * sharp.kv2 * math.sqrt(A) * params.c ** 1.5
@@ -355,8 +552,8 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
                           init: Union[ProfileSpec, Field]) -> SolveReport:
     """Minimize F on the kinetic cap A <= k0 (gamma > 0, a > 0, p > 4, c < c0).
 
-    Trial steps that cross the cap are rejected; the converged iterate must
-    be strictly interior, otherwise CapBoundaryError is raised."""
+    Trial steps that reach the cap are rejected, so every iterate is strictly
+    interior; a flow pinned against the cap raises CapBoundaryError."""
     sharp = K.sharp_constants(params.p)
     regime = K.regime_classify(params, sharp)
     if regime.tag != "LocalMinPlusMountainPass":
@@ -371,13 +568,8 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
     if A0 > 0.9 * cap:
         # Pre-contract along the fiber: A(u^t) = t^2 A puts the init inside.
         u0 = normalize(dilate(u0, math.sqrt(0.8 * cap / A0)), params.c)
-    return _descend_energy(u0, params, config, table, regime,
-                           "local_minimize_capped", cap=cap)
-
-
-# ---------------------------------------------------------------------------
-# Fiber-branch flows
-# ---------------------------------------------------------------------------
+    return _flow(u0, _Energy(params, table, "local_minimize_capped", cap),
+                 config, regime)
 
 
 def _branch_of(sc: FiberScalars, branch: str) -> BranchPoint:
@@ -385,211 +577,6 @@ def _branch_of(sc: FiberScalars, branch: str) -> BranchPoint:
         if bp.branch == branch:
             return bp
     raise RegimeError(f"fiber has no {branch} critical point for these scalars")
-
-
-def _smooth_direction(vals: np.ndarray, table: KernelTable,
-                      beta: float = 0.25) -> np.ndarray:
-    """Inverse-Helmholtz (1 - beta Delta)^-1 applied spectrally on the
-    padded grid: the Sobolev-metric representation of a gradient
-    direction.  The change of metric removes the Laplacian stiffness from
-    the flow while keeping every step a descent step; the short-range
-    kernel (decay length sqrt(beta)) keeps the direction from smearing
-    mass toward the boundary frame."""
-    import scipy.fft as sfft
-
-    n = vals.shape[0]
-    pad = np.zeros((2 * n, 2 * n))
-    pad[:n, :n] = vals
-    spec = sfft.rfft2(pad) / (1.0 + beta * table.k2)
-    return sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
-
-
-def _fiber_direction(vals: np.ndarray, grid: Grid) -> np.ndarray:
-    """Tangent of the dilation orbit at u: d/dt (t u(tx)) at t=1 = u + x.grad u.
-
-    Second-order differences are plenty here; the vector is only used to
-    project numerical drift along the orbit out of step directions."""
-    x = grid.coords1d()
-    du_dx = np.gradient(vals, grid.h, axis=0)
-    du_dy = np.gradient(vals, grid.h, axis=1)
-    return vals + x[:, None] * du_dx + x[None, :] * du_dy
-
-
-def _fiber_flow(u: Field, params: Params, cfg: SolverConfig, table: KernelTable,
-                regime: K.RegimeLabel, mode: str, branch: str, sense: int,
-                guard_v: bool) -> SolveReport:
-    """Descent (sense=+1) or ascent (sense=-1) of I(u) = F(u^{s_u}).
-
-    The gradient of I is evaluated by dilation covariance entirely on the
-    original grid.  Step directions are taken in a Sobolev metric and
-    projected against both the mass constraint and the dilation-orbit
-    direction, so the fiber parameter s stays pinned near 1 without any
-    mid-flow resampling; the closing loop materializes the branch dilation
-    (a near-identity resample) and re-converges until the reported field
-    itself certifies."""
-    h = u.grid.h
-    c = params.c
-    p = params.p
-    k0_level = K.k0(params) if guard_v else None
-    recenters = 0
-    trace: List[TraceRow] = []
-    prev_u = prev_d = None
-    tau = None
-    converged = False
-    it = 0
-    res = math.inf
-    boundary_strikes = 0
-
-    # Resolution guard: iterates whose effective width c/A falls below a
-    # couple of grid cells are rejected (drift along fibers could otherwise
-    # concentrate the iterate past what the grid resolves).
-    a_resolved = c / (2.0 * h) ** 2
-
-    def eval_point(w: Field):
-        core = _core(w, params, table)
-        if core.A > a_resolved:
-            return core, None, None
-        sc = FiberScalars(A=core.A, C=core.C, V=core.V, params=params)
-        if guard_v:
-            ts = t_star(sc)
-            if ts * ts * sc.A <= (1.0 + cfg.v_margin) * k0_level:
-                return core, sc, None  # outside the guarded interior of V
-        bp = _branch_of(sc, branch)
-        return core, sc, bp
-
-    core, sc, bp = eval_point(u)
-    if bp is None:
-        raise RegimeError(
-            f"{mode}: initial field is not admissible (outside V, or more "
-            "concentrated than the grid resolves)")
-    tau = cfg.step0 if cfg.step0 is not None else 0.1 / max(1.0, core.A)
-
-    for it in range(cfg.max_iter):
-        s = bp.s
-        log_s = math.log(s)
-        sp2 = s ** (p - 2.0)
-        nonlin = np.abs(u.values) ** (p - 2.0) * u.values
-        gradI = (s * s * core.neg_lap
-                 + params.gamma * (core.w - c * log_s) * u.values
-                 - params.a * sp2 * nonlin)
-        lamI = -(s * s * core.A + params.gamma * (core.V - c * c * log_s)
-                 - params.a * sp2 * core.C) / c
-        d_raw = gradI + lamI * u.values
-        # The dilation-orbit component of the raw gradient is pure
-        # discretization noise (I is invariant along orbits); project it out
-        # of both the step direction and the convergence measure.  The
-        # orbit direction of the reported solution is separately certified
-        # through Q, which vanishes on the Pohozaev set.
-        fib = _fiber_direction(u.values, u.grid)
-        fib -= (h * h * float(np.sum(fib * u.values)) / c) * u.values
-        fib_norm2 = h * h * float(np.sum(fib * fib))
-        if fib_norm2 > 0:
-            d_raw = d_raw - (h * h * float(np.sum(d_raw * fib)) / fib_norm2) * fib
-        res = _l2(d_raw, h) / (1.0 + _l2(gradI, h))
-        q_here = fiber_phi(sc, 1.0)
-        qres = abs(q_here) / _q_scale(core.A, params)
-        if cfg.trace:
-            trace.append(TraceRow(it, core.F, q_here, res, core.A, core.C, core.V))
-
-        if res < cfg.tol_grad:
-            if qres < cfg.tol_Q:
-                converged = True
-                break
-            # Tangent-converged but off the Pohozaev set: materialize the
-            # branch dilation (s is near 1 by now), then keep flowing.
-            if recenters >= 8:
-                break
-            u = normalize(dilate(u, s), c)
-            core, sc, bp = eval_point(u)
-            if bp is None:
-                raise GuardFloorError(f"{mode}: recentered iterate is no "
-                                      "longer admissible")
-            recenters += 1
-            prev_u = prev_d = None
-            continue
-
-        if abs(s - 1.0) > 0.4:
-            # Safety recentering; rarely reached with the orbit projection.
-            u = normalize(dilate(u, s), c)
-            core, sc, bp = eval_point(u)
-            if bp is None:
-                raise GuardFloorError(f"{mode}: recentered iterate is no "
-                                      "longer admissible")
-            recenters += 1
-            prev_u = prev_d = None
-            continue
-
-        if it % 25 == 0:
-            frac = boundary_mass_fraction(u)
-            boundary_strikes = boundary_strikes + 1 if frac > cfg.boundary_tol else 0
-            if frac > 1e-4 or boundary_strikes >= 3:
-                raise DomainError(
-                    f"{mode}: iterate leaks mass through the boundary frame "
-                    f"(fraction {frac:.2e}); the domain is too small")
-
-        # Sobolev-metric direction, projected against the sphere tangent and
-        # the dilation orbit.
-        d_h = _smooth_direction(d_raw, table)
-        d = d_h - (h * h * float(np.sum(d_h * u.values)) / c) * u.values
-        if fib_norm2 > 0:
-            d -= (h * h * float(np.sum(d * fib)) / fib_norm2) * fib
-        slope = h * h * float(np.sum(d_raw * d))  # <grad, d> in L2
-        if slope <= 0:
-            d = d_raw
-            slope = h * h * float(np.sum(d_raw * d))
-
-        if prev_u is not None:
-            s_vec = u.values - prev_u
-            y_vec = d - prev_d
-            sy = sense * float(np.sum(s_vec * y_vec))
-            if sy > 0:
-                tau = min(max(float(np.sum(s_vec * s_vec)) / sy, 1e-12), 1.0)
-        prev_u, prev_d = u.values, d
-
-        accepted = False
-        step = tau
-        guard_rejects = 0
-        for _ in range(60):
-            v = normalize(Field(u.grid, u.values - sense * step * d), c)
-            core_v, sc_v, bp_v = eval_point(v)
-            if bp_v is None:
-                guard_rejects += 1
-                step *= cfg.backtrack
-                continue
-            gain = sense * (bp.g - bp_v.g)
-            if gain >= cfg.armijo * step * slope:
-                u, core, sc, bp = v, core_v, sc_v, bp_v
-                tau = step
-                accepted = True
-                break
-            step *= cfg.backtrack
-        if not accepted:
-            if guard_rejects >= 40:
-                raise GuardFloorError(
-                    f"{mode}: step floor reached against the boundary of V; "
-                    "the iterate is being driven to a degenerate fiber",
-                    report=_finalize(u, params, table, regime, cfg, mode, it,
-                                     False, trace, (branch, bp.s, bp.gpp)),
-                )
-            break
-
-    # Certify on the materialized branch point when the fiber parameter has
-    # not fully recentered.
-    if abs(bp.s - 1.0) > 1e-9:
-        u = normalize(dilate(u, bp.s), c)
-        core, sc, bp2 = eval_point(u)
-        bp = bp2 if bp2 is not None else bp
-    report = _finalize(u, params, table, regime, cfg, mode, it, converged,
-                       trace, (branch, bp.s, bp.gpp))
-    report.extras["recenters"] = recenters
-    ok = (report.q_residual < cfg.tol_Q and converged)
-    report.converged = bool(ok)
-    if not ok:
-        raise ConvergenceError(
-            f"{mode}: no certified convergence within {cfg.max_iter} iterations "
-            f"(tangent residual {res:.3e}, q residual {report.q_residual:.3e})",
-            report=report)
-    return report
 
 
 def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
@@ -609,9 +596,8 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
         )
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
-    return _fiber_flow(u0, params, config, table, regime,
-                       f"lambda_branch_minimize[{branch}]", branch,
-                       sense=+1, guard_v=False)
+    obj = _FiberBranch(params, table, f"lambda_branch_minimize[{branch}]", branch)
+    return _flow(u0, obj, config, regime)
 
 
 def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
@@ -630,9 +616,9 @@ def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
     if regime.tag == "TwoCriticalPointsOnLambda":
         table = kernel_table(grid)
         u0 = _as_field(init, grid, params.c)
-        return _fiber_flow(u0, params, config, table, regime,
-                           f"lambda_maximize[{branch}]", branch,
-                           sense=-1, guard_v=True)
+        obj = _FiberBranch(params, table, f"lambda_maximize[{branch}]", branch,
+                           sense=-1, v_margin=config.v_margin)
+        return _flow(u0, obj, config, regime)
     if regime.tag == "MaxOnLambda":
         return _degenerate_threshold_report(params, grid, config, regime)
     raise RegimeError(
@@ -652,8 +638,9 @@ def _degenerate_threshold_report(params: Params, grid: Grid, cfg: SolverConfig,
     sc = FiberScalars(A=core.A, C=core.C, V=core.V, params=params)
     ts = t_star(sc)
     u = normalize(dilate(u, ts), params.c)
-    report = _finalize(u, params, table, regime, cfg, "lambda_maximize[threshold]",
-                       0, True, [], (None, ts, None))
+    report = _finalize(u, params, table, regime, "lambda_maximize[threshold]",
+                       0, True, [])
+    report.s_branch = ts
     report.converged = bool(report.q_residual < max(cfg.tol_Q, 1e-2))
     report.extras["degenerate_threshold_mode"] = True
     return report

@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from planarsp import read_field
+from planarsp import SolverConfig, read_field
 from planarsp.cli import main
 
 
@@ -28,6 +33,25 @@ def test_classify_lambda_empty(capsys):
 def test_classify_bad_exponent_exits_2():
     assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "2",
                     "--c", "1"]) == 2
+
+
+def test_classify_nan_exponent_exits_2():
+    # Run out of process under a timeout: a NaN exponent once hung the
+    # ground-state shooting.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarsp.cli", "classify", "--gamma", "1",
+         "--a", "1", "--p", "nan", "--c", "1"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+def test_classify_nan_gamma_exits_2(capsys):
+    assert run_cli(["classify", "--gamma", "nan", "--a", "1", "--p", "3",
+                    "--c", "1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_classify_missing_params_exits_2():
@@ -139,6 +163,9 @@ def test_solve_end_to_end(tmp_path):
     assert report["pohozaev_residual"] < 1e-3
     assert report["el_residual"] < 1e-3
     assert "config" in report and "constants" in report
+    solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert set(report["config"]["solver"]) == solver_fields
+    assert report["config"]["branch"] == "auto"
     field = read_field(out / "solution.lpf")
     assert field.grid.n == 128
     trace = (out / "trace.csv").read_text().splitlines()

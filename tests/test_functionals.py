@@ -42,6 +42,15 @@ def test_params_validation():
         Params(gamma=1.0, a=1.0, p=3.0, c=0.0)
 
 
+@pytest.mark.parametrize("name", ["gamma", "a", "p", "c"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_params_reject_non_finite(name, bad):
+    values = dict(gamma=1.0, a=1.0, p=3.0, c=1.0)
+    values[name] = bad
+    with pytest.raises(ValueError):
+        Params(**values)
+
+
 def test_zero_field_functionals(grid128):
     z = Field(grid128, np.zeros((128, 128)))
     assert kinetic(z) == 0.0

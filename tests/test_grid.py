@@ -13,7 +13,8 @@ def test_make_grid_spacing():
 
 
 @pytest.mark.parametrize("L,n", [(40.0, 255), (40.0, 100), (-1.0, 256),
-                                 (0.0, 64), (40.0, 8)])
+                                 (0.0, 64), (40.0, 8), (float("nan"), 256),
+                                 (float("inf"), 256)])
 def test_make_grid_rejects_bad_inputs(L, n):
     with pytest.raises(ValueError):
         make_grid(L, n)

@@ -57,10 +57,22 @@ def test_choquard_ground_state_certified(choquard_report):
     assert rep.extras["boundary_mass_fraction"] < 1e-8
 
 
-def test_monotone_descent(choquard_report):
-    _, rep = choquard_report
+def _descent_report(request, name):
+    rep = request.getfixturevalue(name)
+    return rep[1] if isinstance(rep, tuple) else rep
+
+
+@pytest.mark.parametrize("name", ["choquard_report", "capped_report"])
+def test_monotone_descent(request, name):
+    rep = _descent_report(request, name)
     fs = [row.F for row in rep.trace]
     assert all(fs[i + 1] <= fs[i] + 1e-14 for i in range(len(fs) - 1))
+
+
+@pytest.mark.parametrize("name", ["choquard_report", "capped_report"])
+def test_descent_is_preconditioned(request, name):
+    # Energy descent steps in the H^1 metric: tens of iterations, not hundreds.
+    assert _descent_report(request, name).iters <= 40
 
 
 def test_global_minimize_translation_robust(choquard_report):
@@ -255,3 +267,5 @@ def test_solver_config_validation():
         SolverConfig(tol_grad=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(backtrack=1.5)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iter=-1)
