@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, List
 
@@ -36,13 +36,7 @@ class CheckResult:
     detail: str
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _result(name: str, value: float, tol: float, detail: str,
@@ -121,11 +115,8 @@ def _check_v_split() -> CheckResult:
     for spec in (ProfileSpec.gaussian(sigma=1.0),
                  ProfileSpec.ring(r0=3.0, sigma=0.8),
                  ProfileSpec.random_smooth(seed=11)):
-        u = discretize(spec, grid)
-        V = fn.v_total(u, table)
-        V1 = fn.v1(u, table)
-        V2 = fn.v2(u, table)
-        worst = max(worst, abs(V - (V1 - V2)) / (1.0 + abs(V1) + abs(V2)))
+        ev = fn.evaluate(discretize(spec, grid), table)
+        worst = max(worst, abs(ev.V - (ev.V1 - ev.V2)) / (1.0 + abs(ev.V1) + abs(ev.V2)))
     return _result("v_split_identity", worst, 1e-6,
                    "V = V1 - V2 for the three log kernels")
 
@@ -211,17 +202,14 @@ def _check_translation_invariance() -> CheckResult:
 
 def _check_dilation_scaling() -> CheckResult:
     grid = make_grid(40.0, 256)
-    pr = Params(gamma=1.0, a=1.0, p=3.0, c=1.0)
     table = kernel_table(grid)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
-    A0, C0, V0 = fn.kinetic(u, table), fn.pnorm(u, 3.0), fn.v_total(u, table)
+    e0 = fn.evaluate(u, table)
     worst = 0.0
     for t in (0.5, 2.0):
-        v = dilate(u, t)
-        worst = max(worst,
-                    abs(fn.kinetic(v, table) / A0 - t ** 2) / t ** 2,
-                    abs(fn.pnorm(v, 3.0) / C0 - t) / t,
-                    abs(fn.v_total(v, table) - V0 + math.log(t)))
+        ev = fn.evaluate(dilate(u, t), table)
+        worst = max(worst, abs(ev.A / e0.A - t ** 2) / t ** 2,
+                    abs(ev.C(3.0) / e0.C(3.0) - t) / t, abs(ev.V - e0.V + math.log(t)))
     return _result("dilation_scaling", worst, 1e-3,
                    "A ~ t^2, C ~ t^(p-2), V - c^2 log t under dilation")
 
@@ -271,17 +259,12 @@ def _check_band_edges() -> CheckResult:
     bad = 0
     for p in (2.5, 3.5):
         kgn = K.kgn_estimate(p)
-        c1, c2 = K.c_edges(p, -1.0, 1.0, kgn)
-        lo, hi = (min(c1, c2), max(c1, c2))
-        for c_edge in (lo, hi):
-            below = K.regime_classify(
-                Params(gamma=-1.0, a=1.0, p=p, c=c_edge * (1.0 - 1e-10)),
-                K.SharpConstants(p=p, kgn=kgn, kv2=1.0)).tag
-            above = K.regime_classify(
-                Params(gamma=-1.0, a=1.0, p=p, c=c_edge * (1.0 + 1e-10)),
-                K.SharpConstants(p=p, kgn=kgn, kv2=1.0)).tag
-            if below == above:
-                bad += 1
+        sharp = K.SharpConstants(p=p, kgn=kgn, kv2=1.0)
+        for c_edge in K.c_edges(p, -1.0, 1.0, kgn):
+            below, above = (K.regime_classify(
+                Params(gamma=-1.0, a=1.0, p=p, c=c_edge * (1.0 + eps)), sharp).tag
+                for eps in (-1e-10, 1e-10))
+            bad += below == above
     return _result("regime_band_edges", float(bad), 0.5,
                    "classification flips across both closed-form mass edges")
 
@@ -290,13 +273,13 @@ def _check_kernel_origin() -> CheckResult:
     h = 0.15625
     measured = fn._origin_cell_average(np.log, h)
     closed = math.log(h) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
-    table = kernel_table(make_grid(40.0, 128))
-    # Recover the origin weight actually baked into the log kernel table.
-    import scipy.fft as sfft
-    kern = sfft.irfft2(table.khat_log, s=(256, 256))
-    baked = float(kern[0, 0])
-    h128 = 40.0 / 128
-    expected = (math.log(h128) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
+    # Recover the origin weight actually baked into the log kernel table:
+    # the potential of a single-node field of unit mass, at that node.
+    grid = make_grid(40.0, 128)
+    spike = np.zeros((128, 128))
+    spike[64, 64] = 1.0 / grid.h
+    baked = float(log_potential(Field(grid, spike)).values[64, 64])
+    expected = (math.log(grid.h) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
                 - math.pi / 12.0)
     err = max(abs(measured - closed), abs(baked - expected))
     return _result("kernel_origin_value", err, 1e-8,

@@ -11,7 +11,8 @@ Subcommands:
 
 Configuration comes from an optional JSON file (--config) overridden by
 flags; every report embeds the full configuration and the constants used,
-so results are reproducible from the report alone.
+and a report.json is itself accepted as --config, so `solve --config
+report.json` replays the run.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 non-convergence (report still written), 4 regime refusal.
@@ -46,6 +47,8 @@ EXIT_REGIME = 4
 
 
 def _load_config(path: Optional[str]) -> dict:
+    """A config file, or the report.json of a run, whose settings sit under
+    its "config" key."""
     if path is None:
         return {}
     try:
@@ -53,6 +56,8 @@ def _load_config(path: Optional[str]) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if isinstance(cfg, dict) and "config" in cfg:
+        cfg = cfg["config"]
     if not isinstance(cfg, dict):
         raise ConfigError("config file must contain a JSON object")
     return cfg
@@ -98,11 +103,13 @@ def _merged_solver(cfg: dict, args) -> SolverConfig:
 
 def _merged_profile(cfg: dict, args, c: float) -> ProfileSpec:
     section = dict(cfg.get("profile", {}))
-    kind = getattr(args, "profile", None) or section.pop("kind", "gaussian")
+    kind = section.pop("kind", "gaussian")
+    kind = getattr(args, "profile", None) or kind
     if getattr(args, "sigma", None) is not None:
         section["sigma"] = args.sigma
-    section.setdefault("c", c)
     section["c"] = c
+    if "center" in section:
+        section["center"] = tuple(section["center"])
     try:
         return ProfileSpec(kind=kind, **section)
     except (TypeError, ValueError) as exc:
@@ -128,7 +135,8 @@ def _constants_payload(params: Optional[Params], p: float) -> dict:
         "kgn": kgn,
         "kv2": K.kv2_estimate(),
         "method": "ode_shooting",
-        "tolerances": {"kgn_rayleigh_slack": 1e-3, "shooting_bisections": 80},
+        "tolerances": {"kgn_rayleigh_slack": K._RAYLEIGH_SLACK,
+                       "shooting_bisections": K._SHOOTING_BISECTIONS},
         "k0": None,
         "c0": None,
         "K1": None,
@@ -238,17 +246,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep lattice bounds must be increasing")
     if args.c_min <= 0:
         raise ConfigError("sweep masses must be positive")
+    # Every lattice point is refused or accepted before the file is opened.
+    lattice = [Params(gamma=gamma, a=float(a), p=p, c=float(c))
+               for a in np.linspace(args.a_min, args.a_max, args.na)
+               for c in np.linspace(args.c_min, args.c_max, args.nc)]
     sharp = K.sharp_constants(p)
-    a_vals = np.linspace(args.a_min, args.a_max, args.na)
-    c_vals = np.linspace(args.c_min, args.c_max, args.nc)
     out = _outdir(args) / "sweep.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("a,c,tag\n")
-        for a in a_vals:
-            for c in c_vals:
-                label = K.regime_classify(
-                    Params(gamma=gamma, a=float(a), p=p, c=float(c)), sharp)
-                fh.write(f"{a:.12g},{c:.12g},{label.tag}\n")
+        for params in lattice:
+            label = K.regime_classify(params, sharp)
+            fh.write(f"{params.a:.12g},{params.c:.12g},{label.tag}\n")
     print(f"wrote {out} ({args.na}x{args.nc} lattice at p={p}, gamma={gamma})")
     return EXIT_OK
 
@@ -258,24 +266,28 @@ def cmd_solve(args) -> int:
     params = _merged_params(cfg, args)
     grid = _merged_grid(cfg, args)
     solver_cfg = _merged_solver(cfg, args)
+    branch = args.branch or cfg.get("branch", "auto")
+    if branch not in ("plus", "minus", "auto"):
+        raise ConfigError(f"unknown branch {branch!r}")
     sharp = K.sharp_constants(params.p)
     label = K.regime_classify(params, sharp)
+    # The Gagliardo-Nirenberg regimes start from the optimizer shape instead.
+    spec = None
+    if label.tag in ("GlobalMin", "GlobalMinMassCritical", "LocalMinPlusMountainPass"):
+        spec = _merged_profile(cfg, args, params.c)
     out = _outdir(args)
 
     def run():
         if label.tag in ("GlobalMin", "GlobalMinMassCritical"):
-            init = _merged_profile(cfg, args, params.c)
-            return global_minimize(params, grid, solver_cfg, init)
+            return global_minimize(params, grid, solver_cfg, spec)
         if label.tag == "LocalMinPlusMountainPass":
-            init = _merged_profile(cfg, args, params.c)
-            if args.branch in ("plus", "minus"):
-                return lambda_branch_minimize(params, grid, solver_cfg, init,
-                                              args.branch)
-            return local_minimize_capped(params, grid, solver_cfg, init)
+            if branch in ("plus", "minus"):
+                return lambda_branch_minimize(params, grid, solver_cfg, spec, branch)
+            return local_minimize_capped(params, grid, solver_cfg, spec)
         if label.tag == "TwoCriticalPointsOnLambda":
             init = K.gn_profile_field(grid, params.p, params.c)
-            branch = args.branch if args.branch in ("plus", "minus") else "minus"
-            return lambda_maximize(params, grid, solver_cfg, init, branch)
+            return lambda_maximize(params, grid, solver_cfg, init,
+                                   "minus" if branch == "auto" else branch)
         if label.tag == "MaxOnLambda":
             init = K.gn_profile_field(grid, params.p, params.c)
             return lambda_maximize(params, grid, solver_cfg, init)
@@ -292,8 +304,10 @@ def cmd_solve(args) -> int:
                        "p": params.p, "c": params.c},
             "grid": {"L": grid.extent, "n": grid.n},
             "solver": dataclasses.asdict(solver_cfg),
-            "branch": args.branch,
+            "branch": branch,
         }
+        if spec is not None:
+            payload["config"]["profile"] = dataclasses.asdict(spec)
         payload["constants"] = _constants_payload(params, params.p)
         text = _dumps(payload)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -386,8 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("solve", help="run the regime-appropriate solver")
     _add_common(s, grid=True, output=True)
-    s.add_argument("--branch", choices=["plus", "minus", "auto"], default="auto",
-                   help="fiber branch for two-solution regimes")
+    s.add_argument("--branch", choices=["plus", "minus", "auto"],
+                   help="fiber branch for two-solution regimes (default: the "
+                        "config's, else auto)")
     s.add_argument("--profile", choices=["gaussian", "ring", "two_bump",
                                          "random_smooth"], help="init profile")
     s.add_argument("--sigma", type=float, help="init width")

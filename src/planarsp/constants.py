@@ -70,6 +70,9 @@ REGIME_TAGS = (
 # shooting value before the estimate is rejected.
 _RAYLEIGH_SLACK = 1e-3
 
+# Bisection steps on phi(0) in the ground-state shooting.
+_SHOOTING_BISECTIONS = 80
+
 
 @dataclass(frozen=True)
 class RadialGroundState:
@@ -157,7 +160,7 @@ def ground_state_radial(p: float) -> RadialGroundState:
     else:
         raise ShootingError(f"could not bracket an overshoot for p={p}")
 
-    for _ in range(80):
+    for _ in range(_SHOOTING_BISECTIONS):
         mid = 0.5 * (lo + hi)
         s, _ = _shoot(mid, p)
         if s == -1:
@@ -372,7 +375,7 @@ def kv2_estimate(grid: Optional[Grid] = None) -> float:
     The supremum of |V2| / (sqrt(A) c^(3/2)) over the fixed 50-profile
     family; a deterministic lower bound for the true best constant, used
     for one-sided checks only."""
-    from .functionals import kernel_table, kinetic, v2 as v2_func
+    from .functionals import evaluate, kernel_table
 
     grid = grid or Grid(extent=40.0, n=128)
     key = (grid.n, grid.extent)
@@ -382,8 +385,8 @@ def kv2_estimate(grid: Optional[Grid] = None) -> float:
     table = kernel_table(grid)
     best = 0.0
     for spec in _kv2_family():
-        u = discretize(spec, grid)
-        ratio = v2_func(u, table) / (math.sqrt(kinetic(u, table)) * spec.c ** 1.5)
+        ev = evaluate(discretize(spec, grid), table)
+        ratio = ev.V2 / (math.sqrt(ev.A) * spec.c ** 1.5)
         best = max(best, ratio)
     _KV2_CACHE[key] = best
     return best

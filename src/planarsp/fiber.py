@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .errors import DomainError, RegimeError
-from .functionals import KernelTable, Params, kernel_table, kinetic, pnorm, require_mass, v_total
+from .functionals import Evaluation, KernelTable, Params, evaluate, require_mass
 from .grid import Field, boundary_mass_fraction, mass
 
 __all__ = [
@@ -92,13 +92,13 @@ class BranchPoint:
             raise ValueError("minus branch requires g'' < 0")
 
 
-def scalars(u: Field, params: Params,
+def scalars(u: Union[Field, Evaluation], params: Params,
             table: Optional[KernelTable] = None) -> FiberScalars:
-    """Fiber invariants of u.  Requires mass(u) = params.c to 1e-8 relative."""
-    require_mass(u, params.c)
-    table = table or kernel_table(u.grid)
-    return FiberScalars(A=kinetic(u, table), C=pnorm(u, params.p),
-                        V=v_total(u, table), params=params)
+    """Fiber invariants of a field or of its evaluation.  Requires
+    mass(u) = params.c to 1e-8 relative."""
+    ev = u if isinstance(u, Evaluation) else evaluate(u, table)
+    require_mass(ev.u, params.c)
+    return FiberScalars(A=ev.A, C=ev.C(params.p), V=ev.V, params=params)
 
 
 def _check_t(t: float) -> float:

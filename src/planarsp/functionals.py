@@ -26,12 +26,19 @@ The kinetic term and the Laplacian use the spectral derivative of the
 field treated as periodic on the padded (2L) domain; callers keep the
 boundary mass fraction small so periodization error stays below the
 quadrature error.
+
+Every quantity of a field is read from its Evaluation (built by
+evaluate()), which computes each on first use and keeps it; kinetic,
+energy, el_residual and the other functions are views of a fresh one.
+Only this module knows the padded 2n x 2n layout.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -46,6 +53,9 @@ __all__ = [
     "EnergyBreakdown",
     "KernelTable",
     "kernel_table",
+    "Evaluation",
+    "evaluate",
+    "smooth_direction",
     "kinetic",
     "pnorm",
     "log_potential",
@@ -190,36 +200,178 @@ def kernel_table(grid: Grid) -> KernelTable:
     return table
 
 
-def _pad(values: np.ndarray) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# One evaluation per field
+# ---------------------------------------------------------------------------
+
+
+def _forward(values: np.ndarray) -> np.ndarray:
+    """rfft2 of the n x n values zero-padded to the 2n x 2n grid."""
     n = values.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = values
-    return out
+    return sfft.rfft2(values, s=(2 * n, 2 * n))
 
 
-def _convolve(values: np.ndarray, khat: np.ndarray, h: float) -> np.ndarray:
-    n = values.shape[0]
-    spec = sfft.rfft2(_pad(values)) * khat
-    return h * h * sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
-
-
-def _neg_laplacian(values: np.ndarray, table: KernelTable) -> np.ndarray:
-    n = values.shape[0]
-    spec = table.k2 * sfft.rfft2(_pad(values))
+def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
+    """The n x n block of the padded inverse transform (a view)."""
     return sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
 
 
+class Evaluation:
+    """Every functional of one field u, each computed on first use and kept.
+
+    Two forward transforms, of u and of u^2 zero-padded to 2n x 2n, feed
+    all of them.  w = log|.| * u^2 and -Delta u take one inverse transform
+    each; A = <u, -Delta u> and V = <u^2, w> are grid sums over them, which
+    keeps the flows' rounding, and so their answers, as they were.  V1 and
+    V2 follow by Parseval with no inverse transform.
+    """
+
+    def __init__(self, u: Field, table: KernelTable):
+        self.u, self.table = u, table
+        self._h2 = u.grid.h * u.grid.h
+        self._C: Dict[float, float] = {}
+
+    @cached_property
+    def spec_sq(self) -> np.ndarray:
+        """rfft2 of u^2 on the padded grid, kept for w, V1 and V2."""
+        return _forward(self.u.values * self.u.values)
+
+    @cached_property
+    def A(self) -> float:
+        """integral |grad u|^2, spectral on the padded domain."""
+        return float(max(self._h2 * np.sum(self.u.values * self.neg_lap), 0.0))
+
+    @cached_property
+    def V(self) -> float:
+        """<u^2, log * u^2>."""
+        return float(self._h2 * np.sum(self.u.values * self.u.values * self.w))
+
+    def _interaction(self, khat: np.ndarray) -> float:
+        # Parseval: h^4 (1/N) sum khat |spec_sq|^2 over the N-point padded
+        # spectrum, read from its rfft2 half, where the columns k_y = 0 and
+        # k_y = n stand for themselves and every other one also for its
+        # mirror.  The sampled kernels are even, so their transforms are real.
+        dens = khat.real * (self.spec_sq.real ** 2 + self.spec_sq.imag ** 2)
+        total = 2.0 * float(np.sum(dens)) - float(np.sum(dens[:, 0])) \
+            - float(np.sum(dens[:, -1]))
+        return self._h2 * self._h2 * total / dens.shape[0] ** 2
+
+    @cached_property
+    def V1(self) -> float:
+        """V with the nonnegative kernel log(1+|x-y|)."""
+        return self._interaction(self.table.khat_v1)
+
+    @cached_property
+    def V2(self) -> float:
+        """V with the nonnegative kernel log(1+1/|x-y|)."""
+        return self._interaction(self.table.khat_v2)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """The log potential log|.| * u^2 on the grid."""
+        return self._h2 * _inverse(self.spec_sq * self.table.khat_log, self.u.grid.n)
+
+    @cached_property
+    def neg_lap(self) -> np.ndarray:
+        """-Delta u on the grid (a copy, so the padded inverse is freed); the
+        spectrum of u is not kept, as nothing else reads it."""
+        return _inverse(self.table.k2 * _forward(self.u.values), self.u.grid.n).copy()
+
+    @cached_property
+    def star_norm(self) -> float:
+        """Weighted-norm diagnostic integral log(1+|x|) u^2."""
+        return float(self._h2 * np.sum(self.table.log_weight * self.u.values
+                                       * self.u.values))
+
+    def C(self, p: float) -> float:
+        """integral |u|^p for p > 2."""
+        if p not in self._C:
+            self._C[p] = pnorm(self.u, p)
+        return self._C[p]
+
+    def F(self, params: Params) -> float:
+        """F = A/2 + (gamma/4) V - (a/p) C."""
+        return 0.5 * self.A + 0.25 * params.gamma * self.V \
+            - (params.a / params.p) * self.C(params.p)
+
+    def Q(self, params: Params) -> float:
+        """Q = A - a (p-2)/p C - gamma c^2 / 4, c the prescribed mass: the fiber
+        map's derivative at t = 1, zero at every constrained critical point."""
+        return self.A - params.a * (params.p - 2.0) / params.p * self.C(params.p) \
+            - 0.25 * params.gamma * params.c ** 2
+
+    def grad(self, params: Params, s: float = 1.0) -> np.ndarray:
+        """L2 gradient of u -> F(u^s), u^s(x) = s u(sx), read on the grid by
+        the dilation covariance of grad F, m the mass of u:
+        s^2 (-Delta u) + gamma (w - m log s) u - a s^(p-2) |u|^(p-2) u.
+        s = 1 gives grad F, the exact gradient of the discrete energy."""
+        vals, p = self.u.values, params.p
+        nonlin = np.abs(vals) ** (p - 2.0) * vals
+        return (s * s * self.neg_lap
+                + params.gamma * (self.w - mass(self.u) * math.log(s)) * vals
+                - params.a * s ** (p - 2.0) * nonlin)
+
+    def lam(self, params: Params, s: float = 1.0) -> float:
+        """Multiplier of the mass constraint, -<grad(params, s), u>/m, which
+        makes grad + lambda u orthogonal to u; -(A + gamma V - a C)/m at s = 1."""
+        m = mass(self.u)
+        if m == 0.0:
+            raise ValueError("Lagrange multiplier of the zero field is undefined")
+        log_s = math.log(s)
+        return -(s * s * self.A + params.gamma * (self.V - m * m * log_s)
+                 - params.a * s ** (params.p - 2.0) * self.C(params.p)) / m
+
+    def breakdown(self, params: Params) -> EnergyBreakdown:
+        """All scalar functionals of u."""
+        return EnergyBreakdown(A=self.A, C=self.C(params.p), V=self.V, V1=self.V1,
+                               V2=self.V2, F=self.F(params), star_norm=self.star_norm)
+
+    def pohozaev_residual(self, params: Params, lam: float) -> float:
+        """Scale-free defect of lambda m + gamma V + (gamma/4) m^2 - (2a/p) C
+        = 0, m the mass of u; zero for the zero field."""
+        m = mass(self.u)
+        if m == 0.0:
+            return 0.0
+        V, C = self.V, self.C(params.p)
+        num = abs(lam * m + params.gamma * V + 0.25 * params.gamma * m * m
+                  - (2.0 * params.a / params.p) * C)
+        den = 1.0 + abs(lam) * m + abs(params.gamma) * abs(V)
+        return num / den
+
+    def el_residual(self, params: Params, lam: float) -> float:
+        """Relative L2 norm of the Euler-Lagrange defect grad F + lambda u."""
+        g = self.grad(params)
+        defect = np.sqrt(self._h2 * np.sum((g + lam * self.u.values) ** 2))
+        gnorm = np.sqrt(self._h2 * np.sum(g * g))
+        return float(defect / (1.0 + gnorm + abs(lam) * np.sqrt(mass(self.u))))
+
+
+def evaluate(u: Field, table: Optional[KernelTable] = None) -> Evaluation:
+    """The (lazy) evaluation of u on its grid's kernel table."""
+    return Evaluation(u, table or kernel_table(u.grid))
+
+
+# Squared decay length of the Sobolev metric (1 - beta Delta).
+_SOBOLEV_BETA = 0.25
+
+
+def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:
+    """Inverse-Helmholtz (1 - beta Delta)^-1 applied spectrally on the
+    padded grid: the Sobolev-metric representation of a gradient direction.
+    The short-range kernel (decay length sqrt(beta)) keeps the direction
+    from smearing mass toward the boundary frame."""
+    return _inverse(_forward(values) / (1.0 + _SOBOLEV_BETA * table.k2),
+                    values.shape[0])
+
+
 # ---------------------------------------------------------------------------
-# Scalar functionals
+# Functionals of a field, each a view of its evaluation
 # ---------------------------------------------------------------------------
 
 
 def kinetic(u: Field, table: Optional[KernelTable] = None) -> float:
-    """A(u) = integral |grad u|^2, spectral on the padded domain."""
-    table = table or kernel_table(u.grid)
-    h = u.grid.h
-    val = h * h * np.sum(u.values * _neg_laplacian(u.values, table))
-    return float(max(val, 0.0))
+    """Evaluation.A of u."""
+    return evaluate(u, table).A
 
 
 def pnorm(u: Field, p: float) -> float:
@@ -231,156 +383,61 @@ def pnorm(u: Field, p: float) -> float:
 
 
 def log_potential(u: Field, table: Optional[KernelTable] = None) -> Field:
-    """w = log|.| * u^2 via the zero-padded free-space convolution."""
-    table = table or kernel_table(u.grid)
-    return Field(u.grid, _convolve(u.values * u.values, table.khat_log, u.grid.h))
+    """Evaluation.w of u, as a field."""
+    return Field(u.grid, evaluate(u, table).w)
 
 
 def v_total(u: Field, table: Optional[KernelTable] = None) -> float:
-    """V(u) = <u^2, log * u^2>."""
-    table = table or kernel_table(u.grid)
-    u2 = u.values * u.values
-    h = u.grid.h
-    return float(h * h * np.sum(u2 * _convolve(u2, table.khat_log, h)))
+    """Evaluation.V of u."""
+    return evaluate(u, table).V
 
 
 def v1(u: Field, table: Optional[KernelTable] = None) -> float:
-    """V1(u) with the nonnegative kernel log(1+|x-y|)."""
-    table = table or kernel_table(u.grid)
-    u2 = u.values * u.values
-    h = u.grid.h
-    return float(h * h * np.sum(u2 * _convolve(u2, table.khat_v1, h)))
+    """Evaluation.V1 of u."""
+    return evaluate(u, table).V1
 
 
 def v2(u: Field, table: Optional[KernelTable] = None) -> float:
-    """V2(u) with the nonnegative kernel log(1+1/|x-y|)."""
-    table = table or kernel_table(u.grid)
-    u2 = u.values * u.values
-    h = u.grid.h
-    return float(h * h * np.sum(u2 * _convolve(u2, table.khat_v2, h)))
+    """Evaluation.V2 of u."""
+    return evaluate(u, table).V2
 
 
 def star_norm(u: Field, table: Optional[KernelTable] = None) -> float:
-    """Weighted-norm diagnostic integral log(1+|x|) u^2."""
-    table = table or kernel_table(u.grid)
-    h = u.grid.h
-    return float(h * h * np.sum(table.log_weight * u.values * u.values))
-
-
-@dataclass(frozen=True)
-class _Core:
-    """Shared per-iterate evaluation: one convolution, one Laplacian."""
-
-    A: float
-    C: float
-    V: float
-    F: float
-    w: np.ndarray
-    neg_lap: np.ndarray
-
-
-def _core(u: Field, params: Params, table: KernelTable) -> _Core:
-    h = u.grid.h
-    vals = u.values
-    neg_lap = _neg_laplacian(vals, table)
-    A = float(max(h * h * np.sum(vals * neg_lap), 0.0))
-    C = float(h * h * np.sum(np.abs(vals) ** params.p))
-    w = _convolve(vals * vals, table.khat_log, h)
-    V = float(h * h * np.sum(vals * vals * w))
-    F = 0.5 * A + 0.25 * params.gamma * V - (params.a / params.p) * C
-    return _Core(A=A, C=C, V=V, F=F, w=w, neg_lap=neg_lap)
+    """Evaluation.star_norm of u."""
+    return evaluate(u, table).star_norm
 
 
 def energy(u: Field, params: Params, table: Optional[KernelTable] = None) -> EnergyBreakdown:
-    """Full energy breakdown of u under the given parameters."""
-    table = table or kernel_table(u.grid)
-    core = _core(u, params, table)
-    return EnergyBreakdown(
-        A=core.A,
-        C=core.C,
-        V=core.V,
-        V1=v1(u, table),
-        V2=v2(u, table),
-        F=core.F,
-        star_norm=star_norm(u, table),
-    )
+    """Evaluation.breakdown of u."""
+    return evaluate(u, table).breakdown(params)
 
 
 def grad_energy(u: Field, params: Params, table: Optional[KernelTable] = None) -> Field:
-    """L2-gradient of F: -Delta u + gamma w u - a |u|^(p-2) u.
-
-    This is the exact discrete gradient of the discrete energy, so central
-    differences of energy() match <grad, phi> to rounding.
-    """
-    table = table or kernel_table(u.grid)
-    core = _core(u, params, table)
-    return Field(u.grid, _grad_values(u.values, params, core))
-
-
-def _grad_values(vals: np.ndarray, params: Params, core: _Core) -> np.ndarray:
-    nonlin = np.abs(vals) ** (params.p - 2.0) * vals
-    return core.neg_lap + params.gamma * core.w * vals - params.a * nonlin
+    """Evaluation.grad of u at s = 1, as a field."""
+    return Field(u.grid, evaluate(u, table).grad(params))
 
 
 def pohozaev_Q(u: Field, params: Params, table: Optional[KernelTable] = None) -> float:
-    """Q(u) = A - a (p-2)/p C - gamma c^2 / 4 with c the prescribed mass.
-
-    Q is the derivative of the dilation fiber map at t = 1 and vanishes at
-    every constrained critical point.
-    """
-    table = table or kernel_table(u.grid)
-    A = kinetic(u, table)
-    C = pnorm(u, params.p)
-    return A - params.a * (params.p - 2.0) / params.p * C - 0.25 * params.gamma * params.c ** 2
+    """Evaluation.Q of u."""
+    return evaluate(u, table).Q(params)
 
 
 def lagrange_multiplier(u: Field, params: Params,
                         table: Optional[KernelTable] = None) -> float:
-    """Multiplier of the mass constraint: lambda = -(A + gamma V - a C)/m.
-
-    Uses the actual mass m of u; equals the least-squares coefficient that
-    makes grad F + lambda u orthogonal to u.
-    """
-    m = mass(u)
-    if m == 0.0:
-        raise ValueError("Lagrange multiplier of the zero field is undefined")
-    table = table or kernel_table(u.grid)
-    A = kinetic(u, table)
-    C = pnorm(u, params.p)
-    V = v_total(u, table)
-    return -(A + params.gamma * V - params.a * C) / m
+    """Evaluation.lam of u at s = 1."""
+    return evaluate(u, table).lam(params)
 
 
 def pohozaev_residual(u: Field, params: Params, lam: float,
                       table: Optional[KernelTable] = None) -> float:
-    """Scale-free defect of the stationarity identity
-
-        lambda m + gamma V + (gamma/4) m^2 - (2a/p) C = 0
-
-    with m the actual mass of u.  Zero for the zero field."""
-    m = mass(u)
-    if m == 0.0:
-        return 0.0
-    table = table or kernel_table(u.grid)
-    V = v_total(u, table)
-    C = pnorm(u, params.p)
-    num = abs(lam * m + params.gamma * V + 0.25 * params.gamma * m * m
-              - (2.0 * params.a / params.p) * C)
-    den = 1.0 + abs(lam) * m + abs(params.gamma) * abs(V)
-    return num / den
+    """Evaluation.pohozaev_residual of u."""
+    return evaluate(u, table).pohozaev_residual(params, lam)
 
 
 def el_residual(u: Field, params: Params, lam: float,
                 table: Optional[KernelTable] = None) -> float:
-    """Relative L2 norm of the Euler-Lagrange defect grad F(u) + lambda u."""
-    table = table or kernel_table(u.grid)
-    core = _core(u, params, table)
-    g = _grad_values(u.values, params, core)
-    h = u.grid.h
-    defect = np.sqrt(h * h * np.sum((g + lam * u.values) ** 2))
-    gnorm = np.sqrt(h * h * np.sum(g * g))
-    unorm = np.sqrt(mass(u))
-    return float(defect / (1.0 + gnorm + abs(lam) * unorm))
+    """Evaluation.el_residual of u."""
+    return evaluate(u, table).el_residual(params, lam)
 
 
 def require_mass(u: Field, c: float, rtol: float = 1e-8) -> None:

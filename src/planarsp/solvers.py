@@ -18,35 +18,37 @@ admissible point; accepted steps are therefore monotone by construction.
   lambda_maximize        ascent of I over the admissible set V
                          (gamma < 0, a between the two coupling thresholds)
 
-The fiber flows never materialize dilations inside the loop: by the
-covariance of the gradient under dilation,
+Each iterate is evaluated once (functionals.Evaluation) and every quantity
+of it, the certificates of the final point included, is read from that
+evaluation, which transforms the field at most four times.  The fiber
+flows never materialize dilations inside the loop: by the covariance of
+the gradient under dilation,
 
     grad I(u) = s^2 (-Delta u) + gamma (w - c log s) u - a s^(p-2) |u|^(p-2) u
 
 with s the branch point of u, evaluated entirely on the original grid
-(s = 1 gives grad F).  A dilation is resampled only to recenter the fiber
-parameter near 1 and once at the end, after which the flow re-converges so
-the reported field itself satisfies the residual certificates.
+(Evaluation.grad; s = 1 gives grad F).  A dilation is resampled only to
+recenter the fiber parameter near 1 and once at the end, after which the
+flow re-converges so the reported field itself satisfies the residual
+certificates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.integrate import quad
 
 from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, RegimeError)
 from .fiber import (BranchPoint, FiberScalars, critical_points, dilate, g as fiber_g,
-                    t_star)
-from .functionals import (EnergyBreakdown, KernelTable, Params, _Core, _core,
-                          el_residual, energy, kernel_table, kinetic,
-                          lagrange_multiplier, pnorm, pohozaev_residual)
+                    scalars, t_star)
+from .functionals import (EnergyBreakdown, Evaluation, KernelTable, Params, evaluate,
+                          kernel_table, kinetic, pnorm, smooth_direction)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
                    mass, normalize, _bump)
 
@@ -132,15 +134,7 @@ class SolveReport:
             "pohozaev_residual": self.pohozaev_res,
             "el_residual": self.el_res,
             "iters": self.iters,
-            "breakdown": {
-                "A": self.breakdown.A,
-                "C": self.breakdown.C,
-                "V": self.breakdown.V,
-                "V1": self.breakdown.V1,
-                "V2": self.breakdown.V2,
-                "F": self.breakdown.F,
-                "star_norm": self.breakdown.star_norm,
-            },
+            "breakdown": asdict(self.breakdown),
             "regime": {"tag": self.regime.tag, "certificate": self.regime.certificate},
         }
         if self.branch is not None:
@@ -176,29 +170,6 @@ def gaussian_on_branch(params: Params, branch: str,
     return ProfileSpec.gaussian(sigma=sigma0 / s, c=c)
 
 
-def _gn_on_branch(grid: Grid, params: Params, branch: str) -> Field:
-    """Gagliardo-Nirenberg optimizer shape regenerated so the requested
-    fiber branch point sits at s = 1; the dilation is absorbed into the
-    radial stretch of the 1D profile, never resampled on the grid."""
-    table = kernel_table(grid)
-    stretch = 0.35 * grid.extent / K.ground_state_radial(params.p).r_stop
-    u = K.gn_profile_field(grid, params.p, params.c, stretch=stretch)
-    for _ in range(4):
-        core = _core(u, params, table)
-        sc = FiberScalars(A=core.A, C=core.C, V=core.V, params=params)
-        s = _branch_of(sc, branch).s
-        if abs(s - 1.0) < 1e-6:
-            break
-        stretch /= s
-        u = K.gn_profile_field(grid, params.p, params.c, stretch=stretch)
-    return u
-
-
-def _pohozaev_q(A: float, C: float, params: Params) -> float:
-    return A - params.a * (params.p - 2.0) / params.p * C \
-        - 0.25 * params.gamma * params.c ** 2
-
-
 def _q_scale(A: float, params: Params) -> float:
     return A + 0.25 * abs(params.gamma) * params.c ** 2
 
@@ -207,20 +178,21 @@ def _l2(values: np.ndarray, h: float) -> float:
     return math.sqrt(h * h * float(np.sum(values * values)))
 
 
-def _finalize(u: Field, params: Params, table: KernelTable, regime: K.RegimeLabel,
+def _finalize(ev: Evaluation, params: Params, regime: K.RegimeLabel,
               mode: str, iters: int, converged: bool,
               trace: List[TraceRow]) -> SolveReport:
-    bd = energy(u, params, table)
-    lam = lagrange_multiplier(u, params, table)
-    q = _pohozaev_q(bd.A, bd.C, params)
+    """Certify the evaluated field: its transforms are reused, not redone."""
+    bd = ev.breakdown(params)
+    lam = ev.lam(params)
+    q = ev.Q(params)
     report = SolveReport(
-        field=u,
+        field=ev.u,
         breakdown=bd,
         lam=lam,
         q_value=q,
         q_residual=abs(q) / _q_scale(bd.A, params),
-        pohozaev_res=pohozaev_residual(u, params, lam, table),
-        el_res=el_residual(u, params, lam, table),
+        pohozaev_res=ev.pohozaev_residual(params, lam),
+        el_res=ev.el_residual(params, lam),
         iters=iters,
         converged=converged,
         objective=bd.F,
@@ -228,7 +200,7 @@ def _finalize(u: Field, params: Params, table: KernelTable, regime: K.RegimeLabe
         mode=mode,
         trace=trace,
     )
-    report.extras["boundary_mass_fraction"] = boundary_mass_fraction(u)
+    report.extras["boundary_mass_fraction"] = boundary_mass_fraction(ev.u)
     return report
 
 
@@ -236,41 +208,26 @@ def _finalize(u: Field, params: Params, table: KernelTable, regime: K.RegimeLabe
 # Projected-flow engine
 # ---------------------------------------------------------------------------
 
-# Squared decay length of the Sobolev metric (1 - beta Delta).
-_SOBOLEV_BETA = 0.25
-
-
 @dataclass(frozen=True)
 class _Point:
-    """An admissible iterate, evaluated.
+    """An admissible iterate and its evaluation.
 
     The objective reads F at the dilation u^s: s = 1 for F itself, the fiber
     branch point for I; gpp is g''(s) when s is a branch point."""
 
-    core: _Core
+    ev: Evaluation
     value: float
     s: float = 1.0
     gpp: Optional[float] = None
 
 
-def _smooth_direction(vals: np.ndarray, table: KernelTable) -> np.ndarray:
-    """Inverse-Helmholtz (1 - beta Delta)^-1 applied spectrally on the
-    padded grid: the Sobolev-metric representation of a gradient
-    direction.  The change of metric removes the Laplacian stiffness from
-    the flow while keeping every step a descent step; the short-range
-    kernel (decay length sqrt(beta)) keeps the direction from smearing
-    mass toward the boundary frame."""
-    n = vals.shape[0]
-    spec = sfft.rfft2(vals, s=(2 * n, 2 * n)) / (1.0 + _SOBOLEV_BETA * table.k2)
-    return sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
-
-
 class _Objective:
     """What a flow descends (sense = +1) or ascends (sense = -1).
 
-    Subclasses define evaluate(u): the evaluated point, or None when u is
-    not admissible.  The hooks default to an objective with no invariant
-    orbit, no recentering and no refusal of a failed line search."""
+    Subclasses define point(ev): the point of an evaluated field, or None
+    when the field is not admissible.  The hooks default to an objective
+    with no invariant orbit, no recentering and no refusal of a failed line
+    search."""
 
     sense = 1
 
@@ -281,14 +238,14 @@ class _Objective:
         """A direction the objective is invariant along."""
         return None
 
-    def recenter(self, u: Field, pt: _Point, stalled: bool) -> Optional[Field]:
+    def recenter(self, pt: _Point, stalled: bool) -> Optional[Field]:
         """A field to restart from; stalled says the tangent gradient has
         converged while Q has not."""
         return None
 
-    def settle(self, u: Field, pt: _Point) -> Tuple[Field, _Point]:
-        """The field to certify once the flow stops."""
-        return u, pt
+    def settle(self, pt: _Point) -> _Point:
+        """The point to certify once the flow stops."""
+        return pt
 
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
         """The error to raise when no trial step was accepted."""
@@ -307,14 +264,13 @@ class _Energy(_Objective):
         super().__init__(params, table, mode)
         self.cap = cap
 
-    def evaluate(self, u: Field) -> Optional[_Point]:
-        core = _core(u, self.params, self.table)
-        if self.cap is not None and core.A >= self.cap:
+    def point(self, ev: Evaluation) -> Optional[_Point]:
+        if self.cap is not None and ev.A >= self.cap:
             return None
-        return _Point(core, core.F)
+        return _Point(ev, ev.F(self.params))
 
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
-        if self.cap is not None and pt.core.A > 0.999 * self.cap:
+        if self.cap is not None and pt.ev.A > 0.999 * self.cap:
             return CapBoundaryError(
                 f"{self.mode}: flow pinned at the kinetic cap A = k0 = {self.cap}; "
                 "this contradicts interiority of the capped minimizer and "
@@ -346,17 +302,16 @@ class _FiberBranch(_Objective):
         self.v_floor = None if v_margin is None else (1.0 + v_margin) * K.k0(params)
         self.recenters = 0
 
-    def evaluate(self, u: Field) -> Optional[_Point]:
-        core = _core(u, self.params, self.table)
-        if core.A > self.a_resolved:
+    def point(self, ev: Evaluation) -> Optional[_Point]:
+        if ev.A > self.a_resolved:
             return None
-        sc = FiberScalars(A=core.A, C=core.C, V=core.V, params=self.params)
+        sc = scalars(ev, self.params)
         if self.v_floor is not None:
             ts = t_star(sc)
             if ts * ts * sc.A <= self.v_floor:
                 return None
         bp = _branch_of(sc, self.branch)
-        return _Point(core, bp.g, bp.s, bp.gpp)
+        return _Point(ev, bp.g, bp.s, bp.gpp)
 
     def orbit(self, u: Field) -> Optional[np.ndarray]:
         # d/dt (t u(tx)) at t = 1 = u + x.grad u.  Second-order differences
@@ -367,22 +322,23 @@ class _FiberBranch(_Objective):
         du_dy = np.gradient(u.values, u.grid.h, axis=1)
         return u.values + x[:, None] * du_dx + x[None, :] * du_dy
 
-    def recenter(self, u: Field, pt: _Point, stalled: bool) -> Optional[Field]:
+    def recenter(self, pt: _Point, stalled: bool) -> Optional[Field]:
         # Off the Pohozaev set once tangent-converged: materialize the branch
         # dilation (s is near 1 by now).  Far from s = 1: a safety recentering,
         # rarely reached with the orbit projection.
         if (stalled and self.recenters < 8) or abs(pt.s - 1.0) > 0.4:
             self.recenters += 1
-            return normalize(dilate(u, pt.s), self.params.c)
+            return normalize(dilate(pt.ev.u, pt.s), self.params.c)
         return None
 
-    def settle(self, u: Field, pt: _Point) -> Tuple[Field, _Point]:
+    def settle(self, pt: _Point) -> _Point:
         # Certify on the materialized branch point when the fiber parameter
-        # has not fully recentered.
+        # has not fully recentered; an inadmissible one keeps the branch
+        # data of the flow's last point.
         if abs(pt.s - 1.0) <= 1e-9:
-            return u, pt
-        u = normalize(dilate(u, pt.s), self.params.c)
-        return u, self.evaluate(u) or pt
+            return pt
+        ev = evaluate(normalize(dilate(pt.ev.u, pt.s), self.params.c), self.table)
+        return self.point(ev) or replace(pt, ev=ev)
 
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
         if guard_rejects >= 40:
@@ -403,33 +359,28 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
     report) when they do not."""
     params, table, mode, sense = obj.params, obj.table, obj.mode, obj.sense
     h, c = u.grid.h, params.c
-    pt = obj.evaluate(u)
+    pt = obj.point(evaluate(u, table))
     if pt is None:
         raise RegimeError(
             f"{mode}: initial field is not admissible (outside the guarded "
             "set, or more concentrated than the grid resolves)")
-    tau = cfg.step0 if cfg.step0 is not None else 0.1 / max(1.0, pt.core.A)
+    tau = cfg.step0 if cfg.step0 is not None else 0.1 / max(1.0, pt.ev.A)
     trace: List[TraceRow] = []
     prev_u = prev_d = None
     converged = False
     boundary_strikes = 0
 
-    def report_at(u: Field, pt: _Point, converged: bool) -> SolveReport:
-        report = _finalize(u, params, table, regime, mode, it, converged, trace)
+    def report_at(pt: _Point, converged: bool) -> SolveReport:
+        report = _finalize(pt.ev, params, regime, mode, it, converged, trace)
         obj.annotate(report, pt)
         return report
 
     for it in range(cfg.max_iter + 1):
         # L2 gradient of the objective and the tangent part of it, by the
         # dilation covariance of grad F (see the module docstring).
-        core, s = pt.core, pt.s
-        log_s, sp2 = math.log(s), s ** (params.p - 2.0)
-        nonlin = np.abs(u.values) ** (params.p - 2.0) * u.values
-        grad = (s * s * core.neg_lap + params.gamma * (core.w - c * log_s) * u.values
-                - params.a * sp2 * nonlin)
-        lam = -(s * s * core.A + params.gamma * (core.V - c * c * log_s)
-                - params.a * sp2 * core.C) / c
-        d_raw = grad + lam * u.values
+        ev, u = pt.ev, pt.ev.u
+        grad = ev.grad(params, pt.s)
+        d_raw = grad + ev.lam(params, pt.s) * u.values
         # The orbit component of the raw gradient is pure discretization
         # noise (the objective is invariant along the orbit); project it out
         # of both the step direction and the convergence measure.  The orbit
@@ -441,17 +392,17 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
             fib_norm2 = h * h * float(np.sum(fib * fib))
             d_raw = d_raw - (h * h * float(np.sum(d_raw * fib)) / fib_norm2) * fib
         res = _l2(d_raw, h) / (1.0 + _l2(grad, h))
-        q = _pohozaev_q(core.A, core.C, params)
+        q = ev.Q(params)
         if cfg.trace:
-            trace.append(TraceRow(it, core.F, q, res, core.A, core.C, core.V))
-        if res < cfg.tol_grad and abs(q) / _q_scale(core.A, params) < cfg.tol_Q:
+            trace.append(TraceRow(it, ev.F(params), q, res, ev.A, ev.C(params.p), ev.V))
+        if res < cfg.tol_grad and abs(q) / _q_scale(ev.A, params) < cfg.tol_Q:
             converged = True
             break
         if it == cfg.max_iter:
             break
-        moved = obj.recenter(u, pt, res < cfg.tol_grad)
+        moved = obj.recenter(pt, res < cfg.tol_grad)
         if moved is not None:
-            u, pt = moved, obj.evaluate(moved)
+            pt = obj.point(evaluate(moved, table))
             if pt is None:
                 raise GuardFloorError(f"{mode}: recentered iterate is no "
                                       "longer admissible")
@@ -469,7 +420,7 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
 
         # Sobolev-metric direction, projected onto the sphere tangent and off
         # the orbit; the raw direction if that is not a descent direction.
-        d_h = _smooth_direction(d_raw, table)
+        d_h = smooth_direction(d_raw, table)
         d = d_h - (h * h * float(np.sum(d_h * u.values)) / c) * u.values
         if fib is not None:
             d -= (h * h * float(np.sum(d * fib)) / fib_norm2) * fib
@@ -492,22 +443,22 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
         guard_rejects = 0
         for _ in range(60):
             v = normalize(Field(u.grid, u.values - sense * step * d), c)
-            pt_v = obj.evaluate(v)
+            pt_v = obj.point(evaluate(v, table))
             if pt_v is None:
                 guard_rejects += 1
             elif sense * (pt.value - pt_v.value) >= cfg.armijo * step * slope:
-                u, pt, tau = v, pt_v, step
+                pt, tau = pt_v, step
                 break
             step *= cfg.backtrack
         else:
             err = obj.refusal(pt, guard_rejects)
             if err is not None:
-                err.report = report_at(u, pt, False)
+                err.report = report_at(pt, False)
                 raise err
             break  # line search exhausted: accept current point as stationary
 
-    u, pt = obj.settle(u, pt)
-    report = report_at(u, pt, converged)
+    pt = obj.settle(pt)
+    report = report_at(pt, converged)
     report.converged = bool(converged and report.q_residual < cfg.tol_Q)
     if not report.converged:
         raise ConvergenceError(
@@ -522,23 +473,29 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
+def _regime_for(solver: str, params: Params, tags: Tuple[str, ...],
+                requirement: str) -> K.RegimeLabel:
+    """The classifier's regime of params; RegimeError unless it is in tags."""
+    regime = K.regime_classify(params, K.sharp_constants(params.p))
+    if regime.tag not in tags:
+        raise RegimeError(f"{solver} requires {requirement}; classifier says "
+                          f"{regime.tag}: {regime.certificate['conditions']}")
+    return regime
+
+
 def global_minimize(params: Params, grid: Grid, config: SolverConfig,
                     init: Union[ProfileSpec, Field]) -> SolveReport:
     """Minimize F over the mass sphere in a bounded regime.
 
     Valid when the classifier reports GlobalMin or GlobalMinMassCritical;
     refuses to start otherwise, quoting the certificate."""
-    sharp = K.sharp_constants(params.p)
-    regime = K.regime_classify(params, sharp)
-    if regime.tag not in ("GlobalMin", "GlobalMinMassCritical"):
-        raise RegimeError(
-            f"global_minimize requires a bounded-below regime, "
-            f"classifier says {regime.tag}: {regime.certificate['conditions']}"
-        )
+    regime = _regime_for("global_minimize", params,
+                         ("GlobalMin", "GlobalMinMassCritical"), "a bounded-below regime")
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
     report = _flow(u0, _Energy(params, table, "global_minimize"), config, regime)
     # Analytic lower-bound diagnostic at the converged kinetic level.
+    sharp = K.sharp_constants(params.p)
     A = report.breakdown.A
     bound = 0.5 * A - 0.25 * abs(params.gamma) * sharp.kv2 * math.sqrt(A) * params.c ** 1.5
     if params.a > 0:
@@ -554,17 +511,12 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
 
     Trial steps that reach the cap are rejected, so every iterate is strictly
     interior; a flow pinned against the cap raises CapBoundaryError."""
-    sharp = K.sharp_constants(params.p)
-    regime = K.regime_classify(params, sharp)
-    if regime.tag != "LocalMinPlusMountainPass":
-        raise RegimeError(
-            f"local_minimize_capped requires gamma > 0, a > 0, p > 4, c < c0; "
-            f"classifier says {regime.tag}: {regime.certificate['conditions']}"
-        )
+    regime = _regime_for("local_minimize_capped", params, ("LocalMinPlusMountainPass",),
+                         "gamma > 0, a > 0, p > 4, c < c0")
     table = kernel_table(grid)
     cap = K.k0(params)
     u0 = _as_field(init, grid, params.c)
-    A0 = _core(u0, params, table).A
+    A0 = kinetic(u0, table)
     if A0 > 0.9 * cap:
         # Pre-contract along the fiber: A(u^t) = t^2 A puts the init inside.
         u0 = normalize(dilate(u0, math.sqrt(0.8 * cap / A0)), params.c)
@@ -587,13 +539,8 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
     minimization); branch='minus' the mountain-pass point."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
-    sharp = K.sharp_constants(params.p)
-    regime = K.regime_classify(params, sharp)
-    if regime.tag != "LocalMinPlusMountainPass":
-        raise RegimeError(
-            f"lambda_branch_minimize requires gamma > 0, a > 0, p > 4, c < c0; "
-            f"classifier says {regime.tag}: {regime.certificate['conditions']}"
-        )
+    regime = _regime_for("lambda_branch_minimize", params, ("LocalMinPlusMountainPass",),
+                         "gamma > 0, a > 0, p > 4, c < c0")
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
     obj = _FiberBranch(params, table, f"lambda_branch_minimize[{branch}]", branch)
@@ -611,21 +558,16 @@ def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
     Gagliardo-Nirenberg optimizer, reported without gradient iteration."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
-    sharp = K.sharp_constants(params.p)
-    regime = K.regime_classify(params, sharp)
-    if regime.tag == "TwoCriticalPointsOnLambda":
-        table = kernel_table(grid)
-        u0 = _as_field(init, grid, params.c)
-        obj = _FiberBranch(params, table, f"lambda_maximize[{branch}]", branch,
-                           sense=-1, v_margin=config.v_margin)
-        return _flow(u0, obj, config, regime)
+    regime = _regime_for("lambda_maximize", params,
+                         ("TwoCriticalPointsOnLambda", "MaxOnLambda"),
+                         "the coupling at or above the lower threshold with p < 4 "
+                         "and gamma < 0")
     if regime.tag == "MaxOnLambda":
         return _degenerate_threshold_report(params, grid, config, regime)
-    raise RegimeError(
-        f"lambda_maximize requires the coupling at or above the lower "
-        f"threshold with p < 4 and gamma < 0; classifier says {regime.tag}: "
-        f"{regime.certificate['conditions']}"
-    )
+    table = kernel_table(grid)
+    obj = _FiberBranch(params, table, f"lambda_maximize[{branch}]", branch,
+                       sense=-1, v_margin=config.v_margin)
+    return _flow(_as_field(init, grid, params.c), obj, config, regime)
 
 
 def _degenerate_threshold_report(params: Params, grid: Grid, cfg: SolverConfig,
@@ -634,12 +576,10 @@ def _degenerate_threshold_report(params: Params, grid: Grid, cfg: SolverConfig,
     fiber: report its projection, certified by the Q residual alone."""
     table = kernel_table(grid)
     u = K.gn_profile_field(grid, params.p, params.c)
-    core = _core(u, params, table)
-    sc = FiberScalars(A=core.A, C=core.C, V=core.V, params=params)
-    ts = t_star(sc)
+    ts = t_star(scalars(u, params, table))
     u = normalize(dilate(u, ts), params.c)
-    report = _finalize(u, params, table, regime, "lambda_maximize[threshold]",
-                       0, True, [])
+    report = _finalize(evaluate(u, table), params, regime,
+                       "lambda_maximize[threshold]", 0, True, [])
     report.s_branch = ts
     report.converged = bool(report.q_residual < max(cfg.tol_Q, 1e-2))
     report.extras["degenerate_threshold_mode"] = True
@@ -714,12 +654,11 @@ def two_bump_probe(params: Params, grid: Grid, n_list: Sequence[int],
     for n in n_list:
         r1 = np.hypot((X - n * R) / n, Y / n)
         u_n = lobe_u + Field(grid, (amp_v / n) * _bump(r1, rho))
-        bd = energy(u_n, params, table)
-        q = bd.A - a * (p - 2.0) / p * bd.C - 0.25 * gam * c * c
+        ev = evaluate(u_n, table)
         q_pred = (A_u + A_v * n ** -2.0
                   - a * (p - 2.0) / p * (C_u + C_v * float(n) ** (2.0 - p))
                   - 0.25 * gam * c * c)
-        out.append(TwoBumpPoint(n=n, q=q, f=bd.F, q_pred=q_pred))
+        out.append(TwoBumpPoint(n=n, q=ev.Q(params), f=ev.F(params), q_pred=q_pred))
     return out
 
 
@@ -759,7 +698,5 @@ def masscritical_probe(params: Params, grid: Grid) -> List[Tuple[float, float]]:
     if params.p != 4.0 or params.gamma <= 0.0 or params.a <= 0.0:
         raise RegimeError("masscritical_probe requires p = 4, gamma > 0, a > 0")
     table = kernel_table(grid)
-    u = K.gn_profile_field(grid, 4.0, params.c)
-    core = _core(u, params, table)
-    sc = FiberScalars(A=core.A, C=core.C, V=core.V, params=params)
+    sc = scalars(K.gn_profile_field(grid, 4.0, params.c), params, table)
     return [(float(t), fiber_g(sc, float(t))) for t in (2.0 ** k for k in range(7))]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from planarsp import SolverConfig, read_field
+from planarsp import constants as K
 from planarsp.cli import main
 
 
@@ -66,7 +67,9 @@ def test_constants_payload(capsys):
     assert payload["K1"] is not None and payload["K2"] is not None
     assert payload["kv2"] > 0
     assert payload["method"] == "ode_shooting"
-    assert "tolerances" in payload
+    assert payload["tolerances"] == {
+        "kgn_rayleigh_slack": K._RAYLEIGH_SLACK,
+        "shooting_bisections": K._SHOOTING_BISECTIONS}
 
 
 def test_constants_with_full_params(capsys):
@@ -149,6 +152,43 @@ def test_sweep_bad_bounds_exit_2(tmp_path):
     assert run_cli(["sweep", "--gamma", "-1", "--p", "3", "--a-min", "5",
                     "--a-max", "1", "--c-min", "0.5", "--c-max", "2.0",
                     "--out", str(tmp_path)]) == 2
+
+
+def test_sweep_refuses_before_writing(tmp_path):
+    out = tmp_path / "sw"
+    assert run_cli(["sweep", "--gamma", "nan", "--p", "3", "--a-min", "1",
+                    "--a-max", "2", "--c-min", "1", "--c-max", "2",
+                    "--out", str(out)]) == 2
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma", "1", "--a", "0", "--p", "3", "--c", "1", "--grid-L", "40",
+     "--sigma", "1.5"],
+    ["--gamma", "1", "--a", "1", "--p", "6", "--c", "1.58", "--grid-L", "24",
+     "--branch", "plus"],
+], ids=["plain", "branch_plus"])
+def test_solve_replays_from_report(tmp_path, flags):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(["solve", *flags, "--grid-n", "128", "--out", str(first)]) == 0
+    assert run_cli(["solve", "--config", str(first / "report.json"),
+                    "--out", str(again)]) == 0
+    before, after = (json.loads((d / "report.json").read_text())
+                     for d in (first, again))
+    assert before["config"]["profile"]["kind"] == "gaussian"
+    assert after["config"] == before["config"]
+    assert after["mode"] == before["mode"]
+    assert (again / "solution.lpf").read_bytes() == (first / "solution.lpf").read_bytes()
+
+
+def test_solve_flags_override_report(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(["solve", "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
+                    "--grid-L", "40", "--grid-n", "128", "--out", str(first)]) == 0
+    assert run_cli(["solve", "--config", str(first / "report.json"),
+                    "--profile", "ring", "--sigma", "1.2", "--out", str(again)]) == 0
+    profile = json.loads((again / "report.json").read_text())["config"]["profile"]
+    assert (profile["kind"], profile["sigma"]) == ("ring", 1.2)
 
 
 def test_solve_end_to_end(tmp_path):

@@ -9,7 +9,9 @@ from planarsp import (Field, Params, ProfileSpec, discretize, el_residual,
                       energy, grad_energy, kinetic, lagrange_multiplier,
                       log_potential, mass, pnorm, pohozaev_Q,
                       pohozaev_residual, shift, star_norm, v1, v2, v_total)
-from planarsp.functionals import _origin_cell_average, kernel_table
+from planarsp import constants as K
+from planarsp import solvers
+from planarsp.functionals import _origin_cell_average, evaluate, kernel_table
 
 from conftest import EULER, V_GAUSS_UNIT
 
@@ -245,3 +247,65 @@ def test_star_norm_gaussian(gauss256):
     # integral log(1+r) u^2 for the unit Gaussian, radial quadrature oracle
     oracle, _ = quad(lambda r: 2.0 * r * np.exp(-r * r) * np.log1p(r), 0.0, 20.0)
     assert star_norm(gauss256) == pytest.approx(oracle, rel=2e-3)
+
+
+def _padded_reference(u, table):
+    """A, V, V1 and V2 as direct grid sums against the zero-padded
+    Laplacian and convolutions, each by its own pair of transforms."""
+    n, h = u.grid.n, u.grid.h
+
+    def through(values, multiplier):
+        padded = np.zeros((2 * n, 2 * n))
+        padded[:n, :n] = values
+        spec = np.fft.rfft2(padded) * multiplier
+        return np.fft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
+
+    u2 = u.values * u.values
+    A = h * h * np.sum(u.values * through(u.values, table.k2))
+    V = [h ** 4 * np.sum(u2 * through(u2, khat))
+         for khat in (table.khat_log, table.khat_v1, table.khat_v2)]
+    return [A] + V
+
+
+@pytest.mark.parametrize("which", ["gauss256", "random_smooth128", "noise128"])
+def test_evaluation_matches_padded_reference(which, gauss256, grid128):
+    if which == "gauss256":
+        u = gauss256
+    elif which == "random_smooth128":
+        u = discretize(ProfileSpec.random_smooth(seed=4), grid128)
+    else:
+        # White noise weighs every column of the half spectrum, the Nyquist
+        # column included.
+        u = Field(grid128, np.random.default_rng(0).standard_normal((128, 128)))
+    table = kernel_table(u.grid)
+    ev = evaluate(u, table)
+    for got, want in zip((ev.A, ev.V, ev.V1, ev.V2), _padded_reference(u, table)):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    import scipy.fft
+
+    counts = {"rfft2": 0, "irfft2": 0}
+    for name in counts:
+        real = getattr(scipy.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return counts
+
+
+def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
+    table = kernel_table(gauss128.grid)
+    regime = K.regime_classify(PR3, K.sharp_constants(PR3.p))
+    fft_counts.update(rfft2=0, irfft2=0)
+    ev = evaluate(gauss128, table)
+    ev.F(PR3)  # an Armijo trial point: A and V need w and -Delta u
+    assert fft_counts == {"rfft2": 2, "irfft2": 2}
+    report = solvers._finalize(ev, PR3, regime, "test", 0, False, [])
+    assert fft_counts == {"rfft2": 2, "irfft2": 2}
+    assert report.el_res == el_residual(gauss128, PR3, report.lam, table)
