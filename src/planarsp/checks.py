@@ -259,7 +259,7 @@ def _check_band_edges() -> CheckResult:
     bad = 0
     for p in (2.5, 3.5):
         kgn = K.kgn_estimate(p)
-        sharp = K.SharpConstants(p=p, kgn=kgn, kv2=1.0)
+        sharp = K.SharpConstants(p=p, kgn=kgn)
         for c_edge in K.c_edges(p, -1.0, 1.0, kgn):
             below, above = (K.regime_classify(
                 Params(gamma=-1.0, a=1.0, p=p, c=c_edge * (1.0 + eps)), sharp).tag
@@ -289,7 +289,7 @@ def _check_kernel_origin() -> CheckResult:
 
 def _check_masscritical_edge() -> CheckResult:
     kgn4 = K.kgn_estimate(4.0)
-    sharp = K.SharpConstants(p=4.0, kgn=kgn4, kv2=1.0)
+    sharp = K.SharpConstants(p=4.0, kgn=kgn4)
     c_mc = K.mass_critical_threshold(1.0, kgn4)
     below = K.regime_classify(Params(gamma=1.0, a=1.0, p=4.0,
                                      c=c_mc * (1 - 1e-10)), sharp).tag

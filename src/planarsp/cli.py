@@ -129,11 +129,12 @@ def _dumps(payload: dict) -> str:
 
 
 def _constants_payload(params: Optional[Params], p: float) -> dict:
+    """K_GN and the closed-form thresholds; the commands that report kv2
+    add it themselves, so classify and sweep never build it."""
     kgn = K.kgn_estimate(p)
     payload = {
         "p": p,
         "kgn": kgn,
-        "kv2": K.kv2_estimate(),
         "method": "ode_shooting",
         "tolerances": {"kgn_rayleigh_slack": K._RAYLEIGH_SLACK,
                        "shooting_bisections": K._SHOOTING_BISECTIONS},
@@ -196,7 +197,9 @@ def cmd_constants(args) -> int:
         params = _merged_params(cfg, args)
     except ConfigError:
         pass  # partial parameter sets are fine for the constants command
-    print(_dumps(_constants_payload(params, p)))
+    payload = _constants_payload(params, p)
+    payload["kv2"] = K.kv2_estimate()
+    print(_dumps(payload))
     return EXIT_OK
 
 
@@ -309,6 +312,7 @@ def cmd_solve(args) -> int:
         if spec is not None:
             payload["config"]["profile"] = dataclasses.asdict(spec)
         payload["constants"] = _constants_payload(params, params.p)
+        payload["constants"]["kv2"] = K.kv2_estimate()
         text = _dumps(payload)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             fh.write(text)

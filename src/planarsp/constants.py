@@ -70,7 +70,9 @@ REGIME_TAGS = (
 # shooting value before the estimate is rejected.
 _RAYLEIGH_SLACK = 1e-3
 
-# Bisection steps on phi(0) in the ground-state shooting.
+# At most this many bisection steps on phi(0) in the ground-state shooting;
+# the bisection stops earlier once the bracket is two adjacent floats
+# (54 steps from [1, 8]).
 _SHOOTING_BISECTIONS = 80
 
 
@@ -95,20 +97,26 @@ class RadialGroundState:
         return np.maximum(out, 0.0)
 
 
-def _shoot(beta: float, p: float, rmax: float = 40.0):
+def _shoot(beta: float, p: float, rmax: float = 40.0, dense: bool = False):
     """Integrate the radial equation from the origin, carrying the mass,
     kinetic and p-norm integrals as extra states.  Returns (sign, solution)
     where sign is -1 for overshoot (profile crossed zero), +1 for
-    undershoot (profile turned back up) and 0 for neither."""
+    undershoot (profile turned back up) and 0 for neither.  dense adds the
+    interpolant sol.sol; it does not change the steps taken."""
+    p = float(p)
+    pm1 = p - 1.0
+    two_pi = 2.0 * math.pi
 
+    # Python floats: the same libm pow as numpy scalars, at a fraction of
+    # the per-call overhead.
     def rhs(r, y):
-        phi, dphi = y[0], y[1]
-        nl = np.sign(phi) * abs(phi) ** (p - 1.0)
+        phi, dphi = float(y[0]), float(y[1])
+        nl = math.copysign(abs(phi) ** pm1, phi)
         if r < 1e-12:
             ddphi = 0.5 * (phi - nl)
         else:
             ddphi = -dphi / r + phi - nl
-        tau = 2.0 * np.pi * r
+        tau = two_pi * r
         return [dphi, ddphi, tau * phi * phi, tau * dphi * dphi,
                 tau * abs(phi) ** p]
 
@@ -126,7 +134,7 @@ def _shoot(beta: float, p: float, rmax: float = 40.0):
 
     sol = solve_ivp(rhs, (1e-8, rmax), [beta, 0.0, 0.0, 0.0, 0.0],
                     events=[crossed, turned], rtol=1e-12, atol=1e-14,
-                    method="DOP853", dense_output=True)
+                    method="DOP853", dense_output=dense)
     if sol.t_events[0].size:
         return -1, sol
     if sol.t_events[1].size:
@@ -162,13 +170,15 @@ def ground_state_radial(p: float) -> RadialGroundState:
 
     for _ in range(_SHOOTING_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break   # adjacent floats: a further shoot repeats lo or hi
         s, _ = _shoot(mid, p)
         if s == -1:
             hi = mid
         else:
             lo = mid
     beta = 0.5 * (lo + hi)
-    _, sol = _shoot(beta, p)
+    _, sol = _shoot(beta, p, dense=True)
     r_stop = sol.t[-1]
     m, A, C = sol.y[2, -1], sol.y[3, -1], sol.y[4, -1]
 
@@ -403,13 +413,13 @@ class SharpConstants:
 
     p: float
     kgn: float
-    kv2: float
     provenance: str = "ode_shooting"
     tolerance: float = 1e-6
 
 
 def sharp_constants(p: float) -> SharpConstants:
-    return SharpConstants(p=float(p), kgn=kgn_estimate(p), kv2=kv2_estimate())
+    """K_GN for exponent p; kv2_estimate is left to the callers that use it."""
+    return SharpConstants(p=float(p), kgn=kgn_estimate(p))
 
 
 @dataclass(frozen=True)

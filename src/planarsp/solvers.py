@@ -495,11 +495,12 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
     u0 = _as_field(init, grid, params.c)
     report = _flow(u0, _Energy(params, table, "global_minimize"), config, regime)
     # Analytic lower-bound diagnostic at the converged kinetic level.
-    sharp = K.sharp_constants(params.p)
+    kgn = regime.certificate["kgn"]
     A = report.breakdown.A
-    bound = 0.5 * A - 0.25 * abs(params.gamma) * sharp.kv2 * math.sqrt(A) * params.c ** 1.5
+    bound = (0.5 * A - 0.25 * abs(params.gamma) * K.kv2_estimate()
+             * math.sqrt(A) * params.c ** 1.5)
     if params.a > 0:
-        bound -= (params.a / params.p) * sharp.kgn * A ** (0.5 * params.p - 1.0) * params.c
+        bound -= (params.a / params.p) * kgn * A ** (0.5 * params.p - 1.0) * params.c
     report.extras["lower_bound"] = bound
     report.extras["lower_bound_ok"] = bool(report.breakdown.F >= bound)
     return report

@@ -65,7 +65,7 @@ def test_constants_payload(capsys):
     assert payload["p"] == 3.0
     assert payload["kgn"] == pytest.approx(0.381, abs=1e-2)
     assert payload["K1"] is not None and payload["K2"] is not None
-    assert payload["kv2"] > 0
+    assert payload["kv2"] == K.kv2_estimate()
     assert payload["method"] == "ode_shooting"
     assert payload["tolerances"] == {
         "kgn_rayleigh_slack": K._RAYLEIGH_SLACK,
@@ -78,6 +78,21 @@ def test_constants_with_full_params(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["c0"] is not None
     assert payload["k0"] == pytest.approx(0.5)
+
+
+def test_classify_and_sweep_do_not_build_kv2(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kv2_estimate called")
+
+    monkeypatch.setattr(K, "kv2_estimate", refuse)
+    assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "6",
+                    "--c", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "kv2" not in payload["thresholds"]
+    assert run_cli(["sweep", "--gamma", "-1", "--p", "3", "--a-min", "0.2",
+                    "--a-max", "2", "--na", "3", "--c-min", "0.5",
+                    "--c-max", "2", "--nc", "3", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").exists()
 
 
 def test_config_file_with_overrides(tmp_path, capsys):
@@ -203,6 +218,7 @@ def test_solve_end_to_end(tmp_path):
     assert report["pohozaev_residual"] < 1e-3
     assert report["el_residual"] < 1e-3
     assert "config" in report and "constants" in report
+    assert report["constants"]["kv2"] == K.kv2_estimate()
     solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert set(report["config"]["solver"]) == solver_fields
     assert report["config"]["branch"] == "auto"

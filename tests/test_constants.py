@@ -28,6 +28,32 @@ def test_ground_state_pohozaev_ratios(p):
     assert gs.A / gs.C == pytest.approx((p - 2.0) / p, rel=1e-6)
 
 
+def test_shooting_stops_at_the_float_floor(monkeypatch):
+    # 2 bracket shoots, at most 54 bisections from [1, 8] and the final
+    # dense shoot; running all 80 bisection steps took 83.
+    import planarsp.constants as C
+
+    shoots = []
+    real = C.solve_ivp
+
+    def counted(*args, **kwargs):
+        shoots.append(kwargs.get("dense_output"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(C, "solve_ivp", counted)
+    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    p = 3.7
+    gs = ground_state_radial(p)
+    assert len(shoots) <= 57
+    assert shoots.count(True) == 1 and shoots[-1] is True
+    # beta is one of two adjacent floats that bracket the sign change, so a
+    # further bisection step could only shoot beta again.
+    side = C._shoot(gs.beta, p)[0]
+    toward = -math.inf if side == -1 else math.inf
+    other = C._shoot(float(np.nextafter(gs.beta, toward)), p)[0]
+    assert (side == -1) != (other == -1)
+
+
 def test_kgn_townes_value():
     gs = ground_state_radial(4.0)
     assert kgn_estimate(4.0) == pytest.approx(2.0 / gs.mass, rel=1e-6)
@@ -230,7 +256,7 @@ def test_band_edges_subcritical_p():
     kgn = kgn_estimate(p)
     c1, c2 = c_edges(p, -1.0, 1.0, kgn)
     assert c2 < c1
-    sharp = SharpConstants(p=p, kgn=kgn, kv2=1.0)
+    sharp = SharpConstants(p=p, kgn=kgn)
     inside = regime_classify(Params(gamma=-1.0, a=1.0, p=p,
                                     c=0.5 * (c1 + c2)), sharp)
     assert inside.tag in ("TwoCriticalPointsOnLambda", "MaxOnLambda")
@@ -246,7 +272,7 @@ def test_band_edges_supercritical_p():
     kgn = kgn_estimate(p)
     c1, c2 = c_edges(p, -1.0, 1.0, kgn)
     assert c1 < c2
-    sharp = SharpConstants(p=p, kgn=kgn, kv2=1.0)
+    sharp = SharpConstants(p=p, kgn=kgn)
     inside = regime_classify(Params(gamma=-1.0, a=1.0, p=p,
                                     c=0.5 * (c1 + c2)), sharp)
     assert inside.tag in ("TwoCriticalPointsOnLambda", "MaxOnLambda")
