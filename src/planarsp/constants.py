@@ -97,12 +97,13 @@ class RadialGroundState:
         return np.maximum(out, 0.0)
 
 
-def _shoot(beta: float, p: float, rmax: float = 40.0, dense: bool = False):
+def _shoot(beta: float, p: float, dense: bool = False):
     """Integrate the radial equation from the origin, carrying the mass,
     kinetic and p-norm integrals as extra states.  Returns (sign, solution)
     where sign is -1 for overshoot (profile crossed zero), +1 for
     undershoot (profile turned back up) and 0 for neither.  dense adds the
-    interpolant sol.sol; it does not change the steps taken."""
+    interpolant sol.sol; it does not change the steps taken.  A state too
+    large for a float raises ShootingError."""
     p = float(p)
     pm1 = p - 1.0
     two_pi = 2.0 * math.pi
@@ -132,9 +133,13 @@ def _shoot(beta: float, p: float, rmax: float = 40.0, dense: bool = False):
     turned.terminal = True
     turned.direction = 1
 
-    sol = solve_ivp(rhs, (1e-8, rmax), [beta, 0.0, 0.0, 0.0, 0.0],
-                    events=[crossed, turned], rtol=1e-12, atol=1e-14,
-                    method="DOP853", dense_output=dense)
+    try:
+        sol = solve_ivp(rhs, (1e-8, 40.0), [beta, 0.0, 0.0, 0.0, 0.0],
+                        events=[crossed, turned], rtol=1e-12, atol=1e-14,
+                        method="DOP853", dense_output=dense)
+    except OverflowError as exc:
+        raise ShootingError(f"radial shooting overflowed for p={p} from "
+                            f"phi(0)={beta!r}: {exc}") from exc
     if sol.t_events[0].size:
         return -1, sol
     if sol.t_events[1].size:
@@ -409,12 +414,10 @@ def kv2_estimate(grid: Optional[Grid] = None) -> float:
 
 @dataclass(frozen=True)
 class SharpConstants:
-    """Estimated sharp constants with provenance."""
+    """The sharp Gagliardo-Nirenberg constant of exponent p."""
 
     p: float
     kgn: float
-    provenance: str = "ode_shooting"
-    tolerance: float = 1e-6
 
 
 def sharp_constants(p: float) -> SharpConstants:
@@ -501,17 +504,14 @@ def regime_classify(params: Params, sharp: SharpConstants) -> RegimeLabel:
     return RegimeLabel("OpenUnknown", cert)
 
 
-def gn_profile_field(grid: Grid, p: float, c: float,
-                     stretch: Optional[float] = None) -> Field:
+def gn_profile_field(grid: Grid, p: float, c: float) -> Field:
     """The Gagliardo-Nirenberg optimizer shape discretized on a grid and
     normalized to mass c.
 
-    stretch rescales the radial coordinate (support radius = stretch *
-    r_stop); by default the support fills 0.35 * extent so boundary leakage
-    is negligible on any grid."""
+    The radial coordinate is stretched so the support fills 0.35 * extent,
+    which keeps boundary leakage negligible on any grid."""
     gs = ground_state_radial(p)
-    if stretch is None:
-        stretch = 0.35 * grid.extent / gs.r_stop
+    stretch = 0.35 * grid.extent / gs.r_stop
     X = grid.coords1d()
     XX, YY = np.meshgrid(X, X, indexing="ij")
     r = np.hypot(XX, YY) / stretch

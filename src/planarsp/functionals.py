@@ -440,8 +440,8 @@ def el_residual(u: Field, params: Params, lam: float,
     return evaluate(u, table).el_residual(params, lam)
 
 
-def require_mass(u: Field, c: float, rtol: float = 1e-8) -> None:
-    """Raise MassMismatchError unless mass(u) matches c to relative rtol."""
+def require_mass(u: Field, c: float) -> None:
+    """Raise MassMismatchError unless mass(u) matches c to relative 1e-8."""
     m = mass(u)
-    if abs(m - c) > rtol * max(c, 1e-300):
+    if abs(m - c) > 1e-8 * max(c, 1e-300):
         raise MassMismatchError(f"field mass {m!r} differs from required {c!r}")

@@ -66,27 +66,29 @@ __all__ = [
 ]
 
 
+_TOL_GRAD = 1e-4        # relative tangent-gradient tolerance
+_TOL_Q = 1e-3           # |Q| tolerance relative to A + |gamma| c^2/4
+_BACKTRACK = 0.5        # step factor per failed Armijo test
+_ARMIJO = 1e-4          # sufficient-decrease fraction of the Armijo test
+_V_MARGIN = 1e-3        # guard margin to the boundary of V, times k0
+_BOUNDARY_TOL = 1e-8    # admissible boundary mass fraction
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Flow tolerances and step-control knobs."""
+    """The two settings of a flow: the iteration budget and whether to keep
+    a per-iteration trace.  Tolerances and step control are fixed."""
 
-    tol_grad: float = 1e-4      # relative tangent-gradient tolerance
-    tol_Q: float = 1e-3         # |Q| tolerance relative to A + |gamma| c^2/4
     max_iter: int = 8000
-    step0: Optional[float] = None   # default 0.1 / max(1, A(init))
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    v_margin: float = 1e-3      # guard margin to the boundary of V, times k0
-    boundary_tol: float = 1e-8  # admissible boundary mass fraction
     trace: bool = False
 
     def __post_init__(self):
-        if self.tol_grad <= 0 or self.tol_Q <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack factor must lie in (0, 1)")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+            raise TypeError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
+        if not isinstance(self.trace, bool):
+            raise TypeError(f"trace must be true or false, got {self.trace!r}")
 
 
 @dataclass(frozen=True)
@@ -153,21 +155,19 @@ def _as_field(init: Union[ProfileSpec, Field], grid: Grid, c: float) -> Field:
     return normalize(discretize(init, grid), c)
 
 
-def gaussian_on_branch(params: Params, branch: str,
-                       sigma0: float = 1.0) -> ProfileSpec:
+def gaussian_on_branch(params: Params, branch: str) -> ProfileSpec:
     """Gaussian profile whose fiber critical point of the requested branch
     sits at s = 1 (up to discretization).
 
     Dilating a Gaussian yields another Gaussian, so the projection is done
-    analytically on the width: sigma* = sigma0 / s_branch(sigma0), with the
-    fiber scalars of the mass-c Gaussian in closed form (A = c/sigma^2,
-    C = (c/pi)^(p/2) (2 pi/p) sigma^(2-p))."""
+    analytically on the width: sigma* = 1 / s_branch(1), with the fiber
+    scalars of the mass-c Gaussian in closed form (A = c/sigma^2,
+    C = (c/pi)^(p/2) (2 pi/p) sigma^(2-p), here at sigma = 1)."""
     c, p = params.c, params.p
-    A = c / sigma0 ** 2
-    C = (c / math.pi) ** (0.5 * p) * (2.0 * math.pi / p) * sigma0 ** (2.0 - p)
-    sc = FiberScalars(A=A, C=C, V=0.0, params=params)
+    C = (c / math.pi) ** (0.5 * p) * (2.0 * math.pi / p)
+    sc = FiberScalars(A=c, C=C, V=0.0, params=params)
     s = _branch_of(sc, branch).s
-    return ProfileSpec.gaussian(sigma=sigma0 / s, c=c)
+    return ProfileSpec.gaussian(sigma=1.0 / s, c=c)
 
 
 def _q_scale(A: float, params: Params) -> float:
@@ -291,15 +291,15 @@ class _FiberBranch(_Objective):
     projected out of every step so s stays pinned near 1.  Iterates whose
     effective width c/A falls below a couple of grid cells are inadmissible
     (drift along fibers could otherwise concentrate the iterate past what
-    the grid resolves); with a V margin, so are iterates within
-    v_margin * k0 of the boundary of V."""
+    the grid resolves).  The ascent (sense = -1) runs inside V, and iterates
+    within _V_MARGIN * k0 of its boundary are inadmissible too."""
 
     def __init__(self, params: Params, table: KernelTable, mode: str, branch: str,
-                 sense: int = 1, v_margin: Optional[float] = None):
+                 sense: int = 1):
         super().__init__(params, table, mode)
         self.branch, self.sense = branch, sense
         self.a_resolved = params.c / (2.0 * table.grid.h) ** 2
-        self.v_floor = None if v_margin is None else (1.0 + v_margin) * K.k0(params)
+        self.v_floor = (1.0 + _V_MARGIN) * K.k0(params) if sense < 0 else None
         self.recenters = 0
 
     def point(self, ev: Evaluation) -> Optional[_Point]:
@@ -364,7 +364,7 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
         raise RegimeError(
             f"{mode}: initial field is not admissible (outside the guarded "
             "set, or more concentrated than the grid resolves)")
-    tau = cfg.step0 if cfg.step0 is not None else 0.1 / max(1.0, pt.ev.A)
+    tau = 0.1 / max(1.0, pt.ev.A)
     trace: List[TraceRow] = []
     prev_u = prev_d = None
     converged = False
@@ -395,12 +395,12 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
         q = ev.Q(params)
         if cfg.trace:
             trace.append(TraceRow(it, ev.F(params), q, res, ev.A, ev.C(params.p), ev.V))
-        if res < cfg.tol_grad and abs(q) / _q_scale(ev.A, params) < cfg.tol_Q:
+        if res < _TOL_GRAD and abs(q) / _q_scale(ev.A, params) < _TOL_Q:
             converged = True
             break
         if it == cfg.max_iter:
             break
-        moved = obj.recenter(pt, res < cfg.tol_grad)
+        moved = obj.recenter(pt, res < _TOL_GRAD)
         if moved is not None:
             pt = obj.point(evaluate(moved, table))
             if pt is None:
@@ -408,11 +408,11 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
                                       "longer admissible")
             prev_u = prev_d = None
             continue
-        if res < 1e-3 * cfg.tol_grad:
+        if res < 1e-3 * _TOL_GRAD:
             break  # at the stationarity floor; Q will not improve by flowing
         if it % 25 == 0:
             frac = boundary_mass_fraction(u)
-            boundary_strikes = boundary_strikes + 1 if frac > cfg.boundary_tol else 0
+            boundary_strikes = boundary_strikes + 1 if frac > _BOUNDARY_TOL else 0
             if frac > 1e-4 or boundary_strikes >= 3:
                 raise DomainError(
                     f"{mode}: iterate leaks mass through the boundary frame "
@@ -446,10 +446,10 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
             pt_v = obj.point(evaluate(v, table))
             if pt_v is None:
                 guard_rejects += 1
-            elif sense * (pt.value - pt_v.value) >= cfg.armijo * step * slope:
+            elif sense * (pt.value - pt_v.value) >= _ARMIJO * step * slope:
                 pt, tau = pt_v, step
                 break
-            step *= cfg.backtrack
+            step *= _BACKTRACK
         else:
             err = obj.refusal(pt, guard_rejects)
             if err is not None:
@@ -459,7 +459,7 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
 
     pt = obj.settle(pt)
     report = report_at(pt, converged)
-    report.converged = bool(converged and report.q_residual < cfg.tol_Q)
+    report.converged = bool(converged and report.q_residual < _TOL_Q)
     if not report.converged:
         raise ConvergenceError(
             f"{mode}: no certified convergence within {cfg.max_iter} iterations "
@@ -493,17 +493,7 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
                          ("GlobalMin", "GlobalMinMassCritical"), "a bounded-below regime")
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
-    report = _flow(u0, _Energy(params, table, "global_minimize"), config, regime)
-    # Analytic lower-bound diagnostic at the converged kinetic level.
-    kgn = regime.certificate["kgn"]
-    A = report.breakdown.A
-    bound = (0.5 * A - 0.25 * abs(params.gamma) * K.kv2_estimate()
-             * math.sqrt(A) * params.c ** 1.5)
-    if params.a > 0:
-        bound -= (params.a / params.p) * kgn * A ** (0.5 * params.p - 1.0) * params.c
-    report.extras["lower_bound"] = bound
-    report.extras["lower_bound_ok"] = bool(report.breakdown.F >= bound)
-    return report
+    return _flow(u0, _Energy(params, table, "global_minimize"), config, regime)
 
 
 def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
@@ -564,17 +554,17 @@ def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
                          "the coupling at or above the lower threshold with p < 4 "
                          "and gamma < 0")
     if regime.tag == "MaxOnLambda":
-        return _degenerate_threshold_report(params, grid, config, regime)
+        return _degenerate_threshold_report(params, grid, regime)
     table = kernel_table(grid)
-    obj = _FiberBranch(params, table, f"lambda_maximize[{branch}]", branch,
-                       sense=-1, v_margin=config.v_margin)
+    obj = _FiberBranch(params, table, f"lambda_maximize[{branch}]", branch, sense=-1)
     return _flow(_as_field(init, grid, params.c), obj, config, regime)
 
 
-def _degenerate_threshold_report(params: Params, grid: Grid, cfg: SolverConfig,
+def _degenerate_threshold_report(params: Params, grid: Grid,
                                  regime: K.RegimeLabel) -> SolveReport:
     """At a = K1 threshold the Pohozaev set collapses onto the optimizer's
-    fiber: report its projection, certified by the Q residual alone."""
+    fiber: report its projection, certified by the Q residual alone, to the
+    looser of _TOL_Q and 1e-2 since no flow polishes it."""
     table = kernel_table(grid)
     u = K.gn_profile_field(grid, params.p, params.c)
     ts = t_star(scalars(u, params, table))
@@ -582,7 +572,7 @@ def _degenerate_threshold_report(params: Params, grid: Grid, cfg: SolverConfig,
     report = _finalize(evaluate(u, table), params, regime,
                        "lambda_maximize[threshold]", 0, True, [])
     report.s_branch = ts
-    report.converged = bool(report.q_residual < max(cfg.tol_Q, 1e-2))
+    report.converged = bool(report.q_residual < max(_TOL_Q, 1e-2))
     report.extras["degenerate_threshold_mode"] = True
     return report
 
@@ -600,23 +590,22 @@ class TwoBumpPoint:
     q_pred: float
 
 
-def two_bump_probe(params: Params, grid: Grid, n_list: Sequence[int],
-                   eta: float = 0.1) -> List[TwoBumpPoint]:
+def two_bump_probe(params: Params, grid: Grid,
+                   n_list: Sequence[int]) -> List[TwoBumpPoint]:
     """Energy collapse along the two-bump sequence
     u_n = u + (1/n) v((x - nR e1)/n).
 
     The stationary lobe u (mass (1-eta) c, compactly supported bump dilated
     to minimize its contribution to Q) carries the negativity of the
     disjoint-support limit A(u) - a (p-2)/p C(u) + |gamma| c^2/4 = lim Q(u_n);
-    the spreading lobe v carries the small mass fraction eta, so its
+    the spreading lobe v carries the small mass fraction eta = 0.1, so its
     shrinking p-norm term (~ eta^(3/2) / n^(p-2)) is dominated by the
     growing log interaction (~ |gamma| eta log n) and F(u_n) decreases
     strictly along n."""
     gam, a, p, c = params.gamma, params.a, params.p, params.c
+    eta = 0.1
     if not (gam < 0.0 and a > 0.0 and 2.0 < p < 4.0):
         raise RegimeError("two_bump_probe requires gamma < 0, a > 0, 2 < p < 4")
-    if not (0.0 < eta < 1.0):
-        raise ValueError("mass split eta must lie in (0, 1)")
     t1, _ = K.a_thresholds(p, gam, c, K.kgn_estimate(p))
     if a <= t1:
         raise RegimeError(
@@ -630,7 +619,7 @@ def two_bump_probe(params: Params, grid: Grid, n_list: Sequence[int],
     h = grid.h
 
     # Stationary-lobe radius minimizing the Q limit at mass (1-eta) c.
-    rho = _optimal_lobe_radius(params, grid, mass_fraction=1.0 - eta)
+    rho = _optimal_lobe_radius(params, grid, 1.0 - eta)
     R = 2.2 * rho
     edge = n_max * (R + rho)
     if edge > 0.39 * grid.extent:
@@ -663,8 +652,7 @@ def two_bump_probe(params: Params, grid: Grid, n_list: Sequence[int],
     return out
 
 
-def _optimal_lobe_radius(params: Params, grid: Grid,
-                         mass_fraction: float = 0.5) -> float:
+def _optimal_lobe_radius(params: Params, grid: Grid, mass_fraction: float) -> float:
     """Radius of the bump carrying the given mass fraction that minimizes
     its disjoint-support Q contribution; closed form through the scaling
     A ~ rho^-2, C ~ rho^(2-p) of the fixed bump shape."""

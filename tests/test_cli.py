@@ -55,6 +55,15 @@ def test_classify_nan_gamma_exits_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_classify_overflowing_shoot_exits_2(capsys):
+    # At large p the shooting right-hand side overflows a float.
+    assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "60",
+                    "--c", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_classify_missing_params_exits_2():
     assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "3"]) == 2
 
@@ -243,6 +252,21 @@ def test_solve_nonconvergence_exit_3(tmp_path):
     # the report is still written
     report = json.loads((out / "report.json").read_text())
     assert not report["converged"]
+
+
+@pytest.mark.parametrize("solver, key", [
+    ({"max_iter": 3.5}, "max_iter"),
+    ({"trace": "no"}, "trace"),
+    ({"tol_grad": 1e-6}, "tol_grad"),
+], ids=["float_max_iter", "string_trace", "deleted_key"])
+def test_solve_refuses_bad_solver_config(tmp_path, capsys, solver, key):
+    out = tmp_path / "out"
+    code = run_cli(["solve", "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
+                    "--grid-n", "128", "--out", str(out),
+                    "--config", str(_mk_cfg(tmp_path, {"solver": solver}))])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _mk_cfg(tmp_path, payload):
