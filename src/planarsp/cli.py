@@ -63,8 +63,33 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """A copy of one config section, which must be a JSON object."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, "
+                          f"got {section!r}")
+    return dict(section)
+
+
+def _number(where: str, value) -> float:
+    """A config value that must be a JSON number: no bool, no string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(where: str, value) -> int:
+    """A config value that must be an integral JSON number, such as 128 or
+    128.0 but not 128.9."""
+    number = _number(where, value)
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _merged_params(cfg: dict, args) -> Params:
-    section = dict(cfg.get("params", {}))
+    section = _section(cfg, "params")
     for key in ("gamma", "a", "p", "c"):
         val = getattr(args, key, None)
         if val is not None:
@@ -72,27 +97,30 @@ def _merged_params(cfg: dict, args) -> Params:
     missing = [k for k in ("gamma", "a", "p", "c") if k not in section]
     if missing:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
+    values = {k: _number(f"params.{k}", section[k])
+              for k in ("gamma", "a", "p", "c")}
     try:
-        return Params(gamma=float(section["gamma"]), a=float(section["a"]),
-                      p=float(section["p"]), c=float(section["c"]))
+        return Params(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _merged_grid(cfg: dict, args) -> Grid:
-    section = dict(cfg.get("grid", {}))
+    section = _section(cfg, "grid")
     if getattr(args, "grid_L", None) is not None:
         section["L"] = args.grid_L
     if getattr(args, "grid_n", None) is not None:
         section["n"] = args.grid_n
+    L = _number("grid.L", section.get("L", 40.0))
+    n = _integer("grid.n", section.get("n", 256))
     try:
-        return make_grid(float(section.get("L", 40.0)), int(section.get("n", 256)))
+        return make_grid(L, n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _merged_solver(cfg: dict, args) -> SolverConfig:
-    section = dict(cfg.get("solver", {}))
+    section = _section(cfg, "solver")
     if getattr(args, "trace", False):
         section["trace"] = True
     try:
@@ -101,15 +129,26 @@ def _merged_solver(cfg: dict, args) -> SolverConfig:
         raise ConfigError(f"bad solver config: {exc}") from exc
 
 
+_PROFILE_INTEGERS = ("scale", "seed", "cutoff")
+
+
 def _merged_profile(cfg: dict, args, c: float) -> ProfileSpec:
-    section = dict(cfg.get("profile", {}))
+    section = _section(cfg, "profile")
     kind = section.pop("kind", "gaussian")
     kind = getattr(args, "profile", None) or kind
     if getattr(args, "sigma", None) is not None:
         section["sigma"] = args.sigma
     section["c"] = c
-    if "center" in section:
-        section["center"] = tuple(section["center"])
+    for key, val in section.items():
+        where = f"profile.{key}"
+        if key == "center":
+            if not (isinstance(val, (list, tuple)) and len(val) == 2):
+                raise ConfigError(f"{where} must be a pair of numbers, got {val!r}")
+            section[key] = tuple(_number(where, v) for v in val)
+        elif key in _PROFILE_INTEGERS:
+            section[key] = _integer(where, val)
+        else:
+            section[key] = _number(where, val)
     try:
         return ProfileSpec(kind=kind, **section)
     except (TypeError, ValueError) as exc:
@@ -188,15 +227,20 @@ def cmd_classify(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = _load_config(args.config)
-    p = args.p if args.p is not None else cfg.get("params", {}).get("p")
+    section = _section(cfg, "params")
+    p = args.p if args.p is not None else section.get("p")
     if p is None:
         raise ConfigError("constants requires an exponent p")
-    p = _exponent(p)
+    p = _exponent(_number("params.p", p))
+    # The other parameters are optional here, but those given must be valid.
+    given = {k for k in ("gamma", "a", "c")
+             if getattr(args, k) is not None or k in section}
     params = None
-    try:
+    if len(given) == 3:
         params = _merged_params(cfg, args)
-    except ConfigError:
-        pass  # partial parameter sets are fine for the constants command
+    else:
+        for key in given & section.keys():
+            _number(f"params.{key}", section[key])
     payload = _constants_payload(params, p)
     payload["kv2"] = K.kv2_estimate()
     print(_dumps(payload))
@@ -237,12 +281,13 @@ def cmd_fiber(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    section = dict(cfg.get("params", {}))
+    section = _section(cfg, "params")
     gamma = args.gamma if args.gamma is not None else section.get("gamma")
     p = args.p if args.p is not None else section.get("p")
     if gamma is None or p is None:
         raise ConfigError("sweep requires gamma and p")
-    gamma, p = float(gamma), _exponent(p)
+    gamma = _number("params.gamma", gamma)
+    p = _exponent(_number("params.p", p))
     if args.a_min <= 0 and gamma < 0:
         raise ConfigError("sweep over a requires positive couplings for gamma < 0")
     if not (args.a_min < args.a_max and args.c_min < args.c_max):

@@ -6,8 +6,12 @@ The best constant in the planar Gagliardo-Nirenberg inequality
 
 is attained at the radial ground state of -Delta phi + phi = phi^(p-1);
 it is computed here by 1D shooting and cross-checked by a direct
-Rayleigh-quotient ascent over a Gaussian-mixture family.  From K_GN all
-threshold constants of the problem follow in closed form:
+Rayleigh-quotient ascent over a Gaussian-mixture family.  The bisection on
+phi(0) runs its sign shoots on Hairer's Fortran DOP853 (scipy's ode
+wrapper), which stops at the first step end that settles the sign; one
+final solve_ivp shoot at the bisected phi(0) gives the profile, its
+integrals and the stopping radius.  From K_GN all threshold constants of
+the problem follow in closed form:
 
     k0 = (p-2) |gamma| c^2 / (4 |p-4|)        kinetic cap level
     c0 = 2 [ p (p-4)^((p-4)/2) / (p-2)^(p/2) * 1/(a gamma^((p-4)/2) K_GN) ]^(1/(p-3))
@@ -22,11 +26,12 @@ records the inequality chain that fired.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
@@ -97,14 +102,15 @@ class RadialGroundState:
         return np.maximum(out, 0.0)
 
 
-def _shoot(beta: float, p: float, dense: bool = False):
-    """Integrate the radial equation from the origin, carrying the mass,
-    kinetic and p-norm integrals as extra states.  Returns (sign, solution)
-    where sign is -1 for overshoot (profile crossed zero), +1 for
-    undershoot (profile turned back up) and 0 for neither.  dense adds the
-    interpolant sol.sol; it does not change the steps taken.  A state too
-    large for a float raises ShootingError."""
-    p = float(p)
+# The radial integration runs from just off the origin to this radius, at
+# these tolerances, in both the sign shoots and the final dense shoot.
+_R_SPAN = (1e-8, 40.0)
+_RTOL, _ATOL = 1e-12, 1e-14
+
+
+def _radial_rhs(p: float):
+    """Right-hand side of the radial equation, carrying the mass, kinetic
+    and p-norm integrals as extra states."""
     pm1 = p - 1.0
     two_pi = 2.0 * math.pi
 
@@ -121,6 +127,76 @@ def _shoot(beta: float, p: float, dense: bool = False):
         return [dphi, ddphi, tau * phi * phi, tau * dphi * dphi,
                 tau * abs(phi) ** p]
 
+    return rhs
+
+
+def _overflow_error(beta: float, p: float, exc: OverflowError) -> ShootingError:
+    return ShootingError(f"radial shooting overflowed for p={p} from "
+                         f"phi(0)={beta!r}: {exc}")
+
+
+def _shoot(beta: float, p: float) -> int:
+    """Sign of one shoot of the radial equation from phi(0) = beta: -1 for
+    overshoot (profile reached zero), +1 for undershoot (profile turned
+    back up) and 0 for neither.
+
+    Runs Hairer's Fortran DOP853 through scipy's ode wrapper and stops at
+    the first step end where phi <= 0 (checked first) or phi' >= 0, the
+    events of _ivp_shoot.  A failed DOP853 run takes the sign of
+    _ivp_shoot instead: DOP853 gives up when its first-step estimate falls
+    below its floor, as it does once beta^(p-1) is huge (p >= 24 at
+    beta = 8), where solve_ivp raises the step to the floor.  A state too
+    large for a float raises ShootingError."""
+    p = float(p)
+    rhs = _radial_rhs(p)
+    r0 = _R_SPAN[0]
+    sign = 0
+    overflow: Optional[OverflowError] = None
+
+    # An exception raised inside the Fortran callbacks is lost, so the
+    # overflow is recorded and the integration stopped through solout.
+    def guarded(r, y):
+        nonlocal overflow
+        try:
+            return rhs(r, y)
+        except OverflowError as exc:
+            overflow = overflow or exc
+            return [0.0] * 5
+
+    def solout(r, y):
+        nonlocal sign
+        if overflow is not None:
+            return -1
+        if r == r0:
+            return 0   # DOP853 reports the initial point, where phi' = 0
+        if y[0] <= 0.0:
+            sign = -1
+        elif y[1] >= 0.0:
+            sign = +1
+        return -1 if sign else 0
+
+    solver = ode(guarded).set_integrator("dop853", rtol=_RTOL, atol=_ATOL)
+    solver.set_solout(solout)
+    solver.set_initial_value([beta, 0.0, 0.0, 0.0, 0.0], r0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # a failed run is handled below
+        solver.integrate(_R_SPAN[1])
+    if overflow is not None:
+        raise _overflow_error(beta, p, overflow) from overflow
+    if solver.get_return_code() < 0:
+        sol = _ivp_shoot(beta, p, dense=False)
+        if sol.t_events[0].size:
+            return -1
+        return +1 if sol.t_events[1].size else 0
+    return sign
+
+
+def _ivp_shoot(beta: float, p: float, dense: bool):
+    """The shoot from phi(0) = beta by solve_ivp's DOP853, stopped at the
+    first zero of phi (falling) or of phi' (rising).  dense adds the
+    interpolant sol.sol; it does not change the steps taken."""
+    p = float(p)
+
     def crossed(r, y):
         return y[0]
 
@@ -134,17 +210,11 @@ def _shoot(beta: float, p: float, dense: bool = False):
     turned.direction = 1
 
     try:
-        sol = solve_ivp(rhs, (1e-8, 40.0), [beta, 0.0, 0.0, 0.0, 0.0],
-                        events=[crossed, turned], rtol=1e-12, atol=1e-14,
-                        method="DOP853", dense_output=dense)
+        return solve_ivp(_radial_rhs(p), _R_SPAN, [beta, 0.0, 0.0, 0.0, 0.0],
+                         events=[crossed, turned], rtol=_RTOL, atol=_ATOL,
+                         method="DOP853", dense_output=dense)
     except OverflowError as exc:
-        raise ShootingError(f"radial shooting overflowed for p={p} from "
-                            f"phi(0)={beta!r}: {exc}") from exc
-    if sol.t_events[0].size:
-        return -1, sol
-    if sol.t_events[1].size:
-        return +1, sol
-    return 0, sol
+        raise _overflow_error(beta, p, exc) from exc
 
 
 _GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
@@ -161,13 +231,13 @@ def ground_state_radial(p: float) -> RadialGroundState:
 
     lo, hi = 1.0, 8.0
     for _ in range(60):
-        if _shoot(lo, p)[0] == +1:
+        if _shoot(lo, p) == +1:
             break
         lo *= 0.8
     else:
         raise ShootingError(f"could not bracket an undershoot for p={p}")
     for _ in range(60):
-        if _shoot(hi, p)[0] == -1:
+        if _shoot(hi, p) == -1:
             break
         hi *= 1.4
     else:
@@ -177,13 +247,12 @@ def ground_state_radial(p: float) -> RadialGroundState:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break   # adjacent floats: a further shoot repeats lo or hi
-        s, _ = _shoot(mid, p)
-        if s == -1:
+        if _shoot(mid, p) == -1:
             hi = mid
         else:
             lo = mid
     beta = 0.5 * (lo + hi)
-    _, sol = _shoot(beta, p, dense=True)
+    sol = _ivp_shoot(beta, p, dense=True)
     r_stop = sol.t[-1]
     m, A, C = sol.y[2, -1], sol.y[3, -1], sol.y[4, -1]
 

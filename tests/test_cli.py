@@ -36,15 +36,18 @@ def test_classify_bad_exponent_exits_2():
                     "--c", "1"]) == 2
 
 
+def _run_cli_process(args, timeout):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "planarsp.cli", *args],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 def test_classify_nan_exponent_exits_2():
     # Run out of process under a timeout: a NaN exponent once hung the
     # ground-state shooting.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "planarsp.cli", "classify", "--gamma", "1",
-         "--a", "1", "--p", "nan", "--c", "1"],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = _run_cli_process(["classify", "--gamma", "1", "--a", "1", "--p", "nan",
+                             "--c", "1"], timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
 
@@ -62,6 +65,17 @@ def test_classify_overflowing_shoot_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_classify_overflowing_shoot_exits_2_in_a_subprocess():
+    # The same refusal seen from a fresh process: a failed Fortran shoot
+    # must not print an integrator warning ahead of the error line.
+    proc = _run_cli_process(["classify", "--gamma", "1", "--a", "1", "--p", "60",
+                             "--c", "1"], timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[0].startswith("error:")
+    assert "UserWarning" not in proc.stderr
 
 
 def test_classify_missing_params_exits_2():
@@ -267,6 +281,59 @@ def test_solve_refuses_bad_solver_config(tmp_path, capsys, solver, key):
     assert code == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+_PARAMS = {"gamma": 1, "a": 0, "p": 3, "c": 1}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"params": 5}, "params"),
+    ({"grid": [128]}, "grid"),
+    ({"solver": "fast"}, "solver"),
+    ({"profile": None}, "profile"),
+    ({"params": dict(_PARAMS, gamma=True)}, "params.gamma"),
+    ({"params": dict(_PARAMS, a="1")}, "params.a"),
+    ({"grid": {"L": "40"}}, "grid.L"),
+    ({"grid": {"n": True}}, "grid.n"),
+    ({"grid": {"n": 128.9}}, "grid.n"),
+    ({"profile": {"sigma": "1.5"}}, "profile.sigma"),
+    ({"profile": {"center": [0, "0"]}}, "profile.center"),
+    ({"profile": {"kind": "random_smooth", "seed": 1.5}}, "profile.seed"),
+], ids=["params_not_object", "grid_not_object", "solver_not_object",
+        "profile_not_object", "bool_gamma", "string_a", "string_L", "bool_n",
+        "fractional_n", "string_sigma", "string_center", "fractional_seed"])
+def test_solve_refuses_malformed_config(tmp_path, capsys, cfg, key):
+    # Every value is checked, not coerced: True is not 1, "1" is not 1 and
+    # 128.9 is not 128.
+    cfg = dict({"params": _PARAMS, "grid": {"n": 128}}, **cfg)
+    out = tmp_path / "out"
+    code = run_cli(["solve", "--out", str(out),
+                    "--config", str(_mk_cfg(tmp_path, cfg))])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"p": 3, "gamma": True}, "params.gamma"),
+    ({"p": 3, "gamma": 1, "a": "1", "c": 1}, "params.a"),
+    ({"p": 3, "gamma": 1, "a": 1, "c": -1}, "mass c"),
+], ids=["partial_bool_gamma", "full_string_a", "full_negative_c"])
+def test_constants_refuses_malformed_params(tmp_path, capsys, params, key):
+    # A partial parameter set is fine for constants; a malformed one is not.
+    code = run_cli(["constants", "--config",
+                    str(_mk_cfg(tmp_path, {"params": params}))])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+
+
+def test_config_accepts_integral_float_grid_size(tmp_path, capsys):
+    cfg = {"params": _PARAMS, "grid": {"n": 16.0}}
+    assert run_cli(["fiber", "--out", str(tmp_path),
+                    "--config", str(_mk_cfg(tmp_path, cfg))]) == 0
+    assert "wrote" in capsys.readouterr().out
 
 
 def _mk_cfg(tmp_path, payload):

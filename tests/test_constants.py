@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from planarsp import Params, RegimeError, kgn_estimate, regime_classify
+from planarsp import (Params, RegimeError, ShootingError, kgn_estimate,
+                      regime_classify)
 from planarsp.constants import (SharpConstants, a_thresholds, c0, c_edges,
                                 gaussian_rayleigh_quotient, gn_profile_field,
                                 ground_state_radial, k0, k1, k2, kv2_estimate,
@@ -34,24 +35,62 @@ def test_shooting_stops_at_the_float_floor(monkeypatch):
     import planarsp.constants as C
 
     shoots = []
-    real = C.solve_ivp
+    real_shoot, real_ivp = C._shoot, C.solve_ivp
 
-    def counted(*args, **kwargs):
-        shoots.append(kwargs.get("dense_output"))
-        return real(*args, **kwargs)
+    def sign_shoot(*args, **kwargs):
+        shoots.append("sign")
+        return real_shoot(*args, **kwargs)
 
-    monkeypatch.setattr(C, "solve_ivp", counted)
+    def ivp(*args, **kwargs):
+        shoots.append("dense" if kwargs.get("dense_output") else "ivp")
+        return real_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(C, "_shoot", sign_shoot)
+    monkeypatch.setattr(C, "solve_ivp", ivp)
     monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
     p = 3.7
     gs = ground_state_radial(p)
     assert len(shoots) <= 57
-    assert shoots.count(True) == 1 and shoots[-1] is True
+    assert shoots.count("sign") >= 50
+    assert shoots.count("dense") == 1 and shoots[-1] == "dense"
+    assert "ivp" not in shoots   # every sign shoot ran on Fortran DOP853
     # beta is one of two adjacent floats that bracket the sign change, so a
     # further bisection step could only shoot beta again.
-    side = C._shoot(gs.beta, p)[0]
+    side = real_shoot(gs.beta, p)
     toward = -math.inf if side == -1 else math.inf
-    other = C._shoot(float(np.nextafter(gs.beta, toward)), p)[0]
+    other = real_shoot(float(np.nextafter(gs.beta, toward)), p)
     assert (side == -1) != (other == -1)
+
+
+def test_overflowing_shoot_chains_the_overflow():
+    # beta^(p-1) overflows a float in the first right-hand side call, inside
+    # the Fortran integrator, where a raised exception would be lost.
+    import planarsp.constants as C
+
+    with pytest.raises(ShootingError, match="overflowed") as info:
+        C._shoot(1e6, 60.0)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_fortran_shoot_takes_the_solve_ivp_sign(monkeypatch):
+    # At p = 30, beta = 8 the first step of the Fortran DOP853 falls below
+    # its floor; the sign then comes from one solve_ivp shoot, and the
+    # failed run prints no warning.
+    import planarsp.constants as C
+
+    calls = []
+    real = C.solve_ivp
+
+    def ivp(*args, **kwargs):
+        calls.append(kwargs.get("dense_output"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(C, "solve_ivp", ivp)
+    assert C._shoot(8.0, 30.0) == -1
+    assert calls == [False]
+    assert C._shoot(2.0, 30.0) == -1
+    assert calls == [False]
 
 
 def test_kgn_townes_value():

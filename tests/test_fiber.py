@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarsp import (BranchPoint, DomainError, FiberScalars, MassMismatchError,
                       Params, ProfileSpec, RegimeError, critical_points, ddg, dg,
@@ -92,6 +93,48 @@ def test_critical_points_closed_form_p6():
     assert pts[1].s == pytest.approx(S_MINUS, abs=1e-10)
     assert pts[0].s < t_star(SC6) < pts[1].s
     assert pts[0].gpp > 0 > pts[1].gpp
+
+
+def _signed(lo, hi):
+    return st.floats(min_value=-hi, max_value=hi).filter(lambda x: abs(x) >= lo)
+
+
+@st.composite
+def _fiber_scalars(draw):
+    # p stays 0.5 away from 4, so every root lies well inside [1e-7, 1e7].
+    p = draw(st.one_of(st.floats(min_value=2.5, max_value=3.5),
+                       st.floats(min_value=4.5, max_value=8.0)))
+    params = Params(gamma=draw(_signed(0.2, 5.0)), a=draw(_signed(0.2, 5.0)),
+                    p=p, c=draw(st.floats(min_value=0.5, max_value=3.0)))
+    return FiberScalars(A=draw(st.floats(min_value=0.2, max_value=5.0)),
+                        C=draw(st.floats(min_value=0.2, max_value=5.0)),
+                        V=draw(st.floats(min_value=-5.0, max_value=5.0)),
+                        params=params)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sc=_fiber_scalars())
+def test_critical_points_are_the_sign_changes_of_phi(sc):
+    # Brute force: phi on 200 log-spaced points per decade.  For a > 0 the
+    # scan also holds phi's one stationary point, so two roots never share
+    # a scan cell.
+    pr = sc.params
+    ts = np.logspace(-7.0, 7.0, 2801)
+    if pr.a > 0:
+        stationary = (pr.a * (pr.p - 2.0) ** 2 * sc.C
+                      / (2.0 * pr.p * sc.A)) ** (1.0 / (4.0 - pr.p))
+        ts = np.sort(np.append(ts, stationary))
+    positive = np.array([phi(sc, float(t)) > 0.0 for t in ts])
+    cells = np.flatnonzero(positive[1:] != positive[:-1])
+
+    points = critical_points(sc)
+    assert len(points) == len(cells)
+    for bp, i in zip(points, cells):
+        assert ts[i] <= bp.s <= ts[i + 1]
+        # phi = t g' rising through zero is a minimum of g, falling a maximum
+        rising = not positive[i]
+        assert bp.branch == ("plus" if rising else "minus")
+        assert bp.branch == ("plus" if ddg(sc, bp.s) > 0 else "minus")
 
 
 def test_critical_points_polish_tolerance():
