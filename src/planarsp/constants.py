@@ -6,12 +6,13 @@ The best constant in the planar Gagliardo-Nirenberg inequality
 
 is attained at the radial ground state of -Delta phi + phi = phi^(p-1);
 it is computed here by 1D shooting and cross-checked by a direct
-Rayleigh-quotient ascent over a Gaussian-mixture family.  The bisection on
-phi(0) runs its sign shoots on Hairer's Fortran DOP853 (scipy's ode
-wrapper), which stops at the first step end that settles the sign; one
-final solve_ivp shoot at the bisected phi(0) gives the profile, its
-integrals and the stopping radius.  From K_GN all threshold constants of
-the problem follow in closed form:
+Rayleigh-quotient ascent over a Gaussian-mixture family.  Every shoot runs
+on Hairer's Fortran DOP853 (scipy's ode wrapper) and stops at the first
+step end that settles its sign.  The bisection on phi(0) ends at two
+adjacent floats; one more shoot from there gives the integrals and the
+stopping radius from its last step end, and the profile as a cubic
+Hermite interpolant of phi and phi' at its step ends.  From K_GN all
+threshold constants of the problem follow in closed form:
 
     k0 = (p-2) |gamma| c^2 / (4 |p-4|)        kinetic cap level
     c0 = 2 [ p (p-4)^((p-4)/2) / (p-2)^(p/2) * 1/(a gamma^((p-4)/2) K_GN) ]^(1/(p-3))
@@ -28,11 +29,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.integrate import ode
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize
 
 from .errors import RegimeError, ShootingError
@@ -77,22 +78,28 @@ _RAYLEIGH_SLACK = 1e-3
 
 # At most this many bisection steps on phi(0) in the ground-state shooting;
 # the bisection stops earlier once the bracket is two adjacent floats
-# (54 steps from [1, 8]).
+# (52 steps from [1, 2] or from [1, 2.8]).
 _SHOOTING_BISECTIONS = 80
 
 
 @dataclass(frozen=True)
 class RadialGroundState:
     """Radial profile of the positive decaying solution of
-    -phi'' - phi'/r + phi = phi^(p-1), with its integral invariants."""
+    -phi'' - phi'/r + phi = phi^(p-1), with its integral invariants.
+
+    r_stop is where the shoot from beta settled its sign, i.e. where the
+    round-off in beta has grown to O(1); it moves with the last bits of
+    beta.  r_decay is where the profile first falls to 1e-6 * beta, well
+    above that noise."""
 
     p: float
     beta: float          # phi(0)
     r_stop: float
+    r_decay: float
     mass: float          # 2*pi * int phi^2 r dr
     A: float             # 2*pi * int phi'^2 r dr
     C: float             # 2*pi * int phi^p r dr
-    profile: CubicSpline = dc_field(repr=False)
+    profile: CubicHermiteSpline = dc_field(repr=False)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -103,7 +110,7 @@ class RadialGroundState:
 
 
 # The radial integration runs from just off the origin to this radius, at
-# these tolerances, in both the sign shoots and the final dense shoot.
+# these tolerances.
 _R_SPAN = (1e-8, 40.0)
 _RTOL, _ATOL = 1e-12, 1e-14
 
@@ -130,28 +137,28 @@ def _radial_rhs(p: float):
     return rhs
 
 
-def _overflow_error(beta: float, p: float, exc: OverflowError) -> ShootingError:
-    return ShootingError(f"radial shooting overflowed for p={p} from "
-                         f"phi(0)={beta!r}: {exc}")
+class _Shot(NamedTuple):
+    sign: int            # -1 overshoot, +1 undershoot, 0 neither
+    steps: list          # (r, phi, phi') at each step end, from _R_SPAN[0]
+    state: np.ndarray    # phi, phi', mass, A, C at the last step end
 
 
-def _shoot(beta: float, p: float) -> int:
-    """Sign of one shoot of the radial equation from phi(0) = beta: -1 for
-    overshoot (profile reached zero), +1 for undershoot (profile turned
-    back up) and 0 for neither.
+def _shoot(beta: float, p: float) -> _Shot:
+    """One shoot of the radial equation from phi(0) = beta.
 
     Runs Hairer's Fortran DOP853 through scipy's ode wrapper and stops at
-    the first step end where phi <= 0 (checked first) or phi' >= 0, the
-    events of _ivp_shoot.  A failed DOP853 run takes the sign of
-    _ivp_shoot instead: DOP853 gives up when its first-step estimate falls
-    below its floor, as it does once beta^(p-1) is huge (p >= 24 at
-    beta = 8), where solve_ivp raises the step to the floor.  A state too
-    large for a float raises ShootingError."""
+    the first step end where phi <= 0 (checked first: sign -1, overshoot)
+    or phi' >= 0 (sign +1, undershoot); sign 0 if neither happens before
+    _R_SPAN[1].  The shot records r, phi and phi' at every step end it
+    passed and the whole state at the last one.  A state too large for a
+    float, or a failed DOP853 run (its first step below its floor once
+    beta^(p-1) is huge), raises ShootingError naming p and beta."""
     p = float(p)
     rhs = _radial_rhs(p)
     r0 = _R_SPAN[0]
     sign = 0
     overflow: Optional[OverflowError] = None
+    steps = []
 
     # An exception raised inside the Fortran callbacks is lost, so the
     # overflow is recorded and the integration stopped through solout.
@@ -167,6 +174,7 @@ def _shoot(beta: float, p: float) -> int:
         nonlocal sign
         if overflow is not None:
             return -1
+        steps.append((r, y[0], y[1]))
         if r == r0:
             return 0   # DOP853 reports the initial point, where phi' = 0
         if y[0] <= 0.0:
@@ -179,42 +187,46 @@ def _shoot(beta: float, p: float) -> int:
     solver.set_solout(solout)
     solver.set_initial_value([beta, 0.0, 0.0, 0.0, 0.0], r0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # a failed run is handled below
+        warnings.simplefilter("ignore")   # a failed run is raised below
         solver.integrate(_R_SPAN[1])
     if overflow is not None:
-        raise _overflow_error(beta, p, overflow) from overflow
-    if solver.get_return_code() < 0:
-        sol = _ivp_shoot(beta, p, dense=False)
-        if sol.t_events[0].size:
-            return -1
-        return +1 if sol.t_events[1].size else 0
-    return sign
+        raise ShootingError(f"radial shooting overflowed for p={p} from "
+                            f"phi(0)={beta!r}: {overflow}") from overflow
+    if not solver.successful():
+        raise ShootingError(f"radial shooting failed for p={p} from "
+                            f"phi(0)={beta!r}: DOP853 return code "
+                            f"{solver.get_return_code()}")
+    # scipy's integrator holds solout in a reference cycle that only the
+    # cyclic collector frees; emptying the list keeps the steps out of it.
+    recorded = steps.copy()
+    steps.clear()
+    return _Shot(sign, recorded, solver.y)
 
 
-def _ivp_shoot(beta: float, p: float, dense: bool):
-    """The shoot from phi(0) = beta by solve_ivp's DOP853, stopped at the
-    first zero of phi (falling) or of phi' (rising).  dense adds the
-    interpolant sol.sol; it does not change the steps taken."""
-    p = float(p)
+def _radial_profile(beta: float, p: float) -> RadialGroundState:
+    """The profile shot from phi(0) = beta: its integrals and stopping
+    radius from the shot's last step end, and a cubic Hermite interpolant
+    of phi and phi' at the step ends."""
+    shot = _shoot(beta, p)
+    m, A, C = shot.state[2:]
 
-    def crossed(r, y):
-        return y[0]
+    # Pohozaev identities of the profile: mass = (2/p) C and A = (p-2)/p C.
+    if abs(m / C - 2.0 / p) > 1e-5 or abs(A / C - (p - 2.0) / p) > 1e-5:
+        raise ShootingError(
+            f"shooting profile for p={p} violates its Pohozaev identities: "
+            f"mass/C={m / C:.8f} (expect {2.0 / p:.8f}), "
+            f"A/C={A / C:.8f} (expect {(p - 2.0) / p:.8f})"
+        )
 
-    crossed.terminal = True
-    crossed.direction = -1
-
-    def turned(r, y):
-        return y[1]
-
-    turned.terminal = True
-    turned.direction = 1
-
-    try:
-        return solve_ivp(_radial_rhs(p), _R_SPAN, [beta, 0.0, 0.0, 0.0, 0.0],
-                         events=[crossed, turned], rtol=_RTOL, atol=_ATOL,
-                         method="DOP853", dense_output=dense)
-    except OverflowError as exc:
-        raise _overflow_error(beta, p, exc) from exc
+    r, phi, dphi = np.array(shot.steps).T
+    profile = CubicHermiteSpline(r, phi, dphi)
+    decayed = profile.solve(1e-6 * beta, extrapolate=False)
+    if decayed.size == 0:
+        raise ShootingError(f"shooting profile for p={p} stops at "
+                            f"r={r[-1]} above 1e-6 * phi(0)")
+    return RadialGroundState(p=float(p), beta=beta, r_stop=r[-1],
+                             r_decay=decayed[0], mass=m, A=A, C=C,
+                             profile=profile)
 
 
 _GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
@@ -229,15 +241,10 @@ def ground_state_radial(p: float) -> RadialGroundState:
     if cached is not None:
         return cached
 
-    lo, hi = 1.0, 8.0
+    # phi(0) = 1 is the constant solution, an undershoot for every p.
+    lo, hi = 1.0, 2.0
     for _ in range(60):
-        if _shoot(lo, p) == +1:
-            break
-        lo *= 0.8
-    else:
-        raise ShootingError(f"could not bracket an undershoot for p={p}")
-    for _ in range(60):
-        if _shoot(hi, p) == -1:
+        if _shoot(hi, p).sign == -1:
             break
         hi *= 1.4
     else:
@@ -247,27 +254,11 @@ def ground_state_radial(p: float) -> RadialGroundState:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break   # adjacent floats: a further shoot repeats lo or hi
-        if _shoot(mid, p) == -1:
+        if _shoot(mid, p).sign == -1:
             hi = mid
         else:
             lo = mid
-    beta = 0.5 * (lo + hi)
-    sol = _ivp_shoot(beta, p, dense=True)
-    r_stop = sol.t[-1]
-    m, A, C = sol.y[2, -1], sol.y[3, -1], sol.y[4, -1]
-
-    # Pohozaev identities of the profile: mass = (2/p) C and A = (p-2)/p C.
-    if abs(m / C - 2.0 / p) > 1e-5 or abs(A / C - (p - 2.0) / p) > 1e-5:
-        raise ShootingError(
-            f"shooting profile for p={p} violates its Pohozaev identities: "
-            f"mass/C={m / C:.8f} (expect {2.0 / p:.8f}), "
-            f"A/C={A / C:.8f} (expect {(p - 2.0) / p:.8f})"
-        )
-
-    r_fine = np.linspace(sol.t[0], r_stop, 4000)
-    spline = CubicSpline(r_fine, np.maximum(sol.sol(r_fine)[0], 0.0))
-    state = RadialGroundState(p=float(p), beta=beta, r_stop=r_stop,
-                              mass=m, A=A, C=C, profile=spline)
+    state = _radial_profile(0.5 * (lo + hi), p)
     _GROUND_STATE_CACHE[key] = state
     return state
 
@@ -577,10 +568,12 @@ def gn_profile_field(grid: Grid, p: float, c: float) -> Field:
     """The Gagliardo-Nirenberg optimizer shape discretized on a grid and
     normalized to mass c.
 
-    The radial coordinate is stretched so the support fills 0.35 * extent,
-    which keeps boundary leakage negligible on any grid."""
+    The radial coordinate is stretched so the profile falls to 1e-6 * phi(0)
+    at 0.25 * extent, which keeps boundary leakage negligible on any grid.
+    That decay radius sits far above the round-off in phi(0), so the width
+    does not move with its last bits."""
     gs = ground_state_radial(p)
-    stretch = 0.35 * grid.extent / gs.r_stop
+    stretch = 0.25 * grid.extent / gs.r_decay
     X = grid.coords1d()
     XX, YY = np.meshgrid(X, X, indexing="ij")
     r = np.hypot(XX, YY) / stretch

@@ -38,7 +38,9 @@ class GuardFloorError(ConvergenceError):
 
 
 class ShootingError(PlanarSPError):
-    """The radial shooting solver failed to bracket a ground state."""
+    """The radial shooting solver failed: a state overflowed a float, the
+    integrator gave up, no overshoot was bracketed, or the profile failed
+    its Pohozaev check."""
 
 
 class ConfigError(PlanarSPError):

@@ -59,8 +59,8 @@ def test_classify_nan_gamma_exits_2(capsys):
 
 
 def test_classify_overflowing_shoot_exits_2(capsys):
-    # At large p the shooting right-hand side overflows a float.
-    assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "60",
+    # At p = 2000 the shooting right-hand side overflows a float at phi = 2.
+    assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "2000",
                     "--c", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -68,14 +68,28 @@ def test_classify_overflowing_shoot_exits_2(capsys):
 
 
 def test_classify_overflowing_shoot_exits_2_in_a_subprocess():
-    # The same refusal seen from a fresh process: a failed Fortran shoot
+    # The same refusal seen from a fresh process: a stopped Fortran shoot
     # must not print an integrator warning ahead of the error line.
-    proc = _run_cli_process(["classify", "--gamma", "1", "--a", "1", "--p", "60",
+    proc = _run_cli_process(["classify", "--gamma", "1", "--a", "1", "--p", "2000",
                              "--c", "1"], timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[0].startswith("error:")
     assert "UserWarning" not in proc.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p,reason", [
+    ("60", "violates its Pohozaev identities"),   # too stiff for 1e-5
+    ("100", "radial shooting failed"),            # DOP853 gives up at phi = 2
+])
+def test_classify_unshootable_exponent_exits_2(capsys, p, reason):
+    assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", p,
+                    "--c", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and reason in captured.err
+    assert "UserWarning" not in captured.err
 
 
 def test_classify_missing_params_exits_2():

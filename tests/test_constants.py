@@ -22,7 +22,7 @@ def test_townes_mass():
     assert gs.mass == pytest.approx(11.70, rel=1e-3)
 
 
-@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 24.0])
 def test_ground_state_pohozaev_ratios(p):
     gs = ground_state_radial(p)
     assert gs.mass / gs.C == pytest.approx(2.0 / p, rel=1e-6)
@@ -30,35 +30,28 @@ def test_ground_state_pohozaev_ratios(p):
 
 
 def test_shooting_stops_at_the_float_floor(monkeypatch):
-    # 2 bracket shoots, at most 54 bisections from [1, 8] and the final
-    # dense shoot; running all 80 bisection steps took 83.
+    # At most 2 bracket shoots, about 52 bisections from [1, 2.8] and the
+    # final shoot at beta; running all 80 bisection steps took 83.
     import planarsp.constants as C
 
+    assert not hasattr(C, "solve_ivp")   # one integrator: Fortran DOP853
     shoots = []
-    real_shoot, real_ivp = C._shoot, C.solve_ivp
+    real_shoot = C._shoot
 
-    def sign_shoot(*args, **kwargs):
-        shoots.append("sign")
+    def counted(*args, **kwargs):
+        shoots.append(args)
         return real_shoot(*args, **kwargs)
 
-    def ivp(*args, **kwargs):
-        shoots.append("dense" if kwargs.get("dense_output") else "ivp")
-        return real_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(C, "_shoot", sign_shoot)
-    monkeypatch.setattr(C, "solve_ivp", ivp)
+    monkeypatch.setattr(C, "_shoot", counted)
     monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
     p = 3.7
     gs = ground_state_radial(p)
-    assert len(shoots) <= 57
-    assert shoots.count("sign") >= 50
-    assert shoots.count("dense") == 1 and shoots[-1] == "dense"
-    assert "ivp" not in shoots   # every sign shoot ran on Fortran DOP853
+    assert 50 <= len(shoots) <= 57
     # beta is one of two adjacent floats that bracket the sign change, so a
     # further bisection step could only shoot beta again.
-    side = real_shoot(gs.beta, p)
+    side = real_shoot(gs.beta, p).sign
     toward = -math.inf if side == -1 else math.inf
-    other = real_shoot(float(np.nextafter(gs.beta, toward)), p)
+    other = real_shoot(float(np.nextafter(gs.beta, toward)), p).sign
     assert (side == -1) != (other == -1)
 
 
@@ -73,24 +66,39 @@ def test_overflowing_shoot_chains_the_overflow():
 
 
 @pytest.mark.filterwarnings("error")
-def test_failed_fortran_shoot_takes_the_solve_ivp_sign(monkeypatch):
+def test_failed_fortran_shoot_raises():
     # At p = 30, beta = 8 the first step of the Fortran DOP853 falls below
-    # its floor; the sign then comes from one solve_ivp shoot, and the
-    # failed run prints no warning.
+    # its floor: the shoot is refused by name, with no integrator warning.
     import planarsp.constants as C
 
-    calls = []
-    real = C.solve_ivp
+    with pytest.raises(ShootingError, match=r"failed for p=30.0 from phi\(0\)=8.0"):
+        C._shoot(8.0, 30.0)
+    assert C._shoot(2.0, 30.0).sign == -1
 
-    def ivp(*args, **kwargs):
-        calls.append(kwargs.get("dense_output"))
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(C, "solve_ivp", ivp)
-    assert C._shoot(8.0, 30.0) == -1
-    assert calls == [False]
-    assert C._shoot(2.0, 30.0) == -1
-    assert calls == [False]
+# K_GN as computed when a failed Fortran run at phi(0) = 8 fell back to
+# solve_ivp; the overshoot search from phi(0) = 2 must give the same values.
+@pytest.mark.parametrize("p,kgn", [(24.0, 0.001110278783421297),
+                                   (30.0, 0.001745651664768277),
+                                   (47.0, 0.09870755668324438)])
+def test_kgn_at_large_exponents(p, kgn):
+    assert kgn_estimate(p) == pytest.approx(kgn, rel=1e-12)
+
+
+def test_profile_width_ignores_the_last_bits_of_beta():
+    # The shoot from beta stops where its round-off has grown to O(1), so
+    # r_stop moves by up to 15% within 20 ulps of beta; the decay radius
+    # that sets the width of gn_profile_field must not.
+    import planarsp.constants as C
+
+    p = 4.0
+    gs = ground_state_radial(p)
+    for toward in (-math.inf, math.inf):
+        beta = gs.beta
+        for _ in range(20):
+            beta = float(np.nextafter(beta, toward))
+        shifted = C._radial_profile(beta, p)
+        assert shifted.r_decay == pytest.approx(gs.r_decay, rel=1e-4)
 
 
 def test_kgn_townes_value():
