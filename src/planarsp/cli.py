@@ -319,11 +319,9 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"unknown branch {branch!r}")
     sharp = K.sharp_constants(params.p)
     label = K.regime_classify(params, sharp)
-    # The Gagliardo-Nirenberg regimes start from the optimizer shape instead.
     spec = None
     if label.tag in ("GlobalMin", "GlobalMinMassCritical", "LocalMinPlusMountainPass"):
         spec = _merged_profile(cfg, args, params.c)
-    out = _outdir(args)
 
     def run():
         if label.tag in ("GlobalMin", "GlobalMinMassCritical"):
@@ -332,19 +330,16 @@ def cmd_solve(args) -> int:
             if branch in ("plus", "minus"):
                 return lambda_branch_minimize(params, grid, solver_cfg, spec, branch)
             return local_minimize_capped(params, grid, solver_cfg, spec)
-        if label.tag == "TwoCriticalPointsOnLambda":
-            init = K.gn_profile_field(grid, params.p, params.c)
-            return lambda_maximize(params, grid, solver_cfg, init,
+        if label.tag in ("TwoCriticalPointsOnLambda", "MaxOnLambda"):
+            return lambda_maximize(params, grid, solver_cfg, spec,
                                    "minus" if branch == "auto" else branch)
-        if label.tag == "MaxOnLambda":
-            init = K.gn_profile_field(grid, params.p, params.c)
-            return lambda_maximize(params, grid, solver_cfg, init)
         raise RegimeError(
             f"no solver applies: regime {label.tag}; "
             f"{'; '.join(label.certificate['conditions'])}"
         )
 
     def write_outputs(report, exit_code):
+        out = _outdir(args)
         write_field(report.field, out / "solution.lpf")
         payload = report.summary()
         payload["config"] = {

@@ -109,9 +109,10 @@ class RadialGroundState:
         return np.maximum(out, 0.0)
 
 
-# The radial integration runs from just off the origin to this radius, at
-# these tolerances.
-_R_SPAN = (1e-8, 40.0)
+# The radial integration runs from just off the origin, where the -phi'/r
+# term is finite, to this radius, at these tolerances.  The end lies past
+# the decay radius of the profile down to p = 2.01 (r_decay = 75).
+_R_SPAN = (1e-8, 200.0)
 _RTOL, _ATOL = 1e-12, 1e-14
 
 
@@ -126,10 +127,7 @@ def _radial_rhs(p: float):
     def rhs(r, y):
         phi, dphi = float(y[0]), float(y[1])
         nl = math.copysign(abs(phi) ** pm1, phi)
-        if r < 1e-12:
-            ddphi = 0.5 * (phi - nl)
-        else:
-            ddphi = -dphi / r + phi - nl
+        ddphi = -dphi / r + phi - nl
         tau = two_pi * r
         return [dphi, ddphi, tau * phi * phi, tau * dphi * dphi,
                 tau * abs(phi) ** p]
@@ -385,8 +383,9 @@ def k2(p: float, kgn: float) -> float:
 def a_thresholds(p: float, gamma: float, c: float, kgn: float) -> Tuple[float, float]:
     """(T1, T2) with Ti = Ki |gamma|^((4-p)/2) c^(3-p) for gamma < 0, p < 4.
 
-    The Pohozaev set is nonempty iff a >= T1; it is a manifold with a
-    bounded maximizer for T1 <= a < T2."""
+    The source paper places a nonempty Pohozaev set, with a bounded
+    maximizer, at T1 <= a < T2; the sharp Gagliardo-Nirenberg inequality
+    keeps it empty for every a < T2 (see solvers.lambda_maximize)."""
     factor = abs(gamma) ** (0.5 * (4.0 - p)) * c ** (3.0 - p)
     return k1(p, kgn) * factor, k2(p, kgn) * factor
 

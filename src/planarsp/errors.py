@@ -34,7 +34,8 @@ class CapBoundaryError(ConvergenceError):
 
 
 class GuardFloorError(ConvergenceError):
-    """An iterate was driven to the boundary of the admissible set V."""
+    """A fiber flow's trial steps all broke the resolution guard: the
+    iterate concentrates past what the grid resolves."""
 
 
 class ShootingError(PlanarSPError):

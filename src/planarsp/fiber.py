@@ -263,8 +263,9 @@ def critical_points(sc: FiberScalars) -> List[BranchPoint]:
 
     if p.p < 4.0:
         # phi decreases to its minimum at t_star then increases to +infinity.
-        if D > 0.0:
-            # phi(0+) < 0: single root right of t_star.
+        if D >= 0.0:
+            # phi < 0 near 0 (phi(0+) = -D, approached from below when
+            # D = 0): single root right of t_star.
             hi = _bracket_up(sc, ts, True)
             return [_branch_point(sc, _bisect_newton(sc, ts, hi))]
         if f_star >= -_DEGENERATE_TOL * scale:

@@ -1,11 +1,11 @@
 """Regime-specific constrained flows on the mass sphere.
 
-All four solvers run one projected-flow engine on an objective that says
-what is descended (or ascended) and which iterates are admissible.  Each
-step moves along the Sobolev (H^1) representation (1 - beta Delta)^-1 of
-the L2 gradient, projected onto the tangent of the mass sphere and, when
-the objective is invariant along the dilation orbit, off that orbit:
-u <- normalize(u -/+ tau * d, c).  The change of metric removes the
+Three solvers run one projected-flow engine on an objective that says
+what is descended and which iterates are admissible.  Each step moves
+along the Sobolev (H^1) representation (1 - beta Delta)^-1 of the L2
+gradient, projected onto the tangent of the mass sphere and, when the
+objective is invariant along the dilation orbit, off that orbit:
+u <- normalize(u - tau * d, c).  The change of metric removes the
 Laplacian stiffness from the flow (Danaila & Kazemi, SIAM J. Sci. Comput.
 32, 2010).  The trial step size is the Barzilai-Borwein estimate from the
 previous accepted move, halved until the Armijo test holds at an
@@ -15,8 +15,10 @@ admissible point; accepted steps are therefore monotone by construction.
   local_minimize_capped  descent of F with steps rejected above the
                          kinetic cap A <= k0   (gamma > 0, p > 4, c < c0)
   lambda_branch_minimize descent of I(u) = F(u^s_u) on a fiber branch
-  lambda_maximize        ascent of I over the admissible set V
-                         (gamma < 0, a between the two coupling thresholds)
+  lambda_maximize        no flow: for gamma < 0, p < 4 and T1 <= a < T2
+                         the sharp Gagliardo-Nirenberg inequality bounds
+                         (t*)^2 A below k0 for every field, so V and the
+                         Pohozaev set are empty and it refuses
 
 Each iterate is evaluated once (functionals.Evaluation) and every quantity
 of it, the certificates of the final point included, is read from that
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -46,7 +48,7 @@ from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, RegimeError)
 from .fiber import (BranchPoint, FiberScalars, critical_points, dilate, g as fiber_g,
-                    scalars, t_star)
+                    scalars)
 from .functionals import (EnergyBreakdown, Evaluation, KernelTable, Params, evaluate,
                           kernel_table, kinetic, pnorm, smooth_direction)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
@@ -70,7 +72,6 @@ _TOL_GRAD = 1e-4        # relative tangent-gradient tolerance
 _TOL_Q = 1e-3           # |Q| tolerance relative to A + |gamma| c^2/4
 _BACKTRACK = 0.5        # step factor per failed Armijo test
 _ARMIJO = 1e-4          # sufficient-decrease fraction of the Armijo test
-_V_MARGIN = 1e-3        # guard margin to the boundary of V, times k0
 _BOUNDARY_TOL = 1e-8    # admissible boundary mass fraction
 
 
@@ -222,14 +223,12 @@ class _Point:
 
 
 class _Objective:
-    """What a flow descends (sense = +1) or ascends (sense = -1).
+    """What a flow descends.
 
     Subclasses define point(ev): the point of an evaluated field, or None
     when the field is not admissible.  The hooks default to an objective
     with no invariant orbit, no recentering and no refusal of a failed line
     search."""
-
-    sense = 1
 
     def __init__(self, params: Params, table: KernelTable, mode: str):
         self.params, self.table, self.mode = params, table, mode
@@ -291,26 +290,18 @@ class _FiberBranch(_Objective):
     projected out of every step so s stays pinned near 1.  Iterates whose
     effective width c/A falls below a couple of grid cells are inadmissible
     (drift along fibers could otherwise concentrate the iterate past what
-    the grid resolves).  The ascent (sense = -1) runs inside V, and iterates
-    within _V_MARGIN * k0 of its boundary are inadmissible too."""
+    the grid resolves)."""
 
-    def __init__(self, params: Params, table: KernelTable, mode: str, branch: str,
-                 sense: int = 1):
+    def __init__(self, params: Params, table: KernelTable, mode: str, branch: str):
         super().__init__(params, table, mode)
-        self.branch, self.sense = branch, sense
+        self.branch = branch
         self.a_resolved = params.c / (2.0 * table.grid.h) ** 2
-        self.v_floor = (1.0 + _V_MARGIN) * K.k0(params) if sense < 0 else None
         self.recenters = 0
 
     def point(self, ev: Evaluation) -> Optional[_Point]:
         if ev.A > self.a_resolved:
             return None
-        sc = scalars(ev, self.params)
-        if self.v_floor is not None:
-            ts = t_star(sc)
-            if ts * ts * sc.A <= self.v_floor:
-                return None
-        bp = _branch_of(sc, self.branch)
+        bp = _branch_of(scalars(ev, self.params), self.branch)
         return _Point(ev, bp.g, bp.s, bp.gpp)
 
     def orbit(self, u: Field) -> Optional[np.ndarray]:
@@ -343,8 +334,9 @@ class _FiberBranch(_Objective):
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
         if guard_rejects >= 40:
             return GuardFloorError(
-                f"{self.mode}: step floor reached against the boundary of V; "
-                "the iterate is being driven to a degenerate fiber")
+                f"{self.mode}: step floor reached against the resolution "
+                "guard; the iterate is concentrating past what the grid "
+                "resolves")
         return None
 
     def annotate(self, report: SolveReport, pt: _Point) -> None:
@@ -357,7 +349,7 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
     """Run the projected Sobolev-gradient flow of obj from u until the
     tangent gradient and Q both certify; raises ConvergenceError (with the
     report) when they do not."""
-    params, table, mode, sense = obj.params, obj.table, obj.mode, obj.sense
+    params, table, mode = obj.params, obj.table, obj.mode
     h, c = u.grid.h, params.c
     pt = obj.point(evaluate(u, table))
     if pt is None:
@@ -433,7 +425,7 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
         if prev_u is not None:
             s_vec = u.values - prev_u
             y_vec = d - prev_d
-            sy = sense * float(np.sum(s_vec * y_vec))
+            sy = float(np.sum(s_vec * y_vec))
             if sy > 0:
                 tau = min(max(float(np.sum(s_vec * s_vec)) / sy, 1e-12), 1.0)
         prev_u, prev_d = u.values, d
@@ -442,11 +434,11 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
         step = tau
         guard_rejects = 0
         for _ in range(60):
-            v = normalize(Field(u.grid, u.values - sense * step * d), c)
+            v = normalize(Field(u.grid, u.values - step * d), c)
             pt_v = obj.point(evaluate(v, table))
             if pt_v is None:
                 guard_rejects += 1
-            elif sense * (pt.value - pt_v.value) >= _ARMIJO * step * slope:
+            elif pt.value - pt_v.value >= _ARMIJO * step * slope:
                 pt, tau = pt_v, step
                 break
             step *= _BACKTRACK
@@ -539,42 +531,35 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
 
 
 def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
-                    init: Union[ProfileSpec, Field],
-                    branch: str = "minus") -> SolveReport:
-    """Maximize F over a fiber branch inside V (gamma < 0, a > 0, p < 4).
+                    init: Optional[Union[ProfileSpec, Field]],
+                    branch: str = "minus") -> NoReturn:
+    """Refuse, by certificate, the critical points on the Pohozaev set that
+    the source paper claims for gamma < 0, a > 0, p < 4 and T1 <= a < T2.
 
-    Requires the coupling at or above the lower threshold; two-branch runs
-    need it strictly between the thresholds.  At the lower threshold
-    exactly, V has empty interior and the run degenerates to the projected
-    Gagliardo-Nirenberg optimizer, reported without gradient iteration."""
+    The sharp Gagliardo-Nirenberg inequality C <= K_GN A^((p-2)/2) c
+    (Weinstein, Comm. Math. Phys. 87, 1983) gives every field of mass c
+
+        (t*)^2 A <= (a/T2)^(2/(4-p)) k0,
+
+    which is k0/2 at a = T1 and below k0 for every a < T2.  So
+    min_t Q(u^t) > 0 on every fiber: V and the Pohozaev set are empty, and
+    there is nothing to maximize.  The classifier's refusal is raised for
+    any other regime, ValueError for an unknown branch.  grid, config and
+    init are not used: no kernel table and no field is built."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
     regime = _regime_for("lambda_maximize", params,
                          ("TwoCriticalPointsOnLambda", "MaxOnLambda"),
                          "the coupling at or above the lower threshold with p < 4 "
                          "and gamma < 0")
-    if regime.tag == "MaxOnLambda":
-        return _degenerate_threshold_report(params, grid, regime)
-    table = kernel_table(grid)
-    obj = _FiberBranch(params, table, f"lambda_maximize[{branch}]", branch, sense=-1)
-    return _flow(_as_field(init, grid, params.c), obj, config, regime)
-
-
-def _degenerate_threshold_report(params: Params, grid: Grid,
-                                 regime: K.RegimeLabel) -> SolveReport:
-    """At a = K1 threshold the Pohozaev set collapses onto the optimizer's
-    fiber: report its projection, certified by the Q residual alone, to the
-    looser of _TOL_Q and 1e-2 since no flow polishes it."""
-    table = kernel_table(grid)
-    u = K.gn_profile_field(grid, params.p, params.c)
-    ts = t_star(scalars(u, params, table))
-    u = normalize(dilate(u, ts), params.c)
-    report = _finalize(evaluate(u, table), params, regime,
-                       "lambda_maximize[threshold]", 0, True, [])
-    report.s_branch = ts
-    report.converged = bool(report.q_residual < max(_TOL_Q, 1e-2))
-    report.extras["degenerate_threshold_mode"] = True
-    return report
+    t2, k0 = regime.certificate["a_threshold_upper"], regime.certificate["k0"]
+    bound = (params.a / t2) ** (2.0 / (4.0 - params.p)) * k0
+    raise RegimeError(
+        f"lambda_maximize[{branch}]: the Pohozaev set is empty at a = {params.a} "
+        f"< T2 = {t2}: by the sharp Gagliardo-Nirenberg inequality every field "
+        f"of mass c = {params.c} has t*^2 A <= (a/T2)^(2/(4-p)) k0 = {bound} "
+        f"< k0 = {k0}, so Q(u^t) > 0 along every fiber and no critical point "
+        "exists")
 
 
 # ---------------------------------------------------------------------------

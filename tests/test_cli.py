@@ -92,6 +92,14 @@ def test_classify_unshootable_exponent_exits_2(capsys, p, reason):
     assert "UserWarning" not in captured.err
 
 
+def test_classify_near_p2_exits_0(capsys):
+    # The profile at p = 2.01 decays only by r = 75: the shoot must run past
+    # it for the Pohozaev check to hold.
+    assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "2.01",
+                    "--c", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["tag"] == "GlobalMin"
+
+
 def test_classify_missing_params_exits_2():
     assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "3"]) == 2
 
@@ -269,6 +277,17 @@ def test_solve_end_to_end(tmp_path):
 def test_solve_regime_refusal_exit_4(tmp_path):
     assert run_cli(["solve", "--gamma", "-1", "--a", "-1", "--p", "3",
                     "--c", "1", "--out", str(tmp_path / "x")]) == 4
+    assert not (tmp_path / "x").exists()
+
+
+def test_solve_refuses_the_published_gamma_negative_window(tmp_path, capsys):
+    # T1 < a = 6.5 < T2 at p = 3: the Pohozaev set is empty, nothing is
+    # solved and nothing is written.
+    out = tmp_path / "x"
+    assert run_cli(["solve", "--gamma", "-1", "--a", "6.5", "--p", "3",
+                    "--c", "1", "--grid-n", "128", "--out", str(out)]) == 4
+    assert "Pohozaev set is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_nonconvergence_exit_3(tmp_path):

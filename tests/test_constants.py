@@ -101,6 +101,12 @@ def test_profile_width_ignores_the_last_bits_of_beta():
         assert shifted.r_decay == pytest.approx(gs.r_decay, rel=1e-4)
 
 
+def test_kgn_near_p2():
+    # K_GN rises toward 1 as p -> 2; p = 2.01 needs the shoot to reach its
+    # decay radius, about 75.
+    assert kgn_estimate(2.05) < kgn_estimate(2.01) < 1.0
+
+
 def test_kgn_townes_value():
     gs = ground_state_radial(4.0)
     assert kgn_estimate(4.0) == pytest.approx(2.0 / gs.mass, rel=1e-6)

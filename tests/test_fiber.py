@@ -175,6 +175,18 @@ def test_critical_points_single_root_global_regime():
     assert len(pts) == 1 and pts[0].branch == "plus"
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 3.5, 6.0])
+def test_critical_points_gamma_zero_closed_form(p):
+    # gamma = 0: phi(t) = t^2 A - a (p-2)/p t^(p-2) C has its one root at
+    # (a (p-2) C / (p A))^(1/(4-p)), a minimum of g for p < 4 and a maximum
+    # for p > 4 (A = C = a = 1, p = 3 gives s = 1/3).
+    pr = Params(gamma=0.0, a=1.0, p=p, c=1.0)
+    pts = critical_points(FiberScalars(A=1.0, C=1.0, V=0.0, params=pr))
+    assert len(pts) == 1
+    assert pts[0].s == pytest.approx(((p - 2.0) / p) ** (1.0 / (4.0 - p)), rel=1e-10)
+    assert pts[0].branch == ("plus" if p < 4.0 else "minus")
+
+
 def test_critical_points_choquard_root():
     # a = 0, gamma > 0: the single minimum sits at sqrt(gamma c^2 / (4A))
     pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)

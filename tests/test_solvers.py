@@ -5,9 +5,9 @@ import pytest
 from planarsp import (DomainError, Params, ProfileSpec, RegimeError,
                       SolverConfig, global_minimize, lambda_branch_minimize,
                       lambda_maximize, local_minimize_capped, make_grid, mass,
-                      masscritical_probe, two_bump_probe)
-from planarsp.constants import (a_thresholds, c0, k0, kgn_estimate,
-                                mass_critical_threshold)
+                      masscritical_probe, scalars, t_star, two_bump_probe)
+from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
+                                kgn_estimate, mass_critical_threshold)
 from planarsp.solvers import gaussian_on_branch
 
 CFG = SolverConfig(max_iter=6000, trace=True)
@@ -186,31 +186,62 @@ def test_lambda_maximize_below_threshold_refused():
                         ProfileSpec.gaussian(sigma=1.0))
 
 
-def test_lambda_maximize_published_window_is_empty():
-    # At a midway between the published K1/K2 thresholds the Pohozaev set of
-    # the discrete problem is empty (see the decisions ledger): the solver
-    # refuses because no admissible initial field exists.
-    from planarsp.constants import gn_profile_field
-
-    p = 3.0
+def _window_params(p, where):
     t1, t2 = a_thresholds(p, -1.0, 1.0, kgn_estimate(p))
-    pr = Params(gamma=-1.0, a=0.5 * (t1 + t2), p=p, c=1.0)
-    grid = make_grid(40.0, 128)
-    init = gn_profile_field(grid, p, 1.0)
-    with pytest.raises(RegimeError):
-        lambda_maximize(pr, grid, CFG, init, "minus")
+    a = t1 if where == "lower" else 0.5 * (t1 + t2)
+    return Params(gamma=-1.0, a=a, p=p, c=1.0), t2
 
 
-def test_lambda_maximize_threshold_mode_reports():
-    p = 3.0
-    t1, _ = a_thresholds(p, -1.0, 1.0, kgn_estimate(p))
-    pr = Params(gamma=-1.0, a=t1, p=p, c=1.0)
-    rep = lambda_maximize(pr, make_grid(40.0, 128), SolverConfig(),
-                          ProfileSpec.gaussian(sigma=1.0))
-    assert rep.extras.get("degenerate_threshold_mode")
-    # the residual certificate records how far the projected optimizer is
-    # from the Pohozaev set; at the published (too small) threshold it fails
-    assert not rep.converged
+def _refusal_bound(pr, t2, monkeypatch):
+    """The t*^2 A bound quoted by lambda_maximize's refusal, which must name
+    T2 and build no kernel table."""
+    import planarsp.solvers as solvers
+
+    def no_table(grid):
+        raise AssertionError("the refusal must not build a kernel table")
+
+    monkeypatch.setattr(solvers, "kernel_table", no_table)
+    with pytest.raises(RegimeError, match="Pohozaev set is empty") as exc:
+        lambda_maximize(pr, make_grid(40.0, 128), CFG,
+                        ProfileSpec.gaussian(sigma=1.0), "minus")
+    bound = (pr.a / t2) ** (2.0 / (4.0 - pr.p)) * k0(pr)
+    assert f"T2 = {t2}" in str(exc.value)
+    assert f"k0 = {bound}" in str(exc.value)
+    return bound
+
+
+def test_lambda_maximize_published_window_is_empty(monkeypatch):
+    # Midway between the published T1/T2 thresholds the Pohozaev set is
+    # empty (the sharp Gagliardo-Nirenberg bound keeps t*^2 A below k0), so
+    # the solver refuses by certificate.
+    pr, t2 = _window_params(3.0, "mid")
+    assert _refusal_bound(pr, t2, monkeypatch) < k0(pr)
+
+
+def test_lambda_maximize_threshold_refused(monkeypatch):
+    # At a = T1 exactly (MaxOnLambda) the bound is k0/2: V is empty and so
+    # is the Pohozaev set.
+    pr, t2 = _window_params(3.0, "lower")
+    assert _refusal_bound(pr, t2, monkeypatch) == pytest.approx(0.5 * k0(pr),
+                                                                rel=1e-12)
+
+
+def test_lambda_maximize_unknown_branch_is_refused_first():
+    pr, _ = _window_params(3.0, "mid")
+    with pytest.raises(ValueError):
+        lambda_maximize(pr, make_grid(40.0, 128), CFG,
+                        ProfileSpec.gaussian(sigma=1.0), "sideways")
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 3.5])
+def test_gn_optimizer_attains_the_refusal_bound(p):
+    # The identity the refusal rests on: the Gagliardo-Nirenberg optimizer
+    # attains t*^2 A = (a/T2)^(2/(4-p)) k0, the largest value over all
+    # fields of mass c, so no field reaches V below T2.
+    pr, t2 = _window_params(p, "mid")
+    sc = scalars(gn_profile_field(make_grid(40.0, 128), p, 1.0), pr)
+    ratio = t_star(sc) ** 2 * sc.A / k0(pr)
+    assert ratio == pytest.approx((pr.a / t2) ** (2.0 / (4.0 - p)), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
