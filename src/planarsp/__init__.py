@@ -18,7 +18,7 @@ from .errors import (CapBoundaryError, ConfigError, ConvergenceError, DomainErro
                      GridMismatchError, GuardFloorError, MassMismatchError,
                      PlanarSPError, RegimeError, ShootingError)
 from .fiber import (BranchPoint, FiberScalars, critical_points, ddg, dg, dilate,
-                    g, in_V, phi, project_to_lambda, scalars, t_star)
+                    g, phi, project_to_lambda, scalars, t_star)
 from .functionals import (EnergyBreakdown, Params, el_residual, energy,
                           grad_energy, kinetic, lagrange_multiplier,
                           log_potential, pnorm, pohozaev_Q, pohozaev_residual,

@@ -37,7 +37,7 @@ from .fiber import critical_points, dg, ddg, g, phi, scalars
 from .functionals import Params
 from .grid import Grid, ProfileSpec, discretize, make_grid, write_field
 from .solvers import (SolverConfig, global_minimize, lambda_branch_minimize,
-                      lambda_maximize, local_minimize_capped)
+                      local_minimize_capped)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -330,9 +330,6 @@ def cmd_solve(args) -> int:
             if branch in ("plus", "minus"):
                 return lambda_branch_minimize(params, grid, solver_cfg, spec, branch)
             return local_minimize_capped(params, grid, solver_cfg, spec)
-        if label.tag in ("TwoCriticalPointsOnLambda", "MaxOnLambda"):
-            return lambda_maximize(params, grid, solver_cfg, spec,
-                                   "minus" if branch == "auto" else branch)
         raise RegimeError(
             f"no solver applies: regime {label.tag}; "
             f"{'; '.join(label.certificate['conditions'])}"

@@ -67,7 +67,6 @@ REGIME_TAGS = (
     "LocalMinPlusMountainPass",
     "NoCriticalPoint",
     "LambdaEmpty",
-    "MaxOnLambda",
     "TwoCriticalPointsOnLambda",
     "OpenUnknown",
 )
@@ -383,9 +382,9 @@ def k2(p: float, kgn: float) -> float:
 def a_thresholds(p: float, gamma: float, c: float, kgn: float) -> Tuple[float, float]:
     """(T1, T2) with Ti = Ki |gamma|^((4-p)/2) c^(3-p) for gamma < 0, p < 4.
 
-    The source paper places a nonempty Pohozaev set, with a bounded
-    maximizer, at T1 <= a < T2; the sharp Gagliardo-Nirenberg inequality
-    keeps it empty for every a < T2 (see solvers.lambda_maximize)."""
+    The source paper places critical points on the Pohozaev set at
+    T1 <= a < T2; the sharp Gagliardo-Nirenberg inequality keeps that set
+    empty for every a < T2 (see regime_classify)."""
     factor = abs(gamma) ** (0.5 * (4.0 - p)) * c ** (3.0 - p)
     return k1(p, kgn) * factor, k2(p, kgn) * factor
 
@@ -501,7 +500,19 @@ def regime_classify(params: Params, sharp: SharpConstants) -> RegimeLabel:
 
     Parameter corners with no known answer (gamma < 0 with p >= 4, masses
     at or beyond the covered thresholds, gamma = 0) return OpenUnknown
-    rather than a guess."""
+    rather than a guess.
+
+    For gamma < 0, p < 4 and T1 <= a < T2 the source paper places critical
+    points on the Pohozaev set.  The sharp Gagliardo-Nirenberg inequality
+    C <= K_GN A^((p-2)/2) c (Weinstein, Comm. Math. Phys. 87, 1983) gives
+    every field of mass c
+
+        (t*)^2 A <= (a/T2)^(2/(4-p)) k0,
+
+    which is k0/2 at a = T1 and below k0 for every a < T2, so min_t Q(u^t)
+    > 0 on every fiber and the set is empty.  That window keeps the tag
+    TwoCriticalPointsOnLambda; its certificate carries the bound as
+    t_star_sq_A_bound and says the set is empty."""
     gam, a, p, c = params.gamma, params.a, params.p, params.c
     cert: Dict = {"gamma": gam, "a": a, "p": p, "c": c, "kgn": sharp.kgn}
     conds: List[str] = []
@@ -548,13 +559,16 @@ def regime_classify(params: Params, sharp: SharpConstants) -> RegimeLabel:
         if a < t1:
             conds.append(f"a = {a} < K1 threshold = {t1}: Pohozaev set empty")
             return RegimeLabel("LambdaEmpty", cert)
-        if a == t1:
-            conds.append(f"a = K1 threshold = {t1} exactly (inclusive bound): "
-                         "bounded maximizer on the Pohozaev set")
-            return RegimeLabel("MaxOnLambda", cert)
         if a < t2:
-            conds.append(f"K1 threshold = {t1} < a = {a} < K2 threshold = {t2}: "
-                         "two critical points (strict inequalities)")
+            bound = (a / t2) ** (2.0 / (4.0 - p)) * cert["k0"]
+            cert["t_star_sq_A_bound"] = bound
+            conds.append(f"K1 threshold T1 = {t1} <= a = {a} < K2 threshold "
+                         f"T2 = {t2}: the source paper's window of critical "
+                         "points on the Pohozaev set")
+            conds.append(f"sharp Gagliardo-Nirenberg inequality: every field of "
+                         f"mass c = {c} has t*^2 A <= (a/T2)^(2/(4-p)) k0 = "
+                         f"{bound} < k0 = {cert['k0']}, so Q(u^t) > 0 along "
+                         "every fiber and the Pohozaev set is empty")
             return RegimeLabel("TwoCriticalPointsOnLambda", cert)
         conds.append(f"a = {a} >= K2 threshold = {t2}: not covered")
         return RegimeLabel("OpenUnknown", cert)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -41,7 +41,6 @@ __all__ = [
     "phi",
     "t_star",
     "critical_points",
-    "in_V",
     "dilate",
     "project_to_lambda",
 ]
@@ -261,55 +260,24 @@ def critical_points(sc: FiberScalars) -> List[BranchPoint]:
             "tuple is numerically degenerate") from None
     scale = _phi_scale(sc)
 
-    if p.p < 4.0:
-        # phi decreases to its minimum at t_star then increases to +infinity.
-        if D >= 0.0:
-            # phi < 0 near 0 (phi(0+) = -D, approached from below when
-            # D = 0): single root right of t_star.
-            hi = _bracket_up(sc, ts, True)
-            return [_branch_point(sc, _bisect_newton(sc, ts, hi))]
-        if f_star >= -_DEGENERATE_TOL * scale:
-            return []  # no root (or a degenerate Lambda^0 touching point)
-        left = _bracket_down(sc, ts, True)
-        if left is None:
-            return []
-        hi = _bracket_up(sc, ts, True)
-        s_minus = _bisect_newton(sc, left, ts)
-        s_plus = _bisect_newton(sc, ts, hi)
-        return [_branch_point(sc, s_minus), _branch_point(sc, s_plus)]
-
-    # p > 4: phi increases to its maximum at t_star then falls to -infinity.
-    if D <= 0.0:
-        # phi(0+) >= 0: single root right of t_star (local maximum of g).
-        hi = _bracket_up(sc, ts, False)
+    # phi has a minimum at t_star for p < 4 (sigma = +1) and a maximum for
+    # p > 4 (sigma = -1), and tends to sigma * infinity as t grows.
+    sigma = 1.0 if p.p < 4.0 else -1.0
+    want_positive = sigma > 0
+    if sigma * D >= 0.0:
+        # phi(0+) = -D has the sign opposite to phi at infinity (approached
+        # from that side when D = 0): single root right of t_star.
+        hi = _bracket_up(sc, ts, want_positive)
         return [_branch_point(sc, _bisect_newton(sc, ts, hi))]
-    if f_star <= _DEGENERATE_TOL * scale:
-        return []
-    left = _bracket_down(sc, ts, False)
+    if sigma * f_star >= -_DEGENERATE_TOL * scale:
+        return []  # no root (or a degenerate Lambda^0 touching point)
+    left = _bracket_down(sc, ts, want_positive)
     if left is None:
         return []
-    hi = _bracket_up(sc, ts, False)
-    s_plus = _bisect_newton(sc, left, ts)
-    s_minus = _bisect_newton(sc, ts, hi)
-    return [_branch_point(sc, s_plus), _branch_point(sc, s_minus)]
-
-
-def in_V(sc: FiberScalars) -> Tuple[bool, float]:
-    """Membership in V = {(t*)^2 A > k0} for the gamma < 0, a > 0, p < 4
-    regime, together with the diagnostic value Q(u^(t*)) = min_t Q(u^t).
-
-    Membership is equivalent to that minimum being negative, i.e. to the
-    fiber map having both a local maximum and a local minimum."""
-    p = sc.params
-    if not (p.gamma < 0.0 and p.a > 0.0 and p.p < 4.0):
-        raise RegimeError(
-            "V-membership is defined for gamma < 0, a > 0, p < 4; "
-            f"got gamma={p.gamma}, a={p.a}, p={p.p}"
-        )
-    ts = t_star(sc)
-    q_min = phi(sc, ts)
-    k0 = (p.p - 2.0) * abs(p.gamma) * p.c ** 2 / (4.0 * (4.0 - p.p))
-    return (ts * ts * sc.A > k0, q_min)
+    hi = _bracket_up(sc, ts, want_positive)
+    s_left = _bisect_newton(sc, left, ts)
+    s_right = _bisect_newton(sc, ts, hi)
+    return [_branch_point(sc, s_left), _branch_point(sc, s_right)]
 
 
 def dilate(u: Field, t: float) -> Field:

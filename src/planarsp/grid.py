@@ -357,6 +357,9 @@ def read_field(path) -> Field:
     """Read a field written by write_field."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if len(data) < 20:
+        raise ValueError(f"LPF1 file has {len(data)} bytes, fewer than its "
+                         "20-byte header")
     if data[:4] != FIELD_MAGIC:
         raise ValueError(f"not an LPF1 field file: bad magic {data[:4]!r}")
     (n,) = struct.unpack_from("<Q", data, 4)

@@ -15,10 +15,9 @@ admissible point; accepted steps are therefore monotone by construction.
   local_minimize_capped  descent of F with steps rejected above the
                          kinetic cap A <= k0   (gamma > 0, p > 4, c < c0)
   lambda_branch_minimize descent of I(u) = F(u^s_u) on a fiber branch
-  lambda_maximize        no flow: for gamma < 0, p < 4 and T1 <= a < T2
-                         the sharp Gagliardo-Nirenberg inequality bounds
-                         (t*)^2 A below k0 for every field, so V and the
-                         Pohozaev set are empty and it refuses
+  lambda_maximize        no flow: it quotes the classifier's certificate
+                         that the Pohozaev set is empty for gamma < 0,
+                         p < 4 and T1 <= a < T2, and refuses
 
 Each iterate is evaluated once (functionals.Evaluation) and every quantity
 of it, the certificates of the final point included, is read from that
@@ -411,15 +410,13 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
                     f"(fraction {frac:.2e}); the domain is too small")
 
         # Sobolev-metric direction, projected onto the sphere tangent and off
-        # the orbit; the raw direction if that is not a descent direction.
+        # the orbit.  It descends: d_raw is orthogonal to u and the orbit and
+        # the smoothing is positive definite, so slope > 0 unless d_raw = 0.
         d_h = smooth_direction(d_raw, table)
         d = d_h - (h * h * float(np.sum(d_h * u.values)) / c) * u.values
         if fib is not None:
             d -= (h * h * float(np.sum(d * fib)) / fib_norm2) * fib
         slope = h * h * float(np.sum(d_raw * d))  # <grad, d> in L2
-        if slope <= 0:
-            d = d_raw
-            slope = h * h * float(np.sum(d_raw * d))
 
         # Barzilai-Borwein trial step from the previous accepted move.
         if prev_u is not None:
@@ -533,33 +530,21 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
 def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
                     init: Optional[Union[ProfileSpec, Field]],
                     branch: str = "minus") -> NoReturn:
-    """Refuse, by certificate, the critical points on the Pohozaev set that
-    the source paper claims for gamma < 0, a > 0, p < 4 and T1 <= a < T2.
+    """Refuse the critical points on the Pohozaev set that the source paper
+    claims for gamma < 0, a > 0, p < 4 and T1 <= a < T2.
 
-    The sharp Gagliardo-Nirenberg inequality C <= K_GN A^((p-2)/2) c
-    (Weinstein, Comm. Math. Phys. 87, 1983) gives every field of mass c
-
-        (t*)^2 A <= (a/T2)^(2/(4-p)) k0,
-
-    which is k0/2 at a = T1 and below k0 for every a < T2.  So
-    min_t Q(u^t) > 0 on every fiber: V and the Pohozaev set are empty, and
-    there is nothing to maximize.  The classifier's refusal is raised for
-    any other regime, ValueError for an unknown branch.  grid, config and
-    init are not used: no kernel table and no field is built."""
+    The classifier's certificate for that window bounds (t*)^2 A below k0
+    for every field, so the Pohozaev set is empty and there is nothing to
+    maximize (see constants.regime_classify).  Raises ValueError for an
+    unknown branch, else RegimeError quoting the certificate's conditions.
+    grid, config and init are not used: no kernel table and no field is
+    built."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
-    regime = _regime_for("lambda_maximize", params,
-                         ("TwoCriticalPointsOnLambda", "MaxOnLambda"),
-                         "the coupling at or above the lower threshold with p < 4 "
-                         "and gamma < 0")
-    t2, k0 = regime.certificate["a_threshold_upper"], regime.certificate["k0"]
-    bound = (params.a / t2) ** (2.0 / (4.0 - params.p)) * k0
-    raise RegimeError(
-        f"lambda_maximize[{branch}]: the Pohozaev set is empty at a = {params.a} "
-        f"< T2 = {t2}: by the sharp Gagliardo-Nirenberg inequality every field "
-        f"of mass c = {params.c} has t*^2 A <= (a/T2)^(2/(4-p)) k0 = {bound} "
-        f"< k0 = {k0}, so Q(u^t) > 0 along every fiber and no critical point "
-        "exists")
+    regime = K.regime_classify(params, K.sharp_constants(params.p))
+    raise RegimeError(f"lambda_maximize[{branch}]: no critical point to maximize; "
+                      f"classifier says {regime.tag}: "
+                      f"{'; '.join(regime.certificate['conditions'])}")
 
 
 # ---------------------------------------------------------------------------

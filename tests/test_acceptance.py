@@ -301,7 +301,7 @@ def test_criterion_11_regime_map():
         structure_ok &= (c2 < c1) if p < 3.0 else (c1 < c2)
         mid = regime_classify(Params(gamma=-1.0, a=1.0, p=p,
                                      c=0.5 * (lo + hi)), sharp).tag
-        structure_ok &= mid in ("TwoCriticalPointsOnLambda", "MaxOnLambda")
+        structure_ok &= mid == "TwoCriticalPointsOnLambda"
         for edge in (lo, hi):
             below = regime_classify(Params(gamma=-1.0, a=1.0, p=p,
                                            c=edge * (1.0 - 1e-10)), sharp).tag

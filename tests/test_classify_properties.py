@@ -7,6 +7,7 @@ that the tag flips exactly at the threshold, one float below it and at it.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsp import Params, regime_classify
@@ -19,9 +20,13 @@ positive = st.floats(min_value=0.05, max_value=20.0)
 kgn = st.floats(min_value=0.01, max_value=1.0)
 
 
-def _tag(gamma, a, p, c, k):
+def _label(gamma, a, p, c, k):
     return regime_classify(Params(gamma=gamma, a=a, p=p, c=c),
-                           SharpConstants(p=p, kgn=k)).tag
+                           SharpConstants(p=p, kgn=k))
+
+
+def _tag(gamma, a, p, c, k):
+    return _label(gamma, a, p, c, k).tag
 
 
 def _below(x):
@@ -56,8 +61,14 @@ def test_t1_and_t2_are_the_exact_coupling_thresholds(gamma, p, c, k):
     t1, t2 = a_thresholds(p, -gamma, c, k)
     assert t1 < t2
     assert _tag(-gamma, _below(t1), p, c, k) == "LambdaEmpty"
-    assert _tag(-gamma, t1, p, c, k) == "MaxOnLambda"
+    assert _tag(-gamma, t1, p, c, k) == "TwoCriticalPointsOnLambda"
     assert _tag(-gamma, _above(t1), p, c, k) == "TwoCriticalPointsOnLambda"
     assert _tag(-gamma, _below(t2), p, c, k) == "TwoCriticalPointsOnLambda"
     assert _tag(-gamma, t2, p, c, k) == "OpenUnknown"
     assert _tag(-gamma, _above(t2), p, c, k) == "OpenUnknown"
+    # The window's certificate bounds t*^2 A below k0: k0/2 at T1.
+    at_t1 = _label(-gamma, t1, p, c, k).certificate
+    top = _label(-gamma, _below(t2), p, c, k).certificate
+    assert at_t1["t_star_sq_A_bound"] == pytest.approx(0.5 * at_t1["k0"], rel=1e-12)
+    assert at_t1["t_star_sq_A_bound"] < at_t1["k0"]
+    assert top["t_star_sq_A_bound"] < top["k0"]

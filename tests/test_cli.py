@@ -31,6 +31,20 @@ def test_classify_lambda_empty(capsys):
     assert json.loads(capsys.readouterr().out)["tag"] == "LambdaEmpty"
 
 
+def test_classify_published_gamma_negative_window(capsys):
+    # T1 < a = 6.5 < T2 at p = 3: the certificate says the Pohozaev set is
+    # empty and carries the bound on t*^2 A.
+    assert run_cli(["classify", "--gamma", "-1", "--a", "6.5", "--p", "3",
+                    "--c", "1"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["tag"] == "TwoCriticalPointsOnLambda"
+    cert = payload["certificate"]
+    assert cert["t_star_sq_A_bound"] < cert["k0"]
+    assert "Pohozaev set is empty" in out
+    assert "two critical points" not in out
+
+
 def test_classify_bad_exponent_exits_2():
     assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "2",
                     "--c", "1"]) == 2

@@ -259,8 +259,10 @@ def test_regime_two_critical_window():
     t1, t2 = a_thresholds(p, -1.0, 1.0, sharp.kgn)
     mid = regime_classify(Params(gamma=-1.0, a=0.5 * (t1 + t2), p=p, c=1.0), sharp)
     assert mid.tag == "TwoCriticalPointsOnLambda"
+    assert any("Pohozaev set is empty" in cond
+               for cond in mid.certificate["conditions"])
     at_lower = regime_classify(Params(gamma=-1.0, a=t1, p=p, c=1.0), sharp)
-    assert at_lower.tag == "MaxOnLambda"
+    assert at_lower.tag == "TwoCriticalPointsOnLambda"
     below = regime_classify(Params(gamma=-1.0, a=0.99 * t1, p=p, c=1.0), sharp)
     assert below.tag == "LambdaEmpty"
     at_upper = regime_classify(Params(gamma=-1.0, a=t2, p=p, c=1.0), sharp)
@@ -281,8 +283,7 @@ def test_regime_monotone_in_a():
     # increasing a never moves an existence tag back to LambdaEmpty
     p = 2.5
     sharp = _sharp(p)
-    rank = {"LambdaEmpty": 0, "MaxOnLambda": 1, "TwoCriticalPointsOnLambda": 1,
-            "OpenUnknown": 1}
+    rank = {"LambdaEmpty": 0, "TwoCriticalPointsOnLambda": 1, "OpenUnknown": 1}
     tags = [regime_classify(Params(gamma=-1.0, a=a, p=p, c=2.0), sharp).tag
             for a in np.linspace(0.01, 3.0, 40)]
     ranks = [rank[t] for t in tags]
@@ -312,7 +313,7 @@ def test_band_edges_subcritical_p():
     sharp = SharpConstants(p=p, kgn=kgn)
     inside = regime_classify(Params(gamma=-1.0, a=1.0, p=p,
                                     c=0.5 * (c1 + c2)), sharp)
-    assert inside.tag in ("TwoCriticalPointsOnLambda", "MaxOnLambda")
+    assert inside.tag == "TwoCriticalPointsOnLambda"
     above = regime_classify(Params(gamma=-1.0, a=1.0, p=p, c=1.01 * c1), sharp)
     assert above.tag == "LambdaEmpty"
     below = regime_classify(Params(gamma=-1.0, a=1.0, p=p, c=0.99 * c2), sharp)
@@ -328,7 +329,7 @@ def test_band_edges_supercritical_p():
     sharp = SharpConstants(p=p, kgn=kgn)
     inside = regime_classify(Params(gamma=-1.0, a=1.0, p=p,
                                     c=0.5 * (c1 + c2)), sharp)
-    assert inside.tag in ("TwoCriticalPointsOnLambda", "MaxOnLambda")
+    assert inside.tag == "TwoCriticalPointsOnLambda"
     below = regime_classify(Params(gamma=-1.0, a=1.0, p=p, c=0.99 * c1), sharp)
     assert below.tag == "LambdaEmpty"
 

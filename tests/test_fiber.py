@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from planarsp import (BranchPoint, DomainError, FiberScalars, MassMismatchError,
                       Params, ProfileSpec, RegimeError, critical_points, ddg, dg,
-                      dilate, discretize, g, in_V, make_grid, mass, normalize,
+                      dilate, discretize, g, make_grid, mass, normalize,
                       phi, project_to_lambda, scalars, t_star, v_total)
 from planarsp.functionals import kinetic
 
@@ -207,41 +207,35 @@ def test_critical_points_mass_critical_exponent():
     assert critical_points(sup) == []
 
 
-def test_in_V_false_example():
+def test_t_star_below_k0_has_no_roots():
+    # gamma < 0, p = 3: (t*)^2 A = 1/36 < k0 = 1/4, so phi stays positive
     pr = Params(gamma=-1.0, a=1.0, p=3.0, c=1.0)
     sc = FiberScalars(A=1.0, C=1.0, V=0.0, params=pr)
-    member, q_min = in_V(sc)
-    assert not member
     assert t_star(sc) ** 2 * sc.A == pytest.approx(1.0 / 36.0, rel=1e-12)
-    assert q_min > 0.0
+    assert phi(sc, t_star(sc)) > 0.0
+    assert critical_points(sc) == []
 
 
-def test_in_V_boundary_point_excluded():
-    # Q(u) = 0 with A = k0 forces t* = 1 and membership fails
+def test_t_star_at_a_pohozaev_point_with_A_equal_k0():
+    # Q(u) = 0 with A = k0 forces t* = 1: a degenerate touching point
     pr = Params(gamma=-1.0, a=10.0, p=3.0, c=1.0)
     A = 0.25  # k0 for these parameters
     C = 3.0 * (A + 0.25) / pr.a
     sc = FiberScalars(A=A, C=C, V=0.0, params=pr)
     assert phi(sc, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert t_star(sc) == pytest.approx(1.0, rel=1e-12)
-    member, q_min = in_V(sc)
-    assert not member
+    assert critical_points(sc) == []
 
 
-def test_in_V_true_has_ordered_roots():
+def test_critical_points_ordered_around_t_star():
+    # (t*)^2 A above k0: phi dips below zero, one root on each side of t*
     pr = Params(gamma=-1.0, a=10.0, p=3.0, c=1.0)
     sc = FiberScalars(A=1.0, C=0.5, V=0.0, params=pr)
-    member, q_min = in_V(sc)
-    assert member and q_min < 0.0
+    assert phi(sc, t_star(sc)) < 0.0
     pts = critical_points(sc)
     assert len(pts) == 2
     assert pts[0].branch == "minus" and pts[1].branch == "plus"
     assert pts[0].s < t_star(sc) < pts[1].s
-
-
-def test_in_V_wrong_regime():
-    with pytest.raises(RegimeError):
-        in_V(SC6)  # gamma > 0
 
 
 def test_dilate_identity(gauss256):

@@ -200,10 +200,14 @@ def test_field_io_bad_magic(tmp_path):
         read_field(path)
 
 
-def test_field_io_truncated(tmp_path, gauss128):
+@pytest.mark.parametrize("keep", [0, 6, 13, 19, -16],
+                         ids=["empty", "header6", "header13", "header19", "payload"])
+def test_field_io_truncated(tmp_path, gauss128, keep):
+    # A cut inside the 20-byte header or inside the payload is refused with
+    # the length of what is left.
     path = tmp_path / "u.lpf"
     write_field(gauss128, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(ValueError):
+    cut = path.read_bytes()[:keep]
+    path.write_bytes(cut)
+    with pytest.raises(ValueError, match=f"has {len(cut)} bytes"):
         read_field(path)

@@ -219,7 +219,7 @@ def test_lambda_maximize_published_window_is_empty(monkeypatch):
 
 
 def test_lambda_maximize_threshold_refused(monkeypatch):
-    # At a = T1 exactly (MaxOnLambda) the bound is k0/2: V is empty and so
+    # At a = T1 exactly the bound is k0/2: V is empty and so
     # is the Pohozaev set.
     pr, t2 = _window_params(3.0, "lower")
     assert _refusal_bound(pr, t2, monkeypatch) == pytest.approx(0.5 * k0(pr),
