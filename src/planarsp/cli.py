@@ -36,8 +36,7 @@ from .errors import ConfigError, ConvergenceError, PlanarSPError, RegimeError
 from .fiber import critical_points, dg, ddg, g, phi, scalars
 from .functionals import Params
 from .grid import Grid, ProfileSpec, discretize, make_grid, write_field
-from .solvers import (SolverConfig, global_minimize, lambda_branch_minimize,
-                      local_minimize_capped)
+from .solvers import REGIME_SOLVERS, SolverConfig
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -319,21 +318,21 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"unknown branch {branch!r}")
     sharp = K.sharp_constants(params.p)
     label = K.regime_classify(params, sharp)
+    solvers = REGIME_SOLVERS.get(label.tag)
     spec = None
-    if label.tag in ("GlobalMin", "GlobalMinMassCritical", "LocalMinPlusMountainPass"):
+    if solvers is not None:
         spec = _merged_profile(cfg, args, params.c)
 
     def run():
-        if label.tag in ("GlobalMin", "GlobalMinMassCritical"):
-            return global_minimize(params, grid, solver_cfg, spec)
-        if label.tag == "LocalMinPlusMountainPass":
-            if branch in ("plus", "minus"):
-                return lambda_branch_minimize(params, grid, solver_cfg, spec, branch)
-            return local_minimize_capped(params, grid, solver_cfg, spec)
-        raise RegimeError(
-            f"no solver applies: regime {label.tag}; "
-            f"{'; '.join(label.certificate['conditions'])}"
-        )
+        if solvers is None:
+            raise RegimeError(
+                f"no solver applies: regime {label.tag}; "
+                f"{'; '.join(label.certificate['conditions'])}"
+            )
+        minimize, on_branch = solvers
+        if on_branch is not None and branch in ("plus", "minus"):
+            return on_branch(params, grid, solver_cfg, spec, branch)
+        return minimize(params, grid, solver_cfg, spec)
 
     def write_outputs(report, exit_code):
         out = _outdir(args)

@@ -12,7 +12,10 @@ mass constraint, and the stationarity residuals.
 
 The convolution w = log|.| * u^2 is evaluated as a free-space convolution:
 u^2 is zero-padded to a 2n x 2n grid and multiplied in Fourier space with
-the kernel sampled at node differences.  The kernel value assigned to the
+the kernel sampled at node differences.  Only the n x n block of each
+padded inverse is read, so the inverse is pruned: n rows by a complex
+inverse along the first axis, then n columns of those rows by a real
+inverse along the second.  The kernel value assigned to the
 zero-displacement cell is the exact cell average of the kernel over one
 grid cell (computed once by adaptive quadrature) plus a singular-weight
 correction -pi/12 * sign of the kernel's Dirac content: midpoint sampling
@@ -212,18 +215,29 @@ def _forward(values: np.ndarray) -> np.ndarray:
 
 
 def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
-    """The n x n block of the padded inverse transform (a view)."""
-    return sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
+    """The n x n block of the padded inverse transform, pruned: the inverse
+    along the first axis keeps its first n rows, and only those are carried
+    through the real inverse along the second axis.  Returns a view of an
+    n x 2n array.  The rows are the ones irfft2 computes, and the two
+    normalizations 1/(2n) are exact (n is a power of two), so the block is
+    bit-identical to irfft2(spec, s=(2n, 2n))[:n, :n].
+
+    spec is consumed (overwrite_x): pass only a fresh temporary, never a
+    kept spectrum such as Evaluation.spec_sq or a KernelTable array."""
+    rows = sfft.ifftn(spec, axes=(0,), overwrite_x=True)[:n]
+    return sfft.irfftn(rows, s=(2 * n,), axes=(1,), overwrite_x=True)[:, :n]
 
 
 class Evaluation:
     """Every functional of one field u, each computed on first use and kept.
 
     Two forward transforms, of u and of u^2 zero-padded to 2n x 2n, feed
-    all of them.  w = log|.| * u^2 and -Delta u take one inverse transform
-    each; A = <u, -Delta u> and V = <u^2, w> are grid sums over them, which
-    keeps the flows' rounding, and so their answers, as they were.  V1 and
-    V2 follow by Parseval with no inverse transform.
+    all of them.  w = log|.| * u^2 and -Delta u take one pruned inverse
+    each (n rows by ifft, then n columns by irfft), bit-identical to the
+    n x n block of the full padded inverse; A = <u, -Delta u> and
+    V = <u^2, w> are grid sums over them, which keeps the flows' rounding,
+    and so their answers, as they were.  V1 and V2 follow by Parseval with
+    no inverse transform.
     """
 
     def __init__(self, u: Field, table: KernelTable):
@@ -273,7 +287,7 @@ class Evaluation:
 
     @cached_property
     def neg_lap(self) -> np.ndarray:
-        """-Delta u on the grid (a copy, so the padded inverse is freed); the
+        """-Delta u on the grid (a copy, so the n x 2n inverse is freed); the
         spectrum of u is not kept, as nothing else reads it."""
         return _inverse(self.table.k2 * _forward(self.u.values), self.u.grid.n).copy()
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field, replace
-from typing import List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -62,6 +62,7 @@ __all__ = [
     "local_minimize_capped",
     "lambda_branch_minimize",
     "lambda_maximize",
+    "REGIME_SOLVERS",
     "two_bump_probe",
     "masscritical_probe",
 ]
@@ -462,13 +463,13 @@ def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
-def _regime_for(solver: str, params: Params, tags: Tuple[str, ...],
-                requirement: str) -> K.RegimeLabel:
-    """The classifier's regime of params; RegimeError unless it is in tags."""
+def _regime_for(solver: Callable, params: Params, requirement: str) -> K.RegimeLabel:
+    """The classifier's regime of params; RegimeError unless REGIME_SOLVERS
+    maps its tag to solver."""
     regime = K.regime_classify(params, K.sharp_constants(params.p))
-    if regime.tag not in tags:
-        raise RegimeError(f"{solver} requires {requirement}; classifier says "
-                          f"{regime.tag}: {regime.certificate['conditions']}")
+    if solver not in REGIME_SOLVERS.get(regime.tag, ()):
+        raise RegimeError(f"{solver.__name__} requires {requirement}; classifier "
+                          f"says {regime.tag}: {regime.certificate['conditions']}")
     return regime
 
 
@@ -478,8 +479,7 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
 
     Valid when the classifier reports GlobalMin or GlobalMinMassCritical;
     refuses to start otherwise, quoting the certificate."""
-    regime = _regime_for("global_minimize", params,
-                         ("GlobalMin", "GlobalMinMassCritical"), "a bounded-below regime")
+    regime = _regime_for(global_minimize, params, "a bounded-below regime")
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
     return _flow(u0, _Energy(params, table, "global_minimize"), config, regime)
@@ -491,7 +491,7 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
 
     Trial steps that reach the cap are rejected, so every iterate is strictly
     interior; a flow pinned against the cap raises CapBoundaryError."""
-    regime = _regime_for("local_minimize_capped", params, ("LocalMinPlusMountainPass",),
+    regime = _regime_for(local_minimize_capped, params,
                          "gamma > 0, a > 0, p > 4, c < c0")
     table = kernel_table(grid)
     cap = K.k0(params)
@@ -519,7 +519,7 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
     minimization); branch='minus' the mountain-pass point."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
-    regime = _regime_for("lambda_branch_minimize", params, ("LocalMinPlusMountainPass",),
+    regime = _regime_for(lambda_branch_minimize, params,
                          "gamma > 0, a > 0, p > 4, c < c0")
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
@@ -545,6 +545,16 @@ def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
     raise RegimeError(f"lambda_maximize[{branch}]: no critical point to maximize; "
                       f"classifier says {regime.tag}: "
                       f"{'; '.join(regime.certificate['conditions'])}")
+
+
+# The solvers of each solvable regime tag: the minimizer of F, then the
+# fiber-branch solver (None where the regime has no branches).  A tag not
+# listed has no solver.
+REGIME_SOLVERS: Dict[str, Tuple[Callable, Optional[Callable]]] = {
+    "GlobalMin": (global_minimize, None),
+    "GlobalMinMassCritical": (global_minimize, None),
+    "LocalMinPlusMountainPass": (local_minimize_capped, lambda_branch_minimize),
+}
 
 
 # ---------------------------------------------------------------------------

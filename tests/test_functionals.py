@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.special import exp1
 
@@ -10,8 +11,9 @@ from planarsp import (Field, Params, ProfileSpec, discretize, el_residual,
                       log_potential, mass, pnorm, pohozaev_Q,
                       pohozaev_residual, shift, star_norm, v1, v2, v_total)
 from planarsp import constants as K
-from planarsp import solvers
-from planarsp.functionals import _origin_cell_average, evaluate, kernel_table
+from planarsp import functionals, solvers
+from planarsp.functionals import (_origin_cell_average, evaluate, kernel_table,
+                                  smooth_direction)
 
 from conftest import EULER, V_GAUSS_UNIT
 
@@ -283,11 +285,54 @@ def test_evaluation_matches_padded_reference(which, gauss256, grid128):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def _padded_block(values, multiplier):
+    """The n x n block of the full 2n x 2n inverse of multiplier times the
+    padded transform of values, by scipy.fft.irfft2."""
+    n = values.shape[0]
+    spec = sfft.rfft2(values, s=(2 * n, 2 * n)) * multiplier
+    return sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("kind", ["gaussian", "noise"])
+def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
+    grid = grid128 if n == 128 else grid256
+    if kind == "gaussian":
+        u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
+    else:
+        # White noise fills every column of the half spectrum, the Nyquist
+        # column included.
+        u = Field(grid, np.random.default_rng(n).standard_normal((n, n)))
+    table = kernel_table(grid)
+    kept = {name: array.copy() for name, array in vars(table).items()
+            if isinstance(array, np.ndarray)}
+    ev = evaluate(u, table)
+    v1_before, v2_before = ev.V1, ev.V2
+    spec_sq = ev.spec_sq.copy()
+    direction = u.values[::-1].copy()
+
+    u2 = u.values * u.values
+    h2 = grid.h * grid.h
+    assert np.array_equal(ev.w, h2 * _padded_block(u2, table.khat_log))
+    assert np.array_equal(ev.neg_lap, _padded_block(u.values, table.k2))
+    assert np.array_equal(
+        smooth_direction(direction, table),
+        _padded_block(direction, 1.0 / (1.0 + functionals._SOBOLEV_BETA * table.k2)))
+
+    # The inverse consumes its input: no kept spectrum may have been passed.
+    assert np.array_equal(ev.spec_sq, spec_sq)
+    for name, array in kept.items():
+        assert np.array_equal(getattr(table, name), array), name
+    ev_after = evaluate(u, table)
+    ev_after.w  # read before V1 and V2
+    assert (ev_after.V1, ev_after.V2) == (v1_before, v2_before)
+
+
 @pytest.fixture
 def fft_counts(monkeypatch):
     import scipy.fft
 
-    counts = {"rfft2": 0, "irfft2": 0}
+    counts = {"rfft2": 0, "ifftn": 0, "irfftn": 0}
     for name in counts:
         real = getattr(scipy.fft, name)
 
@@ -302,10 +347,11 @@ def fft_counts(monkeypatch):
 def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
     table = kernel_table(gauss128.grid)
     regime = K.regime_classify(PR3, K.sharp_constants(PR3.p))
-    fft_counts.update(rfft2=0, irfft2=0)
+    fft_counts.update(rfft2=0, ifftn=0, irfftn=0)
     ev = evaluate(gauss128, table)
     ev.F(PR3)  # an Armijo trial point: A and V need w and -Delta u
-    assert fft_counts == {"rfft2": 2, "irfft2": 2}
+    # Two forwards and two pruned inverses, each an ifftn and an irfftn.
+    assert fft_counts == {"rfft2": 2, "ifftn": 2, "irfftn": 2}
     report = solvers._finalize(ev, PR3, regime, "test", 0, False, [])
-    assert fft_counts == {"rfft2": 2, "irfft2": 2}
+    assert fft_counts == {"rfft2": 2, "ifftn": 2, "irfftn": 2}
     assert report.el_res == el_residual(gauss128, PR3, report.lam, table)
