@@ -174,7 +174,7 @@ def _constants_payload(params: Optional[Params], p: float) -> dict:
         "p": p,
         "kgn": kgn,
         "method": "ode_shooting",
-        "tolerances": {"kgn_rayleigh_slack": K._RAYLEIGH_SLACK,
+        "tolerances": {"pohozaev_tol": K._POHOZAEV_TOL,
                        "shooting_bisections": K._SHOOTING_BISECTIONS},
         "k0": None,
         "c0": None,

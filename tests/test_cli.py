@@ -127,7 +127,7 @@ def test_constants_payload(capsys):
     assert payload["kv2"] == K.kv2_estimate()
     assert payload["method"] == "ode_shooting"
     assert payload["tolerances"] == {
-        "kgn_rayleigh_slack": K._RAYLEIGH_SLACK,
+        "pohozaev_tol": K._POHOZAEV_TOL,
         "shooting_bisections": K._SHOOTING_BISECTIONS}
 
 

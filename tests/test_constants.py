@@ -76,13 +76,31 @@ def test_failed_fortran_shoot_raises():
     assert C._shoot(2.0, 30.0).sign == -1
 
 
-# K_GN as computed when a failed Fortran run at phi(0) = 8 fell back to
-# solve_ivp; the overshoot search from phi(0) = 2 must give the same values.
-@pytest.mark.parametrize("p,kgn", [(24.0, 0.001110278783421297),
+# K_GN pinned at the exponents the tests and the benchmark use.  The values
+# at p >= 24 are those computed when a failed Fortran run at phi(0) = 8 fell
+# back to solve_ivp; the overshoot search from phi(0) = 2 must give them too.
+@pytest.mark.parametrize("p,kgn", [(2.5, 0.6021051659392841),
+                                   (3.0, 0.3809808860276789),
+                                   (4.0, 0.17092707347698544),
+                                   (6.0, 0.04726537147322567),
+                                   (24.0, 0.001110278783421297),
                                    (30.0, 0.001745651664768277),
                                    (47.0, 0.09870755668324438)])
 def test_kgn_at_large_exponents(p, kgn):
     assert kgn_estimate(p) == pytest.approx(kgn, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+def test_shooting_checks_refuse_a_moved_beta(p):
+    # The checks that certify K_GN (see kgn_estimate) accept the bisected
+    # phi(0) and refuse it moved by 1e-5 relative either way.
+    import planarsp.constants as C
+
+    gs = ground_state_radial(p)
+    C._radial_profile(gs.beta, p)
+    for factor in (1.0 - 1e-5, 1.0 + 1e-5):
+        with pytest.raises(ShootingError):
+            C._radial_profile(gs.beta * factor, p)
 
 
 def test_profile_width_ignores_the_last_bits_of_beta():
@@ -118,10 +136,21 @@ def test_gaussian_trial_strictly_below_sharp(p):
     assert gaussian_rayleigh_quotient(p) < kgn_estimate(p)
 
 
-def test_gaussian_trial_p4_closed_form():
-    # single-Gaussian quotient at p=4 is 1/(2 pi), scale-free
-    assert gaussian_rayleigh_quotient(4.0) == pytest.approx(1.0 / (2.0 * math.pi),
-                                                            rel=1e-6)
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+def test_gaussian_trial_closed_form(p):
+    # m, A and C of e^(-r^2/2) by adaptive quadrature, independent of the
+    # closed form; at p = 4 the quotient is 1/(2 pi).
+    from scipy.integrate import quad
+
+    def radial(f):
+        return 2.0 * math.pi * quad(lambda r: f(r) * r, 0.0, math.inf,
+                                    epsabs=0.0, epsrel=1e-13)[0]
+
+    m = radial(lambda r: math.exp(-r * r))
+    A = radial(lambda r: r * r * math.exp(-r * r))
+    C = radial(lambda r: math.exp(-0.5 * p * r * r))
+    expect = C / (A ** (0.5 * p - 1.0) * m)
+    assert gaussian_rayleigh_quotient(p) == pytest.approx(expect, rel=1e-12)
 
 
 def test_kgn_requires_supercritical():
