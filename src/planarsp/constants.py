@@ -7,12 +7,15 @@ The best constant in the planar Gagliardo-Nirenberg inequality
 is attained at the radial ground state of -Delta phi + phi = phi^(p-1);
 it is computed here by 1D shooting and certified by the shooting's own
 stop rule, bracket, and Pohozaev and decay checks (see kgn_estimate).
-Every shoot runs on Hairer's Fortran DOP853 (scipy's ode wrapper) and
-stops at the first step end that settles its sign.  The bisection on
-phi(0) ends at two adjacent floats; one more shoot from there gives the
+Every shoot runs the DOP853 step loop of planarsp.dop853, in Python
+floats, and stops at the first step end that settles its sign; that loop
+is bit-identical to SciPy 1.17's compiled dop853, so K_GN needs numpy
+only and does not depend on the installed scipy.  The bisection on phi(0)
+ends at two adjacent floats; one more shoot from there gives the
 integrals and the stopping radius from its last step end, and the profile
-as a cubic Hermite interpolant of phi and phi' at its step ends.  From
-K_GN all threshold constants of the problem follow in closed form:
+as a cubic Hermite interpolant of phi and phi' at its step ends, built by
+scipy on first use.  From K_GN all threshold constants of the problem
+follow in closed form:
 
     k0 = (p-2) |gamma| c^2 / (4 |p-4|)        kinetic cap level
     c0 = 2 [ p (p-4)^((p-4)/2) / (p-2)^(p/2) * 1/(a gamma^((p-4)/2) K_GN) ]^(1/(p-3))
@@ -27,14 +30,12 @@ records the inequality chain that fired.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.interpolate import CubicHermiteSpline
-
+from .dop853 import radial_dop853
 from .errors import RegimeError, ShootingError
 from .functionals import Params
 from .grid import Field, Grid, ProfileSpec, discretize, mass, normalize
@@ -88,16 +89,28 @@ class RadialGroundState:
     r_stop is where the shoot from beta settled its sign, i.e. where the
     round-off in beta has grown to O(1); it moves with the last bits of
     beta.  r_decay is where the profile first falls to 1e-6 * beta, well
-    above that noise."""
+    above that noise.  steps holds r, phi and phi' at the step ends of the
+    shoot; the profile, a cubic Hermite interpolant of them, and r_decay
+    are built on first use (they are the only users of scipy here)."""
 
     p: float
     beta: float          # phi(0)
     r_stop: float
-    r_decay: float
     mass: float          # 2*pi * int phi^2 r dr
     A: float             # 2*pi * int phi'^2 r dr
     C: float             # 2*pi * int phi^p r dr
-    profile: CubicHermiteSpline = dc_field(repr=False)
+    steps: np.ndarray = dc_field(repr=False, compare=False)   # (3, n)
+
+    @cached_property
+    def profile(self):
+        """Cubic Hermite interpolant of phi and phi' at the step ends."""
+        from scipy.interpolate import CubicHermiteSpline
+
+        return CubicHermiteSpline(*self.steps)
+
+    @cached_property
+    def r_decay(self) -> float:
+        return float(self.profile.solve(1e-6 * self.beta, extrapolate=False)[0])
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -114,95 +127,53 @@ _R_SPAN = (1e-8, 200.0)
 _RTOL, _ATOL = 1e-12, 1e-14
 
 
-def _radial_rhs(p: float):
-    """Right-hand side of the radial equation, carrying the mass, kinetic
-    and p-norm integrals as extra states."""
-    pm1 = p - 1.0
-    two_pi = 2.0 * math.pi
-
-    # Python floats: the same libm pow as numpy scalars, at a fraction of
-    # the per-call overhead.
-    def rhs(r, y):
-        phi, dphi = float(y[0]), float(y[1])
-        nl = math.copysign(abs(phi) ** pm1, phi)
-        ddphi = -dphi / r + phi - nl
-        tau = two_pi * r
-        return [dphi, ddphi, tau * phi * phi, tau * dphi * dphi,
-                tau * abs(phi) ** p]
-
-    return rhs
-
-
 class _Shot(NamedTuple):
     sign: int            # -1 overshoot, +1 undershoot, 0 neither
     steps: list          # (r, phi, phi') at each step end, from _R_SPAN[0]
-    state: np.ndarray    # phi, phi', mass, A, C at the last step end
+    state: list          # phi, phi', mass, A, C at the last step end
 
 
 def _shoot(beta: float, p: float) -> _Shot:
     """One shoot of the radial equation from phi(0) = beta.
 
-    Runs Hairer's Fortran DOP853 through scipy's ode wrapper and stops at
-    the first step end where phi <= 0 (checked first: sign -1, overshoot)
-    or phi' >= 0 (sign +1, undershoot); sign 0 if neither happens before
+    Runs the DOP853 step loop of planarsp.dop853 and stops at the first
+    step end where phi <= 0 (checked first: sign -1, overshoot) or
+    phi' >= 0 (sign +1, undershoot); sign 0 if neither happens before
     _R_SPAN[1].  The shot records r, phi and phi' at every step end it
     passed and the whole state at the last one.  A state too large for a
-    float, or a failed DOP853 run (its first step below its floor once
+    float, or a failed DOP853 run (its step below its floor once
     beta^(p-1) is huge), raises ShootingError naming p and beta."""
     p = float(p)
-    rhs = _radial_rhs(p)
     r0 = _R_SPAN[0]
     sign = 0
-    overflow: Optional[OverflowError] = None
     steps = []
 
-    # An exception raised inside the Fortran callbacks is lost, so the
-    # overflow is recorded and the integration stopped through solout.
-    def guarded(r, y):
-        nonlocal overflow
-        try:
-            return rhs(r, y)
-        except OverflowError as exc:
-            overflow = overflow or exc
-            return [0.0] * 5
-
-    def solout(r, y):
+    def solout(r, phi, dphi):
         nonlocal sign
-        if overflow is not None:
-            return -1
-        steps.append((r, y[0], y[1]))
+        steps.append((r, phi, dphi))
         if r == r0:
-            return 0   # DOP853 reports the initial point, where phi' = 0
-        if y[0] <= 0.0:
+            return False   # the initial point, where phi' = 0
+        if phi <= 0.0:
             sign = -1
-        elif y[1] >= 0.0:
+        elif dphi >= 0.0:
             sign = +1
-        return -1 if sign else 0
+        return sign != 0
 
-    solver = ode(guarded).set_integrator("dop853", rtol=_RTOL, atol=_ATOL)
-    solver.set_solout(solout)
-    solver.set_initial_value([beta, 0.0, 0.0, 0.0, 0.0], r0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # a failed run is raised below
-        solver.integrate(_R_SPAN[1])
-    if overflow is not None:
+    try:
+        code, state = radial_dop853(p, beta, r0, _R_SPAN[1], _RTOL, _ATOL,
+                                    solout)
+    except OverflowError as exc:
         raise ShootingError(f"radial shooting overflowed for p={p} from "
-                            f"phi(0)={beta!r}: {overflow}") from overflow
-    if not solver.successful():
+                            f"phi(0)={beta!r}: {exc}") from exc
+    if code < 0:
         raise ShootingError(f"radial shooting failed for p={p} from "
-                            f"phi(0)={beta!r}: DOP853 return code "
-                            f"{solver.get_return_code()}")
-    # scipy's integrator holds solout in a reference cycle that only the
-    # cyclic collector frees; emptying the list keeps the steps out of it.
-    recorded = steps.copy()
-    steps.clear()
-    return _Shot(sign, recorded, solver.y)
+                            f"phi(0)={beta!r}: DOP853 return code {code}")
+    return _Shot(sign, steps, state)
 
 
 def _radial_profile(beta: float, p: float) -> RadialGroundState:
     """The profile shot from phi(0) = beta: its integrals and stopping
-    radius from the shot's last step end, and a cubic Hermite interpolant
-    of phi and phi' at the step ends."""
+    radius from the shot's last step end, and its step ends."""
     shot = _shoot(beta, p)
     m, A, C = shot.state[2:]
 
@@ -215,15 +186,13 @@ def _radial_profile(beta: float, p: float) -> RadialGroundState:
             f"A/C={A / C:.8f} (expect {(p - 2.0) / p:.8f})"
         )
 
-    r, phi, dphi = np.array(shot.steps).T
-    profile = CubicHermiteSpline(r, phi, dphi)
-    decayed = profile.solve(1e-6 * beta, extrapolate=False)
-    if decayed.size == 0:
+    steps = np.array(shot.steps).T
+    r, phi = steps[0], steps[1]
+    if not (phi <= 1e-6 * beta).any():
         raise ShootingError(f"shooting profile for p={p} stops at "
                             f"r={r[-1]} above 1e-6 * phi(0)")
-    return RadialGroundState(p=float(p), beta=beta, r_stop=r[-1],
-                             r_decay=decayed[0], mass=m, A=A, C=C,
-                             profile=profile)
+    return RadialGroundState(p=float(p), beta=beta, r_stop=float(r[-1]),
+                             mass=m, A=A, C=C, steps=steps)
 
 
 _GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
@@ -276,15 +245,19 @@ def kgn_estimate(p: float) -> float:
     """Sharp Gagliardo-Nirenberg constant for exponent p: the quotient
     C/(A^(p/2-1) m) of the shooting ground state.
 
-    It needs no cross-check, because ground_state_radial only returns a
-    profile that passed these:
+    Every shoot behind it runs planarsp.dop853 (Hairer and Wanner's DOP853
+    in Python floats, bit-identical to SciPy 1.17's compiled dop853), so
+    the value does not depend on the installed scipy.  It needs no
+    cross-check, because ground_state_radial only returns a profile that
+    passed these:
       - every sign shoot stops at the first step end with phi <= 0 or
         phi' >= 0, so the final profile is positive and decreasing up to
         r_stop;
       - the bisection on phi(0) ends on an undershoot and an overshoot at
         adjacent floats, so a positive decaying solution lies between them;
       - the profile satisfies the Pohozaev identities to _POHOZAEV_TOL and
-        falls to 1e-6 * phi(0); phi(0) moved by 1e-5 relative fails them.
+        falls to 1e-6 * phi(0) at a step end; phi(0) moved by 1e-5
+        relative fails them.
     By Kwong's uniqueness theorem (Arch. Rational Mech. Anal. 105, 1989)
     that solution is the ground state, and by Weinstein (Comm. Math. Phys.
     87, 1983) its quotient is K_GN."""

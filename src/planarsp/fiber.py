@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import DomainError, RegimeError
 from .functionals import Evaluation, KernelTable, Params, evaluate, require_mass
@@ -288,6 +287,8 @@ def dilate(u: Field, t: float) -> Field:
     exactly).  Raises DomainError when the dilated support leaks through
     the boundary frame, which happens for t < 1 when the support no longer
     fits."""
+    from scipy.ndimage import map_coordinates
+
     t = _check_t(t)
     if t == 1.0:
         return u

@@ -45,8 +45,6 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.integrate import quad
 
 from .errors import MassMismatchError
 from .grid import Field, Grid, mass
@@ -128,6 +126,8 @@ def _origin_cell_average(f, h: float) -> float:
     f(r) * r is bounded for all three log kernels, so nested adaptive
     quadrature reaches ~1e-11 absolute accuracy cheaply.
     """
+    from scipy.integrate import quad
+
     s = 0.5 * h
 
     def inner(theta):
@@ -141,6 +141,8 @@ def _origin_cell_average(f, h: float) -> float:
 
 
 def _kernel_rfft(n: int, h: float, f, origin: float) -> np.ndarray:
+    import scipy.fft as sfft
+
     idx = np.arange(2 * n)
     d = np.where(idx < n, idx, idx - 2 * n) * h
     dx, dy = np.meshgrid(d, d, indexing="ij")
@@ -168,6 +170,8 @@ class KernelTable:
 
     @staticmethod
     def build(grid: Grid) -> "KernelTable":
+        import scipy.fft as sfft
+
         n, h = grid.n, grid.h
         # All three cell averages are computed independently; the identity
         # log r = log(1+r) - log(1+1/r) then holds to quadrature accuracy
@@ -210,6 +214,8 @@ def kernel_table(grid: Grid) -> KernelTable:
 
 def _forward(values: np.ndarray) -> np.ndarray:
     """rfft2 of the n x n values zero-padded to the 2n x 2n grid."""
+    import scipy.fft as sfft
+
     n = values.shape[0]
     return sfft.rfft2(values, s=(2 * n, 2 * n))
 
@@ -224,6 +230,8 @@ def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
 
     spec is consumed (overwrite_x): pass only a fresh temporary, never a
     kept spectrum such as Evaluation.spec_sq or a KernelTable array."""
+    import scipy.fft as sfft
+
     rows = sfft.ifftn(spec, axes=(0,), overwrite_x=True)[:n]
     return sfft.irfftn(rows, s=(2 * n,), axes=(1,), overwrite_x=True)[:, :n]
 

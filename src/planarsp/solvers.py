@@ -41,7 +41,6 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
@@ -636,6 +635,7 @@ def _optimal_lobe_radius(params: Params, grid: Grid, mass_fraction: float) -> fl
     """Radius of the bump carrying the given mass fraction that minimizes
     its disjoint-support Q contribution; closed form through the scaling
     A ~ rho^-2, C ~ rho^(2-p) of the fixed bump shape."""
+    from scipy.integrate import quad
 
     def bump(r):
         return np.exp(-1.0 / (1.0 - r * r)) if r < 1.0 else 0.0

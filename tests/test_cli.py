@@ -82,14 +82,49 @@ def test_classify_overflowing_shoot_exits_2(capsys):
 
 
 def test_classify_overflowing_shoot_exits_2_in_a_subprocess():
-    # The same refusal seen from a fresh process: a stopped Fortran shoot
-    # must not print an integrator warning ahead of the error line.
+    # The same refusal seen from a fresh process: a stopped shoot must not
+    # print an integrator warning ahead of the error line.
     proc = _run_cli_process(["classify", "--gamma", "1", "--a", "1", "--p", "2000",
                              "--c", "1"], timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[0].startswith("error:")
     assert "UserWarning" not in proc.stderr
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None   # any import of scipy now fails
+from planarsp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_classify_needs_no_scipy():
+    # K_GN comes from the in-repo DOP853, so classify runs with scipy
+    # blocked and prints the same bytes as a normal run.
+    args = ["classify", "--gamma", "-1", "--a", "6.5", "--p", "3", "--c", "1"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    blocked = subprocess.run([sys.executable, "-c", _NO_SCIPY, *args],
+                             capture_output=True, timeout=120, env=env)
+    normal = subprocess.run([sys.executable, "-m", "planarsp.cli", *args],
+                            capture_output=True, timeout=120, env=env)
+    assert blocked.returncode == 0, blocked.stderr
+    assert normal.returncode == 0
+    assert blocked.stdout == normal.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; before = set(sys.modules); import planarsp.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.filterwarnings("error")

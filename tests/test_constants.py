@@ -34,7 +34,7 @@ def test_shooting_stops_at_the_float_floor(monkeypatch):
     # final shoot at beta; running all 80 bisection steps took 83.
     import planarsp.constants as C
 
-    assert not hasattr(C, "solve_ivp")   # one integrator: Fortran DOP853
+    assert not hasattr(C, "solve_ivp")   # one integrator: planarsp.dop853
     shoots = []
     real_shoot = C._shoot
 
@@ -56,8 +56,7 @@ def test_shooting_stops_at_the_float_floor(monkeypatch):
 
 
 def test_overflowing_shoot_chains_the_overflow():
-    # beta^(p-1) overflows a float in the first right-hand side call, inside
-    # the Fortran integrator, where a raised exception would be lost.
+    # beta^(p-1) overflows a float in the first right-hand side evaluation.
     import planarsp.constants as C
 
     with pytest.raises(ShootingError, match="overflowed") as info:
@@ -66,18 +65,63 @@ def test_overflowing_shoot_chains_the_overflow():
 
 
 @pytest.mark.filterwarnings("error")
-def test_failed_fortran_shoot_raises():
-    # At p = 30, beta = 8 the first step of the Fortran DOP853 falls below
-    # its floor: the shoot is refused by name, with no integrator warning.
+def test_failed_dop853_shoot_raises():
+    # At p = 30, beta = 8 the first DOP853 step falls below its floor
+    # (return code -3): the shoot is refused by name, with no warning.
     import planarsp.constants as C
 
-    with pytest.raises(ShootingError, match=r"failed for p=30.0 from phi\(0\)=8.0"):
+    with pytest.raises(ShootingError, match=r"failed for p=30.0 from phi\(0\)=8.0: "
+                                            r"DOP853 return code -3$"):
         C._shoot(8.0, 30.0)
     assert C._shoot(2.0, 30.0).sign == -1
 
 
+# phi(0) and K_GN as computed when every shoot ran SciPy 1.17.1's compiled
+# dop853; planarsp.dop853 reproduces them bit for bit, whatever scipy is
+# installed.
+@pytest.mark.parametrize("p,beta_hex,kgn_repr", [
+    (2.01, "0x1.5b5cc9a4e0fbcp+1", "0.9893459900911571"),
+    (3.0, "0x1.322ba09ea6e76p+1", "0.3809808860276789"),
+    (4.0, "0x1.1a64ca390a6c8p+1", "0.17092707347698544"),
+    (6.0, "0x1.00098039fd63ap+1", "0.04726537147322567"),
+    (24.0, "0x1.ac71ba56fb37cp+0", "0.0011102787834213518"),
+    (47.0, "0x1.a43ce85537bd8p+0", "0.0987075566832274"),
+])
+def test_shooting_is_pinned_bit_for_bit(p, beta_hex, kgn_repr):
+    assert float.hex(ground_state_radial(p).beta) == beta_hex
+    assert repr(float(kgn_estimate(p))) == kgn_repr
+
+
+def test_bisection_shoots_are_pinned(monkeypatch):
+    # Every shoot of the ground-state bisection at p = 3, the final one
+    # included: phi(0), the sign, the number of step ends, the last step
+    # end and the state there, as recorded with SciPy 1.17.1's compiled
+    # dop853.  An ulp moved in any shoot's last state changes the digest.
+    import hashlib
+
+    import planarsp.constants as C
+
+    lines = []
+    real_shoot = C._shoot
+
+    def recorded(beta, p):
+        shot = real_shoot(beta, p)
+        last = [shot.steps[-1][0], *shot.state]
+        lines.append(f"{float.hex(beta)} {shot.sign} {len(shot.steps)} "
+                     + " ".join(float.hex(float(v)) for v in last) + "\n")
+        return shot
+
+    monkeypatch.setattr(C, "_shoot", recorded)
+    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    ground_state_radial(3.0)
+    assert len(lines) == 55
+    assert lines[0].startswith("0x1.0000000000000p+1 1 70 ")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "14db8012ec54b8ea28bcc5f39eb6e4b4683257a5b6854a6fad2bd012873d6d70")
+
+
 # K_GN pinned at the exponents the tests and the benchmark use.  The values
-# at p >= 24 are those computed when a failed Fortran run at phi(0) = 8 fell
+# at p >= 24 are those computed when a failed DOP853 run at phi(0) = 8 fell
 # back to solve_ivp; the overshoot search from phi(0) = 2 must give them too.
 @pytest.mark.parametrize("p,kgn", [(2.5, 0.6021051659392841),
                                    (3.0, 0.3809808860276789),
