@@ -271,7 +271,8 @@ def _check_band_edges() -> CheckResult:
 
 def _check_kernel_origin() -> CheckResult:
     h = 0.15625
-    measured = fn._origin_cell_average(np.log, h)
+    # The Gauss-Legendre rule of the other two kernels, run on log r.
+    measured = fn._origin_cell_average(fn._r_log, h)
     closed = math.log(h) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
     # Recover the origin weight actually baked into the log kernel table:
     # the potential of a single-node field of unit mass, at that node.

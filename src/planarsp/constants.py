@@ -10,12 +10,15 @@ stop rule, bracket, and Pohozaev and decay checks (see kgn_estimate).
 Every shoot runs the DOP853 step loop of planarsp.dop853, in Python
 floats, and stops at the first step end that settles its sign; that loop
 is bit-identical to SciPy 1.17's compiled dop853, so K_GN needs numpy
-only and does not depend on the installed scipy.  The bisection on phi(0)
-ends at two adjacent floats; one more shoot from there gives the
-integrals and the stopping radius from its last step end, and the profile
-as a cubic Hermite interpolant of phi and phi' at its step ends, built by
-scipy on first use.  From K_GN all threshold constants of the problem
-follow in closed form:
+only and does not depend on the installed scipy.  phi(0) is the end of a
+bisection to two adjacent floats, a shot undershoot and a shot overshoot;
+Anderson-Bjorck regula falsi first narrows the sign change to a few
+hundred ulps, so only the bisection midpoints near it are shot (21 to 31
+shoots rather than 55, see ground_state_radial).  One more shoot from
+that phi(0) gives the integrals and the stopping radius from its last step
+end, and the profile as a cubic Hermite interpolant of phi and phi' at
+its step ends, built by scipy on first use.  From K_GN all threshold
+constants of the problem follow in closed form:
 
     k0 = (p-2) |gamma| c^2 / (4 |p-4|)        kinetic cap level
     c0 = 2 [ p (p-4)^((p-4)/2) / (p-2)^(p/2) * 1/(a gamma^((p-4)/2) K_GN) ]^(1/(p-3))
@@ -75,10 +78,16 @@ REGIME_TAGS = (
 # must satisfy; with the decay check it is what certifies K_GN.
 _POHOZAEV_TOL = 1e-5
 
-# At most this many bisection steps on phi(0) in the ground-state shooting;
-# the bisection stops earlier once the bracket is two adjacent floats
-# (52 steps from [1, 2] or from [1, 2.8]).
+# At most this many bisection steps on phi(0) in the ground-state shooting,
+# and at most this many regula falsi steps before them; the bisection stops
+# earlier once the bracket is two adjacent floats (52 steps from [1, 2] or
+# from [1, 2.8]).
 _SHOOTING_BISECTIONS = 80
+
+# The regula falsi stops once its bracket [L, H] is at most this fraction
+# of H wide (about 300-500 ulps), far wider than the few ulps in which
+# round-off can flip the sign of a shoot.
+_NARROW = 2.0 ** -44
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,15 @@ def _shoot(beta: float, p: float) -> _Shot:
     return _Shot(sign, steps, state)
 
 
+def _miss(shot: _Shot) -> float:
+    """Signed miss of a shoot at its last step end: r phi^2 where an
+    undershoot turns (or where a shoot of sign 0 ends), -r phi'^2 where an
+    overshoot crosses zero.  Near the ground state both vanish linearly in
+    phi(0) - phi*(0)."""
+    r, phi, dphi = shot.steps[-1]
+    return -r * dphi * dphi if shot.sign == -1 else r * phi * phi
+
+
 def _radial_profile(beta: float, p: float) -> RadialGroundState:
     """The profile shot from phi(0) = beta: its integrals and stopping
     radius from the shot's last step end, and its step ends."""
@@ -199,7 +217,20 @@ _GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
 
 
 def ground_state_radial(p: float) -> RadialGroundState:
-    """Ground state of -Delta phi + phi = phi^(p-1) by bisection on phi(0)."""
+    """Ground state of -Delta phi + phi = phi^(p-1): phi(0) bisected to
+    adjacent floats, in 21 to 31 shoots rather than 55.
+
+    phi(0) = 1 is an undershoot; shoots from 2, 2.8, 3.92, ... find the
+    first overshoot, top.  Anderson-Bjorck regula falsi (BIT 13, 1973) on
+    each shoot's signed miss (_miss) narrows a bracket of two real shoots,
+    an undershoot L and an overshoot H, to H - L <= M = _NARROW * H.  Then
+    the plain bisection of [1, top] is replayed midpoint by midpoint: a
+    midpoint at or below L - M is an undershoot and one at or above H + M
+    an overshoot without a shoot, every other midpoint is shot, and the
+    final pair of adjacent floats must be a shot undershoot and a shot
+    overshoot.  The bisection's phi(0) is then returned unchanged, shoot
+    for shoot where it is shot; one more shoot from it gives the
+    profile."""
     if p <= 2:
         raise ValueError(f"ground state requires p > 2, got {p}")
     key = round(float(p), 12)
@@ -207,23 +238,76 @@ def ground_state_radial(p: float) -> RadialGroundState:
     if cached is not None:
         return cached
 
+    # phi(0) -> (overshoot?, miss) of each shoot made; the shots themselves,
+    # with their step ends, are not kept.
+    seen: Dict[float, Tuple[bool, float]] = {}
+
+    def shoot(beta: float) -> Tuple[bool, float]:
+        if beta not in seen:
+            shot = _shoot(beta, p)
+            seen[beta] = (shot.sign == -1, _miss(shot))
+        return seen[beta]
+
     # phi(0) = 1 is the constant solution, an undershoot for every p.
-    lo, hi = 1.0, 2.0
+    L, top = 1.0, 2.0
     for _ in range(60):
-        if _shoot(hi, p).sign == -1:
+        if shoot(top)[0]:
             break
-        hi *= 1.4
+        L, top = top, top * 1.4
     else:
         raise ShootingError(f"could not bracket an overshoot for p={p}")
 
+    # L must be a real shoot too: while it is not, bisect [1, top] (the
+    # replay below meets these midpoints again).
+    H = top
+    while L not in seen:
+        mid = 0.5 * (L + H)
+        if shoot(mid)[0]:
+            H = mid
+        else:
+            L = mid
+
+    # Anderson-Bjorck: the end kept a second time in a row has its miss
+    # scaled by 1 - f/f_replaced (by 1/2 if that is not positive).
+    fL, fH = seen[L][1], seen[H][1]
+    side = 0
+    for _ in range(_SHOOTING_BISECTIONS):
+        if H - L <= _NARROW * H:
+            break
+        x = L + (H - L) * (fL / (fL - fH))
+        if not L < x < H:
+            x = 0.5 * (L + H)
+        over, f = shoot(x)
+        if over:
+            if side == -1:
+                m = 1.0 - f / fH
+                fL *= m if m > 0.0 else 0.5
+            H, fH, side = x, f, -1
+        else:
+            if side == +1:
+                m = 1.0 - f / fL
+                fH *= m if m > 0.0 else 0.5
+            L, fL, side = x, f, +1
+
+    # Replay the plain bisection of [1, top], shooting only near [L, H].
+    M = _NARROW * H
+    lo, hi = 1.0, top
     for _ in range(_SHOOTING_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break   # adjacent floats: a further shoot repeats lo or hi
-        if _shoot(mid, p).sign == -1:
+        if mid <= L - M:
+            lo = mid
+        elif mid >= H + M:
+            hi = mid
+        elif shoot(mid)[0]:
             hi = mid
         else:
             lo = mid
+    if shoot(lo)[0] or not shoot(hi)[0]:
+        raise ShootingError(
+            f"ground-state bisection for p={p} ends on phi(0) in "
+            f"[{lo!r}, {hi!r}], not on an undershoot and an overshoot")
     state = _radial_profile(0.5 * (lo + hi), p)
     _GROUND_STATE_CACHE[key] = state
     return state
@@ -253,8 +337,11 @@ def kgn_estimate(p: float) -> float:
       - every sign shoot stops at the first step end with phi <= 0 or
         phi' >= 0, so the final profile is positive and decreasing up to
         r_stop;
-      - the bisection on phi(0) ends on an undershoot and an overshoot at
-        adjacent floats, so a positive decaying solution lies between them;
+      - the bisection on phi(0) ends on a shot undershoot and a shot
+        overshoot at adjacent floats, so a positive decaying solution lies
+        between them (a midpoint left unshot lies at least _NARROW * H
+        outside the regula falsi's bracket [L, H] of shot ends, and sides
+        with its end);
       - the profile satisfies the Pohozaev identities to _POHOZAEV_TOL and
         falls to 1e-6 * phi(0) at a step end; phi(0) moved by 1e-5
         relative fails them.

@@ -17,7 +17,9 @@ padded inverse is read, so the inverse is pruned: n rows by a complex
 inverse along the first axis, then n columns of those rows by a real
 inverse along the second.  The kernel value assigned to the
 zero-displacement cell is the exact cell average of the kernel over one
-grid cell (computed once by adaptive quadrature) plus a singular-weight
+grid cell (in closed form for log r; for log(1+r) and log(1+1/r) a fixed
+Gauss-Legendre rule over the polar angle of the closed-form integral
+along each ray, see _origin_cell_average) plus a singular-weight
 correction -pi/12 * sign of the kernel's Dirac content: midpoint sampling
 of a kernel whose Laplacian carries 2*pi*alpha*delta_0 overshoots the
 convolution by (pi*alpha/12) h^2 u^2(x), and folding the correction into
@@ -119,25 +121,53 @@ class EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _origin_cell_average(f, h: float) -> float:
-    """Exact average of the radial function f(|z|) over one grid cell.
+# Nodes of the Gauss-Legendre rule of the origin-cell averages.  Their
+# integrand in the polar angle is analytic but at +-pi/2, three
+# half-widths of [0, pi/4] from its centre, so 16 nodes reach rounding.
+_ORIGIN_NODES = 16
 
-    The cell [-h/2, h/2]^2 is reduced to a polar octant; the integrand
-    f(r) * r is bounded for all three log kernels, so nested adaptive
-    quadrature reaches ~1e-11 absolute accuracy cheaply.
+
+def _gauss_legendre(f, a: float, b: float, n: int) -> float:
+    """Integral of the vectorized f over [a, b] by the n-node
+    Gauss-Legendre rule."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (b - a)
+    return half * float(np.dot(w, f(a + half * (1.0 + x))))
+
+
+def _r_log(R):
+    """int_0^R r log r dr."""
+    return 0.5 * R * R * (np.log(R) - 0.5)
+
+
+def _r_log1p(R):
+    """int_0^R r log(1+r) dr."""
+    return 0.5 * R * R * np.log1p(R) - 0.25 * R * R + 0.5 * (R - np.log1p(R))
+
+
+def _r_log1p_inv(R):
+    """int_0^R r log(1+1/r) dr."""
+    return _r_log1p(R) - _r_log(R)
+
+
+def _origin_cell_average(inner, h: float) -> float:
+    """Average over one grid cell [-h/2, h/2]^2 of a radial function f(|z|),
+    given inner(R) = int_0^R f(r) r dr in closed form.
+
+    The cell is eight copies of the polar triangle 0 <= theta <= pi/4,
+    r <= (h/2)/cos(theta), so the average is (8/h^2) times the integral of
+    inner((h/2)/cos(theta)) over [0, pi/4], taken by the fixed
+    _ORIGIN_NODES-node Gauss-Legendre rule.
     """
-    from scipy.integrate import quad
-
     s = 0.5 * h
-
-    def inner(theta):
-        rmax = s / np.cos(theta)
-        val, _ = quad(lambda r: f(r) * r, 0.0, rmax,
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
-        return val
-
-    outer, _ = quad(inner, 0.0, np.pi / 4.0, epsabs=1e-13, epsrel=1e-12, limit=200)
+    outer = _gauss_legendre(lambda theta: inner(s / np.cos(theta)),
+                            0.0, 0.25 * np.pi, _ORIGIN_NODES)
     return 8.0 * outer / (h * h)
+
+
+def _log_cell_average(h: float) -> float:
+    """Average of log|z| over one grid cell, in closed form."""
+    return math.log(h) - 0.5 * math.log(2.0) + 0.25 * math.pi - 1.5
 
 
 def _kernel_rfft(n: int, h: float, f, origin: float) -> np.ndarray:
@@ -173,12 +203,13 @@ class KernelTable:
         import scipy.fft as sfft
 
         n, h = grid.n, grid.h
-        # All three cell averages are computed independently; the identity
-        # log r = log(1+r) - log(1+1/r) then holds to quadrature accuracy
-        # (and a corrupted origin value in any one kernel breaks it).
-        avg_log = _origin_cell_average(np.log, h)
-        avg_v1 = _origin_cell_average(np.log1p, h)
-        avg_v2 = _origin_cell_average(lambda r: np.log1p(1.0 / r), h)
+        # The log average is closed form and the other two come from the
+        # Gauss-Legendre rule; the identity log r = log(1+r) - log(1+1/r)
+        # then holds to rounding (and a corrupted origin value in any one
+        # kernel breaks it).
+        avg_log = _log_cell_average(h)
+        avg_v1 = _origin_cell_average(_r_log1p, h)
+        avg_v2 = _origin_cell_average(_r_log1p_inv, h)
         khat_log = _kernel_rfft(n, h, np.log, avg_log - _SINGULAR_WEIGHT)
         khat_v1 = _kernel_rfft(n, h, np.log1p, avg_v1)
         khat_v2 = _kernel_rfft(n, h, lambda r: np.log1p(1.0 / r),

@@ -48,7 +48,8 @@ from .errors import (CapBoundaryError, ConvergenceError, DomainError,
 from .fiber import (BranchPoint, FiberScalars, critical_points, dilate, g as fiber_g,
                     scalars)
 from .functionals import (EnergyBreakdown, Evaluation, KernelTable, Params, evaluate,
-                          kernel_table, kinetic, pnorm, smooth_direction)
+                          kernel_table, kinetic, pnorm, smooth_direction,
+                          _gauss_legendre)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
                    mass, normalize, _bump)
 
@@ -631,21 +632,27 @@ def two_bump_probe(params: Params, grid: Grid,
     return out
 
 
+# Nodes of the Gauss-Legendre rule over the bump's unit disc: the bump
+# vanishes to all orders at r = 1, and 96 nodes agree with 128 to about
+# 1e-14 relative.
+_LOBE_NODES = 96
+
+
 def _optimal_lobe_radius(params: Params, grid: Grid, mass_fraction: float) -> float:
     """Radius of the bump carrying the given mass fraction that minimizes
     its disjoint-support Q contribution; closed form through the scaling
-    A ~ rho^-2, C ~ rho^(2-p) of the fixed bump shape."""
-    from scipy.integrate import quad
+    A ~ rho^-2, C ~ rho^(2-p) of the fixed bump shape.  The shape's
+    integrals over its unit disc take a fixed Gauss-Legendre rule of
+    _LOBE_NODES nodes in r."""
 
-    def bump(r):
-        return np.exp(-1.0 / (1.0 - r * r)) if r < 1.0 else 0.0
+    def integral(f):
+        return _gauss_legendre(lambda r: 2.0 * np.pi * r * f(r), 0.0, 1.0,
+                               _LOBE_NODES)
 
-    tau = 2.0 * np.pi
-    m1, _ = quad(lambda r: tau * r * bump(r) ** 2, 0.0, 1.0)
-    a1, _ = quad(lambda r: tau * r * (2.0 * r / (1.0 - r * r) ** 2) ** 2
-                 * bump(r) ** 2, 0.0, 1.0 - 1e-9)
     p = params.p
-    c1, _ = quad(lambda r: tau * r * bump(r) ** p, 0.0, 1.0)
+    m1 = integral(lambda r: _bump(r, 1.0) ** 2)
+    a1 = integral(lambda r: (2.0 * r / (1.0 - r * r) ** 2 * _bump(r, 1.0)) ** 2)
+    c1 = integral(lambda r: _bump(r, 1.0) ** p)
     m_lobe = mass_fraction * params.c
     # For amplitude alpha and radius rho: mass = alpha^2 rho^2 m1,
     # A = alpha^2 a1 (scale invariant), C = alpha^p rho^2 c1.  The Q

@@ -127,6 +127,26 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_kernel_table_and_constants_load_no_scipy_integrate():
+    # The origin-cell averages are closed forms and a numpy Gauss-Legendre
+    # rule, so neither a kernel table nor the constants command (which
+    # builds one for kv2) imports scipy.integrate.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, contextlib, io\n"
+            "from planarsp.functionals import kernel_table\n"
+            "from planarsp.grid import make_grid\n"
+            "from planarsp.cli import main\n"
+            "kernel_table(make_grid(40.0, 256))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['constants', '--p', '3']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p,reason", [
     ("60", "violates its Pohozaev identities"),   # too stiff for 1e-5
@@ -447,13 +467,12 @@ def test_verify_detects_kernel_fault(monkeypatch, capsys):
     # identity and fail the suite
     import planarsp.functionals as fn
 
-    true_avg = fn._origin_cell_average
+    true_avg = fn._log_cell_average
 
-    def corrupted(f, h):
-        val = true_avg(f, h)
-        return val + (0.05 if f is np.log else 0.0)
+    def corrupted(h):
+        return true_avg(h) + 0.05
 
-    monkeypatch.setattr(fn, "_origin_cell_average", corrupted)
+    monkeypatch.setattr(fn, "_log_cell_average", corrupted)
     fn._TABLE_CACHE.clear()
     try:
         code = run_cli(["verify"])

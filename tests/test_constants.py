@@ -30,8 +30,10 @@ def test_ground_state_pohozaev_ratios(p):
 
 
 def test_shooting_stops_at_the_float_floor(monkeypatch):
-    # At most 2 bracket shoots, about 52 bisections from [1, 2.8] and the
-    # final shoot at beta; running all 80 bisection steps took 83.
+    # Two bracket shoots, about 10 regula falsi steps, the 10 or so
+    # bisection midpoints within a few hundred ulps of beta and the final
+    # shoot at beta; the plain bisection took 55 shoots, and running all 80
+    # of its steps took 83.
     import planarsp.constants as C
 
     assert not hasattr(C, "solve_ivp")   # one integrator: planarsp.dop853
@@ -46,7 +48,7 @@ def test_shooting_stops_at_the_float_floor(monkeypatch):
     monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
     p = 3.7
     gs = ground_state_radial(p)
-    assert 50 <= len(shoots) <= 57
+    assert len(shoots) <= 30
     # beta is one of two adjacent floats that bracket the sign change, so a
     # further bisection step could only shoot beta again.
     side = real_shoot(gs.beta, p).sign
@@ -92,11 +94,35 @@ def test_shooting_is_pinned_bit_for_bit(p, beta_hex, kgn_repr):
     assert repr(float(kgn_estimate(p))) == kgn_repr
 
 
+def _plain_bisection(p):
+    """The ground-state search as a plain bisection of phi(0), every
+    midpoint shot through C._shoot: the oracle of ground_state_radial.
+    Shoots the profile from the returned phi(0) last, as the bisection
+    once did."""
+    import planarsp.constants as C
+
+    lo, hi = 1.0, 2.0
+    while C._shoot(hi, p).sign != -1:
+        hi *= 1.4
+    for _ in range(C._SHOOTING_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if C._shoot(mid, p).sign == -1:
+            hi = mid
+        else:
+            lo = mid
+    beta = 0.5 * (lo + hi)
+    C._shoot(beta, p)
+    return beta
+
+
 def test_bisection_shoots_are_pinned(monkeypatch):
-    # Every shoot of the ground-state bisection at p = 3, the final one
-    # included: phi(0), the sign, the number of step ends, the last step
-    # end and the state there, as recorded with SciPy 1.17.1's compiled
-    # dop853.  An ulp moved in any shoot's last state changes the digest.
+    # Every shoot of the plain ground-state bisection at p = 3, the final
+    # one included: phi(0), the sign, the number of step ends, the last
+    # step end and the state there, as recorded with SciPy 1.17.1's
+    # compiled dop853.  An ulp moved in any shoot's last state changes the
+    # digest.  ground_state_radial must end where that bisection ends.
     import hashlib
 
     import planarsp.constants as C
@@ -112,12 +138,23 @@ def test_bisection_shoots_are_pinned(monkeypatch):
         return shot
 
     monkeypatch.setattr(C, "_shoot", recorded)
-    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
-    ground_state_radial(3.0)
+    beta = _plain_bisection(3.0)
     assert len(lines) == 55
     assert lines[0].startswith("0x1.0000000000000p+1 1 70 ")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "14db8012ec54b8ea28bcc5f39eb6e4b4683257a5b6854a6fad2bd012873d6d70")
+    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    assert ground_state_radial(3.0).beta == beta
+
+
+@pytest.mark.parametrize("p", [2.01, 2.5, 3.7, 6.0, 12.0, 30.0, 47.0])
+def test_ground_state_matches_the_plain_bisection(monkeypatch, p):
+    # The regula falsi only decides which bisection midpoints need no
+    # shoot: phi(0) is the plain bisection's, bit for bit.
+    import planarsp.constants as C
+
+    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    assert ground_state_radial(p).beta == _plain_bisection(p)
 
 
 # K_GN pinned at the exponents the tests and the benchmark use.  The values

@@ -12,7 +12,8 @@ from planarsp import (Field, Params, ProfileSpec, discretize, el_residual,
                       pohozaev_residual, shift, star_norm, v1, v2, v_total)
 from planarsp import constants as K
 from planarsp import functionals, solvers
-from planarsp.functionals import (_origin_cell_average, evaluate, kernel_table,
+from planarsp.functionals import (_log_cell_average, _origin_cell_average, _r_log,
+                                  _r_log1p, _r_log1p_inv, evaluate, kernel_table,
                                   smooth_direction)
 
 from conftest import EULER, V_GAUSS_UNIT
@@ -212,10 +213,27 @@ def test_el_residual_nonsolution(gauss256):
     assert el_residual(gauss256, PR3, lam) > 1e-2
 
 
+def _quad_cell_average(f, h):
+    """Average of f(|z|) over one grid cell by nested adaptive quadrature
+    over a polar octant."""
+
+    def inner(theta):
+        return quad(lambda r: f(r) * r, 0.0, 0.5 * h / np.cos(theta),
+                    epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+    outer = quad(inner, 0.0, np.pi / 4.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+    return 8.0 * outer / (h * h)
+
+
 def test_kernel_origin_closed_form():
     for h in (0.15625, 0.078125, 0.3):
         closed = math.log(h) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
-        assert _origin_cell_average(np.log, h) == pytest.approx(closed, abs=1e-10)
+        assert _log_cell_average(h) == pytest.approx(closed, abs=1e-14)
+        assert _origin_cell_average(_r_log, h) == pytest.approx(closed, abs=1e-14)
+        for inner, f in ((_r_log1p, np.log1p),
+                         (_r_log1p_inv, lambda r: np.log1p(1.0 / r))):
+            assert _origin_cell_average(inner, h) == pytest.approx(
+                _quad_cell_average(f, h), abs=1e-14)
 
 
 def test_v2_one_sided_bound(grid128):
