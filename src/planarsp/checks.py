@@ -283,7 +283,9 @@ def _check_kernel_origin() -> CheckResult:
     expected = (math.log(grid.h) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
                 - math.pi / 12.0)
     err = max(abs(measured - closed), abs(baked - expected))
-    return _result("kernel_origin_value", err, 1e-8,
+    # Both differences are rounding (at most 4.4e-16); an origin weight off
+    # by 1e-10 must fail here, not only in v_split_identity.
+    return _result("kernel_origin_value", err, 1e-13,
                    "origin cell average matches the closed form "
                    "(with the singular-weight correction baked in)")
 

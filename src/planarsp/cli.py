@@ -16,6 +16,9 @@ report.json` replays the run.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 non-convergence (report still written), 4 regime refusal.
+
+classify, sweep and --help run on the standard library alone: the
+handlers that need numpy import it, and the modules built on it, inside.
 """
 
 from __future__ import annotations
@@ -26,17 +29,15 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from . import constants as K
-from .checks import run_all_checks
 from .errors import ConfigError, ConvergenceError, PlanarSPError, RegimeError
-from .fiber import critical_points, dg, ddg, g, phi, scalars
-from .functionals import Params
-from .grid import Grid, ProfileSpec, discretize, make_grid, write_field
-from .solvers import REGIME_SOLVERS, SolverConfig
+from .params import Params
+
+if TYPE_CHECKING:
+    from .grid import Grid, ProfileSpec
+    from .solvers import SolverConfig
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -105,6 +106,8 @@ def _merged_params(cfg: dict, args) -> Params:
 
 
 def _merged_grid(cfg: dict, args) -> Grid:
+    from .grid import make_grid
+
     section = _section(cfg, "grid")
     if getattr(args, "grid_L", None) is not None:
         section["L"] = args.grid_L
@@ -119,6 +122,8 @@ def _merged_grid(cfg: dict, args) -> Grid:
 
 
 def _merged_solver(cfg: dict, args) -> SolverConfig:
+    from .solvers import SolverConfig
+
     section = _section(cfg, "solver")
     if getattr(args, "trace", False):
         section["trace"] = True
@@ -132,6 +137,8 @@ _PROFILE_INTEGERS = ("scale", "seed", "cutoff")
 
 
 def _merged_profile(cfg: dict, args, c: float) -> ProfileSpec:
+    from .grid import ProfileSpec
+
     section = _section(cfg, "profile")
     kind = section.pop("kind", "gaussian")
     kind = getattr(args, "profile", None) or kind
@@ -247,6 +254,11 @@ def cmd_constants(args) -> int:
 
 
 def cmd_fiber(args) -> int:
+    import numpy as np
+
+    from .fiber import critical_points, ddg, dg, g, phi, scalars
+    from .grid import discretize
+
     cfg = _load_config(args.config)
     params = _merged_params(cfg, args)
     grid = _merged_grid(cfg, args)
@@ -278,6 +290,21 @@ def cmd_fiber(args) -> int:
     return EXIT_OK
 
 
+def _axis(name: str, lo: float, hi: float, n: int) -> List[float]:
+    """n evenly spaced points from lo to hi, both included: lo + i * step
+    with step = (hi - lo)/(n - 1) and the last point set to hi, which is
+    numpy.linspace's own formula and gives its values bit for bit."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"sweep bounds of {name} must be finite, got "
+                          f"[{lo}, {hi}]")
+    if n < 1:
+        raise ConfigError(f"sweep needs at least one {name} point, got {n}")
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     section = _section(cfg, "params")
@@ -294,9 +321,9 @@ def cmd_sweep(args) -> int:
     if args.c_min <= 0:
         raise ConfigError("sweep masses must be positive")
     # Every lattice point is refused or accepted before the file is opened.
-    lattice = [Params(gamma=gamma, a=float(a), p=p, c=float(c))
-               for a in np.linspace(args.a_min, args.a_max, args.na)
-               for c in np.linspace(args.c_min, args.c_max, args.nc)]
+    lattice = [Params(gamma=gamma, a=a, p=p, c=c)
+               for a in _axis("a", args.a_min, args.a_max, args.na)
+               for c in _axis("c", args.c_min, args.c_max, args.nc)]
     sharp = K.sharp_constants(p)
     out = _outdir(args) / "sweep.csv"
     with open(out, "w", encoding="utf-8") as fh:
@@ -309,6 +336,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .grid import write_field
+    from .solvers import REGIME_SOLVERS
+
     cfg = _load_config(args.config)
     params = _merged_params(cfg, args)
     grid = _merged_grid(cfg, args)
@@ -375,6 +405,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import run_all_checks
+
     results = run_all_checks()
     payload = {
         "checks": [r.as_dict() for r in results],

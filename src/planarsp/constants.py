@@ -9,8 +9,10 @@ it is computed here by 1D shooting and certified by the shooting's own
 stop rule, bracket, and Pohozaev and decay checks (see kgn_estimate).
 Every shoot runs the DOP853 step loop of planarsp.dop853, in Python
 floats, and stops at the first step end that settles its sign; that loop
-is bit-identical to SciPy 1.17's compiled dop853, so K_GN needs numpy
-only and does not depend on the installed scipy.  phi(0) is the end of a
+is bit-identical to SciPy 1.17's compiled dop853, so K_GN needs the
+standard library only: this module imports numpy, the grid and the
+functionals only inside the functions that build fields (the profile,
+gn_profile_field and kv2_estimate).  phi(0) is the end of a
 bisection to two adjacent floats, a shot undershoot and a shot overshoot;
 Anderson-Bjorck regula falsi first narrows the sign change to a few
 hundred ulps, so only the bisection midpoints near it are shot (21 to 31
@@ -35,13 +37,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
 from .dop853 import radial_dop853
 from .errors import RegimeError, ShootingError
-from .functionals import Params
-from .grid import Field, Grid, ProfileSpec, discretize, mass, normalize
+from .params import Params
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .grid import Field, Grid, ProfileSpec
 
 __all__ = [
     "RadialGroundState",
@@ -98,9 +103,10 @@ class RadialGroundState:
     r_stop is where the shoot from beta settled its sign, i.e. where the
     round-off in beta has grown to O(1); it moves with the last bits of
     beta.  r_decay is where the profile first falls to 1e-6 * beta, well
-    above that noise.  steps holds r, phi and phi' at the step ends of the
-    shoot; the profile, a cubic Hermite interpolant of them, and r_decay
-    are built on first use (they are the only users of scipy here)."""
+    above that noise.  steps holds the (r, phi, phi') triples of the step
+    ends of the shoot; the profile, a cubic Hermite interpolant of them,
+    and r_decay are built on first use (they are the only users of numpy
+    and scipy here)."""
 
     p: float
     beta: float          # phi(0)
@@ -108,20 +114,23 @@ class RadialGroundState:
     mass: float          # 2*pi * int phi^2 r dr
     A: float             # 2*pi * int phi'^2 r dr
     C: float             # 2*pi * int phi^p r dr
-    steps: np.ndarray = dc_field(repr=False, compare=False)   # (3, n)
+    steps: tuple = dc_field(repr=False, compare=False)
 
     @cached_property
     def profile(self):
         """Cubic Hermite interpolant of phi and phi' at the step ends."""
+        import numpy as np
         from scipy.interpolate import CubicHermiteSpline
 
-        return CubicHermiteSpline(*self.steps)
+        return CubicHermiteSpline(*np.array(self.steps).T)
 
     @cached_property
     def r_decay(self) -> float:
         return float(self.profile.solve(1e-6 * self.beta, extrapolate=False)[0])
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         inside = r < self.r_stop
@@ -204,13 +213,12 @@ def _radial_profile(beta: float, p: float) -> RadialGroundState:
             f"A/C={A / C:.8f} (expect {(p - 2.0) / p:.8f})"
         )
 
-    steps = np.array(shot.steps).T
-    r, phi = steps[0], steps[1]
-    if not (phi <= 1e-6 * beta).any():
+    r_stop = shot.steps[-1][0]
+    if not any(phi <= 1e-6 * beta for _, phi, _ in shot.steps):
         raise ShootingError(f"shooting profile for p={p} stops at "
-                            f"r={r[-1]} above 1e-6 * phi(0)")
-    return RadialGroundState(p=float(p), beta=beta, r_stop=float(r[-1]),
-                             mass=m, A=A, C=C, steps=steps)
+                            f"r={r_stop} above 1e-6 * phi(0)")
+    return RadialGroundState(p=float(p), beta=beta, r_stop=r_stop,
+                             mass=m, A=A, C=C, steps=tuple(shot.steps))
 
 
 _GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
@@ -443,6 +451,8 @@ def mass_critical_threshold(a: float, kgn4: float) -> float:
 
 def _kv2_family() -> List[ProfileSpec]:
     """Fixed 50-profile family for the V2-bound constant estimate."""
+    from .grid import ProfileSpec
+
     specs: List[ProfileSpec] = []
     for s in (0.4, 0.6, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5):
         specs.append(ProfileSpec.gaussian(sigma=s))
@@ -468,6 +478,7 @@ def kv2_estimate(grid: Optional[Grid] = None) -> float:
     family; a deterministic lower bound for the true best constant, used
     for one-sided checks only."""
     from .functionals import evaluate, kernel_table
+    from .grid import Grid, discretize
 
     grid = grid or Grid(extent=40.0, n=128)
     key = (grid.n, grid.extent)
@@ -604,6 +615,10 @@ def gn_profile_field(grid: Grid, p: float, c: float) -> Field:
     at 0.25 * extent, which keeps boundary leakage negligible on any grid.
     That decay radius sits far above the round-off in phi(0), so the width
     does not move with its last bits."""
+    import numpy as np
+
+    from .grid import Field, normalize
+
     gs = ground_state_radial(p)
     stretch = 0.25 * grid.extent / gs.r_decay
     X = grid.coords1d()

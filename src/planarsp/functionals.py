@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import MassMismatchError
 from .grid import Field, Grid, mass
+from .params import Params
 
 __all__ = [
     "Params",
@@ -76,26 +77,6 @@ __all__ = [
 
 # Origin-weight correction for kernels with Laplacian 2*pi*alpha*delta_0.
 _SINGULAR_WEIGHT = np.pi / 12.0
-
-
-@dataclass(frozen=True)
-class Params:
-    """Problem parameters: -Delta u + gamma (log|.| * u^2) u = a |u|^(p-2) u
-    under the mass constraint integral u^2 = c.  gamma is signed."""
-
-    gamma: float
-    a: float
-    p: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("gamma", "a", "p", "c"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.p <= 2:
-            raise ValueError(f"exponent p must exceed 2, got {self.p}")
-        if self.c <= 0:
-            raise ValueError(f"mass c must be positive, got {self.c}")
 
 
 @dataclass(frozen=True)

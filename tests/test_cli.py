@@ -92,35 +92,74 @@ def test_classify_overflowing_shoot_exits_2_in_a_subprocess():
     assert "UserWarning" not in proc.stderr
 
 
-_NO_SCIPY = """
+_NO_NUMPY_OR_SCIPY = """
 import sys
-sys.modules["scipy"] = None   # any import of scipy now fails
+sys.modules["numpy"] = None   # any import of numpy or scipy now fails
+sys.modules["scipy"] = None
 from planarsp.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_classify_needs_no_scipy():
-    # K_GN comes from the in-repo DOP853, so classify runs with scipy
-    # blocked and prints the same bytes as a normal run.
-    args = ["classify", "--gamma", "-1", "--a", "6.5", "--p", "3", "--c", "1"]
+def _blocked_and_normal(args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    blocked = subprocess.run([sys.executable, "-c", _NO_SCIPY, *args],
+    blocked = subprocess.run([sys.executable, "-c", _NO_NUMPY_OR_SCIPY, *args],
                              capture_output=True, timeout=120, env=env)
     normal = subprocess.run([sys.executable, "-m", "planarsp.cli", *args],
                             capture_output=True, timeout=120, env=env)
+    return blocked, normal
+
+
+def test_classify_needs_no_scipy():
+    # K_GN comes from the in-repo DOP853 in Python floats, so classify runs
+    # with numpy and scipy blocked and prints the same bytes as a normal run.
+    args = ["classify", "--gamma", "-1", "--a", "6.5", "--p", "3", "--c", "1"]
+    blocked, normal = _blocked_and_normal(args)
     assert blocked.returncode == 0, blocked.stderr
-    assert normal.returncode == 0
-    assert blocked.stdout == normal.stdout
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == \
+        (normal.returncode, normal.stdout, normal.stderr)
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["constants", "--help"],
+    ["classify", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1"],
+    ["classify", "--gamma", "1", "--a", "1", "--p", "nan", "--c", "1"],
+    ["sweep", "--gamma", "-1", "--p", "3", "--a-min", "5", "--a-max", "1",
+     "--c-min", "0.5", "--c-max", "2.0"],
+], ids=["help", "constants_help", "classify_p6", "classify_nan", "sweep_refusal"])
+def test_cold_commands_need_no_numpy(args):
+    blocked, normal = _blocked_and_normal(args)
+    assert b"ModuleNotFoundError" not in blocked.stderr
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == \
+        (normal.returncode, normal.stdout, normal.stderr)
+
+
+def test_classify_loads_only_its_modules():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import contextlib, io, sys\n"
+            "from planarsp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['classify', '--gamma', '-1', '--a', '6.5',\n"
+            "                 '--p', '3', '--c', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('planarsp')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([
+        "planarsp", "planarsp.cli", "planarsp.constants", "planarsp.dop853",
+        "planarsp.errors", "planarsp.params"])
 
 
 def test_cli_import_loads_no_scipy():
+    # Nor numpy: the handlers that need either import it themselves.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; before = set(sys.modules); import planarsp.cli; "
             "print(sorted(m for m in set(sys.modules) - before "
-            "if m.split('.')[0] == 'scipy'))")
+            "if m.split('.')[0] in ('numpy', 'scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -281,6 +320,33 @@ def test_sweep_bad_bounds_exit_2(tmp_path):
     assert run_cli(["sweep", "--gamma", "-1", "--p", "3", "--a-min", "5",
                     "--a-max", "1", "--c-min", "0.5", "--c-max", "2.0",
                     "--out", str(tmp_path)]) == 2
+
+
+def test_sweep_axis_is_linspace():
+    # The sweep lattice is numpy.linspace's formula in Python floats: the
+    # same values bit for bit, the lone point of a one-point axis included.
+    from planarsp.cli import _axis
+
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        lo = float(rng.uniform(-20.0, 20.0))
+        hi = lo + float(10.0 ** rng.uniform(-9.0, 4.0))
+        n = int(rng.integers(1, 200))
+        assert _axis("a", lo, hi, n) == np.linspace(lo, hi, n).tolist()
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--a-min", "1", "--a-max", "2", "--na", "0", "--c-min", "1", "--c-max", "2"],
+    ["--a-min", "1", "--a-max", "2", "--c-min", "1", "--c-max", "2", "--nc", "-3"],
+    ["--a-min", "1", "--a-max", "inf", "--na", "1", "--c-min", "1", "--c-max", "2"],
+    ["--a-min", "1", "--a-max", "2", "--c-min", "1", "--c-max", "1e309"],
+], ids=["no_a_point", "negative_nc", "infinite_a_max", "infinite_c_max"])
+def test_sweep_refuses_empty_or_infinite_lattice(tmp_path, capsys, bounds):
+    out = tmp_path / "sw"
+    assert run_cli(["sweep", "--gamma", "1", "--p", "3", *bounds,
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_refuses_before_writing(tmp_path):
@@ -482,3 +548,17 @@ def test_verify_detects_kernel_fault(monkeypatch, capsys):
     assert code == 1
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
     assert "v_split_identity" in failed
+
+
+def test_kernel_origin_check_detects_a_small_weight_shift(monkeypatch):
+    # The check measures rounding only, so a log-kernel origin weight off by
+    # 1e-10 fails it (a fresh table cache makes the shifted table).
+    import planarsp.functionals as fn
+    from planarsp.checks import _check_kernel_origin
+
+    true_avg = fn._log_cell_average
+    monkeypatch.setattr(fn, "_log_cell_average", lambda h: true_avg(h) + 1e-10)
+    monkeypatch.setattr(fn, "_TABLE_CACHE", {})
+    result = _check_kernel_origin()
+    assert not result.passed
+    assert result.value == pytest.approx(1e-10, rel=1e-3)
