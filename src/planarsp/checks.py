@@ -124,7 +124,7 @@ def _check_v_split() -> CheckResult:
 def _check_v2_bound() -> CheckResult:
     grid = make_grid(40.0, 128)
     table = kernel_table(grid)
-    kv2 = K.kv2_estimate(grid)
+    kv2 = K.kv2_estimate()
     worst = 0.0
     for spec in (ProfileSpec.gaussian(sigma=0.5),
                  ProfileSpec.gaussian(sigma=2.0),
@@ -134,7 +134,8 @@ def _check_v2_bound() -> CheckResult:
         ratio = fn.v2(u, table) / (math.sqrt(fn.kinetic(u, table)) * 1.0)
         worst = max(worst, ratio / kv2)
     return _result("v2_bound", worst, 1.0 + 1e-9,
-                   "|V2| <= kv2 sqrt(A) c^1.5 on the sample family")
+                   "V2 <= kv2 sqrt(A) c^1.5 with the proven "
+                   "kv2 = 2 sqrt(pi) K_GN(8/3)^1.5")
 
 
 def _check_gn_bound() -> CheckResult:

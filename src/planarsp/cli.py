@@ -17,8 +17,9 @@ report.json` replays the run.
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 non-convergence (report still written), 4 regime refusal.
 
-classify, sweep and --help run on the standard library alone: the
-handlers that need numpy import it, and the modules built on it, inside.
+classify, sweep, constants and --help run on the standard library alone:
+the handlers that need numpy import it, and the modules built on it,
+inside.
 """
 
 from __future__ import annotations
@@ -320,17 +321,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep lattice bounds must be increasing")
     if args.c_min <= 0:
         raise ConfigError("sweep masses must be positive")
-    # Every lattice point is refused or accepted before the file is opened.
+    # Every lattice point is classified or refused before the file opens.
     lattice = [Params(gamma=gamma, a=a, p=p, c=c)
                for a in _axis("a", args.a_min, args.a_max, args.na)
                for c in _axis("c", args.c_min, args.c_max, args.nc)]
     sharp = K.sharp_constants(p)
+    rows = [f"{params.a:.12g},{params.c:.12g},"
+            f"{K.regime_classify(params, sharp).tag}\n" for params in lattice]
     out = _outdir(args) / "sweep.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("a,c,tag\n")
-        for params in lattice:
-            label = K.regime_classify(params, sharp)
-            fh.write(f"{params.a:.12g},{params.c:.12g},{label.tag}\n")
+        fh.writelines(rows)
     print(f"wrote {out} ({args.na}x{args.nc} lattice at p={p}, gamma={gamma})")
     return EXIT_OK
 

@@ -44,5 +44,9 @@ class ShootingError(PlanarSPError):
     its Pohozaev check."""
 
 
+class ThresholdError(PlanarSPError):
+    """A closed-form threshold is not a finite float for the parameters."""
+
+
 class ConfigError(PlanarSPError):
     """A run configuration is invalid."""

@@ -128,7 +128,10 @@ def test_classify_needs_no_scipy():
     ["classify", "--gamma", "1", "--a", "1", "--p", "nan", "--c", "1"],
     ["sweep", "--gamma", "-1", "--p", "3", "--a-min", "5", "--a-max", "1",
      "--c-min", "0.5", "--c-max", "2.0"],
-], ids=["help", "constants_help", "classify_p6", "classify_nan", "sweep_refusal"])
+    ["constants", "--p", "3"],
+    ["constants", "--p", "6", "--gamma", "1", "--a", "1", "--c", "1"],
+], ids=["help", "constants_help", "classify_p6", "classify_nan", "sweep_refusal",
+        "constants_p3", "constants_p6_full"])
 def test_cold_commands_need_no_numpy(args):
     blocked, normal = _blocked_and_normal(args)
     assert b"ModuleNotFoundError" not in blocked.stderr
@@ -168,8 +171,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_kernel_table_and_constants_load_no_scipy_integrate():
     # The origin-cell averages are closed forms and a numpy Gauss-Legendre
-    # rule, so neither a kernel table nor the constants command (which
-    # builds one for kv2) imports scipy.integrate.
+    # rule, so a kernel table imports no scipy.integrate; the constants
+    # command builds no table and needs no scipy at all.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, contextlib, io\n"
@@ -198,6 +201,30 @@ def test_classify_unshootable_exponent_exits_2(capsys, p, reason):
     assert captured.out == ""
     assert captured.err.startswith("error:") and reason in captured.err
     assert "UserWarning" not in captured.err
+
+
+@pytest.mark.parametrize("args,quantity", [
+    (["classify", "--gamma", "1", "--a", "1", "--p", "3", "--c", "1e308"], "k0"),
+    (["constants", "--p", "3", "--gamma", "1", "--a", "1", "--c", "1e200"],
+     "k0"),
+    (["classify", "--gamma", "1e-300", "--a", "1e-300", "--p", "6", "--c", "1"],
+     "c0"),
+    (["classify", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1e154"], "k0"),
+    (["classify", "--gamma=-1e300", "--a", "1", "--p", "2.1", "--c", "1e300"],
+     "(T1, T2)"),
+    (["sweep", "--gamma", "1", "--p", "6", "--a-min", "1", "--a-max", "2",
+      "--c-min", "1", "--c-max", "1e300"], "k0"),
+], ids=["classify_k0_overflow", "constants_k0_overflow", "classify_c0_zero_divisor",
+        "classify_k0_inf", "classify_a_thresholds_inf", "sweep_k0_overflow"])
+def test_threshold_out_of_float_range_exits_2(tmp_path, capsys, args, quantity):
+    # A closed-form threshold past the float range is refused by name, and
+    # sweep writes nothing.
+    assert run_cli(args + (["--out", str(tmp_path)] if args[0] == "sweep"
+                           else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and quantity in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_near_p2_exits_0(capsys):

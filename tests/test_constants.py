@@ -310,7 +310,7 @@ def test_mass_critical_threshold():
 
 
 # ---------------------------------------------------------------------------
-# Empirical V2 constant
+# Proven V2 constant
 # ---------------------------------------------------------------------------
 
 
@@ -326,6 +326,15 @@ def test_kv2_dominates_single_gaussian():
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
     single = v2(u) / math.sqrt(kinetic(u))
     assert kv2_estimate(grid) >= single
+
+
+def test_kv2_is_the_proven_closed_form():
+    # 2 sqrt(pi) (HLS, n = 2, lambda = 1) times K_GN(8/3)^(3/2); it must
+    # reach the limit sqrt(pi/2) of V2 / (sqrt(A) c^(3/2)) on wide Gaussians.
+    kv2 = kv2_estimate()
+    assert kv2 == 2.0 * math.sqrt(math.pi) * kgn_estimate(8.0 / 3.0) ** 1.5
+    assert kv2 == 1.3076223954298953
+    assert kv2 >= math.sqrt(math.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------

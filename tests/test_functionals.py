@@ -8,7 +8,7 @@ from scipy.special import exp1
 
 from planarsp import (Field, Params, ProfileSpec, discretize, el_residual,
                       energy, grad_energy, kinetic, lagrange_multiplier,
-                      log_potential, mass, pnorm, pohozaev_Q,
+                      log_potential, make_grid, mass, pnorm, pohozaev_Q,
                       pohozaev_residual, shift, star_norm, v1, v2, v_total)
 from planarsp import constants as K
 from planarsp import functionals, solvers
@@ -237,16 +237,21 @@ def test_kernel_origin_closed_form():
 
 
 def test_v2_one_sided_bound(grid128):
-    # |V2(u)| <= K sqrt(A) c^{3/2} with the empirical K on the fixed family
+    # V2(u) <= K sqrt(A) c^{3/2} with the proven K.  Wide Gaussians, whose
+    # ratio tends to sqrt(pi/2) = 1.2533, need wide grids: sigma = 6 reads
+    # 1.048 and sigma = 20 reads 1.164.
     from planarsp.constants import kv2_estimate
 
-    K = kv2_estimate(grid128)
-    table = kernel_table(grid128)
-    for spec in (ProfileSpec.gaussian(sigma=0.6), ProfileSpec.gaussian(sigma=2.5),
-                 ProfileSpec.ring(r0=2.0, sigma=0.8),
-                 ProfileSpec.random_smooth(seed=21)):
-        u = discretize(spec, grid128)
-        assert v2(u, table) <= K * math.sqrt(kinetic(u, table)) + 1e-12
+    K = kv2_estimate()
+    cases = [(grid128, spec) for spec in (
+        ProfileSpec.gaussian(sigma=0.6), ProfileSpec.gaussian(sigma=2.5),
+        ProfileSpec.ring(r0=2.0, sigma=0.8), ProfileSpec.random_smooth(seed=21))]
+    cases += [(make_grid(80.0, 256), ProfileSpec.gaussian(sigma=6.0)),
+              (make_grid(240.0, 256), ProfileSpec.gaussian(sigma=20.0))]
+    for grid, spec in cases:
+        table = kernel_table(grid)
+        u = discretize(spec, grid)
+        assert v2(u, table) <= K * math.sqrt(kinetic(u, table)) * spec.c ** 1.5 + 1e-12
 
 
 def test_gn_one_sided_bound(grid128):
