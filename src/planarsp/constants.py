@@ -19,7 +19,7 @@ hundred ulps, so only the bisection midpoints near it are shot (21 to 31
 shoots rather than 55, see ground_state_radial).  One more shoot from
 that phi(0) gives the integrals and the stopping radius from its last step
 end, and the profile as a cubic Hermite interpolant of phi and phi' at
-its step ends, built by scipy on first use.  From K_GN all threshold
+its step ends, built in numpy on first use.  From K_GN all threshold
 constants of the problem follow in closed form:
 
     k0 = (p-2) |gamma| c^2 / (4 |p-4|)        kinetic cap level
@@ -105,9 +105,10 @@ class RadialGroundState:
     round-off in beta has grown to O(1); it moves with the last bits of
     beta.  r_decay is where the profile first falls to 1e-6 * beta, well
     above that noise.  steps holds the (r, phi, phi') triples of the step
-    ends of the shoot; the profile, a cubic Hermite interpolant of them,
-    and r_decay are built on first use (they are the only users of numpy
-    and scipy here)."""
+    ends of the shoot.  The profile is the cubic Hermite interpolant of
+    them, built on first use and evaluated in numpy as
+    scipy.interpolate.CubicHermiteSpline does, bit for bit (the only use of
+    numpy here)."""
 
     p: float
     beta: float          # phi(0)
@@ -118,24 +119,52 @@ class RadialGroundState:
     steps: tuple = dc_field(repr=False, compare=False)
 
     @cached_property
-    def profile(self):
-        """Cubic Hermite interpolant of phi and phi' at the step ends."""
+    def _hermite(self):
+        """The step ends x and the power coefficients c of the interpolant,
+        phi = c[0] s^3 + c[1] s^2 + c[2] s + c[3] at s = r - x[i] on
+        [x[i], x[i+1]], as CubicHermiteSpline.__init__ computes them."""
         import numpy as np
-        from scipy.interpolate import CubicHermiteSpline
 
-        return CubicHermiteSpline(*np.array(self.steps).T)
+        x, y, dydx = np.array(self.steps).T
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        return x, np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+
+    def _cubic(self, i, s):
+        """The cubic of interval i at offset s, summed in power order as
+        scipy's PPoly does."""
+        c = self._hermite[1]
+        s2 = s * s
+        return c[3, i] + c[2, i] * s + c[1, i] * s2 + c[0, i] * (s2 * s)
 
     @cached_property
     def r_decay(self) -> float:
-        return float(self.profile.solve(1e-6 * self.beta, extrapolate=False)[0])
+        """The root of the cubic on the first interval that falls to
+        1e-6 * beta, bisected to adjacent floats."""
+        target = 1e-6 * self.beta
+        i = next(k for k, (_, phi, _) in enumerate(self.steps) if phi <= target) - 1
+        x = self._hermite[0]
+        lo, hi = 0.0, x[i + 1] - x[i]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if self._cubic(i, mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return float(x[i] + hi)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
+        """phi(r) below r_stop, extrapolated by the end cubics as scipy
+        does; 0 from r_stop on and wherever the cubic is negative."""
         import numpy as np
 
         r = np.asarray(r, dtype=float)
+        x = self._hermite[0]
         out = np.zeros_like(r)
         inside = r < self.r_stop
-        out[inside] = self.profile(r[inside])
+        r = r[inside]
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        out[inside] = self._cubic(i, r - x[i])
         return np.maximum(out, 0.0)
 
 
@@ -370,19 +399,21 @@ def kgn_estimate(p: float) -> float:
 
 def _finite(name: str):
     """Refuse, by a ThresholdError naming `name`, a threshold that is not a
-    finite float: an overflowing float ** or a divisor that underflowed to
-    zero raises, an overflowing product is infinite."""
+    positive finite float: an overflowing float ** or a divisor that
+    underflowed to zero raises, an overflowing product is infinite, and an
+    underflowing one is zero.  Every threshold is positive in exact
+    arithmetic, so a zero is never an answer."""
     def decorate(fn):
         @wraps(fn)
         def checked(*args):
             try:
                 value = fn(*args)
-                ok = all(map(math.isfinite, value if isinstance(value, tuple)
-                             else (value,)))
+                ok = all(0.0 < v < math.inf for v in
+                         (value if isinstance(value, tuple) else (value,)))
             except (OverflowError, ZeroDivisionError):
                 ok = False
             if not ok:
-                raise ThresholdError(f"{name}: not a finite float at {fn.__name__}"
+                raise ThresholdError(f"{name}: not a positive finite float at {fn.__name__}"
                                      f"({', '.join(map(repr, args))})")
             return value
         return checked

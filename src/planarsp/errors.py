@@ -45,7 +45,8 @@ class ShootingError(PlanarSPError):
 
 
 class ThresholdError(PlanarSPError):
-    """A closed-form threshold is not a finite float for the parameters."""
+    """A closed-form threshold is not a positive finite float for the
+    parameters."""
 
 
 class ConfigError(PlanarSPError):

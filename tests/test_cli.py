@@ -139,6 +139,29 @@ def test_cold_commands_need_no_numpy(args):
         (normal.returncode, normal.stdout, normal.stderr)
 
 
+_NO_SCIPY_NDIMAGE_OR_INTERPOLATE = """
+import sys
+sys.modules["scipy.ndimage"] = sys.modules["scipy.interpolate"] = None
+"""
+
+
+@pytest.mark.parametrize("code", [
+    "from planarsp.cli import main; sys.exit(main(['verify']))",
+    "from planarsp import gn_profile_field, make_grid; "
+    "gn_profile_field(make_grid(40, 64), 3, 1)",
+    "from planarsp.cli import main; sys.exit(main(['solve', '--gamma', '1', "
+    "'--a', '1', '--p', '6', '--c', '1', '--grid-n', '64', '--out', sys.argv[1]]))",
+], ids=["verify", "gn_profile_field", "solve_capped_p6"])
+def test_profile_and_dilation_need_only_scipy_fft(tmp_path, code):
+    # The profile spline and dilate are numpy code: the commands that use
+    # them run with scipy.ndimage and scipy.interpolate blocked.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_NDIMAGE_OR_INTERPOLATE + code, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_classify_loads_only_its_modules():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -214,11 +237,16 @@ def test_classify_unshootable_exponent_exits_2(capsys, p, reason):
      "(T1, T2)"),
     (["sweep", "--gamma", "1", "--p", "6", "--a-min", "1", "--a-max", "2",
       "--c-min", "1", "--c-max", "1e300"], "k0"),
+    # a * gamma overflows, so c0 underflows to 0 and c < c0 would read false
+    (["classify", "--gamma", "1e300", "--a", "1e300", "--p", "6", "--c", "1e-250"],
+     "c0"),
+    (["classify", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1e-200"], "k0"),
 ], ids=["classify_k0_overflow", "constants_k0_overflow", "classify_c0_zero_divisor",
-        "classify_k0_inf", "classify_a_thresholds_inf", "sweep_k0_overflow"])
+        "classify_k0_inf", "classify_a_thresholds_inf", "sweep_k0_overflow",
+        "classify_c0_underflow", "classify_k0_underflow"])
 def test_threshold_out_of_float_range_exits_2(tmp_path, capsys, args, quantity):
-    # A closed-form threshold past the float range is refused by name, and
-    # sweep writes nothing.
+    # A closed-form threshold past the float range, or underflowed to zero,
+    # is refused by name, and sweep writes nothing.
     assert run_cli(args + (["--out", str(tmp_path)] if args[0] == "sweep"
                            else [])) == 2
     captured = capsys.readouterr()

@@ -200,6 +200,30 @@ def test_profile_width_ignores_the_last_bits_of_beta():
         assert shifted.r_decay == pytest.approx(gs.r_decay, rel=1e-4)
 
 
+# r_decay as scipy's CubicHermiteSpline.solve gave it
+_R_DECAY = {3.0: 14.000350399289777, 4.0: 12.99075030940127, 6.0: 12.30455946862083}
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 24.0])
+def test_profile_is_the_cubic_hermite_spline_bit_for_bit(p):
+    # scipy.interpolate is the oracle of the profile: the numpy interpolant
+    # of the step ends, extrapolated below the first one, and its decay
+    # radius.
+    from scipy.interpolate import CubicHermiteSpline
+
+    gs = ground_state_radial(p)
+    spline = CubicHermiteSpline(*np.array(gs.steps).T)
+    r = np.concatenate(([0.0], np.linspace(0.0, 1.1 * gs.r_stop, 1002)[1:]))
+    inside = r < gs.r_stop
+    want = np.zeros_like(r)
+    want[inside] = spline(r[inside])
+    assert np.array_equal(gs(r), np.maximum(want, 0.0))
+    oracle = float(spline.solve(1e-6 * gs.beta, extrapolate=False)[0])
+    assert gs.r_decay == pytest.approx(oracle, rel=1e-12)
+    if p in _R_DECAY:
+        assert gs.r_decay == pytest.approx(_R_DECAY[p], rel=1e-12)
+
+
 def test_kgn_near_p2():
     # K_GN rises toward 1 as p -> 2; p = 2.01 needs the shoot to reach its
     # decay radius, about 75.

@@ -257,6 +257,55 @@ def test_dilate_scaling_laws(gauss256):
         assert v_total(v) - V0 == pytest.approx(-math.log(t), abs=1e-3)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(min_value=0.6, max_value=1.6),
+       p=st.sampled_from([2.5, 3.0, 4.0, 6.0]),
+       spec=st.one_of(
+           st.builds(ProfileSpec.gaussian, sigma=st.floats(min_value=0.6, max_value=2.0)),
+           # r0 >= 3.5 sigma keeps the ring's cone at the origin below 3e-3
+           st.builds(lambda sigma, k: ProfileSpec.ring(r0=k * sigma, sigma=sigma),
+                     st.floats(min_value=0.6, max_value=1.0),
+                     st.floats(min_value=3.5, max_value=5.0))))
+def test_dilate_scaling_laws_on_drawn_profiles(grid256, t, p, spec):
+    from planarsp.functionals import pnorm
+
+    u = discretize(spec, grid256)
+    v = dilate(u, t)
+    c = spec.c
+    assert mass(v) == pytest.approx(c, rel=1e-4)
+    assert kinetic(v) / kinetic(u) == pytest.approx(t ** 2, rel=1e-3)
+    assert pnorm(v, p) / pnorm(u, p) == pytest.approx(t ** (p - 2.0), rel=1e-3)
+    assert v_total(v) - v_total(u) == pytest.approx(-c * c * math.log(t), abs=1e-3)
+
+
+@pytest.mark.parametrize("spec", [
+    ProfileSpec.gaussian(sigma=1.0), ProfileSpec.ring(r0=4.0, sigma=1.0),
+    ProfileSpec.random_smooth(seed=3)], ids=["gaussian", "ring", "random_smooth"])
+def test_dilate_matches_map_coordinates(grid128, spec):
+    # scipy.ndimage is the oracle of the resampling: t M U M^T against
+    # map_coordinates' prefiltered cubic spline.  random_smooth fills the
+    # domain, so dilate refuses it for t < 1; its resampling is still
+    # compared.
+    from scipy.ndimage import map_coordinates
+
+    from planarsp.fiber import _spline_matrix
+
+    u = discretize(spec, grid128)
+    for t in (0.5, 0.9, 1.01, 1.3, 2.0):
+        idx = (t * grid128.coords1d() + 0.5 * grid128.extent) / grid128.h
+        ix, iy = np.meshgrid(idx, idx, indexing="ij")
+        want = t * map_coordinates(u.values, [ix, iy], order=3, mode="constant",
+                                   cval=0.0, prefilter=True)
+        M = _spline_matrix(grid128.n, idx)
+        got = t * (M @ u.values @ M.T)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        if spec.kind == "random_smooth" and t < 1.0:
+            with pytest.raises(DomainError):
+                dilate(u, t)
+        else:
+            assert np.array_equal(dilate(u, t).values, got)
+
+
 def test_dilate_support_escape():
     grid = make_grid(40.0, 128)
     u = discretize(ProfileSpec.gaussian(sigma=4.0), grid)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from planarsp import (DomainError, Field, GridMismatchError, ProfileSpec,
@@ -211,3 +215,69 @@ def test_field_io_truncated(tmp_path, gauss128, keep):
     path.write_bytes(cut)
     with pytest.raises(ValueError, match=f"has {len(cut)} bytes"):
         read_field(path)
+
+
+# ---------------------------------------------------------------------------
+# LPF1 files on generated fields
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _lpf_fields(draw, sizes=(16, 32)):
+    n = draw(st.sampled_from(sizes))
+    extent = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    values = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    return Field(make_grid(extent, n), values)
+
+
+@pytest.fixture(scope="module")
+def lpf_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("lpf") / "u.lpf"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(u=_lpf_fields())
+def test_field_io_roundtrip_is_bitwise(lpf_path, u):
+    write_field(u, lpf_path)
+    v = read_field(lpf_path)
+    assert v.grid == u.grid
+    assert v.values.tobytes() == u.values.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(u=_lpf_fields(), data=st.data())
+def test_field_io_refuses_every_truncation(lpf_path, u, data):
+    write_field(u, lpf_path)
+    raw = lpf_path.read_bytes()
+    lpf_path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(ValueError):
+        read_field(lpf_path)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(u=_lpf_fields(sizes=(16,)),
+       magic=st.binary(min_size=4, max_size=4).filter(lambda b: b != b"LPF1"))
+def test_field_io_refuses_a_corrupted_magic(lpf_path, u, magic):
+    write_field(u, lpf_path)
+    lpf_path.write_bytes(magic + lpf_path.read_bytes()[4:])
+    with pytest.raises(ValueError, match="bad magic"):
+        read_field(lpf_path)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(u=_lpf_fields(sizes=(16,)), at=st.integers(0, 19), mask=st.integers(1, 255))
+def test_field_io_header_flip_is_refused_or_valid(lpf_path, u, at, mask):
+    # A flipped byte of the 20-byte header (magic, n, L) gives a ValueError
+    # or, in L alone, a valid field with the same values on another extent.
+    write_field(u, lpf_path)
+    raw = bytearray(lpf_path.read_bytes())
+    raw[at] ^= mask
+    lpf_path.write_bytes(bytes(raw))
+    try:
+        v = read_field(lpf_path)
+    except ValueError:
+        return
+    assert at >= 12
+    assert v.grid.n == u.grid.n and 0.0 < v.grid.extent < math.inf
+    assert v.values.tobytes() == u.values.tobytes()
