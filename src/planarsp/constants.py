@@ -105,10 +105,11 @@ class RadialGroundState:
     round-off in beta has grown to O(1); it moves with the last bits of
     beta.  r_decay is where the profile first falls to 1e-6 * beta, well
     above that noise.  steps holds the (r, phi, phi') triples of the step
-    ends of the shoot.  The profile is the cubic Hermite interpolant of
-    them, built on first use and evaluated in numpy as
-    scipy.interpolate.CubicHermiteSpline does, bit for bit (the only use of
-    numpy here)."""
+    ends of the shoot, and shoots the number of shoots that built the state
+    (the bisection's and the profile's own).  The profile is the cubic
+    Hermite interpolant of the step ends, built on first use and evaluated
+    in numpy as scipy.interpolate.CubicHermiteSpline does, bit for bit (the
+    only use of numpy here)."""
 
     p: float
     beta: float          # phi(0)
@@ -117,6 +118,7 @@ class RadialGroundState:
     A: float             # 2*pi * int phi'^2 r dr
     C: float             # 2*pi * int phi^p r dr
     steps: tuple = dc_field(repr=False, compare=False)
+    shoots: int = dc_field(compare=False)
 
     @cached_property
     def _hermite(self):
@@ -228,9 +230,10 @@ def _miss(shot: _Shot) -> float:
     return -r * dphi * dphi if shot.sign == -1 else r * phi * phi
 
 
-def _radial_profile(beta: float, p: float) -> RadialGroundState:
+def _radial_profile(beta: float, p: float, earlier: int = 0) -> RadialGroundState:
     """The profile shot from phi(0) = beta: its integrals and stopping
-    radius from the shot's last step end, and its step ends."""
+    radius from the shot's last step end, and its step ends.  earlier is the
+    number of shoots made to find beta; the state counts them and its own."""
     shot = _shoot(beta, p)
     m, A, C = shot.state[2:]
 
@@ -248,7 +251,8 @@ def _radial_profile(beta: float, p: float) -> RadialGroundState:
         raise ShootingError(f"shooting profile for p={p} stops at "
                             f"r={r_stop} above 1e-6 * phi(0)")
     return RadialGroundState(p=float(p), beta=beta, r_stop=r_stop,
-                             mass=m, A=A, C=C, steps=tuple(shot.steps))
+                             mass=m, A=A, C=C, steps=tuple(shot.steps),
+                             shoots=earlier + 1)
 
 
 _GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
@@ -346,7 +350,7 @@ def ground_state_radial(p: float) -> RadialGroundState:
         raise ShootingError(
             f"ground-state bisection for p={p} ends on phi(0) in "
             f"[{lo!r}, {hi!r}], not on an undershoot and an overshoot")
-    state = _radial_profile(0.5 * (lo + hi), p)
+    state = _radial_profile(0.5 * (lo + hi), p, earlier=len(seen))
     _GROUND_STATE_CACHE[key] = state
     return state
 

@@ -12,10 +12,14 @@ mass constraint, and the stationarity residuals.
 
 The convolution w = log|.| * u^2 is evaluated as a free-space convolution:
 u^2 is zero-padded to a 2n x 2n grid and multiplied in Fourier space with
-the kernel sampled at node differences.  Only the n x n block of each
-padded inverse is read, so the inverse is pruned: n rows by a complex
-inverse along the first axis, then n columns of those rows by a real
-inverse along the second.  The kernel value assigned to the
+the kernel sampled at node differences.  Both padded transforms are
+pruned.  The forward transforms only the n non-zero rows, by a real
+transform of length 2n along the second axis, then every column by a
+complex transform of length 2n along the first.  Only the n x n block of
+each padded inverse is read, so the inverse keeps n rows of a complex
+inverse along the first axis and carries only those through a real
+inverse along the second.  Both are bit-identical to the full 2n x 2n
+transforms.  The kernel value assigned to the
 zero-displacement cell is the exact cell average of the kernel over one
 grid cell (in closed form for log r; for log(1+r) and log(1+1/r) a fixed
 Gauss-Legendre rule over the polar angle of the closed-form integral
@@ -151,18 +155,19 @@ def _log_cell_average(h: float) -> float:
     return math.log(h) - 0.5 * math.log(2.0) + 0.25 * math.pi - 1.5
 
 
-def _kernel_rfft(n: int, h: float, f, origin: float) -> np.ndarray:
+def _kernel_rfft(r: np.ndarray, pos: np.ndarray, f, origin: float) -> np.ndarray:
+    """rfft2 of the kernel f sampled at the node distances r, where pos is
+    r > 0, and the weight origin at r = 0."""
     import scipy.fft as sfft
 
-    idx = np.arange(2 * n)
-    d = np.where(idx < n, idx, idx - 2 * n) * h
-    dx, dy = np.meshgrid(d, d, indexing="ij")
-    r = np.hypot(dx, dy)
     k = np.empty_like(r)
-    pos = r > 0
     k[pos] = f(r[pos])
     k[~pos] = origin
     return sfft.rfft2(k)
+
+
+# Squared decay length of the Sobolev metric (1 - beta Delta).
+_SOBOLEV_BETA = 0.25
 
 
 @dataclass(frozen=True)
@@ -174,9 +179,10 @@ class KernelTable:
 
     grid: Grid
     k2: np.ndarray          # |k|^2 in rfft2 layout on the 2n x 2n padded grid
+    smoother: np.ndarray    # 1 / (1 + beta |k|^2), the inverse Sobolev metric
     khat_log: np.ndarray    # rfft2 of log|z| kernel samples
-    khat_v1: np.ndarray     # rfft2 of log(1+|z|)
-    khat_v2: np.ndarray     # rfft2 of log(1+1/|z|)
+    khat_v1: np.ndarray     # real part of the rfft2 of log(1+|z|)
+    khat_v2: np.ndarray     # real part of the rfft2 of log(1+1/|z|)
     log_weight: np.ndarray  # log(1+|x|) quadrature weight on the n x n grid
 
     @staticmethod
@@ -191,13 +197,21 @@ class KernelTable:
         avg_log = _log_cell_average(h)
         avg_v1 = _origin_cell_average(_r_log1p, h)
         avg_v2 = _origin_cell_average(_r_log1p_inv, h)
-        khat_log = _kernel_rfft(n, h, np.log, avg_log - _SINGULAR_WEIGHT)
-        khat_v1 = _kernel_rfft(n, h, np.log1p, avg_v1)
-        khat_v2 = _kernel_rfft(n, h, lambda r: np.log1p(1.0 / r),
-                               avg_v2 + _SINGULAR_WEIGHT)
+        # Node distances on the padded grid, shared by the three kernels.
+        idx = np.arange(2 * n)
+        d = np.where(idx < n, idx, idx - 2 * n) * h
+        r = np.hypot(d[:, None], d[None, :])
+        pos = r > 0
+        khat_log = _kernel_rfft(r, pos, np.log, avg_log - _SINGULAR_WEIGHT)
+        # V1 and V2 read only the real parts (see Evaluation._interaction).
+        khat_v1 = _kernel_rfft(r, pos, np.log1p, avg_v1).real.copy()
+        khat_v2 = _kernel_rfft(r, pos, lambda r: np.log1p(1.0 / r),
+                               avg_v2 + _SINGULAR_WEIGHT).real.copy()
         k = 2.0 * np.pi * sfft.fftfreq(2 * n, d=h)
         k2 = k[:, None] ** 2 + k[None, : n + 1] ** 2
-        return KernelTable(grid=grid, k2=k2, khat_log=khat_log,
+        return KernelTable(grid=grid, k2=k2,
+                           smoother=1.0 / (1.0 + _SOBOLEV_BETA * k2),
+                           khat_log=khat_log,
                            khat_v1=khat_v1, khat_v2=khat_v2,
                            log_weight=np.log1p(grid.radius()))
 
@@ -225,11 +239,18 @@ def kernel_table(grid: Grid) -> KernelTable:
 
 
 def _forward(values: np.ndarray) -> np.ndarray:
-    """rfft2 of the n x n values zero-padded to the 2n x 2n grid."""
+    """rfft2 of the n x n values zero-padded to the 2n x 2n grid, pruned:
+    the n rows, the only non-zero ones, by a real transform of length 2n
+    along the second axis, then every column of them by a complex one of
+    length 2n along the first.  These are the two stages rfft2 runs, minus
+    the real transforms of the n zero rows, so the spectrum is
+    bit-identical to rfft2(values, s=(2n, 2n)).  It is a fresh array that
+    the caller owns."""
     import scipy.fft as sfft
 
     n = values.shape[0]
-    return sfft.rfft2(values, s=(2 * n, 2 * n))
+    rows = sfft.rfftn(values, s=(2 * n,), axes=(1,))
+    return sfft.fftn(rows, s=(2 * n,), axes=(0,), overwrite_x=True)
 
 
 def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
@@ -252,7 +273,9 @@ class Evaluation:
     """Every functional of one field u, each computed on first use and kept.
 
     Two forward transforms, of u and of u^2 zero-padded to 2n x 2n, feed
-    all of them.  w = log|.| * u^2 and -Delta u take one pruned inverse
+    all of them; each is pruned to the n non-zero rows (n rows by rfft,
+    then the columns by fft), bit-identical to the full padded rfft2.
+    w = log|.| * u^2 and -Delta u take one pruned inverse
     each (n rows by ifft, then n columns by irfft), bit-identical to the
     n x n block of the full padded inverse; A = <u, -Delta u> and
     V = <u^2, w> are grid sums over them, which keeps the flows' rounding,
@@ -284,8 +307,9 @@ class Evaluation:
         # Parseval: h^4 (1/N) sum khat |spec_sq|^2 over the N-point padded
         # spectrum, read from its rfft2 half, where the columns k_y = 0 and
         # k_y = n stand for themselves and every other one also for its
-        # mirror.  The sampled kernels are even, so their transforms are real.
-        dens = khat.real * (self.spec_sq.real ** 2 + self.spec_sq.imag ** 2)
+        # mirror.  The sampled kernels are even, so their transforms are real
+        # and the table keeps only their real parts.
+        dens = khat * (self.spec_sq.real ** 2 + self.spec_sq.imag ** 2)
         total = 2.0 * float(np.sum(dens)) - float(np.sum(dens[:, 0])) \
             - float(np.sum(dens[:, -1]))
         return self._h2 * self._h2 * total / dens.shape[0] ** 2
@@ -308,8 +332,11 @@ class Evaluation:
     @cached_property
     def neg_lap(self) -> np.ndarray:
         """-Delta u on the grid (a copy, so the n x 2n inverse is freed); the
-        spectrum of u is not kept, as nothing else reads it."""
-        return _inverse(self.table.k2 * _forward(self.u.values), self.u.grid.n).copy()
+        spectrum of u is not kept, as nothing else reads it, so it is
+        multiplied by |k|^2 in place."""
+        spec = _forward(self.u.values)
+        spec *= self.table.k2
+        return _inverse(spec, self.u.grid.n).copy()
 
     @cached_property
     def star_norm(self) -> float:
@@ -385,17 +412,19 @@ def evaluate(u: Field, table: Optional[KernelTable] = None) -> Evaluation:
     return Evaluation(u, table or kernel_table(u.grid))
 
 
-# Squared decay length of the Sobolev metric (1 - beta Delta).
-_SOBOLEV_BETA = 0.25
-
-
 def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:
     """Inverse-Helmholtz (1 - beta Delta)^-1 applied spectrally on the
     padded grid: the Sobolev-metric representation of a gradient direction.
     The short-range kernel (decay length sqrt(beta)) keeps the direction
-    from smearing mass toward the boundary frame."""
-    return _inverse(_forward(values) / (1.0 + _SOBOLEV_BETA * table.k2),
-                    values.shape[0])
+    from smearing mass toward the boundary frame.
+
+    The fresh spectrum of values is multiplied in place by the table's
+    1 / (1 + beta |k|^2).  That is the division by 1 + beta |k|^2 bit for
+    bit: numpy divides a complex number by one with zero imaginary part by
+    multiplying it with the reciprocal of the real part."""
+    spec = _forward(values)
+    spec *= table.smoother
+    return _inverse(spec, values.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -344,14 +344,17 @@ class _FiberBranch(_Objective):
         report.extras["recenters"] = self.recenters
 
 
-def _flow(u: Field, obj: _Objective, cfg: SolverConfig,
+def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
           regime: K.RegimeLabel) -> SolveReport:
-    """Run the projected Sobolev-gradient flow of obj from u until the
-    tangent gradient and Q both certify; raises ConvergenceError (with the
-    report) when they do not."""
+    """Run the projected Sobolev-gradient flow of obj from the field of
+    start, an evaluation on obj's table, until the tangent gradient and Q
+    both certify; raises ConvergenceError (with the report) when they do
+    not.  Callers pass start as a temporary: once the first step is taken
+    nothing holds its spectra."""
     params, table, mode = obj.params, obj.table, obj.mode
-    h, c = u.grid.h, params.c
-    pt = obj.point(evaluate(u, table))
+    h, c = start.u.grid.h, params.c
+    pt = obj.point(start)
+    del start
     if pt is None:
         raise RegimeError(
             f"{mode}: initial field is not admissible (outside the guarded "
@@ -482,7 +485,8 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
     regime = _regime_for(global_minimize, params, "a bounded-below regime")
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
-    return _flow(u0, _Energy(params, table, "global_minimize"), config, regime)
+    return _flow(evaluate(u0, table), _Energy(params, table, "global_minimize"),
+                 config, regime)
 
 
 def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
@@ -494,14 +498,18 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
     regime = _regime_for(local_minimize_capped, params,
                          "gamma > 0, a > 0, p > 4, c < c0")
     table = kernel_table(grid)
-    cap = K.k0(params)
-    u0 = _as_field(init, grid, params.c)
-    A0 = kinetic(u0, table)
-    if A0 > 0.9 * cap:
-        # Pre-contract along the fiber: A(u^t) = t^2 A puts the init inside.
-        u0 = normalize(dilate(u0, math.sqrt(0.8 * cap / A0)), params.c)
-    return _flow(u0, _Energy(params, table, "local_minimize_capped", cap),
-                 config, regime)
+    obj = _Energy(params, table, "local_minimize_capped", K.k0(params))
+    return _flow(_inside_cap(_as_field(init, grid, params.c), obj), obj, config, regime)
+
+
+def _inside_cap(u0: Field, obj: _Energy) -> Evaluation:
+    """The evaluation of u0, or, if its A exceeds 0.9 of obj's cap, of u0
+    contracted along its fiber to A = 0.8 cap (A(u^t) = t^2 A)."""
+    ev = evaluate(u0, obj.table)
+    if ev.A <= 0.9 * obj.cap:
+        return ev
+    u1 = normalize(dilate(u0, math.sqrt(0.8 * obj.cap / ev.A)), obj.params.c)
+    return evaluate(u1, obj.table)
 
 
 def _branch_of(sc: FiberScalars, branch: str) -> BranchPoint:
@@ -524,7 +532,7 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
     obj = _FiberBranch(params, table, f"lambda_branch_minimize[{branch}]", branch)
-    return _flow(u0, obj, config, regime)
+    return _flow(evaluate(u0, table), obj, config, regime)
 
 
 def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,26 @@ def test_shooting_stops_at_the_float_floor(monkeypatch):
     toward = -math.inf if side == -1 else math.inf
     other = real_shoot(float(np.nextafter(gs.beta, toward)), p).sign
     assert (side == -1) != (other == -1)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+def test_ground_state_counts_its_shoots(monkeypatch, p):
+    import planarsp.constants as C
+
+    shoots = []
+    real_shoot = C._shoot
+
+    def counted(*args, **kwargs):
+        shoots.append(args)
+        return real_shoot(*args, **kwargs)
+
+    monkeypatch.setattr(C, "_shoot", counted)
+    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    gs = ground_state_radial(p)
+    assert gs.shoots == len(shoots)
+    # The count is bookkeeping, not part of the state's value.
+    assert dataclasses.replace(gs, shoots=0) == gs
+    assert ground_state_radial(p) is gs and len(shoots) == gs.shoots
 
 
 def test_overflowing_shoot_chains_the_overflow():

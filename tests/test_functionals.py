@@ -308,6 +308,20 @@ def test_evaluation_matches_padded_reference(which, gauss256, grid128):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("n", [16, 128, 256, 512])
+@pytest.mark.parametrize("kind", ["gaussian", "noise"])
+def test_pruned_forward_is_bit_identical(n, kind):
+    if kind == "gaussian":
+        u = discretize(ProfileSpec.gaussian(sigma=1.0), make_grid(40.0, n))
+        values = u.values
+    else:
+        values = np.random.default_rng(n).standard_normal((n, n))
+    kept = values.copy()
+    assert np.array_equal(functionals._forward(values),
+                          sfft.rfft2(values, s=(2 * n, 2 * n)))
+    assert np.array_equal(values, kept)
+
+
 def _padded_block(values, multiplier):
     """The n x n block of the full 2n x 2n inverse of multiplier times the
     padded transform of values, by scipy.fft.irfft2."""
@@ -329,6 +343,7 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     table = kernel_table(grid)
     kept = {name: array.copy() for name, array in vars(table).items()
             if isinstance(array, np.ndarray)}
+    assert {"k2", "smoother", "khat_log"} <= kept.keys()
     ev = evaluate(u, table)
     v1_before, v2_before = ev.V1, ev.V2
     spec_sq = ev.spec_sq.copy()
@@ -338,9 +353,11 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     h2 = grid.h * grid.h
     assert np.array_equal(ev.w, h2 * _padded_block(u2, table.khat_log))
     assert np.array_equal(ev.neg_lap, _padded_block(u.values, table.k2))
-    assert np.array_equal(
-        smooth_direction(direction, table),
-        _padded_block(direction, 1.0 / (1.0 + functionals._SOBOLEV_BETA * table.k2)))
+    # The table's reciprocal multiplies as the division by the symbol did.
+    sobolev = 1.0 + functionals._SOBOLEV_BETA * table.k2
+    spec = sfft.rfft2(direction, s=(2 * n, 2 * n)) / sobolev
+    assert np.array_equal(smooth_direction(direction, table),
+                          sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n])
 
     # The inverse consumes its input: no kept spectrum may have been passed.
     assert np.array_equal(ev.spec_sq, spec_sq)
@@ -351,30 +368,16 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     assert (ev_after.V1, ev_after.V2) == (v1_before, v2_before)
 
 
-@pytest.fixture
-def fft_counts(monkeypatch):
-    import scipy.fft
-
-    counts = {"rfft2": 0, "ifftn": 0, "irfftn": 0}
-    for name in counts:
-        real = getattr(scipy.fft, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted)
-    return counts
-
-
 def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
     table = kernel_table(gauss128.grid)
     regime = K.regime_classify(PR3, K.sharp_constants(PR3.p))
-    fft_counts.update(rfft2=0, ifftn=0, irfftn=0)
+    fft_counts.update(rfftn=0, fftn=0, ifftn=0, irfftn=0)
     ev = evaluate(gauss128, table)
     ev.F(PR3)  # an Armijo trial point: A and V need w and -Delta u
-    # Two forwards and two pruned inverses, each an ifftn and an irfftn.
-    assert fft_counts == {"rfft2": 2, "ifftn": 2, "irfftn": 2}
+    # Two pruned forwards, each an rfftn and an fftn, and two pruned
+    # inverses, each an ifftn and an irfftn.
+    two_each = {"rfftn": 2, "fftn": 2, "ifftn": 2, "irfftn": 2}
+    assert fft_counts == two_each
     report = solvers._finalize(ev, PR3, regime, "test", 0, False, [])
-    assert fft_counts == {"rfft2": 2, "ifftn": 2, "irfftn": 2}
+    assert fft_counts == two_each
     assert report.el_res == el_residual(gauss128, PR3, report.lam, table)

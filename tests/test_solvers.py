@@ -2,12 +2,13 @@ import dataclasses
 
 import pytest
 
-from planarsp import (DomainError, Params, ProfileSpec, RegimeError,
+from planarsp import (ConvergenceError, DomainError, Params, ProfileSpec, RegimeError,
                       SolverConfig, global_minimize, lambda_branch_minimize,
                       lambda_maximize, local_minimize_capped, make_grid, mass,
                       masscritical_probe, scalars, t_star, two_bump_probe)
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
                                 kgn_estimate, mass_critical_threshold)
+from planarsp.functionals import kernel_table
 from planarsp.solvers import gaussian_on_branch
 
 CFG = SolverConfig(max_iter=6000, trace=True)
@@ -39,6 +40,18 @@ def plus_report(p6_setup):
     grid = make_grid(24.0, 128)
     return lambda_branch_minimize(p6_setup, grid, CFG,
                                   gaussian_on_branch(p6_setup, "plus"), "plus")
+
+
+def test_capped_start_is_evaluated_once(p6_setup, fft_counts):
+    # The start field lies inside the cap, so the solver's own evaluation of
+    # it starts the flow: u and u^2 take one pruned forward each.
+    grid = make_grid(24.0, 64)
+    kernel_table(grid)
+    fft_counts.update(rfftn=0, fftn=0)
+    with pytest.raises(ConvergenceError):
+        local_minimize_capped(p6_setup, grid, SolverConfig(max_iter=0),
+                              ProfileSpec.gaussian(sigma=1.5))
+    assert (fft_counts["rfftn"], fft_counts["fftn"]) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
