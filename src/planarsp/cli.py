@@ -266,7 +266,7 @@ def cmd_fiber(args) -> int:
     spec = _merged_profile(cfg, args, params.c)
     u = discretize(spec, grid)
     sc = scalars(u, params)
-    points = [] if params.p == 4.0 else critical_points(sc)
+    points = critical_points(sc)
     if points:
         t_lo = points[0].s / 10.0
         t_hi = 10.0 * points[-1].s
@@ -276,17 +276,24 @@ def cmd_fiber(args) -> int:
         t_lo = args.t_min
     if args.t_max is not None:
         t_hi = args.t_max
-    if not (0 < t_lo < t_hi):
+    if not (0 < t_lo < t_hi < math.inf):
         raise ConfigError(f"bad t range [{t_lo}, {t_hi}]")
-    ts = np.logspace(np.log10(t_lo), np.log10(t_hi), 400)
+    # Every row is computed, and refused unless finite, before the file opens.
+    ts = np.logspace(np.log10(t_lo), np.log10(t_hi), 400).tolist()
+    try:
+        rows = [(t, g(sc, t), dg(sc, t), ddg(sc, t), phi(sc, t)) for t in ts]
+        finite = all(math.isfinite(v) for row in rows for v in row)
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"the fiber map is not finite on the t range "
+                          f"[{t_lo}, {t_hi}]")
     out = _outdir(args) / "fiber.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("t,g,dg,ddg,phi\n")
-        for t in ts:
-            t = float(t)
-            fh.write(f"{t:.12g},{g(sc, t):.12g},{dg(sc, t):.12g},"
-                     f"{ddg(sc, t):.12g},{phi(sc, t):.12g}\n")
-    print(f"wrote {out} ({len(ts)} samples, scalars A={sc.A:.6g} "
+        fh.writelines(",".join(f"{v:.12g}" for v in row) + "\n"
+                      for row in rows)
+    print(f"wrote {out} ({len(rows)} samples, scalars A={sc.A:.6g} "
           f"C={sc.C:.6g} V={sc.V:.6g})")
     return EXIT_OK
 
@@ -361,9 +368,12 @@ def cmd_solve(args) -> int:
                 f"{'; '.join(label.certificate['conditions'])}"
             )
         minimize, on_branch = solvers
-        if on_branch is not None and branch in ("plus", "minus"):
-            return on_branch(params, grid, solver_cfg, spec, branch)
-        return minimize(params, grid, solver_cfg, spec)
+        if branch == "auto":
+            return minimize(params, grid, solver_cfg, spec)
+        if on_branch is None:
+            raise RegimeError(f"branch {branch!r} does not apply: regime "
+                              f"{label.tag} has no fiber branches")
+        return on_branch(params, grid, solver_cfg, spec, branch)
 
     def write_outputs(report, exit_code):
         out = _outdir(args)

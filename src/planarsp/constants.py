@@ -15,12 +15,12 @@ inside the two places that build fields, the profile and
 gn_profile_field.  phi(0) is the end of a bisection to two adjacent
 floats, a shot undershoot and a shot overshoot;
 Anderson-Bjorck regula falsi first narrows the sign change to a few
-hundred ulps, so only the bisection midpoints near it are shot (21 to 31
-shoots rather than 55, see ground_state_radial).  One more shoot from
-that phi(0) gives the integrals and the stopping radius from its last step
-end, and the profile as a cubic Hermite interpolant of phi and phi' at
-its step ends, built in numpy on first use.  From K_GN all threshold
-constants of the problem follow in closed form:
+hundred ulps, so only the bisection midpoints near it are shot (20 to 30
+shoots rather than 53 or 54, see ground_state_radial).  phi(0) is one of
+those two floats, and its own shot gives the integrals and the stopping
+radius from its last step end, and the profile as a cubic Hermite
+interpolant of phi and phi' at its step ends, built in numpy on first use.
+From K_GN all threshold constants of the problem follow in closed form:
 
     k0 = (p-2) |gamma| c^2 / (4 |p-4|)        kinetic cap level
     c0 = 2 [ p (p-4)^((p-4)/2) / (p-2)^(p/2) * 1/(a gamma^((p-4)/2) K_GN) ]^(1/(p-3))
@@ -106,10 +106,10 @@ class RadialGroundState:
     beta.  r_decay is where the profile first falls to 1e-6 * beta, well
     above that noise.  steps holds the (r, phi, phi') triples of the step
     ends of the shoot, and shoots the number of shoots that built the state
-    (the bisection's and the profile's own).  The profile is the cubic
-    Hermite interpolant of the step ends, built on first use and evaluated
-    in numpy as scipy.interpolate.CubicHermiteSpline does, bit for bit (the
-    only use of numpy here)."""
+    (the search's; the profile is one of its shots).  The profile is the
+    cubic Hermite interpolant of the step ends, built on first use and
+    evaluated in numpy as scipy.interpolate.CubicHermiteSpline does, bit
+    for bit (the only use of numpy here)."""
 
     p: float
     beta: float          # phi(0)
@@ -178,9 +178,19 @@ _RTOL, _ATOL = 1e-12, 1e-14
 
 
 class _Shot(NamedTuple):
+    beta: float          # phi(0)
     sign: int            # -1 overshoot, +1 undershoot, 0 neither
     steps: list          # (r, phi, phi') at each step end, from _R_SPAN[0]
     state: list          # phi, phi', mass, A, C at the last step end
+
+    @property
+    def miss(self) -> float:
+        """Signed miss at the last step end: r phi^2 where an undershoot
+        turns (or where a shoot of sign 0 ends), -r phi'^2 where an
+        overshoot crosses zero.  Near the ground state both vanish linearly
+        in phi(0) - phi*(0)."""
+        r, phi, dphi = self.steps[-1]
+        return -r * dphi * dphi if self.sign == -1 else r * phi * phi
 
 
 def _shoot(beta: float, p: float) -> _Shot:
@@ -218,23 +228,13 @@ def _shoot(beta: float, p: float) -> _Shot:
     if code < 0:
         raise ShootingError(f"radial shooting failed for p={p} from "
                             f"phi(0)={beta!r}: DOP853 return code {code}")
-    return _Shot(sign, steps, state)
+    return _Shot(beta, sign, steps, state)
 
 
-def _miss(shot: _Shot) -> float:
-    """Signed miss of a shoot at its last step end: r phi^2 where an
-    undershoot turns (or where a shoot of sign 0 ends), -r phi'^2 where an
-    overshoot crosses zero.  Near the ground state both vanish linearly in
-    phi(0) - phi*(0)."""
-    r, phi, dphi = shot.steps[-1]
-    return -r * dphi * dphi if shot.sign == -1 else r * phi * phi
-
-
-def _radial_profile(beta: float, p: float, earlier: int = 0) -> RadialGroundState:
-    """The profile shot from phi(0) = beta: its integrals and stopping
-    radius from the shot's last step end, and its step ends.  earlier is the
-    number of shoots made to find beta; the state counts them and its own."""
-    shot = _shoot(beta, p)
+def _radial_profile(shot: _Shot, p: float, shoots: int = 1) -> RadialGroundState:
+    """The profile of a shot: its integrals and stopping radius from its last
+    step end, and its step ends, once they pass the Pohozaev and decay
+    checks.  shoots is the number of shoots made to find the shot."""
     m, A, C = shot.state[2:]
 
     # Pohozaev identities of the profile: mass = (2/p) C and A = (p-2)/p C.
@@ -247,12 +247,12 @@ def _radial_profile(beta: float, p: float, earlier: int = 0) -> RadialGroundStat
         )
 
     r_stop = shot.steps[-1][0]
-    if not any(phi <= 1e-6 * beta for _, phi, _ in shot.steps):
+    if not any(phi <= 1e-6 * shot.beta for _, phi, _ in shot.steps):
         raise ShootingError(f"shooting profile for p={p} stops at "
                             f"r={r_stop} above 1e-6 * phi(0)")
-    return RadialGroundState(p=float(p), beta=beta, r_stop=r_stop,
+    return RadialGroundState(p=float(p), beta=shot.beta, r_stop=r_stop,
                              mass=m, A=A, C=C, steps=tuple(shot.steps),
-                             shoots=earlier + 1)
+                             shoots=shoots)
 
 
 _GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
@@ -260,19 +260,19 @@ _GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
 
 def ground_state_radial(p: float) -> RadialGroundState:
     """Ground state of -Delta phi + phi = phi^(p-1): phi(0) bisected to
-    adjacent floats, in 21 to 31 shoots rather than 55.
+    adjacent floats, in 20 to 30 shoots rather than 53 or 54.
 
     phi(0) = 1 is an undershoot; shoots from 2, 2.8, 3.92, ... find the
     first overshoot, top.  Anderson-Bjorck regula falsi (BIT 13, 1973) on
-    each shoot's signed miss (_miss) narrows a bracket of two real shoots,
-    an undershoot L and an overshoot H, to H - L <= M = _NARROW * H.  Then
-    the plain bisection of [1, top] is replayed midpoint by midpoint: a
-    midpoint at or below L - M is an undershoot and one at or above H + M
+    each shoot's signed miss (_Shot.miss) narrows a bracket of two real
+    shoots, an undershoot L and an overshoot H, to H - L <= M = _NARROW * H.
+    Then the plain bisection of [1, top] is replayed midpoint by midpoint:
+    a midpoint at or below L - M is an undershoot and one at or above H + M
     an overshoot without a shoot, every other midpoint is shot, and the
     final pair of adjacent floats must be a shot undershoot and a shot
     overshoot.  The bisection's phi(0) is then returned unchanged, shoot
-    for shoot where it is shot; one more shoot from it gives the
-    profile."""
+    for shoot where it is shot, and its own shot, one of that pair, gives
+    the profile."""
     if p <= 2:
         raise ValueError(f"ground state requires p > 2, got {p}")
     key = round(float(p), 12)
@@ -280,20 +280,18 @@ def ground_state_radial(p: float) -> RadialGroundState:
     if cached is not None:
         return cached
 
-    # phi(0) -> (overshoot?, miss) of each shoot made; the shots themselves,
-    # with their step ends, are not kept.
-    seen: Dict[float, Tuple[bool, float]] = {}
+    # phi(0) -> the shot from it: no phi(0) is shot twice.
+    seen: Dict[float, _Shot] = {}
 
-    def shoot(beta: float) -> Tuple[bool, float]:
+    def shoot(beta: float) -> _Shot:
         if beta not in seen:
-            shot = _shoot(beta, p)
-            seen[beta] = (shot.sign == -1, _miss(shot))
+            seen[beta] = _shoot(beta, p)
         return seen[beta]
 
     # phi(0) = 1 is the constant solution, an undershoot for every p.
     L, top = 1.0, 2.0
     for _ in range(60):
-        if shoot(top)[0]:
+        if shoot(top).sign == -1:
             break
         L, top = top, top * 1.4
     else:
@@ -304,14 +302,14 @@ def ground_state_radial(p: float) -> RadialGroundState:
     H = top
     while L not in seen:
         mid = 0.5 * (L + H)
-        if shoot(mid)[0]:
+        if shoot(mid).sign == -1:
             H = mid
         else:
             L = mid
 
     # Anderson-Bjorck: the end kept a second time in a row has its miss
     # scaled by 1 - f/f_replaced (by 1/2 if that is not positive).
-    fL, fH = seen[L][1], seen[H][1]
+    fL, fH = seen[L].miss, seen[H].miss
     side = 0
     for _ in range(_SHOOTING_BISECTIONS):
         if H - L <= _NARROW * H:
@@ -319,8 +317,9 @@ def ground_state_radial(p: float) -> RadialGroundState:
         x = L + (H - L) * (fL / (fL - fH))
         if not L < x < H:
             x = 0.5 * (L + H)
-        over, f = shoot(x)
-        if over:
+        shot = shoot(x)
+        f = shot.miss
+        if shot.sign == -1:
             if side == -1:
                 m = 1.0 - f / fH
                 fL *= m if m > 0.0 else 0.5
@@ -342,15 +341,15 @@ def ground_state_radial(p: float) -> RadialGroundState:
             lo = mid
         elif mid >= H + M:
             hi = mid
-        elif shoot(mid)[0]:
+        elif shoot(mid).sign == -1:
             hi = mid
         else:
             lo = mid
-    if shoot(lo)[0] or not shoot(hi)[0]:
+    if shoot(lo).sign == -1 or shoot(hi).sign != -1:
         raise ShootingError(
             f"ground-state bisection for p={p} ends on phi(0) in "
             f"[{lo!r}, {hi!r}], not on an undershoot and an overshoot")
-    state = _radial_profile(0.5 * (lo + hi), p, earlier=len(seen))
+    state = _radial_profile(shoot(0.5 * (lo + hi)), p, len(seen))
     _GROUND_STATE_CACHE[key] = state
     return state
 

@@ -223,6 +223,9 @@ class ProfileSpec:
                 raise ValueError("two_bump scale must be >= 1")
             if self.radius <= 0:
                 raise ValueError("two_bump lobe radius must be positive")
+        if self.kind == "random_smooth" and self.cutoff < 1:
+            raise ValueError(f"random_smooth cutoff must be >= 1, "
+                             f"got {self.cutoff}")
 
     @staticmethod
     def gaussian(sigma: float = 1.0, center: Tuple[float, float] = (0.0, 0.0),
@@ -296,7 +299,7 @@ def _sample(spec: ProfileSpec, grid: Grid) -> Field:
     if spec.kind == "random_smooth":
         rng = np.random.default_rng(spec.seed)
         n = grid.n
-        kc = max(1, int(spec.cutoff))
+        kc = int(spec.cutoff)
         coef = rng.standard_normal((2 * kc + 1, 2 * kc + 1))
         phase = rng.uniform(0.0, 2.0 * np.pi, coef.shape)
         vals = np.zeros((n, n))

@@ -356,6 +356,40 @@ def test_fiber_range_override(tmp_path):
     assert ts[-1] == pytest.approx(2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("t_range", [["--t-max", "inf"], ["--t-max", "1e300"],
+                                     ["--t-min", "1e-320"]],
+                         ids=["infinite", "overflowing", "underflowing"])
+def test_fiber_refuses_a_t_range_before_writing(tmp_path, capsys, t_range):
+    # An infinite end, or a range where the fiber map overflows or divides
+    # by an underflowed t^2, is refused by name and nothing is written.
+    out = tmp_path / "fib"
+    assert run_cli(["fiber", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
+                    "--grid-n", "64", *t_range, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "t range" in err
+    assert not (out / "fiber.csv").exists()
+
+
+def test_fiber_p4_range_centers_on_its_root(tmp_path):
+    # critical_points solves p = 4 in closed form; the default range starts
+    # a decade below that root, as at every other exponent.
+    from planarsp import Params, ProfileSpec, discretize, make_grid
+    from planarsp.fiber import critical_points, scalars
+
+    params = Params(gamma=1.0, a=1.0, p=4.0, c=1.0)
+    u = discretize(ProfileSpec.gaussian(sigma=1.0), make_grid(40.0, 64))
+    (point,) = critical_points(scalars(u, params))
+    assert point.s == pytest.approx(0.5212, abs=1e-4)
+    out = tmp_path / "fib"
+    assert run_cli(["fiber", "--gamma", "1", "--a", "1", "--p", "4", "--c", "1",
+                    "--grid-n", "64", "--out", str(out)]) == 0
+    rows = (out / "fiber.csv").read_text().splitlines()[1:]
+    ts = [float(r.split(",")[0]) for r in rows]
+    assert ts[0] == pytest.approx(point.s / 10.0, rel=1e-11)
+    assert ts[-1] == pytest.approx(10.0 * point.s, rel=1e-11)
+
+
 def test_sweep_band_structure(tmp_path):
     out = tmp_path / "sw"
     assert run_cli(["sweep", "--gamma", "-1", "--p", "3", "--a-min", "1",
@@ -470,6 +504,18 @@ def test_solve_regime_refusal_exit_4(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("branch", ["minus", "plus"])
+def test_solve_refuses_a_branch_without_fiber_branches(tmp_path, capsys, branch):
+    # GlobalMin has no branch solver: a fiber branch is refused, not ignored,
+    # and nothing is written (auto, the default, runs global_minimize).
+    out = tmp_path / "x"
+    assert run_cli(["solve", "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
+                    "--grid-n", "64", "--branch", branch,
+                    "--out", str(out)]) == 4
+    assert "regime GlobalMin has no fiber branches" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_refuses_the_published_gamma_negative_window(tmp_path, capsys):
     # T1 < a = 6.5 < T2 at p = 3: the Pohozaev set is empty, nothing is
     # solved and nothing is written.
@@ -522,12 +568,14 @@ _PARAMS = {"gamma": 1, "a": 0, "p": 3, "c": 1}
     ({"profile": {"sigma": "1.5"}}, "profile.sigma"),
     ({"profile": {"center": [0, "0"]}}, "profile.center"),
     ({"profile": {"kind": "random_smooth", "seed": 1.5}}, "profile.seed"),
+    ({"profile": {"kind": "random_smooth", "cutoff": 0}}, "cutoff"),
 ], ids=["params_not_object", "grid_not_object", "solver_not_object",
         "profile_not_object", "bool_gamma", "string_a", "string_L", "bool_n",
-        "fractional_n", "string_sigma", "string_center", "fractional_seed"])
+        "fractional_n", "string_sigma", "string_center", "fractional_seed",
+        "zero_cutoff"])
 def test_solve_refuses_malformed_config(tmp_path, capsys, cfg, key):
-    # Every value is checked, not coerced: True is not 1, "1" is not 1 and
-    # 128.9 is not 128.
+    # Every value is checked, not coerced: True is not 1, "1" is not 1,
+    # 128.9 is not 128 and a cutoff of 0 is not 1.
     cfg = dict({"params": _PARAMS, "grid": {"n": 128}}, **cfg)
     out = tmp_path / "out"
     code = run_cli(["solve", "--out", str(out),

@@ -31,10 +31,10 @@ def test_ground_state_pohozaev_ratios(p):
 
 
 def test_shooting_stops_at_the_float_floor(monkeypatch):
-    # Two bracket shoots, about 10 regula falsi steps, the 10 or so
-    # bisection midpoints within a few hundred ulps of beta and the final
-    # shoot at beta; the plain bisection took 55 shoots, and running all 80
-    # of its steps took 83.
+    # Two bracket shoots, about 10 regula falsi steps and the 10 or so
+    # bisection midpoints within a few hundred ulps of beta, beta among
+    # them, whose shot is the profile; the plain bisection shoots 54
+    # midpoints and bracket ends.
     import planarsp.constants as C
 
     assert not hasattr(C, "solve_ivp")   # one integrator: planarsp.dop853
@@ -73,6 +73,8 @@ def test_ground_state_counts_its_shoots(monkeypatch, p):
     monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
     gs = ground_state_radial(p)
     assert gs.shoots == len(shoots)
+    # One shooting path: no phi(0) is shot twice, the profile's included.
+    assert len(set(shoots)) == len(shoots)
     # The count is bookkeeping, not part of the state's value.
     assert dataclasses.replace(gs, shoots=0) == gs
     assert ground_state_radial(p) is gs and len(shoots) == gs.shoots
@@ -199,10 +201,10 @@ def test_shooting_checks_refuse_a_moved_beta(p):
     import planarsp.constants as C
 
     gs = ground_state_radial(p)
-    C._radial_profile(gs.beta, p)
+    C._radial_profile(C._shoot(gs.beta, p), p)
     for factor in (1.0 - 1e-5, 1.0 + 1e-5):
         with pytest.raises(ShootingError):
-            C._radial_profile(gs.beta * factor, p)
+            C._radial_profile(C._shoot(gs.beta * factor, p), p)
 
 
 def test_profile_width_ignores_the_last_bits_of_beta():
@@ -217,7 +219,7 @@ def test_profile_width_ignores_the_last_bits_of_beta():
         beta = gs.beta
         for _ in range(20):
             beta = float(np.nextafter(beta, toward))
-        shifted = C._radial_profile(beta, p)
+        shifted = C._radial_profile(C._shoot(beta, p), p)
         assert shifted.r_decay == pytest.approx(gs.r_decay, rel=1e-4)
 
 

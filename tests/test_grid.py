@@ -159,6 +159,8 @@ def test_profile_spec_validation():
         ProfileSpec.two_bump(separation=3.0, scale=0)
     with pytest.raises(ValueError):
         ProfileSpec(kind="blob")
+    with pytest.raises(ValueError, match="cutoff"):
+        ProfileSpec.random_smooth(seed=1, cutoff=0)
 
 
 def test_random_smooth_deterministic(grid128):
