@@ -367,13 +367,14 @@ def cmd_solve(args) -> int:
                 f"no solver applies: regime {label.tag}; "
                 f"{'; '.join(label.certificate['conditions'])}"
             )
+        # The solvers take the label rather than classify params again.
         minimize, on_branch = solvers
         if branch == "auto":
-            return minimize(params, grid, solver_cfg, spec)
+            return minimize(params, grid, solver_cfg, spec, regime=label)
         if on_branch is None:
             raise RegimeError(f"branch {branch!r} does not apply: regime "
                               f"{label.tag} has no fiber branches")
-        return on_branch(params, grid, solver_cfg, spec, branch)
+        return on_branch(params, grid, solver_cfg, spec, branch, regime=label)
 
     def write_outputs(report, exit_code):
         out = _outdir(args)

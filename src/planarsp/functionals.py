@@ -12,11 +12,12 @@ mass constraint, and the stationarity residuals.
 
 The convolution w = log|.| * u^2 is evaluated as a free-space convolution:
 u^2 is zero-padded to a 2n x 2n grid and multiplied in Fourier space with
-the kernel sampled at node differences.  Both padded transforms are
-pruned.  The forward transforms only the n non-zero rows, by a real
-transform of length 2n along the second axis, then every column by a
-complex transform of length 2n along the first.  Only the n x n block of
-each padded inverse is read, so the inverse keeps n rows of a complex
+the kernel sampled at node differences (the domain doubling of Hockney &
+Eastwood, Computer Simulation Using Particles, 1988).  Both padded
+transforms are pruned.  The forward transforms only the n non-zero rows,
+by a real transform of length 2n along the second axis, then every column
+by a complex transform of length 2n along the first.  Only the n x n block
+of the padded inverse is read, so the inverse keeps n rows of a complex
 inverse along the first axis and carries only those through a real
 inverse along the second.  Both are bit-identical to the full 2n x 2n
 transforms.  The kernel value assigned to the
@@ -31,10 +32,13 @@ the origin weight cancels that defect.  alpha is +1 for log r, 0 for
 log(1+r) and -1 for log(1+1/r), so the identity V = V1 - V2 is preserved
 exactly by construction.
 
-The kinetic term and the Laplacian use the spectral derivative of the
-field treated as periodic on the padded (2L) domain; callers keep the
-boundary mass fraction small so periodization error stays below the
-quadrature error.
+Only the log interaction is non-local, so only it pays for the padded
+grid.  The kinetic term, the Laplacian and the Sobolev metric of the flows
+use the spectral derivative of the field treated as periodic on the n x n
+grid itself; callers keep the boundary mass fraction small so
+periodization error stays below the quadrature error.  A, V, V1 and V2
+are read from the kept forward spectra by Parseval, so a field whose
+gradient is never read takes no inverse transform.
 
 Every quantity of a field is read from its Evaluation (built by
 evaluate()), which computes each on first use and keeps it; kinetic,
@@ -156,14 +160,15 @@ def _log_cell_average(h: float) -> float:
 
 
 def _kernel_rfft(r: np.ndarray, pos: np.ndarray, f, origin: float) -> np.ndarray:
-    """rfft2 of the kernel f sampled at the node distances r, where pos is
-    r > 0, and the weight origin at r = 0."""
+    """Real part of the rfft2 of the kernel f sampled at the node distances
+    r, where pos is r > 0, and the weight origin at r = 0.  The samples are
+    even, so the imaginary part is rounding only."""
     import scipy.fft as sfft
 
     k = np.empty_like(r)
     k[pos] = f(r[pos])
     k[~pos] = origin
-    return sfft.rfft2(k)
+    return sfft.rfft2(k).real.copy()
 
 
 # Squared decay length of the Sobolev metric (1 - beta Delta).
@@ -172,17 +177,18 @@ _SOBOLEV_BETA = 0.25
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Per-grid spectral data: kernel transforms and |k|^2 on the padded grid.
+    """Per-grid spectral data: |k|^2 and the Sobolev smoother on the n x n
+    grid, and the kernel transforms on the padded 2n x 2n grid.
 
     Immutable after construction and safe to share across threads.
     """
 
     grid: Grid
-    k2: np.ndarray          # |k|^2 in rfft2 layout on the 2n x 2n padded grid
+    k2: np.ndarray          # |k|^2 in rfft2 layout on the n x n grid
     smoother: np.ndarray    # 1 / (1 + beta |k|^2), the inverse Sobolev metric
-    khat_log: np.ndarray    # rfft2 of log|z| kernel samples
-    khat_v1: np.ndarray     # real part of the rfft2 of log(1+|z|)
-    khat_v2: np.ndarray     # real part of the rfft2 of log(1+1/|z|)
+    khat_log: np.ndarray    # real part of the padded rfft2 of log|z|
+    khat_v1: np.ndarray     # real part of the padded rfft2 of log(1+|z|)
+    khat_v2: np.ndarray     # real part of the padded rfft2 of log(1+1/|z|)
     log_weight: np.ndarray  # log(1+|x|) quadrature weight on the n x n grid
 
     @staticmethod
@@ -203,12 +209,11 @@ class KernelTable:
         r = np.hypot(d[:, None], d[None, :])
         pos = r > 0
         khat_log = _kernel_rfft(r, pos, np.log, avg_log - _SINGULAR_WEIGHT)
-        # V1 and V2 read only the real parts (see Evaluation._interaction).
-        khat_v1 = _kernel_rfft(r, pos, np.log1p, avg_v1).real.copy()
+        khat_v1 = _kernel_rfft(r, pos, np.log1p, avg_v1)
         khat_v2 = _kernel_rfft(r, pos, lambda r: np.log1p(1.0 / r),
-                               avg_v2 + _SINGULAR_WEIGHT).real.copy()
-        k = 2.0 * np.pi * sfft.fftfreq(2 * n, d=h)
-        k2 = k[:, None] ** 2 + k[None, : n + 1] ** 2
+                               avg_v2 + _SINGULAR_WEIGHT)
+        k = 2.0 * np.pi * sfft.fftfreq(n, d=h)
+        k2 = k[:, None] ** 2 + k[None, : n // 2 + 1] ** 2
         return KernelTable(grid=grid, k2=k2,
                            smoother=1.0 / (1.0 + _SOBOLEV_BETA * k2),
                            khat_log=khat_log,
@@ -269,18 +274,29 @@ def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
     return sfft.irfftn(rows, s=(2 * n,), axes=(1,), overwrite_x=True)[:, :n]
 
 
+def _parseval(multiplier: np.ndarray, spec: np.ndarray) -> float:
+    """(1/N) sum multiplier |spec|^2 over the N-point spectrum whose rfft2
+    half is spec, for a real multiplier even in k: the first and last
+    columns (k_y = 0 and the Nyquist column) stand for themselves and every
+    other one also for its mirror.  N is the square of the row count, so
+    this serves the n x n and the padded 2n x 2n spectra alike."""
+    dens = multiplier * (spec.real ** 2 + spec.imag ** 2)
+    total = 2.0 * float(np.sum(dens)) - float(np.sum(dens[:, 0])) \
+        - float(np.sum(dens[:, -1]))
+    return total / dens.shape[0] ** 2
+
+
 class Evaluation:
     """Every functional of one field u, each computed on first use and kept.
 
-    Two forward transforms, of u and of u^2 zero-padded to 2n x 2n, feed
-    all of them; each is pruned to the n non-zero rows (n rows by rfft,
-    then the columns by fft), bit-identical to the full padded rfft2.
-    w = log|.| * u^2 and -Delta u take one pruned inverse
-    each (n rows by ifft, then n columns by irfft), bit-identical to the
-    n x n block of the full padded inverse; A = <u, -Delta u> and
-    V = <u^2, w> are grid sums over them, which keeps the flows' rounding,
-    and so their answers, as they were.  V1 and V2 follow by Parseval with
-    no inverse transform.
+    Two forward transforms feed all of them: rfft2 of u on the n x n grid
+    (spec_u) and rfft2 of u^2 zero-padded to 2n x 2n (spec_sq, pruned to
+    the n non-zero rows, bit-identical to the full padded rfft2).  A, V, V1
+    and V2 are read from them by Parseval, so F takes no inverse transform.
+    -Delta u takes one n x n inverse, and w = log|.| * u^2 one pruned padded
+    inverse (n rows by ifft, then n columns by irfft, bit-identical to the
+    n x n block of the full padded inverse); only grad and the quantities
+    built on it read them.
     """
 
     def __init__(self, u: Field, table: KernelTable):
@@ -289,40 +305,36 @@ class Evaluation:
         self._C: Dict[float, float] = {}
 
     @cached_property
+    def spec_u(self) -> np.ndarray:
+        """rfft2 of u on the n x n grid, kept for A and -Delta u."""
+        import scipy.fft as sfft
+
+        return sfft.rfft2(self.u.values)
+
+    @cached_property
     def spec_sq(self) -> np.ndarray:
-        """rfft2 of u^2 on the padded grid, kept for w, V1 and V2."""
+        """rfft2 of u^2 on the padded grid, kept for w, V, V1 and V2."""
         return _forward(self.u.values * self.u.values)
 
     @cached_property
     def A(self) -> float:
-        """integral |grad u|^2, spectral on the padded domain."""
-        return float(max(self._h2 * np.sum(self.u.values * self.neg_lap), 0.0))
+        """integral |grad u|^2, spectral on the periodic n x n grid."""
+        return self._h2 * _parseval(self.table.k2, self.spec_u)
 
     @cached_property
     def V(self) -> float:
         """<u^2, log * u^2>."""
-        return float(self._h2 * np.sum(self.u.values * self.u.values * self.w))
-
-    def _interaction(self, khat: np.ndarray) -> float:
-        # Parseval: h^4 (1/N) sum khat |spec_sq|^2 over the N-point padded
-        # spectrum, read from its rfft2 half, where the columns k_y = 0 and
-        # k_y = n stand for themselves and every other one also for its
-        # mirror.  The sampled kernels are even, so their transforms are real
-        # and the table keeps only their real parts.
-        dens = khat * (self.spec_sq.real ** 2 + self.spec_sq.imag ** 2)
-        total = 2.0 * float(np.sum(dens)) - float(np.sum(dens[:, 0])) \
-            - float(np.sum(dens[:, -1]))
-        return self._h2 * self._h2 * total / dens.shape[0] ** 2
+        return self._h2 * self._h2 * _parseval(self.table.khat_log, self.spec_sq)
 
     @cached_property
     def V1(self) -> float:
         """V with the nonnegative kernel log(1+|x-y|)."""
-        return self._interaction(self.table.khat_v1)
+        return self._h2 * self._h2 * _parseval(self.table.khat_v1, self.spec_sq)
 
     @cached_property
     def V2(self) -> float:
         """V with the nonnegative kernel log(1+1/|x-y|)."""
-        return self._interaction(self.table.khat_v2)
+        return self._h2 * self._h2 * _parseval(self.table.khat_v2, self.spec_sq)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -331,12 +343,11 @@ class Evaluation:
 
     @cached_property
     def neg_lap(self) -> np.ndarray:
-        """-Delta u on the grid (a copy, so the n x 2n inverse is freed); the
-        spectrum of u is not kept, as nothing else reads it, so it is
-        multiplied by |k|^2 in place."""
-        spec = _forward(self.u.values)
-        spec *= self.table.k2
-        return _inverse(spec, self.u.grid.n).copy()
+        """-Delta u on the periodic n x n grid."""
+        import scipy.fft as sfft
+
+        return sfft.irfft2(self.spec_u * self.table.k2, s=self.u.values.shape,
+                           overwrite_x=True)
 
     @cached_property
     def star_norm(self) -> float:
@@ -414,17 +425,19 @@ def evaluate(u: Field, table: Optional[KernelTable] = None) -> Evaluation:
 
 def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:
     """Inverse-Helmholtz (1 - beta Delta)^-1 applied spectrally on the
-    padded grid: the Sobolev-metric representation of a gradient direction.
-    The short-range kernel (decay length sqrt(beta)) keeps the direction
-    from smearing mass toward the boundary frame.
+    periodic n x n grid: the Sobolev-metric representation of a gradient
+    direction.  The short-range kernel (decay length sqrt(beta)) keeps the
+    direction from smearing mass toward the boundary frame.
 
     The fresh spectrum of values is multiplied in place by the table's
     1 / (1 + beta |k|^2).  That is the division by 1 + beta |k|^2 bit for
     bit: numpy divides a complex number by one with zero imaginary part by
     multiplying it with the reciprocal of the real part."""
-    spec = _forward(values)
+    import scipy.fft as sfft
+
+    spec = sfft.rfft2(values)
     spec *= table.smoother
-    return _inverse(spec, values.shape[0])
+    return sfft.irfft2(spec, s=values.shape, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

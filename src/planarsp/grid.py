@@ -193,7 +193,8 @@ class ProfileSpec:
                                   dilated copy (1/n) v((x - n R e1)/n); lobes carry
                                   mass c/2 each and have disjoint supports
       random_smooth(seed, cutoff) band-limited random field under a Gaussian
-                                  envelope, renormalized
+                                  envelope, renormalized; a cutoff above n/2
+                                  of the grid is refused
     """
 
     kind: str
@@ -297,9 +298,13 @@ def _sample(spec: ProfileSpec, grid: Grid) -> Field:
         lobe0, lobe1 = _two_bump_lobes(spec, grid)
         return lobe0 + lobe1
     if spec.kind == "random_smooth":
-        rng = np.random.default_rng(spec.seed)
         n = grid.n
         kc = int(spec.cutoff)
+        if kc > n // 2:
+            # Modes above the grid's Nyquist number alias.
+            raise ValueError(f"random_smooth cutoff {kc} exceeds n/2 = {n // 2} "
+                             f"of the {n} x {n} grid")
+        rng = np.random.default_rng(spec.seed)
         coef = rng.standard_normal((2 * kc + 1, 2 * kc + 1))
         phase = rng.uniform(0.0, 2.0 * np.pi, coef.shape)
         vals = np.zeros((n, n))

@@ -21,7 +21,10 @@ admissible point; accepted steps are therefore monotone by construction.
 
 Each iterate is evaluated once (functionals.Evaluation) and every quantity
 of it, the certificates of the final point included, is read from that
-evaluation, which transforms the field at most four times.  The fiber
+evaluation.  A trial point takes two forward transforms, of u on the n x n
+grid and of u^2 on the padded grid, and reads F from them by Parseval;
+only an accepted iterate, whose gradient is read, adds the inverses of
+-Delta u and w.  The Sobolev direction is one more n x n pair.  The fiber
 flows never materialize dilations inside the loop: by the covariance of
 the gradient under dilation,
 
@@ -466,10 +469,13 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
-def _regime_for(solver: Callable, params: Params, requirement: str) -> K.RegimeLabel:
-    """The classifier's regime of params; RegimeError unless REGIME_SOLVERS
-    maps its tag to solver."""
-    regime = K.regime_classify(params, K.sharp_constants(params.p))
+def _regime_for(solver: Callable, params: Params, requirement: str,
+                regime: Optional[K.RegimeLabel]) -> K.RegimeLabel:
+    """The classifier's regime of params (regime itself when the caller has
+    classified params already); RegimeError unless REGIME_SOLVERS maps its
+    tag to solver."""
+    if regime is None:
+        regime = K.regime_classify(params, K.sharp_constants(params.p))
     if solver not in REGIME_SOLVERS.get(regime.tag, ()):
         raise RegimeError(f"{solver.__name__} requires {requirement}; classifier "
                           f"says {regime.tag}: {regime.certificate['conditions']}")
@@ -477,12 +483,15 @@ def _regime_for(solver: Callable, params: Params, requirement: str) -> K.RegimeL
 
 
 def global_minimize(params: Params, grid: Grid, config: SolverConfig,
-                    init: Union[ProfileSpec, Field]) -> SolveReport:
+                    init: Union[ProfileSpec, Field], *,
+                    regime: Optional[K.RegimeLabel] = None) -> SolveReport:
     """Minimize F over the mass sphere in a bounded regime.
 
     Valid when the classifier reports GlobalMin or GlobalMinMassCritical;
-    refuses to start otherwise, quoting the certificate."""
-    regime = _regime_for(global_minimize, params, "a bounded-below regime")
+    refuses to start otherwise, quoting the certificate.  regime is the
+    classifier's label of params when the caller has it; it is classified
+    here otherwise."""
+    regime = _regime_for(global_minimize, params, "a bounded-below regime", regime)
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
     return _flow(evaluate(u0, table), _Energy(params, table, "global_minimize"),
@@ -490,13 +499,15 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
 
 
 def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
-                          init: Union[ProfileSpec, Field]) -> SolveReport:
+                          init: Union[ProfileSpec, Field], *,
+                          regime: Optional[K.RegimeLabel] = None) -> SolveReport:
     """Minimize F on the kinetic cap A <= k0 (gamma > 0, a > 0, p > 4, c < c0).
 
     Trial steps that reach the cap are rejected, so every iterate is strictly
-    interior; a flow pinned against the cap raises CapBoundaryError."""
+    interior; a flow pinned against the cap raises CapBoundaryError.  regime
+    as for global_minimize."""
     regime = _regime_for(local_minimize_capped, params,
-                         "gamma > 0, a > 0, p > 4, c < c0")
+                         "gamma > 0, a > 0, p > 4, c < c0", regime)
     table = kernel_table(grid)
     obj = _Energy(params, table, "local_minimize_capped", K.k0(params))
     return _flow(_inside_cap(_as_field(init, grid, params.c), obj), obj, config, regime)
@@ -520,15 +531,17 @@ def _branch_of(sc: FiberScalars, branch: str) -> BranchPoint:
 
 
 def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
-                           init: Union[ProfileSpec, Field], branch: str) -> SolveReport:
+                           init: Union[ProfileSpec, Field], branch: str, *,
+                           regime: Optional[K.RegimeLabel] = None) -> SolveReport:
     """Minimize F over a fiber branch (gamma > 0, a > 0, p > 4, c < c0).
 
     branch='plus' targets the local minimizer (same solution as the capped
-    minimization); branch='minus' the mountain-pass point."""
+    minimization); branch='minus' the mountain-pass point.  regime as for
+    global_minimize."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
     regime = _regime_for(lambda_branch_minimize, params,
-                         "gamma > 0, a > 0, p > 4, c < c0")
+                         "gamma > 0, a > 0, p > 4, c < c0", regime)
     table = kernel_table(grid)
     u0 = _as_field(init, grid, params.c)
     obj = _FiberBranch(params, table, f"lambda_branch_minimize[{branch}]", branch)

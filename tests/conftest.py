@@ -7,6 +7,27 @@ EULER = 0.5772156649015329
 V_GAUSS_UNIT = 0.5 * (np.log(2.0) - EULER)  # V of the unit-mass Gaussian
 
 
+def padded_reference(u, table):
+    """A, V, V1 and V2 as direct grid sums against the Laplacian and the
+    convolutions on the zero-padded 2n x 2n domain, each by its own pair of
+    transforms."""
+    n, h = u.grid.n, u.grid.h
+
+    def through(values, multiplier):
+        padded = np.zeros((2 * n, 2 * n))
+        padded[:n, :n] = values
+        spec = np.fft.rfft2(padded) * multiplier
+        return np.fft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
+
+    k = 2.0 * np.pi * np.fft.fftfreq(2 * n, d=h)
+    k2 = k[:, None] ** 2 + k[None, : n + 1] ** 2
+    u2 = u.values * u.values
+    A = h * h * np.sum(u.values * through(u.values, k2))
+    V = [h ** 4 * np.sum(u2 * through(u2, khat))
+         for khat in (table.khat_log, table.khat_v1, table.khat_v2)]
+    return [A] + V
+
+
 @pytest.fixture(scope="session")
 def grid128():
     return make_grid(40.0, 128)
@@ -29,11 +50,11 @@ def gauss128(grid128):
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Calls of the scipy.fft functions that the padded transforms use,
-    counted from here on."""
+    """Calls of the scipy.fft functions that the n x n and the padded
+    transforms use, counted from here on."""
     import scipy.fft
 
-    counts = {"rfftn": 0, "fftn": 0, "ifftn": 0, "irfftn": 0}
+    counts = dict.fromkeys(("rfft2", "irfft2", "rfftn", "fftn", "ifftn", "irfftn"), 0)
     for name in counts:
         real = getattr(scipy.fft, name)
 

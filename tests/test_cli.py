@@ -526,6 +526,21 @@ def test_solve_refuses_the_published_gamma_negative_window(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("branch", ["auto", "plus"])
+def test_solve_classifies_once(tmp_path, monkeypatch, branch):
+    # solve classifies to pick its solver and hands the label on; no step
+    # is taken, so the solve ends unconverged (exit 3).
+    calls = []
+    classify = K.regime_classify
+    monkeypatch.setattr(K, "regime_classify",
+                        lambda *args: calls.append(args) or classify(*args))
+    assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
+                    "--grid-n", "128", "--branch", branch,
+                    "--out", str(tmp_path / "x"),
+                    "--config", str(_mk_cfg(tmp_path, {"solver": {"max_iter": 0}}))]) == 3
+    assert len(calls) == 1
+
+
 def test_solve_nonconvergence_exit_3(tmp_path):
     out = tmp_path / "nc"
     code = run_cli(["solve", "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
@@ -569,13 +584,15 @@ _PARAMS = {"gamma": 1, "a": 0, "p": 3, "c": 1}
     ({"profile": {"center": [0, "0"]}}, "profile.center"),
     ({"profile": {"kind": "random_smooth", "seed": 1.5}}, "profile.seed"),
     ({"profile": {"kind": "random_smooth", "cutoff": 0}}, "cutoff"),
+    ({"profile": {"kind": "random_smooth", "cutoff": 65}}, "cutoff"),
 ], ids=["params_not_object", "grid_not_object", "solver_not_object",
         "profile_not_object", "bool_gamma", "string_a", "string_L", "bool_n",
         "fractional_n", "string_sigma", "string_center", "fractional_seed",
-        "zero_cutoff"])
+        "zero_cutoff", "cutoff_above_nyquist"])
 def test_solve_refuses_malformed_config(tmp_path, capsys, cfg, key):
     # Every value is checked, not coerced: True is not 1, "1" is not 1,
-    # 128.9 is not 128 and a cutoff of 0 is not 1.
+    # 128.9 is not 128, a cutoff of 0 is not 1, and a cutoff above n/2 = 64
+    # is not band-limited on the 128 x 128 grid.
     cfg = dict({"params": _PARAMS, "grid": {"n": 128}}, **cfg)
     out = tmp_path / "out"
     code = run_cli(["solve", "--out", str(out),

@@ -16,7 +16,7 @@ from planarsp.functionals import (_log_cell_average, _origin_cell_average, _r_lo
                                   _r_log1p, _r_log1p_inv, evaluate, kernel_table,
                                   smooth_direction)
 
-from conftest import EULER, V_GAUSS_UNIT
+from conftest import EULER, V_GAUSS_UNIT, padded_reference
 
 PR3 = Params(gamma=1.0, a=1.0, p=3.0, c=1.0)
 
@@ -274,26 +274,19 @@ def test_star_norm_gaussian(gauss256):
     assert star_norm(gauss256) == pytest.approx(oracle, rel=2e-3)
 
 
-def _padded_reference(u, table):
-    """A, V, V1 and V2 as direct grid sums against the zero-padded
-    Laplacian and convolutions, each by its own pair of transforms."""
-    n, h = u.grid.n, u.grid.h
-
-    def through(values, multiplier):
-        padded = np.zeros((2 * n, 2 * n))
-        padded[:n, :n] = values
-        spec = np.fft.rfft2(padded) * multiplier
-        return np.fft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
-
-    u2 = u.values * u.values
-    A = h * h * np.sum(u.values * through(u.values, table.k2))
-    V = [h ** 4 * np.sum(u2 * through(u2, khat))
-         for khat in (table.khat_log, table.khat_v1, table.khat_v2)]
-    return [A] + V
+def _periodic_kinetic(u):
+    """A as the direct grid sum against the Laplacian of u treated as
+    periodic on the n x n grid."""
+    h = u.grid.h
+    k = 2.0 * np.pi * np.fft.fftfreq(u.grid.n, d=h)
+    neg_lap = np.fft.ifft2(np.fft.fft2(u.values) * (k[:, None] ** 2 + k[None, :] ** 2))
+    return h * h * np.sum(u.values * neg_lap.real)
 
 
 @pytest.mark.parametrize("which", ["gauss256", "random_smooth128", "noise128"])
 def test_evaluation_matches_padded_reference(which, gauss256, grid128):
+    # A is periodic on the n x n grid; the log interactions are free-space
+    # convolutions on the padded domain.
     if which == "gauss256":
         u = gauss256
     elif which == "random_smooth128":
@@ -304,7 +297,9 @@ def test_evaluation_matches_padded_reference(which, gauss256, grid128):
         u = Field(grid128, np.random.default_rng(0).standard_normal((128, 128)))
     table = kernel_table(u.grid)
     ev = evaluate(u, table)
-    for got, want in zip((ev.A, ev.V, ev.V1, ev.V2), _padded_reference(u, table)):
+    want_A = _periodic_kinetic(u)
+    assert abs(ev.A - want_A) <= 1e-13 * abs(want_A)
+    for got, want in zip((ev.V, ev.V1, ev.V2), padded_reference(u, table)[1:]):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -346,20 +341,23 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     assert {"k2", "smoother", "khat_log"} <= kept.keys()
     ev = evaluate(u, table)
     v1_before, v2_before = ev.V1, ev.V2
-    spec_sq = ev.spec_sq.copy()
+    spec_u, spec_sq = ev.spec_u.copy(), ev.spec_sq.copy()
     direction = u.values[::-1].copy()
 
     u2 = u.values * u.values
     h2 = grid.h * grid.h
     assert np.array_equal(ev.w, h2 * _padded_block(u2, table.khat_log))
-    assert np.array_equal(ev.neg_lap, _padded_block(u.values, table.k2))
+    # -Delta u and the Sobolev smoother run on the periodic n x n grid.
+    assert np.array_equal(ev.neg_lap,
+                          sfft.irfft2(sfft.rfft2(u.values) * table.k2, s=(n, n)))
     # The table's reciprocal multiplies as the division by the symbol did.
     sobolev = 1.0 + functionals._SOBOLEV_BETA * table.k2
-    spec = sfft.rfft2(direction, s=(2 * n, 2 * n)) / sobolev
+    spec = sfft.rfft2(direction) / sobolev
     assert np.array_equal(smooth_direction(direction, table),
-                          sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n])
+                          sfft.irfft2(spec, s=(n, n)))
 
-    # The inverse consumes its input: no kept spectrum may have been passed.
+    # The inverses consume their input: no kept spectrum may have been passed.
+    assert np.array_equal(ev.spec_u, spec_u)
     assert np.array_equal(ev.spec_sq, spec_sq)
     for name, array in kept.items():
         assert np.array_equal(getattr(table, name), array), name
@@ -371,13 +369,15 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
 def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
     table = kernel_table(gauss128.grid)
     regime = K.regime_classify(PR3, K.sharp_constants(PR3.p))
-    fft_counts.update(rfftn=0, fftn=0, ifftn=0, irfftn=0)
+    fft_counts.update(dict.fromkeys(fft_counts, 0))
     ev = evaluate(gauss128, table)
-    ev.F(PR3)  # an Armijo trial point: A and V need w and -Delta u
-    # Two pruned forwards, each an rfftn and an fftn, and two pruned
-    # inverses, each an ifftn and an irfftn.
-    two_each = {"rfftn": 2, "fftn": 2, "ifftn": 2, "irfftn": 2}
-    assert fft_counts == two_each
+    ev.F(PR3)  # an Armijo trial point: A and V by Parseval
+    # One n x n forward of u and one pruned padded forward of u^2 (an rfftn
+    # and an fftn), and no inverse transform.
+    forwards = {"rfft2": 1, "irfft2": 0, "rfftn": 1, "fftn": 1, "ifftn": 0, "irfftn": 0}
+    assert fft_counts == forwards
     report = solvers._finalize(ev, PR3, regime, "test", 0, False, [])
-    assert fft_counts == two_each
+    # The gradient adds -Delta u (one n x n inverse) and w (one pruned
+    # padded inverse, an ifftn and an irfftn).
+    assert fft_counts == dict(forwards, irfft2=1, ifftn=1, irfftn=1)
     assert report.el_res == el_residual(gauss128, PR3, report.lam, table)

@@ -8,8 +8,10 @@ from planarsp import (ConvergenceError, DomainError, Params, ProfileSpec, Regime
                       masscritical_probe, scalars, t_star, two_bump_probe)
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
                                 kgn_estimate, mass_critical_threshold)
-from planarsp.functionals import kernel_table
+from planarsp.functionals import evaluate, kernel_table
 from planarsp.solvers import gaussian_on_branch
+
+from conftest import padded_reference
 
 CFG = SolverConfig(max_iter=6000, trace=True)
 
@@ -44,14 +46,15 @@ def plus_report(p6_setup):
 
 def test_capped_start_is_evaluated_once(p6_setup, fft_counts):
     # The start field lies inside the cap, so the solver's own evaluation of
-    # it starts the flow: u and u^2 take one pruned forward each.
+    # it starts the flow: u takes one n x n forward and u^2 one pruned
+    # padded forward (an rfftn and an fftn).
     grid = make_grid(24.0, 64)
     kernel_table(grid)
-    fft_counts.update(rfftn=0, fftn=0)
+    fft_counts.update(dict.fromkeys(fft_counts, 0))
     with pytest.raises(ConvergenceError):
         local_minimize_capped(p6_setup, grid, SolverConfig(max_iter=0),
                               ProfileSpec.gaussian(sigma=1.5))
-    assert (fft_counts["rfftn"], fft_counts["fftn"]) == (2, 2)
+    assert (fft_counts["rfft2"], fft_counts["rfftn"], fft_counts["fftn"]) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,16 @@ def test_monotone_descent(request, name):
 def test_descent_is_preconditioned(request, name):
     # Energy descent steps in the H^1 metric: tens of iterations, not hundreds.
     assert _descent_report(request, name).iters <= 40
+
+
+@pytest.mark.parametrize("name", ["choquard_report", "capped_report"])
+def test_kinetic_off_the_padded_domain(request, name):
+    # A on the periodic n x n grid against A on the zero-padded 2n x 2n
+    # domain, on a converged field: the move off the doubled domain costs
+    # at most 1e-9 relative.
+    u = _descent_report(request, name).field
+    want = padded_reference(u, kernel_table(u.grid))[0]
+    assert abs(evaluate(u).A - want) <= 1e-9 * want
 
 
 def test_global_minimize_translation_robust(choquard_report):
