@@ -26,7 +26,7 @@ _SUBMODULE = {name: module for module, names in (
     ("errors", ("CapBoundaryError", "ConfigError", "ConvergenceError",
                 "DomainError", "GridMismatchError", "GuardFloorError",
                 "MassMismatchError", "PlanarSPError", "RegimeError",
-                "ShootingError", "ThresholdError")),
+                "ResolutionError", "ShootingError", "ThresholdError")),
     ("fiber", ("BranchPoint", "FiberScalars", "critical_points", "ddg", "dg",
                "dilate", "g", "phi", "project_to_lambda", "scalars", "t_star")),
     ("functionals", ("EnergyBreakdown", "el_residual", "energy", "grad_energy",

@@ -14,8 +14,9 @@ flags; every report embeds the full configuration and the constants used,
 and a report.json is itself accepted as --config, so `solve --config
 report.json` replays the run.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 non-convergence (report still written), 4 regime refusal.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(a grid too coarse for the start included), 3 non-convergence (report
+still written), 4 regime refusal.
 
 classify, sweep, constants and --help run on the standard library alone:
 the handlers that need numpy import it, and the modules built on it,
@@ -343,9 +344,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _profile_given(cfg: dict, args) -> bool:
+    """Whether the config or the flags say anything about the profile."""
+    return ("profile" in cfg or getattr(args, "profile", None) is not None
+            or getattr(args, "sigma", None) is not None)
+
+
 def cmd_solve(args) -> int:
     from .grid import write_field
-    from .solvers import REGIME_SOLVERS
+    from .solvers import REGIME_SOLVERS, gaussian_on_branch
 
     cfg = _load_config(args.config)
     params = _merged_params(cfg, args)
@@ -359,7 +366,11 @@ def cmd_solve(args) -> int:
     solvers = REGIME_SOLVERS.get(label.tag)
     spec = None
     if solvers is not None:
-        spec = _merged_profile(cfg, args, params.c)
+        # A branch solve with no profile given starts on its branch.
+        if branch != "auto" and solvers[1] is not None and not _profile_given(cfg, args):
+            spec = gaussian_on_branch(params, branch)
+        else:
+            spec = _merged_profile(cfg, args, params.c)
 
     def run():
         if solvers is None:

@@ -21,6 +21,11 @@ class RegimeError(PlanarSPError):
     """A solver was invoked outside the parameter regime it is valid for."""
 
 
+class ResolutionError(PlanarSPError):
+    """The grid is too coarse for a field: it is more concentrated than the
+    grid resolves."""
+
+
 class ConvergenceError(PlanarSPError):
     """An iteration failed to converge. Carries the partial report when available."""
 

@@ -35,6 +35,21 @@ with s the branch point of u, evaluated entirely on the original grid
 recenter the fiber parameter near 1 and once at the end, after which the
 flow re-converges so the reported field itself satisfies the residual
 certificates.
+
+Every solver runs the flow in a grid ladder (Bao & Du, SIAM J. Sci.
+Comput. 25, 2004).  On a grid of n >= 256 nodes a side the same objective
+is first solved at n/2 on the same extent, recursively down to the floor
+of 128, from the start injected onto the coarse nodes (every other node).
+The coarse solution, prolonged by zero-padding its spectrum
+(functionals.prolong) and renormalized, starts the flow at n, which
+certifies the reported field on the caller's grid.  A coarse level that
+fails (ResolutionError, ConvergenceError or DomainError) is recorded as
+refused, and the next level starts from the original start, as a direct
+solve does.  max_iter applies to each level.  The report's
+extras["levels"] lists every grid from the coarsest, as {n, iters, F} or
+{n, refused}; extras["F_err_grid"] is |F(n) - F(n/2)| when the level below
+converged.  iters, extras["recenters"] and the trace cover every level the
+solution passed through, the trace's iter numbering its rows across them.
 """
 
 from __future__ import annotations
@@ -47,11 +62,11 @@ import numpy as np
 
 from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
-                     GuardFloorError, RegimeError)
+                     GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
 from .fiber import (BranchPoint, FiberScalars, critical_points, dilate, g as fiber_g,
                     scalars)
 from .functionals import (EnergyBreakdown, Evaluation, KernelTable, Params, evaluate,
-                          kernel_table, kinetic, pnorm, smooth_direction,
+                          kernel_table, kinetic, pnorm, prolong, smooth_direction,
                           _gauss_legendre)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
                    mass, normalize, _bump)
@@ -229,7 +244,8 @@ class _Objective:
     """What a flow descends.
 
     Subclasses define point(ev): the point of an evaluated field, or None
-    when the field is not admissible.  The hooks default to an objective
+    when the field is not admissible, and start_refusal(ev): the error that
+    refuses an inadmissible start.  The hooks default to an objective
     with no invariant orbit, no recentering and no refusal of a failed line
     search."""
 
@@ -271,6 +287,11 @@ class _Energy(_Objective):
             return None
         return _Point(ev, ev.F(self.params))
 
+    def start_refusal(self, ev: Evaluation) -> PlanarSPError:
+        return RegimeError(f"{self.mode}: initial field is not admissible: its "
+                           f"A = {ev.A:.6g} is not below the kinetic cap "
+                           f"k0 = {self.cap:.6g}")
+
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
         if self.cap is not None and pt.ev.A > 0.999 * self.cap:
             return CapBoundaryError(
@@ -306,6 +327,12 @@ class _FiberBranch(_Objective):
             return None
         bp = _branch_of(scalars(ev, self.params), self.branch)
         return _Point(ev, bp.g, bp.s, bp.gpp)
+
+    def start_refusal(self, ev: Evaluation) -> PlanarSPError:
+        return ResolutionError(
+            f"{self.mode}: grid too coarse for the initial field: its "
+            f"A = {ev.A:.6g} exceeds c/(2h)^2 = {self.a_resolved:.6g}, so it is "
+            "narrower than two grid cells; refine the grid or widen the start")
 
     def orbit(self, u: Field) -> Optional[np.ndarray]:
         # d/dt (t u(tx)) at t = 1 = u + x.grad u.  Second-order differences
@@ -357,11 +384,9 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
     params, table, mode = obj.params, obj.table, obj.mode
     h, c = start.u.grid.h, params.c
     pt = obj.point(start)
-    del start
     if pt is None:
-        raise RegimeError(
-            f"{mode}: initial field is not admissible (outside the guarded "
-            "set, or more concentrated than the grid resolves)")
+        raise obj.start_refusal(start)
+    del start
     tau = 0.1 / max(1.0, pt.ev.A)
     trace: List[TraceRow] = []
     prev_u = prev_d = None
@@ -465,6 +490,74 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
+# Grid ladder
+# ---------------------------------------------------------------------------
+
+# The coarsest grid of the ladder: a solve on n >= 2 * _LADDER_FLOOR first
+# solves at n/2, and so on down to this size.
+_LADDER_FLOOR = 128
+
+
+def _plain_start(u0: Field, obj: _Objective) -> Evaluation:
+    return evaluate(u0, obj.table)
+
+
+def _ladder(u0: Field, objective: Callable[[KernelTable], _Objective],
+            start: Callable[[Field, _Objective], Evaluation],
+            cfg: SolverConfig, regime: K.RegimeLabel) -> SolveReport:
+    """Flow objective(table) on the grid of u0, from start(u0, obj) or from
+    the solution one level down.
+
+    When the grid has n >= 2 * _LADDER_FLOOR nodes a side, the same
+    objective is first solved at n/2 on the same extent, from u0 injected
+    onto the coarse nodes (every other node), and its solution, prolonged
+    spectrally and renormalized, starts the flow at n.  A coarse level that
+    fails with ResolutionError, ConvergenceError or DomainError is recorded
+    as refused, and the flow at n starts from start(u0, obj) as a direct
+    solve would.  Each level has cfg.max_iter iterations."""
+    grid = u0.grid
+    obj = objective(kernel_table(grid))
+    c = obj.params.c
+    below: Optional[SolveReport] = None
+    levels: List[dict] = []
+    if grid.n >= 2 * _LADDER_FLOOR:
+        coarse = Grid(grid.extent, grid.n // 2)
+        try:
+            below = _ladder(normalize(Field(coarse, u0.values[::2, ::2]), c),
+                            objective, start, cfg, regime)
+        except (ResolutionError, ConvergenceError, DomainError) as err:
+            levels.append({"n": coarse.n, "refused": str(err)})
+    try:
+        report = _flow(start(u0, obj) if below is None else
+                       evaluate(normalize(prolong(below.field, grid), c), obj.table),
+                       obj, cfg, regime)
+    except ConvergenceError as err:
+        if err.report is not None:
+            _stack(err.report, below, levels)
+        raise
+    return _stack(report, below, levels)
+
+
+def _stack(report: SolveReport, below: Optional[SolveReport],
+           levels: List[dict]) -> SolveReport:
+    """Put the levels under report into it: extras["levels"] lists every
+    grid from the coarsest, and iters, the trace and the recenters count
+    every level the solution passed through."""
+    entry = {"n": report.field.grid.n, "iters": report.iters, "F": report.objective}
+    if below is not None:
+        levels = below.extras["levels"]
+        report.extras["F_err_grid"] = abs(report.objective - below.objective)
+        report.iters += below.iters
+        offset = len(below.trace)
+        report.trace = below.trace + [replace(row, iter=row.iter + offset)
+                                      for row in report.trace]
+        if "recenters" in report.extras:
+            report.extras["recenters"] += below.extras["recenters"]
+    report.extras["levels"] = levels + [entry]
+    return report
+
+
+# ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
 
@@ -492,10 +585,9 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
     classifier's label of params when the caller has it; it is classified
     here otherwise."""
     regime = _regime_for(global_minimize, params, "a bounded-below regime", regime)
-    table = kernel_table(grid)
-    u0 = _as_field(init, grid, params.c)
-    return _flow(evaluate(u0, table), _Energy(params, table, "global_minimize"),
-                 config, regime)
+    return _ladder(_as_field(init, grid, params.c),
+                   lambda table: _Energy(params, table, "global_minimize"),
+                   _plain_start, config, regime)
 
 
 def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
@@ -508,9 +600,10 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
     as for global_minimize."""
     regime = _regime_for(local_minimize_capped, params,
                          "gamma > 0, a > 0, p > 4, c < c0", regime)
-    table = kernel_table(grid)
-    obj = _Energy(params, table, "local_minimize_capped", K.k0(params))
-    return _flow(_inside_cap(_as_field(init, grid, params.c), obj), obj, config, regime)
+    cap = K.k0(params)
+    return _ladder(_as_field(init, grid, params.c),
+                   lambda table: _Energy(params, table, "local_minimize_capped", cap),
+                   _inside_cap, config, regime)
 
 
 def _inside_cap(u0: Field, obj: _Energy) -> Evaluation:
@@ -542,10 +635,10 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
         raise ValueError(f"unknown branch {branch!r}")
     regime = _regime_for(lambda_branch_minimize, params,
                          "gamma > 0, a > 0, p > 4, c < c0", regime)
-    table = kernel_table(grid)
-    u0 = _as_field(init, grid, params.c)
-    obj = _FiberBranch(params, table, f"lambda_branch_minimize[{branch}]", branch)
-    return _flow(evaluate(u0, table), obj, config, regime)
+    mode = f"lambda_branch_minimize[{branch}]"
+    return _ladder(_as_field(init, grid, params.c),
+                   lambda table: _FiberBranch(params, table, mode, branch),
+                   _plain_start, config, regime)
 
 
 def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,

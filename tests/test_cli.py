@@ -528,17 +528,66 @@ def test_solve_refuses_the_published_gamma_negative_window(tmp_path, capsys):
 
 @pytest.mark.parametrize("branch", ["auto", "plus"])
 def test_solve_classifies_once(tmp_path, monkeypatch, branch):
-    # solve classifies to pick its solver and hands the label on; no step
-    # is taken, so the solve ends unconverged (exit 3).
+    # solve classifies to pick its solver and hands the label on, through
+    # both levels of the 256^2 grid ladder; no step is taken, so the solve
+    # ends unconverged (exit 3).
     calls = []
     classify = K.regime_classify
     monkeypatch.setattr(K, "regime_classify",
                         lambda *args: calls.append(args) or classify(*args))
     assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
-                    "--grid-n", "128", "--branch", branch,
+                    "--grid-n", "256", "--branch", branch,
                     "--out", str(tmp_path / "x"),
                     "--config", str(_mk_cfg(tmp_path, {"solver": {"max_iter": 0}}))]) == 3
     assert len(calls) == 1
+
+
+def test_solve_branch_starts_on_its_branch(tmp_path):
+    # With no profile given, a branch solve starts from the Gaussian placed
+    # on its branch; on the default L = 40 at 64^2 the plus branch converges.
+    from planarsp import Params
+    from planarsp.solvers import gaussian_on_branch
+
+    out = tmp_path / "plus"
+    assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
+                    "--grid-n", "64", "--branch", "plus", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    want = gaussian_on_branch(Params(gamma=1.0, a=1.0, p=6.0, c=1.0), "plus")
+    assert report["config"]["profile"]["sigma"] == want.sigma
+    assert report["converged"] and report["branch"] == "plus"
+
+
+def test_solve_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
+    # The minus-branch start is narrower than two cells of a 64^2 grid on
+    # L = 40: a configuration error (exit 2), not a regime refusal, and
+    # nothing is written.
+    out = tmp_path / "minus"
+    assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
+                    "--grid-n", "64", "--branch", "minus", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid too coarse" in err and "regime refusal" not in err
+    assert not out.exists()
+
+
+def test_solve_ladder_report_replays(tmp_path):
+    # A 256^2 solve runs the 128^2 level first; its report lists both
+    # levels, its trace numbers the rows of both, and the replay writes the
+    # same report.json, solution.lpf and trace.csv, byte for byte.
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(["solve", "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
+                    "--sigma", "1.5", "--trace", "--out", str(first)]) == 0
+    assert run_cli(["solve", "--config", str(first / "report.json"),
+                    "--out", str(again)]) == 0
+    report = json.loads((first / "report.json").read_text())
+    assert [lv["n"] for lv in report["levels"]] == [128, 256]
+    assert report["iters"] == sum(lv["iters"] for lv in report["levels"]) > 0
+    assert report["F_err_grid"] == abs(report["levels"][1]["F"]
+                                       - report["levels"][0]["F"])
+    trace = (first / "trace.csv").read_text().splitlines()
+    assert trace[0] == "iter,F,Q,grad_res,A,C,V"
+    assert [int(row.split(",")[0]) for row in trace[1:]] == list(range(len(trace) - 1))
+    for name in ("report.json", "solution.lpf", "trace.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_solve_nonconvergence_exit_3(tmp_path):

@@ -14,7 +14,7 @@ from planarsp import constants as K
 from planarsp import functionals, solvers
 from planarsp.functionals import (_log_cell_average, _origin_cell_average, _r_log,
                                   _r_log1p, _r_log1p_inv, evaluate, kernel_table,
-                                  smooth_direction)
+                                  prolong, smooth_direction)
 
 from conftest import EULER, V_GAUSS_UNIT, padded_reference
 
@@ -381,3 +381,46 @@ def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
     # padded inverse, an ifftn and an irfftn).
     assert fft_counts == dict(forwards, irfft2=1, ifftn=1, irfftn=1)
     assert report.el_res == el_residual(gauss128, PR3, report.lam, table)
+
+
+# ---------------------------------------------------------------------------
+# Spectral prolongation
+# ---------------------------------------------------------------------------
+
+
+def _random_smooth(grid):
+    return discretize(ProfileSpec.random_smooth(seed=3, cutoff=8), grid)
+
+
+@pytest.mark.parametrize("make", [_random_smooth,
+                                  lambda g: Field(g, np.random.default_rng(5)
+                                                  .standard_normal((g.n, g.n)))],
+                         ids=["random_smooth", "white_noise"])
+def test_prolong_then_inject_is_the_identity(make, grid128, grid256):
+    # Every coarse node is a fine node, where the trigonometric interpolant
+    # returns the coarse value; with the Nyquist row and column split in
+    # half this holds for any field, white noise included.
+    u = make(grid128)
+    back = prolong(u, grid256).values[::2, ::2]
+    assert np.max(np.abs(back - u.values)) <= 1e-15 * np.max(np.abs(u.values))
+
+
+def test_prolong_keeps_the_mass(grid128, grid256):
+    u = _random_smooth(grid128)
+    assert mass(prolong(u, grid256)) == pytest.approx(mass(u), rel=1e-13)
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+def test_prolonged_gaussian_matches_the_fine_discretization(factor, grid128):
+    spec = ProfileSpec.gaussian(sigma=1.5)
+    fine = make_grid(grid128.extent, factor * grid128.n)
+    got = prolong(discretize(spec, grid128), fine)
+    assert np.max(np.abs(got.values - discretize(spec, fine).values)) <= 1e-12
+
+
+@pytest.mark.parametrize("extent, n", [(40.0, 128), (40.0, 64), (20.0, 256)],
+                         ids=["same_grid", "coarser", "other_extent"])
+def test_prolong_refuses_anything_but_a_finer_grid_of_the_same_extent(
+        extent, n, gauss128):
+    with pytest.raises(ValueError, match="finer grid of the same extent"):
+        prolong(gauss128, make_grid(extent, n))

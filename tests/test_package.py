@@ -18,7 +18,7 @@ _EXPORTS = {
     "errors": ["CapBoundaryError", "ConfigError", "ConvergenceError",
                "DomainError", "GridMismatchError", "GuardFloorError",
                "MassMismatchError", "PlanarSPError", "RegimeError",
-               "ShootingError", "ThresholdError"],
+               "ResolutionError", "ShootingError", "ThresholdError"],
     "fiber": ["BranchPoint", "FiberScalars", "critical_points", "ddg", "dg",
               "dilate", "g", "phi", "project_to_lambda", "scalars", "t_star"],
     "functionals": ["EnergyBreakdown", "Params", "el_residual", "energy",

@@ -1,14 +1,18 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from planarsp import (ConvergenceError, DomainError, Params, ProfileSpec, RegimeError,
-                      SolverConfig, global_minimize, lambda_branch_minimize,
-                      lambda_maximize, local_minimize_capped, make_grid, mass,
-                      masscritical_probe, scalars, t_star, two_bump_probe)
+from planarsp import (ConvergenceError, DomainError, Field, Params, ProfileSpec,
+                      RegimeError, ResolutionError, SolverConfig, discretize,
+                      global_minimize, lambda_branch_minimize, lambda_maximize,
+                      local_minimize_capped, make_grid, mass, masscritical_probe,
+                      normalize, scalars, t_star, two_bump_probe)
+from planarsp import solvers
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
-                                kgn_estimate, mass_critical_threshold)
-from planarsp.functionals import evaluate, kernel_table
+                                kgn_estimate, mass_critical_threshold,
+                                regime_classify, sharp_constants)
+from planarsp.functionals import evaluate, kernel_table, prolong
 from planarsp.solvers import gaussian_on_branch
 
 from conftest import padded_reference
@@ -42,6 +46,43 @@ def plus_report(p6_setup):
     grid = make_grid(24.0, 128)
     return lambda_branch_minimize(p6_setup, grid, CFG,
                                   gaussian_on_branch(p6_setup, "plus"), "plus")
+
+
+# The benchmark's four cases at 256^2: the extent of each and its F from the
+# direct 256^2 solve that preceded the grid ladder.
+BENCH_256 = {
+    "ground_state_p3": (40.0, 0.311418881077),
+    "capped_p6": (24.0, 0.632511527481),
+    "plus_p6": (24.0, 0.632511526972),
+    "minus_p6": (16.0, 4.325922087456),
+}
+
+
+def _bench_solve(name, params6, grid, cfg=CFG):
+    if name == "ground_state_p3":
+        return global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0), grid, cfg,
+                               ProfileSpec.gaussian(sigma=1.5))
+    if name == "capped_p6":
+        return local_minimize_capped(params6, grid, cfg, ProfileSpec.gaussian(sigma=1.5))
+    branch = name.split("_")[0]
+    return lambda_branch_minimize(params6, grid, cfg,
+                                  gaussian_on_branch(params6, branch), branch)
+
+
+@pytest.fixture(scope="module")
+def ladder_reports(p6_setup):
+    return {name: _bench_solve(name, p6_setup, make_grid(extent, 256))
+            for name, (extent, _) in BENCH_256.items()}
+
+
+@pytest.fixture(scope="module")
+def choquard_256(ladder_reports):
+    return ladder_reports["ground_state_p3"]
+
+
+@pytest.fixture(scope="module")
+def capped_256(ladder_reports):
+    return ladder_reports["capped_p6"]
 
 
 def test_capped_start_is_evaluated_once(p6_setup, fft_counts):
@@ -79,11 +120,17 @@ def _descent_report(request, name):
     return rep[1] if isinstance(rep, tuple) else rep
 
 
-@pytest.mark.parametrize("name", ["choquard_report", "capped_report"])
+@pytest.mark.parametrize("name", ["choquard_report", "capped_report",
+                                  "choquard_256", "capped_256"])
 def test_monotone_descent(request, name):
+    # Each level of the grid ladder is one descent; a 128^2 solve has one.
     rep = _descent_report(request, name)
-    fs = [row.F for row in rep.trace]
-    assert all(fs[i + 1] <= fs[i] + 1e-14 for i in range(len(fs) - 1))
+    levels = [lv for lv in rep.extras["levels"] if "iters" in lv]
+    assert sum(lv["iters"] + 1 for lv in levels) == len(rep.trace)
+    rows = iter(rep.trace)
+    for lv in levels:
+        fs = [next(rows).F for _ in range(lv["iters"] + 1)]
+        assert all(fs[i + 1] <= fs[i] + 1e-14 for i in range(len(fs) - 1))
 
 
 @pytest.mark.parametrize("name", ["choquard_report", "capped_report"])
@@ -178,10 +225,8 @@ def test_branch_plus_matches_capped(capped_report, plus_report):
                                                   abs=1e-3)
 
 
-def test_branch_minus_above_plus(p6_setup, plus_report):
-    grid = make_grid(16.0, 256)
-    rep = lambda_branch_minimize(p6_setup, grid, CFG,
-                                 gaussian_on_branch(p6_setup, "minus"), "minus")
+def test_branch_minus_above_plus(p6_setup, plus_report, ladder_reports):
+    rep = ladder_reports["minus_p6"]
     assert rep.converged
     assert rep.branch == "minus" and rep.gpp < 0
     assert abs(rep.s_branch - 1.0) < 1e-6
@@ -198,6 +243,121 @@ def test_branch_requires_valid_regime():
     with pytest.raises(ValueError):
         lambda_branch_minimize(pr, make_grid(24.0, 128), CFG,
                                ProfileSpec.gaussian(sigma=1.0), "sideways")
+
+
+# ---------------------------------------------------------------------------
+# Grid ladder
+# ---------------------------------------------------------------------------
+
+
+def _regime(params):
+    return regime_classify(params, sharp_constants(params.p))
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_256))
+def test_ladder_keeps_the_direct_answer(name, ladder_reports):
+    # Within the flow's stop band of the direct 256^2 solve, and certified
+    # on the 256^2 grid.
+    rep = ladder_reports[name]
+    assert rep.converged
+    assert rep.field.grid.n == 256
+    assert rep.objective == pytest.approx(BENCH_256[name][1], rel=1e-7)
+    assert max(rep.q_residual, rep.el_res, rep.pohozaev_res) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["ground_state_p3", "capped_p6", "plus_p6"])
+def test_ladder_levels(name, ladder_reports):
+    rep = ladder_reports[name]
+    coarse, fine = rep.extras["levels"]
+    assert (coarse["n"], fine["n"]) == (128, 256)
+    assert fine["F"] == rep.objective
+    assert rep.extras["F_err_grid"] == abs(fine["F"] - coarse["F"])
+    assert rep.iters == coarse["iters"] + fine["iters"] > 0
+    assert [row.iter for row in rep.trace] == list(range(len(rep.trace)))
+    assert len(rep.trace) == coarse["iters"] + fine["iters"] + 2
+
+
+def test_ladder_stacks_its_levels(p6_setup, ladder_reports):
+    # plus_p6 recenters, so its report sums the recenters of both levels;
+    # the levels rebuilt one by one give the same report.
+    rep = ladder_reports["plus_p6"]
+    fine_grid = make_grid(24.0, 256)
+    coarse_grid = make_grid(24.0, 128)
+    c, mode = p6_setup.c, "lambda_branch_minimize[plus]"
+    u0 = normalize(discretize(gaussian_on_branch(p6_setup, "plus"), fine_grid), c)
+    regime = _regime(p6_setup)
+
+    def level(u, grid):
+        obj = solvers._FiberBranch(p6_setup, kernel_table(grid), mode, "plus")
+        return solvers._flow(evaluate(u, obj.table), obj, CFG, regime)
+
+    coarse = level(normalize(Field(coarse_grid, u0.values[::2, ::2]), c), coarse_grid)
+    fine = level(normalize(prolong(coarse.field, fine_grid), c), fine_grid)
+    assert np.array_equal(rep.field.values, fine.field.values)
+    assert rep.iters == coarse.iters + fine.iters
+    assert rep.extras["recenters"] == (coarse.extras["recenters"]
+                                       + fine.extras["recenters"]) >= 1
+    assert [(r.F, r.A) for r in rep.trace] == [(r.F, r.A) for r in coarse.trace
+                                                + fine.trace]
+
+
+def test_ladder_refusal_falls_back_to_the_direct_solve(p6_setup, ladder_reports):
+    # minus_p6's start is narrower than the 128^2 grid resolves: the level
+    # is refused and the 256^2 flow is today's direct solve, bit for bit.
+    rep = ladder_reports["minus_p6"]
+    refused, fine = rep.extras["levels"]
+    assert refused["n"] == 128 and "grid too coarse" in refused["refused"]
+    assert "F_err_grid" not in rep.extras
+    assert (fine["n"], fine["iters"]) == (256, rep.iters)
+    grid = make_grid(16.0, 256)
+    u0 = normalize(discretize(gaussian_on_branch(p6_setup, "minus"), grid), p6_setup.c)
+    obj = solvers._FiberBranch(p6_setup, kernel_table(grid),
+                               "lambda_branch_minimize[minus]", "minus")
+    direct = solvers._flow(evaluate(u0, obj.table), obj, CFG, _regime(p6_setup))
+    assert rep.objective == direct.objective
+    assert np.array_equal(rep.field.values, direct.field.values)
+    assert rep.extras["recenters"] == direct.extras["recenters"]
+
+
+def test_ladder_skips_grids_below_twice_the_floor(choquard_report):
+    _, rep = choquard_report
+    assert rep.extras["levels"] == [{"n": 128, "iters": rep.iters, "F": rep.objective}]
+    assert "F_err_grid" not in rep.extras
+
+
+def test_ladder_recurses_to_the_floor():
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    rep = global_minimize(pr, make_grid(40.0, 512), SolverConfig(),
+                          ProfileSpec.gaussian(sigma=1.5))
+    assert rep.converged
+    assert [lv["n"] for lv in rep.extras["levels"]] == [128, 256, 512]
+    assert rep.iters == sum(lv["iters"] for lv in rep.extras["levels"])
+    # 0.3114213092146 is the direct 512^2 solve's F.
+    assert rep.objective == pytest.approx(0.3114213092146, rel=1e-7)
+    assert rep.extras["F_err_grid"] == abs(rep.objective
+                                           - rep.extras["levels"][1]["F"])
+
+
+def test_ladder_nonconvergence_reports_every_level():
+    # With no iteration the 128^2 level fails to converge and is refused;
+    # the 256^2 level then starts from the original field and fails too,
+    # and its report lists both levels.
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    with pytest.raises(ConvergenceError) as exc:
+        global_minimize(pr, make_grid(40.0, 256), SolverConfig(max_iter=0),
+                        ProfileSpec.gaussian(sigma=1.5))
+    refused, fine = exc.value.report.extras["levels"]
+    assert refused["n"] == 128 and "no certified convergence" in refused["refused"]
+    assert (fine["n"], fine["iters"]) == (256, 0)
+
+
+def test_too_coarse_a_grid_is_a_resolution_error(p6_setup):
+    # The minus-branch start of p6_setup has its width below two cells of a
+    # 64^2 grid on L = 16: that is the grid's fault, not the regime's.
+    with pytest.raises(ResolutionError, match="grid too coarse") as exc:
+        lambda_branch_minimize(p6_setup, make_grid(16.0, 64), CFG,
+                               gaussian_on_branch(p6_setup, "minus"), "minus")
+    assert not isinstance(exc.value, RegimeError)
 
 
 # ---------------------------------------------------------------------------
