@@ -118,7 +118,7 @@ def _check_v_split() -> CheckResult:
         ev = fn.evaluate(discretize(spec, grid), table)
         worst = max(worst, abs(ev.V - (ev.V1 - ev.V2)) / (1.0 + abs(ev.V1) + abs(ev.V2)))
     return _result("v_split_identity", worst, 1e-6,
-                   "V = V1 - V2 for the three log kernels")
+                   "V = V1 - V2 for the log kernels")
 
 
 def _check_v2_bound() -> CheckResult:
@@ -270,25 +270,16 @@ def _check_band_edges() -> CheckResult:
                    "classification flips across both closed-form mass edges")
 
 
-def _check_kernel_origin() -> CheckResult:
-    h = 0.15625
-    # The Gauss-Legendre rule of the other two kernels, run on log r.
-    measured = fn._origin_cell_average(fn._r_log, h)
-    closed = math.log(h) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
-    # Recover the origin weight actually baked into the log kernel table:
-    # the potential of a single-node field of unit mass, at that node.
-    grid = make_grid(40.0, 128)
-    spike = np.zeros((128, 128))
-    spike[64, 64] = 1.0 / grid.h
-    baked = float(log_potential(Field(grid, spike)).values[64, 64])
-    expected = (math.log(grid.h) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
-                - math.pi / 12.0)
-    err = max(abs(measured - closed), abs(baked - expected))
-    # Both differences are rounding (at most 4.4e-16); an origin weight off
-    # by 1e-10 must fail here, not only in v_split_identity.
-    return _result("kernel_origin_value", err, 1e-13,
-                   "origin cell average matches the closed form "
-                   "(with the singular-weight correction baked in)")
+def _check_log_kernel() -> CheckResult:
+    # At 64^2 on L = 16 the unit Gaussian's u^2 is resolved to rounding, so
+    # the error of V is the log convolution's alone: rounding, about 1e-14.
+    # A log-kernel origin value off by 1e-10 moves V by 1.7e-11 relative.
+    grid = make_grid(16.0, 64)
+    u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
+    closed = 0.5 * (math.log(2.0) - _EULER)
+    err = abs(fn.v_total(u) - closed) / closed
+    return _result("log_kernel_gaussian", err, 1e-12,
+                   "V of the unit Gaussian at 64^2 matches (ln 2 - euler)/2, relative")
 
 
 def _check_masscritical_edge() -> CheckResult:
@@ -320,7 +311,7 @@ _CHECKS: List[Callable[[], CheckResult]] = [
     _check_threshold_ratio,
     _check_nonexistence,
     _check_band_edges,
-    _check_kernel_origin,
+    _check_log_kernel,
     _check_masscritical_edge,
 ]
 

@@ -12,33 +12,40 @@ mass constraint, and the stationarity residuals.
 
 The convolution w = log|.| * u^2 is evaluated as a free-space convolution:
 u^2 is zero-padded to a 2n x 2n grid and multiplied in Fourier space with
-the kernel sampled at node differences (the domain doubling of Hockney &
-Eastwood, Computer Simulation Using Particles, 1988).  Both padded
-transforms are pruned.  The forward transforms only the n non-zero rows,
-by a real transform of length 2n along the second axis, then every column
-by a complex transform of length 2n along the first.  Only the n x n block
-of the padded inverse is read, so the inverse keeps n rows of a complex
-inverse along the first axis and carries only those through a real
-inverse along the second.  Both are bit-identical to the full 2n x 2n
-transforms.  The kernel value assigned to the
-zero-displacement cell is the exact cell average of the kernel over one
-grid cell (in closed form for log r; for log(1+r) and log(1+1/r) a fixed
-Gauss-Legendre rule over the polar angle of the closed-form integral
-along each ray, see _origin_cell_average) plus a singular-weight
-correction -pi/12 * sign of the kernel's Dirac content: midpoint sampling
-of a kernel whose Laplacian carries 2*pi*alpha*delta_0 overshoots the
-convolution by (pi*alpha/12) h^2 u^2(x), and folding the correction into
-the origin weight cancels that defect.  alpha is +1 for log r, 0 for
-log(1+r) and -1 for log(1+1/r), so the identity V = V1 - V2 is preserved
-exactly by construction.
+the transform of a kernel at the node displacements (the domain doubling
+of Hockney & Eastwood, Computer Simulation Using Particles, 1988).  Both
+padded transforms are pruned.  The forward transforms only the n non-zero
+rows, by a real transform of length 2n along the second axis, then every
+column by a complex transform of length 2n along the first.  Only the
+n x n block of the padded inverse is read, so the inverse keeps n rows of
+a complex inverse along the first axis and carries only those through a
+real inverse along the second.  Both are bit-identical to the full 2n x 2n
+transforms.
+
+The log kernel is not sampled: its values at the node displacements come
+from the truncated-kernel method (Vico, Greengard & Ferrando, J. Comput.
+Phys. 323, 2016).  No two nodes are further apart than R = sqrt(2) L, so
+log|z| cut off at R convolves u^2 exactly as log|z| does, and the cut-off
+kernel has a smooth transform in closed form (Bessel functions J0 and J1,
+here in numpy).  Sampled on the frequencies of period 3L and transformed
+back, it gives a convolution as accurate as the trapezoidal rule is for
+u^2 itself: spectral, where a sampled log|z|, even with a corrected origin
+weight, leaves an O(h^2) error in V and in everything built on it.  The
+kernel is even in both axes and symmetric under their swap, so the Bessel
+values are taken on one triangle of a frequency quadrant and both
+transforms are DCT-I on quadrants.  V1, with the kernel log(1+|z|), is a
+cusp and no singularity; it keeps the sampled kernel with the exact cell
+average at the origin (a fixed Gauss-Legendre rule over the polar angle,
+see _origin_cell_average), and V2 = V1 - V, so V = V1 - V2 holds by
+construction.
 
 Only the log interaction is non-local, so only it pays for the padded
 grid.  The kinetic term, the Laplacian and the Sobolev metric of the flows
 use the spectral derivative of the field treated as periodic on the n x n
 grid itself; callers keep the boundary mass fraction small so
-periodization error stays below the quadrature error.  A, V, V1 and V2
-are read from the kept forward spectra by Parseval, so a field whose
-gradient is never read takes no inverse transform.
+periodization error stays below the quadrature error.  A, V and V1 are
+read from the kept forward spectra by Parseval, so a field whose gradient
+is never read takes no inverse transform.
 
 Every quantity of a field is read from its Evaluation (built by
 evaluate()), which computes each on first use and keeps it; kinetic,
@@ -50,6 +57,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
@@ -84,16 +92,12 @@ __all__ = [
     "el_residual",
 ]
 
-# Origin-weight correction for kernels with Laplacian 2*pi*alpha*delta_0.
-_SINGULAR_WEIGHT = np.pi / 12.0
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """All functional values of one field evaluation.
 
     F = A/2 + (gamma/4) V - (a/p) C holds exactly in the stored values;
-    V = V1 - V2 holds to quadrature tolerance; V1, V2 >= 0.
+    V2 = V1 - V is computed so; V1, V2 >= 0.
     star_norm is the diagnostic weighted norm integral log(1+|x|) u^2.
     """
 
@@ -111,8 +115,8 @@ class EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
-# Nodes of the Gauss-Legendre rule of the origin-cell averages.  Their
-# integrand in the polar angle is analytic but at +-pi/2, three
+# Nodes of the Gauss-Legendre rule of the origin-cell average of log(1+r).
+# Its integrand in the polar angle is analytic but at +-pi/2, three
 # half-widths of [0, pi/4] from its centre, so 16 nodes reach rounding.
 _ORIGIN_NODES = 16
 
@@ -125,19 +129,9 @@ def _gauss_legendre(f, a: float, b: float, n: int) -> float:
     return half * float(np.dot(w, f(a + half * (1.0 + x))))
 
 
-def _r_log(R):
-    """int_0^R r log r dr."""
-    return 0.5 * R * R * (np.log(R) - 0.5)
-
-
 def _r_log1p(R):
     """int_0^R r log(1+r) dr."""
     return 0.5 * R * R * np.log1p(R) - 0.25 * R * R + 0.5 * (R - np.log1p(R))
-
-
-def _r_log1p_inv(R):
-    """int_0^R r log(1+1/r) dr."""
-    return _r_log1p(R) - _r_log(R)
 
 
 def _origin_cell_average(inner, h: float) -> float:
@@ -155,21 +149,135 @@ def _origin_cell_average(inner, h: float) -> float:
     return 8.0 * outer / (h * h)
 
 
-def _log_cell_average(h: float) -> float:
-    """Average of log|z| over one grid cell, in closed form."""
-    return math.log(h) - 0.5 * math.log(2.0) + 0.25 * math.pi - 1.5
+# J0 and J1 by three methods: the power series below _SERIES_MAX, Miller's
+# backward recurrence from order _MILLER_START up to the first Hankel band,
+# and Hankel's asymptotic expansion in each band (lower edge, terms of P and
+# of Q), where the first omitted term is below 1e-17 at the lower edge.
+_SERIES_MAX = 2.0
+_SERIES_TERMS = 14
+_MILLER_START = 64
+_HANKEL_BANDS = ((25.0, 10), (200.0, 4))
 
 
-def _kernel_rfft(r: np.ndarray, pos: np.ndarray, f, origin: float) -> np.ndarray:
-    """Real part of the rfft2 of the kernel f sampled at the node distances
-    r, where pos is r > 0, and the weight origin at r = 0.  The samples are
-    even, so the imaginary part is rounding only."""
+def _hankel_coefficients(nu: int, terms: int) -> Tuple[list, list]:
+    """The coefficients of P_nu and Q_nu as series in 1/x^2 (Q divided by
+    1/x): (-1)^m a_2m and (-1)^m a_2m+1, a_k = prod_{j <= k} (4 nu^2 -
+    (2j - 1)^2) / (k! 8^k)."""
+    a = [1.0]
+    for k in range(1, 2 * terms):
+        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    return ([(-1) ** m * a[2 * m] for m in range(terms)],
+            [(-1) ** m * a[2 * m + 1] for m in range(terms)])
+
+
+def _horner(coeffs: list, y: np.ndarray) -> np.ndarray:
+    s = np.full_like(y, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        s *= y
+        s += c
+    return s
+
+
+def _hankel(x: np.ndarray, terms: int) -> Tuple[np.ndarray, np.ndarray]:
+    """J0 and J1 by Hankel's expansion, J_nu = sqrt(2/(pi x)) (P_nu cos chi
+    - Q_nu sin chi), chi = x - (2 nu + 1) pi/4.  cos chi and sin chi are
+    written through cos x and sin x, so no rounded multiple of pi enters
+    the phase."""
+    y = 1.0 / (x * x)
+    c, s = np.cos(x), np.sin(x)
+    c_plus_s, s_minus_c = c + s, s - c
+    amp = 1.0 / np.sqrt(np.pi * x)
+    (p0, q0), (p1, q1) = (_hankel_coefficients(nu, terms) for nu in (0, 1))
+    j0 = amp * (_horner(p0, y) * c_plus_s - _horner(q0, y) / x * s_minus_c)
+    j1 = amp * (_horner(p1, y) * s_minus_c + _horner(q1, y) / x * c_plus_s)
+    return j0, j1
+
+
+def _bessel_j01(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J0(x) and J1(x) for x >= 0, in numpy alone, to a few units of 1e-16
+    (both are bounded by 1)."""
+    j0, j1 = np.empty_like(x), np.empty_like(x)
+    small = x < _SERIES_MAX
+    z = 0.25 * x[small] ** 2
+    s0, s1 = np.ones_like(z), np.ones_like(z)
+    for k in range(_SERIES_TERMS, 0, -1):
+        s0 = 1.0 - z / (k * k) * s0
+        s1 = 1.0 - z / (k * (k + 1)) * s1
+    j0[small], j1[small] = s0, 0.5 * x[small] * s1
+
+    # J_{k-1} = (2k/x) J_k - J_{k+1} down from J = 1 at k = _MILLER_START
+    # and 0 above it, up to a common factor that 1 = J0 + 2 (J2 + J4 + ...)
+    # fixes.
+    mid = ~small & (x < _HANKEL_BANDS[0][0])
+    two_over_x = 2.0 / x[mid]
+    jk, jk1 = np.ones_like(two_over_x), np.zeros_like(two_over_x)
+    total = np.zeros_like(two_over_x)
+    for k in range(_MILLER_START, 0, -1):
+        if k % 2 == 0:
+            total += jk
+        jk, jk1 = k * two_over_x * jk - jk1, jk
+    total = 2.0 * total + jk
+    j0[mid], j1[mid] = jk / total, jk1 / total
+
+    edges = [lo for lo, _ in _HANKEL_BANDS[1:]] + [math.inf]
+    for (lo, terms), hi in zip(_HANKEL_BANDS, edges):
+        band = (x >= lo) & (x < hi)
+        j0[band], j1[band] = _hankel(x[band], terms)
+    return j0, j1
+
+
+def _log_window(n: int, h: float) -> np.ndarray:
+    """The log kernel at the node displacements (i h, j h), 0 <= i, j <= n,
+    by the truncated-kernel method (Vico, Greengard & Ferrando, J. Comput.
+    Phys. 323, 2016).
+
+    Every displacement between nodes of the n x n grid has length below
+    R = sqrt(2) L, so log|z| may be cut off at R.  The cut-off kernel has
+    the smooth transform G(k) = 2 pi R^2 g(|k| R), g(x) = log R J1(x)/x -
+    (1 - J0(x))/x^2, g(0) = log(R)/2 - 1/4, which is sampled on the
+    frequencies of period P = 3L >= L + R and transformed back.  G is even
+    in both axes and symmetric under their swap, so the Bessel values are
+    taken on one triangle of the frequency quadrant 0..3n/2 and the
+    inverse is a DCT-I of the quadrant, scaled by 2 pi R^2 / P^2 = 4 pi/9.
+    """
     import scipy.fft as sfft
 
-    k = np.empty_like(r)
-    k[pos] = f(r[pos])
-    k[~pos] = origin
-    return sfft.rfft2(k).real.copy()
+    m = 3 * n // 2
+    log_R = math.log(n * h) + 0.5 * math.log(2.0)
+    i, j = np.tril_indices(m + 1)
+    # |k| R on the frequency lattice 2 pi (i, j) / P; (0, 0) comes first.
+    x = (2.0 * math.sqrt(2.0) * math.pi / 3.0) * np.hypot(i, j)
+    g = np.empty_like(x)
+    g[0] = 0.5 * log_R - 0.25
+    j0, j1 = _bessel_j01(x[1:])
+    g[1:] = (log_R * j1 - (1.0 - j0) / x[1:]) / x[1:]
+    quadrant = np.empty((m + 1, m + 1))
+    quadrant[i, j] = g
+    quadrant[j, i] = g
+    window = sfft.dctn(quadrant, type=1)[: n + 1, : n + 1]
+    window *= 4.0 * math.pi / 9.0
+    return window
+
+
+def _log1p_window(n: int, h: float) -> np.ndarray:
+    """log(1+|z|) at the node displacements (i h, j h), 0 <= i, j <= n,
+    sampled, with its exact average over one grid cell at the origin."""
+    d = h * np.arange(n + 1)
+    window = np.log1p(np.hypot(d[:, None], d[None, :]))
+    window[0, 0] = _origin_cell_average(_r_log1p, h)
+    return window
+
+
+def _even_rfft2(window: np.ndarray) -> np.ndarray:
+    """The rfft2 of the 2n x 2n array that is even in both axes and equal
+    to window on its quadrant 0..n: a DCT-I of the quadrant, which is the
+    rfft2 on rows 0..n, with rows 1..n-1 mirrored below.  Real, like the
+    transform of any even array."""
+    import scipy.fft as sfft
+
+    n = window.shape[0] - 1
+    quadrant = sfft.dctn(window, type=1)
+    return np.concatenate([quadrant, quadrant[n - 1:0:-1]])
 
 
 # Squared decay length of the Sobolev metric (1 - beta Delta).
@@ -187,9 +295,8 @@ class KernelTable:
     grid: Grid
     k2: np.ndarray          # |k|^2 in rfft2 layout on the n x n grid
     smoother: np.ndarray    # 1 / (1 + beta |k|^2), the inverse Sobolev metric
-    khat_log: np.ndarray    # real part of the padded rfft2 of log|z|
-    khat_v1: np.ndarray     # real part of the padded rfft2 of log(1+|z|)
-    khat_v2: np.ndarray     # real part of the padded rfft2 of log(1+1/|z|)
+    khat_log: np.ndarray    # padded rfft2 of the truncated-kernel log|z|
+    khat_v1: np.ndarray     # padded rfft2 of the sampled log(1+|z|)
     log_weight: np.ndarray  # log(1+|x|) quadrature weight on the n x n grid
 
     @staticmethod
@@ -197,45 +304,36 @@ class KernelTable:
         import scipy.fft as sfft
 
         n, h = grid.n, grid.h
-        # The log average is closed form and the other two come from the
-        # Gauss-Legendre rule; the identity log r = log(1+r) - log(1+1/r)
-        # then holds to rounding (and a corrupted origin value in any one
-        # kernel breaks it).
-        avg_log = _log_cell_average(h)
-        avg_v1 = _origin_cell_average(_r_log1p, h)
-        avg_v2 = _origin_cell_average(_r_log1p_inv, h)
-        # Node distances on the padded grid, shared by the three kernels.
-        idx = np.arange(2 * n)
-        d = np.where(idx < n, idx, idx - 2 * n) * h
-        r = np.hypot(d[:, None], d[None, :])
-        pos = r > 0
-        khat_log = _kernel_rfft(r, pos, np.log, avg_log - _SINGULAR_WEIGHT)
-        khat_v1 = _kernel_rfft(r, pos, np.log1p, avg_v1)
-        khat_v2 = _kernel_rfft(r, pos, lambda r: np.log1p(1.0 / r),
-                               avg_v2 + _SINGULAR_WEIGHT)
         k = 2.0 * np.pi * sfft.fftfreq(n, d=h)
         k2 = k[:, None] ** 2 + k[None, : n // 2 + 1] ** 2
         return KernelTable(grid=grid, k2=k2,
                            smoother=1.0 / (1.0 + _SOBOLEV_BETA * k2),
-                           khat_log=khat_log,
-                           khat_v1=khat_v1, khat_v2=khat_v2,
+                           khat_log=_even_rfft2(_log_window(n, h)),
+                           khat_v1=_even_rfft2(_log1p_window(n, h)),
                            log_weight=np.log1p(grid.radius()))
 
 
-_TABLE_CACHE: Dict[Tuple[int, float], KernelTable] = {}
+# The most tables kernel_table keeps; past it the least recently used goes.
+# A grid ladder uses one table per level and extent, and no benchmark
+# workload needs more than 3 extents x 3 levels.
+_TABLE_CACHE_SIZE = 16
+_TABLE_CACHE: "OrderedDict[Tuple[int, float], KernelTable]" = OrderedDict()
 _TABLE_LOCK = threading.Lock()
 
 
 def kernel_table(grid: Grid) -> KernelTable:
-    """Fetch (or build and cache) the spectral workspace for a grid."""
+    """Fetch (or build and cache) the spectral workspace for a grid.  The
+    cache keeps the _TABLE_CACHE_SIZE most recently used tables."""
     key = (grid.n, grid.extent)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        with _TABLE_LOCK:
-            table = _TABLE_CACHE.get(key)
-            if table is None:
-                table = KernelTable.build(grid)
-                _TABLE_CACHE[key] = table
+    with _TABLE_LOCK:
+        table = _TABLE_CACHE.get(key)
+        if table is None:
+            table = KernelTable.build(grid)
+            _TABLE_CACHE[key] = table
+            if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
+                _TABLE_CACHE.popitem(last=False)
+        else:
+            _TABLE_CACHE.move_to_end(key)
     return table
 
 
@@ -292,8 +390,8 @@ class Evaluation:
 
     Two forward transforms feed all of them: rfft2 of u on the n x n grid
     (spec_u) and rfft2 of u^2 zero-padded to 2n x 2n (spec_sq, pruned to
-    the n non-zero rows, bit-identical to the full padded rfft2).  A, V, V1
-    and V2 are read from them by Parseval, so F takes no inverse transform.
+    the n non-zero rows, bit-identical to the full padded rfft2).  A, V and
+    V1 are read from them by Parseval, so F takes no inverse transform.
     -Delta u takes one n x n inverse, and w = log|.| * u^2 one pruned padded
     inverse (n rows by ifft, then n columns by irfft, bit-identical to the
     n x n block of the full padded inverse); only grad and the quantities
@@ -314,7 +412,7 @@ class Evaluation:
 
     @cached_property
     def spec_sq(self) -> np.ndarray:
-        """rfft2 of u^2 on the padded grid, kept for w, V, V1 and V2."""
+        """rfft2 of u^2 on the padded grid, kept for w, V and V1."""
         return _forward(self.u.values * self.u.values)
 
     @cached_property
@@ -334,8 +432,9 @@ class Evaluation:
 
     @cached_property
     def V2(self) -> float:
-        """V with the nonnegative kernel log(1+1/|x-y|)."""
-        return self._h2 * self._h2 * _parseval(self.table.khat_v2, self.spec_sq)
+        """V with the nonnegative kernel log(1+1/|x-y|) = log(1+|x-y|) -
+        log|x-y|: V1 - V."""
+        return self.V1 - self.V
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -349,6 +448,17 @@ class Evaluation:
 
         return sfft.irfft2(self.spec_u * self.table.k2, s=self.u.values.shape,
                            overwrite_x=True)
+
+    @cached_property
+    def spectral_tail(self) -> float:
+        """||u_high|| / ||u||, u_high the part of u above half the Nyquist
+        frequency (|k| > pi/(2h)), read from spec_u by Parseval: the share
+        of the L2 norm that the grid at half the resolution cannot carry."""
+        n = self.u.grid.n
+        qx = np.fft.fftfreq(n, d=1.0 / n)
+        qy = np.arange(n // 2 + 1)
+        above = qx[:, None] ** 2 + qy[None, :] ** 2 > (n // 4) ** 2
+        return math.sqrt(self._h2 * _parseval(above, self.spec_u) / mass(self.u))
 
     @cached_property
     def star_norm(self) -> float:

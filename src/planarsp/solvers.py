@@ -37,9 +37,12 @@ flow re-converges so the reported field itself satisfies the residual
 certificates.
 
 Every solver runs the flow in a grid ladder (Bao & Du, SIAM J. Sci.
-Comput. 25, 2004).  On a grid of n >= 256 nodes a side the same objective
+Comput. 25, 2004).  On a grid of n >= 128 nodes a side the same objective
 is first solved at n/2 on the same extent, recursively down to the floor
-of 128, from the start injected onto the coarse nodes (every other node).
+of 64, from the start injected onto the coarse nodes (every other node).
+The log convolution is spectrally accurate (functionals), so where the
+coarse grid resolves the solution, the prolonged coarse solution passes the
+finer grid's stop test at once.
 The coarse solution, prolonged by zero-padding its spectrum
 (functionals.prolong) and renormalized, starts the flow at n, which
 certifies the reported field on the caller's grid.  A coarse level that
@@ -50,6 +53,8 @@ extras["levels"] lists every grid from the coarsest, as {n, iters, F} or
 {n, refused}; extras["F_err_grid"] is |F(n) - F(n/2)| when the level below
 converged.  iters, extras["recenters"] and the trace cover every level the
 solution passed through, the trace's iter numbering its rows across them.
+extras["spectral_tail"] is the reported field's Evaluation.spectral_tail,
+the part of it the grid at half the resolution could not carry.
 """
 
 from __future__ import annotations
@@ -220,6 +225,7 @@ def _finalize(ev: Evaluation, params: Params, regime: K.RegimeLabel,
         trace=trace,
     )
     report.extras["boundary_mass_fraction"] = boundary_mass_fraction(ev.u)
+    report.extras["spectral_tail"] = ev.spectral_tail
     return report
 
 
@@ -495,7 +501,7 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
 
 # The coarsest grid of the ladder: a solve on n >= 2 * _LADDER_FLOOR first
 # solves at n/2, and so on down to this size.
-_LADDER_FLOOR = 128
+_LADDER_FLOOR = 64
 
 
 def _plain_start(u0: Field, obj: _Objective) -> Evaluation:

@@ -106,7 +106,7 @@ def test_criterion_2_gaussian_closed_forms(grid512):
                     abs(C - 2.0 * c ** 1.5 / (3.0 * math.sqrt(math.pi)))
                     / (2.0 * c ** 1.5 / (3.0 * math.sqrt(math.pi))),
                     abs(V - V_GAUSS_UNIT * c * c) / (V_GAUSS_UNIT * c * c))
-    ok = worst < 1e-3
+    ok = worst < 1e-12
     report(2, ok, f"Gaussian closed forms A, C(p=3), V at 512^2: "
                   f"worst rel {worst:.2e}")
     assert ok

@@ -529,7 +529,7 @@ def test_solve_refuses_the_published_gamma_negative_window(tmp_path, capsys):
 @pytest.mark.parametrize("branch", ["auto", "plus"])
 def test_solve_classifies_once(tmp_path, monkeypatch, branch):
     # solve classifies to pick its solver and hands the label on, through
-    # both levels of the 256^2 grid ladder; no step is taken, so the solve
+    # every level of the 256^2 grid ladder; no step is taken, so the solve
     # ends unconverged (exit 3).
     calls = []
     classify = K.regime_classify
@@ -570,19 +570,20 @@ def test_solve_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
 
 
 def test_solve_ladder_report_replays(tmp_path):
-    # A 256^2 solve runs the 128^2 level first; its report lists both
-    # levels, its trace numbers the rows of both, and the replay writes the
-    # same report.json, solution.lpf and trace.csv, byte for byte.
+    # A 256^2 solve runs the 64^2 and 128^2 levels first; its report lists
+    # all three, its trace numbers the rows of each, and the replay writes
+    # the same report.json, solution.lpf and trace.csv, byte for byte.
     first, again = tmp_path / "first", tmp_path / "again"
     assert run_cli(["solve", "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
                     "--sigma", "1.5", "--trace", "--out", str(first)]) == 0
     assert run_cli(["solve", "--config", str(first / "report.json"),
                     "--out", str(again)]) == 0
     report = json.loads((first / "report.json").read_text())
-    assert [lv["n"] for lv in report["levels"]] == [128, 256]
+    assert [lv["n"] for lv in report["levels"]] == [64, 128, 256]
     assert report["iters"] == sum(lv["iters"] for lv in report["levels"]) > 0
-    assert report["F_err_grid"] == abs(report["levels"][1]["F"]
-                                       - report["levels"][0]["F"])
+    assert report["F_err_grid"] == abs(report["levels"][2]["F"]
+                                       - report["levels"][1]["F"])
+    assert 0.0 < report["spectral_tail"] < 1e-6
     trace = (first / "trace.csv").read_text().splitlines()
     assert trace[0] == "iter,F,Q,grad_res,A,C,V"
     assert [int(row.split(",")[0]) for row in trace[1:]] == list(range(len(trace) - 1))
@@ -697,37 +698,45 @@ def test_verify_runs_clean(capsys):
     assert len(payload["checks"]) >= 15
 
 
-def test_verify_detects_kernel_fault(monkeypatch, capsys):
-    # fault injection: a wrong origin-cell value must break the V-splitting
-    # identity and fail the suite
+def _shift_log_kernel_origin(monkeypatch, shift):
+    """Add shift to the log kernel's value at zero displacement, in every
+    table built from here on (a fresh table cache)."""
+    from collections import OrderedDict
+
     import planarsp.functionals as fn
 
-    true_avg = fn._log_cell_average
+    true_window = fn._log_window
 
-    def corrupted(h):
-        return true_avg(h) + 0.05
+    def shifted(n, h):
+        window = true_window(n, h)
+        window[0, 0] += shift
+        return window
 
-    monkeypatch.setattr(fn, "_log_cell_average", corrupted)
-    fn._TABLE_CACHE.clear()
-    try:
-        code = run_cli(["verify"])
-        payload = json.loads(capsys.readouterr().out)
-    finally:
-        fn._TABLE_CACHE.clear()
+    monkeypatch.setattr(fn, "_log_window", shifted)
+    monkeypatch.setattr(fn, "_TABLE_CACHE", OrderedDict())
+
+
+def test_verify_detects_kernel_fault(monkeypatch, capsys):
+    # fault injection: a log-kernel origin value off by 1e-10 must fail the
+    # suite.  V2 is V1 - V, so v_split_identity cannot see it; the check of
+    # V against the Gaussian's closed form does.
+    _shift_log_kernel_origin(monkeypatch, 1e-10)
+    code = run_cli(["verify"])
+    payload = json.loads(capsys.readouterr().out)
     assert code == 1
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
-    assert "v_split_identity" in failed
+    assert "log_kernel_gaussian" in failed
 
 
 def test_kernel_origin_check_detects_a_small_weight_shift(monkeypatch):
-    # The check measures rounding only, so a log-kernel origin weight off by
-    # 1e-10 fails it (a fresh table cache makes the shifted table).
-    import planarsp.functionals as fn
-    from planarsp.checks import _check_kernel_origin
+    # The check measures rounding only (about 1e-14), so a log-kernel origin
+    # value off by 1e-10 fails it: V moves by h^2 1e-10 integral u^4 =
+    # h^2 1e-10 / (2 pi), h = 1/4, which is 1.716e-11 of V.
+    from planarsp.checks import _check_log_kernel
 
-    true_avg = fn._log_cell_average
-    monkeypatch.setattr(fn, "_log_cell_average", lambda h: true_avg(h) + 1e-10)
-    monkeypatch.setattr(fn, "_TABLE_CACHE", {})
-    result = _check_kernel_origin()
+    assert _check_log_kernel().value < 1e-13
+    _shift_log_kernel_origin(monkeypatch, 1e-10)
+    result = _check_log_kernel()
     assert not result.passed
-    assert result.value == pytest.approx(1e-10, rel=1e-3)
+    v_unit = 0.5 * (np.log(2.0) - 0.5772156649015329)
+    assert result.value == pytest.approx(0.0625e-10 / (2.0 * np.pi) / v_unit, rel=1e-2)

@@ -1,8 +1,15 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
+import scipy.special
 from scipy.integrate import quad
 from scipy.special import exp1
 
@@ -12,9 +19,8 @@ from planarsp import (Field, Params, ProfileSpec, discretize, el_residual,
                       pohozaev_residual, shift, star_norm, v1, v2, v_total)
 from planarsp import constants as K
 from planarsp import functionals, solvers
-from planarsp.functionals import (_log_cell_average, _origin_cell_average, _r_log,
-                                  _r_log1p, _r_log1p_inv, evaluate, kernel_table,
-                                  prolong, smooth_direction)
+from planarsp.functionals import (_bessel_j01, _origin_cell_average, _r_log1p,
+                                  evaluate, kernel_table, prolong, smooth_direction)
 
 from conftest import EULER, V_GAUSS_UNIT, padded_reference
 
@@ -108,11 +114,21 @@ def test_log_potential_far_field(gauss256):
 
 def test_gaussian_V_closed_form_and_quadrature_oracle(gauss256):
     V = v_total(gauss256)
-    assert V == pytest.approx(V_GAUSS_UNIT, rel=1e-3)
+    assert V == pytest.approx(V_GAUSS_UNIT, rel=1e-12)
     # independent route: radial quadrature of the same integral
     oracle = radial_V_oracle(lambda r: np.exp(-r * r) / np.pi)
     assert abs(oracle - V_GAUSS_UNIT) < 1e-9
-    assert V == pytest.approx(oracle, rel=1e-3)
+    assert V == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("extent, sigma, c", [(16.0, 1.0, 1.0), (24.0, 1.5, 2.0)])
+def test_gaussian_V_is_spectrally_accurate(n, extent, sigma, c):
+    # u^2 is resolved to rounding from 64^2 up, so V is the closed form
+    # c^2 (V_GAUSS_UNIT + log sigma) to rounding.
+    u = discretize(ProfileSpec.gaussian(sigma=sigma, c=c), make_grid(extent, n))
+    assert v_total(u) == pytest.approx(c * c * (V_GAUSS_UNIT + math.log(sigma)),
+                                       rel=1e-12)
 
 
 def test_v_split_identity(grid128):
@@ -124,7 +140,7 @@ def test_v_split_identity(grid128):
         u = discretize(spec, grid128)
         V, V1, V2 = v_total(u, table), v1(u, table), v2(u, table)
         assert V1 >= 0.0 and V2 >= 0.0
-        assert abs(V - (V1 - V2)) < 1e-6 * (1.0 + abs(V1) + abs(V2))
+        assert abs(V - (V1 - V2)) < 1e-15 * (1.0 + abs(V1) + abs(V2))
 
 
 def test_energy_breakdown_invariants(gauss256):
@@ -226,14 +242,10 @@ def _quad_cell_average(f, h):
 
 
 def test_kernel_origin_closed_form():
+    # The origin weight of the sampled log(1+r) kernel is its cell average.
     for h in (0.15625, 0.078125, 0.3):
-        closed = math.log(h) - 0.5 * math.log(2.0) + math.pi / 4.0 - 1.5
-        assert _log_cell_average(h) == pytest.approx(closed, abs=1e-14)
-        assert _origin_cell_average(_r_log, h) == pytest.approx(closed, abs=1e-14)
-        for inner, f in ((_r_log1p, np.log1p),
-                         (_r_log1p_inv, lambda r: np.log1p(1.0 / r))):
-            assert _origin_cell_average(inner, h) == pytest.approx(
-                _quad_cell_average(f, h), abs=1e-14)
+        assert _origin_cell_average(_r_log1p, h) == pytest.approx(
+            _quad_cell_average(np.log1p, h), abs=1e-14)
 
 
 def test_v2_one_sided_bound(grid128):
@@ -424,3 +436,98 @@ def test_prolong_refuses_anything_but_a_finer_grid_of_the_same_extent(
         extent, n, gauss128):
     with pytest.raises(ValueError, match="finer grid of the same extent"):
         prolong(gauss128, make_grid(extent, n))
+
+
+# ---------------------------------------------------------------------------
+# The truncated log kernel and its Bessel functions
+# ---------------------------------------------------------------------------
+
+
+def test_bessel_matches_scipy_special():
+    # From 0 to 2 pi n at n = 512, the largest |k| R of a 512^2 table: a few
+    # units of 1e-16, plus the error that one ulp of the argument makes in
+    # scipy's own phase, sqrt(2/(pi x)) ulp(x).
+    eps = np.finfo(float).eps
+    x = np.concatenate([np.linspace(0.0, 30.0, 30001),
+                        np.linspace(0.0, 2.0 * np.pi * 512, 200001)])
+    j0, j1 = _bessel_j01(x)
+    tol = 4.0 * (eps + np.sqrt(2.0 / (np.pi * np.maximum(x, 1.0))) * np.spacing(x))
+    assert np.all(np.abs(j0 - scipy.special.j0(x)) <= tol)
+    assert np.all(np.abs(j1 - scipy.special.j1(x)) <= tol)
+    assert (j0[0], j1[0]) == (1.0, 0.0)
+
+
+def test_bessel_values_need_no_scipy():
+    x = "np.linspace(0.0, 2.0 * np.pi * 256, 20001)"
+    code = ("import sys, hashlib\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from planarsp.functionals import _bessel_j01\n"
+            f"j0, j1 = _bessel_j01({x})\n"
+            "print(hashlib.sha256(j0.tobytes() + j1.tobytes()).hexdigest())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    j0, j1 = _bessel_j01(eval(x))
+    assert proc.stdout.strip() == hashlib.sha256(j0.tobytes() + j1.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_log_kernel_matches_the_full_period_transform(n):
+    # The reference samples the cut-off kernel's transform on the whole
+    # (3n)^2 frequency grid, with scipy's Bessel functions, and inverts it
+    # by a full FFT; the table's khat_log is the rfft2 of the even 2n x 2n
+    # kernel array.
+    grid = make_grid(16.0, n)
+    L, R = grid.extent, math.sqrt(2.0) * grid.extent
+    P = 3.0 * L
+    freq = 2.0 * np.pi / P * np.fft.fftfreq(3 * n, d=1.0 / (3 * n))
+    kR = np.hypot(freq[:, None], freq[None, :]) * R
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 2.0 * np.pi * R * R * (math.log(R) * scipy.special.j1(kR) / kR
+                                   - (1.0 - scipy.special.j0(kR)) / kR ** 2)
+    g[0, 0] = np.pi * R * R * (math.log(R) - 0.5)
+    full = np.fft.ifft2(g).real * (3 * n) ** 2 / P ** 2
+    window = functionals._log_window(n, grid.h)
+    assert np.max(np.abs(window - full[: n + 1, : n + 1])) < 1e-13
+
+    fold = np.r_[np.arange(n + 1), np.arange(n - 1, 0, -1)]
+    spec = np.fft.rfft2(window[np.ix_(fold, fold)])
+    khat = kernel_table(grid).khat_log
+    assert np.max(np.abs(khat - spec.real)) < 1e-12 * np.max(np.abs(khat))
+    assert np.max(np.abs(spec.imag)) < 1e-12 * np.max(np.abs(khat))
+
+
+def test_table_cache_is_least_recently_used(monkeypatch):
+    # A ladder over the benchmark's three extents keeps 3 x 3 tables, which
+    # must all stay.
+    size = functionals._TABLE_CACHE_SIZE
+    assert size >= 9
+    monkeypatch.setattr(functionals, "_TABLE_CACHE", OrderedDict())
+    grids = [make_grid(10.0 + i, 16) for i in range(size + 1)]
+    tables = [kernel_table(g) for g in grids[:size]]
+    assert kernel_table(grids[0]) is tables[0]      # a hit refreshes it
+    kernel_table(grids[size])                       # one past the bound
+    keys = list(functionals._TABLE_CACHE)
+    assert len(keys) == size
+    assert (grids[1].n, grids[1].extent) not in keys
+    assert keys[0] == (grids[2].n, grids[2].extent)
+    assert keys[-2:] == [(grids[0].n, grids[0].extent), (grids[size].n, grids[size].extent)]
+    assert kernel_table(grids[0]) is tables[0]
+
+
+@pytest.mark.parametrize("which", ["gauss128", "random_smooth", "white_noise"])
+def test_spectral_tail_is_the_norm_above_half_nyquist(which, gauss128, grid128):
+    if which == "gauss128":
+        u = gauss128
+    elif which == "random_smooth":
+        u = _random_smooth(grid128)
+    else:
+        u = Field(grid128, np.random.default_rng(3).standard_normal((128, 128)))
+    n = u.grid.n
+    q = np.fft.fftfreq(n, d=1.0 / n)
+    power = np.abs(np.fft.fft2(u.values)) ** 2
+    above = q[:, None] ** 2 + q[None, :] ** 2 > (n / 4) ** 2
+    want = math.sqrt(np.sum(power[above]) / np.sum(power))
+    assert evaluate(u).spectral_tail == pytest.approx(want, rel=1e-12, abs=1e-15)

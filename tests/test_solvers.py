@@ -48,25 +48,31 @@ def plus_report(p6_setup):
                                   gaussian_on_branch(p6_setup, "plus"), "plus")
 
 
-# The benchmark's four cases at 256^2: the extent of each and its F from the
-# direct 256^2 solve that preceded the grid ladder.
+# The benchmark's four cases at 256^2: the extent of each and its F from a
+# direct 256^2 solve, with no grid ladder.
 BENCH_256 = {
-    "ground_state_p3": (40.0, 0.311418881077),
-    "capped_p6": (24.0, 0.632511527481),
-    "plus_p6": (24.0, 0.632511526972),
-    "minus_p6": (16.0, 4.325922087456),
+    "ground_state_p3": (40.0, 0.311422098120),
+    "capped_p6": (24.0, 0.632516201900),
+    "plus_p6": (24.0, 0.632516201354),
+    "minus_p6": (16.0, 4.326004312547),
 }
 
 
-def _bench_solve(name, params6, grid, cfg=CFG):
-    if name == "ground_state_p3":
-        return global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0), grid, cfg,
-                               ProfileSpec.gaussian(sigma=1.5))
-    if name == "capped_p6":
-        return local_minimize_capped(params6, grid, cfg, ProfileSpec.gaussian(sigma=1.5))
+def _bench_solve(name, params6, grid, cfg=CFG, scale=None):
+    """The benchmark's solve of case name on grid; with scale, from its
+    normalized start field with every value multiplied by scale."""
+    params = Params(gamma=1.0, a=0.0, p=3.0, c=1.0) if name == "ground_state_p3" \
+        else params6
     branch = name.split("_")[0]
-    return lambda_branch_minimize(params6, grid, cfg,
-                                  gaussian_on_branch(params6, branch), branch)
+    init = gaussian_on_branch(params6, branch) if branch in ("plus", "minus") \
+        else ProfileSpec.gaussian(sigma=1.5)
+    if scale is not None:
+        init = Field(grid, normalize(discretize(init, grid), params.c).values * scale)
+    if name == "ground_state_p3":
+        return global_minimize(params, grid, cfg, init)
+    if name == "capped_p6":
+        return local_minimize_capped(params, grid, cfg, init)
+    return lambda_branch_minimize(params, grid, cfg, init, branch)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +129,7 @@ def _descent_report(request, name):
 @pytest.mark.parametrize("name", ["choquard_report", "capped_report",
                                   "choquard_256", "capped_256"])
 def test_monotone_descent(request, name):
-    # Each level of the grid ladder is one descent; a 128^2 solve has one.
+    # Each level of the grid ladder is one descent.
     rep = _descent_report(request, name)
     levels = [lv for lv in rep.extras["levels"] if "iters" in lv]
     assert sum(lv["iters"] + 1 for lv in levels) == len(rep.trace)
@@ -267,43 +273,82 @@ def test_ladder_keeps_the_direct_answer(name, ladder_reports):
 
 @pytest.mark.parametrize("name", ["ground_state_p3", "capped_p6", "plus_p6"])
 def test_ladder_levels(name, ladder_reports):
+    # The log convolution is spectral, so the 64^2 solution already passes
+    # the stop test at 128^2 and at 256^2, and F agrees across the grids to
+    # rounding.
     rep = ladder_reports[name]
-    coarse, fine = rep.extras["levels"]
-    assert (coarse["n"], fine["n"]) == (128, 256)
+    coarsest, middle, fine = rep.extras["levels"]
+    assert (coarsest["n"], middle["n"], fine["n"]) == (64, 128, 256)
+    assert (middle["iters"], fine["iters"]) == (0, 0)
     assert fine["F"] == rep.objective
-    assert rep.extras["F_err_grid"] == abs(fine["F"] - coarse["F"])
-    assert rep.iters == coarse["iters"] + fine["iters"] > 0
+    assert rep.extras["F_err_grid"] == abs(fine["F"] - middle["F"]) < 1e-9 * rep.objective
+    assert rep.iters == coarsest["iters"] > 0
     assert [row.iter for row in rep.trace] == list(range(len(rep.trace)))
-    assert len(rep.trace) == coarse["iters"] + fine["iters"] + 2
+    assert len(rep.trace) == rep.iters + 3
 
 
 def test_ladder_stacks_its_levels(p6_setup, ladder_reports):
-    # plus_p6 recenters, so its report sums the recenters of both levels;
+    # plus_p6 recenters, so its report sums the recenters of every level;
     # the levels rebuilt one by one give the same report.
     rep = ladder_reports["plus_p6"]
-    fine_grid = make_grid(24.0, 256)
-    coarse_grid = make_grid(24.0, 128)
+    grids = [make_grid(24.0, n) for n in (64, 128, 256)]
     c, mode = p6_setup.c, "lambda_branch_minimize[plus]"
-    u0 = normalize(discretize(gaussian_on_branch(p6_setup, "plus"), fine_grid), c)
+    u0 = normalize(discretize(gaussian_on_branch(p6_setup, "plus"), grids[-1]), c)
     regime = _regime(p6_setup)
 
     def level(u, grid):
         obj = solvers._FiberBranch(p6_setup, kernel_table(grid), mode, "plus")
         return solvers._flow(evaluate(u, obj.table), obj, CFG, regime)
 
-    coarse = level(normalize(Field(coarse_grid, u0.values[::2, ::2]), c), coarse_grid)
-    fine = level(normalize(prolong(coarse.field, fine_grid), c), fine_grid)
-    assert np.array_equal(rep.field.values, fine.field.values)
-    assert rep.iters == coarse.iters + fine.iters
-    assert rep.extras["recenters"] == (coarse.extras["recenters"]
-                                       + fine.extras["recenters"]) >= 1
-    assert [(r.F, r.A) for r in rep.trace] == [(r.F, r.A) for r in coarse.trace
-                                                + fine.trace]
+    u1 = normalize(Field(grids[1], u0.values[::2, ::2]), c)
+    reports = [level(normalize(Field(grids[0], u1.values[::2, ::2]), c), grids[0])]
+    for grid in grids[1:]:
+        reports.append(level(normalize(prolong(reports[-1].field, grid), c), grid))
+    assert np.array_equal(rep.field.values, reports[-1].field.values)
+    assert rep.iters == sum(r.iters for r in reports)
+    assert rep.extras["recenters"] == sum(r.extras["recenters"] for r in reports) >= 1
+    assert [(r.F, r.A) for r in rep.trace] == [(r.F, r.A) for level_rep in reports
+                                                for r in level_rep.trace]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_256))
+@pytest.mark.parametrize("scale", [1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52],
+                         ids=["ulp_up", "ulp_down"])
+def test_one_ulp_change_of_the_start(name, scale, p6_setup, ladder_reports):
+    # A guard, not a known defect: every start value moved by one ulp moves
+    # F by at most 1e-11 relative and the iteration count by at most one.
+    base = ladder_reports[name]
+    rep = _bench_solve(name, p6_setup, base.field.grid, scale=scale)
+    assert rep.converged
+    assert rep.objective == pytest.approx(base.objective, rel=1e-11)
+    assert abs(rep.iters - base.iters) <= 1
+
+
+def test_minus_p6_shows_its_grid_error(p6_setup, ladder_reports):
+    # minus_p6's core is under-resolved at 256^2: 6.4e-3 of its L2 norm lies
+    # above half the Nyquist frequency, and F moves by 1.7e-5 relative to
+    # 512^2, where the 256^2 level converges and F_err_grid reports the move.
+    coarse = ladder_reports["minus_p6"]
+    assert coarse.extras["spectral_tail"] == pytest.approx(6.44e-3, rel=1e-2)
+    fine = _bench_solve("minus_p6", p6_setup, make_grid(16.0, 512))
+    assert fine.converged
+    assert [lv["n"] for lv in fine.extras["levels"]] == [128, 256, 512]
+    assert fine.extras["F_err_grid"] == pytest.approx(fine.objective - coarse.objective,
+                                                      rel=1e-6)
+    assert (fine.objective - coarse.objective) / fine.objective == \
+        pytest.approx(1.74e-5, rel=2e-2)
+    assert fine.extras["spectral_tail"] == pytest.approx(8.27e-5, rel=1e-2)
+
+
+@pytest.mark.parametrize("name", ["ground_state_p3", "capped_p6", "plus_p6"])
+def test_resolved_solutions_have_no_spectral_tail(name, ladder_reports):
+    assert ladder_reports[name].extras["spectral_tail"] < 1e-6
 
 
 def test_ladder_refusal_falls_back_to_the_direct_solve(p6_setup, ladder_reports):
-    # minus_p6's start is narrower than the 128^2 grid resolves: the level
-    # is refused and the 256^2 flow is today's direct solve, bit for bit.
+    # minus_p6's start is narrower than the 128^2 (and the 64^2) grid
+    # resolves: the level is refused and the 256^2 flow is the direct solve,
+    # bit for bit.
     rep = ladder_reports["minus_p6"]
     refused, fine = rep.extras["levels"]
     assert refused["n"] == 128 and "grid too coarse" in refused["refused"]
@@ -319,9 +364,11 @@ def test_ladder_refusal_falls_back_to_the_direct_solve(p6_setup, ladder_reports)
     assert rep.extras["recenters"] == direct.extras["recenters"]
 
 
-def test_ladder_skips_grids_below_twice_the_floor(choquard_report):
-    _, rep = choquard_report
-    assert rep.extras["levels"] == [{"n": 128, "iters": rep.iters, "F": rep.objective}]
+def test_ladder_skips_grids_below_twice_the_floor(p6_setup):
+    rep = local_minimize_capped(p6_setup, make_grid(24.0, 64), CFG,
+                                ProfileSpec.gaussian(sigma=1.5))
+    assert rep.converged
+    assert rep.extras["levels"] == [{"n": 64, "iters": rep.iters, "F": rep.objective}]
     assert "F_err_grid" not in rep.extras
 
 
@@ -330,12 +377,13 @@ def test_ladder_recurses_to_the_floor():
     rep = global_minimize(pr, make_grid(40.0, 512), SolverConfig(),
                           ProfileSpec.gaussian(sigma=1.5))
     assert rep.converged
-    assert [lv["n"] for lv in rep.extras["levels"]] == [128, 256, 512]
+    assert [lv["n"] for lv in rep.extras["levels"]] == [64, 128, 256, 512]
+    assert [lv["iters"] for lv in rep.extras["levels"][1:]] == [0, 0, 0]
     assert rep.iters == sum(lv["iters"] for lv in rep.extras["levels"])
-    # 0.3114213092146 is the direct 512^2 solve's F.
-    assert rep.objective == pytest.approx(0.3114213092146, rel=1e-7)
+    # 0.311422098120 is the direct 512^2 solve's F.
+    assert rep.objective == pytest.approx(0.311422098120, rel=1e-9)
     assert rep.extras["F_err_grid"] == abs(rep.objective
-                                           - rep.extras["levels"][1]["F"])
+                                           - rep.extras["levels"][2]["F"])
 
 
 def test_ladder_nonconvergence_reports_every_level():
