@@ -402,6 +402,7 @@ class Evaluation:
         self.u, self.table = u, table
         self._h2 = u.grid.h * u.grid.h
         self._C: Dict[float, float] = {}
+        self._grad: Dict[Params, np.ndarray] = {}
 
     @cached_property
     def spec_u(self) -> np.ndarray:
@@ -487,12 +488,19 @@ class Evaluation:
         """L2 gradient of u -> F(u^s), u^s(x) = s u(sx), read on the grid by
         the dilation covariance of grad F, m the mass of u:
         s^2 (-Delta u) + gamma (w - m log s) u - a s^(p-2) |u|^(p-2) u.
-        s = 1 gives grad F, the exact gradient of the discrete energy."""
+        s = 1 gives grad F, the exact gradient of the discrete energy; it is
+        kept, read-only, for el_residual and later calls."""
+        if s == 1.0 and params in self._grad:
+            return self._grad[params]
         vals, p = self.u.values, params.p
         nonlin = np.abs(vals) ** (p - 2.0) * vals
-        return (s * s * self.neg_lap
-                + params.gamma * (self.w - mass(self.u) * math.log(s)) * vals
-                - params.a * s ** (p - 2.0) * nonlin)
+        g = (s * s * self.neg_lap
+             + params.gamma * (self.w - mass(self.u) * math.log(s)) * vals
+             - params.a * s ** (p - 2.0) * nonlin)
+        if s == 1.0:
+            g.flags.writeable = False
+            self._grad[params] = g
+        return g
 
     def lam(self, params: Params, s: float = 1.0) -> float:
         """Multiplier of the mass constraint, -<grad(params, s), u>/m, which

@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError, GridMismatchError, ResolutionError
 
 __all__ = [
     "Grid",
@@ -194,7 +194,7 @@ class ProfileSpec:
                                   mass c/2 each and have disjoint supports
       random_smooth(seed, cutoff) band-limited random field under a Gaussian
                                   envelope, renormalized; a cutoff above n/2
-                                  of the grid is refused
+                                  of the grid is refused (ResolutionError)
     """
 
     kind: str
@@ -301,9 +301,10 @@ def _sample(spec: ProfileSpec, grid: Grid) -> Field:
         n = grid.n
         kc = int(spec.cutoff)
         if kc > n // 2:
-            # Modes above the grid's Nyquist number alias.
-            raise ValueError(f"random_smooth cutoff {kc} exceeds n/2 = {n // 2} "
-                             f"of the {n} x {n} grid")
+            # Modes above the grid's Nyquist number alias: the grid is too
+            # coarse for the profile.
+            raise ResolutionError(f"random_smooth cutoff {kc} exceeds n/2 = "
+                                  f"{n // 2} of the {n} x {n} grid")
         rng = np.random.default_rng(spec.seed)
         coef = rng.standard_normal((2 * kc + 1, 2 * kc + 1))
         phase = rng.uniform(0.0, 2.0 * np.pi, coef.shape)

@@ -39,20 +39,32 @@ certificates.
 Every solver runs the flow in a grid ladder (Bao & Du, SIAM J. Sci.
 Comput. 25, 2004).  On a grid of n >= 128 nodes a side the same objective
 is first solved at n/2 on the same extent, recursively down to the floor
-of 64, from the start injected onto the coarse nodes (every other node).
-The log convolution is spectrally accurate (functionals), so where the
-coarse grid resolves the solution, the prolonged coarse solution passes the
-finer grid's stop test at once.
-The coarse solution, prolonged by zero-padding its spectrum
-(functionals.prolong) and renormalized, starts the flow at n, which
-certifies the reported field on the caller's grid.  A coarse level that
-fails (ResolutionError, ConvergenceError or DomainError) is recorded as
-refused, and the next level starts from the original start, as a direct
-solve does.  max_iter applies to each level.  The report's
-extras["levels"] lists every grid from the coarsest, as {n, iters, F} or
-{n, refused}; extras["F_err_grid"] is |F(n) - F(n/2)| when the level below
-converged.  iters, extras["recenters"] and the trace cover every level the
-solution passed through, the trace's iter numbering its rows across them.
+of 64.  The log convolution is spectrally accurate (functionals), so where
+the coarse grid resolves the solution, the prolonged coarse solution passes
+the finer grid's stop test at once.  The coarse solution, prolonged by
+zero-padding its spectrum (functionals.prolong) and renormalized, starts
+the flow at n, which certifies the reported field on the caller's grid.
+
+The start is built on the grid of the level whose flow starts from it: a
+ProfileSpec is discretized there, a Field injected onto its nodes (every
+other node per halving).  That is the floor grid; a finer grid samples
+the start only when the level below it was refused.  The energy flows start on the
+minimum of the start's fiber: its plus critical point s, found in closed
+form from A, V and C (fiber.critical_points), and the start dilated to s
+and renormalized, so the first iterate has Q = 0 up to resampling.  In
+LocalMinPlusMountainPass (c < c0) that point lies inside the kinetic cap.
+A fiber with no minimum, or whose minimum leaks through the boundary frame,
+keeps the start as given.  The fiber-branch objective is constant along
+each fiber, so its start is used as given.
+
+A level below the caller's grid that fails (ResolutionError,
+ConvergenceError or DomainError) is recorded as refused, and the next
+level starts from its own sample of the start, as a direct solve does.
+max_iter applies to each level.  The report's extras["levels"] lists every
+grid from the coarsest, as {n, iters, F} or {n, refused};
+extras["F_err_grid"] is |F(n) - F(n/2)| when the level below converged.
+iters, extras["recenters"] and the trace cover the levels the solution
+passed through, the trace's iter numbering its rows across them.
 extras["spectral_tail"] is the reported field's Evaluation.spectral_tail,
 the part of it the grid at half the resolution could not carry.
 """
@@ -171,12 +183,22 @@ class SolveReport:
         return out
 
 
-def _as_field(init: Union[ProfileSpec, Field], grid: Grid, c: float) -> Field:
-    if isinstance(init, Field):
-        if init.grid != grid:
-            raise ValueError("init field lives on a different grid")
-        return normalize(init, c)
-    return normalize(discretize(init, grid), c)
+def _sampler(init: Union[ProfileSpec, Field], grid: Grid,
+             c: float) -> Callable[[Grid], Field]:
+    """The start of a solve on grid as a function of the grid it is wanted
+    on, grid or a coarser one of the same extent, normalized to mass c.  A
+    profile is discretized on that grid; a field, which must live on grid,
+    is injected onto its nodes (every other node per halving)."""
+    if isinstance(init, ProfileSpec):
+        return lambda g: normalize(discretize(init, g), c)
+    if init.grid != grid:
+        raise ValueError("init field lives on a different grid")
+    u0 = normalize(init, c)
+
+    def inject(g: Grid) -> Field:
+        step = grid.n // g.n
+        return u0 if step == 1 else normalize(Field(g, u0.values[::step, ::step]), c)
+    return inject
 
 
 def gaussian_on_branch(params: Params, branch: str) -> ProfileSpec:
@@ -258,6 +280,10 @@ class _Objective:
     def __init__(self, params: Params, table: KernelTable, mode: str):
         self.params, self.table, self.mode = params, table, mode
 
+    def start(self, ev: Evaluation) -> Evaluation:
+        """The evaluation a flow from the evaluated field ev starts at."""
+        return ev
+
     def orbit(self, u: Field) -> Optional[np.ndarray]:
         """A direction the objective is invariant along."""
         return None
@@ -281,7 +307,11 @@ class _Objective:
 
 class _Energy(_Objective):
     """F on the mass sphere; with a kinetic cap, points with A >= cap are
-    inadmissible, so every iterate is strictly interior."""
+    inadmissible, so every iterate is strictly interior.
+
+    A flow starts on the minimum of its start's fiber, the plus critical
+    point of t -> F(u^t), where Q = 0; below c0 that point lies inside the
+    cap."""
 
     def __init__(self, params: Params, table: KernelTable, mode: str,
                  cap: Optional[float] = None):
@@ -292,6 +322,16 @@ class _Energy(_Objective):
         if self.cap is not None and ev.A >= self.cap:
             return None
         return _Point(ev, ev.F(self.params))
+
+    def start(self, ev: Evaluation) -> Evaluation:
+        # A fiber with no minimum, or whose minimum does not fit in the
+        # domain, keeps the start as given.
+        try:
+            s = _branch_of(scalars(ev, self.params), "plus").s
+            u = normalize(dilate(ev.u, s), self.params.c)
+        except (RegimeError, DomainError):
+            return ev
+        return evaluate(u, self.table)
 
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
         return RegimeError(f"{self.mode}: initial field is not admissible: its "
@@ -504,54 +544,56 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
 _LADDER_FLOOR = 64
 
 
-def _plain_start(u0: Field, obj: _Objective) -> Evaluation:
-    return evaluate(u0, obj.table)
-
-
-def _ladder(u0: Field, objective: Callable[[KernelTable], _Objective],
-            start: Callable[[Field, _Objective], Evaluation],
+def _ladder(grid: Grid, sample: Callable[[Grid], Field],
+            objective: Callable[[KernelTable], _Objective],
             cfg: SolverConfig, regime: K.RegimeLabel) -> SolveReport:
-    """Flow objective(table) on the grid of u0, from start(u0, obj) or from
+    """Flow objective(table) on grid, from the start sampled there or from
     the solution one level down.
 
-    When the grid has n >= 2 * _LADDER_FLOOR nodes a side, the same
-    objective is first solved at n/2 on the same extent, from u0 injected
-    onto the coarse nodes (every other node), and its solution, prolonged
-    spectrally and renormalized, starts the flow at n.  A coarse level that
-    fails with ResolutionError, ConvergenceError or DomainError is recorded
-    as refused, and the flow at n starts from start(u0, obj) as a direct
-    solve would.  Each level has cfg.max_iter iterations."""
-    grid = u0.grid
-    obj = objective(kernel_table(grid))
-    c = obj.params.c
+    The levels are grid and, when it has n >= 2 * _LADDER_FLOOR nodes a
+    side, the grids of n/2, n/4, ... down to _LADDER_FLOOR on the same
+    extent.  The coarsest level flows from obj.start of sample(its grid);
+    each solution, prolonged spectrally and renormalized, starts the flow
+    one level up.  A level below grid that fails with ResolutionError,
+    ConvergenceError or DomainError is recorded as refused, and the next
+    level flows from obj.start of the start sampled on its own grid, as a
+    direct solve would.  Each level has cfg.max_iter iterations."""
+    def start(obj: _Objective, below: Optional[SolveReport]) -> Evaluation:
+        level = obj.table.grid
+        if below is None:
+            return obj.start(evaluate(sample(level), obj.table))
+        return evaluate(normalize(prolong(below.field, level), obj.params.c), obj.table)
+
+    grids = [grid]
+    while grids[0].n >= 2 * _LADDER_FLOOR:
+        grids.insert(0, Grid(grid.extent, grids[0].n // 2))
     below: Optional[SolveReport] = None
     levels: List[dict] = []
-    if grid.n >= 2 * _LADDER_FLOOR:
-        coarse = Grid(grid.extent, grid.n // 2)
+    for level in grids:
+        obj = objective(kernel_table(level))
         try:
-            below = _ladder(normalize(Field(coarse, u0.values[::2, ::2]), c),
-                            objective, start, cfg, regime)
+            report = _flow(start(obj, below), obj, cfg, regime)
         except (ResolutionError, ConvergenceError, DomainError) as err:
-            levels.append({"n": coarse.n, "refused": str(err)})
-    try:
-        report = _flow(start(u0, obj) if below is None else
-                       evaluate(normalize(prolong(below.field, grid), c), obj.table),
-                       obj, cfg, regime)
-    except ConvergenceError as err:
-        if err.report is not None:
-            _stack(err.report, below, levels)
-        raise
-    return _stack(report, below, levels)
+            if level is grid:
+                if isinstance(err, ConvergenceError) and err.report is not None:
+                    _stack(err.report, below, levels)
+                raise
+            levels = levels + [{"n": level.n, "refused": str(err)}]
+            below = None
+            continue
+        below = _stack(report, below, levels)
+        levels = below.extras["levels"]
+    return below
 
 
 def _stack(report: SolveReport, below: Optional[SolveReport],
            levels: List[dict]) -> SolveReport:
-    """Put the levels under report into it: extras["levels"] lists every
-    grid from the coarsest, and iters, the trace and the recenters count
-    every level the solution passed through."""
+    """Put the levels under report into it: extras["levels"] becomes
+    levels, the entries of the grids below report's, plus report's own;
+    iters, the trace and the recenters add those of below, the solution
+    report started from."""
     entry = {"n": report.field.grid.n, "iters": report.iters, "F": report.objective}
     if below is not None:
-        levels = below.extras["levels"]
         report.extras["F_err_grid"] = abs(report.objective - below.objective)
         report.iters += below.iters
         offset = len(below.trace)
@@ -587,13 +629,14 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
     """Minimize F over the mass sphere in a bounded regime.
 
     Valid when the classifier reports GlobalMin or GlobalMinMassCritical;
-    refuses to start otherwise, quoting the certificate.  regime is the
+    refuses to start otherwise, quoting the certificate.  The flow starts
+    on the minimum of init's fiber (module docstring).  regime is the
     classifier's label of params when the caller has it; it is classified
     here otherwise."""
     regime = _regime_for(global_minimize, params, "a bounded-below regime", regime)
-    return _ladder(_as_field(init, grid, params.c),
+    return _ladder(grid, _sampler(init, grid, params.c),
                    lambda table: _Energy(params, table, "global_minimize"),
-                   _plain_start, config, regime)
+                   config, regime)
 
 
 def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
@@ -601,25 +644,16 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
                           regime: Optional[K.RegimeLabel] = None) -> SolveReport:
     """Minimize F on the kinetic cap A <= k0 (gamma > 0, a > 0, p > 4, c < c0).
 
-    Trial steps that reach the cap are rejected, so every iterate is strictly
-    interior; a flow pinned against the cap raises CapBoundaryError.  regime
-    as for global_minimize."""
+    The flow starts on the minimum of init's fiber, which lies inside the
+    cap.  Trial steps that reach the cap are rejected, so every iterate is
+    strictly interior; a flow pinned against the cap raises
+    CapBoundaryError.  regime as for global_minimize."""
     regime = _regime_for(local_minimize_capped, params,
                          "gamma > 0, a > 0, p > 4, c < c0", regime)
     cap = K.k0(params)
-    return _ladder(_as_field(init, grid, params.c),
+    return _ladder(grid, _sampler(init, grid, params.c),
                    lambda table: _Energy(params, table, "local_minimize_capped", cap),
-                   _inside_cap, config, regime)
-
-
-def _inside_cap(u0: Field, obj: _Energy) -> Evaluation:
-    """The evaluation of u0, or, if its A exceeds 0.9 of obj's cap, of u0
-    contracted along its fiber to A = 0.8 cap (A(u^t) = t^2 A)."""
-    ev = evaluate(u0, obj.table)
-    if ev.A <= 0.9 * obj.cap:
-        return ev
-    u1 = normalize(dilate(u0, math.sqrt(0.8 * obj.cap / ev.A)), obj.params.c)
-    return evaluate(u1, obj.table)
+                   config, regime)
 
 
 def _branch_of(sc: FiberScalars, branch: str) -> BranchPoint:
@@ -642,9 +676,9 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
     regime = _regime_for(lambda_branch_minimize, params,
                          "gamma > 0, a > 0, p > 4, c < c0", regime)
     mode = f"lambda_branch_minimize[{branch}]"
-    return _ladder(_as_field(init, grid, params.c),
+    return _ladder(grid, _sampler(init, grid, params.c),
                    lambda table: _FiberBranch(params, table, mode, branch),
-                   _plain_start, config, regime)
+                   config, regime)
 
 
 def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,

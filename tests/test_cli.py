@@ -495,7 +495,10 @@ def test_solve_end_to_end(tmp_path):
     assert field.grid.n == 128
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "iter,F,Q,grad_res,A,C,V"
-    assert len(trace) > 10
+    # The header, then one row per iteration and one for the start of
+    # each level: 64^2 and 128^2.
+    assert [lv["n"] for lv in report["levels"]] == [64, 128] and report["iters"] > 0
+    assert len(trace) == 1 + report["iters"] + len(report["levels"])
 
 
 def test_solve_regime_refusal_exit_4(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planarsp import (ConvergenceError, DomainError, Field, Params, ProfileSpec,
-                      RegimeError, ResolutionError, SolverConfig, discretize,
+                      RegimeError, ResolutionError, SolverConfig, dilate, discretize,
                       global_minimize, lambda_branch_minimize, lambda_maximize,
                       local_minimize_capped, make_grid, mass, masscritical_probe,
                       normalize, scalars, t_star, two_bump_probe)
@@ -92,16 +92,89 @@ def capped_256(ladder_reports):
 
 
 def test_capped_start_is_evaluated_once(p6_setup, fft_counts):
-    # The start field lies inside the cap, so the solver's own evaluation of
-    # it starts the flow: u takes one n x n forward and u^2 one pruned
-    # padded forward (an rfftn and an fftn).
+    # The solver evaluates the start once and its projection onto its fiber
+    # minimum once, each by an n x n forward of u and a pruned padded
+    # forward of u^2 (an rfftn and an fftn); the one gradient, of the
+    # projected start, adds the inverses of -Delta u and w, and the
+    # certificate reads that gradient again.
     grid = make_grid(24.0, 64)
     kernel_table(grid)
     fft_counts.update(dict.fromkeys(fft_counts, 0))
     with pytest.raises(ConvergenceError):
         local_minimize_capped(p6_setup, grid, SolverConfig(max_iter=0),
                               ProfileSpec.gaussian(sigma=1.5))
-    assert (fft_counts["rfft2"], fft_counts["rfftn"], fft_counts["fftn"]) == (1, 1, 1)
+    assert fft_counts == {"rfft2": 2, "rfftn": 2, "fftn": 2,
+                          "irfft2": 1, "ifftn": 1, "irfftn": 1}
+
+
+@pytest.mark.parametrize("case", ["ground_state_p3", "capped_p6"])
+def test_energy_start_is_its_fiber_minimum(case, p6_setup):
+    # The energy flows start on the minimum of the start's fiber, where Q
+    # vanishes: |Q| falls a thousandfold and F does not rise.
+    params = Params(gamma=1.0, a=0.0, p=3.0, c=1.0) if case == "ground_state_p3" \
+        else p6_setup
+    extent, _ = BENCH_256[case]
+    obj = solvers._Energy(params, kernel_table(make_grid(extent, 64)), "start",
+                          None if case == "ground_state_p3" else k0(params))
+    given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=1.5),
+                                          obj.table.grid), params.c), obj.table)
+    start = obj.start(given)
+    assert abs(start.Q(params)) <= 1e-3 * abs(given.Q(params))
+    assert start.F(params) <= given.F(params)
+    assert mass(start.u) == pytest.approx(params.c, rel=1e-12)
+
+
+def test_capped_start_above_the_cap_is_pulled_inside(p6_setup):
+    # A start above 0.9 k0 is moved to its fiber minimum, strictly inside
+    # the cap, and the flow from there certifies an interior minimizer.
+    cap = k0(p6_setup)
+    grid = make_grid(24.0, 64)
+    obj = solvers._Energy(p6_setup, kernel_table(grid), "start", cap)
+    given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=0.4), grid),
+                               p6_setup.c), obj.table)
+    assert given.A > 0.9 * cap
+    assert obj.start(given).A < cap
+    rep = local_minimize_capped(p6_setup, grid, CFG, ProfileSpec.gaussian(sigma=0.4))
+    assert rep.converged and rep.extras["cap_interior"]
+
+
+def test_start_whose_fiber_minimum_leaks_is_kept():
+    # The fiber minimum of this off-centre start is twice as wide and twice
+    # as far out, through the boundary frame: the start is kept as given,
+    # and the solve is the flow from it.
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    grid = make_grid(40.0, 64)
+    init = ProfileSpec.gaussian(sigma=1.0, center=(7.0, 0.0))
+    u0 = normalize(discretize(init, grid), pr.c)
+    obj = solvers._Energy(pr, kernel_table(grid), "global_minimize")
+    given = evaluate(u0, obj.table)
+    s = solvers._branch_of(scalars(given, pr), "plus").s
+    with pytest.raises(DomainError):
+        dilate(u0, s)
+    assert obj.start(given) is given
+    rep = global_minimize(pr, grid, CFG, init)
+    direct = solvers._flow(evaluate(u0, obj.table), obj, CFG, _regime(pr))
+    assert rep.converged
+    assert np.array_equal(rep.field.values, direct.field.values)
+    assert rep.iters == direct.iters
+
+
+def test_certificate_reads_the_flow_gradient(choquard_report):
+    # The s = 1 gradient is computed once per evaluation and kept, and the
+    # Euler-Lagrange certificate read from it is bit-identical to one
+    # computed from a fresh gradient.
+    pr, rep = choquard_report
+    ev = evaluate(rep.field)
+    grad = ev.grad(pr)
+    assert ev.grad(pr) is grad and not grad.flags.writeable
+    lam = ev.lam(pr)
+    vals, h2 = rep.field.values, rep.field.grid.h ** 2
+    fresh = (evaluate(rep.field).neg_lap + pr.gamma * evaluate(rep.field).w * vals
+             - pr.a * np.abs(vals) ** (pr.p - 2.0) * vals)
+    defect = np.sqrt(h2 * np.sum((fresh + lam * vals) ** 2))
+    want = float(defect / (1.0 + np.sqrt(h2 * np.sum(fresh * fresh))
+                           + abs(lam) * np.sqrt(mass(rep.field))))
+    assert ev.el_residual(pr, lam) == want == rep.el_res
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +281,7 @@ def test_capped_interior_certified(capped_report, p6_setup):
 
 
 def test_capped_init_precontraction(p6_setup):
-    # a too-concentrated init is pulled inside the cap by fiber contraction
+    # a too-concentrated init is moved inside the cap along its fiber
     grid = make_grid(24.0, 128)
     rep = local_minimize_capped(p6_setup, grid, CFG,
                                 ProfileSpec.gaussian(sigma=0.4))
@@ -293,15 +366,15 @@ def test_ladder_stacks_its_levels(p6_setup, ladder_reports):
     rep = ladder_reports["plus_p6"]
     grids = [make_grid(24.0, n) for n in (64, 128, 256)]
     c, mode = p6_setup.c, "lambda_branch_minimize[plus]"
-    u0 = normalize(discretize(gaussian_on_branch(p6_setup, "plus"), grids[-1]), c)
+    init = gaussian_on_branch(p6_setup, "plus")
     regime = _regime(p6_setup)
 
     def level(u, grid):
         obj = solvers._FiberBranch(p6_setup, kernel_table(grid), mode, "plus")
         return solvers._flow(evaluate(u, obj.table), obj, CFG, regime)
 
-    u1 = normalize(Field(grids[1], u0.values[::2, ::2]), c)
-    reports = [level(normalize(Field(grids[0], u1.values[::2, ::2]), c), grids[0])]
+    # The profile is sampled on the coarsest grid, where the flow starts.
+    reports = [level(normalize(discretize(init, grids[0]), c), grids[0])]
     for grid in grids[1:]:
         reports.append(level(normalize(prolong(reports[-1].field, grid), c), grid))
     assert np.array_equal(rep.field.values, reports[-1].field.values)
@@ -332,7 +405,8 @@ def test_minus_p6_shows_its_grid_error(p6_setup, ladder_reports):
     assert coarse.extras["spectral_tail"] == pytest.approx(6.44e-3, rel=1e-2)
     fine = _bench_solve("minus_p6", p6_setup, make_grid(16.0, 512))
     assert fine.converged
-    assert [lv["n"] for lv in fine.extras["levels"]] == [128, 256, 512]
+    assert [lv["n"] for lv in fine.extras["levels"]] == [64, 128, 256, 512]
+    assert ["refused" in lv for lv in fine.extras["levels"]] == [True, True, False, False]
     assert fine.extras["F_err_grid"] == pytest.approx(fine.objective - coarse.objective,
                                                       rel=1e-6)
     assert (fine.objective - coarse.objective) / fine.objective == \
@@ -346,12 +420,13 @@ def test_resolved_solutions_have_no_spectral_tail(name, ladder_reports):
 
 
 def test_ladder_refusal_falls_back_to_the_direct_solve(p6_setup, ladder_reports):
-    # minus_p6's start is narrower than the 128^2 (and the 64^2) grid
-    # resolves: the level is refused and the 256^2 flow is the direct solve,
-    # bit for bit.
+    # minus_p6's start is narrower than the 64^2 and the 128^2 grid
+    # resolve: both levels are refused, and the 256^2 flow is the direct
+    # solve, bit for bit.
     rep = ladder_reports["minus_p6"]
-    refused, fine = rep.extras["levels"]
-    assert refused["n"] == 128 and "grid too coarse" in refused["refused"]
+    *refused, fine = rep.extras["levels"]
+    assert [lv["n"] for lv in refused] == [64, 128]
+    assert all("grid too coarse" in lv["refused"] for lv in refused)
     assert "F_err_grid" not in rep.extras
     assert (fine["n"], fine["iters"]) == (256, rep.iters)
     grid = make_grid(16.0, 256)
@@ -380,23 +455,42 @@ def test_ladder_recurses_to_the_floor():
     assert [lv["n"] for lv in rep.extras["levels"]] == [64, 128, 256, 512]
     assert [lv["iters"] for lv in rep.extras["levels"][1:]] == [0, 0, 0]
     assert rep.iters == sum(lv["iters"] for lv in rep.extras["levels"])
-    # 0.311422098120 is the direct 512^2 solve's F.
-    assert rep.objective == pytest.approx(0.311422098120, rel=1e-9)
+    # 0.311422097390 is the F of a direct 512^2 flow from the same start,
+    # projected onto its fiber minimum.
+    assert rep.objective == pytest.approx(0.311422097390, rel=1e-9)
     assert rep.extras["F_err_grid"] == abs(rep.objective
                                            - rep.extras["levels"][2]["F"])
 
 
 def test_ladder_nonconvergence_reports_every_level():
-    # With no iteration the 128^2 level fails to converge and is refused;
-    # the 256^2 level then starts from the original field and fails too,
-    # and its report lists both levels.
+    # With no iteration the 64^2 and 128^2 levels fail to converge and are
+    # refused; the 256^2 level then starts from the start sampled on its
+    # own grid and fails too, and its report lists all three levels.
     pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
     with pytest.raises(ConvergenceError) as exc:
         global_minimize(pr, make_grid(40.0, 256), SolverConfig(max_iter=0),
                         ProfileSpec.gaussian(sigma=1.5))
-    refused, fine = exc.value.report.extras["levels"]
-    assert refused["n"] == 128 and "no certified convergence" in refused["refused"]
+    *refused, fine = exc.value.report.extras["levels"]
+    assert [lv["n"] for lv in refused] == [64, 128]
+    assert all("no certified convergence" in lv["refused"] for lv in refused)
     assert (fine["n"], fine["iters"]) == (256, 0)
+
+
+def test_profile_too_fine_for_a_coarse_level_is_sampled_above_it():
+    # A random_smooth cutoff of 40 aliases on the 64^2 grid but not on
+    # 128^2: the 64^2 level is refused, and the 128^2 flow starts from the
+    # profile sampled on its own grid.
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    grid = make_grid(40.0, 128)
+    init = ProfileSpec.random_smooth(seed=1, cutoff=40)
+    with pytest.raises(ConvergenceError) as exc:
+        global_minimize(pr, grid, SolverConfig(max_iter=0), init)
+    refused, fine = exc.value.report.extras["levels"]
+    assert refused["n"] == 64 and "cutoff 40 exceeds" in refused["refused"]
+    assert (fine["n"], fine["iters"]) == (128, 0)
+    obj = solvers._Energy(pr, kernel_table(grid), "global_minimize")
+    start = obj.start(evaluate(normalize(discretize(init, grid), pr.c), obj.table))
+    assert np.array_equal(exc.value.report.field.values, start.u.values)
 
 
 def test_too_coarse_a_grid_is_a_resolution_error(p6_setup):
