@@ -444,13 +444,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, params=True, grid=False, output=False):
+def _add_common(sub, grid=False, output=False):
     sub.add_argument("--config", help="JSON config file")
-    if params:
-        sub.add_argument("--gamma", type=float, help="interaction sign/strength")
-        sub.add_argument("--a", type=float, help="local nonlinearity coupling")
-        sub.add_argument("--p", type=float, help="nonlinearity exponent (> 2)")
-        sub.add_argument("--c", type=float, help="prescribed mass (> 0)")
+    sub.add_argument("--gamma", type=float, help="interaction sign/strength")
+    sub.add_argument("--a", type=float, help="local nonlinearity coupling")
+    sub.add_argument("--p", type=float, help="nonlinearity exponent (> 2)")
+    sub.add_argument("--c", type=float, help="prescribed mass (> 0)")
     if grid:
         sub.add_argument("--grid-L", type=float, help="domain extent")
         sub.add_argument("--grid-n", type=int, help="nodes per side (power of two)")
@@ -506,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_solve)
 
     s = subs.add_parser("verify", help="run the invariant suite")
-    _add_common(s, params=False)
     s.set_defaults(handler=cmd_verify)
 
     return ap

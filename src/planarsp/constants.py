@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .dop853 import radial_dop853
@@ -255,7 +255,15 @@ def _radial_profile(shot: _Shot, p: float, shoots: int = 1) -> RadialGroundState
                              shoots=shoots)
 
 
-_GROUND_STATE_CACHE: Dict[float, RadialGroundState] = {}
+@dataclass(frozen=True)
+class _Exponent:
+    """The cache key of an exponent p: equal for every p of the same
+    12-digit rounding, so the first of them is the one shot.  The shoot
+    runs at p itself, not at its rounding, which would move K_GN(8/3) in
+    its last bits."""
+
+    rounded: float
+    p: float = dc_field(compare=False)
 
 
 def ground_state_radial(p: float) -> RadialGroundState:
@@ -275,11 +283,13 @@ def ground_state_radial(p: float) -> RadialGroundState:
     the profile."""
     if p <= 2:
         raise ValueError(f"ground state requires p > 2, got {p}")
-    key = round(float(p), 12)
-    cached = _GROUND_STATE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _ground_state(_Exponent(round(float(p), 12), p))
 
+
+@cache
+def _ground_state(exponent: _Exponent) -> RadialGroundState:
+    """ground_state_radial's state, built once per exponent key."""
+    p = exponent.p
     # phi(0) -> the shot from it: no phi(0) is shot twice.
     seen: Dict[float, _Shot] = {}
 
@@ -349,9 +359,7 @@ def ground_state_radial(p: float) -> RadialGroundState:
         raise ShootingError(
             f"ground-state bisection for p={p} ends on phi(0) in "
             f"[{lo!r}, {hi!r}], not on an undershoot and an overshoot")
-    state = _radial_profile(shoot(0.5 * (lo + hi)), p, len(seen))
-    _GROUND_STATE_CACHE[key] = state
-    return state
+    return _radial_profile(shoot(0.5 * (lo + hi)), p, len(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,15 @@ def critical_points(sc: FiberScalars) -> List[BranchPoint]:
     return [_branch_point(sc, s_left), _branch_point(sc, s_right)]
 
 
+def _critical_point(sc: FiberScalars, branch: str) -> BranchPoint:
+    """The critical point of the requested branch; RegimeError when the
+    fiber has none."""
+    for bp in critical_points(sc):
+        if bp.branch == branch:
+            return bp
+    raise RegimeError(f"fiber has no {branch} critical point")
+
+
 def _spline_matrix(n: int, idx: np.ndarray) -> np.ndarray:
     """M with (M @ v)[k] the cubic B-spline interpolant of v at index idx[k],
     and 0 where idx[k] lies outside [0, n-1]: M = W S^-1.  S samples the
@@ -334,11 +343,7 @@ def project_to_lambda(u: Field, params: Params, branch: str,
     does not exist for u."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
-    sc = scalars(u, params, table)
-    points = [bp for bp in critical_points(sc) if bp.branch == branch]
-    if not points:
-        raise RegimeError(f"fiber of this field has no {branch} critical point")
-    s = points[0].s
+    s = _critical_point(scalars(u, params, table), branch).s
     if abs(s - 1.0) < 1e-12:
         return u
     return dilate(u, s)

@@ -56,13 +56,12 @@ Only this module knows the padded 2n x 2n layout.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import MassMismatchError
 from .grid import Field, Grid, mass
@@ -170,14 +169,6 @@ def _hankel_coefficients(nu: int, terms: int) -> Tuple[list, list]:
             [(-1) ** m * a[2 * m + 1] for m in range(terms)])
 
 
-def _horner(coeffs: list, y: np.ndarray) -> np.ndarray:
-    s = np.full_like(y, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        s *= y
-        s += c
-    return s
-
-
 def _hankel(x: np.ndarray, terms: int) -> Tuple[np.ndarray, np.ndarray]:
     """J0 and J1 by Hankel's expansion, J_nu = sqrt(2/(pi x)) (P_nu cos chi
     - Q_nu sin chi), chi = x - (2 nu + 1) pi/4.  cos chi and sin chi are
@@ -188,8 +179,8 @@ def _hankel(x: np.ndarray, terms: int) -> Tuple[np.ndarray, np.ndarray]:
     c_plus_s, s_minus_c = c + s, s - c
     amp = 1.0 / np.sqrt(np.pi * x)
     (p0, q0), (p1, q1) = (_hankel_coefficients(nu, terms) for nu in (0, 1))
-    j0 = amp * (_horner(p0, y) * c_plus_s - _horner(q0, y) / x * s_minus_c)
-    j1 = amp * (_horner(p1, y) * s_minus_c + _horner(q1, y) / x * c_plus_s)
+    j0 = amp * (polyval(y, p0) * c_plus_s - polyval(y, q0) / x * s_minus_c)
+    j1 = amp * (polyval(y, p1) * s_minus_c + polyval(y, q1) / x * c_plus_s)
     return j0, j1
 
 
@@ -317,24 +308,15 @@ class KernelTable:
 # A grid ladder uses one table per level and extent, and no benchmark
 # workload needs more than 3 extents x 3 levels.
 _TABLE_CACHE_SIZE = 16
-_TABLE_CACHE: "OrderedDict[Tuple[int, float], KernelTable]" = OrderedDict()
-_TABLE_LOCK = threading.Lock()
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def kernel_table(grid: Grid) -> KernelTable:
     """Fetch (or build and cache) the spectral workspace for a grid.  The
-    cache keeps the _TABLE_CACHE_SIZE most recently used tables."""
-    key = (grid.n, grid.extent)
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(key)
-        if table is None:
-            table = KernelTable.build(grid)
-            _TABLE_CACHE[key] = table
-            if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
-                _TABLE_CACHE.popitem(last=False)
-        else:
-            _TABLE_CACHE.move_to_end(key)
-    return table
+    cache keeps the _TABLE_CACHE_SIZE most recently used tables, under
+    lru_cache's lock; two threads that miss the same grid at once may both
+    build it, which is harmless for an immutable table."""
+    return KernelTable.build(grid)
 
 
 # ---------------------------------------------------------------------------

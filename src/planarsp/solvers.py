@@ -80,8 +80,7 @@ import numpy as np
 from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
-from .fiber import (BranchPoint, FiberScalars, critical_points, dilate, g as fiber_g,
-                    scalars)
+from .fiber import FiberScalars, _critical_point, dilate, g as fiber_g, scalars
 from .functionals import (EnergyBreakdown, Evaluation, KernelTable, Params, evaluate,
                           kernel_table, kinetic, pnorm, prolong, smooth_direction,
                           _gauss_legendre)
@@ -212,7 +211,7 @@ def gaussian_on_branch(params: Params, branch: str) -> ProfileSpec:
     c, p = params.c, params.p
     C = (c / math.pi) ** (0.5 * p) * (2.0 * math.pi / p)
     sc = FiberScalars(A=c, C=C, V=0.0, params=params)
-    s = _branch_of(sc, branch).s
+    s = _critical_point(sc, branch).s
     return ProfileSpec.gaussian(sigma=1.0 / s, c=c)
 
 
@@ -327,7 +326,7 @@ class _Energy(_Objective):
         # A fiber with no minimum, or whose minimum does not fit in the
         # domain, keeps the start as given.
         try:
-            s = _branch_of(scalars(ev, self.params), "plus").s
+            s = _critical_point(scalars(ev, self.params), "plus").s
             u = normalize(dilate(ev.u, s), self.params.c)
         except (RegimeError, DomainError):
             return ev
@@ -371,7 +370,7 @@ class _FiberBranch(_Objective):
     def point(self, ev: Evaluation) -> Optional[_Point]:
         if ev.A > self.a_resolved:
             return None
-        bp = _branch_of(scalars(ev, self.params), self.branch)
+        bp = _critical_point(scalars(ev, self.params), self.branch)
         return _Point(ev, bp.g, bp.s, bp.gpp)
 
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
@@ -654,13 +653,6 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
     return _ladder(grid, _sampler(init, grid, params.c),
                    lambda table: _Energy(params, table, "local_minimize_capped", cap),
                    config, regime)
-
-
-def _branch_of(sc: FiberScalars, branch: str) -> BranchPoint:
-    for bp in critical_points(sc):
-        if bp.branch == branch:
-            return bp
-    raise RegimeError(f"fiber has no {branch} critical point for these scalars")
 
 
 def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,

@@ -694,6 +694,15 @@ def test_outputs_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_verify_refuses_config(capsys):
+    # verify runs a fixed suite and reads no config file: the parser refuses
+    # --config rather than ignore it.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--config", "run.json"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_verify_runs_clean(capsys):
     assert run_cli(["verify"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -701,29 +710,34 @@ def test_verify_runs_clean(capsys):
     assert len(payload["checks"]) >= 15
 
 
-def _shift_log_kernel_origin(monkeypatch, shift):
-    """Add shift to the log kernel's value at zero displacement, in every
-    table built from here on (a fresh table cache)."""
-    from collections import OrderedDict
-
+@pytest.fixture
+def shift_kernel_origin(monkeypatch):
+    """shift(window, d) adds d to the value at zero displacement of the
+    kernel window that functionals.<window> builds (_log_window or
+    _log1p_window), in every table built from then on.  The table cache is
+    emptied then and again after the test, so no faulted table outlives
+    it."""
     import planarsp.functionals as fn
 
-    true_window = fn._log_window
+    def shift(window, d):
+        true_window = getattr(fn, window)
 
-    def shifted(n, h):
-        window = true_window(n, h)
-        window[0, 0] += shift
-        return window
+        def shifted(n, h):
+            values = true_window(n, h)
+            values[0, 0] += d
+            return values
 
-    monkeypatch.setattr(fn, "_log_window", shifted)
-    monkeypatch.setattr(fn, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(fn, window, shifted)
+        fn.kernel_table.cache_clear()
+
+    yield shift
+    fn.kernel_table.cache_clear()
 
 
-def test_verify_detects_kernel_fault(monkeypatch, capsys):
+def test_verify_detects_kernel_fault(shift_kernel_origin, capsys):
     # fault injection: a log-kernel origin value off by 1e-10 must fail the
-    # suite.  V2 is V1 - V, so v_split_identity cannot see it; the check of
-    # V against the Gaussian's closed form does.
-    _shift_log_kernel_origin(monkeypatch, 1e-10)
+    # suite.  The check of V against the Gaussian's closed form sees it.
+    shift_kernel_origin("_log_window", 1e-10)
     code = run_cli(["verify"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -731,14 +745,40 @@ def test_verify_detects_kernel_fault(monkeypatch, capsys):
     assert "log_kernel_gaussian" in failed
 
 
-def test_kernel_origin_check_detects_a_small_weight_shift(monkeypatch):
+def test_verify_detects_v1_kernel_fault(shift_kernel_origin, capsys):
+    # fault injection: a log(1+r) kernel origin value off by 0.1 moves V1 of
+    # the unit Gaussian by 6.2e-4 relative, past the 2.5e-4 bound that the
+    # sampled kernel's own O(h^3) error (1.1e-4) keeps below.
+    shift_kernel_origin("_log1p_window", 0.1)
+    code = run_cli(["verify"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = {c["name"] for c in payload["checks"] if not c["passed"]}
+    assert "v1_gaussian" in failed
+
+
+def test_v1_check_measures_the_kernel_error(shift_kernel_origin):
+    from scipy.integrate import quad
+
+    from planarsp.checks import _V1_GAUSS_UNIT, _check_v1_gaussian
+
+    exact, _ = quad(lambda r: np.log1p(r) * r * np.exp(-0.5 * r * r), 0.0, np.inf)
+    assert _V1_GAUSS_UNIT == pytest.approx(exact, rel=1e-12)
+    assert _check_v1_gaussian().value == pytest.approx(1.11e-4, rel=1e-2)
+    shift_kernel_origin("_log1p_window", 0.1)
+    result = _check_v1_gaussian()
+    assert not result.passed
+    assert result.value == pytest.approx(6.15e-4, rel=1e-2)
+
+
+def test_kernel_origin_check_detects_a_small_weight_shift(shift_kernel_origin):
     # The check measures rounding only (about 1e-14), so a log-kernel origin
     # value off by 1e-10 fails it: V moves by h^2 1e-10 integral u^4 =
     # h^2 1e-10 / (2 pi), h = 1/4, which is 1.716e-11 of V.
     from planarsp.checks import _check_log_kernel
 
     assert _check_log_kernel().value < 1e-13
-    _shift_log_kernel_origin(monkeypatch, 1e-10)
+    shift_kernel_origin("_log_window", 1e-10)
     result = _check_log_kernel()
     assert not result.passed
     v_unit = 0.5 * (np.log(2.0) - 0.5772156649015329)

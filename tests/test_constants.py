@@ -46,7 +46,7 @@ def test_shooting_stops_at_the_float_floor(monkeypatch):
         return real_shoot(*args, **kwargs)
 
     monkeypatch.setattr(C, "_shoot", counted)
-    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    C._ground_state.cache_clear()
     p = 3.7
     gs = ground_state_radial(p)
     assert len(shoots) <= 30
@@ -70,7 +70,7 @@ def test_ground_state_counts_its_shoots(monkeypatch, p):
         return real_shoot(*args, **kwargs)
 
     monkeypatch.setattr(C, "_shoot", counted)
-    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    C._ground_state.cache_clear()
     gs = ground_state_radial(p)
     assert gs.shoots == len(shoots)
     # One shooting path: no phi(0) is shot twice, the profile's included.
@@ -166,17 +166,17 @@ def test_bisection_shoots_are_pinned(monkeypatch):
     assert lines[0].startswith("0x1.0000000000000p+1 1 70 ")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "14db8012ec54b8ea28bcc5f39eb6e4b4683257a5b6854a6fad2bd012873d6d70")
-    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    C._ground_state.cache_clear()
     assert ground_state_radial(3.0).beta == beta
 
 
 @pytest.mark.parametrize("p", [2.01, 2.5, 3.7, 6.0, 12.0, 30.0, 47.0])
-def test_ground_state_matches_the_plain_bisection(monkeypatch, p):
+def test_ground_state_matches_the_plain_bisection(p):
     # The regula falsi only decides which bisection midpoints need no
     # shoot: phi(0) is the plain bisection's, bit for bit.
     import planarsp.constants as C
 
-    monkeypatch.setattr(C, "_GROUND_STATE_CACHE", {})
+    C._ground_state.cache_clear()
     assert ground_state_radial(p).beta == _plain_bisection(p)
 
 

@@ -3,13 +3,13 @@ import math
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 import scipy.special
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.special import exp1
 
@@ -457,6 +457,20 @@ def test_bessel_matches_scipy_special():
     assert (j0[0], j1[0]) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("lo,terms", functionals._HANKEL_BANDS)
+def test_hankel_series_sum_is_the_horner_loop(lo, terms):
+    # polyval sums P and Q of each Hankel band as the plain Horner loop does,
+    # s y + c from the top coefficient down, so J0 and J1 are the loop's bit
+    # for bit.
+    y = 1.0 / np.linspace(lo, 8.0 * lo, 100001) ** 2
+    for nu in (0, 1):
+        for coeffs in functionals._hankel_coefficients(nu, terms):
+            s = np.full_like(y, coeffs[-1])
+            for c in coeffs[-2::-1]:
+                s = s * y + c
+            assert np.array_equal(polyval(y, coeffs), s)
+
+
 def test_bessel_values_need_no_scipy():
     x = "np.linspace(0.0, 2.0 * np.pi * 256, 20001)"
     code = ("import sys, hashlib\n"
@@ -499,22 +513,29 @@ def test_log_kernel_matches_the_full_period_transform(n):
     assert np.max(np.abs(spec.imag)) < 1e-12 * np.max(np.abs(khat))
 
 
-def test_table_cache_is_least_recently_used(monkeypatch):
+def test_table_cache_is_least_recently_used():
     # A ladder over the benchmark's three extents keeps 3 x 3 tables, which
     # must all stay.
     size = functionals._TABLE_CACHE_SIZE
     assert size >= 9
-    monkeypatch.setattr(functionals, "_TABLE_CACHE", OrderedDict())
+    kernel_table.cache_clear()
     grids = [make_grid(10.0 + i, 16) for i in range(size + 1)]
     tables = [kernel_table(g) for g in grids[:size]]
     assert kernel_table(grids[0]) is tables[0]      # a hit refreshes it
-    kernel_table(grids[size])                       # one past the bound
-    keys = list(functionals._TABLE_CACHE)
-    assert len(keys) == size
-    assert (grids[1].n, grids[1].extent) not in keys
-    assert keys[0] == (grids[2].n, grids[2].extent)
-    assert keys[-2:] == [(grids[0].n, grids[0].extent), (grids[size].n, grids[size].extent)]
+    last = kernel_table(grids[size])                # one past the bound
+    assert kernel_table.cache_info().currsize == size
+    # Least recently used first, the cache holds grids 2..size-1, 0 and
+    # size: reading them in that order hits every one and keeps the order,
+    # so grids[1] is out.
+    misses = kernel_table.cache_info().misses
+    kept = [kernel_table(g) for g in grids[2:size] + [grids[0], grids[size]]]
+    assert all(a is b for a, b in zip(kept, tables[2:] + [tables[0], last]))
+    assert kernel_table.cache_info().misses == misses
+    # The next miss evicts the least recently used, grids[2], alone.
+    assert kernel_table(grids[1]) is not tables[1]
+    assert kernel_table(grids[2]) is not tables[2]
     assert kernel_table(grids[0]) is tables[0]
+    kernel_table.cache_clear()
 
 
 @pytest.mark.parametrize("which", ["gauss128", "random_smooth", "white_noise"])

@@ -12,6 +12,7 @@ from planarsp import solvers
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
                                 kgn_estimate, mass_critical_threshold,
                                 regime_classify, sharp_constants)
+from planarsp.fiber import _critical_point
 from planarsp.functionals import evaluate, kernel_table, prolong
 from planarsp.solvers import gaussian_on_branch
 
@@ -148,7 +149,7 @@ def test_start_whose_fiber_minimum_leaks_is_kept():
     u0 = normalize(discretize(init, grid), pr.c)
     obj = solvers._Energy(pr, kernel_table(grid), "global_minimize")
     given = evaluate(u0, obj.table)
-    s = solvers._branch_of(scalars(given, pr), "plus").s
+    s = _critical_point(scalars(given, pr), "plus").s
     with pytest.raises(DomainError):
         dilate(u0, s)
     assert obj.start(given) is given
@@ -357,6 +358,24 @@ def test_ladder_levels(name, ladder_reports):
     assert rep.extras["F_err_grid"] == abs(fine["F"] - middle["F"]) < 1e-9 * rep.objective
     assert rep.iters == coarsest["iters"] > 0
     assert [row.iter for row in rep.trace] == list(range(len(rep.trace)))
+    assert len(rep.trace) == rep.iters + 3
+
+
+def test_ladder_middle_level_iterates():
+    # At c = 0.3 c0 the 64^2 solution does not pass the stop test at 128^2:
+    # the middle level iterates (2 steps after 7 at 64^2), and the 256^2
+    # level certifies its answer with none.
+    p = 6.0
+    pr = Params(gamma=1.0, a=1.0, p=p, c=0.3 * c0(p, 1.0, 1.0, kgn_estimate(p)))
+    rep = lambda_branch_minimize(pr, make_grid(24.0, 256), CFG,
+                                 gaussian_on_branch(pr, "plus"), "plus")
+    coarsest, middle, fine = rep.extras["levels"]
+    assert (coarsest["n"], middle["n"], fine["n"]) == (64, 128, 256)
+    assert rep.converged
+    assert middle["iters"] > 0 and fine["iters"] == 0
+    assert rep.iters == coarsest["iters"] + middle["iters"]
+    assert fine["F"] == rep.objective
+    assert rep.extras["F_err_grid"] == abs(fine["F"] - middle["F"]) < 1e-9 * rep.objective
     assert len(rep.trace) == rep.iters + 3
 
 
