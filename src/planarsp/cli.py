@@ -90,17 +90,26 @@ def _integer(where: str, value) -> int:
     return int(number)
 
 
-def _merged_params(cfg: dict, args) -> Params:
+_PARAM_KEYS = ("gamma", "a", "p", "c")
+
+
+def _given_params(cfg: dict, args) -> dict:
+    """The parameters the flags or the config's params section give, each
+    flag over its key, each value checked as a number (a null included)."""
     section = _section(cfg, "params")
-    for key in ("gamma", "a", "p", "c"):
+    for key in _PARAM_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             section[key] = val
-    missing = [k for k in ("gamma", "a", "p", "c") if k not in section]
+    return {k: _number(f"params.{k}", section[k]) for k in _PARAM_KEYS
+            if k in section}
+
+
+def _merged_params(cfg: dict, args) -> Params:
+    values = _given_params(cfg, args)
+    missing = [k for k in _PARAM_KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
-    values = {k: _number(f"params.{k}", section[k])
-              for k in ("gamma", "a", "p", "c")}
     try:
         return Params(**values)
     except (TypeError, ValueError) as exc:
@@ -176,8 +185,8 @@ def _dumps(payload: dict) -> str:
 
 
 def _constants_payload(params: Optional[Params], p: float) -> dict:
-    """K_GN and the closed-form thresholds; the commands that report kv2
-    add it themselves, so classify and sweep never build it."""
+    """K_GN and the closed-form thresholds; constants adds kv2 itself, so
+    classify, sweep and solve never build it."""
     kgn = K.kgn_estimate(p)
     payload = {
         "p": p,
@@ -235,20 +244,12 @@ def cmd_classify(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = _load_config(args.config)
-    section = _section(cfg, "params")
-    p = args.p if args.p is not None else section.get("p")
-    if p is None:
-        raise ConfigError("constants requires an exponent p")
-    p = _exponent(_number("params.p", p))
     # The other parameters are optional here, but those given must be valid.
-    given = {k for k in ("gamma", "a", "c")
-             if getattr(args, k) is not None or k in section}
-    params = None
-    if len(given) == 3:
-        params = _merged_params(cfg, args)
-    else:
-        for key in given & section.keys():
-            _number(f"params.{key}", section[key])
+    given = _given_params(cfg, args)
+    if "p" not in given:
+        raise ConfigError("constants requires an exponent p")
+    p = _exponent(given["p"])
+    params = _merged_params(cfg, args) if len(given) == 4 else None
     payload = _constants_payload(params, p)
     payload["kv2"] = K.kv2_estimate()
     print(_dumps(payload))
@@ -315,14 +316,10 @@ def _axis(name: str, lo: float, hi: float, n: int) -> List[float]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    section = _section(cfg, "params")
-    gamma = args.gamma if args.gamma is not None else section.get("gamma")
-    p = args.p if args.p is not None else section.get("p")
-    if gamma is None or p is None:
+    given = _given_params(_load_config(args.config), args)
+    if "gamma" not in given or "p" not in given:
         raise ConfigError("sweep requires gamma and p")
-    gamma = _number("params.gamma", gamma)
-    p = _exponent(_number("params.p", p))
+    gamma, p = given["gamma"], _exponent(given["p"])
     if args.a_min <= 0 and gamma < 0:
         raise ConfigError("sweep over a requires positive couplings for gamma < 0")
     if not (args.a_min < args.a_max and args.c_min < args.c_max):
@@ -401,7 +398,6 @@ def cmd_solve(args) -> int:
         if spec is not None:
             payload["config"]["profile"] = dataclasses.asdict(spec)
         payload["constants"] = _constants_payload(params, params.p)
-        payload["constants"]["kv2"] = K.kv2_estimate()
         text = _dumps(payload)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -255,17 +255,6 @@ def _radial_profile(shot: _Shot, p: float, shoots: int = 1) -> RadialGroundState
                              shoots=shoots)
 
 
-@dataclass(frozen=True)
-class _Exponent:
-    """The cache key of an exponent p: equal for every p of the same
-    12-digit rounding, so the first of them is the one shot.  The shoot
-    runs at p itself, not at its rounding, which would move K_GN(8/3) in
-    its last bits."""
-
-    rounded: float
-    p: float = dc_field(compare=False)
-
-
 def ground_state_radial(p: float) -> RadialGroundState:
     """Ground state of -Delta phi + phi = phi^(p-1): phi(0) bisected to
     adjacent floats, in 20 to 30 shoots rather than 53 or 54.
@@ -283,13 +272,12 @@ def ground_state_radial(p: float) -> RadialGroundState:
     the profile."""
     if p <= 2:
         raise ValueError(f"ground state requires p > 2, got {p}")
-    return _ground_state(_Exponent(round(float(p), 12), p))
+    return _ground_state(float(p))
 
 
 @cache
-def _ground_state(exponent: _Exponent) -> RadialGroundState:
-    """ground_state_radial's state, built once per exponent key."""
-    p = exponent.p
+def _ground_state(p: float) -> RadialGroundState:
+    """ground_state_radial's state, built once per exponent."""
     # phi(0) -> the shot from it: no phi(0) is shot twice.
     seen: Dict[float, _Shot] = {}
 

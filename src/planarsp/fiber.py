@@ -153,8 +153,9 @@ def t_star(sc: FiberScalars) -> float:
     return ratio ** (1.0 / (4.0 - p.p))
 
 
-def _phi_scale(sc: FiberScalars) -> float:
-    return sc.A + 0.25 * abs(sc.params.gamma) * sc.params.c ** 2
+def _q_scale(A: float, params: Params) -> float:
+    """The natural scale A + |gamma| c^2/4 of Q (of phi on a fiber)."""
+    return A + 0.25 * abs(params.gamma) * params.c ** 2
 
 
 def _bisect_newton(sc: FiberScalars, lo: float, hi: float) -> float:
@@ -173,7 +174,7 @@ def _bisect_newton(sc: FiberScalars, lo: float, hi: float) -> float:
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    ftol = 1e-12 * _phi_scale(sc)
+    ftol = 1e-12 * _q_scale(sc.A, sc.params)
     for _ in range(5):
         f = phi(sc, root)
         if abs(f) < ftol:
@@ -257,7 +258,7 @@ def critical_points(sc: FiberScalars) -> List[BranchPoint]:
         raise RegimeError(
             "fiber stationary point overflows double precision; the scalar "
             "tuple is numerically degenerate") from None
-    scale = _phi_scale(sc)
+    scale = _q_scale(sc.A, sc.params)
 
     # phi has a minimum at t_star for p < 4 (sigma = +1) and a maximum for
     # p > 4 (sigma = -1), and tends to sigma * infinity as t grows.

@@ -257,30 +257,29 @@ def _bump(r: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def _two_bump_lobes(spec: ProfileSpec, grid: Grid) -> Tuple[Field, Field]:
-    """The two lobes of the two-bump profile, each normalized to mass c/2."""
-    n_dil = spec.scale
-    rho = spec.radius
-    R = spec.separation
+def _two_bump_lobes(grid: Grid, rho: float, R: float, n: int,
+                    masses: Tuple[float, float]) -> Tuple[Field, Field]:
+    """The lobes of the two-bump profile: the bump v of radius rho at the
+    origin, of mass masses[0], and its dilated translated copy
+    (1/n) v((x - nR e1)/n), of mass masses[1] up to discretization."""
     # Lobe supports: |x| < rho and |x - nR e1| < n rho; they are disjoint iff
     # the gap n(R - rho) - rho is positive.
-    gap = n_dil * (R - rho) - rho
+    gap = n * (R - rho) - rho
     if gap <= 0:
         raise DomainError(
             f"two_bump lobes overlap: separation {R} too small for radius {rho} "
-            f"at scale {n_dil} (gap {gap:.3f})"
+            f"at scale {n} (gap {gap:.3f})"
         )
     X, Y = grid.meshgrid()
     raw = Field(grid, _bump(np.hypot(X, Y), rho))
     m_raw = mass(raw)
     if m_raw == 0.0:
         raise DomainError("two_bump lobe has no support on this grid")
-    amp = np.sqrt(0.5 * spec.c / m_raw)
-    lobe0 = amp * raw
-    # Dilated translated copy (1/n) v((x - nR e1)/n): dilation preserves mass,
-    # so the same amplitude scaled by 1/n gives the second lobe mass c/2.
-    r1 = np.hypot((X - n_dil * R) / n_dil, Y / n_dil)
-    lobe1 = Field(grid, (amp / n_dil) * _bump(r1, rho))
+    lobe0 = np.sqrt(masses[0] / m_raw) * raw
+    # Dilation preserves mass, so the amplitude of mass masses[1] scaled by
+    # 1/n gives the dilated lobe that mass.
+    r1 = np.hypot((X - n * R) / n, Y / n)
+    lobe1 = Field(grid, (np.sqrt(masses[1] / m_raw) / n) * _bump(r1, rho))
     return lobe0, lobe1
 
 
@@ -295,7 +294,9 @@ def _sample(spec: ProfileSpec, grid: Grid) -> Field:
         r = np.hypot(X, Y)
         return Field(grid, np.exp(-((r - spec.r0) ** 2) / (2.0 * spec.sigma ** 2)))
     if spec.kind == "two_bump":
-        lobe0, lobe1 = _two_bump_lobes(spec, grid)
+        half = 0.5 * spec.c
+        lobe0, lobe1 = _two_bump_lobes(grid, spec.radius, spec.separation,
+                                       spec.scale, (half, half))
         return lobe0 + lobe1
     if spec.kind == "random_smooth":
         n = grid.n

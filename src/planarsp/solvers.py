@@ -80,12 +80,13 @@ import numpy as np
 from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
-from .fiber import FiberScalars, _critical_point, dilate, g as fiber_g, scalars
+from .fiber import (FiberScalars, _critical_point, _q_scale, dilate, g as fiber_g,
+                    scalars)
 from .functionals import (EnergyBreakdown, Evaluation, KernelTable, Params, evaluate,
                           kernel_table, kinetic, pnorm, prolong, smooth_direction,
                           _gauss_legendre)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
-                   mass, normalize, _bump)
+                   normalize, _bump, _two_bump_lobes)
 
 __all__ = [
     "SolverConfig",
@@ -213,10 +214,6 @@ def gaussian_on_branch(params: Params, branch: str) -> ProfileSpec:
     sc = FiberScalars(A=c, C=C, V=0.0, params=params)
     s = _critical_point(sc, branch).s
     return ProfileSpec.gaussian(sigma=1.0 / s, c=c)
-
-
-def _q_scale(A: float, params: Params) -> float:
-    return A + 0.25 * abs(params.gamma) * params.c ** 2
 
 
 def _l2(values: np.ndarray, h: float) -> float:
@@ -742,7 +739,6 @@ def two_bump_probe(params: Params, grid: Grid,
         raise ValueError("n_list must contain positive integers")
     table = kernel_table(grid)
     n_max = max(n_list)
-    h = grid.h
 
     # Stationary-lobe radius minimizing the Q limit at mass (1-eta) c.
     rho = _optimal_lobe_radius(params, grid, 1.0 - eta)
@@ -753,12 +749,9 @@ def two_bump_probe(params: Params, grid: Grid,
             f"two-bump geometry needs half-extent {edge / 0.39:.1f}, grid has "
             f"{grid.extent}; enlarge the domain or reduce n")
 
-    X, Y = grid.meshgrid()
-    lobe_u = normalize(Field(grid, _bump(np.hypot(X, Y), rho)), (1.0 - eta) * c)
-    amp_v = math.sqrt(eta * c /
-                      mass(Field(grid, _bump(np.hypot(X, Y), rho))))
+    masses = ((1.0 - eta) * c, eta * c)
+    lobe_u, v_ref = _two_bump_lobes(grid, rho, R, 1, masses)
     A_u, C_u = kinetic(lobe_u, table), pnorm(lobe_u, p)
-    v_ref = Field(grid, amp_v * _bump(np.hypot(X - R, Y), rho))
     A_v, C_v = kinetic(v_ref, table), pnorm(v_ref, p)
     q_limit = A_u - a * (p - 2.0) / p * C_u - 0.25 * gam * c * c
     if q_limit >= 0.0:
@@ -768,9 +761,8 @@ def two_bump_probe(params: Params, grid: Grid,
 
     out: List[TwoBumpPoint] = []
     for n in n_list:
-        r1 = np.hypot((X - n * R) / n, Y / n)
-        u_n = lobe_u + Field(grid, (amp_v / n) * _bump(r1, rho))
-        ev = evaluate(u_n, table)
+        u, v = _two_bump_lobes(grid, rho, R, n, masses)
+        ev = evaluate(u + v, table)
         q_pred = (A_u + A_v * n ** -2.0
                   - a * (p - 2.0) / p * (C_u + C_v * float(n) ** (2.0 - p))
                   - 0.25 * gam * c * c)

@@ -101,14 +101,21 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _blocked_and_normal(args):
+def _blocked_and_normal(args, tmp_path=None):
+    """Run the CLI with numpy and scipy blocked, then normally; with
+    tmp_path, each run in its own directory, tmp_path/blocked and
+    tmp_path/normal."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    blocked = subprocess.run([sys.executable, "-c", _NO_NUMPY_OR_SCIPY, *args],
-                             capture_output=True, timeout=120, env=env)
-    normal = subprocess.run([sys.executable, "-m", "planarsp.cli", *args],
-                            capture_output=True, timeout=120, env=env)
-    return blocked, normal
+
+    def run(name, cmd):
+        cwd = None if tmp_path is None else tmp_path / name
+        if cwd is not None:
+            cwd.mkdir()
+        return subprocess.run([sys.executable, *cmd, *args], capture_output=True,
+                              timeout=120, env=env, cwd=cwd)
+    return (run("blocked", ["-c", _NO_NUMPY_OR_SCIPY]),
+            run("normal", ["-m", "planarsp.cli"]))
 
 
 def test_classify_needs_no_scipy():
@@ -130,13 +137,19 @@ def test_classify_needs_no_scipy():
      "--c-min", "0.5", "--c-max", "2.0"],
     ["constants", "--p", "3"],
     ["constants", "--p", "6", "--gamma", "1", "--a", "1", "--c", "1"],
+    ["sweep", "--gamma", "-1", "--p", "3.5", "--a-min", "0.5", "--a-max", "12",
+     "--na", "6", "--c-min", "0.5", "--c-max", "2", "--nc", "3"],
 ], ids=["help", "constants_help", "classify_p6", "classify_nan", "sweep_refusal",
-        "constants_p3", "constants_p6_full"])
-def test_cold_commands_need_no_numpy(args):
-    blocked, normal = _blocked_and_normal(args)
+        "constants_p3", "constants_p6_full", "sweep"])
+def test_cold_commands_need_no_numpy(tmp_path, args):
+    blocked, normal = _blocked_and_normal(args, tmp_path)
     assert b"ModuleNotFoundError" not in blocked.stderr
     assert (blocked.returncode, blocked.stdout, blocked.stderr) == \
         (normal.returncode, normal.stdout, normal.stderr)
+    # The same files too: a sweep writes the same sweep.csv bytes.
+    written = [{f.name: f.read_bytes() for f in (tmp_path / run).iterdir()}
+               for run in ("blocked", "normal")]
+    assert written[0] == written[1]
 
 
 _NO_SCIPY_NDIMAGE_OR_INTERPOLATE = """
@@ -289,6 +302,7 @@ def test_constants_with_full_params(capsys):
 
 
 def test_classify_and_sweep_do_not_build_kv2(tmp_path, monkeypatch, capsys):
+    # Nor does solve: no part of a solve uses kv2, and its report omits it.
     def refuse(*args, **kwargs):
         raise AssertionError("kv2_estimate called")
 
@@ -301,6 +315,11 @@ def test_classify_and_sweep_do_not_build_kv2(tmp_path, monkeypatch, capsys):
                     "--a-max", "2", "--na", "3", "--c-min", "0.5",
                     "--c-max", "2", "--nc", "3", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "sweep.csv").exists()
+    out = tmp_path / "solve"
+    assert run_cli(["solve", "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
+                    "--grid-n", "64", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert "kv2" not in report["constants"]
 
 
 def test_config_file_with_overrides(tmp_path, capsys):
@@ -487,7 +506,7 @@ def test_solve_end_to_end(tmp_path):
     assert report["pohozaev_residual"] < 1e-3
     assert report["el_residual"] < 1e-3
     assert "config" in report and "constants" in report
-    assert report["constants"]["kv2"] == K.kv2_estimate()
+    assert report["constants"]["kgn"] == K.kgn_estimate(3.0)
     solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert set(report["config"]["solver"]) == solver_fields
     assert report["config"]["branch"] == "auto"
@@ -569,6 +588,18 @@ def test_solve_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
                     "--grid-n", "64", "--branch", "minus", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "grid too coarse" in err and "regime refusal" not in err
+    assert not out.exists()
+
+
+def test_solve_leaking_iterate_exits_2(tmp_path, capsys):
+    # The minus branch at gamma = a = 1, p = 6, c = 1 on L = 16: the 256^2
+    # flow's iterate leaks through the boundary frame, a DomainError of the
+    # flow, and nothing is written.
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
+                    "--branch", "minus", "--grid-L", "16", "--grid-n", "256",
+                    "--out", str(out)]) == 2
+    assert "leaks mass through the boundary frame" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -742,7 +773,20 @@ def test_verify_detects_kernel_fault(shift_kernel_origin, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
-    assert "log_kernel_gaussian" in failed
+    assert {"log_kernel_gaussian", "gaussian_closed_forms"} <= failed
+
+
+def test_verify_detects_a_sharp_constant_fault(monkeypatch, capsys):
+    # fault injection: K1, and with it K2 and the coupling thresholds, off by
+    # 1e-6 moves the Gagliardo-Nirenberg optimizer's t*^2 A off the
+    # certificate's bound by 4.0e-6 (at p = 3.5), past the 1e-9 tolerance.
+    true_k1 = K.k1
+    monkeypatch.setattr(K, "k1", lambda p, kgn: true_k1(p, kgn) * (1.0 + 1e-6))
+    code = run_cli(["verify"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = {c["name"]: c["value"] for c in payload["checks"] if not c["passed"]}
+    assert failed["gn_optimizer_bound"] == pytest.approx(4.0e-6, rel=1e-2)
 
 
 def test_verify_detects_v1_kernel_fault(shift_kernel_origin, capsys):

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from planarsp import (ConvergenceError, DomainError, Field, Params, ProfileSpec,
-                      RegimeError, ResolutionError, SolverConfig, dilate, discretize,
+from planarsp import (CapBoundaryError, ConvergenceError, DomainError, Field,
+                      GuardFloorError, Params, ProfileSpec, RegimeError,
+                      ResolutionError, SolverConfig, dilate, discretize,
                       global_minimize, lambda_branch_minimize, lambda_maximize,
                       local_minimize_capped, make_grid, mass, masscritical_probe,
                       normalize, scalars, t_star, two_bump_probe)
@@ -519,6 +520,38 @@ def test_too_coarse_a_grid_is_a_resolution_error(p6_setup):
         lambda_branch_minimize(p6_setup, make_grid(16.0, 64), CFG,
                                gaussian_on_branch(p6_setup, "minus"), "minus")
     assert not isinstance(exc.value, RegimeError)
+
+
+def test_flow_pinned_at_the_cap_is_refused():
+    # A cap just above the start's A: the wide start flows toward the
+    # narrower minimizer until every trial step reaches the cap, and the
+    # exhausted line search raises CapBoundaryError with the report of the
+    # last iterate, which sits at the cap.
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    table = kernel_table(make_grid(40.0, 64))
+    start = evaluate(discretize(ProfileSpec.gaussian(sigma=3.0), table.grid), table)
+    cap = 1.01 * start.A
+    with pytest.raises(CapBoundaryError, match="pinned at the kinetic cap") as exc:
+        solvers._flow(start, solvers._Energy(pr, table, "capped", cap), CFG,
+                      _regime(pr))
+    report = exc.value.report
+    assert 0.999 * cap < report.breakdown.A < cap
+    assert not report.converged
+
+
+def test_branch_flow_against_the_resolution_guard_is_refused(p6_setup):
+    # A minus-branch start 5% wider than gaussian_on_branch's concentrates
+    # on L = 16 past what 128^2 resolves: trial steps fail the resolution
+    # guard until the line search is exhausted, a GuardFloorError whose
+    # report lists the refused 64^2 level and the 128^2 iterations.
+    spec = gaussian_on_branch(p6_setup, "minus")
+    wider = ProfileSpec.gaussian(sigma=1.05 * spec.sigma, c=spec.c)
+    with pytest.raises(GuardFloorError, match="step floor") as exc:
+        lambda_branch_minimize(p6_setup, make_grid(16.0, 128), CFG, wider, "minus")
+    levels = exc.value.report.extras["levels"]
+    assert [lv["n"] for lv in levels] == [64, 128]
+    assert "grid too coarse" in levels[0]["refused"]
+    assert levels[1]["iters"] == 26
 
 
 # ---------------------------------------------------------------------------
