@@ -31,8 +31,7 @@ _SUBMODULE = {name: module for module, names in (
                "dilate", "g", "phi", "project_to_lambda", "scalars", "t_star")),
     ("functionals", ("EnergyBreakdown", "el_residual", "energy", "grad_energy",
                      "kinetic", "lagrange_multiplier", "log_potential", "pnorm",
-                     "pohozaev_Q", "pohozaev_residual", "star_norm", "v1", "v2",
-                     "v_total")),
+                     "pohozaev_residual")),
     ("grid", ("Field", "Grid", "ProfileSpec", "boundary_mass_fraction",
               "discretize", "make_grid", "mass", "normalize", "read_field",
               "shift", "write_field")),

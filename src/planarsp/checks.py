@@ -119,7 +119,7 @@ def _check_v1_gaussian() -> CheckResult:
     # error, 1.1e-4 at 256^2; its origin value off by 0.1 reads 6.2e-4.
     grid = make_grid(40.0, 256)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
-    err = abs(fn.v1(u) - _V1_GAUSS_UNIT) / _V1_GAUSS_UNIT
+    err = abs(fn.evaluate(u).V1 - _V1_GAUSS_UNIT) / _V1_GAUSS_UNIT
     return _result("v1_gaussian", err, 2.5e-4,
                    "V1 of the unit Gaussian at 256^2 matches "
                    "int_0^inf log(1+r) r exp(-r^2/2) dr, relative")
@@ -135,7 +135,8 @@ def _check_v2_bound() -> CheckResult:
                  ProfileSpec.ring(r0=4.0, sigma=1.0),
                  ProfileSpec.random_smooth(seed=5)):
         u = discretize(spec, grid)
-        ratio = fn.v2(u, table) / (math.sqrt(fn.kinetic(u, table)) * 1.0)
+        ev = fn.evaluate(u, table)
+        ratio = ev.V2 / (math.sqrt(ev.A) * 1.0)
         worst = max(worst, ratio / kv2)
     return _result("v2_bound", worst, 1.0 + 1e-9,
                    "V2 <= kv2 sqrt(A) c^1.5 with the proven "
@@ -294,7 +295,7 @@ def _check_log_kernel() -> CheckResult:
     grid = make_grid(16.0, 64)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
     closed = 0.5 * (math.log(2.0) - _EULER)
-    err = abs(fn.v_total(u) - closed) / closed
+    err = abs(fn.evaluate(u).V - closed) / closed
     return _result("log_kernel_gaussian", err, 1e-12,
                    "V of the unit Gaussian at 64^2 matches (ln 2 - euler)/2, relative")
 

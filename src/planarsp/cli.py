@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from . import constants as K
 from .errors import ConfigError, ConvergenceError, PlanarSPError, RegimeError
-from .params import Params
+from .params import Params, _exponent
 
 if TYPE_CHECKING:
     from .grid import Grid, ProfileSpec
@@ -170,13 +170,6 @@ def _merged_profile(cfg: dict, args, c: float) -> ProfileSpec:
         return ProfileSpec(kind=kind, **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad profile: {exc}") from exc
-
-
-def _exponent(p) -> float:
-    p = float(p)
-    if not (math.isfinite(p) and p > 2):
-        raise ConfigError(f"exponent p must be finite and exceed 2, got {p}")
-    return p
 
 
 def _dumps(payload: dict) -> str:

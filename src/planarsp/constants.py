@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .dop853 import radial_dop853
 from .errors import RegimeError, ShootingError, ThresholdError
-from .params import Params
+from .params import Params, _exponent
 
 if TYPE_CHECKING:
     import numpy as np
@@ -270,9 +270,7 @@ def ground_state_radial(p: float) -> RadialGroundState:
     overshoot.  The bisection's phi(0) is then returned unchanged, shoot
     for shoot where it is shot, and its own shot, one of that pair, gives
     the profile."""
-    if p <= 2:
-        raise ValueError(f"ground state requires p > 2, got {p}")
-    return _ground_state(float(p))
+    return _ground_state(float(_exponent(p)))
 
 
 @cache
@@ -385,8 +383,6 @@ def kgn_estimate(p: float) -> float:
     By Kwong's uniqueness theorem (Arch. Rational Mech. Anal. 105, 1989)
     that solution is the ground state, and by Weinstein (Comm. Math. Phys.
     87, 1983) its quotient is K_GN."""
-    if p <= 2:
-        raise ValueError(f"kgn_estimate requires p > 2, got {p}")
     gs = ground_state_radial(p)
     return gs.C / (gs.A ** (0.5 * p - 1.0) * gs.mass)
 
@@ -549,7 +545,8 @@ def regime_classify(params: Params, sharp: SharpConstants) -> RegimeLabel:
 
     Parameter corners with no known answer (gamma < 0 with p >= 4, masses
     at or beyond the covered thresholds, gamma = 0) return OpenUnknown
-    rather than a guess.
+    rather than a guess.  sharp must be the constants of params.p, else
+    ValueError.
 
     For gamma < 0, p < 4 and T1 <= a < T2 the source paper places critical
     points on the Pohozaev set.  The sharp Gagliardo-Nirenberg inequality
@@ -562,6 +559,9 @@ def regime_classify(params: Params, sharp: SharpConstants) -> RegimeLabel:
     > 0 on every fiber and the set is empty.  That window keeps the tag
     TwoCriticalPointsOnLambda; its certificate carries the bound as
     t_star_sq_A_bound and says the set is empty."""
+    if sharp.p != params.p:
+        raise ValueError(f"sharp constants of p={sharp.p} cannot classify "
+                         f"p={params.p}")
     gam, a, p, c = params.gamma, params.a, params.p, params.c
     cert: Dict = {"gamma": gam, "a": a, "p": p, "c": c, "kgn": sharp.kgn}
     conds: List[str] = []

@@ -48,9 +48,11 @@ read from the kept forward spectra by Parseval, so a field whose gradient
 is never read takes no inverse transform.
 
 Every quantity of a field is read from its Evaluation (built by
-evaluate()), which computes each on first use and keeps it; kinetic,
-energy, el_residual and the other functions are views of a fresh one.
-Only this module knows the padded 2n x 2n layout.
+evaluate()), which computes each on first use and keeps it, and refuses a
+kernel table of another grid.  kinetic, log_potential, energy,
+grad_energy, lagrange_multiplier, pohozaev_residual and el_residual are
+views of a fresh one, kept for the benchmark harness, which calls them by
+name.  Only this module knows the padded 2n x 2n layout.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import MassMismatchError
+from .errors import GridMismatchError, MassMismatchError
 from .grid import Field, Grid, mass
-from .params import Params
+from .params import Params, _exponent
 
 __all__ = [
     "Params",
@@ -79,13 +81,8 @@ __all__ = [
     "kinetic",
     "pnorm",
     "log_potential",
-    "v_total",
-    "v1",
-    "v2",
-    "star_norm",
     "energy",
     "grad_energy",
-    "pohozaev_Q",
     "lagrange_multiplier",
     "pohozaev_residual",
     "el_residual",
@@ -148,12 +145,10 @@ def _origin_cell_average(inner, h: float) -> float:
     return 8.0 * outer / (h * h)
 
 
-# J0 and J1 by three methods: the power series below _SERIES_MAX, Miller's
-# backward recurrence from order _MILLER_START up to the first Hankel band,
-# and Hankel's asymptotic expansion in each band (lower edge, terms of P and
-# of Q), where the first omitted term is below 1e-17 at the lower edge.
-_SERIES_MAX = 2.0
-_SERIES_TERMS = 14
+# J0 and J1 by two methods: Miller's backward recurrence from order
+# _MILLER_START up to the first Hankel band, and Hankel's asymptotic
+# expansion in each band (lower edge, terms of P and of Q), where the first
+# omitted term is below 1e-17 at the lower edge.
 _MILLER_START = 64
 _HANKEL_BANDS = ((25.0, 10), (200.0, 4))
 
@@ -185,22 +180,17 @@ def _hankel(x: np.ndarray, terms: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _bessel_j01(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """J0(x) and J1(x) for x >= 0, in numpy alone, to a few units of 1e-16
-    (both are bounded by 1)."""
+    """J0(x) and J1(x) for x >= 1e-3, in numpy alone, to a few units of
+    1e-16 (both are bounded by 1); the recurrence overflows below.
+    _log_window passes x >= 2 sqrt(2) pi/3 only, since it sets the value at
+    the origin itself."""
     j0, j1 = np.empty_like(x), np.empty_like(x)
-    small = x < _SERIES_MAX
-    z = 0.25 * x[small] ** 2
-    s0, s1 = np.ones_like(z), np.ones_like(z)
-    for k in range(_SERIES_TERMS, 0, -1):
-        s0 = 1.0 - z / (k * k) * s0
-        s1 = 1.0 - z / (k * (k + 1)) * s1
-    j0[small], j1[small] = s0, 0.5 * x[small] * s1
 
     # J_{k-1} = (2k/x) J_k - J_{k+1} down from J = 1 at k = _MILLER_START
     # and 0 above it, up to a common factor that 1 = J0 + 2 (J2 + J4 + ...)
-    # fixes.
-    mid = ~small & (x < _HANKEL_BANDS[0][0])
-    two_over_x = 2.0 / x[mid]
+    # fixes, below the first Hankel band.
+    low = x < _HANKEL_BANDS[0][0]
+    two_over_x = 2.0 / x[low]
     jk, jk1 = np.ones_like(two_over_x), np.zeros_like(two_over_x)
     total = np.zeros_like(two_over_x)
     for k in range(_MILLER_START, 0, -1):
@@ -208,7 +198,7 @@ def _bessel_j01(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             total += jk
         jk, jk1 = k * two_over_x * jk - jk1, jk
     total = 2.0 * total + jk
-    j0[mid], j1[mid] = jk / total, jk1 / total
+    j0[low], j1[low] = jk / total, jk1 / total
 
     edges = [lo for lo, _ in _HANKEL_BANDS[1:]] + [math.inf]
     for (lo, terms), hi in zip(_HANKEL_BANDS, edges):
@@ -381,6 +371,9 @@ class Evaluation:
     """
 
     def __init__(self, u: Field, table: KernelTable):
+        if table.grid != u.grid:
+            raise GridMismatchError(f"field on {u.grid} evaluated with the kernel "
+                                    f"table of {table.grid}")
         self.u, self.table = u, table
         self._h2 = u.grid.h * u.grid.h
         self._C: Dict[float, float] = {}
@@ -579,9 +572,8 @@ def kinetic(u: Field, table: Optional[KernelTable] = None) -> float:
 
 
 def pnorm(u: Field, p: float) -> float:
-    """C(u) = integral |u|^p for p > 2."""
-    if p <= 2:
-        raise ValueError(f"pnorm requires p > 2, got {p}")
+    """C(u) = integral |u|^p for a finite p > 2."""
+    _exponent(p)
     h = u.grid.h
     return float(h * h * np.sum(np.abs(u.values) ** p))
 
@@ -589,26 +581,6 @@ def pnorm(u: Field, p: float) -> float:
 def log_potential(u: Field, table: Optional[KernelTable] = None) -> Field:
     """Evaluation.w of u, as a field."""
     return Field(u.grid, evaluate(u, table).w)
-
-
-def v_total(u: Field, table: Optional[KernelTable] = None) -> float:
-    """Evaluation.V of u."""
-    return evaluate(u, table).V
-
-
-def v1(u: Field, table: Optional[KernelTable] = None) -> float:
-    """Evaluation.V1 of u."""
-    return evaluate(u, table).V1
-
-
-def v2(u: Field, table: Optional[KernelTable] = None) -> float:
-    """Evaluation.V2 of u."""
-    return evaluate(u, table).V2
-
-
-def star_norm(u: Field, table: Optional[KernelTable] = None) -> float:
-    """Evaluation.star_norm of u."""
-    return evaluate(u, table).star_norm
 
 
 def energy(u: Field, params: Params, table: Optional[KernelTable] = None) -> EnergyBreakdown:
@@ -619,11 +591,6 @@ def energy(u: Field, params: Params, table: Optional[KernelTable] = None) -> Ene
 def grad_energy(u: Field, params: Params, table: Optional[KernelTable] = None) -> Field:
     """Evaluation.grad of u at s = 1, as a field."""
     return Field(u.grid, evaluate(u, table).grad(params))
-
-
-def pohozaev_Q(u: Field, params: Params, table: Optional[KernelTable] = None) -> float:
-    """Evaluation.Q of u."""
-    return evaluate(u, table).Q(params)
 
 
 def lagrange_multiplier(u: Field, params: Params,

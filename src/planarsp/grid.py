@@ -123,9 +123,12 @@ class Field:
 def make_grid(L: float, n: int) -> Grid:
     """Create the uniform grid on [-L/2, L/2)^2 with spacing h = L/n.
 
-    Requires a finite L > 0 and n a power of two with n >= 16 (powers of
-    two keep the zero-padded transforms fast).
+    Requires a finite L > 0 and n an integral power of two with n >= 16
+    (powers of two keep the zero-padded transforms fast); 256.0 is n = 256,
+    256.5 is refused.
     """
+    if int(n) != n:
+        raise ValueError(f"grid size must be an integer, got {n}")
     return Grid(extent=float(L), n=int(n))
 
 

@@ -23,7 +23,15 @@ class Params:
         for name in ("gamma", "a", "p", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.p <= 2:
-            raise ValueError(f"exponent p must exceed 2, got {self.p}")
+        _exponent(self.p)
         if self.c <= 0:
             raise ValueError(f"mass c must be positive, got {self.c}")
+
+
+def _exponent(p: float) -> float:
+    """p, if it is a finite exponent above 2; else ValueError."""
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
+    if p <= 2:
+        raise ValueError(f"exponent p must exceed 2, got {p}")
+    return p

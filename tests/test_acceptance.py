@@ -23,14 +23,13 @@ from planarsp import (Params, ProfileSpec, RegimeError, SolverConfig,
                       grad_energy, global_minimize, kinetic,
                       lambda_branch_minimize, lambda_maximize,
                       local_minimize_capped, make_grid,
-                      masscritical_probe, phi, pnorm, two_bump_probe,
-                      v_total)
+                      masscritical_probe, phi, pnorm, two_bump_probe)
 from planarsp.constants import (a_thresholds, c0, c_edges, gaussian_rayleigh_quotient,
                                 gn_profile_field, ground_state_radial,
                                 kgn_estimate, mass_critical_threshold,
                                 regime_classify, sharp_constants)
 from planarsp.fiber import FiberScalars
-from planarsp.functionals import kernel_table
+from planarsp.functionals import evaluate, kernel_table
 from planarsp.grid import Field
 from planarsp.solvers import gaussian_on_branch
 
@@ -78,14 +77,14 @@ def test_criterion_1_scaling_laws(grid512):
     t0 = time.monotonic()
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid512)
     table = kernel_table(grid512)
-    A0, C0, V0 = kinetic(u, table), pnorm(u, 3.0), v_total(u, table)
+    A0, C0, V0 = kinetic(u, table), pnorm(u, 3.0), evaluate(u, table).V
     worst_rel, worst_abs = 0.0, 0.0
     for t in (0.5, 2.0):
         v = dilate(u, t)
         worst_rel = max(worst_rel,
                         abs(kinetic(v, table) / A0 - t ** 2) / t ** 2,
                         abs(pnorm(v, 3.0) / C0 - t) / t)
-        worst_abs = max(worst_abs, abs(v_total(v, table) - V0 + math.log(t)))
+        worst_abs = max(worst_abs, abs(evaluate(v, table).V - V0 + math.log(t)))
     elapsed = time.monotonic() - t0
     ok = worst_rel < 1e-3 and worst_abs < 1e-3 and elapsed < 30.0
     report(1, ok, f"dilation scaling laws at 512^2: rel {worst_rel:.2e}, "
@@ -100,7 +99,7 @@ def test_criterion_2_gaussian_closed_forms(grid512):
     worst = 0.0
     for c in (1.0, 2.0):
         u = discretize(ProfileSpec.gaussian(sigma=1.0, c=c), grid512)
-        A, C, V = kinetic(u, table), pnorm(u, 3.0), v_total(u, table)
+        A, C, V = kinetic(u, table), pnorm(u, 3.0), evaluate(u, table).V
         worst = max(worst,
                     abs(A - c) / c,
                     abs(C - 2.0 * c ** 1.5 / (3.0 * math.sqrt(math.pi)))

@@ -286,6 +286,14 @@ def test_kgn_requires_supercritical():
         kgn_estimate(2.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+@pytest.mark.parametrize("solve", [kgn_estimate, ground_state_radial])
+def test_shooting_refuses_a_non_finite_exponent(solve, p):
+    # inf once divided by zero and nan shot once before DOP853 gave up.
+    with pytest.raises(ValueError, match="p must be finite"):
+        solve(p)
+
+
 def test_gn_profile_field_mass_and_quotient():
     grid = make_grid(40.0, 256)
     u = gn_profile_field(grid, 3.0, 1.0)
@@ -366,12 +374,12 @@ def test_kv2_deterministic():
 
 
 def test_kv2_dominates_single_gaussian():
-    from planarsp.functionals import kinetic, v2
+    from planarsp.functionals import evaluate, kinetic
     from planarsp.grid import ProfileSpec, discretize
 
     grid = make_grid(40.0, 128)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
-    single = v2(u) / math.sqrt(kinetic(u))
+    single = evaluate(u).V2 / math.sqrt(kinetic(u))
     assert kv2_estimate(grid) >= single
 
 
@@ -406,6 +414,14 @@ def _sharp(p):
 ])
 def test_regime_examples(params, tag):
     assert regime_classify(params, _sharp(params.p)).tag == tag
+
+
+def test_regime_refuses_constants_of_another_exponent():
+    sharp6 = _sharp(6.0)
+    params = Params(gamma=1.0, a=1.0, p=6.0, c=0.9 * c0(6.0, 1.0, 1.0, sharp6.kgn))
+    assert regime_classify(params, sharp6).tag == "LocalMinPlusMountainPass"
+    with pytest.raises(ValueError, match="p=3.0"):
+        regime_classify(params, _sharp(3.0))
 
 
 def test_regime_local_min_mountain_pass():

@@ -14,11 +14,12 @@ from planarsp import (DomainError, Field, GridMismatchError, ProfileSpec,
 def test_make_grid_spacing():
     assert make_grid(40.0, 256).h == pytest.approx(0.15625, abs=0)
     assert make_grid(1.0, 16).h == pytest.approx(0.0625, abs=0)
+    assert make_grid(40.0, 256.0) == make_grid(40.0, 256)
 
 
 @pytest.mark.parametrize("L,n", [(40.0, 255), (40.0, 100), (-1.0, 256),
                                  (0.0, 64), (40.0, 8), (float("nan"), 256),
-                                 (float("inf"), 256)])
+                                 (float("inf"), 256), (40.0, 256.5)])
 def test_make_grid_rejects_bad_inputs(L, n):
     with pytest.raises(ValueError):
         make_grid(L, n)

@@ -23,8 +23,7 @@ _EXPORTS = {
               "dilate", "g", "phi", "project_to_lambda", "scalars", "t_star"],
     "functionals": ["EnergyBreakdown", "Params", "el_residual", "energy",
                     "grad_energy", "kinetic", "lagrange_multiplier",
-                    "log_potential", "pnorm", "pohozaev_Q", "pohozaev_residual",
-                    "star_norm", "v1", "v2", "v_total"],
+                    "log_potential", "pnorm", "pohozaev_residual"],
     "grid": ["Field", "Grid", "ProfileSpec", "boundary_mass_fraction",
              "discretize", "make_grid", "mass", "normalize", "read_field",
              "shift", "write_field"],
