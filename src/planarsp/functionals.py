@@ -32,12 +32,15 @@ back, it gives a convolution as accurate as the trapezoidal rule is for
 u^2 itself: spectral, where a sampled log|z|, even with a corrected origin
 weight, leaves an O(h^2) error in V and in everything built on it.  The
 kernel is even in both axes and symmetric under their swap, so the Bessel
-values are taken on one triangle of a frequency quadrant and both
-transforms are DCT-I on quadrants.  V1, with the kernel log(1+|z|), is a
-cusp and no singularity; it keeps the sampled kernel with the exact cell
-average at the origin (a fixed Gauss-Legendre rule over the polar angle,
-see _origin_cell_average), and V2 = V1 - V, so V = V1 - V2 holds by
-construction.
+values are taken on one triangle of a frequency quadrant, in blocks of
+rows, and both transforms are DCT-I on quadrants.  The table keeps each
+padded kernel transform as its (n+1) x (n+1) quadrant, half the padded
+2n x (n+1) half spectrum, and multiplies a spectrum by it in place, rows
+n+1..2n-1 by the quadrant's rows n-1..1 read backwards.  V1, with the
+kernel log(1+|z|), is a cusp and no singularity; it keeps the sampled
+kernel with the exact cell average at the origin (a fixed Gauss-Legendre
+rule over the polar angle, see _origin_cell_average), and V2 = V1 - V, so
+V = V1 - V2 holds by construction.
 
 Only the log interaction is non-local, so only it pays for the padded
 grid.  The kinetic term, the Laplacian and the Sobolev metric of the flows
@@ -45,7 +48,9 @@ use the spectral derivative of the field treated as periodic on the n x n
 grid itself; callers keep the boundary mass fraction small so
 periodization error stays below the quadrature error.  A, V and V1 are
 read from the kept forward spectra by Parseval, so a field whose gradient
-is never read takes no inverse transform.
+is never read takes no inverse transform.  w consumes the padded spectrum
+of u^2: V and V1 are read from it first, then it is multiplied by the
+kernel in place and carried through the inverse.
 
 Every quantity of a field is read from its Evaluation (built by
 evaluate()), which computes each on first use and keeps it, and refuses a
@@ -207,6 +212,10 @@ def _bessel_j01(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return j0, j1
 
 
+# The most frequency points _log_window passes to _bessel_j01 at once.
+_TRIANGLE_BLOCK = 1 << 16
+
+
 def _log_window(n: int, h: float) -> np.ndarray:
     """The log kernel at the node displacements (i h, j h), 0 <= i, j <= n,
     by the truncated-kernel method (Vico, Greengard & Ferrando, J. Comput.
@@ -218,47 +227,66 @@ def _log_window(n: int, h: float) -> np.ndarray:
     (1 - J0(x))/x^2, g(0) = log(R)/2 - 1/4, which is sampled on the
     frequencies of period P = 3L >= L + R and transformed back.  G is even
     in both axes and symmetric under their swap, so the Bessel values are
-    taken on one triangle of the frequency quadrant 0..3n/2 and the
-    inverse is a DCT-I of the quadrant, scaled by 2 pi R^2 / P^2 = 4 pi/9.
+    taken on one triangle of the frequency quadrant 0..3n/2, in blocks of
+    rows of about _TRIANGLE_BLOCK points walked in np.tril_indices order,
+    and the inverse is a DCT-I of the quadrant, scaled by 2 pi R^2 / P^2 =
+    4 pi/9.
     """
     import scipy.fft as sfft
 
     m = 3 * n // 2
     log_R = math.log(n * h) + 0.5 * math.log(2.0)
-    i, j = np.tril_indices(m + 1)
-    # |k| R on the frequency lattice 2 pi (i, j) / P; (0, 0) comes first.
-    x = (2.0 * math.sqrt(2.0) * math.pi / 3.0) * np.hypot(i, j)
-    g = np.empty_like(x)
-    g[0] = 0.5 * log_R - 0.25
-    j0, j1 = _bessel_j01(x[1:])
-    g[1:] = (log_R * j1 - (1.0 - j0) / x[1:]) / x[1:]
     quadrant = np.empty((m + 1, m + 1))
-    quadrant[i, j] = g
-    quadrant[j, i] = g
-    window = sfft.dctn(quadrant, type=1)[: n + 1, : n + 1]
-    window *= 4.0 * math.pi / 9.0
-    return window
+    rows = max(1, _TRIANGLE_BLOCK // (m + 1))
+    for start in range(0, m + 1, rows):
+        # The points j <= i of rows start.., row by row.
+        i, j = np.nonzero(np.tri(min(rows, m + 1 - start), m + 1, start, dtype=bool))
+        i += start
+        # |k| R on the frequency lattice 2 pi (i, j) / P.
+        x = (2.0 * math.sqrt(2.0) * math.pi / 3.0) * np.hypot(i, j)
+        # (0, 0), first in the first block, takes g(0).
+        origin = int(start == 0)
+        g = np.empty_like(x)
+        g[:origin] = 0.5 * log_R - 0.25
+        j0, j1 = _bessel_j01(x[origin:])
+        g[origin:] = (log_R * j1 - (1.0 - j0) / x[origin:]) / x[origin:]
+        quadrant[i, j] = g
+        quadrant[j, i] = g
+    window = sfft.dctn(quadrant, type=1, overwrite_x=True)[: n + 1, : n + 1]
+    return window * (4.0 * math.pi / 9.0)
 
 
 def _log1p_window(n: int, h: float) -> np.ndarray:
     """log(1+|z|) at the node displacements (i h, j h), 0 <= i, j <= n,
     sampled, with its exact average over one grid cell at the origin."""
     d = h * np.arange(n + 1)
-    window = np.log1p(np.hypot(d[:, None], d[None, :]))
+    window = np.hypot(d[:, None], d[None, :])
+    np.log1p(window, out=window)
     window[0, 0] = _origin_cell_average(_r_log1p, h)
     return window
 
 
-def _even_rfft2(window: np.ndarray) -> np.ndarray:
-    """The rfft2 of the 2n x 2n array that is even in both axes and equal
-    to window on its quadrant 0..n: a DCT-I of the quadrant, which is the
-    rfft2 on rows 0..n, with rows 1..n-1 mirrored below.  Real, like the
+def _even_quadrant(window: np.ndarray) -> np.ndarray:
+    """The quadrant 0..n x 0..n of the rfft2 of the 2n x 2n array that is
+    even in both axes and equal to window on its quadrant 0..n: a DCT-I of
+    the window.  The whole rfft2 half, 2n x (n+1), is the quadrant with its
+    rows n-1..1 mirrored below (see _times_quadrant).  Real, like the
     transform of any even array."""
     import scipy.fft as sfft
 
-    n = window.shape[0] - 1
-    quadrant = sfft.dctn(window, type=1)
-    return np.concatenate([quadrant, quadrant[n - 1:0:-1]])
+    return sfft.dctn(window, type=1, overwrite_x=True)
+
+
+def _times_quadrant(spec: np.ndarray, quadrant: np.ndarray) -> np.ndarray:
+    """Multiply the padded 2n x (n+1) half spectrum (or density) spec in
+    place by the even kernel transform whose quadrant is given, and return
+    it: rows 0..n by the quadrant, rows n+1..2n-1 by a negative-stride view
+    of its rows n-1..1.  Each element meets the factor it meets in the full
+    2n x (n+1) transform, so the product is that one bit for bit."""
+    n = quadrant.shape[0] - 1
+    spec[: n + 1] *= quadrant
+    spec[n + 1:] *= quadrant[n - 1:0:-1]
+    return spec
 
 
 # Squared decay length of the Sobolev metric (1 - beta Delta).
@@ -268,16 +296,21 @@ _SOBOLEV_BETA = 0.25
 @dataclass(frozen=True)
 class KernelTable:
     """Per-grid spectral data: |k|^2 and the Sobolev smoother on the n x n
-    grid, and the kernel transforms on the padded 2n x 2n grid.
+    grid, and the kernel transforms of the padded 2n x 2n grid.  Both
+    kernels are even in both axes, so each transform is stored as its
+    (n+1) x (n+1) quadrant, the DCT-I of the kernel's window; the padded
+    2n x (n+1) half spectrum is the quadrant with its rows n-1..1 mirrored
+    below, and _times_quadrant multiplies by it.
 
-    Immutable after construction and safe to share across threads.
+    Immutable after construction (every array is read-only) and safe to
+    share across threads.
     """
 
     grid: Grid
     k2: np.ndarray          # |k|^2 in rfft2 layout on the n x n grid
     smoother: np.ndarray    # 1 / (1 + beta |k|^2), the inverse Sobolev metric
-    khat_log: np.ndarray    # padded rfft2 of the truncated-kernel log|z|
-    khat_v1: np.ndarray     # padded rfft2 of the sampled log(1+|z|)
+    khat_log: np.ndarray    # quadrant of the padded rfft2 of the truncated-kernel log|z|
+    khat_v1: np.ndarray     # quadrant of the padded rfft2 of the sampled log(1+|z|)
     log_weight: np.ndarray  # log(1+|x|) quadrature weight on the n x n grid
 
     @staticmethod
@@ -287,11 +320,15 @@ class KernelTable:
         n, h = grid.n, grid.h
         k = 2.0 * np.pi * sfft.fftfreq(n, d=h)
         k2 = k[:, None] ** 2 + k[None, : n // 2 + 1] ** 2
-        return KernelTable(grid=grid, k2=k2,
-                           smoother=1.0 / (1.0 + _SOBOLEV_BETA * k2),
-                           khat_log=_even_rfft2(_log_window(n, h)),
-                           khat_v1=_even_rfft2(_log1p_window(n, h)),
-                           log_weight=np.log1p(grid.radius()))
+        table = KernelTable(grid=grid, k2=k2,
+                            smoother=1.0 / (1.0 + _SOBOLEV_BETA * k2),
+                            khat_log=_even_quadrant(_log_window(n, h)),
+                            khat_v1=_even_quadrant(_log1p_window(n, h)),
+                            log_weight=np.log1p(grid.radius()))
+        for array in vars(table).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        return table
 
 
 # The most tables kernel_table keeps; past it the least recently used goes.
@@ -337,21 +374,37 @@ def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
     normalizations 1/(2n) are exact (n is a power of two), so the block is
     bit-identical to irfft2(spec, s=(2n, 2n))[:n, :n].
 
-    spec is consumed (overwrite_x): pass only a fresh temporary, never a
-    kept spectrum such as Evaluation.spec_sq or a KernelTable array."""
+    spec is consumed (overwrite_x): pass only a spectrum that nothing
+    keeps, never a KernelTable array or a spectrum an Evaluation still
+    holds."""
     import scipy.fft as sfft
 
     rows = sfft.ifftn(spec, axes=(0,), overwrite_x=True)[:n]
     return sfft.irfftn(rows, s=(2 * n,), axes=(1,), overwrite_x=True)[:, :n]
 
 
-def _parseval(multiplier: np.ndarray, spec: np.ndarray) -> float:
+# Rows of the imaginary parts that _power squares at once.
+_ROW_BLOCK = 64
+
+
+def _power(spec: np.ndarray) -> np.ndarray:
+    """|spec|^2 as a fresh real array: the squares of the real parts, with
+    the squares of the imaginary parts added _ROW_BLOCK rows at a time, so
+    that no other array of its size is made."""
+    dens = np.square(spec.real)
+    for start in range(0, dens.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        dens[rows] += np.square(spec.imag[rows])
+    return dens
+
+
+def _parseval(dens: np.ndarray) -> float:
     """(1/N) sum multiplier |spec|^2 over the N-point spectrum whose rfft2
-    half is spec, for a real multiplier even in k: the first and last
-    columns (k_y = 0 and the Nyquist column) stand for themselves and every
-    other one also for its mirror.  N is the square of the row count, so
-    this serves the n x n and the padded 2n x 2n spectra alike."""
-    dens = multiplier * (spec.real ** 2 + spec.imag ** 2)
+    half is spec, given dens = multiplier |spec|^2 on that half, for a real
+    multiplier even in k: the first and last columns (k_y = 0 and the
+    Nyquist column) stand for themselves and every other one also for its
+    mirror.  N is the square of the row count, so this serves the n x n
+    and the padded 2n x 2n spectra alike."""
     total = 2.0 * float(np.sum(dens)) - float(np.sum(dens[:, 0])) \
         - float(np.sum(dens[:, -1]))
     return total / dens.shape[0] ** 2
@@ -367,7 +420,10 @@ class Evaluation:
     -Delta u takes one n x n inverse, and w = log|.| * u^2 one pruned padded
     inverse (n rows by ifft, then n columns by irfft, bit-identical to the
     n x n block of the full padded inverse); only grad and the quantities
-    built on it read them.
+    built on it read them.  w consumes spec_sq: it reads V and V1 first,
+    then multiplies spec_sq in place by the log kernel's quadrant and hands
+    it to the inverse, so no second padded spectrum is made and spec_sq is
+    no longer held.
     """
 
     def __init__(self, u: Field, table: KernelTable):
@@ -394,17 +450,21 @@ class Evaluation:
     @cached_property
     def A(self) -> float:
         """integral |grad u|^2, spectral on the periodic n x n grid."""
-        return self._h2 * _parseval(self.table.k2, self.spec_u)
+        dens = _power(self.spec_u)
+        dens *= self.table.k2
+        return self._h2 * _parseval(dens)
 
     @cached_property
     def V(self) -> float:
         """<u^2, log * u^2>."""
-        return self._h2 * self._h2 * _parseval(self.table.khat_log, self.spec_sq)
+        dens = _times_quadrant(_power(self.spec_sq), self.table.khat_log)
+        return self._h2 * self._h2 * _parseval(dens)
 
     @cached_property
     def V1(self) -> float:
         """V with the nonnegative kernel log(1+|x-y|)."""
-        return self._h2 * self._h2 * _parseval(self.table.khat_v1, self.spec_sq)
+        dens = _times_quadrant(_power(self.spec_sq), self.table.khat_v1)
+        return self._h2 * self._h2 * _parseval(dens)
 
     @cached_property
     def V2(self) -> float:
@@ -414,8 +474,11 @@ class Evaluation:
 
     @cached_property
     def w(self) -> np.ndarray:
-        """The log potential log|.| * u^2 on the grid."""
-        return self._h2 * _inverse(self.spec_sq * self.table.khat_log, self.u.grid.n)
+        """The log potential log|.| * u^2 on the grid.  Consumes spec_sq,
+        after reading V and V1 from it."""
+        self.V, self.V1
+        spec = _times_quadrant(vars(self).pop("spec_sq"), self.table.khat_log)
+        return self._h2 * _inverse(spec, self.u.grid.n)
 
     @cached_property
     def neg_lap(self) -> np.ndarray:
@@ -434,7 +497,9 @@ class Evaluation:
         qx = np.fft.fftfreq(n, d=1.0 / n)
         qy = np.arange(n // 2 + 1)
         above = qx[:, None] ** 2 + qy[None, :] ** 2 > (n // 4) ** 2
-        return math.sqrt(self._h2 * _parseval(above, self.spec_u) / mass(self.u))
+        dens = _power(self.spec_u)
+        dens *= above
+        return math.sqrt(self._h2 * _parseval(dens) / mass(self.u))
 
     @cached_property
     def star_norm(self) -> float:
@@ -468,7 +533,9 @@ class Evaluation:
         if s == 1.0 and params in self._grad:
             return self._grad[params]
         vals, p = self.u.values, params.p
-        nonlin = np.abs(vals) ** (p - 2.0) * vals
+        nonlin = np.abs(vals)
+        nonlin **= p - 2.0
+        nonlin *= vals
         g = (s * s * self.neg_lap
              + params.gamma * (self.w - mass(self.u) * math.log(s)) * vals
              - params.a * s ** (p - 2.0) * nonlin)
@@ -575,7 +642,9 @@ def pnorm(u: Field, p: float) -> float:
     """C(u) = integral |u|^p for a finite p > 2."""
     _exponent(p)
     h = u.grid.h
-    return float(h * h * np.sum(np.abs(u.values) ** p))
+    dens = np.abs(u.values)
+    dens **= p
+    return float(h * h * np.sum(dens))
 
 
 def log_potential(u: Field, table: Optional[KernelTable] = None) -> Field:

@@ -7,6 +7,13 @@ EULER = 0.5772156649015329
 V_GAUSS_UNIT = 0.5 * (np.log(2.0) - EULER)  # V of the unit-mass Gaussian
 
 
+def padded_kernel(quadrant):
+    """The padded 2n x (n+1) rfft2 half of an even kernel that a KernelTable
+    stores as its (n+1) x (n+1) quadrant: rows 0..n, then rows n-1..1."""
+    n = quadrant.shape[0] - 1
+    return quadrant[np.r_[np.arange(n + 1), np.arange(n - 1, 0, -1)]]
+
+
 def padded_reference(u, table):
     """A, V, V1 and V2 as direct grid sums against the Laplacian and the
     convolutions on the zero-padded 2n x 2n domain, each by its own pair of
@@ -23,8 +30,9 @@ def padded_reference(u, table):
     k2 = k[:, None] ** 2 + k[None, : n + 1] ** 2
     u2 = u.values * u.values
     A = h * h * np.sum(u.values * through(u.values, k2))
+    khat_log, khat_v1 = padded_kernel(table.khat_log), padded_kernel(table.khat_v1)
     V = [h ** 4 * np.sum(u2 * through(u2, khat))
-         for khat in (table.khat_log, table.khat_v1, table.khat_v1 - table.khat_log)]
+         for khat in (khat_log, khat_v1, khat_v1 - khat_log)]
     return [A] + V
 
 

@@ -22,7 +22,7 @@ from planarsp import functionals, solvers
 from planarsp.functionals import (_bessel_j01, _origin_cell_average, _r_log1p,
                                   evaluate, kernel_table, prolong, smooth_direction)
 
-from conftest import EULER, V_GAUSS_UNIT, padded_reference
+from conftest import EULER, V_GAUSS_UNIT, padded_kernel, padded_reference
 
 PR3 = Params(gamma=1.0, a=1.0, p=3.0, c=1.0)
 
@@ -373,13 +373,16 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
             if isinstance(array, np.ndarray)}
     assert {"k2", "smoother", "khat_log"} <= kept.keys()
     ev = evaluate(u, table)
-    v1_before, v2_before = ev.V1, ev.V2
-    spec_u, spec_sq = ev.spec_u.copy(), ev.spec_sq.copy()
+    before = (ev.V, ev.V1, ev.V2)
+    spec_u = ev.spec_u.copy()
     direction = u.values[::-1].copy()
 
     u2 = u.values * u.values
     h2 = grid.h * grid.h
-    assert np.array_equal(ev.w, h2 * _padded_block(u2, table.khat_log))
+    assert np.array_equal(ev.w, h2 * _padded_block(u2, padded_kernel(table.khat_log)))
+    # w consumes spec_sq, after V and V1 are read from it.
+    assert "spec_sq" not in vars(ev)
+    assert (ev.V, ev.V1, ev.V2) == before
     # -Delta u and the Sobolev smoother run on the periodic n x n grid.
     assert np.array_equal(ev.neg_lap,
                           sfft.irfft2(sfft.rfft2(u.values) * table.k2, s=(n, n)))
@@ -391,12 +394,11 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
 
     # The inverses consume their input: no kept spectrum may have been passed.
     assert np.array_equal(ev.spec_u, spec_u)
-    assert np.array_equal(ev.spec_sq, spec_sq)
     for name, array in kept.items():
         assert np.array_equal(getattr(table, name), array), name
     ev_after = evaluate(u, table)
-    ev_after.w  # read before V1 and V2
-    assert (ev_after.V1, ev_after.V2) == (v1_before, v2_before)
+    ev_after.w  # read before V, V1 and V2
+    assert (ev_after.V, ev_after.V1, ev_after.V2) == before
 
 
 def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
@@ -511,8 +513,8 @@ def test_bessel_values_need_no_scipy():
 def test_log_kernel_matches_the_full_period_transform(n):
     # The reference samples the cut-off kernel's transform on the whole
     # (3n)^2 frequency grid, with scipy's Bessel functions, and inverts it
-    # by a full FFT; the table's khat_log is the rfft2 of the even 2n x 2n
-    # kernel array.
+    # by a full FFT; the table's khat_log is the quadrant of the rfft2 of
+    # the even 2n x 2n kernel array.
     grid = make_grid(16.0, n)
     L, R = grid.extent, math.sqrt(2.0) * grid.extent
     P = 3.0 * L
@@ -528,7 +530,7 @@ def test_log_kernel_matches_the_full_period_transform(n):
 
     fold = np.r_[np.arange(n + 1), np.arange(n - 1, 0, -1)]
     spec = np.fft.rfft2(window[np.ix_(fold, fold)])
-    khat = kernel_table(grid).khat_log
+    khat = padded_kernel(kernel_table(grid).khat_log)
     assert np.max(np.abs(khat - spec.real)) < 1e-12 * np.max(np.abs(khat))
     assert np.max(np.abs(spec.imag)) < 1e-12 * np.max(np.abs(khat))
 
@@ -556,6 +558,60 @@ def test_table_cache_is_least_recently_used():
     assert kernel_table(grids[2]) is not tables[2]
     assert kernel_table(grids[0]) is tables[0]
     kernel_table.cache_clear()
+
+
+def test_cached_table_arrays_are_read_only(grid128):
+    # A write into a cached array would change every later evaluation on
+    # its grid.
+    table = kernel_table(grid128)
+    arrays = {name: array for name, array in vars(table).items()
+              if isinstance(array, np.ndarray)}
+    assert arrays.keys() == {"k2", "smoother", "khat_log", "khat_v1", "log_weight"}
+    for name, array in arrays.items():
+        with pytest.raises(ValueError):
+            array[...] *= 2.0
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def _traced(fn):
+    """(kept, peak) bytes that tracemalloc traces while fn runs, and the
+    result of fn."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept - base, peak - base, result
+
+
+def test_table_and_certification_memory(gauss256, grid256):
+    # The two kernel transforms are kept as (n+1)^2 quadrants: 2.01 MiB
+    # for the whole 256^2 table (3.01 MiB with the padded 2n x (n+1)
+    # halves).  A warm-up build imports and plans first.
+    functionals.KernelTable.build(grid256)
+    kept, _, table = _traced(lambda: functionals.KernelTable.build(grid256))
+    assert sum(a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray)) \
+        <= 2.1 * 2 ** 20
+    assert kept <= 2.1 * 2 ** 20
+
+    # One certification peaks at 5.58 MiB with w formed in spec_sq and the
+    # densities built without full-size temporaries (7.02 MiB with a second
+    # padded spectrum); the bound leaves 7.6% above it.
+    def certify():
+        ev = evaluate(gauss256, table)
+        ev.F(PR3)
+        ev.grad(PR3)
+        ev.breakdown(PR3)
+        ev.el_residual(PR3, ev.lam(PR3))
+
+    certify()
+    _, peak, _ = _traced(certify)
+    assert peak <= 6.0 * 2 ** 20
 
 
 @pytest.mark.parametrize("which", ["gauss128", "random_smooth", "white_noise"])
