@@ -147,6 +147,16 @@ A129 = -8.87285693353062954433549289258e0
 A1210 = 1.23605671757943030647266201528e1
 A1211 = 6.43392746015763530355970484046e-1
 
+# Every coefficient above, in order, for radial_dop853 to bind to locals.
+_TABLEAU = (C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, B1, B6, B7, B8,
+            B9, B10, B11, B12, BHH1, BHH2, BHH3, ER1, ER6, ER7, ER8,
+            ER9, ER10, ER11, ER12, A21, A31, A32, A41, A43, A51, A53,
+            A54, A61, A64, A65, A71, A74, A75, A76, A81, A84, A85, A86,
+            A87, A91, A94, A95, A96, A97, A98, A101, A104, A105, A106,
+            A107, A108, A109, A111, A114, A115, A116, A117, A118, A119,
+            A1110, A121, A124, A125, A126, A127, A128, A129, A1210,
+            A1211)
+
 # Step control at SciPy's defaults for dop853.
 _NMAX = 500                  # steps, accepted or rejected
 _UROUND = 2.3e-16            # rounding unit of the step-size floor
@@ -171,6 +181,16 @@ def radial_dop853(p: float, beta: float, r0: float, r_end: float,
     solout, -2 more than 500 steps needed, -3 step size too small.  A
     power too large for a float raises OverflowError from the right-hand
     side, as Python's float ** does."""
+    # The tableau and the math functions as locals, read by name in
+    # every stage.
+    (C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, B1, B6, B7, B8, B9, B10,
+     B11, B12, BHH1, BHH2, BHH3, ER1, ER6, ER7, ER8, ER9, ER10, ER11,
+     ER12, A21, A31, A32, A41, A43, A51, A53, A54, A61, A64, A65, A71,
+     A74, A75, A76, A81, A84, A85, A86, A87, A91, A94, A95, A96, A97,
+     A98, A101, A104, A105, A106, A107, A108, A109, A111, A114, A115,
+     A116, A117, A118, A119, A1110, A121, A124, A125, A126, A127, A128,
+     A129, A1210, A1211) = _TABLEAU
+    copysign, sqrt, two_pi = math.copysign, math.sqrt, _TWO_PI
     pm1 = p - 1.0
     x = r0
     y0, y1, y2, y3, y4 = beta, 0.0, 0.0, 0.0, 0.0
@@ -178,8 +198,8 @@ def radial_dop853(p: float, beta: float, r0: float, r_end: float,
     # k1 = f(x, y); the phi component of every stage derivative is the
     # stage value of phi', so k_j = (v_j, w_j, m_j, a_j, c_j).
     v1 = y1
-    w1 = -y1 / x + y0 - math.copysign(abs(y0) ** pm1, y0)
-    tau = _TWO_PI * x
+    w1 = -y1 / x + y0 - copysign(abs(y0) ** pm1, y0)
+    tau = two_pi * x
     m1 = tau * y0 * y0
     a1 = tau * y1 * y1
     c1 = tau * abs(y0) ** p
@@ -196,24 +216,24 @@ def radial_dop853(p: float, beta: float, r0: float, r_end: float,
     if dnf <= 1e-10 or dny <= 1e-10:
         h = 1.0e-6
     else:
-        h = math.sqrt(dny / dnf) * 0.01
+        h = sqrt(dny / dnf) * 0.01
     h = min(h, hmax)
     u = y0 + h * v1
     v = y1 + h * w1
     r = x + h
-    tau = _TWO_PI * r
+    tau = two_pi * r
     der2 = 0.0
     for yi, fi, gi in (
             (y0, v1, v),
-            (y1, w1, -v / r + u - math.copysign(abs(u) ** pm1, u)),
+            (y1, w1, -v / r + u - copysign(abs(u) ** pm1, u)),
             (y2, m1, tau * u * u),
             (y3, a1, tau * v * v),
             (y4, c1, tau * abs(u) ** p)):
         sk = atol + rtol * abs(yi)
         q = (gi - fi) / sk
         der2 = der2 + q * q
-    der2 = math.sqrt(der2) / h
-    der12 = max(abs(der2), math.sqrt(dnf))
+    der2 = sqrt(der2) / h
+    der12 = max(abs(der2), sqrt(dnf))
     if der12 <= 1e-15:
         h1 = max(1.0e-6, abs(h) * 1.0e-3)
     else:
@@ -240,98 +260,108 @@ def radial_dop853(p: float, beta: float, r0: float, r_end: float,
         u = y0 + ha * v1
         v2 = y1 + ha * w1
         r = x + C2 * h
-        w2 = -v2 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w2 = -v2 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m2 = tau * u * u
         a2 = tau * v2 * v2
-        c2 = tau * abs(u) ** p
+        c2 = tau * au ** p
 
         u = y0 + h * (A31 * v1 + A32 * v2)
         v3 = y1 + h * (A31 * w1 + A32 * w2)
         r = x + C3 * h
-        w3 = -v3 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w3 = -v3 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m3 = tau * u * u
         a3 = tau * v3 * v3
-        c3 = tau * abs(u) ** p
+        c3 = tau * au ** p
 
         u = y0 + h * (A41 * v1 + A43 * v3)
         v4 = y1 + h * (A41 * w1 + A43 * w3)
         r = x + C4 * h
-        w4 = -v4 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w4 = -v4 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m4 = tau * u * u
         a4 = tau * v4 * v4
-        c4 = tau * abs(u) ** p
+        c4 = tau * au ** p
 
         u = y0 + h * (A51 * v1 + A53 * v3 + A54 * v4)
         v5 = y1 + h * (A51 * w1 + A53 * w3 + A54 * w4)
         r = x + C5 * h
-        w5 = -v5 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w5 = -v5 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m5 = tau * u * u
         a5 = tau * v5 * v5
-        c5 = tau * abs(u) ** p
+        c5 = tau * au ** p
 
         u = y0 + h * (A61 * v1 + A64 * v4 + A65 * v5)
         v6 = y1 + h * (A61 * w1 + A64 * w4 + A65 * w5)
         r = x + C6 * h
-        w6 = -v6 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w6 = -v6 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m6 = tau * u * u
         a6 = tau * v6 * v6
-        c6 = tau * abs(u) ** p
+        c6 = tau * au ** p
 
         u = y0 + h * (A71 * v1 + A74 * v4 + A75 * v5 + A76 * v6)
         v7 = y1 + h * (A71 * w1 + A74 * w4 + A75 * w5 + A76 * w6)
         r = x + C7 * h
-        w7 = -v7 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w7 = -v7 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m7 = tau * u * u
         a7 = tau * v7 * v7
-        c7 = tau * abs(u) ** p
+        c7 = tau * au ** p
 
         u = y0 + h * (A81 * v1 + A84 * v4 + A85 * v5 + A86 * v6 + A87 * v7)
         v8 = y1 + h * (A81 * w1 + A84 * w4 + A85 * w5 + A86 * w6 + A87 * w7)
         r = x + C8 * h
-        w8 = -v8 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w8 = -v8 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m8 = tau * u * u
         a8 = tau * v8 * v8
-        c8 = tau * abs(u) ** p
+        c8 = tau * au ** p
 
         u = y0 + h * (A91 * v1 + A94 * v4 + A95 * v5 + A96 * v6 + A97 * v7
                       + A98 * v8)
         v9 = y1 + h * (A91 * w1 + A94 * w4 + A95 * w5 + A96 * w6 + A97 * w7
                        + A98 * w8)
         r = x + C9 * h
-        w9 = -v9 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w9 = -v9 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m9 = tau * u * u
         a9 = tau * v9 * v9
-        c9 = tau * abs(u) ** p
+        c9 = tau * au ** p
 
         u = y0 + h * (A101 * v1 + A104 * v4 + A105 * v5 + A106 * v6
                       + A107 * v7 + A108 * v8 + A109 * v9)
         v10 = y1 + h * (A101 * w1 + A104 * w4 + A105 * w5 + A106 * w6
                         + A107 * w7 + A108 * w8 + A109 * w9)
         r = x + C10 * h
-        w10 = -v10 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w10 = -v10 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m10 = tau * u * u
         a10 = tau * v10 * v10
-        c10 = tau * abs(u) ** p
+        c10 = tau * au ** p
 
         u = y0 + h * (A111 * v1 + A114 * v4 + A115 * v5 + A116 * v6
                       + A117 * v7 + A118 * v8 + A119 * v9 + A1110 * v10)
         v11 = y1 + h * (A111 * w1 + A114 * w4 + A115 * w5 + A116 * w6
                         + A117 * w7 + A118 * w8 + A119 * w9 + A1110 * w10)
         r = x + C11 * h
-        w11 = -v11 / r + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * r
+        au = abs(u)
+        w11 = -v11 / r + u - copysign(au ** pm1, u)
+        tau = two_pi * r
         m11 = tau * u * u
         a11 = tau * v11 * v11
-        c11 = tau * abs(u) ** p
+        c11 = tau * au ** p
 
         xph = x + h
         u = y0 + h * (A121 * v1 + A124 * v4 + A125 * v5 + A126 * v6
@@ -340,52 +370,70 @@ def radial_dop853(p: float, beta: float, r0: float, r_end: float,
         v12 = y1 + h * (A121 * w1 + A124 * w4 + A125 * w5 + A126 * w6
                         + A127 * w7 + A128 * w8 + A129 * w9 + A1210 * w10
                         + A1211 * w11)
-        w12 = -v12 / xph + u - math.copysign(abs(u) ** pm1, u)
-        tau = _TWO_PI * xph
+        au = abs(u)
+        w12 = -v12 / xph + u - copysign(au ** pm1, u)
+        tau = two_pi * xph
         m12 = tau * u * u
         a12 = tau * v12 * v12
-        c12 = tau * abs(u) ** p
+        c12 = tau * au ** p
 
         # The eighth-order increment, the new state, and the error
         # estimate of each component, summed in component order.
-        err = err2 = 0.0
-        new = []
-        for yi, k1, k6, k7, k8, k9, k10, k11, k12 in (
-                (y0, v1, v6, v7, v8, v9, v10, v11, v12),
-                (y1, w1, w6, w7, w8, w9, w10, w11, w12),
-                (y2, m1, m6, m7, m8, m9, m10, m11, m12),
-                (y3, a1, a6, a7, a8, a9, a10, a11, a12),
-                (y4, c1, c6, c7, c8, c9, c10, c11, c12)):
-            inc = (B1 * k1 + B6 * k6 + B7 * k7 + B8 * k8 + B9 * k9
-                   + B10 * k10 + B11 * k11 + B12 * k12)
-            yn = yi + h * inc
-            new.append(yn)
-            sk = atol + rtol * max(abs(yi), abs(yn))
-            q = (inc - BHH1 * k1 - BHH2 * k9 - BHH3 * k12) / sk
-            err2 = err2 + q * q
-            q = (ER1 * k1 + ER6 * k6 + ER7 * k7 + ER8 * k8 + ER9 * k9
-                 + ER10 * k10 + ER11 * k11 + ER12 * k12) / sk
-            err = err + q * q
+        i0 = (B1 * v1 + B6 * v6 + B7 * v7 + B8 * v8 + B9 * v9 + B10 * v10
+              + B11 * v11 + B12 * v12)
+        i1 = (B1 * w1 + B6 * w6 + B7 * w7 + B8 * w8 + B9 * w9 + B10 * w10
+              + B11 * w11 + B12 * w12)
+        i2 = (B1 * m1 + B6 * m6 + B7 * m7 + B8 * m8 + B9 * m9 + B10 * m10
+              + B11 * m11 + B12 * m12)
+        i3 = (B1 * a1 + B6 * a6 + B7 * a7 + B8 * a8 + B9 * a9 + B10 * a10
+              + B11 * a11 + B12 * a12)
+        i4 = (B1 * c1 + B6 * c6 + B7 * c7 + B8 * c8 + B9 * c9 + B10 * c10
+              + B11 * c11 + B12 * c12)
+        z0, z1, z2 = y0 + h * i0, y1 + h * i1, y2 + h * i2
+        z3, z4 = y3 + h * i3, y4 + h * i4
+        s0 = atol + rtol * max(abs(y0), abs(z0))
+        s1 = atol + rtol * max(abs(y1), abs(z1))
+        s2 = atol + rtol * max(abs(y2), abs(z2))
+        s3 = atol + rtol * max(abs(y3), abs(z3))
+        s4 = atol + rtol * max(abs(y4), abs(z4))
+        q0 = (i0 - BHH1 * v1 - BHH2 * v9 - BHH3 * v12) / s0
+        q1 = (i1 - BHH1 * w1 - BHH2 * w9 - BHH3 * w12) / s1
+        q2 = (i2 - BHH1 * m1 - BHH2 * m9 - BHH3 * m12) / s2
+        q3 = (i3 - BHH1 * a1 - BHH2 * a9 - BHH3 * a12) / s3
+        q4 = (i4 - BHH1 * c1 - BHH2 * c9 - BHH3 * c12) / s4
+        err2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4
+        q0 = (ER1 * v1 + ER6 * v6 + ER7 * v7 + ER8 * v8 + ER9 * v9
+              + ER10 * v10 + ER11 * v11 + ER12 * v12) / s0
+        q1 = (ER1 * w1 + ER6 * w6 + ER7 * w7 + ER8 * w8 + ER9 * w9
+              + ER10 * w10 + ER11 * w11 + ER12 * w12) / s1
+        q2 = (ER1 * m1 + ER6 * m6 + ER7 * m7 + ER8 * m8 + ER9 * m9
+              + ER10 * m10 + ER11 * m11 + ER12 * m12) / s2
+        q3 = (ER1 * a1 + ER6 * a6 + ER7 * a7 + ER8 * a8 + ER9 * a9
+              + ER10 * a10 + ER11 * a11 + ER12 * a12) / s3
+        q4 = (ER1 * c1 + ER6 * c6 + ER7 * c7 + ER8 * c8 + ER9 * c9
+              + ER10 * c10 + ER11 * c11 + ER12 * c12) / s4
+        err = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4
         deno = err + 0.01 * err2
         if deno <= 0.0:
             deno = 1.0
-        err = abs(h) * err * math.sqrt(1.0 / (5 * deno))
+        err = abs(h) * err * sqrt(1.0 / (5 * deno))
         fac11 = err ** _EXPO1
         hnew = h / max(_FACC2, min(_FACC1, fac11 / _SAFE))
         if err <= 1.0:
-            y0, y1, y2, y3, y4 = new
+            y0, y1, y2, y3, y4 = z0, z1, z2, z3, z4
             x = xph
             # First stage of the next step, at the new state.
             v1 = y1
-            w1 = -y1 / x + y0 - math.copysign(abs(y0) ** pm1, y0)
-            tau = _TWO_PI * x
+            au = abs(y0)
+            w1 = -y1 / x + y0 - copysign(au ** pm1, y0)
+            tau = two_pi * x
             m1 = tau * y0 * y0
             a1 = tau * y1 * y1
-            c1 = tau * abs(y0) ** p
+            c1 = tau * au ** p
             if solout(x, y0, y1):
-                return 2, new
+                return 2, [y0, y1, y2, y3, y4]
             if last:
-                return 1, new
+                return 1, [y0, y1, y2, y3, y4]
             if abs(hnew) > hmax:
                 hnew = hmax
             if reject:

@@ -295,9 +295,10 @@ _SOBOLEV_BETA = 0.25
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Per-grid spectral data: |k|^2 and the Sobolev smoother on the n x n
-    grid, and the kernel transforms of the padded 2n x 2n grid.  Both
-    kernels are even in both axes, so each transform is stored as its
+    """Per-grid spectral data: |k|^2 on the n x n grid, and the kernel
+    transforms of the padded 2n x 2n grid.  The Sobolev smoother
+    1 / (1 + beta |k|^2) is not kept: smooth_direction forms it from k2.
+    Both kernels are even in both axes, so each transform is stored as its
     (n+1) x (n+1) quadrant, the DCT-I of the kernel's window; the padded
     2n x (n+1) half spectrum is the quadrant with its rows n-1..1 mirrored
     below, and _times_quadrant multiplies by it.
@@ -308,7 +309,6 @@ class KernelTable:
 
     grid: Grid
     k2: np.ndarray          # |k|^2 in rfft2 layout on the n x n grid
-    smoother: np.ndarray    # 1 / (1 + beta |k|^2), the inverse Sobolev metric
     khat_log: np.ndarray    # quadrant of the padded rfft2 of the truncated-kernel log|z|
     khat_v1: np.ndarray     # quadrant of the padded rfft2 of the sampled log(1+|z|)
     log_weight: np.ndarray  # log(1+|x|) quadrature weight on the n x n grid
@@ -321,7 +321,6 @@ class KernelTable:
         k = 2.0 * np.pi * sfft.fftfreq(n, d=h)
         k2 = k[:, None] ** 2 + k[None, : n // 2 + 1] ** 2
         table = KernelTable(grid=grid, k2=k2,
-                            smoother=1.0 / (1.0 + _SOBOLEV_BETA * k2),
                             khat_log=_even_quadrant(_log_window(n, h)),
                             khat_v1=_even_quadrant(_log1p_window(n, h)),
                             log_weight=np.log1p(grid.radius()))
@@ -497,9 +496,12 @@ class Evaluation:
         qx = np.fft.fftfreq(n, d=1.0 / n)
         qy = np.arange(n // 2 + 1)
         above = qx[:, None] ** 2 + qy[None, :] ** 2 > (n // 4) ** 2
+        m = mass(self.u)
+        if m == 0.0:
+            raise ValueError("spectral tail of the zero field is undefined")
         dens = _power(self.spec_u)
         dens *= above
-        return math.sqrt(self._h2 * _parseval(dens) / mass(self.u))
+        return math.sqrt(self._h2 * _parseval(dens) / m)
 
     @cached_property
     def star_norm(self) -> float:
@@ -529,16 +531,30 @@ class Evaluation:
         the dilation covariance of grad F, m the mass of u:
         s^2 (-Delta u) + gamma (w - m log s) u - a s^(p-2) |u|^(p-2) u.
         s = 1 gives grad F, the exact gradient of the discrete energy; it is
-        kept, read-only, for el_residual and later calls."""
+        kept, read-only, for el_residual and later calls.
+
+        w is read first, so the padded spectrum it consumes (and the
+        densities of V and V1 built beside it) are gone before any other
+        n x n term is made.  The sum is then built in one buffer, in the
+        order of the formula: s^2 (-Delta u), plus gamma (w - m log s) u
+        formed in the buffer of w - m log s, minus a s^(p-2) |u|^(p-2) u
+        formed in the buffer of |u|.  Each term and each sum rounds as in
+        the one-expression form, so the result is that form's bit for
+        bit."""
         if s == 1.0 and params in self._grad:
             return self._grad[params]
         vals, p = self.u.values, params.p
-        nonlin = np.abs(vals)
-        nonlin **= p - 2.0
-        nonlin *= vals
-        g = (s * s * self.neg_lap
-             + params.gamma * (self.w - mass(self.u) * math.log(s)) * vals
-             - params.a * s ** (p - 2.0) * nonlin)
+        w = self.w
+        g = s * s * self.neg_lap
+        term = w - mass(self.u) * math.log(s)
+        term *= params.gamma
+        term *= vals
+        g += term
+        term = np.abs(vals)
+        term **= p - 2.0
+        term *= vals
+        term *= params.a * s ** (p - 2.0)
+        g -= term
         if s == 1.0:
             g.flags.writeable = False
             self._grad[params] = g
@@ -590,14 +606,17 @@ def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:
     direction.  The short-range kernel (decay length sqrt(beta)) keeps the
     direction from smearing mass toward the boundary frame.
 
-    The fresh spectrum of values is multiplied in place by the table's
-    1 / (1 + beta |k|^2).  That is the division by 1 + beta |k|^2 bit for
-    bit: numpy divides a complex number by one with zero imaginary part by
-    multiplying it with the reciprocal of the real part."""
+    The fresh spectrum of values is multiplied in place by the reciprocal
+    1 / (1 + beta |k|^2), formed from the table's |k|^2 on each call (the
+    flows call this on the coarse levels of the grid ladder, where it is
+    cheap, and seldom on the finest, so the table does not keep it).  That
+    is the division by 1 + beta |k|^2 bit for bit: numpy divides a complex
+    number by one with zero imaginary part by multiplying it with the
+    reciprocal of the real part."""
     import scipy.fft as sfft
 
     spec = sfft.rfft2(values)
-    spec *= table.smoother
+    spec *= 1.0 / (1.0 + _SOBOLEV_BETA * table.k2)
     return sfft.irfft2(spec, s=values.shape, overwrite_x=True)
 
 

@@ -227,6 +227,43 @@ def test_lagrange_multiplier_gaussian(gauss256):
                                                               rel=1e-12)
 
 
+def _grad_one_expression(ev, params, s):
+    """The gradient of Evaluation.grad as one numpy expression, read from
+    the evaluation's own w and -Delta u: the reference its in-place sum
+    must match bit for bit."""
+    vals, p = ev.u.values, params.p
+    nonlin = np.abs(vals)
+    nonlin **= p - 2.0
+    nonlin *= vals
+    return (s * s * ev.neg_lap
+            + params.gamma * (ev.w - mass(ev.u) * math.log(s)) * vals
+            - params.a * s ** (p - 2.0) * nonlin)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("kind", ["gaussian", "noise"])
+@pytest.mark.parametrize("gamma, a, p", [(1.0, 0.0, 3.0), (1.0, 1.0, 6.0),
+                                         (-1.0, 1.0, 3.0)])
+def test_gradient_is_its_one_expression_form_bit_for_bit(n, kind, gamma, a, p):
+    grid = make_grid(40.0, n)
+    if kind == "gaussian":
+        u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
+    else:
+        u = Field(grid, np.random.default_rng(n).standard_normal((n, n)))
+    params = Params(gamma=gamma, a=a, p=p, c=1.0)
+    table = kernel_table(grid)
+    ref = evaluate(u, table)
+    ev = evaluate(u, table)
+    for s in (1.0, 0.7, 1.3):
+        assert np.array_equal(ev.grad(params, s), _grad_one_expression(ref, params, s)), s
+    # The in-place sums leave the kept w, -Delta u and gradient as they
+    # were: el_residual, read after them, is the one of a fresh evaluation.
+    assert np.array_equal(ev.w, ref.w)
+    assert np.array_equal(ev.neg_lap, ref.neg_lap)
+    lam = ev.lam(params)
+    assert ev.el_residual(params, lam) == evaluate(u, table).el_residual(params, lam)
+
+
 def test_lagrange_multiplier_zero_field(grid128):
     with pytest.raises(ValueError):
         lagrange_multiplier(Field(grid128, np.zeros((128, 128))), PR3)
@@ -371,7 +408,7 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     table = kernel_table(grid)
     kept = {name: array.copy() for name, array in vars(table).items()
             if isinstance(array, np.ndarray)}
-    assert {"k2", "smoother", "khat_log"} <= kept.keys()
+    assert {"k2", "khat_log"} <= kept.keys()
     ev = evaluate(u, table)
     before = (ev.V, ev.V1, ev.V2)
     spec_u = ev.spec_u.copy()
@@ -386,7 +423,7 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     # -Delta u and the Sobolev smoother run on the periodic n x n grid.
     assert np.array_equal(ev.neg_lap,
                           sfft.irfft2(sfft.rfft2(u.values) * table.k2, s=(n, n)))
-    # The table's reciprocal multiplies as the division by the symbol did.
+    # The reciprocal of the symbol multiplies as the division by it does.
     sobolev = 1.0 + functionals._SOBOLEV_BETA * table.k2
     spec = sfft.rfft2(direction) / sobolev
     assert np.array_equal(smooth_direction(direction, table),
@@ -566,7 +603,7 @@ def test_cached_table_arrays_are_read_only(grid128):
     table = kernel_table(grid128)
     arrays = {name: array for name, array in vars(table).items()
               if isinstance(array, np.ndarray)}
-    assert arrays.keys() == {"k2", "smoother", "khat_log", "khat_v1", "log_weight"}
+    assert arrays.keys() == {"k2", "khat_log", "khat_v1", "log_weight"}
     for name, array in arrays.items():
         with pytest.raises(ValueError):
             array[...] *= 2.0
@@ -590,18 +627,19 @@ def _traced(fn):
 
 
 def test_table_and_certification_memory(gauss256, grid256):
-    # The two kernel transforms are kept as (n+1)^2 quadrants: 2.01 MiB
-    # for the whole 256^2 table (3.01 MiB with the padded 2n x (n+1)
-    # halves).  A warm-up build imports and plans first.
+    # The two kernel transforms are kept as (n+1)^2 quadrants, and the
+    # Sobolev smoother is not kept: 1.76 MiB for the whole 256^2 table
+    # (2.01 MiB with the smoother).  A warm-up build imports and plans
+    # first.
     functionals.KernelTable.build(grid256)
     kept, _, table = _traced(lambda: functionals.KernelTable.build(grid256))
     assert sum(a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray)) \
-        <= 2.1 * 2 ** 20
-    assert kept <= 2.1 * 2 ** 20
+        <= 1.8 * 2 ** 20
+    assert kept <= 1.8 * 2 ** 20
 
-    # One certification peaks at 5.58 MiB with w formed in spec_sq and the
-    # densities built without full-size temporaries (7.02 MiB with a second
-    # padded spectrum); the bound leaves 7.6% above it.
+    # One certification peaks at 4.08 MiB, since the gradient reads w
+    # before it builds its other terms (5.58 MiB with those terms alive
+    # while w is formed); the bound leaves 7.9% above it.
     def certify():
         ev = evaluate(gauss256, table)
         ev.F(PR3)
@@ -611,7 +649,22 @@ def test_table_and_certification_memory(gauss256, grid256):
 
     certify()
     _, peak, _ = _traced(certify)
-    assert peak <= 6.0 * 2 ** 20
+    assert peak <= 4.4 * 2 ** 20
+
+    # A gradient alone peaks at 3.57 MiB, in the pruned forward of u^2
+    # (5.58 MiB with its other terms built before w); the bound leaves 7.8%
+    # above it.
+    def gradient():
+        evaluate(gauss256, table).grad(PR3)
+
+    gradient()
+    _, peak, _ = _traced(gradient)
+    assert peak <= 3.85 * 2 ** 20
+
+
+def test_spectral_tail_of_the_zero_field_is_refused(grid128):
+    with pytest.raises(ValueError, match="spectral tail of the zero field is undefined"):
+        evaluate(Field(grid128, np.zeros((128, 128)))).spectral_tail
 
 
 @pytest.mark.parametrize("which", ["gauss128", "random_smooth", "white_noise"])
