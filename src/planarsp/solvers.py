@@ -54,19 +54,21 @@ form from A, V and C (fiber.critical_points), and the start dilated to s
 and renormalized, so the first iterate has Q = 0 up to resampling.  In
 LocalMinPlusMountainPass (c < c0) that point lies inside the kinetic cap.
 A fiber with no minimum, or whose minimum leaks through the boundary frame,
-keeps the start as given.  The fiber-branch objective is constant along
-each fiber, so its start is used as given.
+keeps the start as given, unless it lies above the kinetic cap: then the
+domain is too small.  The fiber-branch objective is constant along each
+fiber, so its start is used as given.
 
-A level below the caller's grid that fails (ResolutionError,
-ConvergenceError or DomainError) is recorded as refused, and the next
-level starts from its own sample of the start, as a direct solve does.
-max_iter applies to each level.  The report's extras["levels"] lists every
-grid from the coarsest, as {n, iters, F} or {n, refused};
-extras["F_err_grid"] is |F(n) - F(n/2)| when the level below converged.
-iters, extras["recenters"] and the trace cover the levels the solution
-passed through, the trace's iter numbering its rows across them.
-extras["spectral_tail"] is the reported field's Evaluation.spectral_tail,
-the part of it the grid at half the resolution could not carry.
+A coarse level passes up only its field and its numbers.  One that fails
+(ResolutionError, ConvergenceError or DomainError) is recorded as
+refused, and the next level starts from its own sample of the start, as a
+direct solve does.  max_iter and the cap on recenters apply to each
+level.  The report's extras["levels"] lists every grid from the coarsest,
+as {n, iters, F} or {n, refused}; extras["F_err_grid"] is |F(n) - F(n/2)|
+when the level below converged.  iters, extras["recenters"] and the trace
+cover the levels the solution passed through, the trace's iter numbering
+its rows across them.  extras["spectral_tail"] is the reported field's
+Evaluation.spectral_tail, the part of it the grid at half the resolution
+could not carry.
 """
 
 from __future__ import annotations
@@ -82,9 +84,8 @@ from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
 from .fiber import (FiberScalars, _critical_point, _q_scale, dilate, g as fiber_g,
                     scalars)
-from .functionals import (EnergyBreakdown, Evaluation, KernelTable, Params, evaluate,
-                          kernel_table, kinetic, pnorm, prolong, smooth_direction,
-                          _gauss_legendre)
+from .functionals import (EnergyBreakdown, Evaluation, Params, evaluate, kernel_table,
+                          pnorm, prolong, smooth_direction, _gauss_legendre)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
                    normalize, _bump, _two_bump_lobes)
 
@@ -265,7 +266,8 @@ class _Point:
 
 
 class _Objective:
-    """What a flow descends.
+    """What a flow descends, on any grid: the grid and kernel table are
+    those of the evaluation a hook is given.
 
     Subclasses define point(ev): the point of an evaluated field, or None
     when the field is not admissible, and start_refusal(ev): the error that
@@ -273,8 +275,8 @@ class _Objective:
     with no invariant orbit, no recentering and no refusal of a failed line
     search."""
 
-    def __init__(self, params: Params, table: KernelTable, mode: str):
-        self.params, self.table, self.mode = params, table, mode
+    def __init__(self, params: Params, mode: str):
+        self.params, self.mode = params, mode
 
     def start(self, ev: Evaluation) -> Evaluation:
         """The evaluation a flow from the evaluated field ev starts at."""
@@ -284,9 +286,9 @@ class _Objective:
         """A direction the objective is invariant along."""
         return None
 
-    def recenter(self, pt: _Point, stalled: bool) -> Optional[Field]:
+    def recenter(self, pt: _Point, stalled: bool, recenters: int) -> Optional[Field]:
         """A field to restart from; stalled says the tangent gradient has
-        converged while Q has not."""
+        converged while Q has not, recenters counts the restarts so far."""
         return None
 
     def settle(self, pt: _Point) -> _Point:
@@ -294,11 +296,11 @@ class _Objective:
         return pt
 
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
-        """The error to raise when no trial step was accepted."""
+        """The error that refuses the flow when no trial step was accepted."""
         return None
 
-    def annotate(self, report: SolveReport, pt: _Point) -> None:
-        """Objective-specific fields of a report."""
+    def annotate(self, report: SolveReport, pt: _Point, recenters: int) -> None:
+        """Objective-specific fields of a report, recenters summed over levels."""
 
 
 class _Energy(_Objective):
@@ -309,9 +311,8 @@ class _Energy(_Objective):
     point of t -> F(u^t), where Q = 0; below c0 that point lies inside the
     cap."""
 
-    def __init__(self, params: Params, table: KernelTable, mode: str,
-                 cap: Optional[float] = None):
-        super().__init__(params, table, mode)
+    def __init__(self, params: Params, mode: str, cap: Optional[float] = None):
+        super().__init__(params, mode)
         self.cap = cap
 
     def point(self, ev: Evaluation) -> Optional[_Point]:
@@ -321,13 +322,17 @@ class _Energy(_Objective):
 
     def start(self, ev: Evaluation) -> Evaluation:
         # A fiber with no minimum, or whose minimum does not fit in the
-        # domain, keeps the start as given.
+        # domain, keeps the start as given; above the cap, the latter has
+        # no admissible point to flow from.
         try:
             s = _critical_point(scalars(ev, self.params), "plus").s
             u = normalize(dilate(ev.u, s), self.params.c)
-        except (RegimeError, DomainError):
+        except (RegimeError, DomainError) as err:
+            if isinstance(err, DomainError) and self.point(ev) is None:
+                raise DomainError(f"{self.mode}: initial field is above the kinetic cap "
+                                  f"and its fiber minimum does not fit: {err}") from err
             return ev
-        return evaluate(u, self.table)
+        return evaluate(u, ev.table)
 
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
         return RegimeError(f"{self.mode}: initial field is not admissible: its "
@@ -342,7 +347,7 @@ class _Energy(_Objective):
                 "signals a discretization or regime error")
         return None
 
-    def annotate(self, report: SolveReport, pt: _Point) -> None:
+    def annotate(self, report: SolveReport, pt: _Point, recenters: int) -> None:
         if self.cap is not None:
             report.extras["k0"] = self.cap
             report.extras["cap_interior"] = report.breakdown.A < self.cap
@@ -358,14 +363,12 @@ class _FiberBranch(_Objective):
     (drift along fibers could otherwise concentrate the iterate past what
     the grid resolves)."""
 
-    def __init__(self, params: Params, table: KernelTable, mode: str, branch: str):
-        super().__init__(params, table, mode)
+    def __init__(self, params: Params, mode: str, branch: str):
+        super().__init__(params, mode)
         self.branch = branch
-        self.a_resolved = params.c / (2.0 * table.grid.h) ** 2
-        self.recenters = 0
 
     def point(self, ev: Evaluation) -> Optional[_Point]:
-        if ev.A > self.a_resolved:
+        if ev.A > self.params.c / (2.0 * ev.u.grid.h) ** 2:
             return None
         bp = _critical_point(scalars(ev, self.params), self.branch)
         return _Point(ev, bp.g, bp.s, bp.gpp)
@@ -373,7 +376,8 @@ class _FiberBranch(_Objective):
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
         return ResolutionError(
             f"{self.mode}: grid too coarse for the initial field: its "
-            f"A = {ev.A:.6g} exceeds c/(2h)^2 = {self.a_resolved:.6g}, so it is "
+            f"A = {ev.A:.6g} exceeds c/(2h)^2 = "
+            f"{self.params.c / (2.0 * ev.u.grid.h) ** 2:.6g}, so it is "
             "narrower than two grid cells; refine the grid or widen the start")
 
     def orbit(self, u: Field) -> Optional[np.ndarray]:
@@ -385,12 +389,11 @@ class _FiberBranch(_Objective):
         du_dy = np.gradient(u.values, u.grid.h, axis=1)
         return u.values + x[:, None] * du_dx + x[None, :] * du_dy
 
-    def recenter(self, pt: _Point, stalled: bool) -> Optional[Field]:
+    def recenter(self, pt: _Point, stalled: bool, recenters: int) -> Optional[Field]:
         # Off the Pohozaev set once tangent-converged: materialize the branch
         # dilation (s is near 1 by now).  Far from s = 1: a safety recentering,
         # rarely reached with the orbit projection.
-        if (stalled and self.recenters < 8) or abs(pt.s - 1.0) > 0.4:
-            self.recenters += 1
+        if (stalled and recenters < 8) or abs(pt.s - 1.0) > 0.4:
             return normalize(dilate(pt.ev.u, pt.s), self.params.c)
         return None
 
@@ -400,7 +403,7 @@ class _FiberBranch(_Objective):
         # data of the flow's last point.
         if abs(pt.s - 1.0) <= 1e-9:
             return pt
-        ev = evaluate(normalize(dilate(pt.ev.u, pt.s), self.params.c), self.table)
+        ev = evaluate(normalize(dilate(pt.ev.u, pt.s), self.params.c), pt.ev.table)
         return self.point(ev) or replace(pt, ev=ev)
 
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
@@ -411,20 +414,29 @@ class _FiberBranch(_Objective):
                 "resolves")
         return None
 
-    def annotate(self, report: SolveReport, pt: _Point) -> None:
+    def annotate(self, report: SolveReport, pt: _Point, recenters: int) -> None:
         report.branch, report.s_branch, report.gpp = self.branch, pt.s, pt.gpp
-        report.extras["recenters"] = self.recenters
+        report.extras["recenters"] = recenters
 
 
-def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
-          regime: K.RegimeLabel) -> SolveReport:
+@dataclass(frozen=True)
+class _Run:
+    """One level's flow: its point to certify, counts, trace and refusal."""
+
+    pt: _Point
+    iters: int
+    recenters: int
+    trace: List[TraceRow]
+    error: Optional[ConvergenceError]
+
+
+def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig) -> _Run:
     """Run the projected Sobolev-gradient flow of obj from the field of
-    start, an evaluation on obj's table, until the tangent gradient and Q
-    both certify; raises ConvergenceError (with the report) when they do
-    not.  Callers pass start as a temporary: once the first step is taken
-    nothing holds its spectra."""
-    params, table, mode = obj.params, obj.table, obj.mode
-    h, c = start.u.grid.h, params.c
+    start, on its table, until the tangent gradient and Q both certify, or
+    say why not in the run's error.  Callers pass start as a temporary:
+    once the first step is taken nothing holds its spectra."""
+    params, table, mode = obj.params, start.table, obj.mode
+    h, n, c = start.u.grid.h, start.u.grid.n, params.c
     pt = obj.point(start)
     if pt is None:
         raise obj.start_refusal(start)
@@ -433,12 +445,8 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
     trace: List[TraceRow] = []
     prev_u = prev_d = None
     converged = False
-    boundary_strikes = 0
-
-    def report_at(pt: _Point, converged: bool) -> SolveReport:
-        report = _finalize(pt.ev, params, regime, mode, it, converged, trace)
-        obj.annotate(report, pt)
-        return report
+    boundary_strikes = recenters = 0
+    stop = f"within {cfg.max_iter} iterations"
 
     for it in range(cfg.max_iter + 1):
         # L2 gradient of the objective and the tangent part of it, by the
@@ -465,16 +473,18 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
             break
         if it == cfg.max_iter:
             break
-        moved = obj.recenter(pt, res < _TOL_GRAD)
+        moved = obj.recenter(pt, res < _TOL_GRAD, recenters)
         if moved is not None:
+            recenters += 1
             pt = obj.point(evaluate(moved, table))
             if pt is None:
                 raise GuardFloorError(f"{mode}: recentered iterate is no "
                                       "longer admissible")
             prev_u = prev_d = None
             continue
-        if res < 1e-3 * _TOL_GRAD:
-            break  # at the stationarity floor; Q will not improve by flowing
+        if res < 1e-3 * _TOL_GRAD:  # Q will not improve by flowing
+            stop = f"at iteration {it} on {n}^2: the stationarity floor is reached"
+            break
         if it % 25 == 0:
             frac = boundary_mass_fraction(u)
             boundary_strikes = boundary_strikes + 1 if frac > _BOUNDARY_TOL else 0
@@ -516,19 +526,17 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
         else:
             err = obj.refusal(pt, guard_rejects)
             if err is not None:
-                err.report = report_at(pt, False)
-                raise err
-            break  # line search exhausted: accept current point as stationary
+                return _Run(pt, it, recenters, trace, err)
+            stop = f"at iteration {it} on {n}^2: the line search found no descent step"
+            break
 
     pt = obj.settle(pt)
-    report = report_at(pt, converged)
-    report.converged = bool(converged and report.q_residual < _TOL_Q)
-    if not report.converged:
-        raise ConvergenceError(
-            f"{mode}: no certified convergence within {cfg.max_iter} iterations "
-            f"(tangent residual {res:.3e}, q residual {report.q_residual:.3e})",
-            report=report)
-    return report
+    q_res = abs(pt.ev.Q(params)) / _q_scale(pt.ev.A, params)
+    if converged and q_res < _TOL_Q:
+        return _Run(pt, it, recenters, trace, None)
+    return _Run(pt, it, recenters, trace, ConvergenceError(
+        f"{mode}: no certified convergence {stop} (tangent residual {res:.3e}, "
+        f"q residual {q_res:.3e})"))
 
 
 # ---------------------------------------------------------------------------
@@ -540,64 +548,55 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig,
 _LADDER_FLOOR = 64
 
 
-def _ladder(grid: Grid, sample: Callable[[Grid], Field],
-            objective: Callable[[KernelTable], _Objective],
+def _ladder(grid: Grid, sample: Callable[[Grid], Field], obj: _Objective,
             cfg: SolverConfig, regime: K.RegimeLabel) -> SolveReport:
-    """Flow objective(table) on grid, from the start sampled there or from
-    the solution one level down.
-
-    The levels are grid and, when it has n >= 2 * _LADDER_FLOOR nodes a
-    side, the grids of n/2, n/4, ... down to _LADDER_FLOOR on the same
-    extent.  The coarsest level flows from obj.start of sample(its grid);
-    each solution, prolonged spectrally and renormalized, starts the flow
-    one level up.  A level below grid that fails with ResolutionError,
-    ConvergenceError or DomainError is recorded as refused, and the next
-    level flows from obj.start of the start sampled on its own grid, as a
-    direct solve would.  Each level has cfg.max_iter iterations."""
-    def start(obj: _Objective, below: Optional[SolveReport]) -> Evaluation:
-        level = obj.table.grid
-        if below is None:
-            return obj.start(evaluate(sample(level), obj.table))
-        return evaluate(normalize(prolong(below.field, level), obj.params.c), obj.table)
-
+    """Flow obj on grid and the grids of n/2, n/4, ... down to _LADDER_FLOOR
+    (module docstring), and certify the result once, on grid.  A level
+    flows from obj.start of sample(its grid) unless the level below it
+    converged; a ConvergenceError of grid's own flow carries the report."""
     grids = [grid]
     while grids[0].n >= 2 * _LADDER_FLOOR:
         grids.insert(0, Grid(grid.extent, grids[0].n // 2))
-    below: Optional[SolveReport] = None
+    # The solution one level down; the counts and trace of the levels it crossed.
+    below: Optional[Field] = None
+    iters = recenters = 0
+    trace: List[TraceRow] = []
     levels: List[dict] = []
+
+    def start(level: Grid) -> Evaluation:
+        table = kernel_table(level)
+        if below is None:
+            return obj.start(evaluate(sample(level), table))
+        return evaluate(normalize(prolong(below, level), obj.params.c), table)
+
     for level in grids:
-        obj = objective(kernel_table(level))
         try:
-            report = _flow(start(obj, below), obj, cfg, regime)
+            run = _flow(start(level), obj, cfg)
+            if run.error is not None and level is not grid:
+                raise run.error
         except (ResolutionError, ConvergenceError, DomainError) as err:
             if level is grid:
-                if isinstance(err, ConvergenceError) and err.report is not None:
-                    _stack(err.report, below, levels)
                 raise
-            levels = levels + [{"n": level.n, "refused": str(err)}]
-            below = None
+            levels.append({"n": level.n, "refused": str(err)})
+            below, iters, recenters, trace = None, 0, 0, []
             continue
-        below = _stack(report, below, levels)
-        levels = below.extras["levels"]
-    return below
+        iters += run.iters
+        recenters += run.recenters
+        trace += [replace(row, iter=row.iter + len(trace)) for row in run.trace]
+        levels.append({"n": level.n, "iters": run.iters, "F": run.pt.ev.F(obj.params)})
+        if level is not grid:
+            below = run.pt.ev.u
+            del run  # a coarse level keeps its field and numbers, not its evaluation
 
-
-def _stack(report: SolveReport, below: Optional[SolveReport],
-           levels: List[dict]) -> SolveReport:
-    """Put the levels under report into it: extras["levels"] becomes
-    levels, the entries of the grids below report's, plus report's own;
-    iters, the trace and the recenters add those of below, the solution
-    report started from."""
-    entry = {"n": report.field.grid.n, "iters": report.iters, "F": report.objective}
+    report = _finalize(run.pt.ev, obj.params, regime, obj.mode, iters,
+                       run.error is None, trace)
+    obj.annotate(report, run.pt, recenters)
     if below is not None:
-        report.extras["F_err_grid"] = abs(report.objective - below.objective)
-        report.iters += below.iters
-        offset = len(below.trace)
-        report.trace = below.trace + [replace(row, iter=row.iter + offset)
-                                      for row in report.trace]
-        if "recenters" in report.extras:
-            report.extras["recenters"] += below.extras["recenters"]
-    report.extras["levels"] = levels + [entry]
+        report.extras["F_err_grid"] = abs(report.objective - levels[-2]["F"])
+    report.extras["levels"] = levels
+    if run.error is not None:
+        run.error.report = report
+        raise run.error
     return report
 
 
@@ -631,8 +630,7 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
     here otherwise."""
     regime = _regime_for(global_minimize, params, "a bounded-below regime", regime)
     return _ladder(grid, _sampler(init, grid, params.c),
-                   lambda table: _Energy(params, table, "global_minimize"),
-                   config, regime)
+                   _Energy(params, "global_minimize"), config, regime)
 
 
 def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
@@ -646,9 +644,8 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
     CapBoundaryError.  regime as for global_minimize."""
     regime = _regime_for(local_minimize_capped, params,
                          "gamma > 0, a > 0, p > 4, c < c0", regime)
-    cap = K.k0(params)
     return _ladder(grid, _sampler(init, grid, params.c),
-                   lambda table: _Energy(params, table, "local_minimize_capped", cap),
+                   _Energy(params, "local_minimize_capped", K.k0(params)),
                    config, regime)
 
 
@@ -664,9 +661,8 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
         raise ValueError(f"unknown branch {branch!r}")
     regime = _regime_for(lambda_branch_minimize, params,
                          "gamma > 0, a > 0, p > 4, c < c0", regime)
-    mode = f"lambda_branch_minimize[{branch}]"
     return _ladder(grid, _sampler(init, grid, params.c),
-                   lambda table: _FiberBranch(params, table, mode, branch),
+                   _FiberBranch(params, f"lambda_branch_minimize[{branch}]", branch),
                    config, regime)
 
 
@@ -751,8 +747,8 @@ def two_bump_probe(params: Params, grid: Grid,
 
     masses = ((1.0 - eta) * c, eta * c)
     lobe_u, v_ref = _two_bump_lobes(grid, rho, R, 1, masses)
-    A_u, C_u = kinetic(lobe_u, table), pnorm(lobe_u, p)
-    A_v, C_v = kinetic(v_ref, table), pnorm(v_ref, p)
+    A_u, C_u = evaluate(lobe_u, table).A, pnorm(lobe_u, p)
+    A_v, C_v = evaluate(v_ref, table).A, pnorm(v_ref, p)
     q_limit = A_u - a * (p - 2.0) / p * C_u - 0.25 * gam * c * c
     if q_limit >= 0.0:
         raise RegimeError(

@@ -603,6 +603,21 @@ def test_solve_leaking_iterate_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_capped_start_whose_fiber_minimum_leaks_exits_2(tmp_path, capsys):
+    # A start far above the kinetic cap on L = 8: its fiber minimum, which
+    # lies inside the cap, does not fit in the domain.  That is the domain's
+    # fault (exit 2), not the regime's, and nothing is written; on L = 40
+    # at 256^2 the same solve converges.
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1.583",
+                    "--grid-L", "8", "--grid-n", "64", "--sigma", "0.3",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "above the kinetic cap" in err and "boundary frame" in err
+    assert "regime refusal" not in err
+    assert not out.exists()
+
+
 def test_solve_ladder_report_replays(tmp_path):
     # A 256^2 solve runs the 64^2 and 128^2 levels first; its report lists
     # all three, its trace numbers the rows of each, and the replay writes

@@ -11,8 +11,7 @@ from planarsp import (CapBoundaryError, ConvergenceError, DomainError, Field,
                       normalize, scalars, t_star, two_bump_probe)
 from planarsp import solvers
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
-                                kgn_estimate, mass_critical_threshold,
-                                regime_classify, sharp_constants)
+                                kgn_estimate, mass_critical_threshold)
 from planarsp.fiber import _critical_point
 from planarsp.functionals import evaluate, kernel_table, prolong
 from planarsp.solvers import gaussian_on_branch
@@ -116,10 +115,11 @@ def test_energy_start_is_its_fiber_minimum(case, p6_setup):
     params = Params(gamma=1.0, a=0.0, p=3.0, c=1.0) if case == "ground_state_p3" \
         else p6_setup
     extent, _ = BENCH_256[case]
-    obj = solvers._Energy(params, kernel_table(make_grid(extent, 64)), "start",
+    grid = make_grid(extent, 64)
+    obj = solvers._Energy(params, "start",
                           None if case == "ground_state_p3" else k0(params))
-    given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=1.5),
-                                          obj.table.grid), params.c), obj.table)
+    given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=1.5), grid),
+                               params.c), kernel_table(grid))
     start = obj.start(given)
     assert abs(start.Q(params)) <= 1e-3 * abs(given.Q(params))
     assert start.F(params) <= given.F(params)
@@ -131,9 +131,9 @@ def test_capped_start_above_the_cap_is_pulled_inside(p6_setup):
     # the cap, and the flow from there certifies an interior minimizer.
     cap = k0(p6_setup)
     grid = make_grid(24.0, 64)
-    obj = solvers._Energy(p6_setup, kernel_table(grid), "start", cap)
+    obj = solvers._Energy(p6_setup, "start", cap)
     given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=0.4), grid),
-                               p6_setup.c), obj.table)
+                               p6_setup.c), kernel_table(grid))
     assert given.A > 0.9 * cap
     assert obj.start(given).A < cap
     rep = local_minimize_capped(p6_setup, grid, CFG, ProfileSpec.gaussian(sigma=0.4))
@@ -148,16 +148,16 @@ def test_start_whose_fiber_minimum_leaks_is_kept():
     grid = make_grid(40.0, 64)
     init = ProfileSpec.gaussian(sigma=1.0, center=(7.0, 0.0))
     u0 = normalize(discretize(init, grid), pr.c)
-    obj = solvers._Energy(pr, kernel_table(grid), "global_minimize")
-    given = evaluate(u0, obj.table)
+    obj = solvers._Energy(pr, "global_minimize")
+    given = evaluate(u0, kernel_table(grid))
     s = _critical_point(scalars(given, pr), "plus").s
     with pytest.raises(DomainError):
         dilate(u0, s)
     assert obj.start(given) is given
     rep = global_minimize(pr, grid, CFG, init)
-    direct = solvers._flow(evaluate(u0, obj.table), obj, CFG, _regime(pr))
-    assert rep.converged
-    assert np.array_equal(rep.field.values, direct.field.values)
+    direct = solvers._flow(evaluate(u0, kernel_table(grid)), obj, CFG)
+    assert rep.converged and direct.error is None
+    assert np.array_equal(rep.field.values, direct.pt.ev.u.values)
     assert rep.iters == direct.iters
 
 
@@ -331,10 +331,6 @@ def test_branch_requires_valid_regime():
 # ---------------------------------------------------------------------------
 
 
-def _regime(params):
-    return regime_classify(params, sharp_constants(params.p))
-
-
 @pytest.mark.parametrize("name", sorted(BENCH_256))
 def test_ladder_keeps_the_direct_answer(name, ladder_reports):
     # Within the flow's stop band of the direct 256^2 solve, and certified
@@ -382,26 +378,41 @@ def test_ladder_middle_level_iterates():
 
 def test_ladder_stacks_its_levels(p6_setup, ladder_reports):
     # plus_p6 recenters, so its report sums the recenters of every level;
-    # the levels rebuilt one by one give the same report.
+    # the levels rebuilt one by one, with one objective, give the same report.
     rep = ladder_reports["plus_p6"]
     grids = [make_grid(24.0, n) for n in (64, 128, 256)]
-    c, mode = p6_setup.c, "lambda_branch_minimize[plus]"
+    c = p6_setup.c
     init = gaussian_on_branch(p6_setup, "plus")
-    regime = _regime(p6_setup)
+    obj = solvers._FiberBranch(p6_setup, "lambda_branch_minimize[plus]", "plus")
 
     def level(u, grid):
-        obj = solvers._FiberBranch(p6_setup, kernel_table(grid), mode, "plus")
-        return solvers._flow(evaluate(u, obj.table), obj, CFG, regime)
+        run = solvers._flow(evaluate(u, kernel_table(grid)), obj, CFG)
+        assert run.error is None
+        return run
 
     # The profile is sampled on the coarsest grid, where the flow starts.
-    reports = [level(normalize(discretize(init, grids[0]), c), grids[0])]
+    runs = [level(normalize(discretize(init, grids[0]), c), grids[0])]
     for grid in grids[1:]:
-        reports.append(level(normalize(prolong(reports[-1].field, grid), c), grid))
-    assert np.array_equal(rep.field.values, reports[-1].field.values)
-    assert rep.iters == sum(r.iters for r in reports)
-    assert rep.extras["recenters"] == sum(r.extras["recenters"] for r in reports) >= 1
-    assert [(r.F, r.A) for r in rep.trace] == [(r.F, r.A) for level_rep in reports
-                                                for r in level_rep.trace]
+        runs.append(level(normalize(prolong(runs[-1].pt.ev.u, grid), c), grid))
+    assert np.array_equal(rep.field.values, runs[-1].pt.ev.u.values)
+    assert rep.iters == sum(r.iters for r in runs)
+    assert rep.extras["recenters"] == sum(r.recenters for r in runs) >= 1
+    assert [(r.F, r.A) for r in rep.trace] == [(r.F, r.A) for run in runs
+                                                for r in run.trace]
+
+
+def test_ladder_certifies_once(monkeypatch):
+    # The 64^2 and 128^2 levels pass up their fields and numbers only: a
+    # 256^2 solve computes one certificate, on the 256^2 grid.
+    calls = []
+    finalize = solvers._finalize
+    monkeypatch.setattr(solvers, "_finalize",
+                        lambda ev, *args: calls.append(ev.u.grid.n) or finalize(ev, *args))
+    rep = global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0),
+                          make_grid(40.0, 256), CFG, ProfileSpec.gaussian(sigma=1.5))
+    assert rep.converged
+    assert [lv["n"] for lv in rep.extras["levels"]] == [64, 128, 256]
+    assert calls == [256]
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_256))
@@ -451,12 +462,12 @@ def test_ladder_refusal_falls_back_to_the_direct_solve(p6_setup, ladder_reports)
     assert (fine["n"], fine["iters"]) == (256, rep.iters)
     grid = make_grid(16.0, 256)
     u0 = normalize(discretize(gaussian_on_branch(p6_setup, "minus"), grid), p6_setup.c)
-    obj = solvers._FiberBranch(p6_setup, kernel_table(grid),
-                               "lambda_branch_minimize[minus]", "minus")
-    direct = solvers._flow(evaluate(u0, obj.table), obj, CFG, _regime(p6_setup))
-    assert rep.objective == direct.objective
-    assert np.array_equal(rep.field.values, direct.field.values)
-    assert rep.extras["recenters"] == direct.extras["recenters"]
+    obj = solvers._FiberBranch(p6_setup, "lambda_branch_minimize[minus]", "minus")
+    direct = solvers._flow(evaluate(u0, kernel_table(grid)), obj, CFG)
+    assert direct.error is None
+    assert rep.objective == direct.pt.ev.F(p6_setup)
+    assert np.array_equal(rep.field.values, direct.pt.ev.u.values)
+    assert rep.extras["recenters"] == direct.recenters
 
 
 def test_ladder_skips_grids_below_twice_the_floor(p6_setup):
@@ -508,8 +519,8 @@ def test_profile_too_fine_for_a_coarse_level_is_sampled_above_it():
     refused, fine = exc.value.report.extras["levels"]
     assert refused["n"] == 64 and "cutoff 40 exceeds" in refused["refused"]
     assert (fine["n"], fine["iters"]) == (128, 0)
-    obj = solvers._Energy(pr, kernel_table(grid), "global_minimize")
-    start = obj.start(evaluate(normalize(discretize(init, grid), pr.c), obj.table))
+    obj = solvers._Energy(pr, "global_minimize")
+    start = obj.start(evaluate(normalize(discretize(init, grid), pr.c), kernel_table(grid)))
     assert np.array_equal(exc.value.report.field.values, start.u.values)
 
 
@@ -525,18 +536,29 @@ def test_too_coarse_a_grid_is_a_resolution_error(p6_setup):
 def test_flow_pinned_at_the_cap_is_refused():
     # A cap just above the start's A: the wide start flows toward the
     # narrower minimizer until every trial step reaches the cap, and the
-    # exhausted line search raises CapBoundaryError with the report of the
+    # exhausted line search refuses the run with CapBoundaryError at the
     # last iterate, which sits at the cap.
     pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
     table = kernel_table(make_grid(40.0, 64))
     start = evaluate(discretize(ProfileSpec.gaussian(sigma=3.0), table.grid), table)
     cap = 1.01 * start.A
-    with pytest.raises(CapBoundaryError, match="pinned at the kinetic cap") as exc:
-        solvers._flow(start, solvers._Energy(pr, table, "capped", cap), CFG,
-                      _regime(pr))
-    report = exc.value.report
-    assert 0.999 * cap < report.breakdown.A < cap
-    assert not report.converged
+    run = solvers._flow(start, solvers._Energy(pr, "capped", cap), CFG)
+    assert isinstance(run.error, CapBoundaryError)
+    assert "pinned at the kinetic cap" in str(run.error)
+    assert 0.999 * cap < run.pt.ev.A < cap
+
+
+def test_exhausted_line_search_says_where_it_stopped(monkeypatch):
+    # No trial step can pass an Armijo test asking for 1e9 times the
+    # predicted decrease: the flow stops at its first iteration, and the
+    # error says so instead of blaming the iteration budget.
+    monkeypatch.setattr(solvers, "_ARMIJO", 1e9)
+    with pytest.raises(ConvergenceError, match="at iteration 0 on 64\\^2: the line "
+                       "search found no descent step") as exc:
+        global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0), make_grid(40.0, 64),
+                        SolverConfig(), ProfileSpec.gaussian(sigma=1.5))
+    assert "within 8000 iterations" not in str(exc.value)
+    assert exc.value.report.iters == 0 and not exc.value.report.converged
 
 
 def test_branch_flow_against_the_resolution_guard_is_refused(p6_setup):
