@@ -27,7 +27,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .functionals import Evaluation, KernelTable, Params, evaluate, require_mass
+from .functionals import Evaluation, Params, evaluate, require_mass
 from .grid import Field, boundary_mass_fraction, mass
 
 __all__ = [
@@ -90,11 +90,10 @@ class BranchPoint:
             raise ValueError("minus branch requires g'' < 0")
 
 
-def scalars(u: Union[Field, Evaluation], params: Params,
-            table: Optional[KernelTable] = None) -> FiberScalars:
-    """Fiber invariants of a field or of its evaluation.  Requires
-    mass(u) = params.c to 1e-8 relative."""
-    ev = u if isinstance(u, Evaluation) else evaluate(u, table)
+def scalars(u: Union[Field, Evaluation], params: Params) -> FiberScalars:
+    """Fiber invariants of a field, on its grid's kernel table, or of its
+    evaluation.  Requires mass(u) = params.c to 1e-8 relative."""
+    ev = u if isinstance(u, Evaluation) else evaluate(u)
     require_mass(ev.u, params.c)
     return FiberScalars(A=ev.A, C=ev.C(params.p), V=ev.V, params=params)
 
@@ -337,14 +336,13 @@ def dilate(u: Field, t: float) -> Field:
     return out
 
 
-def project_to_lambda(u: Field, params: Params, branch: str,
-                      table: Optional[KernelTable] = None) -> Field:
+def project_to_lambda(u: Field, params: Params, branch: str) -> Field:
     """Project u onto the Pohozaev set along its fiber: dilate by the
     requested critical point of g.  Raises RegimeError when that branch
     does not exist for u."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
-    s = _critical_point(scalars(u, params, table), branch).s
+    s = _critical_point(scalars(u, params), branch).s
     if abs(s - 1.0) < 1e-12:
         return u
     return dilate(u, s)

@@ -107,17 +107,10 @@ class Field:
         self._check_same_grid(other)
         return Field(self.grid, self.values + other.values)
 
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.values - other.values)
-
     def __mul__(self, scalar: float) -> "Field":
         return Field(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
 
 
 def make_grid(L: float, n: int) -> Grid:

@@ -32,9 +32,10 @@ the gradient under dilation,
 
 with s the branch point of u, evaluated entirely on the original grid
 (Evaluation.grad; s = 1 gives grad F).  A dilation is resampled only to
-recenter the fiber parameter near 1 and once at the end, after which the
-flow re-converges so the reported field itself satisfies the residual
-certificates.
+recenter the fiber parameter near 1, and once more when the flow stops with
+s more than 1e-9 from 1: that dilation, renormalized, is the reported field,
+certified as it is without flowing again, so its residuals carry the
+resampling error.
 
 Every solver runs the flow in a grid ladder (Bao & Du, SIAM J. Sci.
 Comput. 25, 2004).  On a grid of n >= 128 nodes a side the same objective
@@ -74,6 +75,7 @@ could not carry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
@@ -83,11 +85,11 @@ from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
 from .fiber import (FiberScalars, _critical_point, _q_scale, dilate, g as fiber_g,
-                    scalars)
+                    phi, scalars, t_star)
 from .functionals import (EnergyBreakdown, Evaluation, Params, evaluate, kernel_table,
-                          pnorm, prolong, smooth_direction, _gauss_legendre)
+                          pnorm, prolong, smooth_direction)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
-                   normalize, _bump, _two_bump_lobes)
+                   normalize, _two_bump_lobes)
 
 __all__ = [
     "SolverConfig",
@@ -367,8 +369,12 @@ class _FiberBranch(_Objective):
         super().__init__(params, mode)
         self.branch = branch
 
+    def resolved_A(self, grid: Grid) -> float:
+        """The largest admissible A on grid, c/(2h)^2."""
+        return self.params.c / (2.0 * grid.h) ** 2
+
     def point(self, ev: Evaluation) -> Optional[_Point]:
-        if ev.A > self.params.c / (2.0 * ev.u.grid.h) ** 2:
+        if ev.A > self.resolved_A(ev.u.grid):
             return None
         bp = _critical_point(scalars(ev, self.params), self.branch)
         return _Point(ev, bp.g, bp.s, bp.gpp)
@@ -376,9 +382,8 @@ class _FiberBranch(_Objective):
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
         return ResolutionError(
             f"{self.mode}: grid too coarse for the initial field: its "
-            f"A = {ev.A:.6g} exceeds c/(2h)^2 = "
-            f"{self.params.c / (2.0 * ev.u.grid.h) ** 2:.6g}, so it is "
-            "narrower than two grid cells; refine the grid or widen the start")
+            f"A = {ev.A:.6g} exceeds c/(2h)^2 = {self.resolved_A(ev.u.grid):.6g}, "
+            "so it is narrower than two grid cells; refine the grid or widen the start")
 
     def orbit(self, u: Field) -> Optional[np.ndarray]:
         # d/dt (t u(tx)) at t = 1 = u + x.grad u.  Second-order differences
@@ -720,7 +725,14 @@ def two_bump_probe(params: Params, grid: Grid,
     the spreading lobe v carries the small mass fraction eta = 0.1, so its
     shrinking p-norm term (~ eta^(3/2) / n^(p-2)) is dominated by the
     growing log interaction (~ |gamma| eta log n) and F(u_n) decreases
-    strictly along n."""
+    strictly along n.
+
+    The lobe's radius is rho0 / t_star of a trial bump of radius rho0 =
+    0.3 L and mass (1-eta) c sampled on grid: A ~ rho^-2 and C ~ rho^(2-p)
+    along the bump's dilations, so the contribution A - a (p-2)/p C is
+    least where 2 A = a (p-2)^2/p C.  A radius below six grid cells is
+    raised to six.  n_list holds positive integers; anything else is a
+    ValueError."""
     gam, a, p, c = params.gamma, params.a, params.p, params.c
     eta = 0.1
     if not (gam < 0.0 and a > 0.0 and 2.0 < p < 4.0):
@@ -730,26 +742,32 @@ def two_bump_probe(params: Params, grid: Grid,
         raise RegimeError(
             f"two_bump_probe requires the coupling above the lower threshold "
             f"{t1:.6g}, got a={a}")
+    if not n_list or any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                         or n < 1 for n in n_list):
+        raise ValueError(f"n_list must hold positive integers, got {n_list!r}")
     n_list = [int(n) for n in n_list]
-    if not n_list or min(n_list) < 1:
-        raise ValueError("n_list must contain positive integers")
     table = kernel_table(grid)
     n_max = max(n_list)
+    masses = ((1.0 - eta) * c, eta * c)
 
-    # Stationary-lobe radius minimizing the Q limit at mass (1-eta) c.
-    rho = _optimal_lobe_radius(params, grid, 1.0 - eta)
+    def lobe_scalars(lobe: Field) -> FiberScalars:
+        # V enters neither phi nor t_star.
+        return FiberScalars(A=evaluate(lobe, table).A, C=pnorm(lobe, p), V=0.0,
+                            params=params)
+
+    rho0 = 0.3 * grid.extent
+    trial, _ = _two_bump_lobes(grid, rho0, 2.2 * rho0, 1, masses)
+    rho = max(rho0 / t_star(lobe_scalars(trial)), 6.0 * grid.h)
     R = 2.2 * rho
     edge = n_max * (R + rho)
     if edge > 0.39 * grid.extent:
         raise DomainError(
-            f"two-bump geometry needs half-extent {edge / 0.39:.1f}, grid has "
+            f"two-bump geometry needs extent {edge / 0.39:.1f}, grid has "
             f"{grid.extent}; enlarge the domain or reduce n")
 
-    masses = ((1.0 - eta) * c, eta * c)
     lobe_u, v_ref = _two_bump_lobes(grid, rho, R, 1, masses)
-    A_u, C_u = evaluate(lobe_u, table).A, pnorm(lobe_u, p)
-    A_v, C_v = evaluate(v_ref, table).A, pnorm(v_ref, p)
-    q_limit = A_u - a * (p - 2.0) / p * C_u - 0.25 * gam * c * c
+    sc_u, sc_v = lobe_scalars(lobe_u), lobe_scalars(v_ref)
+    q_limit = phi(sc_u, 1.0)
     if q_limit >= 0.0:
         raise RegimeError(
             f"two-bump limit Q = {q_limit:.4f} is nonnegative: the coupling "
@@ -759,44 +777,12 @@ def two_bump_probe(params: Params, grid: Grid,
     for n in n_list:
         u, v = _two_bump_lobes(grid, rho, R, n, masses)
         ev = evaluate(u + v, table)
-        q_pred = (A_u + A_v * n ** -2.0
-                  - a * (p - 2.0) / p * (C_u + C_v * float(n) ** (2.0 - p))
-                  - 0.25 * gam * c * c)
+        # Disjoint supports: Q's terms add, the spreading lobe's scaled by n.
+        q_pred = phi(FiberScalars(A=sc_u.A + sc_v.A * n ** -2.0,
+                                  C=sc_u.C + sc_v.C * float(n) ** (2.0 - p),
+                                  V=0.0, params=params), 1.0)
         out.append(TwoBumpPoint(n=n, q=ev.Q(params), f=ev.F(params), q_pred=q_pred))
     return out
-
-
-# Nodes of the Gauss-Legendre rule over the bump's unit disc: the bump
-# vanishes to all orders at r = 1, and 96 nodes agree with 128 to about
-# 1e-14 relative.
-_LOBE_NODES = 96
-
-
-def _optimal_lobe_radius(params: Params, grid: Grid, mass_fraction: float) -> float:
-    """Radius of the bump carrying the given mass fraction that minimizes
-    its disjoint-support Q contribution; closed form through the scaling
-    A ~ rho^-2, C ~ rho^(2-p) of the fixed bump shape.  The shape's
-    integrals over its unit disc take a fixed Gauss-Legendre rule of
-    _LOBE_NODES nodes in r."""
-
-    def integral(f):
-        return _gauss_legendre(lambda r: 2.0 * np.pi * r * f(r), 0.0, 1.0,
-                               _LOBE_NODES)
-
-    p = params.p
-    m1 = integral(lambda r: _bump(r, 1.0) ** 2)
-    a1 = integral(lambda r: (2.0 * r / (1.0 - r * r) ** 2 * _bump(r, 1.0)) ** 2)
-    c1 = integral(lambda r: _bump(r, 1.0) ** p)
-    m_lobe = mass_fraction * params.c
-    # For amplitude alpha and radius rho: mass = alpha^2 rho^2 m1,
-    # A = alpha^2 a1 (scale invariant), C = alpha^p rho^2 c1.  The Q
-    # contribution A(rho) - a (p-2)/p C(rho) is minimized where
-    # 2 A = a (p-2)^2/p C, which fixes rho^(4-p).
-    coef = params.a * (p - 2.0) ** 2 / p
-    ratio = 2.0 * m_lobe * a1 / m1 / (coef * (m_lobe / m1) ** (0.5 * p) * c1)
-    rho = ratio ** (1.0 / (4.0 - p))
-    # Guard against grids too coarse to resolve the lobe.
-    return float(max(rho, 6.0 * grid.h))
 
 
 def masscritical_probe(params: Params, grid: Grid) -> List[Tuple[float, float]]:
@@ -807,6 +793,5 @@ def masscritical_probe(params: Params, grid: Grid) -> List[Tuple[float, float]]:
     it the minimum along the ray is finite and interior."""
     if params.p != 4.0 or params.gamma <= 0.0 or params.a <= 0.0:
         raise RegimeError("masscritical_probe requires p = 4, gamma > 0, a > 0")
-    table = kernel_table(grid)
-    sc = scalars(K.gn_profile_field(grid, 4.0, params.c), params, table)
+    sc = scalars(K.gn_profile_field(grid, 4.0, params.c), params)
     return [(float(t), fiber_g(sc, float(t))) for t in (2.0 ** k for k in range(7))]

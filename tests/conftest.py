@@ -1,7 +1,14 @@
+import signal
+
 import numpy as np
 import pytest
 
 from planarsp import ProfileSpec, discretize, make_grid
+
+# The wall-clock bound on each test's setup and call together.  The slowest
+# test takes about 3 s; criterion 9 asserts its own 120 s.  A flow that
+# stops converging fails its test by name instead of stalling the run.
+TEST_SECONDS = 120
 
 EULER = 0.5772156649015329
 V_GAUSS_UNIT = 0.5 * (np.log(2.0) - EULER)  # V of the unit-mass Gaussian
@@ -72,3 +79,19 @@ def fft_counts(monkeypatch):
 
         monkeypatch.setattr(scipy.fft, name, counted)
     return counts
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    def overrun(signum, frame):
+        pytest.fail(f"{item.nodeid} ran past its {TEST_SECONDS} s bound", pytrace=False)
+
+    signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    yield

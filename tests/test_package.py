@@ -1,7 +1,10 @@
 import importlib
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ import pytest
 
 import planarsp
 from planarsp import Params
+
+from conftest import TEST_SECONDS
 
 # Every public name of the package and the submodule it comes from.
 _EXPORTS = {
@@ -90,3 +95,13 @@ def test_params_checks_numpy_scalars(field):
     assert pr == Params(**_GOOD)
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         Params(**dict(_GOOD, **{field: np.float64("nan")}))
+
+
+def test_an_overrunning_test_fails_with_its_name(request):
+    # The bound of conftest is armed for every test; a test that overruns
+    # it fails with its name.  Here the timer is cut to 50 ms.
+    assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= TEST_SECONDS
+    signal.setitimer(signal.ITIMER_REAL, 0.05)
+    with pytest.raises(pytest.fail.Exception,
+                       match=re.escape(f"{request.node.nodeid} ran past its")):
+        time.sleep(5)

@@ -8,7 +8,7 @@ from planarsp import (CapBoundaryError, ConvergenceError, DomainError, Field,
                       ResolutionError, SolverConfig, dilate, discretize,
                       global_minimize, lambda_branch_minimize, lambda_maximize,
                       local_minimize_capped, make_grid, mass, masscritical_probe,
-                      normalize, scalars, t_star, two_bump_probe)
+                      normalize, pnorm, scalars, t_star, two_bump_probe)
 from planarsp import solvers
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
                                 kgn_estimate, mass_critical_threshold)
@@ -576,6 +576,41 @@ def test_branch_flow_against_the_resolution_guard_is_refused(p6_setup):
     assert levels[1]["iters"] == 26
 
 
+def test_boundary_leak_is_refused_at_the_third_strike(monkeypatch):
+    # A boundary mass fraction of 1e-6 is below the 1e-4 that refuses at
+    # once but above the admissible 1e-8: the flow, checked every 25
+    # iterations and kept from converging, refuses at its third check in a
+    # row, at iteration 50.
+    calls = []
+    monkeypatch.setattr(solvers, "boundary_mass_fraction",
+                        lambda u: calls.append(u.grid.n) or 1e-6)
+    monkeypatch.setattr(solvers, "_TOL_GRAD", 0.0)
+    monkeypatch.setattr(solvers, "_ARMIJO", -np.inf)
+    with pytest.raises(DomainError, match="fraction 1.00e-06"):
+        global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0), make_grid(40.0, 64),
+                        SolverConfig(max_iter=120), ProfileSpec.gaussian(sigma=1.5))
+    assert calls == [64, 64, 64]
+
+
+def test_recenters_are_capped_at_eight(p6_setup, monkeypatch):
+    # With no Q tolerance to meet, plus_p6 recenters each time its tangent
+    # gradient converges, 8 times, and then stops at the stationarity floor.
+    monkeypatch.setattr(solvers, "_TOL_Q", 0.0)
+    with pytest.raises(ConvergenceError, match="at iteration 18 on 64\\^2: the "
+                       "stationarity floor is reached") as exc:
+        lambda_branch_minimize(p6_setup, make_grid(24.0, 64), CFG,
+                               gaussian_on_branch(p6_setup, "plus"), "plus")
+    assert exc.value.report.extras["recenters"] == 8
+    assert exc.value.report.iters == 18
+
+
+def test_init_field_on_another_grid_is_refused():
+    u = normalize(discretize(ProfileSpec.gaussian(sigma=1.5), make_grid(40.0, 64)), 1.0)
+    with pytest.raises(ValueError, match="different grid"):
+        global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0), make_grid(40.0, 128),
+                        CFG, u)
+
+
 # ---------------------------------------------------------------------------
 # gamma < 0 maximization
 # ---------------------------------------------------------------------------
@@ -661,9 +696,76 @@ def test_two_bump_probe_rejects_wrong_regime():
 
 
 def test_two_bump_probe_rejects_small_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="needs extent 61.5, grid has 20.0;"):
         two_bump_probe(Params(gamma=-25.0, a=70.0, p=3.0, c=1.0),
                        make_grid(20.0, 128), [1, 2, 3, 4, 5, 6, 7, 8])
+    # Just above T1 the lobe is wide: one lobe needs the full extent 80.6.
+    t1, _ = a_thresholds(3.0, -1.0, 1.0, kgn_estimate(3.0))
+    with pytest.raises(DomainError, match="needs extent 80.6, grid has 80.0;"):
+        two_bump_probe(Params(gamma=-1.0, a=1.01 * t1, p=3.0, c=1.0),
+                       make_grid(80.0, 256), [1])
+
+
+@pytest.mark.parametrize("n", [2.7, True, "3", 0, -1])
+def test_two_bump_probe_refuses_an_entry_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="n_list must hold positive integers"):
+        two_bump_probe(Params(gamma=-25.0, a=70.0, p=3.0, c=1.0),
+                       make_grid(80.0, 64), [1, n])
+
+
+def test_two_bump_probe_refuses_a_nonnegative_limit():
+    # At 1.2 T1 the bump lobes cannot make the disjoint-support limit of Q
+    # negative: A - a (p-2)/p C + |gamma| c^2/4 = 0.155.
+    t1, _ = a_thresholds(3.0, -1.0, 1.0, kgn_estimate(3.0))
+    with pytest.raises(RegimeError, match="two-bump limit Q = 0.1550 is nonnegative"):
+        two_bump_probe(Params(gamma=-1.0, a=1.2 * t1, p=3.0, c=1.0),
+                       make_grid(80.0, 256), [1])
+
+
+def _lobe_radius_oracle(params, m):
+    """The radius of the bump exp(-1/(1 - (r/rho)^2)) of mass m that
+    minimizes A - a (p-2)/p C, from its integrals over the unit disc by a
+    96-node Gauss-Legendre rule in r: at amplitude alpha and radius rho,
+    mass = alpha^2 rho^2 m1, A = alpha^2 a1, C = alpha^p rho^2 c1, and the
+    minimum is where 2 A = a (p-2)^2/p C."""
+    x, w = np.polynomial.legendre.leggauss(96)
+    r, w = 0.5 * (x + 1.0), np.pi * (x + 1.0) * 0.5 * w   # weights of 2 pi r dr
+    bump = np.exp(-1.0 / (1.0 - r * r))
+    dbump = -2.0 * r / (1.0 - r * r) ** 2 * bump
+    m1, a1, c1 = (float(np.sum(w * f)) for f in (bump ** 2, dbump ** 2, bump ** params.p))
+    p = params.p
+    coef = params.a * (p - 2.0) ** 2 / p
+    ratio = 2.0 * m * a1 / m1 / (coef * (m / m1) ** (0.5 * p) * c1)
+    return ratio ** (1.0 / (4.0 - p))
+
+
+@pytest.mark.parametrize("gamma, a_over_t1, L, n", [(-25.0, None, 20.0, 512),
+                                                     (-1.0, 3.0, 80.0, 256)])
+def test_two_bump_lobe_radius_minimizes_its_q_contribution(gamma, a_over_t1, L, n,
+                                                           monkeypatch):
+    # Six cells are narrower than the optimal lobe on both grids, so the
+    # probe's radius is the dilation of its trial lobe, and it matches the
+    # closed form; at 256^2 only a trial lobe of many cells does.  a is 70
+    # where a_over_t1 is None.
+    t1, _ = a_thresholds(3.0, gamma, 1.0, kgn_estimate(3.0))
+    pr = Params(gamma=gamma, a=70.0 if a_over_t1 is None else a_over_t1 * t1, p=3.0,
+                c=1.0)
+    grid = make_grid(L, n)
+    radii = []
+    lobes = solvers._two_bump_lobes
+    monkeypatch.setattr(solvers, "_two_bump_lobes",
+                        lambda g, rho, *args: radii.append(rho) or lobes(g, rho, *args))
+    rows = two_bump_probe(pr, grid, [1, 2])
+    rho = radii[-1]
+    assert 6.0 * grid.h < rho == pytest.approx(_lobe_radius_oracle(pr, 0.9), rel=1e-9)
+    assert rows[1].f < rows[0].f
+
+    def q_part(radius):
+        lobe, _ = lobes(grid, radius, 2.2 * radius, 1, (0.9, 0.1))
+        return evaluate(lobe, kernel_table(grid)).A - pr.a * (pr.p - 2.0) / pr.p * \
+            pnorm(lobe, pr.p)
+
+    assert q_part(0.95 * rho) > q_part(rho) < q_part(1.05 * rho)
 
 
 def test_two_bump_probe_small_run():
@@ -694,6 +796,8 @@ def test_masscritical_probe_regime_errors():
         masscritical_probe(Params(gamma=1.0, a=1.0, p=3.0, c=1.0), grid)
     with pytest.raises(RegimeError):
         masscritical_probe(Params(gamma=-1.0, a=1.0, p=4.0, c=1.0), grid)
+    with pytest.raises(RegimeError):
+        masscritical_probe(Params(gamma=0.0, a=1.0, p=4.0, c=1.0), grid)
 
 
 def test_solver_config_validation():
