@@ -18,7 +18,7 @@ import numpy as np
 from . import constants as K
 from . import functionals as fn
 from .fiber import FiberScalars, critical_points, dilate, phi, scalars, t_star
-from .functionals import Params, kernel_table
+from .functionals import Params
 from .grid import (Field, ProfileSpec, discretize, make_grid, mass, normalize,
                    read_field, shift, write_field)
 
@@ -127,7 +127,6 @@ def _check_v1_gaussian() -> CheckResult:
 
 def _check_v2_bound() -> CheckResult:
     grid = make_grid(40.0, 128)
-    table = kernel_table(grid)
     kv2 = K.kv2_estimate()
     worst = 0.0
     for spec in (ProfileSpec.gaussian(sigma=0.5),
@@ -135,7 +134,7 @@ def _check_v2_bound() -> CheckResult:
                  ProfileSpec.ring(r0=4.0, sigma=1.0),
                  ProfileSpec.random_smooth(seed=5)):
         u = discretize(spec, grid)
-        ev = fn.evaluate(u, table)
+        ev = fn.evaluate(u)
         ratio = ev.V2 / (math.sqrt(ev.A) * 1.0)
         worst = max(worst, ratio / kv2)
     return _result("v2_bound", worst, 1.0 + 1e-9,
@@ -145,7 +144,6 @@ def _check_v2_bound() -> CheckResult:
 
 def _check_gn_bound() -> CheckResult:
     grid = make_grid(40.0, 128)
-    table = kernel_table(grid)
     worst = 0.0
     for p in (2.5, 3.0, 4.0):
         kgn = K.kgn_estimate(p)
@@ -154,7 +152,7 @@ def _check_gn_bound() -> CheckResult:
                      ProfileSpec.ring(r0=3.0, sigma=1.0),
                      ProfileSpec.random_smooth(seed=9)):
             u = discretize(spec, grid)
-            A = fn.evaluate(u, table).A
+            A = fn.evaluate(u).A
             ratio = fn.pnorm(u, p) / (kgn * A ** (0.5 * p - 1.0) * mass(u))
             worst = max(worst, ratio)
     return _result("gn_bound", worst, 1.0 + 1e-4,
@@ -164,17 +162,16 @@ def _check_gn_bound() -> CheckResult:
 def _check_gradient_fd() -> CheckResult:
     grid = make_grid(40.0, 128)
     pr = Params(gamma=1.0, a=1.0, p=3.0, c=1.0)
-    table = kernel_table(grid)
     eps = 1e-4
     worst = 0.0
     for seed in (0, 1):
         u = discretize(ProfileSpec.random_smooth(seed=seed), grid)
         ph = discretize(ProfileSpec.random_smooth(seed=seed + 100), grid)
-        gval = fn.evaluate(u, table).grad(pr)
+        gval = fn.evaluate(u).grad(pr)
         h2 = grid.h ** 2
         lhs = h2 * float(np.sum(gval * ph.values))
-        fp = fn.evaluate(Field(grid, u.values + eps * ph.values), table).F(pr)
-        fm = fn.evaluate(Field(grid, u.values - eps * ph.values), table).F(pr)
+        fp = fn.evaluate(Field(grid, u.values + eps * ph.values)).F(pr)
+        fm = fn.evaluate(Field(grid, u.values - eps * ph.values)).F(pr)
         worst = max(worst, abs((fp - fm) / (2 * eps) - lhs) / max(abs(lhs), 1e-12))
     return _result("gradient_fd", worst, 1e-5,
                    "central differences of F match <grad F, phi>")
@@ -208,12 +205,11 @@ def _check_translation_invariance() -> CheckResult:
 
 def _check_dilation_scaling() -> CheckResult:
     grid = make_grid(40.0, 256)
-    table = kernel_table(grid)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
-    e0 = fn.evaluate(u, table)
+    e0 = fn.evaluate(u)
     worst = 0.0
     for t in (0.5, 2.0):
-        ev = fn.evaluate(dilate(u, t), table)
+        ev = fn.evaluate(dilate(u, t))
         worst = max(worst, abs(ev.A / e0.A - t ** 2) / t ** 2,
                     abs(ev.C(3.0) / e0.C(3.0) - t) / t, abs(ev.V - e0.V + math.log(t)))
     return _result("dilation_scaling", worst, 1e-3,
@@ -239,11 +235,10 @@ def _check_gn_optimizer_bound() -> CheckResult:
     # and C must fit together.  5.2e-11 at 256^2 (9.6e-7 at 128^2 for
     # p = 3.5); K1 off by 1e-6 reads 4.0e-6.
     grid = make_grid(40.0, 256)
-    table = kernel_table(grid)
     worst = 0.0
     for p in (2.5, 3.0, 3.5):
         sharp = K.sharp_constants(p)
-        ev = fn.evaluate(K.gn_profile_field(grid, p, 1.0), table)
+        ev = fn.evaluate(K.gn_profile_field(grid, p, 1.0))
         t1, t2 = K.a_thresholds(p, -1.0, 1.0, sharp.kgn)
         for a in (t1, 0.5 * (t1 + t2)):
             pr = Params(gamma=-1.0, a=a, p=p, c=1.0)

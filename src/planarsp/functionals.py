@@ -53,11 +53,12 @@ of u^2: V and V1 are read from it first, then it is multiplied by the
 kernel in place and carried through the inverse.
 
 Every quantity of a field is read from its Evaluation (built by
-evaluate()), which computes each on first use and keeps it, and refuses a
-kernel table of another grid.  kinetic, log_potential, energy,
-grad_energy, lagrange_multiplier, pohozaev_residual and el_residual are
-views of a fresh one, kept for the benchmark harness, which calls them by
-name.  Only this module knows the padded 2n x 2n layout.
+evaluate(u)), which computes each on first use and keeps it, on its
+grid's kernel table.  kinetic, log_potential, energy, grad_energy,
+lagrange_multiplier, pohozaev_residual and el_residual are views of a
+fresh one, kept for the benchmark harness, which calls them by name with
+a table; they refuse one of another grid until ROADMAP item 1b deletes
+them.  Only this module knows the padded 2n x 2n layout.
 """
 
 from __future__ import annotations
@@ -422,14 +423,11 @@ class Evaluation:
     built on it read them.  w consumes spec_sq: it reads V and V1 first,
     then multiplies spec_sq in place by the log kernel's quadrant and hands
     it to the inverse, so no second padded spectrum is made and spec_sq is
-    no longer held.
+    no longer held.  The kernel table is kernel_table(u.grid).
     """
 
-    def __init__(self, u: Field, table: KernelTable):
-        if table.grid != u.grid:
-            raise GridMismatchError(f"field on {u.grid} evaluated with the kernel "
-                                    f"table of {table.grid}")
-        self.u, self.table = u, table
+    def __init__(self, u: Field):
+        self.u, self.table = u, kernel_table(u.grid)
         self._h2 = u.grid.h * u.grid.h
         self._C: Dict[float, float] = {}
         self._grad: Dict[Params, np.ndarray] = {}
@@ -491,11 +489,11 @@ class Evaluation:
     def spectral_tail(self) -> float:
         """||u_high|| / ||u||, u_high the part of u above half the Nyquist
         frequency (|k| > pi/(2h)), read from spec_u by Parseval: the share
-        of the L2 norm that the grid at half the resolution cannot carry."""
-        n = self.u.grid.n
-        qx = np.fft.fftfreq(n, d=1.0 / n)
-        qy = np.arange(n // 2 + 1)
-        above = qx[:, None] ** 2 + qy[None, :] ** 2 > (n // 4) ** 2
+        of the L2 norm that the grid at half the resolution cannot carry.
+        n is a power of two, so only (n/4, 0) and its mirrors have |k| =
+        pi/(2h), each with k2 = k2[n/4, 0] exactly."""
+        k2 = self.table.k2
+        above = k2 > k2[self.u.grid.n // 4, 0]
         m = mass(self.u)
         if m == 0.0:
             raise ValueError("spectral tail of the zero field is undefined")
@@ -595,9 +593,9 @@ class Evaluation:
         return float(defect / (1.0 + gnorm + abs(lam) * np.sqrt(mass(self.u))))
 
 
-def evaluate(u: Field, table: Optional[KernelTable] = None) -> Evaluation:
-    """The (lazy) evaluation of u on its grid's kernel table."""
-    return Evaluation(u, table or kernel_table(u.grid))
+def evaluate(u: Field) -> Evaluation:
+    """The (lazy) evaluation of u, on its own grid's kernel table."""
+    return Evaluation(u)
 
 
 def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:
@@ -652,9 +650,17 @@ def prolong(u: Field, grid: Grid) -> Field:
 # ---------------------------------------------------------------------------
 
 
+def _view(u: Field, table: Optional[KernelTable]) -> Evaluation:
+    """The evaluation of u behind a view, which refuses a table of another grid."""
+    if table is not None and table.grid != u.grid:
+        raise GridMismatchError(f"field on {u.grid} evaluated with the kernel "
+                                f"table of {table.grid}")
+    return evaluate(u)
+
+
 def kinetic(u: Field, table: Optional[KernelTable] = None) -> float:
     """Evaluation.A of u."""
-    return evaluate(u, table).A
+    return _view(u, table).A
 
 
 def pnorm(u: Field, p: float) -> float:
@@ -668,35 +674,35 @@ def pnorm(u: Field, p: float) -> float:
 
 def log_potential(u: Field, table: Optional[KernelTable] = None) -> Field:
     """Evaluation.w of u, as a field."""
-    return Field(u.grid, evaluate(u, table).w)
+    return Field(u.grid, _view(u, table).w)
 
 
 def energy(u: Field, params: Params, table: Optional[KernelTable] = None) -> EnergyBreakdown:
     """Evaluation.breakdown of u."""
-    return evaluate(u, table).breakdown(params)
+    return _view(u, table).breakdown(params)
 
 
 def grad_energy(u: Field, params: Params, table: Optional[KernelTable] = None) -> Field:
     """Evaluation.grad of u at s = 1, as a field."""
-    return Field(u.grid, evaluate(u, table).grad(params))
+    return Field(u.grid, _view(u, table).grad(params))
 
 
 def lagrange_multiplier(u: Field, params: Params,
                         table: Optional[KernelTable] = None) -> float:
     """Evaluation.lam of u at s = 1."""
-    return evaluate(u, table).lam(params)
+    return _view(u, table).lam(params)
 
 
 def pohozaev_residual(u: Field, params: Params, lam: float,
                       table: Optional[KernelTable] = None) -> float:
     """Evaluation.pohozaev_residual of u."""
-    return evaluate(u, table).pohozaev_residual(params, lam)
+    return _view(u, table).pohozaev_residual(params, lam)
 
 
 def el_residual(u: Field, params: Params, lam: float,
                 table: Optional[KernelTable] = None) -> float:
     """Evaluation.el_residual of u."""
-    return evaluate(u, table).el_residual(params, lam)
+    return _view(u, table).el_residual(params, lam)
 
 
 def require_mass(u: Field, c: float) -> None:

@@ -10,6 +10,7 @@ values; every operation returns a new field.
 from __future__ import annotations
 
 import io
+import numbers
 import struct
 from dataclasses import dataclass, field as dc_field
 from typing import Tuple
@@ -207,6 +208,10 @@ class ProfileSpec:
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("profile mass c must be positive")
+        for name in ("scale", "seed", "cutoff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"profile {name} must be an integer, got {value!r}")
         if self.kind not in ("gaussian", "ring", "two_bump", "random_smooth"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind in ("gaussian", "ring") and self.sigma <= 0:
@@ -296,7 +301,7 @@ def _sample(spec: ProfileSpec, grid: Grid) -> Field:
         return lobe0 + lobe1
     if spec.kind == "random_smooth":
         n = grid.n
-        kc = int(spec.cutoff)
+        kc = spec.cutoff
         if kc > n // 2:
             # Modes above the grid's Nyquist number alias: the grid is too
             # coarse for the profile.

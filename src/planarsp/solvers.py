@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, astuple, dataclass, field as dc_field, replace
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -86,8 +86,8 @@ from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
 from .fiber import (FiberScalars, _critical_point, _q_scale, dilate, g as fiber_g,
                     phi, scalars, t_star)
-from .functionals import (EnergyBreakdown, Evaluation, Params, evaluate, kernel_table,
-                          pnorm, prolong, smooth_direction)
+from .functionals import (EnergyBreakdown, Evaluation, Params, evaluate, pnorm, prolong,
+                          smooth_direction)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
                    normalize, _two_bump_lobes)
 
@@ -268,8 +268,8 @@ class _Point:
 
 
 class _Objective:
-    """What a flow descends, on any grid: the grid and kernel table are
-    those of the evaluation a hook is given.
+    """What a flow descends, on any grid: that of the evaluation a hook is
+    given, whose kernel table each field evaluated there reads itself.
 
     Subclasses define point(ev): the point of an evaluated field, or None
     when the field is not admissible, and start_refusal(ev): the error that
@@ -334,7 +334,7 @@ class _Energy(_Objective):
                 raise DomainError(f"{self.mode}: initial field is above the kinetic cap "
                                   f"and its fiber minimum does not fit: {err}") from err
             return ev
-        return evaluate(u, ev.table)
+        return evaluate(u)
 
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
         return RegimeError(f"{self.mode}: initial field is not admissible: its "
@@ -408,7 +408,7 @@ class _FiberBranch(_Objective):
         # data of the flow's last point.
         if abs(pt.s - 1.0) <= 1e-9:
             return pt
-        ev = evaluate(normalize(dilate(pt.ev.u, pt.s), self.params.c), pt.ev.table)
+        ev = evaluate(normalize(dilate(pt.ev.u, pt.s), self.params.c))
         return self.point(ev) or replace(pt, ev=ev)
 
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
@@ -437,10 +437,10 @@ class _Run:
 
 def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig) -> _Run:
     """Run the projected Sobolev-gradient flow of obj from the field of
-    start, on its table, until the tangent gradient and Q both certify, or
+    start, on its grid, until the tangent gradient and Q both certify, or
     say why not in the run's error.  Callers pass start as a temporary:
     once the first step is taken nothing holds its spectra."""
-    params, table, mode = obj.params, start.table, obj.mode
+    params, mode = obj.params, obj.mode
     h, n, c = start.u.grid.h, start.u.grid.n, params.c
     pt = obj.point(start)
     if pt is None:
@@ -480,11 +480,11 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig) -> _Run:
             break
         moved = obj.recenter(pt, res < _TOL_GRAD, recenters)
         if moved is not None:
-            recenters += 1
-            pt = obj.point(evaluate(moved, table))
-            if pt is None:
-                raise GuardFloorError(f"{mode}: recentered iterate is no "
-                                      "longer admissible")
+            pt_moved = obj.point(evaluate(moved))
+            if pt_moved is None:
+                return _Run(pt, it, recenters, trace, GuardFloorError(
+                    f"{mode}: recentered iterate is no longer admissible"))
+            pt, recenters = pt_moved, recenters + 1
             prev_u = prev_d = None
             continue
         if res < 1e-3 * _TOL_GRAD:  # Q will not improve by flowing
@@ -501,7 +501,7 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig) -> _Run:
         # Sobolev-metric direction, projected onto the sphere tangent and off
         # the orbit.  It descends: d_raw is orthogonal to u and the orbit and
         # the smoothing is positive definite, so slope > 0 unless d_raw = 0.
-        d_h = smooth_direction(d_raw, table)
+        d_h = smooth_direction(d_raw, ev.table)
         d = d_h - (h * h * float(np.sum(d_h * u.values)) / c) * u.values
         if fib is not None:
             d -= (h * h * float(np.sum(d * fib)) / fib_norm2) * fib
@@ -521,7 +521,7 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig) -> _Run:
         guard_rejects = 0
         for _ in range(60):
             v = normalize(Field(u.grid, u.values - step * d), c)
-            pt_v = obj.point(evaluate(v, table))
+            pt_v = obj.point(evaluate(v))
             if pt_v is None:
                 guard_rejects += 1
             elif pt.value - pt_v.value >= _ARMIJO * step * slope:
@@ -569,10 +569,9 @@ def _ladder(grid: Grid, sample: Callable[[Grid], Field], obj: _Objective,
     levels: List[dict] = []
 
     def start(level: Grid) -> Evaluation:
-        table = kernel_table(level)
         if below is None:
-            return obj.start(evaluate(sample(level), table))
-        return evaluate(normalize(prolong(below, level), obj.params.c), table)
+            return obj.start(evaluate(sample(level)))
+        return evaluate(normalize(prolong(below, level), obj.params.c))
 
     for level in grids:
         try:
@@ -613,10 +612,15 @@ def _ladder(grid: Grid, sample: Callable[[Grid], Field], obj: _Objective,
 def _regime_for(solver: Callable, params: Params, requirement: str,
                 regime: Optional[K.RegimeLabel]) -> K.RegimeLabel:
     """The classifier's regime of params (regime itself when the caller has
-    classified params already); RegimeError unless REGIME_SOLVERS maps its
+    classified params already); ValueError when regime's certificate names
+    another (gamma, a, p, c), RegimeError unless REGIME_SOLVERS maps its
     tag to solver."""
     if regime is None:
         regime = K.regime_classify(params, K.sharp_constants(params.p))
+    named = tuple(regime.certificate.get(key) for key in ("gamma", "a", "p", "c"))
+    if named != astuple(params):
+        raise ValueError(f"{solver.__name__}: the regime label certifies (gamma, a, p, "
+                         f"c) = {named}, not the solved {astuple(params)}")
     if solver not in REGIME_SOLVERS.get(regime.tag, ()):
         raise RegimeError(f"{solver.__name__} requires {requirement}; classifier "
                           f"says {regime.tag}: {regime.certificate['conditions']}")
@@ -631,8 +635,9 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
     Valid when the classifier reports GlobalMin or GlobalMinMassCritical;
     refuses to start otherwise, quoting the certificate.  The flow starts
     on the minimum of init's fiber (module docstring).  regime is the
-    classifier's label of params when the caller has it; it is classified
-    here otherwise."""
+    classifier's label of params when the caller has it (a label of
+    another (gamma, a, p, c) is a ValueError); it is classified here
+    otherwise."""
     regime = _regime_for(global_minimize, params, "a bounded-below regime", regime)
     return _ladder(grid, _sampler(init, grid, params.c),
                    _Energy(params, "global_minimize"), config, regime)
@@ -731,8 +736,9 @@ def two_bump_probe(params: Params, grid: Grid,
     0.3 L and mass (1-eta) c sampled on grid: A ~ rho^-2 and C ~ rho^(2-p)
     along the bump's dilations, so the contribution A - a (p-2)/p C is
     least where 2 A = a (p-2)^2/p C.  A radius below six grid cells is
-    raised to six.  n_list holds positive integers; anything else is a
-    ValueError."""
+    raised to six.  A nonnegative limit of Q is refused before a domain
+    too small for the spreading lobes.  n_list holds positive integers;
+    anything else is a ValueError."""
     gam, a, p, c = params.gamma, params.a, params.p, params.c
     eta = 0.1
     if not (gam < 0.0 and a > 0.0 and 2.0 < p < 4.0):
@@ -746,13 +752,12 @@ def two_bump_probe(params: Params, grid: Grid,
                          or n < 1 for n in n_list):
         raise ValueError(f"n_list must hold positive integers, got {n_list!r}")
     n_list = [int(n) for n in n_list]
-    table = kernel_table(grid)
     n_max = max(n_list)
     masses = ((1.0 - eta) * c, eta * c)
 
     def lobe_scalars(lobe: Field) -> FiberScalars:
         # V enters neither phi nor t_star.
-        return FiberScalars(A=evaluate(lobe, table).A, C=pnorm(lobe, p), V=0.0,
+        return FiberScalars(A=evaluate(lobe).A, C=pnorm(lobe, p), V=0.0,
                             params=params)
 
     rho0 = 0.3 * grid.extent
@@ -760,11 +765,14 @@ def two_bump_probe(params: Params, grid: Grid,
     rho = max(rho0 / t_star(lobe_scalars(trial)), 6.0 * grid.h)
     R = 2.2 * rho
     edge = n_max * (R + rho)
-    if edge > 0.39 * grid.extent:
-        raise DomainError(
-            f"two-bump geometry needs extent {edge / 0.39:.1f}, grid has "
-            f"{grid.extent}; enlarge the domain or reduce n")
+    too_small = DomainError(
+        f"two-bump geometry needs extent {edge / 0.39:.1f}, grid has "
+        f"{grid.extent}; enlarge the domain or reduce n")
 
+    # The limit of Q needs only the stationary lobe, so its sign is checked
+    # before the geometry of the spreading lobes, once that lobe fits.
+    if rho > 0.39 * grid.extent:
+        raise too_small
     lobe_u, v_ref = _two_bump_lobes(grid, rho, R, 1, masses)
     sc_u, sc_v = lobe_scalars(lobe_u), lobe_scalars(v_ref)
     q_limit = phi(sc_u, 1.0)
@@ -772,11 +780,13 @@ def two_bump_probe(params: Params, grid: Grid,
         raise RegimeError(
             f"two-bump limit Q = {q_limit:.4f} is nonnegative: the coupling "
             "is too close to the threshold for bump lobes; increase a")
+    if edge > 0.39 * grid.extent:
+        raise too_small
 
     out: List[TwoBumpPoint] = []
     for n in n_list:
         u, v = _two_bump_lobes(grid, rho, R, n, masses)
-        ev = evaluate(u + v, table)
+        ev = evaluate(u + v)
         # Disjoint supports: Q's terms add, the spreading lobe's scaled by n.
         q_pred = phi(FiberScalars(A=sc_u.A + sc_v.A * n ** -2.0,
                                   C=sc_u.C + sc_v.C * float(n) ** (2.0 - p),

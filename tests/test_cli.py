@@ -651,6 +651,29 @@ def test_solve_nonconvergence_exit_3(tmp_path):
     assert not report["converged"]
 
 
+def test_solve_refused_recenter_exits_3_with_its_report(tmp_path, monkeypatch, capsys):
+    # A recenter the resolution guard refuses ends the run unconverged: exit
+    # 3 with report.json and solution.lpf written (once exit 3 and nothing).
+    from planarsp import dilate, normalize, solvers
+
+    recenter = solvers._FiberBranch.recenter
+
+    def dilate_by_3(self, pt, stalled, recenters):
+        moved = recenter(self, pt, stalled, recenters)
+        return None if moved is None else normalize(dilate(pt.ev.u, 3.0), self.params.c)
+
+    monkeypatch.setattr(solvers._FiberBranch, "recenter", dilate_by_3)
+    c = 0.5 * K.c0(6.0, 1.0, 1.0, K.kgn_estimate(6.0))
+    out = tmp_path / "guard"
+    assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", repr(c),
+                    "--grid-L", "24", "--grid-n", "64", "--branch", "plus",
+                    "--out", str(out)]) == 3
+    assert "recentered iterate is no longer admissible" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert not report["converged"] and report["levels"][0]["n"] == 64
+    assert read_field(out / "solution.lpf").grid.n == 64
+
+
 @pytest.mark.parametrize("solver, key", [
     ({"max_iter": 3.5}, "max_iter"),
     ({"trace": "no"}, "trace"),

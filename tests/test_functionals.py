@@ -105,8 +105,6 @@ def test_views_refuse_a_table_of_another_grid():
     other = kernel_table(make_grid(20.0, 128))
     with pytest.raises(GridMismatchError):
         kinetic(u, other)
-    with pytest.raises(GridMismatchError):
-        evaluate(u, other)
     assert kinetic(u, kernel_table(make_grid(40.0, 128))) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -151,13 +149,12 @@ def test_gaussian_V_is_spectrally_accurate(n, extent, sigma, c):
 
 
 def test_v_split_identity(grid128):
-    table = kernel_table(grid128)
     for spec in (ProfileSpec.gaussian(sigma=1.0),
                  ProfileSpec.ring(r0=3.0, sigma=0.8),
                  ProfileSpec.random_smooth(seed=4),
                  ProfileSpec.gaussian(sigma=0.5, center=(2.0, -3.0))):
         u = discretize(spec, grid128)
-        ev = evaluate(u, table)
+        ev = evaluate(u)
         V, V1, V2 = ev.V, ev.V1, ev.V2
         assert V1 >= 0.0 and V2 >= 0.0
         assert abs(V - (V1 - V2)) < 1e-15 * (1.0 + abs(V1) + abs(V2))
@@ -251,9 +248,8 @@ def test_gradient_is_its_one_expression_form_bit_for_bit(n, kind, gamma, a, p):
     else:
         u = Field(grid, np.random.default_rng(n).standard_normal((n, n)))
     params = Params(gamma=gamma, a=a, p=p, c=1.0)
-    table = kernel_table(grid)
-    ref = evaluate(u, table)
-    ev = evaluate(u, table)
+    ref = evaluate(u)
+    ev = evaluate(u)
     for s in (1.0, 0.7, 1.3):
         assert np.array_equal(ev.grad(params, s), _grad_one_expression(ref, params, s)), s
     # The in-place sums leave the kept w, -Delta u and gradient as they
@@ -261,7 +257,7 @@ def test_gradient_is_its_one_expression_form_bit_for_bit(n, kind, gamma, a, p):
     assert np.array_equal(ev.w, ref.w)
     assert np.array_equal(ev.neg_lap, ref.neg_lap)
     lam = ev.lam(params)
-    assert ev.el_residual(params, lam) == evaluate(u, table).el_residual(params, lam)
+    assert ev.el_residual(params, lam) == evaluate(u).el_residual(params, lam)
 
 
 def test_lagrange_multiplier_zero_field(grid128):
@@ -318,9 +314,8 @@ def test_v2_one_sided_bound(grid128):
     cases += [(make_grid(80.0, 256), ProfileSpec.gaussian(sigma=6.0)),
               (make_grid(240.0, 256), ProfileSpec.gaussian(sigma=20.0))]
     for grid, spec in cases:
-        table = kernel_table(grid)
         u = discretize(spec, grid)
-        ev = evaluate(u, table)
+        ev = evaluate(u)
         assert ev.V2 <= K * math.sqrt(ev.A) * spec.c ** 1.5 + 1e-12
 
 
@@ -366,7 +361,7 @@ def test_evaluation_matches_padded_reference(which, gauss256, grid128):
         # column included.
         u = Field(grid128, np.random.default_rng(0).standard_normal((128, 128)))
     table = kernel_table(u.grid)
-    ev = evaluate(u, table)
+    ev = evaluate(u)
     want_A = _periodic_kinetic(u)
     assert abs(ev.A - want_A) <= 1e-13 * abs(want_A)
     for got, want in zip((ev.V, ev.V1, ev.V2), padded_reference(u, table)[1:]):
@@ -409,7 +404,7 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     kept = {name: array.copy() for name, array in vars(table).items()
             if isinstance(array, np.ndarray)}
     assert {"k2", "khat_log"} <= kept.keys()
-    ev = evaluate(u, table)
+    ev = evaluate(u)
     before = (ev.V, ev.V1, ev.V2)
     spec_u = ev.spec_u.copy()
     direction = u.values[::-1].copy()
@@ -433,7 +428,7 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     assert np.array_equal(ev.spec_u, spec_u)
     for name, array in kept.items():
         assert np.array_equal(getattr(table, name), array), name
-    ev_after = evaluate(u, table)
+    ev_after = evaluate(u)
     ev_after.w  # read before V, V1 and V2
     assert (ev_after.V, ev_after.V1, ev_after.V2) == before
 
@@ -442,7 +437,7 @@ def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
     table = kernel_table(gauss128.grid)
     regime = K.regime_classify(PR3, K.sharp_constants(PR3.p))
     fft_counts.update(dict.fromkeys(fft_counts, 0))
-    ev = evaluate(gauss128, table)
+    ev = evaluate(gauss128)
     ev.F(PR3)  # an Armijo trial point: A and V by Parseval
     # One n x n forward of u and one pruned padded forward of u^2 (an rfftn
     # and an fftn), and no inverse transform.
@@ -641,7 +636,7 @@ def test_table_and_certification_memory(gauss256, grid256):
     # before it builds its other terms (5.58 MiB with those terms alive
     # while w is formed); the bound leaves 7.9% above it.
     def certify():
-        ev = evaluate(gauss256, table)
+        ev = evaluate(gauss256)
         ev.F(PR3)
         ev.grad(PR3)
         ev.breakdown(PR3)
@@ -655,7 +650,7 @@ def test_table_and_certification_memory(gauss256, grid256):
     # (5.58 MiB with its other terms built before w); the bound leaves 7.8%
     # above it.
     def gradient():
-        evaluate(gauss256, table).grad(PR3)
+        evaluate(gauss256).grad(PR3)
 
     gradient()
     _, peak, _ = _traced(gradient)

@@ -164,6 +164,26 @@ def test_profile_spec_validation():
         ProfileSpec.random_smooth(seed=1, cutoff=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ProfileSpec.random_smooth(seed=1, cutoff=4.9),
+    lambda: ProfileSpec.random_smooth(seed=1.5),
+    lambda: ProfileSpec.random_smooth(seed=True),
+    lambda: ProfileSpec.two_bump(separation=4.0, scale=2.5),
+    lambda: ProfileSpec.two_bump(separation=4.0, scale=True),
+    lambda: ProfileSpec(kind="gaussian", cutoff="4"),
+], ids=["cutoff_4.9", "seed_1.5", "seed_True", "scale_2.5", "scale_True", "cutoff_str"])
+def test_profile_integer_fields_refuse_other_values(make):
+    # cutoff = 4.9 once sampled the field of cutoff = 4, scale = 2.5 and
+    # True were accepted, and seed = 1.5 failed inside numpy.
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        make()
+
+
+def test_profile_integer_fields_take_numpy_integers(grid128):
+    u = discretize(ProfileSpec.random_smooth(seed=np.int64(9), cutoff=np.int32(4)), grid128)
+    assert np.array_equal(u.values, discretize(ProfileSpec.random_smooth(seed=9), grid128).values)
+
+
 def test_random_smooth_deterministic(grid128):
     u = discretize(ProfileSpec.random_smooth(seed=9), grid128)
     v = discretize(ProfileSpec.random_smooth(seed=9), grid128)

@@ -11,7 +11,8 @@ from planarsp import (CapBoundaryError, ConvergenceError, DomainError, Field,
                       normalize, pnorm, scalars, t_star, two_bump_probe)
 from planarsp import solvers
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
-                                kgn_estimate, mass_critical_threshold)
+                                kgn_estimate, mass_critical_threshold, regime_classify,
+                                sharp_constants)
 from planarsp.fiber import _critical_point
 from planarsp.functionals import evaluate, kernel_table, prolong
 from planarsp.solvers import gaussian_on_branch
@@ -119,7 +120,7 @@ def test_energy_start_is_its_fiber_minimum(case, p6_setup):
     obj = solvers._Energy(params, "start",
                           None if case == "ground_state_p3" else k0(params))
     given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=1.5), grid),
-                               params.c), kernel_table(grid))
+                               params.c))
     start = obj.start(given)
     assert abs(start.Q(params)) <= 1e-3 * abs(given.Q(params))
     assert start.F(params) <= given.F(params)
@@ -133,7 +134,7 @@ def test_capped_start_above_the_cap_is_pulled_inside(p6_setup):
     grid = make_grid(24.0, 64)
     obj = solvers._Energy(p6_setup, "start", cap)
     given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=0.4), grid),
-                               p6_setup.c), kernel_table(grid))
+                               p6_setup.c))
     assert given.A > 0.9 * cap
     assert obj.start(given).A < cap
     rep = local_minimize_capped(p6_setup, grid, CFG, ProfileSpec.gaussian(sigma=0.4))
@@ -149,13 +150,13 @@ def test_start_whose_fiber_minimum_leaks_is_kept():
     init = ProfileSpec.gaussian(sigma=1.0, center=(7.0, 0.0))
     u0 = normalize(discretize(init, grid), pr.c)
     obj = solvers._Energy(pr, "global_minimize")
-    given = evaluate(u0, kernel_table(grid))
+    given = evaluate(u0)
     s = _critical_point(scalars(given, pr), "plus").s
     with pytest.raises(DomainError):
         dilate(u0, s)
     assert obj.start(given) is given
     rep = global_minimize(pr, grid, CFG, init)
-    direct = solvers._flow(evaluate(u0, kernel_table(grid)), obj, CFG)
+    direct = solvers._flow(evaluate(u0), obj, CFG)
     assert rep.converged and direct.error is None
     assert np.array_equal(rep.field.values, direct.pt.ev.u.values)
     assert rep.iters == direct.iters
@@ -386,7 +387,7 @@ def test_ladder_stacks_its_levels(p6_setup, ladder_reports):
     obj = solvers._FiberBranch(p6_setup, "lambda_branch_minimize[plus]", "plus")
 
     def level(u, grid):
-        run = solvers._flow(evaluate(u, kernel_table(grid)), obj, CFG)
+        run = solvers._flow(evaluate(u), obj, CFG)
         assert run.error is None
         return run
 
@@ -463,7 +464,7 @@ def test_ladder_refusal_falls_back_to_the_direct_solve(p6_setup, ladder_reports)
     grid = make_grid(16.0, 256)
     u0 = normalize(discretize(gaussian_on_branch(p6_setup, "minus"), grid), p6_setup.c)
     obj = solvers._FiberBranch(p6_setup, "lambda_branch_minimize[minus]", "minus")
-    direct = solvers._flow(evaluate(u0, kernel_table(grid)), obj, CFG)
+    direct = solvers._flow(evaluate(u0), obj, CFG)
     assert direct.error is None
     assert rep.objective == direct.pt.ev.F(p6_setup)
     assert np.array_equal(rep.field.values, direct.pt.ev.u.values)
@@ -520,7 +521,7 @@ def test_profile_too_fine_for_a_coarse_level_is_sampled_above_it():
     assert refused["n"] == 64 and "cutoff 40 exceeds" in refused["refused"]
     assert (fine["n"], fine["iters"]) == (128, 0)
     obj = solvers._Energy(pr, "global_minimize")
-    start = obj.start(evaluate(normalize(discretize(init, grid), pr.c), kernel_table(grid)))
+    start = obj.start(evaluate(normalize(discretize(init, grid), pr.c)))
     assert np.array_equal(exc.value.report.field.values, start.u.values)
 
 
@@ -539,8 +540,7 @@ def test_flow_pinned_at_the_cap_is_refused():
     # exhausted line search refuses the run with CapBoundaryError at the
     # last iterate, which sits at the cap.
     pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
-    table = kernel_table(make_grid(40.0, 64))
-    start = evaluate(discretize(ProfileSpec.gaussian(sigma=3.0), table.grid), table)
+    start = evaluate(discretize(ProfileSpec.gaussian(sigma=3.0), make_grid(40.0, 64)))
     cap = 1.01 * start.A
     run = solvers._flow(start, solvers._Energy(pr, "capped", cap), CFG)
     assert isinstance(run.error, CapBoundaryError)
@@ -604,6 +604,65 @@ def test_recenters_are_capped_at_eight(p6_setup, monkeypatch):
     assert exc.value.report.iters == 18
 
 
+def test_refused_recenter_reports_its_last_admissible_point(p6_setup, monkeypatch):
+    # A recenter that dilates by 3 in place of s concentrates plus_p6 past
+    # what the grid resolves.  The 64^2 level is refused, and the 128^2
+    # level, which admits one such recenter, refuses the second with a
+    # report on its last admissible point (it once raised with no report).
+    recenter = solvers._FiberBranch.recenter
+
+    def dilate_by_3(self, pt, stalled, recenters):
+        moved = recenter(self, pt, stalled, recenters)
+        return None if moved is None else normalize(dilate(pt.ev.u, 3.0), self.params.c)
+
+    monkeypatch.setattr(solvers._FiberBranch, "recenter", dilate_by_3)
+    with pytest.raises(GuardFloorError, match="recentered iterate is no longer "
+                       "admissible") as exc:
+        lambda_branch_minimize(p6_setup, make_grid(24.0, 128), CFG,
+                               gaussian_on_branch(p6_setup, "plus"), "plus")
+    report = exc.value.report
+    assert report is not None and not report.converged
+    coarse, fine = report.extras["levels"]
+    assert coarse["n"] == 64 and "no longer admissible" in coarse["refused"]
+    assert fine == {"n": 128, "iters": report.iters, "F": report.objective}
+    assert report.extras["recenters"] == 1
+    assert report.field.grid.n == 128
+    assert report.s_branch == pytest.approx(1.0 / 3.0, rel=0.01)
+
+
+def test_recenter_far_from_the_branch_point(p6_setup):
+    # A minus start of 0.6 times the on-branch width has its branch point
+    # s > 1.4: the |s - 1| > 0.4 rule of _FiberBranch.recenter moves it onto
+    # the branch and the flow converges to minus_p6.  Without the rule it
+    # stops with GuardFloorError.
+    spec = ProfileSpec.gaussian(sigma=0.1442, c=p6_setup.c)
+    rep = lambda_branch_minimize(p6_setup, make_grid(16.0, 256), CFG, spec, "minus")
+    assert rep.converged and rep.extras["recenters"] >= 1
+    assert rep.objective == pytest.approx(BENCH_256["minus_p6"][1], rel=1e-9)
+
+
+@pytest.mark.parametrize("solver, other", [
+    (global_minimize, Params(gamma=1.0, a=0.0, p=3.0, c=1.0)),
+    (local_minimize_capped, None),
+    (lambda_branch_minimize, None),
+], ids=["global_with_p3", "capped_with_other_c", "branch_with_other_c"])
+def test_a_regime_label_of_another_tuple_is_refused(solver, other, p6_setup):
+    # The GlobalMin label of (1, 0, 3, 1) once let global_minimize solve
+    # p6_setup, which has no global minimum, and certify it for p = 3; a
+    # label of 0.9 c passed as the label of c.
+    other = other or dataclasses.replace(p6_setup, c=0.9 * p6_setup.c)
+    label = regime_classify(other, sharp_constants(other.p))
+    args = (p6_setup, make_grid(24.0, 64), CFG, ProfileSpec.gaussian(sigma=1.5))
+    if solver is lambda_branch_minimize:
+        args += ("plus",)
+    with pytest.raises(ValueError, match=r"certifies \(gamma, a, p, c\) = "
+                       rf"\({other.gamma}, {other.a}, {other.p}, {other.c}\), not"):
+        solver(*args, regime=label)
+    if solver is global_minimize:
+        with pytest.raises(RegimeError):
+            solver(*args)
+
+
 def test_init_field_on_another_grid_is_refused():
     u = normalize(discretize(ProfileSpec.gaussian(sigma=1.5), make_grid(40.0, 64)), 1.0)
     with pytest.raises(ValueError, match="different grid"):
@@ -632,12 +691,12 @@ def _window_params(p, where):
 def _refusal_bound(pr, t2, monkeypatch):
     """The t*^2 A bound quoted by lambda_maximize's refusal, which must name
     T2 and build no kernel table."""
-    import planarsp.solvers as solvers
+    import planarsp.functionals as functionals
 
     def no_table(grid):
         raise AssertionError("the refusal must not build a kernel table")
 
-    monkeypatch.setattr(solvers, "kernel_table", no_table)
+    monkeypatch.setattr(functionals, "kernel_table", no_table)
     with pytest.raises(RegimeError, match="Pohozaev set is empty") as exc:
         lambda_maximize(pr, make_grid(40.0, 128), CFG,
                         ProfileSpec.gaussian(sigma=1.0), "minus")
@@ -699,11 +758,12 @@ def test_two_bump_probe_rejects_small_domain():
     with pytest.raises(DomainError, match="needs extent 61.5, grid has 20.0;"):
         two_bump_probe(Params(gamma=-25.0, a=70.0, p=3.0, c=1.0),
                        make_grid(20.0, 128), [1, 2, 3, 4, 5, 6, 7, 8])
-    # Just above T1 the lobe is wide: one lobe needs the full extent 80.6.
+    # At 2 T1 the limit of Q is negative and the lobe is wide: one pair of
+    # lobes needs the full extent 40.7.
     t1, _ = a_thresholds(3.0, -1.0, 1.0, kgn_estimate(3.0))
-    with pytest.raises(DomainError, match="needs extent 80.6, grid has 80.0;"):
-        two_bump_probe(Params(gamma=-1.0, a=1.01 * t1, p=3.0, c=1.0),
-                       make_grid(80.0, 256), [1])
+    with pytest.raises(DomainError, match="needs extent 40.7, grid has 40.0;"):
+        two_bump_probe(Params(gamma=-1.0, a=2.0 * t1, p=3.0, c=1.0),
+                       make_grid(40.0, 256), [1])
 
 
 @pytest.mark.parametrize("n", [2.7, True, "3", 0, -1])
@@ -715,11 +775,25 @@ def test_two_bump_probe_refuses_an_entry_that_is_not_a_positive_integer(n):
 
 def test_two_bump_probe_refuses_a_nonnegative_limit():
     # At 1.2 T1 the bump lobes cannot make the disjoint-support limit of Q
-    # negative: A - a (p-2)/p C + |gamma| c^2/4 = 0.155.
+    # negative: A - a (p-2)/p C + |gamma| c^2/4 = 0.155.  The limit needs
+    # only the stationary lobe, so it is refused before the geometry: [1, 2]
+    # once asked for extent 135.7, and 1.01 T1 for 80.6, on L = 80.
     t1, _ = a_thresholds(3.0, -1.0, 1.0, kgn_estimate(3.0))
-    with pytest.raises(RegimeError, match="two-bump limit Q = 0.1550 is nonnegative"):
+    for ratio, n_list, q in ((1.2, [1], "0.1550"), (1.2, [1, 2], "0.1550"),
+                             (1.01, [1], "0.1827")):
+        with pytest.raises(RegimeError, match=f"two-bump limit Q = {q} is nonnegative"):
+            two_bump_probe(Params(gamma=-1.0, a=ratio * t1, p=3.0, c=1.0),
+                           make_grid(80.0, 256), n_list)
+
+
+def test_two_bump_probe_refuses_a_lobe_wider_than_the_domain():
+    # A stationary lobe that reaches the boundary frame cannot give the
+    # limit of Q: the geometry is refused first.  Its radius is 8.27 at
+    # 1.2 T1, so it needs L > 8.27/0.39 = 21.2.
+    t1, _ = a_thresholds(3.0, -1.0, 1.0, kgn_estimate(3.0))
+    with pytest.raises(DomainError, match="needs extent 67.8, grid has 20.0;"):
         two_bump_probe(Params(gamma=-1.0, a=1.2 * t1, p=3.0, c=1.0),
-                       make_grid(80.0, 256), [1])
+                       make_grid(20.0, 256), [1])
 
 
 def _lobe_radius_oracle(params, m):
@@ -762,7 +836,7 @@ def test_two_bump_lobe_radius_minimizes_its_q_contribution(gamma, a_over_t1, L, 
 
     def q_part(radius):
         lobe, _ = lobes(grid, radius, 2.2 * radius, 1, (0.9, 0.1))
-        return evaluate(lobe, kernel_table(grid)).A - pr.a * (pr.p - 2.0) / pr.p * \
+        return evaluate(lobe).A - pr.a * (pr.p - 2.0) / pr.p * \
             pnorm(lobe, pr.p)
 
     assert q_part(0.95 * rho) > q_part(rho) < q_part(1.05 * rho)
