@@ -99,7 +99,7 @@ def _check_field_io() -> CheckResult:
 def _check_gaussian_closed_forms() -> CheckResult:
     grid = make_grid(40.0, 256)
     pr = Params(gamma=1.0, a=1.0, p=3.0, c=1.0)
-    ev = fn.evaluate(discretize(ProfileSpec.gaussian(sigma=1.0), grid))
+    ev = fn.Evaluation(discretize(ProfileSpec.gaussian(sigma=1.0), grid))
     errs = [
         abs(ev.A - 1.0),
         abs(ev.C(pr.p) - 2.0 / (3.0 * math.sqrt(math.pi)))
@@ -119,7 +119,7 @@ def _check_v1_gaussian() -> CheckResult:
     # error, 1.1e-4 at 256^2; its origin value off by 0.1 reads 6.2e-4.
     grid = make_grid(40.0, 256)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
-    err = abs(fn.evaluate(u).V1 - _V1_GAUSS_UNIT) / _V1_GAUSS_UNIT
+    err = abs(fn.Evaluation(u).V1 - _V1_GAUSS_UNIT) / _V1_GAUSS_UNIT
     return _result("v1_gaussian", err, 2.5e-4,
                    "V1 of the unit Gaussian at 256^2 matches "
                    "int_0^inf log(1+r) r exp(-r^2/2) dr, relative")
@@ -134,7 +134,7 @@ def _check_v2_bound() -> CheckResult:
                  ProfileSpec.ring(r0=4.0, sigma=1.0),
                  ProfileSpec.random_smooth(seed=5)):
         u = discretize(spec, grid)
-        ev = fn.evaluate(u)
+        ev = fn.Evaluation(u)
         ratio = ev.V2 / (math.sqrt(ev.A) * 1.0)
         worst = max(worst, ratio / kv2)
     return _result("v2_bound", worst, 1.0 + 1e-9,
@@ -152,7 +152,7 @@ def _check_gn_bound() -> CheckResult:
                      ProfileSpec.ring(r0=3.0, sigma=1.0),
                      ProfileSpec.random_smooth(seed=9)):
             u = discretize(spec, grid)
-            A = fn.evaluate(u).A
+            A = fn.Evaluation(u).A
             ratio = fn.pnorm(u, p) / (kgn * A ** (0.5 * p - 1.0) * mass(u))
             worst = max(worst, ratio)
     return _result("gn_bound", worst, 1.0 + 1e-4,
@@ -167,11 +167,11 @@ def _check_gradient_fd() -> CheckResult:
     for seed in (0, 1):
         u = discretize(ProfileSpec.random_smooth(seed=seed), grid)
         ph = discretize(ProfileSpec.random_smooth(seed=seed + 100), grid)
-        gval = fn.evaluate(u).grad(pr)
+        gval = fn.Evaluation(u).grad(pr)
         h2 = grid.h ** 2
         lhs = h2 * float(np.sum(gval * ph.values))
-        fp = fn.evaluate(Field(grid, u.values + eps * ph.values)).F(pr)
-        fm = fn.evaluate(Field(grid, u.values - eps * ph.values)).F(pr)
+        fp = fn.Evaluation(Field(grid, u.values + eps * ph.values)).F(pr)
+        fm = fn.Evaluation(Field(grid, u.values - eps * ph.values)).F(pr)
         worst = max(worst, abs((fp - fm) / (2 * eps) - lhs) / max(abs(lhs), 1e-12))
     return _result("gradient_fd", worst, 1e-5,
                    "central differences of F match <grad F, phi>")
@@ -182,7 +182,7 @@ def _check_far_field() -> CheckResult:
     worst = 0.0
     for spec in (ProfileSpec.gaussian(sigma=1.0), ProfileSpec.ring(r0=2.0, sigma=0.6)):
         u = discretize(spec, grid)
-        w = fn.evaluate(u).w
+        w = fn.Evaluation(u).w
         r = grid.radius()
         ring = (r >= 0.4 * grid.extent) & (r <= 0.45 * grid.extent)
         worst = max(worst, float(np.max(np.abs(w[ring]
@@ -196,7 +196,7 @@ def _check_translation_invariance() -> CheckResult:
     pr = Params(gamma=1.0, a=1.0, p=3.0, c=1.0)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
     v = shift(u, (9, -6))
-    e0, e1 = fn.evaluate(u), fn.evaluate(v)
+    e0, e1 = fn.Evaluation(u), fn.Evaluation(v)
     worst = max(abs(e0.A - e1.A), abs(e0.C(pr.p) - e1.C(pr.p)), abs(e0.V - e1.V),
                 abs(e0.F(pr) - e1.F(pr)))
     return _result("translation_invariance", worst, 1e-12,
@@ -206,10 +206,10 @@ def _check_translation_invariance() -> CheckResult:
 def _check_dilation_scaling() -> CheckResult:
     grid = make_grid(40.0, 256)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
-    e0 = fn.evaluate(u)
+    e0 = fn.Evaluation(u)
     worst = 0.0
     for t in (0.5, 2.0):
-        ev = fn.evaluate(dilate(u, t))
+        ev = fn.Evaluation(dilate(u, t))
         worst = max(worst, abs(ev.A / e0.A - t ** 2) / t ** 2,
                     abs(ev.C(3.0) / e0.C(3.0) - t) / t, abs(ev.V - e0.V + math.log(t)))
     return _result("dilation_scaling", worst, 1e-3,
@@ -238,7 +238,7 @@ def _check_gn_optimizer_bound() -> CheckResult:
     worst = 0.0
     for p in (2.5, 3.0, 3.5):
         sharp = K.sharp_constants(p)
-        ev = fn.evaluate(K.gn_profile_field(grid, p, 1.0))
+        ev = fn.Evaluation(K.gn_profile_field(grid, p, 1.0))
         t1, t2 = K.a_thresholds(p, -1.0, 1.0, sharp.kgn)
         for a in (t1, 0.5 * (t1 + t2)):
             pr = Params(gamma=-1.0, a=a, p=p, c=1.0)
@@ -290,7 +290,7 @@ def _check_log_kernel() -> CheckResult:
     grid = make_grid(16.0, 64)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
     closed = 0.5 * (math.log(2.0) - _EULER)
-    err = abs(fn.evaluate(u).V - closed) / closed
+    err = abs(fn.Evaluation(u).V - closed) / closed
     return _result("log_kernel_gaussian", err, 1e-12,
                    "V of the unit Gaussian at 64^2 matches (ln 2 - euler)/2, relative")
 

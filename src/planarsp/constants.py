@@ -170,17 +170,10 @@ class RadialGroundState:
         return np.maximum(out, 0.0)
 
 
-# The radial integration runs from just off the origin, where the -phi'/r
-# term is finite, to this radius, at these tolerances.  The end lies past
-# the decay radius of the profile down to p = 2.01 (r_decay = 75).
-_R_SPAN = (1e-8, 200.0)
-_RTOL, _ATOL = 1e-12, 1e-14
-
-
 class _Shot(NamedTuple):
     beta: float          # phi(0)
     sign: int            # -1 overshoot, +1 undershoot, 0 neither
-    steps: list          # (r, phi, phi') at each step end, from _R_SPAN[0]
+    steps: list          # (r, phi, phi') at the start and at each step end
     state: list          # phi, phi', mass, A, C at the last step end
 
     @property
@@ -194,34 +187,14 @@ class _Shot(NamedTuple):
 
 
 def _shoot(beta: float, p: float) -> _Shot:
-    """One shoot of the radial equation from phi(0) = beta.
-
-    Runs the DOP853 step loop of planarsp.dop853 and stops at the first
-    step end where phi <= 0 (checked first: sign -1, overshoot) or
-    phi' >= 0 (sign +1, undershoot); sign 0 if neither happens before
-    _R_SPAN[1].  The shot records r, phi and phi' at every step end it
-    passed and the whole state at the last one.  A state too large for a
-    float, or a failed DOP853 run (its step below its floor once
+    """One shoot of the radial equation from phi(0) = beta: the DOP853 loop
+    of planarsp.dop853, which owns the span, the tolerances and the stop
+    rule (sign -1 overshoot, +1 undershoot, 0 neither).  A state too large
+    for a float, or a failed DOP853 run (its step below its floor once
     beta^(p-1) is huge), raises ShootingError naming p and beta."""
     p = float(p)
-    r0 = _R_SPAN[0]
-    sign = 0
-    steps = []
-
-    def solout(r, phi, dphi):
-        nonlocal sign
-        steps.append((r, phi, dphi))
-        if r == r0:
-            return False   # the initial point, where phi' = 0
-        if phi <= 0.0:
-            sign = -1
-        elif dphi >= 0.0:
-            sign = +1
-        return sign != 0
-
     try:
-        code, state = radial_dop853(p, beta, r0, _R_SPAN[1], _RTOL, _ATOL,
-                                    solout)
+        code, sign, steps, state = radial_dop853(p, beta)
     except OverflowError as exc:
         raise ShootingError(f"radial shooting overflowed for p={p} from "
                             f"phi(0)={beta!r}: {exc}") from exc

@@ -25,7 +25,8 @@ tolerances given as scalars, safety factor 0.9, step ratio held in
 Lund stabilisation, at most 500 steps, rounding unit 2.3e-16 in the
 step-size floor.  Only phi and phi' enter the right-hand side, so only
 their stage values are formed, and the right-hand side is written out in
-each stage.  The notice of that translation:
+each stage.  The span, the tolerances and the stop rule of a shoot are
+this module's own: no caller sets them.  The notice of that translation:
 
     Copyright (C) 2025 SciPy developers
 
@@ -62,100 +63,15 @@ order: sums left to right, squares as products, powers through libm pow.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["radial_dop853"]
 
-# Nodes, weights and error weights of the 8(5,3) pair, as listed in DOP853.
-C2 = 0.526001519587677318785587544488e-01
-C3 = 0.789002279381515978178381316732e-01
-C4 = 0.118350341907227396726757197510e+00
-C5 = 0.281649658092772603273242802490e+00
-C6 = 0.333333333333333333333333333333e+00
-C7 = 0.25e+00
-C8 = 0.307692307692307692307692307692e+00
-C9 = 0.651282051282051282051282051282e+00
-C10 = 0.6e+00
-C11 = 0.857142857142857142857142857142e+00
-B1 = 5.42937341165687622380535766363e-2
-B6 = 4.45031289275240888144113950566e0
-B7 = 1.89151789931450038304281599044e0
-B8 = -5.8012039600105847814672114227e0
-B9 = 3.1116436695781989440891606237e-1
-B10 = -1.52160949662516078556178806805e-1
-B11 = 2.01365400804030348374776537501e-1
-B12 = 4.47106157277725905176885569043e-2
-BHH1 = 0.244094488188976377952755905512e+00
-BHH2 = 0.733846688281611857341361741547e+00
-BHH3 = 0.220588235294117647058823529412e-01
-ER1 = 0.1312004499419488073250102996e-01
-ER6 = -0.1225156446376204440720569753e+01
-ER7 = -0.4957589496572501915214079952e+00
-ER8 = 0.1664377182454986536961530415e+01
-ER9 = -0.3503288487499736816886487290e+00
-ER10 = 0.3341791187130174790297318841e+00
-ER11 = 0.8192320648511571246570742613e-01
-ER12 = -0.2235530786388629525884427845e-01
-A21 = 5.26001519587677318785587544488e-2
-A31 = 1.97250569845378994544595329183e-2
-A32 = 5.91751709536136983633785987549e-2
-A41 = 2.95875854768068491816892993775e-2
-A43 = 8.87627564304205475450678981324e-2
-A51 = 2.41365134159266685502369798665e-1
-A53 = -8.84549479328286085344864962717e-1
-A54 = 9.24834003261792003115737966543e-1
-A61 = 3.7037037037037037037037037037e-2
-A64 = 1.70828608729473871279604482173e-1
-A65 = 1.25467687566822425016691814123e-1
-A71 = 3.7109375e-2
-A74 = 1.70252211019544039314978060272e-1
-A75 = 6.02165389804559606850219397283e-2
-A76 = -1.7578125e-2
-A81 = 3.70920001185047927108779319836e-2
-A84 = 1.70383925712239993810214054705e-1
-A85 = 1.07262030446373284651809199168e-1
-A86 = -1.53194377486244017527936158236e-2
-A87 = 8.27378916381402288758473766002e-3
-A91 = 6.24110958716075717114429577812e-1
-A94 = -3.36089262944694129406857109825e0
-A95 = -8.68219346841726006818189891453e-1
-A96 = 2.75920996994467083049415600797e1
-A97 = 2.01540675504778934086186788979e1
-A98 = -4.34898841810699588477366255144e1
-A101 = 4.77662536438264365890433908527e-1
-A104 = -2.48811461997166764192642586468e0
-A105 = -5.90290826836842996371446475743e-1
-A106 = 2.12300514481811942347288949897e1
-A107 = 1.52792336328824235832596922938e1
-A108 = -3.32882109689848629194453265587e1
-A109 = -2.03312017085086261358222928593e-2
-A111 = -9.3714243008598732571704021658e-1
-A114 = 5.18637242884406370830023853209e0
-A115 = 1.09143734899672957818500254654e0
-A116 = -8.14978701074692612513997267357e0
-A117 = -1.85200656599969598641566180701e1
-A118 = 2.27394870993505042818970056734e1
-A119 = 2.49360555267965238987089396762e0
-A1110 = -3.0467644718982195003823669022e0
-A121 = 2.27331014751653820792359768449e0
-A124 = -1.05344954667372501984066689879e1
-A125 = -2.00087205822486249909675718444e0
-A126 = -1.79589318631187989172765950534e1
-A127 = 2.79488845294199600508499808837e1
-A128 = -2.85899827713502369474065508674e0
-A129 = -8.87285693353062954433549289258e0
-A1210 = 1.23605671757943030647266201528e1
-A1211 = 6.43392746015763530355970484046e-1
-
-# Every coefficient above, in order, for radial_dop853 to bind to locals.
-_TABLEAU = (C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, B1, B6, B7, B8,
-            B9, B10, B11, B12, BHH1, BHH2, BHH3, ER1, ER6, ER7, ER8,
-            ER9, ER10, ER11, ER12, A21, A31, A32, A41, A43, A51, A53,
-            A54, A61, A64, A65, A71, A74, A75, A76, A81, A84, A85, A86,
-            A87, A91, A94, A95, A96, A97, A98, A101, A104, A105, A106,
-            A107, A108, A109, A111, A114, A115, A116, A117, A118, A119,
-            A1110, A121, A124, A125, A126, A127, A128, A129, A1210,
-            A1211)
+# Every shoot runs from just off the origin, where the -phi'/r term is
+# finite, towards _R_END, past the decay radius of the profile down to
+# p = 2.01 (r_decay = 75), at these tolerances.
+_R0, _R_END = 1e-8, 200.0
+_RTOL, _ATOL = 1e-12, 1e-14
 
 # Step control at SciPy's defaults for dop853.
 _NMAX = 500                  # steps, accepted or rejected
@@ -168,31 +84,107 @@ _EXPO1 = 1.0 / 8.0
 _TWO_PI = 2.0 * math.pi
 
 
-def radial_dop853(p: float, beta: float, r0: float, r_end: float,
-                  rtol: float, atol: float,
-                  solout: Callable[[float, float, float], bool],
-                  ) -> Tuple[int, List[float]]:
-    """Integrate the radial equation from (phi, phi', mass, A, C) =
-    (beta, 0, 0, 0, 0) at r0 towards r_end > r0.
+def radial_dop853(p: float, beta: float,
+                  ) -> Tuple[int, int, List[Tuple[float, float, float]], List[float]]:
+    """Shoot the radial equation from (phi, phi', mass, A, C) =
+    (beta, 0, 0, 0, 0) at _R0 towards _R_END, and stop at the first
+    accepted step end where phi <= 0 (checked first: sign -1, an
+    overshoot) or phi' >= 0 (sign +1, an undershoot); sign 0 if neither
+    happens.
 
-    solout(r, phi, phi') is called at r0 and at every accepted step end;
-    a true return stops the run there.  Returns DOP853's code and the state
-    at the last step end.  The codes: 1 reached r_end, 2 stopped by
-    solout, -2 more than 500 steps needed, -3 step size too small.  A
-    power too large for a float raises OverflowError from the right-hand
-    side, as Python's float ** does."""
-    # The tableau and the math functions as locals, read by name in
-    # every stage.
-    (C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, B1, B6, B7, B8, B9, B10,
-     B11, B12, BHH1, BHH2, BHH3, ER1, ER6, ER7, ER8, ER9, ER10, ER11,
-     ER12, A21, A31, A32, A41, A43, A51, A53, A54, A61, A64, A65, A71,
-     A74, A75, A76, A81, A84, A85, A86, A87, A91, A94, A95, A96, A97,
-     A98, A101, A104, A105, A106, A107, A108, A109, A111, A114, A115,
-     A116, A117, A118, A119, A1110, A121, A124, A125, A126, A127, A128,
-     A129, A1210, A1211) = _TABLEAU
+    Returns DOP853's code, the sign, the step record (r, phi, phi') at _R0
+    and at every accepted step end, and the state at the last one.  The
+    codes: 1 reached _R_END, 2 stopped by the sign, -2 more than _NMAX
+    steps needed, -3 step size too small.  A power too large for a float
+    raises OverflowError from the right-hand side, as Python's float **
+    does."""
+    # Nodes, weights and error weights of the 8(5,3) pair, as in DOP853.
+    C2 = 0.526001519587677318785587544488e-01
+    C3 = 0.789002279381515978178381316732e-01
+    C4 = 0.118350341907227396726757197510e+00
+    C5 = 0.281649658092772603273242802490e+00
+    C6 = 0.333333333333333333333333333333e+00
+    C7 = 0.25e+00
+    C8 = 0.307692307692307692307692307692e+00
+    C9 = 0.651282051282051282051282051282e+00
+    C10 = 0.6e+00
+    C11 = 0.857142857142857142857142857142e+00
+    B1 = 5.42937341165687622380535766363e-2
+    B6 = 4.45031289275240888144113950566e0
+    B7 = 1.89151789931450038304281599044e0
+    B8 = -5.8012039600105847814672114227e0
+    B9 = 3.1116436695781989440891606237e-1
+    B10 = -1.52160949662516078556178806805e-1
+    B11 = 2.01365400804030348374776537501e-1
+    B12 = 4.47106157277725905176885569043e-2
+    BHH1 = 0.244094488188976377952755905512e+00
+    BHH2 = 0.733846688281611857341361741547e+00
+    BHH3 = 0.220588235294117647058823529412e-01
+    ER1 = 0.1312004499419488073250102996e-01
+    ER6 = -0.1225156446376204440720569753e+01
+    ER7 = -0.4957589496572501915214079952e+00
+    ER8 = 0.1664377182454986536961530415e+01
+    ER9 = -0.3503288487499736816886487290e+00
+    ER10 = 0.3341791187130174790297318841e+00
+    ER11 = 0.8192320648511571246570742613e-01
+    ER12 = -0.2235530786388629525884427845e-01
+    A21 = 5.26001519587677318785587544488e-2
+    A31 = 1.97250569845378994544595329183e-2
+    A32 = 5.91751709536136983633785987549e-2
+    A41 = 2.95875854768068491816892993775e-2
+    A43 = 8.87627564304205475450678981324e-2
+    A51 = 2.41365134159266685502369798665e-1
+    A53 = -8.84549479328286085344864962717e-1
+    A54 = 9.24834003261792003115737966543e-1
+    A61 = 3.7037037037037037037037037037e-2
+    A64 = 1.70828608729473871279604482173e-1
+    A65 = 1.25467687566822425016691814123e-1
+    A71 = 3.7109375e-2
+    A74 = 1.70252211019544039314978060272e-1
+    A75 = 6.02165389804559606850219397283e-2
+    A76 = -1.7578125e-2
+    A81 = 3.70920001185047927108779319836e-2
+    A84 = 1.70383925712239993810214054705e-1
+    A85 = 1.07262030446373284651809199168e-1
+    A86 = -1.53194377486244017527936158236e-2
+    A87 = 8.27378916381402288758473766002e-3
+    A91 = 6.24110958716075717114429577812e-1
+    A94 = -3.36089262944694129406857109825e0
+    A95 = -8.68219346841726006818189891453e-1
+    A96 = 2.75920996994467083049415600797e1
+    A97 = 2.01540675504778934086186788979e1
+    A98 = -4.34898841810699588477366255144e1
+    A101 = 4.77662536438264365890433908527e-1
+    A104 = -2.48811461997166764192642586468e0
+    A105 = -5.90290826836842996371446475743e-1
+    A106 = 2.12300514481811942347288949897e1
+    A107 = 1.52792336328824235832596922938e1
+    A108 = -3.32882109689848629194453265587e1
+    A109 = -2.03312017085086261358222928593e-2
+    A111 = -9.3714243008598732571704021658e-1
+    A114 = 5.18637242884406370830023853209e0
+    A115 = 1.09143734899672957818500254654e0
+    A116 = -8.14978701074692612513997267357e0
+    A117 = -1.85200656599969598641566180701e1
+    A118 = 2.27394870993505042818970056734e1
+    A119 = 2.49360555267965238987089396762e0
+    A1110 = -3.0467644718982195003823669022e0
+    A121 = 2.27331014751653820792359768449e0
+    A124 = -1.05344954667372501984066689879e1
+    A125 = -2.00087205822486249909675718444e0
+    A126 = -1.79589318631187989172765950534e1
+    A127 = 2.79488845294199600508499808837e1
+    A128 = -2.85899827713502369474065508674e0
+    A129 = -8.87285693353062954433549289258e0
+    A1210 = 1.23605671757943030647266201528e1
+    A1211 = 6.43392746015763530355970484046e-1
+
+    # The math functions, the span and the tolerances as locals too, read
+    # by name in every stage.
     copysign, sqrt, two_pi = math.copysign, math.sqrt, _TWO_PI
+    rtol, atol, r_end = _RTOL, _ATOL, _R_END
     pm1 = p - 1.0
-    x = r0
+    x = _R0
     y0, y1, y2, y3, y4 = beta, 0.0, 0.0, 0.0, 0.0
 
     # k1 = f(x, y); the phi component of every stage derivative is the
@@ -240,15 +232,14 @@ def radial_dop853(p: float, beta: float, r0: float, r_end: float,
         h1 = (0.01 / der12) ** (1.0 / 8)
     h = min(100 * abs(h), h1, hmax)
 
-    if solout(x, y0, y1):
-        return 2, [y0, y1, y2, y3, y4]
+    steps = [(x, y0, y1)]
     last = reject = False
     nstep = 0
     while True:
         if nstep > _NMAX:
-            return -2, [y0, y1, y2, y3, y4]
+            return -2, 0, steps, [y0, y1, y2, y3, y4]
         if 0.1 * abs(h) <= abs(x) * _UROUND:
-            return -3, [y0, y1, y2, y3, y4]
+            return -3, 0, steps, [y0, y1, y2, y3, y4]
         if x + 1.01 * h - r_end > 0.0:
             h = r_end - x
             last = True
@@ -430,10 +421,13 @@ def radial_dop853(p: float, beta: float, r0: float, r_end: float,
             m1 = tau * y0 * y0
             a1 = tau * y1 * y1
             c1 = tau * au ** p
-            if solout(x, y0, y1):
-                return 2, [y0, y1, y2, y3, y4]
+            steps.append((x, y0, y1))
+            if y0 <= 0.0:
+                return 2, -1, steps, [y0, y1, y2, y3, y4]
+            if y1 >= 0.0:
+                return 2, +1, steps, [y0, y1, y2, y3, y4]
             if last:
-                return 1, [y0, y1, y2, y3, y4]
+                return 1, 0, steps, [y0, y1, y2, y3, y4]
             if abs(hnew) > hmax:
                 hnew = hmax
             if reject:

@@ -27,7 +27,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .functionals import Evaluation, Params, evaluate, require_mass
+from .functionals import Evaluation, Params, require_mass
 from .grid import Field, boundary_mass_fraction, mass
 
 __all__ = [
@@ -93,7 +93,7 @@ class BranchPoint:
 def scalars(u: Union[Field, Evaluation], params: Params) -> FiberScalars:
     """Fiber invariants of a field, on its grid's kernel table, or of its
     evaluation.  Requires mass(u) = params.c to 1e-8 relative."""
-    ev = u if isinstance(u, Evaluation) else evaluate(u)
+    ev = u if isinstance(u, Evaluation) else Evaluation(u)
     require_mass(ev.u, params.c)
     return FiberScalars(A=ev.A, C=ev.C(params.p), V=ev.V, params=params)
 

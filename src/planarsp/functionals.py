@@ -39,7 +39,7 @@ padded kernel transform as its (n+1) x (n+1) quadrant, half the padded
 n+1..2n-1 by the quadrant's rows n-1..1 read backwards.  V1, with the
 kernel log(1+|z|), is a cusp and no singularity; it keeps the sampled
 kernel with the exact cell average at the origin (a fixed Gauss-Legendre
-rule over the polar angle, see _origin_cell_average), and V2 = V1 - V, so
+rule over the polar angle, see _log1p_origin_average), and V2 = V1 - V, so
 V = V1 - V2 holds by construction.
 
 Only the log interaction is non-local, so only it pays for the padded
@@ -52,13 +52,13 @@ is never read takes no inverse transform.  w consumes the padded spectrum
 of u^2: V and V1 are read from it first, then it is multiplied by the
 kernel in place and carried through the inverse.
 
-Every quantity of a field is read from its Evaluation (built by
-evaluate(u)), which computes each on first use and keeps it, on its
-grid's kernel table.  kinetic, log_potential, energy, grad_energy,
-lagrange_multiplier, pohozaev_residual and el_residual are views of a
-fresh one, kept for the benchmark harness, which calls them by name with
-a table; they refuse one of another grid until ROADMAP item 1b deletes
-them.  Only this module knows the padded 2n x 2n layout.
+Every quantity of a field u is read from its Evaluation(u), which
+computes each on first use and keeps it, on its grid's kernel table.
+kinetic, log_potential, energy, grad_energy, lagrange_multiplier,
+pohozaev_residual and el_residual are views of a fresh one, kept for the
+benchmark harness, which calls them by name with a table; they refuse one
+of another grid until ROADMAP item 1b deletes them.  Only this module
+knows the padded 2n x 2n layout.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ __all__ = [
     "KernelTable",
     "kernel_table",
     "Evaluation",
-    "evaluate",
     "smooth_direction",
     "prolong",
     "kinetic",
@@ -123,32 +122,19 @@ class EnergyBreakdown:
 _ORIGIN_NODES = 16
 
 
-def _gauss_legendre(f, a: float, b: float, n: int) -> float:
-    """Integral of the vectorized f over [a, b] by the n-node
-    Gauss-Legendre rule."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(a + half * (1.0 + x))))
-
-
-def _r_log1p(R):
-    """int_0^R r log(1+r) dr."""
-    return 0.5 * R * R * np.log1p(R) - 0.25 * R * R + 0.5 * (R - np.log1p(R))
-
-
-def _origin_cell_average(inner, h: float) -> float:
-    """Average over one grid cell [-h/2, h/2]^2 of a radial function f(|z|),
-    given inner(R) = int_0^R f(r) r dr in closed form.
+def _log1p_origin_average(h: float) -> float:
+    """Average of log(1+|z|) over the grid cell [-h/2, h/2]^2.
 
     The cell is eight copies of the polar triangle 0 <= theta <= pi/4,
-    r <= (h/2)/cos(theta), so the average is (8/h^2) times the integral of
-    inner((h/2)/cos(theta)) over [0, pi/4], taken by the fixed
-    _ORIGIN_NODES-node Gauss-Legendre rule.
-    """
-    s = 0.5 * h
-    outer = _gauss_legendre(lambda theta: inner(s / np.cos(theta)),
-                            0.0, 0.25 * np.pi, _ORIGIN_NODES)
-    return 8.0 * outer / (h * h)
+    r <= R = (h/2)/cos(theta), so the average is (8/h^2) times the
+    integral over [0, pi/4] of int_0^R r log(1+r) dr = R^2 log(1+R)/2 -
+    R^2/4 + (R - log(1+R))/2, taken by the fixed _ORIGIN_NODES-node
+    Gauss-Legendre rule."""
+    x, w = np.polynomial.legendre.leggauss(_ORIGIN_NODES)
+    half = 0.125 * np.pi   # half-width of [0, pi/4]
+    R = 0.5 * h / np.cos(half * (1.0 + x))
+    inner = 0.5 * R * R * np.log1p(R) - 0.25 * R * R + 0.5 * (R - np.log1p(R))
+    return 8.0 * (half * float(np.dot(w, inner))) / (h * h)
 
 
 # J0 and J1 by two methods: Miller's backward recurrence from order
@@ -263,7 +249,7 @@ def _log1p_window(n: int, h: float) -> np.ndarray:
     d = h * np.arange(n + 1)
     window = np.hypot(d[:, None], d[None, :])
     np.log1p(window, out=window)
-    window[0, 0] = _origin_cell_average(_r_log1p, h)
+    window[0, 0] = _log1p_origin_average(h)
     return window
 
 
@@ -593,11 +579,6 @@ class Evaluation:
         return float(defect / (1.0 + gnorm + abs(lam) * np.sqrt(mass(self.u))))
 
 
-def evaluate(u: Field) -> Evaluation:
-    """The (lazy) evaluation of u, on its own grid's kernel table."""
-    return Evaluation(u)
-
-
 def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:
     """Inverse-Helmholtz (1 - beta Delta)^-1 applied spectrally on the
     periodic n x n grid: the Sobolev-metric representation of a gradient
@@ -655,7 +636,7 @@ def _view(u: Field, table: Optional[KernelTable]) -> Evaluation:
     if table is not None and table.grid != u.grid:
         raise GridMismatchError(f"field on {u.grid} evaluated with the kernel "
                                 f"table of {table.grid}")
-    return evaluate(u)
+    return Evaluation(u)
 
 
 def kinetic(u: Field, table: Optional[KernelTable] = None) -> float:

@@ -86,7 +86,7 @@ from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
 from .fiber import (FiberScalars, _critical_point, _q_scale, dilate, g as fiber_g,
                     phi, scalars, t_star)
-from .functionals import (EnergyBreakdown, Evaluation, Params, evaluate, pnorm, prolong,
+from .functionals import (EnergyBreakdown, Evaluation, Params, pnorm, prolong,
                           smooth_direction)
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
                    normalize, _two_bump_lobes)
@@ -186,24 +186,6 @@ class SolveReport:
         return out
 
 
-def _sampler(init: Union[ProfileSpec, Field], grid: Grid,
-             c: float) -> Callable[[Grid], Field]:
-    """The start of a solve on grid as a function of the grid it is wanted
-    on, grid or a coarser one of the same extent, normalized to mass c.  A
-    profile is discretized on that grid; a field, which must live on grid,
-    is injected onto its nodes (every other node per halving)."""
-    if isinstance(init, ProfileSpec):
-        return lambda g: normalize(discretize(init, g), c)
-    if init.grid != grid:
-        raise ValueError("init field lives on a different grid")
-    u0 = normalize(init, c)
-
-    def inject(g: Grid) -> Field:
-        step = grid.n // g.n
-        return u0 if step == 1 else normalize(Field(g, u0.values[::step, ::step]), c)
-    return inject
-
-
 def gaussian_on_branch(params: Params, branch: str) -> ProfileSpec:
     """Gaussian profile whose fiber critical point of the requested branch
     sits at s = 1 (up to discretization).
@@ -272,10 +254,13 @@ class _Objective:
     given, whose kernel table each field evaluated there reads itself.
 
     Subclasses define point(ev): the point of an evaluated field, or None
-    when the field is not admissible, and start_refusal(ev): the error that
-    refuses an inadmissible start.  The hooks default to an objective
-    with no invariant orbit, no recentering and no refusal of a failed line
-    search."""
+    when the field is not admissible; start_refusal(ev): the error that
+    refuses an inadmissible start; refusal(pt, guard_rejects): the error
+    that refuses the flow when no trial step was accepted, or None; and
+    annotate(report, pt, recenters): the objective's own fields of a
+    report, recenters summed over levels.  The other hooks default to an
+    objective that starts and stops where it is given, with no invariant
+    orbit and no recentering."""
 
     def __init__(self, params: Params, mode: str):
         self.params, self.mode = params, mode
@@ -296,13 +281,6 @@ class _Objective:
     def settle(self, pt: _Point) -> _Point:
         """The point to certify once the flow stops."""
         return pt
-
-    def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
-        """The error that refuses the flow when no trial step was accepted."""
-        return None
-
-    def annotate(self, report: SolveReport, pt: _Point, recenters: int) -> None:
-        """Objective-specific fields of a report, recenters summed over levels."""
 
 
 class _Energy(_Objective):
@@ -334,7 +312,7 @@ class _Energy(_Objective):
                 raise DomainError(f"{self.mode}: initial field is above the kinetic cap "
                                   f"and its fiber minimum does not fit: {err}") from err
             return ev
-        return evaluate(u)
+        return Evaluation(u)
 
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
         return RegimeError(f"{self.mode}: initial field is not admissible: its "
@@ -408,7 +386,7 @@ class _FiberBranch(_Objective):
         # data of the flow's last point.
         if abs(pt.s - 1.0) <= 1e-9:
             return pt
-        ev = evaluate(normalize(dilate(pt.ev.u, pt.s), self.params.c))
+        ev = Evaluation(normalize(dilate(pt.ev.u, pt.s), self.params.c))
         return self.point(ev) or replace(pt, ev=ev)
 
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
@@ -480,7 +458,7 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig) -> _Run:
             break
         moved = obj.recenter(pt, res < _TOL_GRAD, recenters)
         if moved is not None:
-            pt_moved = obj.point(evaluate(moved))
+            pt_moved = obj.point(Evaluation(moved))
             if pt_moved is None:
                 return _Run(pt, it, recenters, trace, GuardFloorError(
                     f"{mode}: recentered iterate is no longer admissible"))
@@ -521,7 +499,7 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig) -> _Run:
         guard_rejects = 0
         for _ in range(60):
             v = normalize(Field(u.grid, u.values - step * d), c)
-            pt_v = obj.point(evaluate(v))
+            pt_v = obj.point(Evaluation(v))
             if pt_v is None:
                 guard_rejects += 1
             elif pt.value - pt_v.value >= _ARMIJO * step * slope:
@@ -553,12 +531,20 @@ def _flow(start: Evaluation, obj: _Objective, cfg: SolverConfig) -> _Run:
 _LADDER_FLOOR = 64
 
 
-def _ladder(grid: Grid, sample: Callable[[Grid], Field], obj: _Objective,
+def _ladder(grid: Grid, init: Union[ProfileSpec, Field], obj: _Objective,
             cfg: SolverConfig, regime: K.RegimeLabel) -> SolveReport:
     """Flow obj on grid and the grids of n/2, n/4, ... down to _LADDER_FLOOR
     (module docstring), and certify the result once, on grid.  A level
-    flows from obj.start of sample(its grid) unless the level below it
-    converged; a ConvergenceError of grid's own flow carries the report."""
+    flows from obj.start of its sample of init, normalized to mass c,
+    unless the level below it converged: a profile is discretized on the
+    level's grid, a field, which must live on grid, is injected onto its
+    nodes (every other node per halving).  A ConvergenceError of grid's
+    own flow carries the report."""
+    c = obj.params.c
+    if not isinstance(init, ProfileSpec):
+        if init.grid != grid:
+            raise ValueError("init field lives on a different grid")
+        init = normalize(init, c)
     grids = [grid]
     while grids[0].n >= 2 * _LADDER_FLOOR:
         grids.insert(0, Grid(grid.extent, grids[0].n // 2))
@@ -569,9 +555,13 @@ def _ladder(grid: Grid, sample: Callable[[Grid], Field], obj: _Objective,
     levels: List[dict] = []
 
     def start(level: Grid) -> Evaluation:
-        if below is None:
-            return obj.start(evaluate(sample(level)))
-        return evaluate(normalize(prolong(below, level), obj.params.c))
+        if below is not None:
+            return Evaluation(normalize(prolong(below, level), c))
+        if isinstance(init, ProfileSpec):
+            return obj.start(Evaluation(normalize(discretize(init, level), c)))
+        step = grid.n // level.n
+        u = init if step == 1 else normalize(Field(level, init.values[::step, ::step]), c)
+        return obj.start(Evaluation(u))
 
     for level in grids:
         try:
@@ -639,8 +629,7 @@ def global_minimize(params: Params, grid: Grid, config: SolverConfig,
     another (gamma, a, p, c) is a ValueError); it is classified here
     otherwise."""
     regime = _regime_for(global_minimize, params, "a bounded-below regime", regime)
-    return _ladder(grid, _sampler(init, grid, params.c),
-                   _Energy(params, "global_minimize"), config, regime)
+    return _ladder(grid, init, _Energy(params, "global_minimize"), config, regime)
 
 
 def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
@@ -654,8 +643,7 @@ def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
     CapBoundaryError.  regime as for global_minimize."""
     regime = _regime_for(local_minimize_capped, params,
                          "gamma > 0, a > 0, p > 4, c < c0", regime)
-    return _ladder(grid, _sampler(init, grid, params.c),
-                   _Energy(params, "local_minimize_capped", K.k0(params)),
+    return _ladder(grid, init, _Energy(params, "local_minimize_capped", K.k0(params)),
                    config, regime)
 
 
@@ -671,14 +659,12 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
         raise ValueError(f"unknown branch {branch!r}")
     regime = _regime_for(lambda_branch_minimize, params,
                          "gamma > 0, a > 0, p > 4, c < c0", regime)
-    return _ladder(grid, _sampler(init, grid, params.c),
+    return _ladder(grid, init,
                    _FiberBranch(params, f"lambda_branch_minimize[{branch}]", branch),
                    config, regime)
 
 
-def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
-                    init: Optional[Union[ProfileSpec, Field]],
-                    branch: str = "minus") -> NoReturn:
+def lambda_maximize(params: Params, branch: str = "minus") -> NoReturn:
     """Refuse the critical points on the Pohozaev set that the source paper
     claims for gamma < 0, a > 0, p < 4 and T1 <= a < T2.
 
@@ -686,8 +672,7 @@ def lambda_maximize(params: Params, grid: Grid, config: SolverConfig,
     for every field, so the Pohozaev set is empty and there is nothing to
     maximize (see constants.regime_classify).  Raises ValueError for an
     unknown branch, else RegimeError quoting the certificate's conditions.
-    grid, config and init are not used: no kernel table and no field is
-    built."""
+    No kernel table and no field is built."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
     regime = K.regime_classify(params, K.sharp_constants(params.p))
@@ -757,7 +742,7 @@ def two_bump_probe(params: Params, grid: Grid,
 
     def lobe_scalars(lobe: Field) -> FiberScalars:
         # V enters neither phi nor t_star.
-        return FiberScalars(A=evaluate(lobe).A, C=pnorm(lobe, p), V=0.0,
+        return FiberScalars(A=Evaluation(lobe).A, C=pnorm(lobe, p), V=0.0,
                             params=params)
 
     rho0 = 0.3 * grid.extent
@@ -786,7 +771,7 @@ def two_bump_probe(params: Params, grid: Grid,
     out: List[TwoBumpPoint] = []
     for n in n_list:
         u, v = _two_bump_lobes(grid, rho, R, n, masses)
-        ev = evaluate(u + v)
+        ev = Evaluation(u + v)
         # Disjoint supports: Q's terms add, the spreading lobe's scaled by n.
         q_pred = phi(FiberScalars(A=sc_u.A + sc_v.A * n ** -2.0,
                                   C=sc_u.C + sc_v.C * float(n) ** (2.0 - p),

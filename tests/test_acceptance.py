@@ -25,11 +25,11 @@ from planarsp import (Params, ProfileSpec, RegimeError, SolverConfig,
                       local_minimize_capped, make_grid,
                       masscritical_probe, phi, pnorm, two_bump_probe)
 from planarsp.constants import (a_thresholds, c0, c_edges, gaussian_rayleigh_quotient,
-                                gn_profile_field, ground_state_radial,
+                                ground_state_radial,
                                 kgn_estimate, mass_critical_threshold,
                                 regime_classify, sharp_constants)
 from planarsp.fiber import FiberScalars
-from planarsp.functionals import evaluate, kernel_table
+from planarsp.functionals import Evaluation, kernel_table
 from planarsp.grid import Field
 from planarsp.solvers import gaussian_on_branch
 
@@ -77,14 +77,14 @@ def test_criterion_1_scaling_laws(grid512):
     t0 = time.monotonic()
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid512)
     table = kernel_table(grid512)
-    A0, C0, V0 = kinetic(u, table), pnorm(u, 3.0), evaluate(u).V
+    A0, C0, V0 = kinetic(u, table), pnorm(u, 3.0), Evaluation(u).V
     worst_rel, worst_abs = 0.0, 0.0
     for t in (0.5, 2.0):
         v = dilate(u, t)
         worst_rel = max(worst_rel,
                         abs(kinetic(v, table) / A0 - t ** 2) / t ** 2,
                         abs(pnorm(v, 3.0) / C0 - t) / t)
-        worst_abs = max(worst_abs, abs(evaluate(v).V - V0 + math.log(t)))
+        worst_abs = max(worst_abs, abs(Evaluation(v).V - V0 + math.log(t)))
     elapsed = time.monotonic() - t0
     ok = worst_rel < 1e-3 and worst_abs < 1e-3 and elapsed < 30.0
     report(1, ok, f"dilation scaling laws at 512^2: rel {worst_rel:.2e}, "
@@ -99,7 +99,7 @@ def test_criterion_2_gaussian_closed_forms(grid512):
     worst = 0.0
     for c in (1.0, 2.0):
         u = discretize(ProfileSpec.gaussian(sigma=1.0, c=c), grid512)
-        A, C, V = kinetic(u, table), pnorm(u, 3.0), evaluate(u).V
+        A, C, V = kinetic(u, table), pnorm(u, 3.0), Evaluation(u).V
         worst = max(worst,
                     abs(A - c) / c,
                     abs(C - 2.0 * c ** 1.5 / (3.0 * math.sqrt(math.pi)))
@@ -266,12 +266,8 @@ def test_criterion_10b_two_solutions_gamma_negative():
     p = 3.0
     t1, t2 = a_thresholds(p, -1.0, 1.0, kgn_estimate(p))
     pr = Params(gamma=-1.0, a=0.5 * (t1 + t2), p=p, c=1.0)
-    grid = make_grid(40.0, 256)
-    init = gn_profile_field(grid, p, 1.0)
-    cfg = SolverConfig(max_iter=8000)
     try:
-        reps = [lambda_maximize(pr, grid, cfg, init, branch)
-                for branch in ("minus", "plus")]
+        reps = [lambda_maximize(pr, branch) for branch in ("minus", "plus")]
     except RegimeError as exc:
         report("10b", False, f"gamma<0 pair unattainable as specified: {exc}")
         raise AssertionError(

@@ -25,6 +25,19 @@ def test_classify_ok(capsys):
     assert "kgn" in payload["certificate"]
 
 
+def test_classify_mass_critical_prints_its_threshold(capsys):
+    # At p = 4 with a > 0 the thresholds carry 2/(a K_GN), the very float
+    # the certificate compares c with.
+    assert run_cli(["classify", "--gamma", "1", "--a", "1", "--p", "4",
+                    "--c", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tag"] == "GlobalMinMassCritical"
+    threshold = payload["thresholds"]["mass_critical_c"]
+    assert float.hex(threshold) == float.hex(
+        payload["certificate"]["mass_critical_threshold"])
+    assert threshold == K.mass_critical_threshold(1.0, K.kgn_estimate(4.0))
+
+
 def test_classify_lambda_empty(capsys):
     assert run_cli(["classify", "--gamma", "-1", "--a", "0.01", "--p", "2.5",
                     "--c", "1"]) == 0
@@ -455,6 +468,23 @@ def test_sweep_refuses_empty_or_infinite_lattice(tmp_path, capsys, bounds):
                     "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: sweep")
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--p", "3", "--a-min", "1", "--a-max", "2", "--c-min", "1", "--c-max", "2"],
+     "sweep requires gamma and p"),
+    (["--gamma", "1", "--a-min", "1", "--a-max", "2", "--c-min", "1", "--c-max", "2"],
+     "sweep requires gamma and p"),
+    (["--gamma", "-1", "--p", "3", "--a-min", "0", "--a-max", "2", "--c-min", "1",
+      "--c-max", "2"], "sweep over a requires positive couplings for gamma < 0"),
+    (["--gamma", "1", "--p", "3", "--a-min", "1", "--a-max", "2", "--c-min", "0",
+      "--c-max", "2"], "sweep masses must be positive"),
+], ids=["no_gamma", "no_p", "nonpositive_a_for_negative_gamma", "nonpositive_c"])
+def test_sweep_refuses_bad_parameters(tmp_path, capsys, args, message):
+    out = tmp_path / "sw"
+    assert run_cli(["sweep", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert not out.exists()
 
 
 def test_sweep_refuses_before_writing(tmp_path):

@@ -101,6 +101,33 @@ def test_failed_dop853_shoot_raises():
     assert C._shoot(2.0, 30.0).sign == -1
 
 
+def test_shoot_that_settles_no_sign_ends_at_r_end(monkeypatch):
+    # Ended short of any sign change, a shoot reaches r_end on its last
+    # step, returns code 1 and sign 0, and its record runs from r0.
+    import planarsp.constants as C
+    import planarsp.dop853 as D
+
+    monkeypatch.setattr(D, "_R_END", 0.5)
+    code, sign, steps, state = D.radial_dop853(3.0, 2.0)
+    assert (code, sign) == (1, 0)
+    assert steps[0] == (D._R0, 2.0, 0.0)
+    assert steps[-1][0] == 0.5 and steps[-1][1:] == tuple(state[:2])
+    assert steps[-1][1] > 0.0 > steps[-1][2]
+    shot = C._shoot(2.0, 3.0)
+    assert shot.sign == 0 and shot.steps == steps and shot.state == state
+
+
+def test_shoot_past_the_step_cap_is_refused(monkeypatch):
+    # A shoot that needs more than _NMAX steps is DOP853's return code -2.
+    import planarsp.constants as C
+    import planarsp.dop853 as D
+
+    monkeypatch.setattr(D, "_NMAX", 3)
+    with pytest.raises(ShootingError, match=r"failed for p=3.0 from phi\(0\)=2.0: "
+                                            r"DOP853 return code -2$"):
+        C._shoot(2.0, 3.0)
+
+
 # phi(0) and K_GN as computed when every shoot ran SciPy 1.17.1's compiled
 # dop853; planarsp.dop853 reproduces them bit for bit, whatever scipy is
 # installed.
@@ -374,12 +401,12 @@ def test_kv2_deterministic():
 
 
 def test_kv2_dominates_single_gaussian():
-    from planarsp.functionals import evaluate, kinetic
+    from planarsp.functionals import Evaluation, kinetic
     from planarsp.grid import ProfileSpec, discretize
 
     grid = make_grid(40.0, 128)
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
-    single = evaluate(u).V2 / math.sqrt(kinetic(u))
+    single = Evaluation(u).V2 / math.sqrt(kinetic(u))
     assert kv2_estimate(grid) >= single
 
 

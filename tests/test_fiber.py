@@ -8,7 +8,7 @@ from planarsp import (BranchPoint, DomainError, FiberScalars, MassMismatchError,
                       Params, ProfileSpec, RegimeError, critical_points, ddg, dg,
                       dilate, discretize, g, make_grid, mass, normalize,
                       phi, project_to_lambda, scalars, t_star)
-from planarsp.functionals import evaluate, kinetic
+from planarsp.functionals import Evaluation, kinetic
 
 P6 = Params(gamma=1.0, a=1.0, p=6.0, c=1.0)
 SC6 = FiberScalars(A=1.0, C=1.0, V=0.0, params=P6)
@@ -245,7 +245,7 @@ def test_dilate_identity(gauss256):
 
 def test_dilate_scaling_laws(gauss256):
     A0 = kinetic(gauss256)
-    V0 = evaluate(gauss256).V
+    V0 = Evaluation(gauss256).V
     from planarsp.functionals import pnorm
 
     C0 = pnorm(gauss256, 3.0)
@@ -254,7 +254,7 @@ def test_dilate_scaling_laws(gauss256):
         assert mass(v) == pytest.approx(1.0, rel=1e-4)
         assert kinetic(v) / A0 == pytest.approx(t ** 2, rel=1e-3)
         assert pnorm(v, 3.0) / C0 == pytest.approx(t, rel=1e-3)
-        assert evaluate(v).V - V0 == pytest.approx(-math.log(t), abs=1e-3)
+        assert Evaluation(v).V - V0 == pytest.approx(-math.log(t), abs=1e-3)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -275,7 +275,7 @@ def test_dilate_scaling_laws_on_drawn_profiles(grid256, t, p, spec):
     assert mass(v) == pytest.approx(c, rel=1e-4)
     assert kinetic(v) / kinetic(u) == pytest.approx(t ** 2, rel=1e-3)
     assert pnorm(v, p) / pnorm(u, p) == pytest.approx(t ** (p - 2.0), rel=1e-3)
-    assert evaluate(v).V - evaluate(u).V == pytest.approx(-c * c * math.log(t), abs=1e-3)
+    assert Evaluation(v).V - Evaluation(u).V == pytest.approx(-c * c * math.log(t), abs=1e-3)
 
 
 @pytest.mark.parametrize("spec", [
@@ -341,6 +341,12 @@ def test_project_to_lambda_absent_branch(gauss256):
     pr = Params(gamma=-1.0, a=-1.0, p=3.0, c=1.0)
     with pytest.raises(RegimeError):
         project_to_lambda(gauss256, pr, "plus")
+
+
+def test_project_to_lambda_refuses_an_unknown_branch(gauss256):
+    pr = Params(gamma=1.0, a=1.0, p=6.0, c=1.0)
+    with pytest.raises(ValueError, match="unknown branch 'sideways'"):
+        project_to_lambda(gauss256, pr, "sideways")
 
 
 def test_branch_point_sign_validation():

@@ -19,8 +19,8 @@ from planarsp import (Field, GridMismatchError, Params, ProfileSpec, discretize,
                       pnorm, pohozaev_residual, shift)
 from planarsp import constants as K
 from planarsp import functionals, solvers
-from planarsp.functionals import (_bessel_j01, _origin_cell_average, _r_log1p,
-                                  evaluate, kernel_table, prolong, smooth_direction)
+from planarsp.functionals import (Evaluation, _bessel_j01, _log1p_origin_average,
+                                  kernel_table, prolong, smooth_direction)
 
 from conftest import EULER, V_GAUSS_UNIT, padded_kernel, padded_reference
 
@@ -66,7 +66,7 @@ def test_zero_field_functionals(grid128):
     z = Field(grid128, np.zeros((128, 128)))
     assert kinetic(z) == 0.0
     assert pnorm(z, 3.0) == 0.0
-    ev = evaluate(z)
+    ev = Evaluation(z)
     assert ev.V == 0.0
     assert ev.V1 == 0.0
     assert ev.V2 == 0.0
@@ -130,7 +130,7 @@ def test_log_potential_far_field(gauss256):
 
 
 def test_gaussian_V_closed_form_and_quadrature_oracle(gauss256):
-    V = evaluate(gauss256).V
+    V = Evaluation(gauss256).V
     assert V == pytest.approx(V_GAUSS_UNIT, rel=1e-12)
     # independent route: radial quadrature of the same integral
     oracle = radial_V_oracle(lambda r: np.exp(-r * r) / np.pi)
@@ -144,7 +144,7 @@ def test_gaussian_V_is_spectrally_accurate(n, extent, sigma, c):
     # u^2 is resolved to rounding from 64^2 up, so V is the closed form
     # c^2 (V_GAUSS_UNIT + log sigma) to rounding.
     u = discretize(ProfileSpec.gaussian(sigma=sigma, c=c), make_grid(extent, n))
-    assert evaluate(u).V == pytest.approx(c * c * (V_GAUSS_UNIT + math.log(sigma)),
+    assert Evaluation(u).V == pytest.approx(c * c * (V_GAUSS_UNIT + math.log(sigma)),
                                        rel=1e-12)
 
 
@@ -154,7 +154,7 @@ def test_v_split_identity(grid128):
                  ProfileSpec.random_smooth(seed=4),
                  ProfileSpec.gaussian(sigma=0.5, center=(2.0, -3.0))):
         u = discretize(spec, grid128)
-        ev = evaluate(u)
+        ev = Evaluation(u)
         V, V1, V2 = ev.V, ev.V1, ev.V2
         assert V1 >= 0.0 and V2 >= 0.0
         assert abs(V - (V1 - V2)) < 1e-15 * (1.0 + abs(V1) + abs(V2))
@@ -200,21 +200,21 @@ def test_gradient_matches_finite_differences(grid128):
 
 
 def test_pohozaev_Q_gaussian_value(gauss256):
-    assert evaluate(gauss256).Q(PR3) == pytest.approx(0.624625, abs=1e-3)
+    assert Evaluation(gauss256).Q(PR3) == pytest.approx(0.624625, abs=1e-3)
 
 
 def test_pohozaev_Q_uses_prescribed_mass(gauss256):
     # Q depends on params.c, not the field's own mass
     pr_big = Params(gamma=1.0, a=1.0, p=3.0, c=2.0)
-    q1 = evaluate(gauss256).Q(PR3)
-    q2 = evaluate(gauss256).Q(pr_big)
+    q1 = Evaluation(gauss256).Q(PR3)
+    q2 = Evaluation(gauss256).Q(pr_big)
     assert q1 - q2 == pytest.approx(0.25 * (4.0 - 1.0), rel=1e-12)
 
 
 def test_pohozaev_Q_zero_couplings(gauss256):
     pr = Params(gamma=0.0, a=0.0, p=3.0, c=1.0)
-    assert evaluate(gauss256).Q(pr) == pytest.approx(kinetic(gauss256), rel=1e-12)
-    assert evaluate(gauss256).Q(pr) >= 0.0
+    assert Evaluation(gauss256).Q(pr) == pytest.approx(kinetic(gauss256), rel=1e-12)
+    assert Evaluation(gauss256).Q(pr) >= 0.0
 
 
 def test_lagrange_multiplier_gaussian(gauss256):
@@ -248,8 +248,8 @@ def test_gradient_is_its_one_expression_form_bit_for_bit(n, kind, gamma, a, p):
     else:
         u = Field(grid, np.random.default_rng(n).standard_normal((n, n)))
     params = Params(gamma=gamma, a=a, p=p, c=1.0)
-    ref = evaluate(u)
-    ev = evaluate(u)
+    ref = Evaluation(u)
+    ev = Evaluation(u)
     for s in (1.0, 0.7, 1.3):
         assert np.array_equal(ev.grad(params, s), _grad_one_expression(ref, params, s)), s
     # The in-place sums leave the kept w, -Delta u and gradient as they
@@ -257,7 +257,7 @@ def test_gradient_is_its_one_expression_form_bit_for_bit(n, kind, gamma, a, p):
     assert np.array_equal(ev.w, ref.w)
     assert np.array_equal(ev.neg_lap, ref.neg_lap)
     lam = ev.lam(params)
-    assert ev.el_residual(params, lam) == evaluate(u).el_residual(params, lam)
+    assert ev.el_residual(params, lam) == Evaluation(u).el_residual(params, lam)
 
 
 def test_lagrange_multiplier_zero_field(grid128):
@@ -270,8 +270,8 @@ def test_pohozaev_residual_matches_Q_at_constraint_mass(gauss256):
     # reduces to |Q| up to its normalization
     lam = lagrange_multiplier(gauss256, PR3)
     res = pohozaev_residual(gauss256, PR3, lam)
-    q = evaluate(gauss256).Q(PR3)
-    V = evaluate(gauss256).V
+    q = Evaluation(gauss256).Q(PR3)
+    V = Evaluation(gauss256).V
     den = 1.0 + abs(lam) * mass(gauss256) + abs(PR3.gamma) * abs(V)
     assert res == pytest.approx(abs(q) / den, rel=1e-6)
     assert res > 1e-2  # a non-solution Gaussian is far from stationarity
@@ -297,7 +297,7 @@ def _quad_cell_average(f, h):
 def test_kernel_origin_closed_form():
     # The origin weight of the sampled log(1+r) kernel is its cell average.
     for h in (0.15625, 0.078125, 0.3):
-        assert _origin_cell_average(_r_log1p, h) == pytest.approx(
+        assert _log1p_origin_average(h) == pytest.approx(
             _quad_cell_average(np.log1p, h), abs=1e-14)
 
 
@@ -315,7 +315,7 @@ def test_v2_one_sided_bound(grid128):
               (make_grid(240.0, 256), ProfileSpec.gaussian(sigma=20.0))]
     for grid, spec in cases:
         u = discretize(spec, grid)
-        ev = evaluate(u)
+        ev = Evaluation(u)
         assert ev.V2 <= K * math.sqrt(ev.A) * spec.c ** 1.5 + 1e-12
 
 
@@ -336,7 +336,7 @@ def test_gn_one_sided_bound(grid128):
 def test_star_norm_gaussian(gauss256):
     # integral log(1+r) u^2 for the unit Gaussian, radial quadrature oracle
     oracle, _ = quad(lambda r: 2.0 * r * np.exp(-r * r) * np.log1p(r), 0.0, 20.0)
-    assert evaluate(gauss256).star_norm == pytest.approx(oracle, rel=2e-3)
+    assert Evaluation(gauss256).star_norm == pytest.approx(oracle, rel=2e-3)
 
 
 def _periodic_kinetic(u):
@@ -361,7 +361,7 @@ def test_evaluation_matches_padded_reference(which, gauss256, grid128):
         # column included.
         u = Field(grid128, np.random.default_rng(0).standard_normal((128, 128)))
     table = kernel_table(u.grid)
-    ev = evaluate(u)
+    ev = Evaluation(u)
     want_A = _periodic_kinetic(u)
     assert abs(ev.A - want_A) <= 1e-13 * abs(want_A)
     for got, want in zip((ev.V, ev.V1, ev.V2), padded_reference(u, table)[1:]):
@@ -404,7 +404,7 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     kept = {name: array.copy() for name, array in vars(table).items()
             if isinstance(array, np.ndarray)}
     assert {"k2", "khat_log"} <= kept.keys()
-    ev = evaluate(u)
+    ev = Evaluation(u)
     before = (ev.V, ev.V1, ev.V2)
     spec_u = ev.spec_u.copy()
     direction = u.values[::-1].copy()
@@ -428,7 +428,7 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     assert np.array_equal(ev.spec_u, spec_u)
     for name, array in kept.items():
         assert np.array_equal(getattr(table, name), array), name
-    ev_after = evaluate(u)
+    ev_after = Evaluation(u)
     ev_after.w  # read before V, V1 and V2
     assert (ev_after.V, ev_after.V1, ev_after.V2) == before
 
@@ -437,7 +437,7 @@ def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
     table = kernel_table(gauss128.grid)
     regime = K.regime_classify(PR3, K.sharp_constants(PR3.p))
     fft_counts.update(dict.fromkeys(fft_counts, 0))
-    ev = evaluate(gauss128)
+    ev = Evaluation(gauss128)
     ev.F(PR3)  # an Armijo trial point: A and V by Parseval
     # One n x n forward of u and one pruned padded forward of u^2 (an rfftn
     # and an fftn), and no inverse transform.
@@ -636,7 +636,7 @@ def test_table_and_certification_memory(gauss256, grid256):
     # before it builds its other terms (5.58 MiB with those terms alive
     # while w is formed); the bound leaves 7.9% above it.
     def certify():
-        ev = evaluate(gauss256)
+        ev = Evaluation(gauss256)
         ev.F(PR3)
         ev.grad(PR3)
         ev.breakdown(PR3)
@@ -650,7 +650,7 @@ def test_table_and_certification_memory(gauss256, grid256):
     # (5.58 MiB with its other terms built before w); the bound leaves 7.8%
     # above it.
     def gradient():
-        evaluate(gauss256).grad(PR3)
+        Evaluation(gauss256).grad(PR3)
 
     gradient()
     _, peak, _ = _traced(gradient)
@@ -659,7 +659,7 @@ def test_table_and_certification_memory(gauss256, grid256):
 
 def test_spectral_tail_of_the_zero_field_is_refused(grid128):
     with pytest.raises(ValueError, match="spectral tail of the zero field is undefined"):
-        evaluate(Field(grid128, np.zeros((128, 128)))).spectral_tail
+        Evaluation(Field(grid128, np.zeros((128, 128)))).spectral_tail
 
 
 @pytest.mark.parametrize("which", ["gauss128", "random_smooth", "white_noise"])
@@ -675,4 +675,4 @@ def test_spectral_tail_is_the_norm_above_half_nyquist(which, gauss128, grid128):
     power = np.abs(np.fft.fft2(u.values)) ** 2
     above = q[:, None] ** 2 + q[None, :] ** 2 > (n / 4) ** 2
     want = math.sqrt(np.sum(power[above]) / np.sum(power))
-    assert evaluate(u).spectral_tail == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert Evaluation(u).spectral_tail == pytest.approx(want, rel=1e-12, abs=1e-15)

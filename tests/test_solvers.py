@@ -14,7 +14,7 @@ from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
                                 kgn_estimate, mass_critical_threshold, regime_classify,
                                 sharp_constants)
 from planarsp.fiber import _critical_point
-from planarsp.functionals import evaluate, kernel_table, prolong
+from planarsp.functionals import Evaluation, kernel_table, prolong
 from planarsp.solvers import gaussian_on_branch
 
 from conftest import padded_reference
@@ -119,7 +119,7 @@ def test_energy_start_is_its_fiber_minimum(case, p6_setup):
     grid = make_grid(extent, 64)
     obj = solvers._Energy(params, "start",
                           None if case == "ground_state_p3" else k0(params))
-    given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=1.5), grid),
+    given = Evaluation(normalize(discretize(ProfileSpec.gaussian(sigma=1.5), grid),
                                params.c))
     start = obj.start(given)
     assert abs(start.Q(params)) <= 1e-3 * abs(given.Q(params))
@@ -133,12 +133,26 @@ def test_capped_start_above_the_cap_is_pulled_inside(p6_setup):
     cap = k0(p6_setup)
     grid = make_grid(24.0, 64)
     obj = solvers._Energy(p6_setup, "start", cap)
-    given = evaluate(normalize(discretize(ProfileSpec.gaussian(sigma=0.4), grid),
+    given = Evaluation(normalize(discretize(ProfileSpec.gaussian(sigma=0.4), grid),
                                p6_setup.c))
     assert given.A > 0.9 * cap
     assert obj.start(given).A < cap
     rep = local_minimize_capped(p6_setup, grid, CFG, ProfileSpec.gaussian(sigma=0.4))
     assert rep.converged and rep.extras["cap_interior"]
+
+
+def test_capped_flow_refuses_a_start_above_the_cap(p6_setup):
+    # The flow itself takes no start with A >= k0 (the solvers hand it the
+    # start's fiber minimum instead), and its refusal names both.
+    cap = k0(p6_setup)
+    start = Evaluation(normalize(discretize(ProfileSpec.gaussian(sigma=0.4),
+                                            make_grid(24.0, 64)), p6_setup.c))
+    A = start.A
+    assert A >= cap
+    with pytest.raises(RegimeError, match="capped: initial field is not admissible: "
+                       f"its A = {A:.6g} is not below the kinetic cap "
+                       f"k0 = {cap:.6g}$"):
+        solvers._flow(start, solvers._Energy(p6_setup, "capped", cap), CFG)
 
 
 def test_start_whose_fiber_minimum_leaks_is_kept():
@@ -150,13 +164,13 @@ def test_start_whose_fiber_minimum_leaks_is_kept():
     init = ProfileSpec.gaussian(sigma=1.0, center=(7.0, 0.0))
     u0 = normalize(discretize(init, grid), pr.c)
     obj = solvers._Energy(pr, "global_minimize")
-    given = evaluate(u0)
+    given = Evaluation(u0)
     s = _critical_point(scalars(given, pr), "plus").s
     with pytest.raises(DomainError):
         dilate(u0, s)
     assert obj.start(given) is given
     rep = global_minimize(pr, grid, CFG, init)
-    direct = solvers._flow(evaluate(u0), obj, CFG)
+    direct = solvers._flow(Evaluation(u0), obj, CFG)
     assert rep.converged and direct.error is None
     assert np.array_equal(rep.field.values, direct.pt.ev.u.values)
     assert rep.iters == direct.iters
@@ -167,12 +181,12 @@ def test_certificate_reads_the_flow_gradient(choquard_report):
     # Euler-Lagrange certificate read from it is bit-identical to one
     # computed from a fresh gradient.
     pr, rep = choquard_report
-    ev = evaluate(rep.field)
+    ev = Evaluation(rep.field)
     grad = ev.grad(pr)
     assert ev.grad(pr) is grad and not grad.flags.writeable
     lam = ev.lam(pr)
     vals, h2 = rep.field.values, rep.field.grid.h ** 2
-    fresh = (evaluate(rep.field).neg_lap + pr.gamma * evaluate(rep.field).w * vals
+    fresh = (Evaluation(rep.field).neg_lap + pr.gamma * Evaluation(rep.field).w * vals
              - pr.a * np.abs(vals) ** (pr.p - 2.0) * vals)
     defect = np.sqrt(h2 * np.sum((fresh + lam * vals) ** 2))
     want = float(defect / (1.0 + np.sqrt(h2 * np.sum(fresh * fresh))
@@ -228,7 +242,7 @@ def test_kinetic_off_the_padded_domain(request, name):
     # at most 1e-9 relative.
     u = _descent_report(request, name).field
     want = padded_reference(u, kernel_table(u.grid))[0]
-    assert abs(evaluate(u).A - want) <= 1e-9 * want
+    assert abs(Evaluation(u).A - want) <= 1e-9 * want
 
 
 def test_global_minimize_translation_robust(choquard_report):
@@ -387,7 +401,7 @@ def test_ladder_stacks_its_levels(p6_setup, ladder_reports):
     obj = solvers._FiberBranch(p6_setup, "lambda_branch_minimize[plus]", "plus")
 
     def level(u, grid):
-        run = solvers._flow(evaluate(u), obj, CFG)
+        run = solvers._flow(Evaluation(u), obj, CFG)
         assert run.error is None
         return run
 
@@ -464,7 +478,7 @@ def test_ladder_refusal_falls_back_to_the_direct_solve(p6_setup, ladder_reports)
     grid = make_grid(16.0, 256)
     u0 = normalize(discretize(gaussian_on_branch(p6_setup, "minus"), grid), p6_setup.c)
     obj = solvers._FiberBranch(p6_setup, "lambda_branch_minimize[minus]", "minus")
-    direct = solvers._flow(evaluate(u0), obj, CFG)
+    direct = solvers._flow(Evaluation(u0), obj, CFG)
     assert direct.error is None
     assert rep.objective == direct.pt.ev.F(p6_setup)
     assert np.array_equal(rep.field.values, direct.pt.ev.u.values)
@@ -521,7 +535,7 @@ def test_profile_too_fine_for_a_coarse_level_is_sampled_above_it():
     assert refused["n"] == 64 and "cutoff 40 exceeds" in refused["refused"]
     assert (fine["n"], fine["iters"]) == (128, 0)
     obj = solvers._Energy(pr, "global_minimize")
-    start = obj.start(evaluate(normalize(discretize(init, grid), pr.c)))
+    start = obj.start(Evaluation(normalize(discretize(init, grid), pr.c)))
     assert np.array_equal(exc.value.report.field.values, start.u.values)
 
 
@@ -540,7 +554,7 @@ def test_flow_pinned_at_the_cap_is_refused():
     # exhausted line search refuses the run with CapBoundaryError at the
     # last iterate, which sits at the cap.
     pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
-    start = evaluate(discretize(ProfileSpec.gaussian(sigma=3.0), make_grid(40.0, 64)))
+    start = Evaluation(discretize(ProfileSpec.gaussian(sigma=3.0), make_grid(40.0, 64)))
     cap = 1.01 * start.A
     run = solvers._flow(start, solvers._Energy(pr, "capped", cap), CFG)
     assert isinstance(run.error, CapBoundaryError)
@@ -678,8 +692,7 @@ def test_init_field_on_another_grid_is_refused():
 def test_lambda_maximize_below_threshold_refused():
     pr = Params(gamma=-1.0, a=0.5, p=3.0, c=1.0)
     with pytest.raises(RegimeError):
-        lambda_maximize(pr, make_grid(40.0, 128), CFG,
-                        ProfileSpec.gaussian(sigma=1.0))
+        lambda_maximize(pr)
 
 
 def _window_params(p, where):
@@ -698,8 +711,7 @@ def _refusal_bound(pr, t2, monkeypatch):
 
     monkeypatch.setattr(functionals, "kernel_table", no_table)
     with pytest.raises(RegimeError, match="Pohozaev set is empty") as exc:
-        lambda_maximize(pr, make_grid(40.0, 128), CFG,
-                        ProfileSpec.gaussian(sigma=1.0), "minus")
+        lambda_maximize(pr, "minus")
     bound = (pr.a / t2) ** (2.0 / (4.0 - pr.p)) * k0(pr)
     assert f"T2 = {t2}" in str(exc.value)
     assert f"k0 = {bound}" in str(exc.value)
@@ -725,8 +737,7 @@ def test_lambda_maximize_threshold_refused(monkeypatch):
 def test_lambda_maximize_unknown_branch_is_refused_first():
     pr, _ = _window_params(3.0, "mid")
     with pytest.raises(ValueError):
-        lambda_maximize(pr, make_grid(40.0, 128), CFG,
-                        ProfileSpec.gaussian(sigma=1.0), "sideways")
+        lambda_maximize(pr, "sideways")
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 3.5])
@@ -836,7 +847,7 @@ def test_two_bump_lobe_radius_minimizes_its_q_contribution(gamma, a_over_t1, L, 
 
     def q_part(radius):
         lobe, _ = lobes(grid, radius, 2.2 * radius, 1, (0.9, 0.1))
-        return evaluate(lobe).A - pr.a * (pr.p - 2.0) / pr.p * \
+        return Evaluation(lobe).A - pr.a * (pr.p - 2.0) / pr.p * \
             pnorm(lobe, pr.p)
 
     assert q_part(0.95 * rho) > q_part(rho) < q_part(1.05 * rho)
