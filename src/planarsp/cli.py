@@ -15,8 +15,9 @@ and a report.json is itself accepted as --config, so `solve --config
 report.json` replays the run.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(a grid too coarse for the start included), 3 non-convergence (report
-still written), 4 regime refusal.
+(a grid too coarse for the start, and an output path that cannot be
+written, included), 3 non-convergence (report still written), 4 regime
+refusal.
 
 classify, sweep, constants and --help run on the standard library alone:
 the handlers that need numpy import it, and the modules built on it,
@@ -65,13 +66,14 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
-    """A copy of one config section, which must be a JSON object."""
+def _section(cfg: dict, name: str, **flags) -> dict:
+    """A copy of one config section, which must be a JSON object, with each
+    flag given (not None) written over its key."""
     section = cfg.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object, "
                           f"got {section!r}")
-    return dict(section)
+    return {**section, **{k: v for k, v in flags.items() if v is not None}}
 
 
 def _number(where: str, value) -> float:
@@ -96,11 +98,7 @@ _PARAM_KEYS = ("gamma", "a", "p", "c")
 def _given_params(cfg: dict, args) -> dict:
     """The parameters the flags or the config's params section give, each
     flag over its key, each value checked as a number (a null included)."""
-    section = _section(cfg, "params")
-    for key in _PARAM_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            section[key] = val
+    section = _section(cfg, "params", **{k: getattr(args, k) for k in _PARAM_KEYS})
     return {k: _number(f"params.{k}", section[k]) for k in _PARAM_KEYS
             if k in section}
 
@@ -119,11 +117,7 @@ def _merged_params(cfg: dict, args) -> Params:
 def _merged_grid(cfg: dict, args) -> Grid:
     from .grid import make_grid
 
-    section = _section(cfg, "grid")
-    if getattr(args, "grid_L", None) is not None:
-        section["L"] = args.grid_L
-    if getattr(args, "grid_n", None) is not None:
-        section["n"] = args.grid_n
+    section = _section(cfg, "grid", L=args.grid_L, n=args.grid_n)
     L = _number("grid.L", section.get("L", 40.0))
     n = _integer("grid.n", section.get("n", 256))
     try:
@@ -135,26 +129,19 @@ def _merged_grid(cfg: dict, args) -> Grid:
 def _merged_solver(cfg: dict, args) -> SolverConfig:
     from .solvers import SolverConfig
 
-    section = _section(cfg, "solver")
-    if getattr(args, "trace", False):
-        section["trace"] = True
+    # --trace can only switch tracing on: without it the config's value holds.
+    section = _section(cfg, "solver", trace=args.trace or None)
     try:
         return SolverConfig(**section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver config: {exc}") from exc
 
 
-_PROFILE_INTEGERS = ("scale", "seed", "cutoff")
-
-
 def _merged_profile(cfg: dict, args, c: float) -> ProfileSpec:
-    from .grid import ProfileSpec
+    from .grid import _PROFILE_INTEGERS, ProfileSpec
 
-    section = _section(cfg, "profile")
+    section = _section(cfg, "profile", kind=args.profile, sigma=args.sigma)
     kind = section.pop("kind", "gaussian")
-    kind = getattr(args, "profile", None) or kind
-    if getattr(args, "sigma", None) is not None:
-        section["sigma"] = args.sigma
     section["c"] = c
     for key, val in section.items():
         where = f"profile.{key}"
@@ -336,8 +323,7 @@ def cmd_sweep(args) -> int:
 
 def _profile_given(cfg: dict, args) -> bool:
     """Whether the config or the flags say anything about the profile."""
-    return ("profile" in cfg or getattr(args, "profile", None) is not None
-            or getattr(args, "sigma", None) is not None)
+    return "profile" in cfg or args.profile is not None or args.sigma is not None
 
 
 def cmd_solve(args) -> int:
@@ -353,43 +339,31 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"unknown branch {branch!r}")
     sharp = K.sharp_constants(params.p)
     label = K.regime_classify(params, sharp)
-    solvers = REGIME_SOLVERS.get(label.tag)
-    spec = None
-    if solvers is not None:
-        # A branch solve with no profile given starts on its branch.
-        if branch != "auto" and solvers[1] is not None and not _profile_given(cfg, args):
-            spec = gaussian_on_branch(params, branch)
-        else:
-            spec = _merged_profile(cfg, args, params.c)
+    if label.tag not in REGIME_SOLVERS:
+        raise RegimeError(f"no solver applies: regime {label.tag}; "
+                          f"{'; '.join(label.certificate['conditions'])}")
+    minimize, on_branch = REGIME_SOLVERS[label.tag]
+    # A branch solve with no profile given starts on its branch.
+    if branch != "auto" and on_branch is not None and not _profile_given(cfg, args):
+        spec = gaussian_on_branch(params, branch)
+    else:
+        spec = _merged_profile(cfg, args, params.c)
+    if branch != "auto" and on_branch is None:
+        raise RegimeError(f"branch {branch!r} does not apply: regime "
+                          f"{label.tag} has no fiber branches")
+    config = {
+        "params": dataclasses.asdict(params),
+        "grid": {"L": grid.extent, "n": grid.n},
+        "solver": dataclasses.asdict(solver_cfg),
+        "profile": dataclasses.asdict(spec),
+        "branch": branch,
+    }
 
-    def run():
-        if solvers is None:
-            raise RegimeError(
-                f"no solver applies: regime {label.tag}; "
-                f"{'; '.join(label.certificate['conditions'])}"
-            )
-        # The solvers take the label rather than classify params again.
-        minimize, on_branch = solvers
-        if branch == "auto":
-            return minimize(params, grid, solver_cfg, spec, regime=label)
-        if on_branch is None:
-            raise RegimeError(f"branch {branch!r} does not apply: regime "
-                              f"{label.tag} has no fiber branches")
-        return on_branch(params, grid, solver_cfg, spec, branch, regime=label)
-
-    def write_outputs(report, exit_code):
+    def write_outputs(report):
         out = _outdir(args)
         write_field(report.field, out / "solution.lpf")
         payload = report.summary()
-        payload["config"] = {
-            "params": {"gamma": params.gamma, "a": params.a,
-                       "p": params.p, "c": params.c},
-            "grid": {"L": grid.extent, "n": grid.n},
-            "solver": dataclasses.asdict(solver_cfg),
-            "branch": branch,
-        }
-        if spec is not None:
-            payload["config"]["profile"] = dataclasses.asdict(spec)
+        payload["config"] = config
         payload["constants"] = _constants_payload(params, params.p)
         text = _dumps(payload)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -403,17 +377,20 @@ def cmd_solve(args) -> int:
                              f"{row.C:.12g},{row.V:.12g}\n")
         print(f"wrote {out / 'report.json'} (converged={report.converged}, "
               f"F={report.objective:.8g})")
-        return exit_code
 
+    # The solvers take the label rather than classify params again.
     try:
-        report = run()
+        if branch == "auto":
+            report = minimize(params, grid, solver_cfg, spec, regime=label)
+        else:
+            report = on_branch(params, grid, solver_cfg, spec, branch, regime=label)
     except ConvergenceError as exc:
         if exc.report is not None:
-            write_outputs(exc.report, EXIT_NO_CONVERGENCE)
+            write_outputs(exc.report)
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    return write_outputs(report, EXIT_OK if report.converged
-                         else EXIT_NO_CONVERGENCE)
+    write_outputs(report)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -433,7 +410,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, grid=False, output=False):
+def _add_common(sub, grid=False, output=False, profile=False):
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--gamma", type=float, help="interaction sign/strength")
     sub.add_argument("--a", type=float, help="local nonlinearity coupling")
@@ -444,6 +421,10 @@ def _add_common(sub, grid=False, output=False):
         sub.add_argument("--grid-n", type=int, help="nodes per side (power of two)")
     if output:
         sub.add_argument("--out", help="output directory (default: cwd)")
+    if profile:
+        sub.add_argument("--profile", choices=["gaussian", "ring", "two_bump",
+                                               "random_smooth"], help="profile kind")
+        sub.add_argument("--sigma", type=float, help="profile width")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,10 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_constants)
 
     s = subs.add_parser("fiber", help="fiber-map curves to CSV")
-    _add_common(s, grid=True, output=True)
-    s.add_argument("--profile", choices=["gaussian", "ring", "two_bump",
-                                         "random_smooth"], help="profile kind")
-    s.add_argument("--sigma", type=float, help="profile width")
+    _add_common(s, grid=True, output=True, profile=True)
     s.add_argument("--t-min", type=float, help="lower end of the t range")
     s.add_argument("--t-max", type=float, help="upper end of the t range")
     s.set_defaults(handler=cmd_fiber)
@@ -482,13 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_sweep)
 
     s = subs.add_parser("solve", help="run the regime-appropriate solver")
-    _add_common(s, grid=True, output=True)
+    _add_common(s, grid=True, output=True, profile=True)
     s.add_argument("--branch", choices=["plus", "minus", "auto"],
                    help="fiber branch for two-solution regimes (default: the "
                         "config's, else auto)")
-    s.add_argument("--profile", choices=["gaussian", "ring", "two_bump",
-                                         "random_smooth"], help="init profile")
-    s.add_argument("--sigma", type=float, help="init width")
     s.add_argument("--trace", action="store_true",
                    help="write per-iteration trace.csv")
     s.set_defaults(handler=cmd_solve)
@@ -515,6 +490,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

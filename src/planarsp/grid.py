@@ -179,6 +179,10 @@ def shift(u: Field, offset: Tuple[int, int]) -> Field:
 # ---------------------------------------------------------------------------
 
 
+# The ProfileSpec fields that must be integers.
+_PROFILE_INTEGERS = ("scale", "seed", "cutoff")
+
+
 @dataclass(frozen=True)
 class ProfileSpec:
     """Recipe for a synthetic test profile with prescribed mass c.
@@ -208,7 +212,7 @@ class ProfileSpec:
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("profile mass c must be positive")
-        for name in ("scale", "seed", "cutoff"):
+        for name in _PROFILE_INTEGERS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"profile {name} must be an integer, got {value!r}")

@@ -143,7 +143,10 @@ class TraceRow:
 
 @dataclass
 class SolveReport:
-    """Converged field plus diagnostics and certificates."""
+    """Converged field plus diagnostics and certificates.
+
+    A solver returns only a converged report; an unconverged one rides on
+    the ConvergenceError it raises, as its report attribute."""
 
     field: Field
     breakdown: EnergyBreakdown

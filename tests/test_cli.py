@@ -352,6 +352,15 @@ def test_corrupt_config_exits_2(tmp_path):
     assert run_cli(["classify", "--config", str(cfg)]) == 2
 
 
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1]")
+    assert run_cli(["classify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: config file must contain a JSON object\n"
+
+
 def test_fiber_csv(tmp_path, capsys):
     out = tmp_path / "fib"
     assert run_cli(["fiber", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
@@ -435,6 +444,16 @@ def test_sweep_band_structure(tmp_path):
         a, c, tag = r.split(",")
         by_a.setdefault(a, set()).add(tag)
     assert all(len(tags) == 1 for tags in by_a.values())
+
+
+def test_sweep_one_point_axis_is_a_min(tmp_path):
+    out = tmp_path / "sw"
+    assert run_cli(["sweep", "--gamma", "1", "--p", "3", "--a-min", "0.3",
+                    "--a-max", "2", "--na", "1", "--c-min", "1", "--c-max", "2",
+                    "--nc", "3", "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(float(row.split(",")[0]) == 0.3 for row in rows)
 
 
 def test_sweep_bad_bounds_exit_2(tmp_path):
@@ -734,13 +753,15 @@ _PARAMS = {"gamma": 1, "a": 0, "p": 3, "c": 1}
     ({"grid": {"n": 128.9}}, "grid.n"),
     ({"profile": {"sigma": "1.5"}}, "profile.sigma"),
     ({"profile": {"center": [0, "0"]}}, "profile.center"),
+    ({"profile": {"center": [0]}}, "profile.center must be a pair"),
     ({"profile": {"kind": "random_smooth", "seed": 1.5}}, "profile.seed"),
     ({"profile": {"kind": "random_smooth", "cutoff": 0}}, "cutoff"),
     ({"profile": {"kind": "random_smooth", "cutoff": 65}}, "cutoff"),
+    ({"branch": "up"}, "unknown branch 'up'"),
 ], ids=["params_not_object", "grid_not_object", "solver_not_object",
         "profile_not_object", "bool_gamma", "string_a", "string_L", "bool_n",
-        "fractional_n", "string_sigma", "string_center", "fractional_seed",
-        "zero_cutoff", "cutoff_above_nyquist"])
+        "fractional_n", "string_sigma", "string_center", "short_center",
+        "fractional_seed", "zero_cutoff", "cutoff_above_nyquist", "unknown_branch"])
 def test_solve_refuses_malformed_config(tmp_path, capsys, cfg, key):
     # Every value is checked, not coerced: True is not 1, "1" is not 1,
     # 128.9 is not 128, a cutoff of 0 is not 1, and a cutoff above n/2 = 64
@@ -758,7 +779,8 @@ def test_solve_refuses_malformed_config(tmp_path, capsys, cfg, key):
     ({"p": 3, "gamma": True}, "params.gamma"),
     ({"p": 3, "gamma": 1, "a": "1", "c": 1}, "params.a"),
     ({"p": 3, "gamma": 1, "a": 1, "c": -1}, "mass c"),
-], ids=["partial_bool_gamma", "full_string_a", "full_negative_c"])
+    ({"gamma": 1, "a": 1, "c": 1}, "constants requires an exponent p"),
+], ids=["partial_bool_gamma", "full_string_a", "full_negative_c", "no_p"])
 def test_constants_refuses_malformed_params(tmp_path, capsys, params, key):
     # A partial parameter set is fine for constants; a malformed one is not.
     code = run_cli(["constants", "--config",
@@ -767,6 +789,32 @@ def test_constants_refuses_malformed_params(tmp_path, capsys, params, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "below_a_file"])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--gamma", "1", "--p", "3", "--a-min", "1", "--a-max", "2",
+     "--na", "2", "--c-min", "1", "--c-max", "2", "--nc", "2"],
+    ["fiber", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1", "--grid-n", "64"],
+], ids=["sweep", "fiber"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, under):
+    # An --out that is a file, or lies below one, cannot be a directory.
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert run_cli([*command, "--out", str(blocker / under)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
+def test_solve_unwritable_report_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    assert run_cli(["solve", "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
+                    "--grid-n", "64", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "report.json" in err and "Traceback" not in err
+    assert (out / "solution.lpf").is_file()
 
 
 def test_config_accepts_integral_float_grid_size(tmp_path, capsys):

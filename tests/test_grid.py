@@ -179,6 +179,25 @@ def test_profile_integer_fields_refuse_other_values(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda g: Field(g, np.zeros((64, 64))), "does not match grid n=128"),
+    (lambda g: normalize(Field(g, np.ones((128, 128))), 0.0),
+     "target mass must be positive"),
+    (lambda g: ProfileSpec.ring(r0=-1.0, sigma=1.0), "ring radius must be nonnegative"),
+    (lambda g: ProfileSpec.two_bump(separation=0.0, scale=1),
+     "separation must be positive"),
+    (lambda g: ProfileSpec.two_bump(separation=4.0, scale=1, radius=0.0),
+     "lobe radius must be positive"),
+    (lambda g: discretize(ProfileSpec.gaussian(center=(1000.0, 0.0)), g),
+     "no support on this grid"),
+], ids=["field_shape", "normalize_to_zero", "ring_negative_r0",
+        "two_bump_zero_separation", "two_bump_zero_radius", "gaussian_off_grid"])
+def test_grid_refuses_outside_input(grid128, make, message):
+    # A Gaussian centred at x = 1000 on L = 40 underflows to zero on every node.
+    with pytest.raises((ValueError, DomainError), match=message):
+        make(grid128)
+
+
 def test_profile_integer_fields_take_numpy_integers(grid128):
     u = discretize(ProfileSpec.random_smooth(seed=np.int64(9), cutoff=np.int32(4)), grid128)
     assert np.array_equal(u.values, discretize(ProfileSpec.random_smooth(seed=9), grid128).values)
