@@ -39,7 +39,7 @@ from .errors import ConfigError, ConvergenceError, PlanarSPError, RegimeError
 from .params import Params, _exponent
 
 if TYPE_CHECKING:
-    from .grid import Grid, ProfileSpec
+    from .grid import Field, Grid, ProfileSpec
     from .solvers import SolverConfig
 
 EXIT_OK = 0
@@ -326,8 +326,30 @@ def _profile_given(cfg: dict, args) -> bool:
     return "profile" in cfg or args.profile is not None or args.sigma is not None
 
 
-def cmd_solve(args) -> int:
+def _write_run(out: Path, field: Field, texts: dict) -> None:
+    """Write a solve's solution.lpf and its text files under temporary
+    names in out, then rename them into place.  A failure deletes what was
+    written, so a run leaves all of its files or none."""
     from .grid import write_field
+
+    names = ["solution.lpf", *texts]
+    placed = []
+    try:
+        write_field(field, out / "solution.lpf.tmp")
+        for name, text in texts.items():
+            (out / f"{name}.tmp").write_text(text, encoding="utf-8")
+        for name in names:
+            (out / f"{name}.tmp").replace(out / name)
+            placed.append(name)
+    except BaseException:
+        for name in names:
+            (out / f"{name}.tmp").unlink(missing_ok=True)
+        for name in placed:
+            (out / name).unlink()
+        raise
+
+
+def cmd_solve(args) -> int:
     from .solvers import REGIME_SOLVERS, gaussian_on_branch
 
     cfg = _load_config(args.config)
@@ -361,20 +383,15 @@ def cmd_solve(args) -> int:
 
     def write_outputs(report):
         out = _outdir(args)
-        write_field(report.field, out / "solution.lpf")
         payload = report.summary()
         payload["config"] = config
         payload["constants"] = _constants_payload(params, params.p)
-        text = _dumps(payload)
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            fh.write(text)
+        texts = {"report.json": _dumps(payload)}
         if solver_cfg.trace and report.trace:
-            with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-                fh.write("iter,F,Q,grad_res,A,C,V\n")
-                for row in report.trace:
-                    fh.write(f"{row.iter},{row.F:.12g},{row.Q:.12g},"
-                             f"{row.grad_res:.12g},{row.A:.12g},"
-                             f"{row.C:.12g},{row.V:.12g}\n")
+            texts["trace.csv"] = "iter,F,Q,grad_res,A,C,V\n" + "".join(
+                f"{row.iter},{row.F:.12g},{row.Q:.12g},{row.grad_res:.12g},"
+                f"{row.A:.12g},{row.C:.12g},{row.V:.12g}\n" for row in report.trace)
+        _write_run(out, report.field, texts)
         print(f"wrote {out / 'report.json'} (converged={report.converged}, "
               f"F={report.objective:.8g})")
 

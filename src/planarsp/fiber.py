@@ -16,18 +16,23 @@ Conventions (signed gamma throughout):
 
 Critical points of g are the roots of phi; the branch at each root is
 labeled 'plus' when g'' > 0 (local minimum) and 'minus' when g'' < 0.
+Each root is the float where phi changes sign: a scan halves or doubles
+t from a point on one side of the root until phi changes sign, and the
+last two points, a factor 2 apart, are bisected to adjacent floats.  A
+scan that leaves the positive finite floats is refused with RegimeError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
-from .functionals import Evaluation, Params, require_mass
+from .errors import DomainError, MassMismatchError, RegimeError
+from .functionals import Evaluation, Params
 from .grid import Field, boundary_mass_fraction, mass
 
 __all__ = [
@@ -47,9 +52,6 @@ __all__ = [
 # Degenerate double roots (Lambda^0 points) are treated as absent below this
 # fraction of the natural phi scale.
 _DEGENERATE_TOL = 1e-12
-
-_BRACKET_CAP = 1e6
-
 
 @dataclass(frozen=True)
 class FiberScalars:
@@ -92,9 +94,12 @@ class BranchPoint:
 
 def scalars(u: Union[Field, Evaluation], params: Params) -> FiberScalars:
     """Fiber invariants of a field, on its grid's kernel table, or of its
-    evaluation.  Requires mass(u) = params.c to 1e-8 relative."""
+    evaluation.  Raises MassMismatchError unless mass(u) = params.c to 1e-8
+    relative."""
     ev = u if isinstance(u, Evaluation) else Evaluation(u)
-    require_mass(ev.u, params.c)
+    m = mass(ev.u)
+    if abs(m - params.c) > 1e-8 * max(params.c, 1e-300):
+        raise MassMismatchError(f"field mass {m!r} differs from required {params.c!r}")
     return FiberScalars(A=ev.A, C=ev.C(params.p), V=ev.V, params=params)
 
 
@@ -157,70 +162,57 @@ def _q_scale(A: float, params: Params) -> float:
     return A + 0.25 * abs(params.gamma) * params.c ** 2
 
 
-def _bisect_newton(sc: FiberScalars, lo: float, hi: float) -> float:
-    """Root of phi in [lo, hi] (phi changes sign): bisection to relative
-    width 1e-8, then Newton polish to |phi| < 1e-12 * (A + |gamma| c^2/4)."""
-    flo = phi(sc, lo)
-    width_tol = 1e-8 * hi
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
+def _phi_finite(sc: FiberScalars, t: float) -> float:
+    """phi(t); RegimeError unless t is a positive finite float and phi(t)
+    is finite."""
+    try:
+        f = phi(sc, t) if 0.0 < t < math.inf else math.nan
+    except OverflowError:
+        f = math.nan
+    if not math.isfinite(f):
+        raise RegimeError(
+            f"phi is not a finite float at t = {t!r}; the scalar tuple is "
+            "numerically degenerate")
+    return f
+
+
+def _scan(sc: FiberScalars, t: float, factor: float) -> Tuple[float, float]:
+    """Multiply t by factor (1/2 or 2) until phi changes sign (phi > 0
+    against phi <= 0); the last two points, in increasing order, bracket
+    the root."""
+    side = _phi_finite(sc, t) > 0
+    while True:
+        last, t = t, t * factor
+        if (_phi_finite(sc, t) > 0) != side:
+            return min(last, t), max(last, t)
+
+
+def _root(sc: FiberScalars, t: float, factor: float) -> float:
+    """The float where phi changes sign in the bracket of _scan(sc, t,
+    factor): bisect it to two adjacent floats, and return the one with the
+    smaller |phi|, the lower one on a tie."""
+    lo, hi = _scan(sc, t, factor)
+    flo, fhi = phi(sc, lo), phi(sc, hi)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi if abs(fhi) < abs(flo) else lo
         fmid = phi(sc, mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
         if (fmid > 0) == (flo > 0):
             lo, flo = mid, fmid
         else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    ftol = 1e-12 * _q_scale(sc.A, sc.params)
-    for _ in range(5):
-        f = phi(sc, root)
-        if abs(f) < ftol:
-            break
-        fp = _dphi(sc, root)
-        if fp == 0.0:
-            break
-        step = f / fp
-        if not np.isfinite(step) or abs(step) > 0.5 * root:
-            break
-        root -= step
-    return root
+            hi, fhi = mid, fmid
 
 
 def _branch_point(sc: FiberScalars, s: float) -> BranchPoint:
+    if not sys.float_info.min <= s * s < math.inf:
+        raise RegimeError(
+            f"fiber critical point s = {s!r} has s^2 outside the normal "
+            "floats, where g'' is not computed; the scalar tuple is "
+            "numerically degenerate")
     curv = ddg(sc, s)
     branch = "plus" if curv > 0 else "minus"
     return BranchPoint(s=s, branch=branch, g=g(sc, s), gpp=curv)
-
-
-def _bracket_down(sc: FiberScalars, t0: float, want_positive: bool) -> Optional[float]:
-    """Shrink from t0 by halving until phi has the requested sign."""
-    t = t0
-    for _ in range(200):
-        t *= 0.5
-        f = phi(sc, t)
-        if (f > 0) == want_positive and f != 0.0:
-            return t
-    return None
-
-
-def _bracket_up(sc: FiberScalars, t0: float, want_positive: bool) -> float:
-    """Grow from t0 by doubling until phi has the requested sign; a cap of
-    1e6 * t0 signals near-degenerate scalars."""
-    t = t0
-    while t <= _BRACKET_CAP * t0:
-        t *= 2.0
-        try:
-            f = phi(sc, t)
-        except OverflowError:
-            break
-        if (f > 0) == want_positive and f != 0.0:
-            return t
-    raise RegimeError(
-        "no sign change of the fiber derivative below the bracketing cap; "
-        "the scalar tuple is numerically degenerate"
-    )
 
 
 def critical_points(sc: FiberScalars) -> List[BranchPoint]:
@@ -228,20 +220,21 @@ def critical_points(sc: FiberScalars) -> List[BranchPoint]:
 
     Any sign combination of (gamma, a) is allowed; an empty list is a valid
     result (for signed gamma < 0 with a <= 0 the map is strictly monotone
-    and has no critical point).
+    and has no critical point).  Each root is found by a scan that halves
+    or doubles t until phi changes sign and is the float where it does:
+    the scan's bracket is bisected to adjacent floats.  A scan that leaves
+    the positive finite floats, or a root whose g'' cannot be computed,
+    raises RegimeError.
     """
     p = sc.params
     D = 0.25 * p.gamma * p.c ** 2  # phi(0+) -> -D
 
     if p.a <= 0.0:
-        # phi strictly increasing from -D to +infinity: one root iff D > 0.
+        # phi strictly increasing from -D to +infinity: one root iff D > 0,
+        # left of 2 sqrt(D/A), where phi >= 3D.
         if D <= 0.0:
             return []
-        hi = _bracket_up(sc, math.sqrt(D / sc.A), True)
-        lo = _bracket_down(sc, hi, False)
-        if lo is None:
-            return []
-        return [_branch_point(sc, _bisect_newton(sc, lo, hi))]
+        return [_branch_point(sc, _root(sc, 2.0 * math.sqrt(D / sc.A), 0.5))]
 
     if p.p == 4.0:
         # phi(t) = (A - a C/2) t^2 - D: monotone in t^2.
@@ -250,33 +243,27 @@ def critical_points(sc: FiberScalars) -> List[BranchPoint]:
             return []
         return [_branch_point(sc, math.sqrt(D / coef))]
 
-    ts = t_star(sc)
     try:
-        f_star = phi(sc, ts)
+        ts = t_star(sc)
     except OverflowError:
         raise RegimeError(
             "fiber stationary point overflows double precision; the scalar "
             "tuple is numerically degenerate") from None
+    f_star = _phi_finite(sc, ts)
     scale = _q_scale(sc.A, sc.params)
 
     # phi has a minimum at t_star for p < 4 (sigma = +1) and a maximum for
     # p > 4 (sigma = -1), and tends to sigma * infinity as t grows.
     sigma = 1.0 if p.p < 4.0 else -1.0
-    want_positive = sigma > 0
     if sigma * D >= 0.0:
         # phi(0+) = -D has the sign opposite to phi at infinity (approached
         # from that side when D = 0): single root right of t_star.
-        hi = _bracket_up(sc, ts, want_positive)
-        return [_branch_point(sc, _bisect_newton(sc, ts, hi))]
-    if sigma * f_star >= -_DEGENERATE_TOL * scale:
+        factors = (2.0,)
+    elif sigma * f_star >= -_DEGENERATE_TOL * scale:
         return []  # no root (or a degenerate Lambda^0 touching point)
-    left = _bracket_down(sc, ts, want_positive)
-    if left is None:
-        return []
-    hi = _bracket_up(sc, ts, want_positive)
-    s_left = _bisect_newton(sc, left, ts)
-    s_right = _bisect_newton(sc, ts, hi)
-    return [_branch_point(sc, s_left), _branch_point(sc, s_right)]
+    else:
+        factors = (0.5, 2.0)  # one root on each side of t_star
+    return [_branch_point(sc, _root(sc, ts, factor)) for factor in factors]
 
 
 def _critical_point(sc: FiberScalars, branch: str) -> BranchPoint:

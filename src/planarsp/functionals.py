@@ -71,7 +71,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import GridMismatchError, MassMismatchError
+from .errors import GridMismatchError
 from .grid import Field, Grid, mass
 from .params import Params, _exponent
 
@@ -685,9 +685,3 @@ def el_residual(u: Field, params: Params, lam: float,
     """Evaluation.el_residual of u."""
     return _view(u, table).el_residual(params, lam)
 
-
-def require_mass(u: Field, c: float) -> None:
-    """Raise MassMismatchError unless mass(u) matches c to relative 1e-8."""
-    m = mass(u)
-    if abs(m - c) > 1e-8 * max(c, 1e-300):
-        raise MassMismatchError(f"field mass {m!r} differs from required {c!r}")

@@ -386,6 +386,28 @@ def test_fiber_nonexistence_phi_positive(tmp_path):
     assert np.all(phi > 0.0)
 
 
+def test_fiber_range_starts_left_of_a_small_minus_point(tmp_path):
+    # gamma = -1e-12 puts the minus point of the default Gaussian (A = 1,
+    # C = 0.376 at p = 3) near 2e-12; the default range starts a decade
+    # below it, where phi > 0.
+    out = tmp_path / "fib"
+    assert run_cli(["fiber", "--gamma=-1e-12", "--a", "1", "--p", "3", "--c", "1",
+                    "--grid-n", "64", "--out", str(out)]) == 0
+    first = [float(x) for x in (out / "fiber.csv").read_text().splitlines()[1].split(",")]
+    assert first[0] < 1e-12 and first[4] > 0.0
+
+
+def test_fiber_refuses_an_overflowing_stationary_point(tmp_path, capsys):
+    # t_star = ratio^(1/(4 - p)) overflows a float at p = 3.999
+    out = tmp_path / "fib"
+    assert run_cli(["fiber", "--gamma", "1", "--a", "100", "--p", "3.999", "--c", "1",
+                    "--grid-n", "64", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("regime refusal: ") and err.count("\n") == 1
+    assert "numerically degenerate" in err
+    assert not (out / "fiber.csv").exists()
+
+
 def test_fiber_range_override(tmp_path):
     out = tmp_path / "fib"
     assert run_cli(["fiber", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
@@ -814,7 +836,10 @@ def test_solve_unwritable_report_exits_2(tmp_path, capsys):
                     "--grid-n", "64", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "report.json" in err and "Traceback" not in err
-    assert (out / "solution.lpf").is_file()
+    # The run's files are renamed into place only once all are written:
+    # no solution.lpf without its report, and no temporary is left.
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+    assert not any((out / "report.json").iterdir())
 
 
 def test_config_accepts_integral_float_grid_size(tmp_path, capsys):

@@ -135,12 +135,45 @@ def test_critical_points_are_the_sign_changes_of_phi(sc):
         rising = not positive[i]
         assert bp.branch == ("plus" if rising else "minus")
         assert bp.branch == ("plus" if ddg(sc, bp.s) > 0 else "minus")
+        assert abs(phi(sc, bp.s)) <= 1e-12 * (sc.A + 0.25 * abs(pr.gamma) * pr.c ** 2)
 
 
 def test_critical_points_polish_tolerance():
     for bp in critical_points(SC6):
         scale = SC6.A + 0.25 * abs(P6.gamma) * P6.c ** 2
         assert abs(phi(SC6, bp.s)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("gamma", [-1e-6, -1e-12, -1e-20])
+def test_critical_points_small_minus_root_closed_form(gamma):
+    # A = C = a = c = 1, p = 3: phi(t) = t^2 - t/3 - gamma/4, whose roots
+    # are t+ = (1/3 + sqrt(1/9 + gamma))/2 and, by Vieta, (-gamma/4)/t+.
+    # The small root lies far below t_star = 1/6.
+    sc = FiberScalars(A=1.0, C=1.0, V=0.0,
+                      params=Params(gamma=gamma, a=1.0, p=3.0, c=1.0))
+    t_plus = (1.0 / 3.0 + math.sqrt(1.0 / 9.0 + gamma)) / 2.0
+    pts = critical_points(sc)
+    assert [bp.branch for bp in pts] == ["minus", "plus"]
+    assert pts[0].s == pytest.approx((-0.25 * gamma) / t_plus, rel=1e-12, abs=0.0)
+    assert pts[1].s == pytest.approx(t_plus, rel=1e-12, abs=0.0)
+
+
+def test_critical_points_refuses_a_root_whose_square_underflows():
+    # gamma = -1e-300: phi(1e-305) > 0 > phi(t_star), so phi has a root
+    # near 7.5e-301, where s^2 underflows and g'' cannot be computed.
+    sc = FiberScalars(A=1.0, C=1.0, V=0.0,
+                      params=Params(gamma=-1e-300, a=1.0, p=3.0, c=1.0))
+    assert phi(sc, 1e-305) > 0.0 > phi(sc, t_star(sc))
+    with pytest.raises(RegimeError, match="numerically degenerate"):
+        critical_points(sc)
+
+
+def test_critical_points_refuses_an_overflowing_stationary_point():
+    sc = FiberScalars(A=1.0, C=1.0, V=0.0,
+                      params=Params(gamma=1.0, a=100.0, p=3.999, c=1.0))
+    # t_star = [a (p-2)^2 C / (2 p A)]^1000 overflows a float
+    with pytest.raises(RegimeError, match="numerically degenerate"):
+        critical_points(sc)
 
 
 def test_critical_points_nonexistence_gamma_negative():
@@ -371,7 +404,8 @@ def test_scalar_fiber_matches_grid_dilation(gauss256):
 
 
 def test_bracketing_cap_error():
-    # scalars engineered so the outer root escapes the bracketing cap
+    # scalars engineered so that phi overflows before the scan up from
+    # t_star reaches the outer root
     pr = Params(gamma=1.0, a=1.0, p=6.0, c=1.0)
     sc = FiberScalars(A=1.0, C=1e-200, V=0.0, params=pr)
     with pytest.raises(RegimeError):
