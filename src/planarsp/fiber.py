@@ -15,7 +15,8 @@ Conventions (signed gamma throughout):
     g'(t)  = phi(t)/t,     g''(t) = phi'(t)/t - phi(t)/t^2
 
 Critical points of g are the roots of phi; the branch at each root is
-labeled 'plus' when g'' > 0 (local minimum) and 'minus' when g'' < 0.
+'plus' when g'' > 0 (local minimum) and 'minus' when g'' < 0, read from
+the g'' a BranchPoint keeps.
 Each root is the float where phi changes sign: a scan halves or doubles
 t from a point on one side of the root until phi changes sign, and the
 last two points, a factor 2 apart, are bisected to adjacent floats.  A
@@ -71,25 +72,17 @@ class FiberScalars:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """A critical point of the fiber map.
-
-    branch is 'plus' (local minimum of g, g'' > 0) or 'minus' (local
-    maximum, g'' < 0); g and gpp store the fiber energy and its second
-    derivative at s.
-    """
+    """A critical point of the fiber map: g and gpp are the fiber energy
+    and its second derivative at s, whose sign names the branch."""
 
     s: float
-    branch: str
     g: float
     gpp: float
 
-    def __post_init__(self):
-        if self.branch not in ("plus", "minus"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.branch == "plus" and not self.gpp > 0:
-            raise ValueError("plus branch requires g'' > 0")
-        if self.branch == "minus" and not self.gpp < 0:
-            raise ValueError("minus branch requires g'' < 0")
+    @property
+    def branch(self) -> str:
+        """'plus' (local minimum of g) when g'' > 0, else 'minus'."""
+        return "plus" if self.gpp > 0 else "minus"
 
 
 def scalars(u: Union[Field, Evaluation], params: Params) -> FiberScalars:
@@ -211,8 +204,9 @@ def _branch_point(sc: FiberScalars, s: float) -> BranchPoint:
             "floats, where g'' is not computed; the scalar tuple is "
             "numerically degenerate")
     curv = ddg(sc, s)
-    branch = "plus" if curv > 0 else "minus"
-    return BranchPoint(s=s, branch=branch, g=g(sc, s), gpp=curv)
+    if not (curv > 0 or curv < 0):  # zero or NaN
+        raise ValueError(f"g'' = {curv!r} at s = {s!r} names no branch")
+    return BranchPoint(s=s, g=g(sc, s), gpp=curv)
 
 
 def critical_points(sc: FiberScalars) -> List[BranchPoint]:

@@ -560,8 +560,10 @@ class Evaluation:
                                V2=self.V2, F=self.F(params), star_norm=self.star_norm)
 
     def pohozaev_residual(self, params: Params, lam: float) -> float:
-        """Scale-free defect of lambda m + gamma V + (gamma/4) m^2 - (2a/p) C
-        = 0, m the mass of u; zero for the zero field."""
+        """|lambda m + gamma V + (gamma/4) m^2 - (2a/p) C| over
+        1 + |lambda| m + |gamma| |V|, m the mass of u; zero for the zero
+        field.  The absolute 1 in the denominator makes the residual depend
+        on the units of (gamma, a, c): it is not scale-free."""
         m = mass(self.u)
         if m == 0.0:
             return 0.0
@@ -572,7 +574,10 @@ class Evaluation:
         return num / den
 
     def el_residual(self, params: Params, lam: float) -> float:
-        """Relative L2 norm of the Euler-Lagrange defect grad F + lambda u."""
+        """L2 norm of the Euler-Lagrange defect grad F + lambda u over
+        1 + ||grad F|| + |lambda| sqrt(m), m the mass of u.  The absolute 1
+        in the denominator makes the residual depend on the units of
+        (gamma, a, c): it is relative only where the other terms dominate."""
         g = self.grad(params)
         defect = np.sqrt(self._h2 * np.sum((g + lam * self.u.values) ** 2))
         gnorm = np.sqrt(self._h2 * np.sum(g * g))

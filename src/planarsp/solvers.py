@@ -67,9 +67,11 @@ level.  The report's extras["levels"] lists every grid from the coarsest,
 as {n, iters, F} or {n, refused}; extras["F_err_grid"] is |F(n) - F(n/2)|
 when the level below converged.  iters, extras["recenters"] and the trace
 cover the levels the solution passed through, the trace's iter numbering
-its rows across them.  extras["spectral_tail"] is the reported field's
-Evaluation.spectral_tail, the part of it the grid at half the resolution
-could not carry.
+its rows across them.  A fiber-branch solve adds extras["branch"], the
+branch it solved, and extras["s_branch"] and extras["gpp"], the branch
+point s of the reported field and g''(s).  extras["spectral_tail"] is the
+reported field's Evaluation.spectral_tail, the part of it the grid at half
+the resolution could not carry.
 """
 
 from __future__ import annotations
@@ -157,14 +159,15 @@ class SolveReport:
     el_res: float
     iters: int
     converged: bool
-    objective: float
     regime: K.RegimeLabel
     mode: str
-    branch: Optional[str] = None
-    s_branch: Optional[float] = None
-    gpp: Optional[float] = None
     trace: List[TraceRow] = dc_field(default_factory=list)
     extras: dict = dc_field(default_factory=dict)
+
+    @property
+    def objective(self) -> float:
+        """F of the reported field."""
+        return self.breakdown.F
 
     def summary(self) -> dict:
         """JSON-ready summary (field values excluded; stored separately)."""
@@ -181,10 +184,6 @@ class SolveReport:
             "breakdown": asdict(self.breakdown),
             "regime": {"tag": self.regime.tag, "certificate": self.regime.certificate},
         }
-        if self.branch is not None:
-            out["branch"] = self.branch
-            out["s_branch"] = self.s_branch
-            out["gpp"] = self.gpp
         out.update(self.extras)
         return out
 
@@ -225,7 +224,6 @@ def _finalize(ev: Evaluation, params: Params, regime: K.RegimeLabel,
         el_res=ev.el_residual(params, lam),
         iters=iters,
         converged=converged,
-        objective=bd.F,
         regime=regime,
         mode=mode,
         trace=trace,
@@ -260,10 +258,10 @@ class _Objective:
     when the field is not admissible; start_refusal(ev): the error that
     refuses an inadmissible start; refusal(pt, guard_rejects): the error
     that refuses the flow when no trial step was accepted, or None; and
-    annotate(report, pt, recenters): the objective's own fields of a
-    report, recenters summed over levels.  The other hooks default to an
-    objective that starts and stops where it is given, with no invariant
-    orbit and no recentering."""
+    annotate(report, pt, recenters): the objective's own keys of the
+    report's extras, recenters summed over levels.  The other hooks
+    default to an objective that starts and stops where it is given, with
+    no invariant orbit and no recentering."""
 
     def __init__(self, params: Params, mode: str):
         self.params, self.mode = params, mode
@@ -401,8 +399,8 @@ class _FiberBranch(_Objective):
         return None
 
     def annotate(self, report: SolveReport, pt: _Point, recenters: int) -> None:
-        report.branch, report.s_branch, report.gpp = self.branch, pt.s, pt.gpp
-        report.extras["recenters"] = recenters
+        report.extras.update(branch=self.branch, s_branch=pt.s, gpp=pt.gpp,
+                             recenters=recenters)
 
 
 @dataclass(frozen=True)

@@ -382,13 +382,19 @@ def test_project_to_lambda_refuses_an_unknown_branch(gauss256):
         project_to_lambda(gauss256, pr, "sideways")
 
 
-def test_branch_point_sign_validation():
-    with pytest.raises(ValueError):
-        BranchPoint(s=1.0, branch="plus", g=0.0, gpp=-1.0)
-    with pytest.raises(ValueError):
-        BranchPoint(s=1.0, branch="minus", g=0.0, gpp=1.0)
-    with pytest.raises(ValueError):
-        BranchPoint(s=1.0, branch="sideways", g=0.0, gpp=1.0)
+def test_branch_point_sign_validation(monkeypatch):
+    # branch is read from the sign of g''; a g'' of 0 or NaN names none
+    import dataclasses
+
+    from planarsp import fiber
+
+    assert [f.name for f in dataclasses.fields(BranchPoint)] == ["s", "g", "gpp"]
+    assert BranchPoint(s=1.0, g=0.0, gpp=1e-300).branch == "plus"
+    assert BranchPoint(s=1.0, g=0.0, gpp=-1e-300).branch == "minus"
+    for curv in (0.0, math.nan):
+        monkeypatch.setattr(fiber, "ddg", lambda sc, t: curv)
+        with pytest.raises(ValueError, match="names no branch"):
+            fiber._branch_point(SC6, 1.0)
 
 
 def test_scalar_fiber_matches_grid_dilation(gauss256):

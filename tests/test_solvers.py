@@ -273,13 +273,23 @@ def test_global_minimize_supercritical_refused(p6_setup):
                         ProfileSpec.gaussian(sigma=1.0))
 
 
-def test_report_summary_payload(choquard_report):
+def test_report_summary_payload(choquard_report, plus_report):
     _, rep = choquard_report
     payload = rep.summary()
     for key in ("converged", "objective_F", "lambda", "q_residual",
                 "pohozaev_residual", "el_residual", "breakdown", "regime"):
         assert key in payload
     assert payload["regime"]["tag"] == "GlobalMin"
+    assert payload["objective_F"] == rep.objective == rep.breakdown.F
+    names = {f.name for f in dataclasses.fields(rep)}
+    assert not {"objective", "branch", "s_branch", "gpp"} & names
+    assert not {"branch", "s_branch", "gpp", "recenters"} & payload.keys()
+    # a fiber-branch solve adds its branch point and recenters from extras
+    payload = plus_report.summary()
+    assert payload["objective_F"] == plus_report.breakdown.F
+    assert payload["branch"] == "plus" and payload["gpp"] > 0
+    assert payload["s_branch"] == pytest.approx(1.0, abs=1e-6)
+    assert payload["recenters"] == plus_report.extras["recenters"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +325,8 @@ def test_capped_rejects_supercritical_mass(p6_setup):
 
 def test_branch_plus_matches_capped(capped_report, plus_report):
     assert plus_report.converged
-    assert plus_report.branch == "plus"
-    assert plus_report.gpp > 0
+    assert plus_report.extras["branch"] == "plus"
+    assert plus_report.extras["gpp"] > 0
     assert plus_report.objective == pytest.approx(capped_report.objective,
                                                   abs=1e-3)
 
@@ -324,8 +334,8 @@ def test_branch_plus_matches_capped(capped_report, plus_report):
 def test_branch_minus_above_plus(p6_setup, plus_report, ladder_reports):
     rep = ladder_reports["minus_p6"]
     assert rep.converged
-    assert rep.branch == "minus" and rep.gpp < 0
-    assert abs(rep.s_branch - 1.0) < 1e-6
+    assert rep.extras["branch"] == "minus" and rep.extras["gpp"] < 0
+    assert abs(rep.extras["s_branch"] - 1.0) < 1e-6
     assert rep.objective > plus_report.objective > 0.0
     assert abs(rep.q_value) < 1e-3 * (rep.breakdown.A + 0.25 * p6_setup.c ** 2)
     assert rep.el_res < 1e-3
@@ -643,7 +653,36 @@ def test_refused_recenter_reports_its_last_admissible_point(p6_setup, monkeypatc
     assert fine == {"n": 128, "iters": report.iters, "F": report.objective}
     assert report.extras["recenters"] == 1
     assert report.field.grid.n == 128
-    assert report.s_branch == pytest.approx(1.0 / 3.0, rel=0.01)
+    assert report.extras["s_branch"] == pytest.approx(1.0 / 3.0, rel=0.01)
+
+
+# The scaling v = kappa u maps a solution at (gamma, a, 6, c) to one at
+# (gamma/kappa^2, a/kappa^4, 6, c kappa^2) with F scaled by kappa^2, and a
+# power-of-two kappa maps the discrete problem onto itself exactly.  The
+# flow's rules are not in the problem's units (ROADMAP item 10): at
+# kappa = 2^-10 the plus-branch solve reports convergence after 0
+# iterations with F 4.5e-3 off the mapped base.
+def _plus_orbit_F(kappa: float) -> float:
+    pr = Params(gamma=kappa ** -2, a=kappa ** -4, p=6.0, c=kappa ** 2)
+    rep = lambda_branch_minimize(pr, make_grid(40.0, 256), SolverConfig(),
+                                 gaussian_on_branch(pr, "plus"), "plus")
+    return rep.objective / kappa ** 2
+
+
+@pytest.fixture(scope="module")
+def plus_orbit_base_F():
+    return _plus_orbit_F(1.0)
+
+
+def test_scale_orbit_maps_plus_solution(plus_orbit_base_F):
+    assert _plus_orbit_F(2.0) == pytest.approx(plus_orbit_base_F, rel=1e-8)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="flow rules depend on the units of (gamma, a, c) "
+                          "(ROADMAP item 10)")
+def test_scale_orbit_maps_plus_solution_far_along_the_orbit(plus_orbit_base_F):
+    assert _plus_orbit_F(2.0 ** -10) == pytest.approx(plus_orbit_base_F, rel=1e-8)
 
 
 def test_recenter_far_from_the_branch_point(p6_setup):
