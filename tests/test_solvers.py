@@ -678,7 +678,7 @@ def test_scale_orbit_maps_plus_solution(plus_orbit_base_F):
     assert _plus_orbit_F(2.0) == pytest.approx(plus_orbit_base_F, rel=1e-8)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
+@pytest.mark.xfail(raises=AssertionError,
                    reason="flow rules depend on the units of (gamma, a, c) "
                           "(ROADMAP item 10)")
 def test_scale_orbit_maps_plus_solution_far_along_the_orbit(plus_orbit_base_F):
