@@ -212,7 +212,7 @@ def _check_dilation_scaling() -> CheckResult:
         ev = fn.Evaluation(dilate(u, t))
         worst = max(worst, abs(ev.A / e0.A - t ** 2) / t ** 2,
                     abs(ev.C(3.0) / e0.C(3.0) - t) / t, abs(ev.V - e0.V + math.log(t)))
-    return _result("dilation_scaling", worst, 1e-3,
+    return _result("dilation_scaling", worst, 1e-12,
                    "A ~ t^2, C ~ t^(p-2), V - c^2 log t under dilation")
 
 

@@ -6,7 +6,7 @@ The mass-preserving dilation u^t(x) = t u(tx) scales the invariants as
 
 so the fiber energy g(t) = F(u^t) and its derivatives are analytic in the
 scalar tuple (A, C, V, c).  Everything here works on those scalars; the
-grid is touched only when a dilation is materialized by resampling.
+grid is touched only when dilate reads a field's trigonometric interpolant.
 
 Conventions (signed gamma throughout):
 
@@ -32,7 +32,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, MassMismatchError, RegimeError
+from .errors import DomainError, MassMismatchError, RegimeError, ResolutionError
 from .functionals import Evaluation, Params
 from .grid import Field, boundary_mass_fraction, mass
 
@@ -98,8 +98,8 @@ def scalars(u: Union[Field, Evaluation], params: Params) -> FiberScalars:
 
 def _check_t(t: float) -> float:
     t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"dilation parameter must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"dilation parameter must be positive and finite, got {t}")
     return t
 
 
@@ -269,52 +269,49 @@ def _critical_point(sc: FiberScalars, branch: str) -> BranchPoint:
     raise RegimeError(f"fiber has no {branch} critical point")
 
 
-def _spline_matrix(n: int, idx: np.ndarray) -> np.ndarray:
-    """M with (M @ v)[k] the cubic B-spline interpolant of v at index idx[k],
-    and 0 where idx[k] lies outside [0, n-1]: M = W S^-1.  S samples the
-    B-spline coefficients, (c[i-1] + 4 c[i] + c[i+1])/6 with the mirror
-    boundaries c[-1] = c[1] and c[n] = c[n-2]; W holds the 4-tap B-spline
-    weights at idx, with mirrored taps.  This is the interpolant of
-    scipy.ndimage.map_coordinates(order=3, mode="constant", prefilter=True)."""
-    S = (np.diag(np.full(n, 4.0)) + np.diag(np.ones(n - 1), 1)
-         + np.diag(np.ones(n - 1), -1)) / 6.0
-    S[0, 1] = S[-1, -2] = 2.0 / 6.0
-    inside = (idx >= 0.0) & (idx <= n - 1.0)
-    x = np.where(inside, idx, 0.0)   # outside points get zero weights below
-    k = np.floor(x)
-    f = x - k
-    w = np.stack(((1.0 - f) ** 3, 4.0 - 6.0 * f ** 2 + 3.0 * f ** 3,
-                  1.0 + 3.0 * f + 3.0 * f ** 2 - 3.0 * f ** 3, f ** 3)) / 6.0
-    w *= inside
-    taps = np.abs(k.astype(int) + np.arange(-1, 3)[:, None])
-    taps = np.where(taps > n - 1, 2 * (n - 1) - taps, taps)
-    W = np.zeros((idx.size, n))
-    np.add.at(W, (np.broadcast_to(np.arange(idx.size), taps.shape), taps), w)
-    return np.linalg.solve(S.T, W.T).T
+def _interpolation_matrix(n: int, idx: np.ndarray) -> np.ndarray:
+    """M with (M @ v)[k] the trigonometric interpolant of v at index idx[k],
+    the one functionals.prolong samples, and 0 where idx[k] lies outside
+    [0, n).  M[k, j] is the periodic cardinal sin(pi y)/(n tan(pi y/n)) of
+    y = idx[k] - j (Trefethen, Spectral Methods in MATLAB, ch. 3), with
+    sin(pi y) = (-1)^(r-j) sin(pi (idx[k] - r)) for the nearest node r, so
+    an index on a node reads its own sample exactly."""
+    inside = (idx >= 0.0) & (idx < n)
+    x = np.where(inside, idx, 0.0)   # outside rows are zeroed below
+    r, j = np.rint(x), np.arange(n)
+    y = x[:, None] - j
+    num = (1.0 - 2.0 * ((r[:, None] - j) % 2)) * np.sin(np.pi * (x - r))[:, None]
+    M = np.divide(num, n * np.tan(np.pi * y / n), out=np.ones_like(y), where=y != 0.0)
+    return M * inside[:, None]
 
 
 def dilate(u: Field, t: float) -> Field:
-    """Materialize u^t(x) = t u(tx) by separable cubic B-spline resampling,
-    t M U M^T with M = _spline_matrix at the indices of t x.
+    """Materialize u^t(x) = t u(tx) on the trigonometric interpolant of u,
+    t M U M^T with M = _interpolation_matrix at the indices of t x.
 
-    Samples outside the domain are zero.  Mass is preserved only to
-    resampling accuracy (callers renormalize when they need the constraint
-    exactly).  Raises DomainError when the dilated support leaks through
-    the boundary frame, which happens for t < 1 when the support no longer
-    fits."""
+    Samples outside the domain are zero.  For a resolved field that fits the
+    domain the dilation is exact to round-off: it keeps the mass, and u^s at
+    a fiber critical point s has Q = 0 to round-off.  Raises DomainError
+    when the dilated support leaks through the boundary frame (for t < 1,
+    once the support no longer fits) or no mass is left, and
+    ResolutionError when the dilated mass overflows a float."""
     t = _check_t(t)
     if t == 1.0:
         return u
     grid = u.grid
-    # index of physical coordinate t*x on the source grid, along either axis
-    M = _spline_matrix(grid.n, (t * grid.coords1d() + 0.5 * grid.extent) / grid.h)
-    out = Field(grid, t * (M @ u.values @ M.T))
-    if mass(out) > 0 and boundary_mass_fraction(out) > 1e-6:
-        raise DomainError(
-            f"dilation by t={t} pushes support into the boundary frame; "
-            "enlarge the domain"
-        )
-    return out
+    # index of physical coordinate t*x on the source grid, along either axis;
+    # one past the floats is outside the domain
+    with np.errstate(over="ignore"):
+        idx = (t * grid.coords1d() + 0.5 * grid.extent) / grid.h
+    M = _interpolation_matrix(grid.n, idx)
+    v = Field(grid, M @ u.values @ M.T)
+    m = t * t * mass(v)   # the mass of t v, with no overflow in numpy
+    if m == math.inf:
+        raise ResolutionError(f"dilation by t={t} overflows the mass of u")
+    if not m > 0.0 or boundary_mass_fraction(v) > 1e-6:
+        raise DomainError(f"dilation by t={t} leaves no mass on the grid or pushes "
+                          "support into the boundary frame; enlarge the domain")
+    return t * v
 
 
 def project_to_lambda(u: Field, params: Params, branch: str) -> Field:

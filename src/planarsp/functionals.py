@@ -605,9 +605,9 @@ def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:
 
 
 def prolong(u: Field, grid: Grid) -> Field:
-    """The trigonometric interpolant of u sampled on grid, a finer grid of
-    the same extent: the rfft2 spectrum of u zero-padded to grid.n (Bao &
-    Du, SIAM J. Sci. Comput. 25, 2004).
+    """The trigonometric interpolant of u (the one fiber.dilate reads)
+    sampled on grid, a finer grid of the same extent: the rfft2 spectrum of
+    u zero-padded to grid.n (Bao & Du, SIAM J. Sci. Comput. 25, 2004).
 
     Both grids start at -L/2, so every node of u is a node of grid, and
     there the interpolant returns u.  The coarse Nyquist row stands for the

@@ -31,11 +31,11 @@ the gradient under dilation,
     grad I(u) = s^2 (-Delta u) + gamma (w - c log s) u - a s^(p-2) |u|^(p-2) u
 
 with s the branch point of u, evaluated entirely on the original grid
-(Evaluation.grad; s = 1 gives grad F).  A dilation is resampled only to
+(Evaluation.grad; s = 1 gives grad F).  A dilation is materialized only to
 recenter the fiber parameter near 1, and once more when the flow stops with
 s more than 1e-9 from 1: that dilation, renormalized, is the reported field,
-certified as it is without flowing again, so its residuals carry the
-resampling error.
+certified as it is without flowing again.  It reads the field's
+trigonometric interpolant (fiber.dilate), exact to round-off when resolved.
 
 Every solver runs the flow in a grid ladder (Bao & Du, SIAM J. Sci.
 Comput. 25, 2004).  On a grid of n >= 128 nodes a side the same objective
@@ -52,8 +52,8 @@ other node per halving).  That is the floor grid; a finer grid samples
 the start only when the level below it was refused.  The energy flows start on the
 minimum of the start's fiber: its plus critical point s, found in closed
 form from A, V and C (fiber.critical_points), and the start dilated to s
-and renormalized, so the first iterate has Q = 0 up to resampling.  In
-LocalMinPlusMountainPass (c < c0) that point lies inside the kinetic cap.
+and renormalized: the first iterate has Q = 0 to round-off for a resolved
+field.  In LocalMinPlusMountainPass (c < c0) it lies inside the kinetic cap.
 A fiber with no minimum, or whose minimum leaks through the boundary frame,
 keeps the start as given, unless it lies above the kinetic cap: then the
 domain is too small.  The fiber-branch objective is constant along each

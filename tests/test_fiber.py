@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarsp import (BranchPoint, DomainError, FiberScalars, MassMismatchError,
-                      Params, ProfileSpec, RegimeError, critical_points, ddg, dg,
-                      dilate, discretize, g, make_grid, mass, normalize,
-                      phi, project_to_lambda, scalars, t_star)
+from planarsp import (BranchPoint, DomainError, FiberScalars, Field,
+                      MassMismatchError, Params, ProfileSpec, RegimeError,
+                      ResolutionError, critical_points, ddg, dg, dilate, discretize,
+                      g, make_grid, mass, normalize, phi, project_to_lambda, scalars,
+                      t_star)
 from planarsp.functionals import Evaluation, kinetic
 
 P6 = Params(gamma=1.0, a=1.0, p=6.0, c=1.0)
@@ -282,12 +283,14 @@ def test_dilate_scaling_laws(gauss256):
     from planarsp.functionals import pnorm
 
     C0 = pnorm(gauss256, 3.0)
+    # The dilation reads the Gaussian's trigonometric interpolant, which
+    # resolves it: the laws hold to round-off.
     for t in (0.5, 2.0):
         v = dilate(gauss256, t)
-        assert mass(v) == pytest.approx(1.0, rel=1e-4)
-        assert kinetic(v) / A0 == pytest.approx(t ** 2, rel=1e-3)
-        assert pnorm(v, 3.0) / C0 == pytest.approx(t, rel=1e-3)
-        assert Evaluation(v).V - V0 == pytest.approx(-math.log(t), abs=1e-3)
+        assert mass(v) == pytest.approx(1.0, rel=1e-12)
+        assert kinetic(v) / A0 == pytest.approx(t ** 2, rel=1e-12)
+        assert pnorm(v, 3.0) / C0 == pytest.approx(t, rel=1e-12)
+        assert Evaluation(v).V - V0 == pytest.approx(-math.log(t), abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -313,30 +316,66 @@ def test_dilate_scaling_laws_on_drawn_profiles(grid256, t, p, spec):
 
 @pytest.mark.parametrize("spec", [
     ProfileSpec.gaussian(sigma=1.0), ProfileSpec.ring(r0=4.0, sigma=1.0),
-    ProfileSpec.random_smooth(seed=3)], ids=["gaussian", "ring", "random_smooth"])
-def test_dilate_matches_map_coordinates(grid128, spec):
-    # scipy.ndimage is the oracle of the resampling: t M U M^T against
-    # map_coordinates' prefiltered cubic spline.  random_smooth fills the
-    # domain, so dilate refuses it for t < 1; its resampling is still
-    # compared.
-    from scipy.ndimage import map_coordinates
+    ProfileSpec.random_smooth(seed=3), None],
+    ids=["gaussian", "ring", "random_smooth", "white_noise"])
+def test_interpolation_matrix_matches_prolong(grid128, spec):
+    # prolong samples the same trigonometric interpolant by zero-padding the
+    # spectrum: at the nodes of the twice finer grid, M U M^T is prolong's
+    # field, white noise (no decay, full Nyquist content) included.
+    from planarsp.fiber import _interpolation_matrix
+    from planarsp.functionals import prolong
 
-    from planarsp.fiber import _spline_matrix
+    if spec is None:
+        u = Field(grid128, np.random.default_rng(7).standard_normal((128, 128)))
+    else:
+        u = discretize(spec, grid128)
+    want = prolong(u, make_grid(grid128.extent, 256)).values
+    M = _interpolation_matrix(128, np.arange(256) * 0.5)
+    got = M @ u.values @ M.T
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    u = discretize(spec, grid128)
-    for t in (0.5, 0.9, 1.01, 1.3, 2.0):
-        idx = (t * grid128.coords1d() + 0.5 * grid128.extent) / grid128.h
-        ix, iy = np.meshgrid(idx, idx, indexing="ij")
-        want = t * map_coordinates(u.values, [ix, iy], order=3, mode="constant",
-                                   cval=0.0, prefilter=True)
-        M = _spline_matrix(grid128.n, idx)
-        got = t * (M @ u.values @ M.T)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        if spec.kind == "random_smooth" and t < 1.0:
-            with pytest.raises(DomainError):
-                dilate(u, t)
-        else:
-            assert np.array_equal(dilate(u, t).values, got)
+
+@pytest.mark.parametrize("t, rel", [(0.5, 1e-13), (0.9, 1e-13), (1.01, 1e-13),
+                                    (1.3, 1e-13), (2.0, 1e-10)])
+def test_dilate_gaussian_matches_closed_form(grid128, t, rel):
+    # The unit Gaussian dilated by t is the Gaussian of width 1/t.  At t = 2
+    # that width, 0.5 on h = 0.3125, starts to alias.
+    v = dilate(discretize(ProfileSpec.gaussian(sigma=1.0), grid128), t)
+    want = discretize(ProfileSpec.gaussian(sigma=1.0 / t), grid128).values
+    assert np.max(np.abs(v.values - want)) <= rel * np.max(np.abs(want))
+
+
+def test_dilate_refuses_a_domain_filling_field_for_t_below_1(grid128):
+    # random_smooth fills the domain, so any t < 1 pushes it into the frame
+    u = discretize(ProfileSpec.random_smooth(seed=3), grid128)
+    for t in (0.5, 0.9):
+        with pytest.raises(DomainError):
+            dilate(u, t)
+
+
+def test_dilate_refuses_a_non_finite_t():
+    u = discretize(ProfileSpec.gaussian(sigma=1.0), make_grid(40.0, 64))
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        dilate(u, math.inf)
+
+
+def test_dilate_refuses_a_vanishing_mass():
+    # t u(t x) at t = 1e-300 is u(0) 1e-300 on every node: its mass
+    # underflows to 0.  A field with no mass has none to dilate.
+    u = discretize(ProfileSpec.gaussian(sigma=1.0), make_grid(40.0, 64))
+    with pytest.raises(DomainError, match="t=1e-300 leaves no mass"):
+        dilate(u, 1e-300)
+    with pytest.raises(DomainError, match="t=2.0 leaves no mass"):
+        dilate(0.0 * u, 2.0)
+
+
+def test_dilate_refuses_an_overflowing_mass():
+    # at t = 1e300 only the node at the origin stays inside: its sample
+    # t u(0) is a float, but the mass is not (RuntimeWarning is an error)
+    u = discretize(ProfileSpec.gaussian(sigma=1.0), make_grid(40.0, 64))
+    for t in (1e300, 1e308):   # at 1e308, t x overflows off the origin too
+        with pytest.raises(ResolutionError, match="overflows the mass"):
+            dilate(u, t)
 
 
 def test_dilate_support_escape():
@@ -353,10 +392,10 @@ def test_project_to_lambda_fixed_point():
     u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
     v = normalize(project_to_lambda(u, pr, "plus"), 1.0)
     w = project_to_lambda(v, pr, "plus")
-    # after one projection the root sits at 1 up to resampling error, so the
-    # second projection moves by less than the resampling tolerance
+    # the dilation is exact for the resolved Gaussian, so after one
+    # projection the root sits at 1 to round-off
     sc_w = scalars(w, pr)
-    assert abs(phi(sc_w, 1.0)) < 1e-3 * (sc_w.A + 0.25)
+    assert abs(phi(sc_w, 1.0)) < 1e-13 * (sc_w.A + 0.25)
 
 
 def test_project_to_lambda_minus_branch():
@@ -399,14 +438,14 @@ def test_branch_point_sign_validation(monkeypatch):
 
 def test_scalar_fiber_matches_grid_dilation(gauss256):
     # g evaluated from scalars equals the grid energy of the materialized
-    # dilation to resampling accuracy
+    # dilation to round-off: the dilation is exact for the resolved Gaussian
     from planarsp import energy
 
     pr = Params(gamma=1.0, a=1.0, p=3.0, c=1.0)
     sc = scalars(gauss256, pr)
     for t in (0.7, 1.6):
         v = dilate(gauss256, t)
-        assert energy(v, pr).F == pytest.approx(g(sc, t), rel=1e-3)
+        assert energy(v, pr).F == pytest.approx(g(sc, t), rel=1e-12)
 
 
 def test_bracketing_cap_error():

@@ -384,12 +384,12 @@ def test_ladder_levels(name, ladder_reports):
 
 
 def test_ladder_middle_level_iterates():
-    # At c = 0.3 c0 the 64^2 solution does not pass the stop test at 128^2:
-    # the middle level iterates (2 steps after 7 at 64^2), and the 256^2
-    # level certifies its answer with none.
+    # At c = 0.7 c0 on L = 32 the 64^2 solution does not pass the stop test
+    # at 128^2: the middle level iterates (2 steps after 5 at 64^2), and the
+    # 256^2 level certifies its answer with none.
     p = 6.0
-    pr = Params(gamma=1.0, a=1.0, p=p, c=0.3 * c0(p, 1.0, 1.0, kgn_estimate(p)))
-    rep = lambda_branch_minimize(pr, make_grid(24.0, 256), CFG,
+    pr = Params(gamma=1.0, a=1.0, p=p, c=0.7 * c0(p, 1.0, 1.0, kgn_estimate(p)))
+    rep = lambda_branch_minimize(pr, make_grid(32.0, 256), CFG,
                                  gaussian_on_branch(pr, "plus"), "plus")
     coarsest, middle, fine = rep.extras["levels"]
     assert (coarsest["n"], middle["n"], fine["n"]) == (64, 128, 256)
@@ -622,12 +622,12 @@ def test_recenters_are_capped_at_eight(p6_setup, monkeypatch):
     # With no Q tolerance to meet, plus_p6 recenters each time its tangent
     # gradient converges, 8 times, and then stops at the stationarity floor.
     monkeypatch.setattr(solvers, "_TOL_Q", 0.0)
-    with pytest.raises(ConvergenceError, match="at iteration 18 on 64\\^2: the "
+    with pytest.raises(ConvergenceError, match="at iteration 17 on 64\\^2: the "
                        "stationarity floor is reached") as exc:
         lambda_branch_minimize(p6_setup, make_grid(24.0, 64), CFG,
                                gaussian_on_branch(p6_setup, "plus"), "plus")
     assert exc.value.report.extras["recenters"] == 8
-    assert exc.value.report.iters == 18
+    assert exc.value.report.iters == 17
 
 
 def test_refused_recenter_reports_its_last_admissible_point(p6_setup, monkeypatch):
