@@ -37,9 +37,8 @@ _SUBMODULE = {name: module for module, names in (
               "shift", "write_field")),
     ("params", ("Params",)),
     ("solvers", ("SolveReport", "SolverConfig", "global_minimize",
-                 "lambda_branch_minimize", "lambda_maximize",
-                 "local_minimize_capped", "masscritical_probe",
-                 "two_bump_probe")),
+                 "lambda_branch_minimize", "local_minimize_capped",
+                 "masscritical_probe", "two_bump_probe")),
 ) for name in names}
 
 __all__ = sorted(_SUBMODULE)

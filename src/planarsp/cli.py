@@ -15,9 +15,9 @@ and a report.json is itself accepted as --config, so `solve --config
 report.json` replays the run.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(a grid too coarse for the start, and an output path that cannot be
-written, included), 3 non-convergence (report still written), 4 regime
-refusal.
+(a grid too coarse for the start, a grid extent whose square overflows, a
+grid too large for memory, and an output path that cannot be written,
+included), 3 non-convergence (report still written), 4 regime refusal.
 
 classify, sweep, constants and --help run on the standard library alone:
 the handlers that need numpy import it, and the modules built on it,
@@ -120,6 +120,9 @@ def _merged_grid(cfg: dict, args) -> Grid:
     section = _section(cfg, "grid", L=args.grid_L, n=args.grid_n)
     L = _number("grid.L", section.get("L", 40.0))
     n = _integer("grid.n", section.get("n", 256))
+    # Sampling a profile forms x^2 + y^2, up to L^2/2, on the grid's nodes.
+    if not math.isfinite(L * L):
+        raise ConfigError(f"grid.L = {L} is too large: its square overflows")
     try:
         return make_grid(L, n)
     except (TypeError, ValueError) as exc:
@@ -395,12 +398,11 @@ def cmd_solve(args) -> int:
         print(f"wrote {out / 'report.json'} (converged={report.converged}, "
               f"F={report.objective:.8g})")
 
-    # The solvers take the label rather than classify params again.
     try:
         if branch == "auto":
-            report = minimize(params, grid, solver_cfg, spec, regime=label)
+            report = minimize(params, grid, solver_cfg, spec)
         else:
-            report = on_branch(params, grid, solver_cfg, spec, branch, regime=label)
+            report = on_branch(params, grid, solver_cfg, spec, branch)
     except ConvergenceError as exc:
         if exc.report is not None:
             write_outputs(exc.report)
@@ -508,7 +510,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

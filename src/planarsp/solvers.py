@@ -15,9 +15,10 @@ admissible point; accepted steps are therefore monotone by construction.
   local_minimize_capped  descent of F with steps rejected above the
                          kinetic cap A <= k0   (gamma > 0, p > 4, c < c0)
   lambda_branch_minimize descent of I(u) = F(u^s_u) on a fiber branch
-  lambda_maximize        no flow: it quotes the classifier's certificate
-                         that the Pohozaev set is empty for gamma < 0,
-                         p < 4 and T1 <= a < T2, and refuses
+
+Each solver classifies its own parameters and refuses, quoting the
+classifier's certificate, a regime it does not solve; the gamma < 0 window
+T1 <= a < T2, whose Pohozaev set is empty, has no solver.
 
 Each iterate is evaluated once (functionals.Evaluation) and every quantity
 of it, the certificates of the final point included, is read from that
@@ -78,8 +79,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, astuple, dataclass, field as dc_field, replace
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field as dc_field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,7 +102,6 @@ __all__ = [
     "global_minimize",
     "local_minimize_capped",
     "lambda_branch_minimize",
-    "lambda_maximize",
     "REGIME_SOLVERS",
     "two_bump_probe",
     "masscritical_probe",
@@ -600,18 +600,10 @@ def _ladder(grid: Grid, init: Union[ProfileSpec, Field], obj: _Objective,
 # ---------------------------------------------------------------------------
 
 
-def _regime_for(solver: Callable, params: Params, requirement: str,
-                regime: Optional[K.RegimeLabel]) -> K.RegimeLabel:
-    """The classifier's regime of params (regime itself when the caller has
-    classified params already); ValueError when regime's certificate names
-    another (gamma, a, p, c), RegimeError unless REGIME_SOLVERS maps its
-    tag to solver."""
-    if regime is None:
-        regime = K.regime_classify(params, K.sharp_constants(params.p))
-    named = tuple(regime.certificate.get(key) for key in ("gamma", "a", "p", "c"))
-    if named != astuple(params):
-        raise ValueError(f"{solver.__name__}: the regime label certifies (gamma, a, p, "
-                         f"c) = {named}, not the solved {astuple(params)}")
+def _regime_for(solver: Callable, params: Params, requirement: str) -> K.RegimeLabel:
+    """The classifier's regime of params; RegimeError unless REGIME_SOLVERS
+    maps its tag to solver."""
+    regime = K.regime_classify(params, K.sharp_constants(params.p))
     if solver not in REGIME_SOLVERS.get(regime.tag, ()):
         raise RegimeError(f"{solver.__name__} requires {requirement}; classifier "
                           f"says {regime.tag}: {regime.certificate['conditions']}")
@@ -619,67 +611,41 @@ def _regime_for(solver: Callable, params: Params, requirement: str,
 
 
 def global_minimize(params: Params, grid: Grid, config: SolverConfig,
-                    init: Union[ProfileSpec, Field], *,
-                    regime: Optional[K.RegimeLabel] = None) -> SolveReport:
+                    init: Union[ProfileSpec, Field]) -> SolveReport:
     """Minimize F over the mass sphere in a bounded regime.
 
     Valid when the classifier reports GlobalMin or GlobalMinMassCritical;
     refuses to start otherwise, quoting the certificate.  The flow starts
-    on the minimum of init's fiber (module docstring).  regime is the
-    classifier's label of params when the caller has it (a label of
-    another (gamma, a, p, c) is a ValueError); it is classified here
-    otherwise."""
-    regime = _regime_for(global_minimize, params, "a bounded-below regime", regime)
+    on the minimum of init's fiber (module docstring)."""
+    regime = _regime_for(global_minimize, params, "a bounded-below regime")
     return _ladder(grid, init, _Energy(params, "global_minimize"), config, regime)
 
 
 def local_minimize_capped(params: Params, grid: Grid, config: SolverConfig,
-                          init: Union[ProfileSpec, Field], *,
-                          regime: Optional[K.RegimeLabel] = None) -> SolveReport:
+                          init: Union[ProfileSpec, Field]) -> SolveReport:
     """Minimize F on the kinetic cap A <= k0 (gamma > 0, a > 0, p > 4, c < c0).
 
     The flow starts on the minimum of init's fiber, which lies inside the
     cap.  Trial steps that reach the cap are rejected, so every iterate is
     strictly interior; a flow pinned against the cap raises
-    CapBoundaryError.  regime as for global_minimize."""
-    regime = _regime_for(local_minimize_capped, params,
-                         "gamma > 0, a > 0, p > 4, c < c0", regime)
+    CapBoundaryError."""
+    regime = _regime_for(local_minimize_capped, params, "gamma > 0, a > 0, p > 4, c < c0")
     return _ladder(grid, init, _Energy(params, "local_minimize_capped", K.k0(params)),
                    config, regime)
 
 
 def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
-                           init: Union[ProfileSpec, Field], branch: str, *,
-                           regime: Optional[K.RegimeLabel] = None) -> SolveReport:
+                           init: Union[ProfileSpec, Field], branch: str) -> SolveReport:
     """Minimize F over a fiber branch (gamma > 0, a > 0, p > 4, c < c0).
 
     branch='plus' targets the local minimizer (same solution as the capped
-    minimization); branch='minus' the mountain-pass point.  regime as for
-    global_minimize."""
+    minimization); branch='minus' the mountain-pass point."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
-    regime = _regime_for(lambda_branch_minimize, params,
-                         "gamma > 0, a > 0, p > 4, c < c0", regime)
+    regime = _regime_for(lambda_branch_minimize, params, "gamma > 0, a > 0, p > 4, c < c0")
     return _ladder(grid, init,
                    _FiberBranch(params, f"lambda_branch_minimize[{branch}]", branch),
                    config, regime)
-
-
-def lambda_maximize(params: Params, branch: str = "minus") -> NoReturn:
-    """Refuse the critical points on the Pohozaev set that the source paper
-    claims for gamma < 0, a > 0, p < 4 and T1 <= a < T2.
-
-    The classifier's certificate for that window bounds (t*)^2 A below k0
-    for every field, so the Pohozaev set is empty and there is nothing to
-    maximize (see constants.regime_classify).  Raises ValueError for an
-    unknown branch, else RegimeError quoting the certificate's conditions.
-    No kernel table and no field is built."""
-    if branch not in ("plus", "minus"):
-        raise ValueError(f"unknown branch {branch!r}")
-    regime = K.regime_classify(params, K.sharp_constants(params.p))
-    raise RegimeError(f"lambda_maximize[{branch}]: no critical point to maximize; "
-                      f"classifier says {regime.tag}: "
-                      f"{'; '.join(regime.certificate['conditions'])}")
 
 
 # The solvers of each solvable regime tag: the minimizer of F, then the

@@ -11,6 +11,7 @@ Pohozaev set of the problem is empty, so no critical points exist; the
 blocking analysis lives in the decisions ledger outside the package.
 """
 
+import json
 import math
 import time
 
@@ -18,12 +19,12 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from planarsp import (Params, ProfileSpec, RegimeError, SolverConfig,
+from planarsp import (Params, ProfileSpec, SolverConfig,
                       critical_points, dilate, discretize, energy,
                       grad_energy, global_minimize, kinetic,
-                      lambda_branch_minimize, lambda_maximize,
-                      local_minimize_capped, make_grid,
+                      lambda_branch_minimize, local_minimize_capped, make_grid,
                       masscritical_probe, phi, pnorm, two_bump_probe)
+from planarsp.cli import main
 from planarsp.constants import (a_thresholds, c0, c_edges, gaussian_rayleigh_quotient,
                                 ground_state_radial,
                                 kgn_estimate, mass_critical_threshold,
@@ -261,19 +262,22 @@ def test_criterion_10a_two_solutions_gamma_positive(p6_params, p6_plus, p6_minus
                           "empty at the coupling midway between the published "
                           "K1/K2 thresholds, so no critical points exist; see "
                           "the decisions ledger for the verified analysis")
-def test_criterion_10b_two_solutions_gamma_negative():
+def test_criterion_10b_two_solutions_gamma_negative(tmp_path, capsys):
     p = 3.0
     t1, t2 = a_thresholds(p, -1.0, 1.0, kgn_estimate(p))
-    pr = Params(gamma=-1.0, a=0.5 * (t1 + t2), p=p, c=1.0)
-    try:
-        reps = [lambda_maximize(pr, branch) for branch in ("minus", "plus")]
-    except RegimeError as exc:
-        report("10b", False, f"gamma<0 pair unattainable as specified: {exc}")
-        raise AssertionError(
-            "no certified critical points exist at the published mid-window "
-            "coupling") from exc
-    for rep in reps:
-        assert rep.converged and rep.el_res < 1e-3
+    a = 0.5 * (t1 + t2)
+    for branch in ("minus", "plus"):
+        out = tmp_path / branch
+        code = main(["solve", "--gamma", "-1", "--a", repr(a), "--p", "3", "--c", "1",
+                     "--branch", branch, "--out", str(out)])
+        if code != 0:
+            err = capsys.readouterr().err.strip()
+            report("10b", False, f"gamma<0 pair unattainable as specified: {err}")
+            raise AssertionError("no certified critical points exist at the published "
+                                 f"mid-window coupling: solve --branch {branch} "
+                                 f"exited {code}")
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["converged"] and rep["el_residual"] < 1e-3
     report("10b", True, "gamma<0 pair certified")
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planarsp import SolverConfig, read_field
+from planarsp import Params, SolverConfig, read_field
 from planarsp import constants as K
 from planarsp.cli import main
 
@@ -409,6 +409,37 @@ def test_fiber_refuses_an_overflowing_stationary_point(tmp_path, capsys):
     assert not (out / "fiber.csv").exists()
 
 
+def test_fiber_on_a_grid_too_large_for_memory_exits_2(tmp_path, capsys):
+    # A 2^23 x 2^23 float64 array needs 512 TiB, more than a 47-bit address
+    # space holds: numpy's MemoryError is refused on one line, not as a
+    # traceback, and nothing is written.
+    out = tmp_path / "fib"
+    assert run_cli(["fiber", "--gamma", "1", "--a", "1", "--p", "3", "--c", "1",
+                    "--grid-n", "8388608", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, L, message", [
+    ("solve", "2e154", "config error: grid.L = 2e+154 is too large: its square overflows"),
+    ("solve", "1e300", "config error: grid.L = 1e+300 is too large: its square overflows"),
+    ("fiber", "1e300", "config error: grid.L = 1e+300 is too large: its square overflows"),
+    # L^2 = 1e308 is finite: the unit Gaussian underflows on every node and
+    # is refused downstream, as before the extent check.
+    ("solve", "1e154", "config error: kinetic invariant must be positive"),
+], ids=["solve_2e154", "solve_1e300", "fiber_1e300", "solve_1e154"])
+def test_an_extent_whose_square_overflows_is_refused(tmp_path, capsys, command, L,
+                                                      message):
+    # Sampling a profile squares the coordinates: an extent whose square
+    # overflows is refused by name before any numpy overflow warning.
+    out = tmp_path / "x"
+    assert run_cli([command, "--gamma", "1", "--a", "0", "--p", "3", "--c", "1",
+                    "--grid-n", "64", "--grid-L", L, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_fiber_range_override(tmp_path):
     out = tmp_path / "fib"
     assert run_cli(["fiber", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
@@ -610,21 +641,40 @@ def test_solve_refuses_a_branch_without_fiber_branches(tmp_path, capsys, branch)
     assert not out.exists()
 
 
-def test_solve_refuses_the_published_gamma_negative_window(tmp_path, capsys):
-    # T1 < a = 6.5 < T2 at p = 3: the Pohozaev set is empty, nothing is
-    # solved and nothing is written.
-    out = tmp_path / "x"
-    assert run_cli(["solve", "--gamma", "-1", "--a", "6.5", "--p", "3",
-                    "--c", "1", "--grid-n", "128", "--out", str(out)]) == 4
-    assert "Pohozaev set is empty" in capsys.readouterr().err
-    assert not out.exists()
+def test_solve_refuses_the_published_gamma_negative_window(tmp_path, capsys,
+                                                           monkeypatch):
+    # At p = 3 below T1 the Pohozaev set is empty (LambdaEmpty); from T1 up
+    # to T2 it is empty too, and the certificate quotes the sharp
+    # Gagliardo-Nirenberg bound t*^2 A <= (a/T2)^(2/(4-p)) k0 < k0.  solve
+    # refuses by certificate before any grid work: nothing is solved, no
+    # kernel table is built and nothing is written.
+    import planarsp.functionals as functionals
+
+    def no_table(grid):
+        raise AssertionError("the refusal must not build a kernel table")
+
+    monkeypatch.setattr(functionals, "kernel_table", no_table)
+    t1, t2 = K.a_thresholds(3.0, -1.0, 1.0, K.kgn_estimate(3.0))
+    for a in (0.5, t1, 0.5 * (t1 + t2)):
+        out = tmp_path / repr(a)
+        assert run_cli(["solve", "--gamma", "-1", "--a", repr(a), "--p", "3",
+                        "--c", "1", "--grid-n", "128", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert not out.exists()
+        if a >= t1:
+            pr = Params(gamma=-1.0, a=a, p=3.0, c=1.0)
+            bound = (a / t2) ** (2.0 / (4.0 - pr.p)) * K.k0(pr)
+            assert "Pohozaev set is empty" in err
+            assert f"T2 = {t2}" in err
+            assert f"k0 = {bound}" in err
 
 
 @pytest.mark.parametrize("branch", ["auto", "plus"])
 def test_solve_classifies_once(tmp_path, monkeypatch, branch):
-    # solve classifies to pick its solver and hands the label on, through
-    # every level of the 256^2 grid ladder; no step is taken, so the solve
-    # ends unconverged (exit 3).
+    # solve classifies to pick its solver and the solver classifies its own
+    # parameters: twice in all, and no level of the 256^2 grid ladder
+    # classifies again.  No step is taken, so the solve ends unconverged
+    # (exit 3).
     calls = []
     classify = K.regime_classify
     monkeypatch.setattr(K, "regime_classify",
@@ -633,7 +683,7 @@ def test_solve_classifies_once(tmp_path, monkeypatch, branch):
                     "--grid-n", "256", "--branch", branch,
                     "--out", str(tmp_path / "x"),
                     "--config", str(_mk_cfg(tmp_path, {"solver": {"max_iter": 0}}))]) == 3
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_solve_branch_starts_on_its_branch(tmp_path):

@@ -33,8 +33,8 @@ _EXPORTS = {
              "discretize", "make_grid", "mass", "normalize", "read_field",
              "shift", "write_field"],
     "solvers": ["SolveReport", "SolverConfig", "global_minimize",
-                "lambda_branch_minimize", "lambda_maximize",
-                "local_minimize_capped", "masscritical_probe", "two_bump_probe"],
+                "lambda_branch_minimize", "local_minimize_capped",
+                "masscritical_probe", "two_bump_probe"],
 }
 
 

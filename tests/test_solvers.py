@@ -6,13 +6,12 @@ import pytest
 from planarsp import (CapBoundaryError, ConvergenceError, DomainError, Field,
                       GuardFloorError, Params, ProfileSpec, RegimeError,
                       ResolutionError, SolverConfig, dilate, discretize,
-                      global_minimize, lambda_branch_minimize, lambda_maximize,
+                      global_minimize, lambda_branch_minimize,
                       local_minimize_capped, make_grid, mass, masscritical_probe,
                       normalize, pnorm, scalars, t_star, two_bump_probe)
 from planarsp import solvers
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
-                                kgn_estimate, mass_critical_threshold, regime_classify,
-                                sharp_constants)
+                                kgn_estimate, mass_critical_threshold)
 from planarsp.fiber import _critical_point
 from planarsp.functionals import Evaluation, kernel_table, prolong
 from planarsp.solvers import gaussian_on_branch
@@ -696,28 +695,6 @@ def test_recenter_far_from_the_branch_point(p6_setup):
     assert rep.objective == pytest.approx(BENCH_256["minus_p6"][1], rel=1e-9)
 
 
-@pytest.mark.parametrize("solver, other", [
-    (global_minimize, Params(gamma=1.0, a=0.0, p=3.0, c=1.0)),
-    (local_minimize_capped, None),
-    (lambda_branch_minimize, None),
-], ids=["global_with_p3", "capped_with_other_c", "branch_with_other_c"])
-def test_a_regime_label_of_another_tuple_is_refused(solver, other, p6_setup):
-    # The GlobalMin label of (1, 0, 3, 1) once let global_minimize solve
-    # p6_setup, which has no global minimum, and certify it for p = 3; a
-    # label of 0.9 c passed as the label of c.
-    other = other or dataclasses.replace(p6_setup, c=0.9 * p6_setup.c)
-    label = regime_classify(other, sharp_constants(other.p))
-    args = (p6_setup, make_grid(24.0, 64), CFG, ProfileSpec.gaussian(sigma=1.5))
-    if solver is lambda_branch_minimize:
-        args += ("plus",)
-    with pytest.raises(ValueError, match=r"certifies \(gamma, a, p, c\) = "
-                       rf"\({other.gamma}, {other.a}, {other.p}, {other.c}\), not"):
-        solver(*args, regime=label)
-    if solver is global_minimize:
-        with pytest.raises(RegimeError):
-            solver(*args)
-
-
 def test_init_field_on_another_grid_is_refused():
     u = normalize(discretize(ProfileSpec.gaussian(sigma=1.5), make_grid(40.0, 64)), 1.0)
     with pytest.raises(ValueError, match="different grid"):
@@ -726,59 +703,8 @@ def test_init_field_on_another_grid_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# gamma < 0 maximization
+# gamma < 0 window
 # ---------------------------------------------------------------------------
-
-
-def test_lambda_maximize_below_threshold_refused():
-    pr = Params(gamma=-1.0, a=0.5, p=3.0, c=1.0)
-    with pytest.raises(RegimeError):
-        lambda_maximize(pr)
-
-
-def _window_params(p, where):
-    t1, t2 = a_thresholds(p, -1.0, 1.0, kgn_estimate(p))
-    a = t1 if where == "lower" else 0.5 * (t1 + t2)
-    return Params(gamma=-1.0, a=a, p=p, c=1.0), t2
-
-
-def _refusal_bound(pr, t2, monkeypatch):
-    """The t*^2 A bound quoted by lambda_maximize's refusal, which must name
-    T2 and build no kernel table."""
-    import planarsp.functionals as functionals
-
-    def no_table(grid):
-        raise AssertionError("the refusal must not build a kernel table")
-
-    monkeypatch.setattr(functionals, "kernel_table", no_table)
-    with pytest.raises(RegimeError, match="Pohozaev set is empty") as exc:
-        lambda_maximize(pr, "minus")
-    bound = (pr.a / t2) ** (2.0 / (4.0 - pr.p)) * k0(pr)
-    assert f"T2 = {t2}" in str(exc.value)
-    assert f"k0 = {bound}" in str(exc.value)
-    return bound
-
-
-def test_lambda_maximize_published_window_is_empty(monkeypatch):
-    # Midway between the published T1/T2 thresholds the Pohozaev set is
-    # empty (the sharp Gagliardo-Nirenberg bound keeps t*^2 A below k0), so
-    # the solver refuses by certificate.
-    pr, t2 = _window_params(3.0, "mid")
-    assert _refusal_bound(pr, t2, monkeypatch) < k0(pr)
-
-
-def test_lambda_maximize_threshold_refused(monkeypatch):
-    # At a = T1 exactly the bound is k0/2: V is empty and so
-    # is the Pohozaev set.
-    pr, t2 = _window_params(3.0, "lower")
-    assert _refusal_bound(pr, t2, monkeypatch) == pytest.approx(0.5 * k0(pr),
-                                                                rel=1e-12)
-
-
-def test_lambda_maximize_unknown_branch_is_refused_first():
-    pr, _ = _window_params(3.0, "mid")
-    with pytest.raises(ValueError):
-        lambda_maximize(pr, "sideways")
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 3.5])
@@ -786,7 +712,8 @@ def test_gn_optimizer_attains_the_refusal_bound(p):
     # The identity the refusal rests on: the Gagliardo-Nirenberg optimizer
     # attains t*^2 A = (a/T2)^(2/(4-p)) k0, the largest value over all
     # fields of mass c, so no field reaches V below T2.
-    pr, t2 = _window_params(p, "mid")
+    t1, t2 = a_thresholds(p, -1.0, 1.0, kgn_estimate(p))
+    pr = Params(gamma=-1.0, a=0.5 * (t1 + t2), p=p, c=1.0)
     sc = scalars(gn_profile_field(make_grid(40.0, 128), p, 1.0), pr)
     ratio = t_star(sc) ** 2 * sc.A / k0(pr)
     assert ratio == pytest.approx((pr.a / t2) ** (2.0 / (4.0 - p)), rel=1e-5)
