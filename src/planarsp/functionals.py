@@ -14,13 +14,16 @@ The convolution w = log|.| * u^2 is evaluated as a free-space convolution:
 u^2 is zero-padded to a 2n x 2n grid and multiplied in Fourier space with
 the transform of a kernel at the node displacements (the domain doubling
 of Hockney & Eastwood, Computer Simulation Using Particles, 1988).  Both
-padded transforms are pruned.  The forward transforms only the n non-zero
-rows, by a real transform of length 2n along the second axis, then every
-column by a complex transform of length 2n along the first.  Only the
-n x n block of the padded inverse is read, so the inverse keeps n rows of
-a complex inverse along the first axis and carries only those through a
-real inverse along the second.  Both are bit-identical to the full 2n x 2n
-transforms.
+padded transforms are pruned, and neither makes a temporary larger than
+one block of rows.  The forward transforms only the n non-zero rows, by a
+real transform of length 2n along the second axis, a block of rows at a
+time into one padded buffer (only its padding rows are zeroed), then
+every column of that buffer in place by a complex transform of length 2n
+along the first.  Only the n x n block of the padded inverse is read, so
+the inverse runs the complex inverse along the first axis in place and
+carries its first n rows, a block at a time, through a real inverse along
+the second, writing the n x n block.  Both are bit-identical to the full
+2n x 2n transforms.
 
 The log kernel is not sampled: its values at the node displacements come
 from the truncated-kernel method (Vico, Greengard & Ferrando, J. Comput.
@@ -288,7 +291,8 @@ class KernelTable:
     Both kernels are even in both axes, so each transform is stored as its
     (n+1) x (n+1) quadrant, the DCT-I of the kernel's window; the padded
     2n x (n+1) half spectrum is the quadrant with its rows n-1..1 mirrored
-    below, and _times_quadrant multiplies by it.
+    below, and _times_quadrant multiplies by it.  No quadrature weight is
+    kept either: Evaluation.star_norm forms log(1+|x|) on its one read.
 
     Immutable after construction (every array is read-only) and safe to
     share across threads.
@@ -298,7 +302,6 @@ class KernelTable:
     k2: np.ndarray          # |k|^2 in rfft2 layout on the n x n grid
     khat_log: np.ndarray    # quadrant of the padded rfft2 of the truncated-kernel log|z|
     khat_v1: np.ndarray     # quadrant of the padded rfft2 of the sampled log(1+|z|)
-    log_weight: np.ndarray  # log(1+|x|) quadrature weight on the n x n grid
 
     @staticmethod
     def build(grid: Grid) -> "KernelTable":
@@ -309,8 +312,7 @@ class KernelTable:
         k2 = k[:, None] ** 2 + k[None, : n // 2 + 1] ** 2
         table = KernelTable(grid=grid, k2=k2,
                             khat_log=_even_quadrant(_log_window(n, h)),
-                            khat_v1=_even_quadrant(_log1p_window(n, h)),
-                            log_weight=np.log1p(grid.radius()))
+                            khat_v1=_even_quadrant(_log1p_window(n, h)))
         for array in vars(table).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -337,26 +339,36 @@ def kernel_table(grid: Grid) -> KernelTable:
 # ---------------------------------------------------------------------------
 
 
+# Rows that _forward, _inverse and _power transform or square at once.
+_ROW_BLOCK = 64
+
+
 def _forward(values: np.ndarray) -> np.ndarray:
     """rfft2 of the n x n values zero-padded to the 2n x 2n grid, pruned:
     the n rows, the only non-zero ones, by a real transform of length 2n
-    along the second axis, then every column of them by a complex one of
-    length 2n along the first.  These are the two stages rfft2 runs, minus
-    the real transforms of the n zero rows, so the spectrum is
-    bit-identical to rfft2(values, s=(2n, 2n)).  It is a fresh array that
-    the caller owns."""
+    along the second axis, written _ROW_BLOCK rows at a time into the first
+    n rows of one 2n x (n+1) buffer whose other n rows are zeroed, then
+    every column of it by a complex one of length 2n along the first, in
+    place.  These are the two stages rfft2 runs, minus the real transforms
+    of the n zero rows, so the spectrum is bit-identical to
+    rfft2(values, s=(2n, 2n)).  It is a fresh array that the caller owns."""
     import scipy.fft as sfft
 
     n = values.shape[0]
-    rows = sfft.rfftn(values, s=(2 * n,), axes=(1,))
-    return sfft.fftn(rows, s=(2 * n,), axes=(0,), overwrite_x=True)
+    spec = np.empty((2 * n, n + 1), dtype=complex)
+    spec[n:] = 0.0
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        spec[:n][rows] = sfft.rfftn(values[rows], s=(2 * n,), axes=(1,))
+    return sfft.fftn(spec, axes=(0,), overwrite_x=True)
 
 
 def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
     """The n x n block of the padded inverse transform, pruned: the inverse
-    along the first axis keeps its first n rows, and only those are carried
-    through the real inverse along the second axis.  Returns a view of an
-    n x 2n array.  The rows are the ones irfft2 computes, and the two
+    along the first axis runs in place, and only its first n rows are
+    carried through the real inverse along the second axis, _ROW_BLOCK rows
+    at a time, each keeping its first n columns.  Returns a fresh n x n
+    array.  The rows are the ones irfft2 computes, and the two
     normalizations 1/(2n) are exact (n is a power of two), so the block is
     bit-identical to irfft2(spec, s=(2n, 2n))[:n, :n].
 
@@ -365,12 +377,13 @@ def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
     holds."""
     import scipy.fft as sfft
 
-    rows = sfft.ifftn(spec, axes=(0,), overwrite_x=True)[:n]
-    return sfft.irfftn(rows, s=(2 * n,), axes=(1,), overwrite_x=True)[:, :n]
-
-
-# Rows of the imaginary parts that _power squares at once.
-_ROW_BLOCK = 64
+    cols = sfft.ifftn(spec, axes=(0,), overwrite_x=True)
+    block = np.empty((n, n))
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        block[rows] = sfft.irfftn(cols[:n][rows], s=(2 * n,), axes=(1,),
+                                  overwrite_x=True)[:, :n]
+    return block
 
 
 def _power(spec: np.ndarray) -> np.ndarray:
@@ -404,12 +417,13 @@ class Evaluation:
     the n non-zero rows, bit-identical to the full padded rfft2).  A, V and
     V1 are read from them by Parseval, so F takes no inverse transform.
     -Delta u takes one n x n inverse, and w = log|.| * u^2 one pruned padded
-    inverse (n rows by ifft, then n columns by irfft, bit-identical to the
-    n x n block of the full padded inverse); only grad and the quantities
-    built on it read them.  w consumes spec_sq: it reads V and V1 first,
-    then multiplies spec_sq in place by the log kernel's quadrant and hands
-    it to the inverse, so no second padded spectrum is made and spec_sq is
-    no longer held.  The kernel table is kernel_table(u.grid).
+    inverse (every column by an in-place ifft, then the first n rows, a
+    block at a time, by irfft into a fresh n x n array, bit-identical to
+    the n x n block of the full padded inverse); only grad and the
+    quantities built on it read them.  w consumes spec_sq: it reads V and
+    V1 first, then multiplies spec_sq in place by the log kernel's quadrant
+    and hands it to the inverse, so no second padded spectrum is made and
+    spec_sq is no longer held.  The kernel table is kernel_table(u.grid).
     """
 
     def __init__(self, u: Field):
@@ -457,11 +471,15 @@ class Evaluation:
 
     @cached_property
     def w(self) -> np.ndarray:
-        """The log potential log|.| * u^2 on the grid.  Consumes spec_sq,
-        after reading V and V1 from it."""
+        """The log potential log|.| * u^2 on the grid, a fresh n x n array
+        that the evaluation owns, scaled by h^2 in place (a second n x n
+        array here raised the descent workload's peak RSS by 0.5 MB).
+        Consumes spec_sq, after reading V and V1 from it."""
         self.V, self.V1
         spec = _times_quadrant(vars(self).pop("spec_sq"), self.table.khat_log)
-        return self._h2 * _inverse(spec, self.u.grid.n)
+        w = _inverse(spec, self.u.grid.n)
+        w *= self._h2
+        return w
 
     @cached_property
     def neg_lap(self) -> np.ndarray:
@@ -489,9 +507,10 @@ class Evaluation:
 
     @cached_property
     def star_norm(self) -> float:
-        """Weighted-norm diagnostic integral log(1+|x|) u^2."""
-        return float(self._h2 * np.sum(self.table.log_weight * self.u.values
-                                       * self.u.values))
+        """Weighted-norm diagnostic integral log(1+|x|) u^2.  The weight
+        log(1+|x|) is formed here, on the one read, and not kept."""
+        return float(self._h2 * np.sum(np.log1p(self.u.grid.radius())
+                                       * self.u.values * self.u.values))
 
     def C(self, p: float) -> float:
         """integral |u|^p for p > 2."""

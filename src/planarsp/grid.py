@@ -75,8 +75,10 @@ class Grid:
         return np.meshgrid(x, x, indexing="ij")
 
     def radius(self) -> np.ndarray:
-        X, Y = self.meshgrid()
-        return np.hypot(X, Y)
+        """|x| at every node: one n x n array, where a meshgrid pair would
+        make two more."""
+        x = self.coords1d()
+        return np.hypot(x[:, None], x[None, :])
 
 
 @dataclass(frozen=True)

@@ -336,7 +336,12 @@ def test_gn_one_sided_bound(grid128):
 def test_star_norm_gaussian(gauss256):
     # integral log(1+r) u^2 for the unit Gaussian, radial quadrature oracle
     oracle, _ = quad(lambda r: 2.0 * r * np.exp(-r * r) * np.log1p(r), 0.0, 20.0)
-    assert Evaluation(gauss256).star_norm == pytest.approx(oracle, rel=2e-3)
+    star_norm = Evaluation(gauss256).star_norm
+    assert star_norm == pytest.approx(oracle, rel=2e-3)
+    # It is the grid sum, h^2 times the products log1p(r) u u in that
+    # order, bit for bit.
+    u, h = gauss256.values, gauss256.grid.h
+    assert star_norm == float(h * h * np.sum(np.log1p(gauss256.grid.radius()) * u * u))
 
 
 def _periodic_kinetic(u):
@@ -390,10 +395,11 @@ def _padded_block(values, multiplier):
     return sfft.irfft2(spec, s=(2 * n, 2 * n))[:n, :n]
 
 
-@pytest.mark.parametrize("n", [128, 256])
+# n = 16 and 32 are below one _ROW_BLOCK, 512 is eight blocks.
+@pytest.mark.parametrize("n", [16, 32, 128, 256, 512])
 @pytest.mark.parametrize("kind", ["gaussian", "noise"])
-def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
-    grid = grid128 if n == 128 else grid256
+def test_pruned_inverse_is_bit_identical(n, kind):
+    grid = make_grid(40.0, n)
     if kind == "gaussian":
         u = discretize(ProfileSpec.gaussian(sigma=1.0), grid)
     else:
@@ -412,6 +418,9 @@ def test_pruned_inverse_is_bit_identical(n, kind, grid128, grid256):
     u2 = u.values * u.values
     h2 = grid.h * grid.h
     assert np.array_equal(ev.w, h2 * _padded_block(u2, padded_kernel(table.khat_log)))
+    # w owns its n x n block: it pins no n x 2n row buffer.
+    assert ev.w.shape == (n, n) and ev.w.flags.c_contiguous
+    assert ev.w.base is None or ev.w.base.shape != (n, 2 * n)
     # w consumes spec_sq, after V and V1 are read from it.
     assert "spec_sq" not in vars(ev)
     assert (ev.V, ev.V1, ev.V2) == before
@@ -440,13 +449,13 @@ def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
     ev = Evaluation(gauss128)
     ev.F(PR3)  # an Armijo trial point: A and V by Parseval
     # One n x n forward of u and one pruned padded forward of u^2 (an rfftn
-    # and an fftn), and no inverse transform.
-    forwards = {"rfft2": 1, "irfft2": 0, "rfftn": 1, "fftn": 1, "ifftn": 0, "irfftn": 0}
+    # per block of 64 rows and one fftn), and no inverse transform.
+    forwards = {"rfft2": 1, "irfft2": 0, "rfftn": 2, "fftn": 1, "ifftn": 0, "irfftn": 0}
     assert fft_counts == forwards
     report = solvers._finalize(ev, PR3, regime, "test", 0, False, [])
     # The gradient adds -Delta u (one n x n inverse) and w (one pruned
-    # padded inverse, an ifftn and an irfftn).
-    assert fft_counts == dict(forwards, irfft2=1, ifftn=1, irfftn=1)
+    # padded inverse, an ifftn and an irfftn per block of 64 rows).
+    assert fft_counts == dict(forwards, irfft2=1, ifftn=1, irfftn=2)
     assert report.el_res == el_residual(gauss128, PR3, report.lam, table)
 
 
@@ -598,7 +607,7 @@ def test_cached_table_arrays_are_read_only(grid128):
     table = kernel_table(grid128)
     arrays = {name: array for name, array in vars(table).items()
               if isinstance(array, np.ndarray)}
-    assert arrays.keys() == {"k2", "khat_log", "khat_v1", "log_weight"}
+    assert arrays.keys() == {"k2", "khat_log", "khat_v1"}
     for name, array in arrays.items():
         with pytest.raises(ValueError):
             array[...] *= 2.0
@@ -622,19 +631,21 @@ def _traced(fn):
 
 
 def test_table_and_certification_memory(gauss256, grid256):
-    # The two kernel transforms are kept as (n+1)^2 quadrants, and the
-    # Sobolev smoother is not kept: 1.76 MiB for the whole 256^2 table
-    # (2.01 MiB with the smoother).  A warm-up build imports and plans
-    # first.
+    # The two kernel transforms are kept as (n+1)^2 quadrants, and neither
+    # the Sobolev smoother nor the log(1+|x|) weight is kept: 1.26 MiB for
+    # the whole 256^2 table (1.76 MiB with the weight, 2.01 MiB with the
+    # smoother too).  A warm-up build imports and plans first.
     functionals.KernelTable.build(grid256)
     kept, _, table = _traced(lambda: functionals.KernelTable.build(grid256))
     assert sum(a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray)) \
-        <= 1.8 * 2 ** 20
-    assert kept <= 1.8 * 2 ** 20
+        <= 1.3 * 2 ** 20
+    assert kept <= 1.3 * 2 ** 20
 
-    # One certification peaks at 4.08 MiB, since the gradient reads w
-    # before it builds its other terms (5.58 MiB with those terms alive
-    # while w is formed); the bound leaves 7.9% above it.
+    # One certification peaks at 3.64 MiB, since the gradient reads w
+    # before it builds its other terms and the padded transforms take their
+    # rows in blocks (4.08 MiB with whole-size row temporaries, 5.58 MiB
+    # with the other terms alive while w is formed); the bound leaves 8.4%
+    # above it.
     def certify():
         ev = Evaluation(gauss256)
         ev.F(PR3)
@@ -644,17 +655,17 @@ def test_table_and_certification_memory(gauss256, grid256):
 
     certify()
     _, peak, _ = _traced(certify)
-    assert peak <= 4.4 * 2 ** 20
+    assert peak <= 3.95 * 2 ** 20
 
-    # A gradient alone peaks at 3.57 MiB, in the pruned forward of u^2
-    # (5.58 MiB with its other terms built before w); the bound leaves 7.8%
-    # above it.
+    # A gradient alone peaks at 3.14 MiB (3.57 MiB with whole-size row
+    # temporaries in the padded transforms, 5.58 MiB with its other terms
+    # built before w); the bound leaves 8.3% above it.
     def gradient():
         Evaluation(gauss256).grad(PR3)
 
     gradient()
     _, peak, _ = _traced(gradient)
-    assert peak <= 3.85 * 2 ** 20
+    assert peak <= 3.4 * 2 ** 20
 
 
 def test_spectral_tail_of_the_zero_field_is_refused(grid128):
