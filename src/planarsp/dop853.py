@@ -56,8 +56,10 @@ this module's own: no caller sets them.  The notice of that translation:
     NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE OF THIS
     SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
-Every floating-point operation is the one of the compiled loop, in its
-order: sums left to right, squares as products, powers through libm pow.
+Every floating-point operation whose result is read is the one of the
+compiled loop, in its order: sums left to right, squares as products,
+powers through libm pow.  The integrands of stages 2 to 5 are not formed:
+the weights B, BHH and ER read the integrands of stages 1 and 6 to 12 only.
 """
 
 from __future__ import annotations
@@ -246,47 +248,31 @@ def radial_dop853(p: float, beta: float,
         nstep += 1
 
         # The twelve stages: stage values u (phi) and v (phi'), then
-        # w = phi'' and the three integrands at them.
+        # w = phi'' and, from stage 6 on, the three integrands at them.
         ha = h * A21
         u = y0 + ha * v1
         v2 = y1 + ha * w1
         r = x + C2 * h
         au = abs(u)
         w2 = -v2 / r + u - copysign(au ** pm1, u)
-        tau = two_pi * r
-        m2 = tau * u * u
-        a2 = tau * v2 * v2
-        c2 = tau * au ** p
 
         u = y0 + h * (A31 * v1 + A32 * v2)
         v3 = y1 + h * (A31 * w1 + A32 * w2)
         r = x + C3 * h
         au = abs(u)
         w3 = -v3 / r + u - copysign(au ** pm1, u)
-        tau = two_pi * r
-        m3 = tau * u * u
-        a3 = tau * v3 * v3
-        c3 = tau * au ** p
 
         u = y0 + h * (A41 * v1 + A43 * v3)
         v4 = y1 + h * (A41 * w1 + A43 * w3)
         r = x + C4 * h
         au = abs(u)
         w4 = -v4 / r + u - copysign(au ** pm1, u)
-        tau = two_pi * r
-        m4 = tau * u * u
-        a4 = tau * v4 * v4
-        c4 = tau * au ** p
 
         u = y0 + h * (A51 * v1 + A53 * v3 + A54 * v4)
         v5 = y1 + h * (A51 * w1 + A53 * w3 + A54 * w4)
         r = x + C5 * h
         au = abs(u)
         w5 = -v5 / r + u - copysign(au ** pm1, u)
-        tau = two_pi * r
-        m5 = tau * u * u
-        a5 = tau * v5 * v5
-        c5 = tau * au ** p
 
         u = y0 + h * (A61 * v1 + A64 * v4 + A65 * v5)
         v6 = y1 + h * (A61 * w1 + A64 * w4 + A65 * w5)

@@ -85,7 +85,6 @@ __all__ = [
     "kernel_table",
     "Evaluation",
     "smooth_direction",
-    "prolong",
     "kinetic",
     "pnorm",
     "log_potential",
@@ -621,33 +620,6 @@ def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:
     spec = sfft.rfft2(values)
     spec *= 1.0 / (1.0 + _SOBOLEV_BETA * table.k2)
     return sfft.irfft2(spec, s=values.shape, overwrite_x=True)
-
-
-def prolong(u: Field, grid: Grid) -> Field:
-    """The trigonometric interpolant of u (the one fiber.dilate reads)
-    sampled on grid, a finer grid of the same extent: the rfft2 spectrum of
-    u zero-padded to grid.n (Bao & Du, SIAM J. Sci. Comput. 25, 2004).
-
-    Both grids start at -L/2, so every node of u is a node of grid, and
-    there the interpolant returns u.  The coarse Nyquist row stands for the
-    wavenumbers +-m/2 at once, which the finer grid tells apart, so each
-    takes half of it; the coarse Nyquist column becomes an interior column,
-    which also stands for its mirror, so it is halved too.  The mass of u
-    is kept up to its Nyquist content; callers renormalize."""
-    import scipy.fft as sfft
-
-    m, n = u.grid.n, grid.n
-    if grid.extent != u.grid.extent or n <= m:
-        raise ValueError(f"cannot prolong a field on {u.grid} to {grid}: the target "
-                         "must be a finer grid of the same extent")
-    spec = sfft.rfft2(u.values) * (n / m) ** 2
-    half = m // 2
-    padded = np.zeros((n, n // 2 + 1), dtype=spec.dtype)
-    padded[:half, :half + 1] = spec[:half]
-    padded[n - half + 1:, :half + 1] = spec[half + 1:]
-    padded[half, :half + 1] = padded[n - half, :half + 1] = 0.5 * spec[half]
-    padded[:, half] *= 0.5
-    return Field(grid, sfft.irfft2(padded, s=(n, n), overwrite_x=True))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ __all__ = [
     "normalize",
     "boundary_mass_fraction",
     "shift",
+    "resample",
     "write_field",
     "read_field",
     "FIELD_MAGIC",
@@ -174,6 +175,40 @@ def shift(u: Field, offset: Tuple[int, int]) -> Field:
     """Translate u by an integer number of grid cells (periodic roll)."""
     di, dj = offset
     return Field(u.grid, np.roll(u.values, (di, dj), axis=(0, 1)))
+
+
+def _interpolation_matrix(n: int, idx: np.ndarray) -> np.ndarray:
+    """M with (M @ v)[k] the trigonometric interpolant of the n samples v at
+    index idx[k], and 0 where idx[k] lies outside [0, n).  M[k, j] is the
+    periodic cardinal sin(pi y)/(n tan(pi y/n)) of y = idx[k] - j
+    (Trefethen, Spectral Methods in MATLAB, ch. 3), with sin(pi y) =
+    (-1)^(r-j) sin(pi (idx[k] - r)) for the nearest node r, so an index on
+    a node reads its own sample exactly."""
+    inside = (idx >= 0.0) & (idx < n)
+    x = np.where(inside, idx, 0.0)   # outside rows are zeroed below
+    r, j = np.rint(x), np.arange(n)
+    y = x[:, None] - j
+    num = np.outer((1.0 - 2.0 * (r % 2)) * np.sin(np.pi * (x - r)), 1.0 - 2.0 * (j % 2))
+    M = np.divide(num, n * np.tan(np.pi * y / n), out=np.ones_like(y), where=y != 0.0)
+    return M * inside[:, None]
+
+
+def resample(u: Field, grid: Grid, t: float = 1.0) -> Field:
+    """The trigonometric interpolant of u read at t x for the nodes x of
+    grid, a grid of u's extent: M U M^T with M = _interpolation_matrix at
+    the indices of t x on u's grid.  Zero outside the domain; u's sample
+    where the index comes out whole, as it does at t = 1 on a finer grid
+    for each node of u whose coordinate -L/2 + i h is an exact float (every
+    node for L = 40).  Raises ValueError for a grid of another extent."""
+    if grid.extent != u.grid.extent:
+        raise ValueError(f"cannot resample a field on {u.grid} onto {grid}: the "
+                         "grids must have the same extent")
+    # index of t x on u's grid, along either axis; one past the floats is
+    # outside the domain
+    with np.errstate(over="ignore"):
+        idx = (t * grid.coords1d() + 0.5 * grid.extent) / u.grid.h
+    M = _interpolation_matrix(u.grid.n, idx)
+    return Field(grid, M @ u.values @ M.T)
 
 
 # ---------------------------------------------------------------------------

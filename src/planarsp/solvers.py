@@ -44,8 +44,9 @@ is first solved at n/2 on the same extent, recursively down to the floor
 of 64.  The log convolution is spectrally accurate (functionals), so where
 the coarse grid resolves the solution, the prolonged coarse solution passes
 the finer grid's stop test at once.  The coarse solution, prolonged by
-zero-padding its spectrum (functionals.prolong) and renormalized, starts
-the flow at n, which certifies the reported field on the caller's grid.
+reading its trigonometric interpolant at the nodes of n (grid.resample,
+the interpolant fiber.dilate reads) and renormalized, starts the flow at
+n, which certifies the reported field on the caller's grid.
 
 The start is built on the grid of the level whose flow starts from it: a
 ProfileSpec is discretized there, a Field injected onto its nodes (every
@@ -55,10 +56,10 @@ minimum of the start's fiber: its plus critical point s, found in closed
 form from A, V and C (fiber.critical_points), and the start dilated to s
 and renormalized: the first iterate has Q = 0 to round-off for a resolved
 field.  In LocalMinPlusMountainPass (c < c0) it lies inside the kinetic cap.
-A fiber with no minimum, or whose minimum leaks through the boundary frame,
-keeps the start as given, unless it lies above the kinetic cap: then the
-domain is too small.  The fiber-branch objective is constant along each
-fiber, so its start is used as given.
+A fiber with no minimum, or whose minimum leaks through the boundary frame
+or is not resolved, keeps the start as given, unless it leaks and lies
+above the kinetic cap: then the domain is too small.  The fiber-branch
+objective is constant along each fiber, so its start is used as given.
 
 A coarse level passes up only its field and its numbers.  One that fails
 (ResolutionError, ConvergenceError or DomainError) is recorded as
@@ -89,10 +90,9 @@ from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
 from .fiber import (FiberScalars, _critical_point, _q_scale, dilate, g as fiber_g,
                     phi, scalars, t_star)
-from .functionals import (EnergyBreakdown, Evaluation, Params, pnorm, prolong,
-                          smooth_direction)
+from .functionals import EnergyBreakdown, Evaluation, Params, pnorm, smooth_direction
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
-                   normalize, _two_bump_lobes)
+                   normalize, resample, _two_bump_lobes)
 
 __all__ = [
     "SolverConfig",
@@ -303,12 +303,12 @@ class _Energy(_Objective):
 
     def start(self, ev: Evaluation) -> Evaluation:
         # A fiber with no minimum, or whose minimum does not fit in the
-        # domain, keeps the start as given; above the cap, the latter has
-        # no admissible point to flow from.
+        # domain or is not resolved, keeps the start as given; above the
+        # cap, one that does not fit has no admissible point to flow from.
         try:
             s = _critical_point(scalars(ev, self.params), "plus").s
             u = normalize(dilate(ev.u, s), self.params.c)
-        except (RegimeError, DomainError) as err:
+        except (RegimeError, DomainError, ResolutionError) as err:
             if isinstance(err, DomainError) and self.point(ev) is None:
                 raise DomainError(f"{self.mode}: initial field is above the kinetic cap "
                                   f"and its fiber minimum does not fit: {err}") from err
@@ -557,7 +557,7 @@ def _ladder(grid: Grid, init: Union[ProfileSpec, Field], obj: _Objective,
 
     def start(level: Grid) -> Evaluation:
         if below is not None:
-            return Evaluation(normalize(prolong(below, level), c))
+            return Evaluation(normalize(resample(below, level), c))
         if isinstance(init, ProfileSpec):
             return obj.start(Evaluation(normalize(discretize(init, level), c)))
         step = grid.n // level.n

@@ -10,6 +10,7 @@ from planarsp import (BranchPoint, DomainError, FiberScalars, Field,
                       g, make_grid, mass, normalize, phi, project_to_lambda, scalars,
                       t_star)
 from planarsp.functionals import Evaluation, kinetic
+from planarsp.grid import resample
 
 P6 = Params(gamma=1.0, a=1.0, p=6.0, c=1.0)
 SC6 = FiberScalars(A=1.0, C=1.0, V=0.0, params=P6)
@@ -314,25 +315,39 @@ def test_dilate_scaling_laws_on_drawn_profiles(grid256, t, p, spec):
     assert Evaluation(v).V - Evaluation(u).V == pytest.approx(-c * c * math.log(t), abs=1e-3)
 
 
+def prolong(u, n):
+    """The oracle of the trigonometric interpolant on the finer n x n grid of
+    u's extent: u's spectrum zero-padded to n.  The coarse Nyquist row
+    stands for the wavenumbers +-m/2 at once, which the finer grid tells
+    apart, so each takes half of it; the coarse Nyquist column becomes an
+    interior column, which also stands for its mirror, so it is halved too."""
+    m = u.grid.n
+    spec = np.fft.rfft2(u.values) * (n / m) ** 2
+    half = m // 2
+    padded = np.zeros((n, n // 2 + 1), dtype=complex)
+    padded[:half, :half + 1] = spec[:half]
+    padded[n - half + 1:, :half + 1] = spec[half + 1:]
+    padded[half, :half + 1] = padded[n - half, :half + 1] = 0.5 * spec[half]
+    padded[:, half] *= 0.5
+    return np.fft.irfft2(padded, s=(n, n))
+
+
 @pytest.mark.parametrize("spec", [
     ProfileSpec.gaussian(sigma=1.0), ProfileSpec.ring(r0=4.0, sigma=1.0),
     ProfileSpec.random_smooth(seed=3), None],
     ids=["gaussian", "ring", "random_smooth", "white_noise"])
 def test_interpolation_matrix_matches_prolong(grid128, spec):
-    # prolong samples the same trigonometric interpolant by zero-padding the
-    # spectrum: at the nodes of the twice finer grid, M U M^T is prolong's
-    # field, white noise (no decay, full Nyquist content) included.
-    from planarsp.fiber import _interpolation_matrix
-    from planarsp.functionals import prolong
-
+    # Zero-padding the spectrum samples the same trigonometric interpolant:
+    # on the twice finer grid, resample is the padded field, white noise (no
+    # decay, full Nyquist content) included, and on the coarse nodes it
+    # reads u bit for bit.
     if spec is None:
         u = Field(grid128, np.random.default_rng(7).standard_normal((128, 128)))
     else:
         u = discretize(spec, grid128)
-    want = prolong(u, make_grid(grid128.extent, 256)).values
-    M = _interpolation_matrix(128, np.arange(256) * 0.5)
-    got = M @ u.values @ M.T
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    got = resample(u, make_grid(grid128.extent, 256)).values
+    assert np.max(np.abs(got - prolong(u, 256))) <= 1e-14 * np.max(np.abs(u.values))
+    assert np.array_equal(got[::2, ::2], u.values)
 
 
 @pytest.mark.parametrize("t, rel", [(0.5, 1e-13), (0.9, 1e-13), (1.01, 1e-13),
@@ -376,6 +391,16 @@ def test_dilate_refuses_an_overflowing_mass():
     for t in (1e300, 1e308):   # at 1e308, t x overflows off the origin too
         with pytest.raises(ResolutionError, match="overflows the mass"):
             dilate(u, t)
+
+
+def test_dilate_refuses_an_unresolved_dilation():
+    # at t = 64 only the node at the origin samples the unit Gaussian, so
+    # the dilation's mass is 509 where it keeps 1; t = 2 still resolves it
+    # to 7.2e-3 of the mass
+    u = discretize(ProfileSpec.gaussian(sigma=1.0), make_grid(40.0, 64))
+    with pytest.raises(ResolutionError, match="t=64.0 changes the mass by 5.08e\\+02"):
+        dilate(u, 64.0)
+    assert mass(dilate(u, 2.0)) == pytest.approx(1.0, rel=1e-2)
 
 
 def test_dilate_support_escape():

@@ -20,7 +20,8 @@ from planarsp import (Field, GridMismatchError, Params, ProfileSpec, discretize,
 from planarsp import constants as K
 from planarsp import functionals, solvers
 from planarsp.functionals import (Evaluation, _bessel_j01, _log1p_origin_average,
-                                  kernel_table, prolong, smooth_direction)
+                                  kernel_table, smooth_direction)
+from planarsp.grid import resample
 
 from conftest import EULER, V_GAUSS_UNIT, padded_kernel, padded_reference
 
@@ -460,7 +461,7 @@ def test_finalize_reuses_one_evaluation(gauss128, fft_counts):
 
 
 # ---------------------------------------------------------------------------
-# Spectral prolongation
+# Prolongation onto a finer grid, as the grid ladder reads it (grid.resample)
 # ---------------------------------------------------------------------------
 
 
@@ -474,32 +475,23 @@ def _random_smooth(grid):
                          ids=["random_smooth", "white_noise"])
 def test_prolong_then_inject_is_the_identity(make, grid128, grid256):
     # Every coarse node is a fine node, where the trigonometric interpolant
-    # returns the coarse value; with the Nyquist row and column split in
-    # half this holds for any field, white noise included.
+    # reads the coarse sample itself: any field, white noise included, comes
+    # back bit for bit.
     u = make(grid128)
-    back = prolong(u, grid256).values[::2, ::2]
-    assert np.max(np.abs(back - u.values)) <= 1e-15 * np.max(np.abs(u.values))
+    assert np.array_equal(resample(u, grid256).values[::2, ::2], u.values)
 
 
 def test_prolong_keeps_the_mass(grid128, grid256):
     u = _random_smooth(grid128)
-    assert mass(prolong(u, grid256)) == pytest.approx(mass(u), rel=1e-13)
+    assert mass(resample(u, grid256)) == pytest.approx(mass(u), rel=1e-13)
 
 
 @pytest.mark.parametrize("factor", [2, 4])
 def test_prolonged_gaussian_matches_the_fine_discretization(factor, grid128):
     spec = ProfileSpec.gaussian(sigma=1.5)
     fine = make_grid(grid128.extent, factor * grid128.n)
-    got = prolong(discretize(spec, grid128), fine)
+    got = resample(discretize(spec, grid128), fine)
     assert np.max(np.abs(got.values - discretize(spec, fine).values)) <= 1e-12
-
-
-@pytest.mark.parametrize("extent, n", [(40.0, 128), (40.0, 64), (20.0, 256)],
-                         ids=["same_grid", "coarser", "other_extent"])
-def test_prolong_refuses_anything_but_a_finer_grid_of_the_same_extent(
-        extent, n, gauss128):
-    with pytest.raises(ValueError, match="finer grid of the same extent"):
-        prolong(gauss128, make_grid(extent, n))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from planarsp import (DomainError, Field, GridMismatchError, ProfileSpec,
                       boundary_mass_fraction, discretize, make_grid, mass,
                       normalize, read_field, shift, write_field)
+from planarsp.grid import resample
 
 
 def test_make_grid_spacing():
@@ -215,6 +216,19 @@ def test_shift_rolls_values(gauss128):
     v = shift(gauss128, (5, -3))
     assert v.values[5 + 64, -3 + 64] == gauss128.values[64, 64]
     assert mass(v) == pytest.approx(mass(gauss128), rel=1e-14)
+
+
+def test_resample_onto_its_own_or_a_coarser_grid_reads_the_nodes(gauss128):
+    # On u's own grid at t = 1, and on a coarser grid of its extent, every
+    # node is a node of u, where the interpolant reads u's sample.
+    assert np.array_equal(resample(gauss128, gauss128.grid).values, gauss128.values)
+    coarse = resample(gauss128, make_grid(gauss128.grid.extent, 64))
+    assert np.array_equal(coarse.values, gauss128.values[::2, ::2])
+
+
+def test_resample_refuses_a_grid_of_another_extent(gauss128):
+    with pytest.raises(ValueError, match="same extent"):
+        resample(gauss128, make_grid(20.0, 256))
 
 
 def test_field_io_roundtrip(tmp_path, grid128):

@@ -13,7 +13,8 @@ from planarsp import solvers
 from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
                                 kgn_estimate, mass_critical_threshold)
 from planarsp.fiber import _critical_point
-from planarsp.functionals import Evaluation, kernel_table, prolong
+from planarsp.functionals import Evaluation, kernel_table
+from planarsp.grid import resample
 from planarsp.solvers import gaussian_on_branch
 
 from conftest import padded_reference
@@ -152,6 +153,19 @@ def test_capped_flow_refuses_a_start_above_the_cap(p6_setup):
                        f"its A = {A:.6g} is not below the kinetic cap "
                        f"k0 = {cap:.6g}$"):
         solvers._flow(start, solvers._Energy(p6_setup, "capped", cap), CFG)
+
+
+def test_start_whose_fiber_minimum_is_unresolved_is_kept():
+    # At gamma = 64 the fiber minimum of a sigma = 1.5 Gaussian is its
+    # dilation by s = 6, of width 0.25 on h = 0.625: the grid does not
+    # resolve it, and the start is kept as given.
+    pr = Params(gamma=64.0, a=0.0, p=3.0, c=1.0)
+    given = Evaluation(discretize(ProfileSpec.gaussian(sigma=1.5), make_grid(40.0, 64)))
+    s = _critical_point(scalars(given, pr), "plus").s
+    assert s == pytest.approx(6.0, rel=1e-3)
+    with pytest.raises(ResolutionError, match="does not resolve"):
+        dilate(given.u, s)
+    assert solvers._Energy(pr, "global_minimize").start(given) is given
 
 
 def test_start_whose_fiber_minimum_leaks_is_kept():
@@ -417,7 +431,7 @@ def test_ladder_stacks_its_levels(p6_setup, ladder_reports):
     # The profile is sampled on the coarsest grid, where the flow starts.
     runs = [level(normalize(discretize(init, grids[0]), c), grids[0])]
     for grid in grids[1:]:
-        runs.append(level(normalize(prolong(runs[-1].pt.ev.u, grid), c), grid))
+        runs.append(level(normalize(resample(runs[-1].pt.ev.u, grid), c), grid))
     assert np.array_equal(rep.field.values, runs[-1].pt.ev.u.values)
     assert rep.iters == sum(r.iters for r in runs)
     assert rep.extras["recenters"] == sum(r.recenters for r in runs) >= 1
@@ -571,15 +585,24 @@ def test_flow_pinned_at_the_cap_is_refused():
     assert 0.999 * cap < run.pt.ev.A < cap
 
 
-def test_exhausted_line_search_says_where_it_stopped(monkeypatch):
+@pytest.mark.parametrize("solve", [
+    lambda p6: global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0),
+                               make_grid(40.0, 64), SolverConfig(),
+                               ProfileSpec.gaussian(sigma=1.5)),
+    lambda p6: lambda_branch_minimize(p6, make_grid(24.0, 64), SolverConfig(),
+                                      gaussian_on_branch(p6, "plus"), "plus")],
+    ids=["global_minimize", "plus_branch"])
+def test_exhausted_line_search_says_where_it_stopped(monkeypatch, p6_setup, solve):
     # No trial step can pass an Armijo test asking for 1e9 times the
     # predicted decrease: the flow stops at its first iteration, and the
-    # error says so instead of blaming the iteration budget.
+    # error says so instead of blaming the iteration budget.  The fiber
+    # branch's guard was not what refused the steps, so its refusal is no
+    # GuardFloorError.
     monkeypatch.setattr(solvers, "_ARMIJO", 1e9)
     with pytest.raises(ConvergenceError, match="at iteration 0 on 64\\^2: the line "
                        "search found no descent step") as exc:
-        global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0), make_grid(40.0, 64),
-                        SolverConfig(), ProfileSpec.gaussian(sigma=1.5))
+        solve(p6_setup)
+    assert not isinstance(exc.value, GuardFloorError)
     assert "within 8000 iterations" not in str(exc.value)
     assert exc.value.report.iters == 0 and not exc.value.report.converged
 
