@@ -585,14 +585,7 @@ def test_flow_pinned_at_the_cap_is_refused():
     assert 0.999 * cap < run.pt.ev.A < cap
 
 
-@pytest.mark.parametrize("solve", [
-    lambda p6: global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0),
-                               make_grid(40.0, 64), SolverConfig(),
-                               ProfileSpec.gaussian(sigma=1.5)),
-    lambda p6: lambda_branch_minimize(p6, make_grid(24.0, 64), SolverConfig(),
-                                      gaussian_on_branch(p6, "plus"), "plus")],
-    ids=["global_minimize", "plus_branch"])
-def test_exhausted_line_search_says_where_it_stopped(monkeypatch, p6_setup, solve):
+def _assert_stopped_at_the_first_iteration(monkeypatch, solve):
     # No trial step can pass an Armijo test asking for 1e9 times the
     # predicted decrease: the flow stops at its first iteration, and the
     # error says so instead of blaming the iteration budget.  The fiber
@@ -601,10 +594,22 @@ def test_exhausted_line_search_says_where_it_stopped(monkeypatch, p6_setup, solv
     monkeypatch.setattr(solvers, "_ARMIJO", 1e9)
     with pytest.raises(ConvergenceError, match="at iteration 0 on 64\\^2: the line "
                        "search found no descent step") as exc:
-        solve(p6_setup)
+        solve()
     assert not isinstance(exc.value, GuardFloorError)
     assert "within 8000 iterations" not in str(exc.value)
     assert exc.value.report.iters == 0 and not exc.value.report.converged
+
+
+def test_exhausted_line_search_says_where_it_stopped(monkeypatch):
+    _assert_stopped_at_the_first_iteration(monkeypatch, lambda: global_minimize(
+        Params(gamma=1.0, a=0.0, p=3.0, c=1.0), make_grid(40.0, 64),
+        SolverConfig(), ProfileSpec.gaussian(sigma=1.5)))
+
+
+def test_exhausted_branch_line_search_says_where_it_stopped(monkeypatch, p6_setup):
+    _assert_stopped_at_the_first_iteration(monkeypatch, lambda: lambda_branch_minimize(
+        p6_setup, make_grid(24.0, 64), SolverConfig(),
+        gaussian_on_branch(p6_setup, "plus"), "plus"))
 
 
 def test_branch_flow_against_the_resolution_guard_is_refused(p6_setup):
