@@ -272,9 +272,8 @@ def _check_nonexistence() -> CheckResult:
 def _check_band_edges() -> CheckResult:
     bad = 0
     for p in (2.5, 3.5):
-        kgn = K.kgn_estimate(p)
-        sharp = K.SharpConstants(p=p, kgn=kgn)
-        for c_edge in K.c_edges(p, -1.0, 1.0, kgn):
+        sharp = K.sharp_constants(p)
+        for c_edge in K.c_edges(p, -1.0, 1.0, sharp.kgn):
             below, above = (K.regime_classify(
                 Params(gamma=-1.0, a=1.0, p=p, c=c_edge * (1.0 + eps)), sharp).tag
                 for eps in (-1e-10, 1e-10))
@@ -296,9 +295,8 @@ def _check_log_kernel() -> CheckResult:
 
 
 def _check_masscritical_edge() -> CheckResult:
-    kgn4 = K.kgn_estimate(4.0)
-    sharp = K.SharpConstants(p=4.0, kgn=kgn4)
-    c_mc = K.mass_critical_threshold(1.0, kgn4)
+    sharp = K.sharp_constants(4.0)
+    c_mc = K.mass_critical_threshold(1.0, sharp.kgn)
     below = K.regime_classify(Params(gamma=1.0, a=1.0, p=4.0,
                                      c=c_mc * (1 - 1e-10)), sharp).tag
     at = K.regime_classify(Params(gamma=1.0, a=1.0, p=4.0, c=c_mc), sharp).tag

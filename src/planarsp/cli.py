@@ -324,11 +324,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _profile_given(cfg: dict, args) -> bool:
-    """Whether the config or the flags say anything about the profile."""
-    return "profile" in cfg or args.profile is not None or args.sigma is not None
-
-
 def _write_run(out: Path, field: Field, texts: dict) -> None:
     """Write a solve's solution.lpf and its text files under temporary
     names in out, then rename them into place.  A failure deletes what was
@@ -353,7 +348,7 @@ def _write_run(out: Path, field: Field, texts: dict) -> None:
 
 
 def cmd_solve(args) -> int:
-    from .solvers import REGIME_SOLVERS, gaussian_on_branch
+    from .solvers import REGIME_SOLVERS
 
     cfg = _load_config(args.config)
     params = _merged_params(cfg, args)
@@ -368,11 +363,7 @@ def cmd_solve(args) -> int:
         raise RegimeError(f"no solver applies: regime {label.tag}; "
                           f"{'; '.join(label.certificate['conditions'])}")
     minimize, on_branch = REGIME_SOLVERS[label.tag]
-    # A branch solve with no profile given starts on its branch.
-    if branch != "auto" and on_branch is not None and not _profile_given(cfg, args):
-        spec = gaussian_on_branch(params, branch)
-    else:
-        spec = _merged_profile(cfg, args, params.c)
+    spec = _merged_profile(cfg, args, params.c)
     if branch != "auto" and on_branch is None:
         raise RegimeError(f"branch {branch!r} does not apply: regime "
                           f"{label.tag} has no fiber branches")

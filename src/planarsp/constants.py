@@ -591,13 +591,8 @@ def gn_profile_field(grid: Grid, p: float, c: float) -> Field:
     at 0.25 * extent, which keeps boundary leakage negligible on any grid.
     That decay radius sits far above the round-off in phi(0), so the width
     does not move with its last bits."""
-    import numpy as np
-
     from .grid import Field, normalize
 
     gs = ground_state_radial(p)
     stretch = 0.25 * grid.extent / gs.r_decay
-    X = grid.coords1d()
-    XX, YY = np.meshgrid(X, X, indexing="ij")
-    r = np.hypot(XX, YY) / stretch
-    return normalize(Field(grid, gs(r)), c)
+    return normalize(Field(grid, gs(grid.radius() / stretch)), c)

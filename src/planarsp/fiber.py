@@ -33,7 +33,8 @@ from typing import List, Tuple, Union
 
 from .errors import DomainError, MassMismatchError, RegimeError, ResolutionError
 from .functionals import Evaluation, Params
-from .grid import _PROFILE_LEAK_TOL, Field, boundary_mass_fraction, mass, resample
+from .grid import (_PROFILE_LEAK_TOL, Field, boundary_mass_fraction, mass, normalize,
+                   resample)
 
 __all__ = [
     "FiberScalars",
@@ -303,13 +304,18 @@ def dilate(u: Field, t: float) -> Field:
     return t * v
 
 
-def project_to_lambda(u: Field, params: Params, branch: str) -> Field:
-    """Project u onto the Pohozaev set along its fiber: dilate by the
-    requested critical point of g.  Raises RegimeError when that branch
-    does not exist for u."""
+def project_to_lambda(u: Union[Field, Evaluation], params: Params, branch: str) -> Field:
+    """Place u on the Pohozaev set along its fiber: dilate it to the
+    requested critical point s of g and renormalize it to mass c.  u may be
+    a field or its evaluation, whose A and V are reused, so no transform is
+    taken that the evaluation has taken already.  A point within 1e-12 of
+    s = 1 returns u's field as it is.  Raises RegimeError when the branch
+    does not exist for u, and dilate's DomainError or ResolutionError when
+    its point does not fit the domain or is not resolved."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
     s = _critical_point(scalars(u, params), branch).s
+    field = u.u if isinstance(u, Evaluation) else u
     if abs(s - 1.0) < 1e-12:
-        return u
-    return dilate(u, s)
+        return field
+    return normalize(dilate(field, s), params.c)

@@ -35,8 +35,10 @@ with s the branch point of u, evaluated entirely on the original grid
 (Evaluation.grad; s = 1 gives grad F).  A dilation is materialized only to
 recenter the fiber parameter near 1, and once more when the flow stops with
 s more than 1e-9 from 1: that dilation, renormalized, is the reported field,
-certified as it is without flowing again.  It reads the field's
-trigonometric interpolant (fiber.dilate), exact to round-off when resolved.
+certified as it is without flowing again.  Both place the field on its
+branch point as a start is placed (fiber.project_to_lambda, below), reading
+its trigonometric interpolant (fiber.dilate), exact to round-off when
+resolved.
 
 Every solver runs the flow in a grid ladder (Bao & Du, SIAM J. Sci.
 Comput. 25, 2004).  On a grid of n >= 128 nodes a side the same objective
@@ -51,15 +53,16 @@ n, which certifies the reported field on the caller's grid.
 The start is built on the grid of the level whose flow starts from it: a
 ProfileSpec is discretized there, a Field injected onto its nodes (every
 other node per halving).  That is the floor grid; a finer grid samples
-the start only when the level below it was refused.  The energy flows start on the
-minimum of the start's fiber: its plus critical point s, found in closed
-form from A, V and C (fiber.critical_points), and the start dilated to s
-and renormalized: the first iterate has Q = 0 to round-off for a resolved
-field.  In LocalMinPlusMountainPass (c < c0) it lies inside the kinetic cap.
-A fiber with no minimum, or whose minimum leaks through the boundary frame
-or is not resolved, keeps the start as given, unless it leaks and lies
-above the kinetic cap: then the domain is too small.  The fiber-branch
-objective is constant along each fiber, so its start is used as given.
+the start only when the level below it was refused.  Every flow starts on
+its branch point of the start's fiber, the plus point (the fiber minimum)
+for the energy flows: s is found in closed form from A, V and C
+(fiber.critical_points), and the start is dilated to s and renormalized
+(fiber.project_to_lambda), so the first iterate has Q = 0 to round-off for
+a resolved field.  In LocalMinPlusMountainPass (c < c0) the fiber minimum
+lies inside the kinetic cap.  A fiber with no such point, or whose point is
+not resolved, keeps the start as given, and so does an energy start whose
+minimum leaks through the boundary frame, unless it lies above the kinetic
+cap: then the domain is too small, as it is for a branch point that leaks.
 
 A coarse level passes up only its field and its numbers.  One that fails
 (ResolutionError, ConvergenceError or DomainError) is recorded as
@@ -88,8 +91,8 @@ import numpy as np
 from . import constants as K
 from .errors import (CapBoundaryError, ConvergenceError, DomainError,
                      GuardFloorError, PlanarSPError, RegimeError, ResolutionError)
-from .fiber import (FiberScalars, _critical_point, _q_scale, dilate, g as fiber_g,
-                    phi, scalars, t_star)
+from .fiber import (FiberScalars, _critical_point, _q_scale, g as fiber_g, phi,
+                    project_to_lambda, scalars, t_star)
 from .functionals import EnergyBreakdown, Evaluation, Params, pnorm, smooth_direction
 from .grid import (Field, Grid, ProfileSpec, boundary_mass_fraction, discretize,
                    normalize, resample, _two_bump_lobes)
@@ -188,21 +191,6 @@ class SolveReport:
         return out
 
 
-def gaussian_on_branch(params: Params, branch: str) -> ProfileSpec:
-    """Gaussian profile whose fiber critical point of the requested branch
-    sits at s = 1 (up to discretization).
-
-    Dilating a Gaussian yields another Gaussian, so the projection is done
-    analytically on the width: sigma* = 1 / s_branch(1), with the fiber
-    scalars of the mass-c Gaussian in closed form (A = c/sigma^2,
-    C = (c/pi)^(p/2) (2 pi/p) sigma^(2-p), here at sigma = 1)."""
-    c, p = params.c, params.p
-    C = (c / math.pi) ** (0.5 * p) * (2.0 * math.pi / p)
-    sc = FiberScalars(A=c, C=C, V=0.0, params=params)
-    s = _critical_point(sc, branch).s
-    return ProfileSpec.gaussian(sigma=1.0 / s, c=c)
-
-
 def _l2(values: np.ndarray, h: float) -> float:
     return math.sqrt(h * h * float(np.sum(values * values)))
 
@@ -259,16 +247,24 @@ class _Objective:
     refuses an inadmissible start; refusal(pt, guard_rejects): the error
     that refuses the flow when no trial step was accepted, or None; and
     annotate(report, pt, recenters): the objective's own keys of the
-    report's extras, recenters summed over levels.  The other hooks
-    default to an objective that starts and stops where it is given, with
-    no invariant orbit and no recentering."""
+    report's extras, recenters summed over levels.  A flow starts on the
+    branch point of its start's fiber; the other hooks default to an
+    objective that stops where it is given, with no invariant orbit and no
+    recentering."""
 
-    def __init__(self, params: Params, mode: str):
-        self.params, self.mode = params, mode
+    def __init__(self, params: Params, mode: str, branch: str):
+        self.params, self.mode, self.branch = params, mode, branch
 
     def start(self, ev: Evaluation) -> Evaluation:
-        """The evaluation a flow from the evaluated field ev starts at."""
-        return ev
+        """The evaluation a flow from the evaluated field ev starts at: its
+        field placed on the branch point of its fiber (project_to_lambda).
+        A fiber with no such point, or whose point is not resolved, keeps
+        the start as given."""
+        try:
+            u = project_to_lambda(ev, self.params, self.branch)
+        except (RegimeError, ResolutionError):
+            return ev
+        return ev if u is ev.u else Evaluation(u)
 
     def orbit(self, u: Field) -> Optional[np.ndarray]:
         """A direction the objective is invariant along."""
@@ -293,7 +289,7 @@ class _Energy(_Objective):
     cap."""
 
     def __init__(self, params: Params, mode: str, cap: Optional[float] = None):
-        super().__init__(params, mode)
+        super().__init__(params, mode, "plus")
         self.cap = cap
 
     def point(self, ev: Evaluation) -> Optional[_Point]:
@@ -302,18 +298,16 @@ class _Energy(_Objective):
         return _Point(ev, ev.F(self.params))
 
     def start(self, ev: Evaluation) -> Evaluation:
-        # A fiber with no minimum, or whose minimum does not fit in the
-        # domain or is not resolved, keeps the start as given; above the
-        # cap, one that does not fit has no admissible point to flow from.
+        # A fiber minimum that does not fit in the domain keeps the start as
+        # given too, unless the start lies above the cap: then it has no
+        # admissible point to flow from.
         try:
-            s = _critical_point(scalars(ev, self.params), "plus").s
-            u = normalize(dilate(ev.u, s), self.params.c)
-        except (RegimeError, DomainError, ResolutionError) as err:
-            if isinstance(err, DomainError) and self.point(ev) is None:
+            return super().start(ev)
+        except DomainError as err:
+            if self.point(ev) is None:
                 raise DomainError(f"{self.mode}: initial field is above the kinetic cap "
                                   f"and its fiber minimum does not fit: {err}") from err
             return ev
-        return Evaluation(u)
 
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
         return RegimeError(f"{self.mode}: initial field is not admissible: its "
@@ -343,10 +337,6 @@ class _FiberBranch(_Objective):
     effective width c/A falls below a couple of grid cells are inadmissible
     (drift along fibers could otherwise concentrate the iterate past what
     the grid resolves)."""
-
-    def __init__(self, params: Params, mode: str, branch: str):
-        super().__init__(params, mode)
-        self.branch = branch
 
     def resolved_A(self, grid: Grid) -> float:
         """The largest admissible A on grid, c/(2h)^2."""
@@ -378,7 +368,7 @@ class _FiberBranch(_Objective):
         # dilation (s is near 1 by now).  Far from s = 1: a safety recentering,
         # rarely reached with the orbit projection.
         if (stalled and recenters < 8) or abs(pt.s - 1.0) > 0.4:
-            return normalize(dilate(pt.ev.u, pt.s), self.params.c)
+            return project_to_lambda(pt.ev, self.params, self.branch)
         return None
 
     def settle(self, pt: _Point) -> _Point:
@@ -387,7 +377,7 @@ class _FiberBranch(_Objective):
         # data of the flow's last point.
         if abs(pt.s - 1.0) <= 1e-9:
             return pt
-        ev = Evaluation(normalize(dilate(pt.ev.u, pt.s), self.params.c))
+        ev = Evaluation(project_to_lambda(pt.ev, self.params, self.branch))
         return self.point(ev) or replace(pt, ev=ev)
 
     def refusal(self, pt: _Point, guard_rejects: int) -> Optional[ConvergenceError]:
@@ -639,7 +629,8 @@ def lambda_branch_minimize(params: Params, grid: Grid, config: SolverConfig,
     """Minimize F over a fiber branch (gamma > 0, a > 0, p > 4, c < c0).
 
     branch='plus' targets the local minimizer (same solution as the capped
-    minimization); branch='minus' the mountain-pass point."""
+    minimization); branch='minus' the mountain-pass point.  The flow starts
+    on the branch point of init's fiber (module docstring)."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
     regime = _regime_for(lambda_branch_minimize, params, "gamma > 0, a > 0, p > 4, c < c0")

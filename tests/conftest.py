@@ -1,9 +1,11 @@
+import math
 import signal
 
 import numpy as np
 import pytest
 
-from planarsp import ProfileSpec, discretize, make_grid
+from planarsp import FiberScalars, ProfileSpec, discretize, make_grid
+from planarsp.fiber import _critical_point
 
 # The wall-clock bound on each test's setup and call together.  The slowest
 # test takes about 3 s; criterion 9 asserts its own 120 s.  A flow that
@@ -41,6 +43,17 @@ def padded_reference(u, table):
     V = [h ** 4 * np.sum(u2 * through(u2, khat))
          for khat in (khat_log, khat_v1, khat_v1 - khat_log)]
     return [A] + V
+
+
+def gaussian_on_branch(params, branch):
+    """The Gaussian whose fiber critical point of the requested branch sits
+    at s = 1, up to discretization.  Dilating a Gaussian gives another one,
+    so its width is 1/s for the branch point s of the mass-c unit Gaussian,
+    whose scalars are closed-form: A = c, C = (c/pi)^(p/2) (2 pi/p)."""
+    c, p = params.c, params.p
+    C = (c / math.pi) ** (0.5 * p) * (2.0 * math.pi / p)
+    s = _critical_point(FiberScalars(A=c, C=C, V=0.0, params=params), branch).s
+    return ProfileSpec.gaussian(sigma=1.0 / s, c=c)
 
 
 @pytest.fixture(scope="session")

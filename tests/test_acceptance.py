@@ -32,9 +32,8 @@ from planarsp.constants import (a_thresholds, c0, c_edges, gaussian_rayleigh_quo
 from planarsp.fiber import FiberScalars
 from planarsp.functionals import Evaluation, kernel_table
 from planarsp.grid import Field
-from planarsp.solvers import gaussian_on_branch
 
-from conftest import V_GAUSS_UNIT
+from conftest import V_GAUSS_UNIT, gaussian_on_branch
 
 
 def report(criterion, ok, detail):

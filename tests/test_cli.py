@@ -687,17 +687,17 @@ def test_solve_classifies_once(tmp_path, monkeypatch, branch):
 
 
 def test_solve_branch_starts_on_its_branch(tmp_path):
-    # With no profile given, a branch solve starts from the Gaussian placed
-    # on its branch; on the default L = 40 at 64^2 the plus branch converges.
-    from planarsp import Params
-    from planarsp.solvers import gaussian_on_branch
+    # With no profile given, a branch solve reads the default profile, as
+    # every solve does, and the solver places it on its branch; on the
+    # default L = 40 at 64^2 the plus branch converges.
+    from planarsp import ProfileSpec
 
     out = tmp_path / "plus"
     assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
                     "--grid-n", "64", "--branch", "plus", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    want = gaussian_on_branch(Params(gamma=1.0, a=1.0, p=6.0, c=1.0), "plus")
-    assert report["config"]["profile"]["sigma"] == want.sigma
+    default = json.loads(json.dumps(dataclasses.asdict(ProfileSpec(kind="gaussian"))))
+    assert report["config"]["profile"] == default
     assert report["converged"] and report["branch"] == "plus"
 
 

@@ -446,6 +446,23 @@ def test_project_to_lambda_refuses_an_unknown_branch(gauss256):
         project_to_lambda(gauss256, pr, "sideways")
 
 
+def test_project_to_lambda_reuses_the_evaluation(fft_counts):
+    # An evaluation whose A and V have been read is placed with no further
+    # transform: the fiber scalars are its own, and the dilation reads the
+    # trigonometric interpolant by matrix products.  The placed field has
+    # mass c and is the one placed from the bare field.
+    pr = Params(gamma=1.0, a=1.0, p=6.0, c=1.0)
+    ev = Evaluation(normalize(discretize(ProfileSpec.gaussian(sigma=1.0),
+                                         make_grid(40.0, 64)), pr.c))
+    ev.A, ev.V
+    fft_counts.update(dict.fromkeys(fft_counts, 0))
+    u = project_to_lambda(ev, pr, "plus")
+    assert not any(fft_counts.values())
+    assert u is not ev.u
+    assert mass(u) == pytest.approx(pr.c, rel=1e-14)
+    assert np.array_equal(u.values, project_to_lambda(ev.u, pr, "plus").values)
+
+
 def test_branch_point_sign_validation(monkeypatch):
     # branch is read from the sign of g''; a g'' of 0 or NaN names none
     import dataclasses

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 import scipy.special
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.special import exp1
@@ -183,6 +184,49 @@ def test_translation_invariance(grid128):
     b0, b1 = energy(u, PR3), energy(v, PR3)
     for name in ("A", "C", "V", "V1", "V2", "F"):
         assert getattr(b0, name) == pytest.approx(getattr(b1, name), abs=1e-12)
+
+
+def _d4_images(values):
+    """The 8 images of a node array under the symmetries of the square:
+    j -> -j mod n along either axis, then the transpose or not."""
+    def reflect(v, axis):
+        return np.roll(np.flip(v, axis), 1, axis)
+
+    flips = [values, reflect(values, 0), reflect(values, 1),
+             reflect(reflect(values, 0), 1)]
+    return flips + [v.T for v in flips]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([16, 32, 64]), seed=st.integers(0, 2 ** 32 - 1),
+       smooth=st.booleans(),
+       params=st.sampled_from([Params(gamma=1.0, a=1.0, p=3.0, c=1.0),
+                               Params(gamma=-0.5, a=2.0, p=4.5, c=1.0)]))
+def test_d4_images_keep_the_functionals(n, seed, smooth, params):
+    # A field that vanishes on the border row and column (x or y = -L/2,
+    # which the reflection j -> -j mod n fixes) has every symmetry image
+    # evaluated alike: A, C, V and F to 1e-13 relative, and the gradient
+    # of an image is the image of the gradient.  V and F are sums of terms
+    # of either sign, so each is relative to the size of its terms: V to
+    # |V| + m^2 (V moves by m^2 log t along a dilation), and F to the sum
+    # of its terms' sizes.
+    grid = make_grid(10.0, n)
+    values = (discretize(ProfileSpec.random_smooth(seed=seed % 1000, cutoff=n // 4), grid)
+              .values.copy() if smooth
+              else np.random.default_rng(seed).standard_normal((n, n)))
+    values[0, :] = values[:, 0] = 0.0
+    ev = Evaluation(Field(grid, values))
+    A, C, V = ev.A, ev.C(params.p), ev.V
+    V_scale = abs(V) + mass(ev.u) ** 2
+    F_scale = 0.5 * A + 0.25 * abs(params.gamma) * V_scale + abs(params.a) / params.p * C
+    grad = ev.grad(params)
+    for image, grad_image in zip(_d4_images(values), _d4_images(grad)):
+        ev_i = Evaluation(Field(grid, image))
+        assert abs(ev_i.A - A) <= 1e-13 * A
+        assert abs(ev_i.C(params.p) - C) <= 1e-13 * C
+        assert abs(ev_i.V - V) <= 1e-13 * V_scale
+        assert abs(ev_i.F(params) - ev.F(params)) <= 1e-13 * F_scale
+        assert np.max(np.abs(ev_i.grad(params) - grad_image)) <= 1e-13 * np.max(np.abs(grad))
 
 
 def test_gradient_matches_finite_differences(grid128):

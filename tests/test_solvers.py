@@ -15,9 +15,8 @@ from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
 from planarsp.fiber import _critical_point
 from planarsp.functionals import Evaluation, kernel_table
 from planarsp.grid import resample
-from planarsp.solvers import gaussian_on_branch
 
-from conftest import padded_reference
+from conftest import gaussian_on_branch, padded_reference
 
 CFG = SolverConfig(max_iter=6000, trace=True)
 
@@ -187,6 +186,39 @@ def test_start_whose_fiber_minimum_leaks_is_kept():
     assert rep.converged and direct.error is None
     assert np.array_equal(rep.field.values, direct.pt.ev.u.values)
     assert rep.iters == direct.iters
+
+
+def test_branch_start_is_placed_on_its_branch():
+    # The unit Gaussian at gamma = a = c = 1, p = 6 is narrower than two
+    # cells of a 64^2 grid on L = 40 (A = 1 > c/(2h)^2 = 0.64); the solver
+    # places it on its plus point, where it is resolved, and converges to
+    # the solution reached from the analytic Gaussian on that branch.
+    pr = Params(gamma=1.0, a=1.0, p=6.0, c=1.0)
+    grid = make_grid(40.0, 64)
+    given = Evaluation(normalize(discretize(ProfileSpec.gaussian(sigma=1.0), grid), pr.c))
+    obj = solvers._FiberBranch(pr, "lambda_branch_minimize[plus]", "plus")
+    assert obj.point(given) is None
+    assert obj.point(obj.start(given)) is not None
+    rep = lambda_branch_minimize(pr, grid, CFG, ProfileSpec.gaussian(sigma=1.0), "plus")
+    on_branch = lambda_branch_minimize(pr, grid, CFG, gaussian_on_branch(pr, "plus"), "plus")
+    assert rep.converged and on_branch.converged
+    assert rep.objective == pytest.approx(on_branch.objective, rel=1e-9)
+
+
+def test_transposed_start_gives_the_transposed_solution():
+    # The transpose is a symmetry of the grid that the discrete problem
+    # keeps to round-off, and so does the flow: from the transposed start
+    # it takes the same 24 iterations to the transposed field.
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    grid = make_grid(40.0, 128)
+    u = normalize(discretize(ProfileSpec.random_smooth(seed=3), grid), pr.c)
+    rep = global_minimize(pr, grid, SolverConfig(), u)
+    rep_t = global_minimize(pr, grid, SolverConfig(), Field(grid, u.values.T))
+    assert rep.converged and rep_t.converged
+    assert rep.iters == rep_t.iters == 24
+    assert rep_t.objective == pytest.approx(rep.objective, rel=1e-13, abs=0)
+    scale = np.max(np.abs(rep.field.values))
+    assert np.max(np.abs(rep_t.field.values - rep.field.values.T)) <= 1e-13 * scale
 
 
 def test_certificate_reads_the_flow_gradient(choquard_report):
@@ -613,20 +645,20 @@ def test_exhausted_branch_line_search_says_where_it_stopped(monkeypatch, p6_setu
 
 
 def test_branch_flow_against_the_resolution_guard_is_refused(p6_setup):
-    # A minus-branch start 5% wider than gaussian_on_branch's concentrates
-    # on L = 16 past what 128^2 resolves: trial steps fail the resolution
-    # guard until the line search is exhausted, a GuardFloorError whose
-    # report lists the refused 64^2 level and the 128^2 iterations.
-    spec = gaussian_on_branch(p6_setup, "minus")
-    wider = ProfileSpec.gaussian(sigma=1.05 * spec.sigma, c=spec.c)
+    # The unit Gaussian is placed on its minus point, which a 128^2 grid on
+    # L = 15 admits (A = 27.4 below c/(2h)^2 = 28.8), and the flow from it
+    # concentrates past what that grid resolves: trial steps fail the
+    # resolution guard until the line search is exhausted, a GuardFloorError
+    # whose report lists the refused 64^2 level and the 128^2 iterations.
+    spec = ProfileSpec.gaussian(sigma=1.0, c=p6_setup.c)
     with pytest.raises(GuardFloorError, match="step floor") as exc:
-        lambda_branch_minimize(p6_setup, make_grid(16.0, 128), CFG, wider, "minus")
+        lambda_branch_minimize(p6_setup, make_grid(15.0, 128), CFG, spec, "minus")
     levels = exc.value.report.extras["levels"]
     assert [lv["n"] for lv in levels] == [64, 128]
     assert "grid too coarse" in levels[0]["refused"]
     # The count of a flow that concentrates past the grid depends on the
     # last bits of every fiber root it takes.
-    assert levels[1]["iters"] == 29
+    assert levels[1]["iters"] == 25
 
 
 def test_boundary_leak_is_refused_at_the_third_strike(monkeypatch):
