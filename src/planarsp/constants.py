@@ -20,6 +20,11 @@ whose bisection shoots every midpoint (12 to 27 shoots rather than 53 or
 those two floats, and its own shot gives the integrals and the stopping
 radius from its last step end, and the profile as a cubic Hermite
 interpolant of phi and phi' at its step ends, built in numpy on first use.
+The search stores its pair in a per-user cache file
+($XDG_CACHE_HOME/planarsp, by default ~/.cache/planarsp), keyed by this
+code, the interpreter and the platform; a later process re-certifies the
+stored pair in two shoots, an undershoot and an overshoot at adjacent
+floats, the search's own test of its end, and skips the search.
 From K_GN all threshold constants of the problem follow in closed form:
 
     k0 = (p-2) |gamma| c^2 / (4 |p-4|)        kinetic cap level
@@ -35,10 +40,14 @@ records the inequality chain that fired.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import sys
+import zlib
 from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, wraps
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .dop853 import radial_dop853
 from .errors import RegimeError, ShootingError, ThresholdError
@@ -102,8 +111,9 @@ class RadialGroundState:
     round-off in beta has grown to O(1); it moves with the last bits of
     beta.  r_decay is where the profile first falls to 1e-6 * beta, well
     above that noise.  steps holds the (r, phi, phi') triples of the step
-    ends of the shoot, and shoots the number of shoots that built the state
-    (the search's; the profile is one of its shots).  The profile is the
+    ends of the shoot, and shoots the number of shoots this process took to
+    build the state: 2 when it re-certified a stored pair, the search's
+    otherwise (the profile is one of them).  The profile is the
     cubic Hermite interpolant of the step ends, built on first use and
     evaluated in numpy as scipy.interpolate.CubicHermiteSpline does, bit
     for bit (the only use of numpy here)."""
@@ -239,13 +249,27 @@ def ground_state_radial(p: float) -> RadialGroundState:
     shot overshoot; phi(0) is one of them, and its own shot gives the
     profile.  Round-off flips the shot sign more than once near the root,
     so phi(0) need not be the plain bisection of [1, H]'s (60 ulps from it
-    at p = 2.01), but it is a sign change all the same."""
+    at p = 2.01), but it is a sign change all the same.
+
+    The search's final pair is stored in a per-user cache file under
+    $XDG_CACHE_HOME/planarsp (by default ~/.cache/planarsp), keyed by a
+    CRC-32 of this module, planarsp.dop853, the interpreter and the
+    platform.  A later process re-certifies the pair of its key in two
+    shoots: it is used only if its floats are adjacent, the lower one
+    shoots no overshoot and the upper one an overshoot, the test the
+    search's own end passes.  Then the profile is built from it as from
+    the search, with the same checks, and phi(0) and every output are the
+    same as with no cache.  A missing, unreadable, foreign or failing entry
+    runs the search, whose pair then replaces it; a location that cannot
+    be read or written is never an error."""
     return _ground_state(float(_exponent(p)))
 
 
 @cache
 def _ground_state(p: float) -> RadialGroundState:
-    """ground_state_radial's state, built once per exponent."""
+    """ground_state_radial's state, built once per exponent: on the pair
+    stored for p if two shoots re-certify it, else on the search's pair,
+    which is then stored."""
     # phi(0) -> the shot from it: no phi(0) is shot twice.
     seen: Dict[float, _Shot] = {}
 
@@ -254,6 +278,23 @@ def _ground_state(p: float) -> RadialGroundState:
             seen[beta] = _shoot(beta, p)
         return seen[beta]
 
+    pair = _stored_pair(p)
+    try:
+        # The search's own test of its final pair (see _search).
+        hit = (pair is not None and shoot(pair[0]).sign != -1
+               and shoot(pair[1]).sign == -1)
+    except ShootingError:
+        hit = False
+    lo, hi = pair if hit else _search(p, shoot)
+    gs = _radial_profile(shoot(0.5 * (lo + hi)), p, len(seen))
+    if not hit:
+        _store_pair(p, lo, hi)
+    return gs
+
+
+def _search(p: float, shoot: Callable[[float], _Shot]) -> Tuple[float, float]:
+    """The adjacent floats (lo, hi) that ground_state_radial's search ends
+    on, a shot undershoot (any sign but -1) and a shot overshoot."""
     # phi(0) = 1 is the constant solution, an undershoot for every p.
     L, H = 1.0, 2.0
     for _ in range(60):
@@ -263,8 +304,8 @@ def _ground_state(p: float) -> RadialGroundState:
     else:
         raise ShootingError(f"could not bracket an overshoot for p={p}")
 
-    # L must be a real shoot too: while it is not, bisect [1, H].
-    while L not in seen:
+    # L must be a real shoot too: while it is the unshot 1, bisect [1, H].
+    while L == 1.0:
         mid = 0.5 * (L + H)
         if shoot(mid).sign == -1:
             H = mid
@@ -273,7 +314,7 @@ def _ground_state(p: float) -> RadialGroundState:
 
     # Anderson-Bjorck: the end kept a second time in a row has its miss
     # scaled by 1 - f/f_replaced (by 1/2 if that is not positive).
-    fL, fH = seen[L].miss, seen[H].miss
+    fL, fH = shoot(L).miss, shoot(H).miss
     side = 0
     for _ in range(_SHOOTING_BISECTIONS):
         if H - L <= _NARROW * H:
@@ -302,7 +343,91 @@ def _ground_state(p: float) -> RadialGroundState:
             hi = mid
         else:
             lo = mid
-    return _radial_profile(shoot(0.5 * (lo + hi)), p, len(seen))
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# The stored pairs
+# ---------------------------------------------------------------------------
+
+
+def _cache_file() -> str:
+    """The file of stored pairs, under $XDG_CACHE_HOME/planarsp (by default
+    ~/.cache/planarsp); OSError when no absolute location is known."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser(os.path.join("~", ".cache"))
+        if not os.path.isabs(base):
+            raise OSError("no home directory for the ground-state cache")
+    return os.path.join(base, "planarsp", "ground_states.json")
+
+
+@cache
+def _cache_key() -> str:
+    """The key of the pairs this code may read: a CRC-32 of the shooting
+    code (this module and planarsp.dop853) and of the interpreter and
+    platform, whose libm the shoots run on.  Every pair is re-certified
+    before use; the key makes a used pair the one this code's own search
+    ends on, so no output depends on what the cache holds."""
+    crc = 0
+    for path in (radial_dop853.__code__.co_filename, __file__):
+        with open(path, "rb") as fh:
+            crc = zlib.crc32(fh.read(), crc)
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        libc = None
+    machine = os.uname().machine if hasattr(os, "uname") else None
+    host = (sys.version, sys.platform, machine, libc)
+    return f"{zlib.crc32(repr(host).encode(), crc):08x}"
+
+
+def _stored_pairs() -> dict:
+    """phi(0) pairs by repr(p), as stored under this code's key; {} when
+    the file is missing, unreadable, garbled or of another key."""
+    try:
+        with open(_cache_file(), encoding="utf-8") as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and data.get("key") == _cache_key():
+            pairs = data.get("pairs")
+            if isinstance(pairs, dict):
+                return pairs
+    except (OSError, ValueError):
+        pass
+    return {}
+
+
+def _stored_pair(p: float) -> Optional[Tuple[float, float]]:
+    """The stored pair of p if it is two adjacent floats above 1 (phi(0)
+    of the constant solution, below every ground state's), else None."""
+    pair = _stored_pairs().get(repr(p))
+    if (isinstance(pair, list) and len(pair) == 2
+            and all(type(x) is float for x in pair)
+            and 1.0 < pair[0] and pair[1] == math.nextafter(pair[0], math.inf)):
+        return pair[0], pair[1]
+    return None
+
+
+def _store_pair(p: float, lo: float, hi: float) -> None:
+    """Store p's pair with the others of this key, through a temporary file
+    in the same directory that replaces the file at once; a location that
+    cannot be written leaves the cache as it is."""
+    tmp = None
+    try:
+        path = _cache_file()
+        pairs = _stored_pairs()
+        pairs[repr(p)] = [lo, hi]
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"key": _cache_key(), "pairs": pairs}, fh)
+        os.replace(tmp, path)
+    except (OSError, ValueError):
+        if tmp is not None:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +456,9 @@ def kgn_estimate(p: float) -> float:
         r_stop;
       - the bisection on phi(0) ends on a shot undershoot and a shot
         overshoot at adjacent floats, so a positive decaying solution lies
-        between them (every midpoint is shot);
+        between them (every midpoint is shot); a pair stored by an earlier
+        process is used only once both of its floats are shot again here
+        and pass this same test (two shoots, see ground_state_radial);
       - the profile satisfies the Pohozaev identities to _POHOZAEV_TOL
         relative and falls to 1e-6 * phi(0) at a step end; phi(0) moved by
         1e-5 relative fails them.  The shoot's start at r0 = 1e-8 drops

@@ -59,10 +59,13 @@ for the energy flows: s is found in closed form from A, V and C
 (fiber.critical_points), and the start is dilated to s and renormalized
 (fiber.project_to_lambda), so the first iterate has Q = 0 to round-off for
 a resolved field.  In LocalMinPlusMountainPass (c < c0) the fiber minimum
-lies inside the kinetic cap.  A fiber with no such point, or whose point is
-not resolved, keeps the start as given, and so does an energy start whose
-minimum leaks through the boundary frame, unless it lies above the kinetic
+lies inside the kinetic cap.  A fiber with no such point keeps the start as
+given.  An energy start whose minimum is not resolved, or leaks through the
+boundary frame, is kept as given too, unless it lies above the kinetic
 cap: then the domain is too small, as it is for a branch point that leaks.
+A branch start whose point is not resolved is refused ("grid too coarse
+for the start's branch point"): the flow's first recenter would dilate to
+that point.
 
 A coarse level passes up only its field and its numbers.  One that fails
 (ResolutionError, ConvergenceError or DomainError) is recorded as
@@ -248,7 +251,8 @@ class _Objective:
     that refuses the flow when no trial step was accepted, or None; and
     annotate(report, pt, recenters): the objective's own keys of the
     report's extras, recenters summed over levels.  A flow starts on the
-    branch point of its start's fiber; the other hooks default to an
+    branch point of its start's fiber, or where unplaced_start says when
+    the grid does not resolve that point; the other hooks default to an
     objective that stops where it is given, with no invariant orbit and no
     recentering."""
 
@@ -258,13 +262,20 @@ class _Objective:
     def start(self, ev: Evaluation) -> Evaluation:
         """The evaluation a flow from the evaluated field ev starts at: its
         field placed on the branch point of its fiber (project_to_lambda).
-        A fiber with no such point, or whose point is not resolved, keeps
-        the start as given."""
+        A fiber with no such point keeps the start as given, and one whose
+        point is not resolved gets unplaced_start."""
         try:
             u = project_to_lambda(ev, self.params, self.branch)
-        except (RegimeError, ResolutionError):
+        except RegimeError:
             return ev
+        except ResolutionError as err:
+            return self.unplaced_start(ev, err)
         return ev if u is ev.u else Evaluation(u)
+
+    def unplaced_start(self, ev: Evaluation, err: ResolutionError) -> Evaluation:
+        """The start of a flow whose branch point the grid does not resolve
+        (err says why): the start as given."""
+        return ev
 
     def orbit(self, u: Field) -> Optional[np.ndarray]:
         """A direction the objective is invariant along."""
@@ -347,6 +358,12 @@ class _FiberBranch(_Objective):
             return None
         bp = _critical_point(scalars(ev, self.params), self.branch)
         return _Point(ev, bp.g, bp.s, bp.gpp)
+
+    def unplaced_start(self, ev: Evaluation, err: ResolutionError) -> Evaluation:
+        # The flow's first recenter would dilate to that same point and fail
+        # there: refuse the start now, naming the cause.
+        raise ResolutionError(f"{self.mode}: grid too coarse for the start's "
+                              f"branch point: {err}") from err
 
     def start_refusal(self, ev: Evaluation) -> PlanarSPError:
         return ResolutionError(

@@ -56,6 +56,28 @@ def gaussian_on_branch(params, branch):
     return ProfileSpec.gaussian(sigma=1.0 / s, c=c)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_home(tmp_path_factory):
+    """XDG_CACHE_HOME, and with it the stored ground-state pairs, in a
+    directory of the session's own while fixtures of a wider scope than
+    one test are built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def cache_home(session_cache_home, tmp_path_factory, monkeypatch):
+    """Each test, and each CLI process it starts, reads and writes the
+    stored ground-state pairs under a cache directory of its own, empty at
+    its start and apart from its tmp_path: never the user's, and never a
+    pair that another test stored, so a ground state a test builds afresh
+    runs the full search."""
+    home = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 @pytest.fixture(scope="session")
 def grid128():
     return make_grid(40.0, 128)

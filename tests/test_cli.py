@@ -141,6 +141,38 @@ def test_classify_needs_no_scipy():
         (normal.returncode, normal.stdout, normal.stderr)
 
 
+def test_classify_from_a_stored_pair_prints_the_same_bytes(cache_home):
+    # The first process searches phi(0) and stores its pair; the later ones
+    # re-certify that pair, leaving the file as it is, and print the same
+    # bytes.  The lookup, like the search, runs with numpy and scipy blocked.
+    args = ["classify", "--gamma", "1", "--a", "1", "--p", "3", "--c", "1"]
+    stored = cache_home / "planarsp" / "ground_states.json"
+    blocked_miss, normal_hit = _blocked_and_normal(args)
+    written = stored.stat()
+    blocked_hit, _ = _blocked_and_normal(args)
+    assert blocked_miss.returncode == 0, blocked_miss.stderr
+    assert b"ModuleNotFoundError" not in blocked_hit.stderr
+    assert (blocked_miss.returncode, blocked_miss.stdout, blocked_miss.stderr) == \
+        (normal_hit.returncode, normal_hit.stdout, normal_hit.stderr) == \
+        (blocked_hit.returncode, blocked_hit.stdout, blocked_hit.stderr)
+    after = stored.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+
+
+def test_classify_with_an_unwritable_cache_location(tmp_path, monkeypatch):
+    # XDG_CACHE_HOME names a regular file: the cache can be neither read nor
+    # written, which is no error and changes no output byte.
+    args = ["classify", "--gamma", "1", "--a", "1", "--p", "3", "--c", "1"]
+    usual = _run_cli_process(args, timeout=120)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    proc = _run_cli_process(args, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (usual.stdout, usual.stderr)
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("args", [
     ["--help"],
     ["constants", "--help"],
@@ -710,6 +742,19 @@ def test_solve_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
                     "--grid-n", "64", "--branch", "minus", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "grid too coarse" in err and "regime refusal" not in err
+    assert not out.exists()
+
+
+def test_solve_from_a_start_with_an_unresolved_branch_point_exits_2(tmp_path, capsys):
+    # The unit Gaussian is admissible on a 128^2 grid on L = 40, but its
+    # minus point (a dilation by t = 6.6) is not resolved there: the start
+    # is refused as such at each level, exit 2, and nothing is written.
+    out = tmp_path / "minus"
+    assert run_cli(["solve", "--gamma", "1", "--a", "1", "--p", "6", "--c", "1",
+                    "--grid-n", "128", "--branch", "minus", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda_branch_minimize[minus]: grid too coarse "
+                          "for the start's branch point: dilation by t=6.6")
     assert not out.exists()
 
 

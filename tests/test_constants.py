@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -86,6 +87,115 @@ def test_ground_state_counts_its_shoots(monkeypatch, p):
     # The count is bookkeeping, not part of the state's value.
     assert dataclasses.replace(gs, shoots=0) == gs
     assert ground_state_radial(p) is gs and len(shoots) == gs.shoots
+
+
+def _counted_ground_state(monkeypatch, p):
+    """ground_state_radial(p) built afresh in this process, and the phi(0)
+    of each shoot it took."""
+    import planarsp.constants as C
+
+    shoots = []
+    real_shoot = C._shoot
+
+    def counted(beta, p):
+        shoots.append(beta)
+        return real_shoot(beta, p)
+
+    monkeypatch.setattr(C, "_shoot", counted)
+    C._ground_state.cache_clear()
+    gs = ground_state_radial(p)
+    monkeypatch.setattr(C, "_shoot", real_shoot)
+    return gs, shoots
+
+
+def _cache_contents(cache_home):
+    return json.loads((cache_home / "planarsp" / "ground_states.json").read_text())
+
+
+@pytest.mark.parametrize("p", [3.0, 6.0])
+def test_stored_pair_is_recertified_in_two_shoots(monkeypatch, cache_home, p):
+    # The search stores its pair; a later build of the state (a fresh
+    # process, here a cleared in-process cache) shoots just those two
+    # adjacent floats and builds the same state, step ends included.
+    import planarsp.constants as C
+
+    searched, _ = _counted_ground_state(monkeypatch, p)
+    assert searched.shoots == {3.0: 18, 6.0: 15}[p]
+    stored = _cache_contents(cache_home)
+    assert stored["key"] == C._cache_key()
+    lo, hi = stored["pairs"][repr(p)]
+    assert hi == math.nextafter(lo, math.inf) and searched.beta in (lo, hi)
+
+    hit, shoots = _counted_ground_state(monkeypatch, p)
+    assert hit.shoots == 2 and shoots == [lo, hi]
+    assert hit == searched and hit.steps == searched.steps
+    assert kgn_estimate(p) == hit.C / (hit.A ** (0.5 * p - 1.0) * hit.mass)
+    assert _cache_contents(cache_home) == stored
+
+
+# Each entry must be ignored: the search runs as with no cache, and its
+# pair replaces the entry.
+_BAD_ENTRIES = {
+    "not_adjacent": lambda pairs, key: json.dumps(
+        {"key": key, "pairs": {"3.0": [pairs["3.0"][0], math.nextafter(
+            pairs["3.0"][1], math.inf)]}}),
+    # adjacent floats with the signs the other way round: an overshoot at
+    # lo (phi(0) = 3 is far above the ground state's 2.39) ...
+    "lo_overshoots": lambda pairs, key: json.dumps(
+        {"key": key, "pairs": {"3.0": [3.0, math.nextafter(3.0, math.inf)]}}),
+    # ... and an undershoot at hi (phi(0) = 2 is below it)
+    "hi_undershoots": lambda pairs, key: json.dumps(
+        {"key": key, "pairs": {"3.0": [2.0, math.nextafter(2.0, math.inf)]}}),
+    "garbage": lambda pairs, key: '{"key": "' + key + '", "pairs": {"3.0": [2.39',
+    "other_key": lambda pairs, key: json.dumps({"key": "0" * len(key), "pairs": pairs}),
+    "not_floats": lambda pairs, key: json.dumps(
+        {"key": key, "pairs": {"3.0": [str(x) for x in pairs["3.0"]]}}),
+}
+
+
+@pytest.mark.parametrize("entry", list(_BAD_ENTRIES))
+def test_bad_stored_pair_is_searched_and_rewritten(monkeypatch, cache_home, entry):
+    searched, search_shoots = _counted_ground_state(monkeypatch, 3.0)
+    stored = _cache_contents(cache_home)
+    path = cache_home / "planarsp" / "ground_states.json"
+    path.write_text(_BAD_ENTRIES[entry](stored["pairs"], stored["key"]))
+
+    gs, shoots = _counted_ground_state(monkeypatch, 3.0)
+    assert gs == searched and gs.steps == searched.steps
+    # The whole search ran again, beside at most the two shoots of the
+    # rejected check, and the count holds them all, each shot once.
+    assert set(search_shoots) <= set(shoots) and len(set(shoots)) == len(shoots)
+    assert gs.shoots == len(shoots) <= len(search_shoots) + 2
+    assert _cache_contents(cache_home) == stored
+    assert [f.name for f in path.parent.iterdir()] == [path.name]
+
+
+def test_unwritable_cache_location_is_a_miss(monkeypatch, tmp_path):
+    # XDG_CACHE_HOME names a regular file: nothing can be read or written
+    # under it, so every build searches, and nothing is raised.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    first, _ = _counted_ground_state(monkeypatch, 3.0)
+    again, shoots = _counted_ground_state(monkeypatch, 3.0)
+    assert again == first and again.shoots == len(shoots) == 18
+    assert blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
+
+
+def test_cache_location_follows_xdg(monkeypatch, tmp_path):
+    # An absolute XDG_CACHE_HOME holds the cache; an unset or relative one
+    # means ~/.cache (the XDG base directory rule), never the working
+    # directory.
+    import planarsp.constants as C
+
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert C._cache_file() == str(tmp_path / "xdg" / "planarsp" / "ground_states.json")
+    default = str(tmp_path / ".cache" / "planarsp" / "ground_states.json")
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+    assert C._cache_file() == default
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert C._cache_file() == default
 
 
 def test_overflowing_shoot_chains_the_overflow():
