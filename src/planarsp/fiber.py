@@ -92,10 +92,10 @@ class BranchPoint:
 
 def scalars(u: Union[Field, Evaluation], params: Params) -> FiberScalars:
     """Fiber invariants of a field, on its grid's kernel table, or of its
-    evaluation.  Raises MassMismatchError unless mass(u) = params.c to 1e-8
-    relative."""
+    evaluation.  Raises MassMismatchError unless the mass of u is params.c
+    to 1e-8 relative."""
     ev = u if isinstance(u, Evaluation) else Evaluation(u)
-    m = mass(ev.u)
+    m = ev.mass
     if abs(m - params.c) > 1e-8 * max(params.c, 1e-300):
         raise MassMismatchError(f"field mass {m!r} differs from required {params.c!r}")
     return FiberScalars(A=ev.A, C=ev.C(params.p), V=ev.V, params=params)

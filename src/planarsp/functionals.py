@@ -75,7 +75,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import GridMismatchError
-from .grid import Field, Grid, mass
+from .grid import _TABLE_CACHE_SIZE, Field, Grid, mass
 from .params import Params, _exponent
 
 __all__ = [
@@ -291,7 +291,8 @@ class KernelTable:
     (n+1) x (n+1) quadrant, the DCT-I of the kernel's window; the padded
     2n x (n+1) half spectrum is the quadrant with its rows n-1..1 mirrored
     below, and _times_quadrant multiplies by it.  No quadrature weight is
-    kept either: Evaluation.star_norm forms log(1+|x|) on its one read.
+    kept either: Evaluation.star_norm forms log(1+|x|) from the grid's kept
+    radius on its one read.
 
     Immutable after construction (every array is read-only) and safe to
     share across threads.
@@ -316,12 +317,6 @@ class KernelTable:
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
         return table
-
-
-# The most tables kernel_table keeps; past it the least recently used goes.
-# A grid ladder uses one table per level and extent, and no benchmark
-# workload needs more than 3 extents x 3 levels.
-_TABLE_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -489,6 +484,11 @@ class Evaluation:
                            overwrite_x=True)
 
     @cached_property
+    def mass(self) -> float:
+        """grid.mass(u), read once."""
+        return mass(self.u)
+
+    @cached_property
     def spectral_tail(self) -> float:
         """||u_high|| / ||u||, u_high the part of u above half the Nyquist
         frequency (|k| > pi/(2h)), read from spec_u by Parseval: the share
@@ -497,7 +497,7 @@ class Evaluation:
         pi/(2h), each with k2 = k2[n/4, 0] exactly."""
         k2 = self.table.k2
         above = k2 > k2[self.u.grid.n // 4, 0]
-        m = mass(self.u)
+        m = self.mass
         if m == 0.0:
             raise ValueError("spectral tail of the zero field is undefined")
         dens = _power(self.spec_u)
@@ -507,9 +507,13 @@ class Evaluation:
     @cached_property
     def star_norm(self) -> float:
         """Weighted-norm diagnostic integral log(1+|x|) u^2.  The weight
-        log(1+|x|) is formed here, on the one read, and not kept."""
-        return float(self._h2 * np.sum(np.log1p(self.u.grid.radius())
-                                       * self.u.values * self.u.values))
+        log(1+|x|) of the grid's kept radius is formed here, on the one
+        read, and not kept: log(1+|x|) u u is built in its one buffer in
+        place, each product rounded as in the one-expression form."""
+        dens = np.log1p(self.u.grid.radius())
+        dens *= self.u.values
+        dens *= self.u.values
+        return float(self._h2 * np.sum(dens))
 
     def C(self, p: float) -> float:
         """integral |u|^p for p > 2."""
@@ -548,7 +552,7 @@ class Evaluation:
         vals, p = self.u.values, params.p
         w = self.w
         g = s * s * self.neg_lap
-        term = w - mass(self.u) * math.log(s)
+        term = w - self.mass * math.log(s)
         term *= params.gamma
         term *= vals
         g += term
@@ -565,7 +569,7 @@ class Evaluation:
     def lam(self, params: Params, s: float = 1.0) -> float:
         """Multiplier of the mass constraint, -<grad(params, s), u>/m, which
         makes grad + lambda u orthogonal to u; -(A + gamma V - a C)/m at s = 1."""
-        m = mass(self.u)
+        m = self.mass
         if m == 0.0:
             raise ValueError("Lagrange multiplier of the zero field is undefined")
         log_s = math.log(s)
@@ -582,7 +586,7 @@ class Evaluation:
         1 + |lambda| m + |gamma| |V|, m the mass of u; zero for the zero
         field.  The absolute 1 in the denominator makes the residual depend
         on the units of (gamma, a, c): it is not scale-free."""
-        m = mass(self.u)
+        m = self.mass
         if m == 0.0:
             return 0.0
         V, C = self.V, self.C(params.p)
@@ -599,7 +603,7 @@ class Evaluation:
         g = self.grad(params)
         defect = np.sqrt(self._h2 * np.sum((g + lam * self.u.values) ** 2))
         gnorm = np.sqrt(self._h2 * np.sum(g * g))
-        return float(defect / (1.0 + gnorm + abs(lam) * np.sqrt(mass(self.u))))
+        return float(defect / (1.0 + gnorm + abs(lam) * np.sqrt(self.mass)))
 
 
 def smooth_direction(values: np.ndarray, table: KernelTable) -> np.ndarray:

@@ -13,6 +13,7 @@ import io
 import numbers
 import struct
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -48,6 +49,12 @@ _PROFILE_LEAK_TOL = 1e-6
 # (makes normalization exactly idempotent).
 _NORMALIZE_SNAP = 100.0 * np.finfo(float).eps
 
+# The most grids each per-grid memo keeps (the node radius, the ladder's
+# prolongation matrices, functionals.kernel_table); past it the least
+# recently used goes.  A grid ladder uses one entry per level and extent,
+# and no benchmark workload needs more than 3 extents x 3 levels.
+_TABLE_CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -75,11 +82,16 @@ class Grid:
         x = self.coords1d()
         return np.meshgrid(x, x, indexing="ij")
 
+    @lru_cache(maxsize=_TABLE_CACHE_SIZE)
     def radius(self) -> np.ndarray:
-        """|x| at every node: one n x n array, where a meshgrid pair would
-        make two more."""
+        """|x| at every node: one read-only n x n array, where a meshgrid
+        pair would make two more.  It is built once per grid value and
+        kept, for the _TABLE_CACHE_SIZE most recently used grids, so equal
+        grids share it."""
         x = self.coords1d()
-        return np.hypot(x[:, None], x[None, :])
+        r = np.hypot(x[:, None], x[None, :])
+        r.flags.writeable = False
+        return r
 
 
 @dataclass(frozen=True)
@@ -193,21 +205,43 @@ def _interpolation_matrix(n: int, idx: np.ndarray) -> np.ndarray:
     return M * inside[:, None]
 
 
+def _resample_matrix(source: Grid, grid: Grid, t: float) -> np.ndarray:
+    """_interpolation_matrix at the indices of t x on source's grid, for the
+    nodes x of grid, along either axis; one past the floats is outside the
+    domain."""
+    with np.errstate(over="ignore"):
+        idx = (t * grid.coords1d() + 0.5 * grid.extent) / source.h
+    return _interpolation_matrix(source.n, idx)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _prolongation_matrix(coarse: Grid, fine: Grid) -> np.ndarray:
+    """The read-only _resample_matrix at t = 1 from coarse onto fine, the
+    grid ladder's prolongation, kept per (coarse, fine) value for the
+    _TABLE_CACHE_SIZE most recently used pairs."""
+    M = _resample_matrix(coarse, fine, 1.0)
+    M.flags.writeable = False
+    return M
+
+
 def resample(u: Field, grid: Grid, t: float = 1.0) -> Field:
     """The trigonometric interpolant of u read at t x for the nodes x of
     grid, a grid of u's extent: M U M^T with M = _interpolation_matrix at
     the indices of t x on u's grid.  Zero outside the domain; u's sample
     where the index comes out whole, as it does at t = 1 on a finer grid
     for each node of u whose coordinate -L/2 + i h is an exact float (every
-    node for L = 40).  Raises ValueError for a grid of another extent."""
+    node for L = 40).  At t = 1 onto the grid of twice u's size, the grid
+    ladder's prolongation, M is built once per pair of grids and kept
+    (_prolongation_matrix); every other M, a dilation's, is built on each
+    call, since its t seldom repeats.  Raises ValueError for a grid of
+    another extent."""
     if grid.extent != u.grid.extent:
         raise ValueError(f"cannot resample a field on {u.grid} onto {grid}: the "
                          "grids must have the same extent")
-    # index of t x on u's grid, along either axis; one past the floats is
-    # outside the domain
-    with np.errstate(over="ignore"):
-        idx = (t * grid.coords1d() + 0.5 * grid.extent) / u.grid.h
-    M = _interpolation_matrix(u.grid.n, idx)
+    if t == 1.0 and grid.n == 2 * u.grid.n:
+        M = _prolongation_matrix(u.grid, grid)
+    else:
+        M = _resample_matrix(u.grid, grid, t)
     return Field(grid, M @ u.values @ M.T)
 
 

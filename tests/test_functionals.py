@@ -389,6 +389,16 @@ def test_star_norm_gaussian(gauss256):
     assert star_norm == float(h * h * np.sum(np.log1p(gauss256.grid.radius()) * u * u))
 
 
+def test_evaluation_reads_the_mass_once(grid128):
+    # Evaluation.mass is grid.mass(u) bit for bit, and the multiplier
+    # computes it once and keeps it.
+    u = discretize(ProfileSpec.random_smooth(seed=4, c=1.7), grid128)
+    ev = Evaluation(u)
+    ev.lam(PR3)
+    assert vars(ev)["mass"] == mass(u)
+    assert ev.mass == mass(u)
+
+
 def _periodic_kinetic(u):
     """A as the direct grid sum against the Laplacian of u treated as
     periodic on the n x n grid."""

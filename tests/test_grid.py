@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from planarsp import (DomainError, Field, GridMismatchError, ProfileSpec,
                       boundary_mass_fraction, discretize, make_grid, mass,
                       normalize, read_field, shift, write_field)
-from planarsp.grid import resample
+from planarsp import grid as grid_module
+from planarsp.grid import Grid, resample
 
 
 def test_make_grid_spacing():
@@ -224,6 +225,46 @@ def test_resample_onto_its_own_or_a_coarser_grid_reads_the_nodes(n, step, gauss1
     # node is a node of u, where the interpolant reads u's sample.
     got = resample(gauss128, make_grid(gauss128.grid.extent, n))
     assert np.array_equal(got.values, gauss128.values[::step, ::step])
+
+
+def test_equal_grids_share_one_read_only_radius_and_prolongation():
+    # The node radius and the ladder's prolongation matrix are kept per
+    # grid value: two separately built equal grids read the same arrays,
+    # and neither array can be written.
+    coarse, fine = make_grid(40.0, 64), make_grid(40.0, 128)
+    coarse_again, fine_again = Grid(40.0, 64), Grid(40.0, 128)
+    assert coarse_again is not coarse and coarse_again == coarse
+    r = fine.radius()
+    M = grid_module._prolongation_matrix(coarse, fine)
+    assert fine_again.radius() is r
+    assert grid_module._prolongation_matrix(coarse_again, fine_again) is M
+    x = fine.coords1d()
+    assert np.array_equal(r, np.hypot(x[:, None], x[None, :]))
+    assert np.array_equal(M, grid_module._resample_matrix(coarse, fine, 1.0))
+    with pytest.raises(ValueError):
+        r[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
+
+
+def test_prolongation_reads_the_kept_matrix(gauss128):
+    fine = make_grid(gauss128.grid.extent, 256)
+    memo = grid_module._prolongation_matrix
+    got = resample(gauss128, fine)
+    hits = memo.cache_info().hits
+    assert np.array_equal(resample(gauss128, Grid(gauss128.grid.extent, 256)).values,
+                          got.values)
+    assert memo.cache_info().hits == hits + 1
+
+
+def test_dilations_keep_nothing(gauss128):
+    # A dilation's t seldom repeats, so its matrix is built on each call
+    # and the prolongation memo neither grows nor is read.
+    memo = grid_module._prolongation_matrix
+    before = memo.cache_info()
+    for k in range(40):
+        resample(gauss128, gauss128.grid, 1.01 + 0.01 * k)
+    assert memo.cache_info() == before
 
 
 def test_resample_refuses_a_grid_of_another_extent(gauss128):
