@@ -291,7 +291,7 @@ class KernelTable:
     (n+1) x (n+1) quadrant, the DCT-I of the kernel's window; the padded
     2n x (n+1) half spectrum is the quadrant with its rows n-1..1 mirrored
     below, and _times_quadrant multiplies by it.  No quadrature weight is
-    kept either: Evaluation.star_norm forms log(1+|x|) from the grid's kept
+    kept either: Evaluation.star_norm forms log(1+|x|) from a fresh node
     radius on its one read.
 
     Immutable after construction (every array is read-only) and safe to
@@ -507,10 +507,11 @@ class Evaluation:
     @cached_property
     def star_norm(self) -> float:
         """Weighted-norm diagnostic integral log(1+|x|) u^2.  The weight
-        log(1+|x|) of the grid's kept radius is formed here, on the one
-        read, and not kept: log(1+|x|) u u is built in its one buffer in
-        place, each product rounded as in the one-expression form."""
-        dens = np.log1p(self.u.grid.radius())
+        log(1+|x|) is formed here, on the one read, and not kept:
+        log(1+|x|) u u is built in place in the buffer of a fresh
+        Grid.radius(), each product rounded as in the one-expression form."""
+        dens = self.u.grid.radius()
+        np.log1p(dens, out=dens)
         dens *= self.u.values
         dens *= self.u.values
         return float(self._h2 * np.sum(dens))

@@ -49,7 +49,7 @@ _PROFILE_LEAK_TOL = 1e-6
 # (makes normalization exactly idempotent).
 _NORMALIZE_SNAP = 100.0 * np.finfo(float).eps
 
-# The most grids each per-grid memo keeps (the node radius, the ladder's
+# The most grids each per-grid memo keeps (the odd halves of the ladder's
 # prolongation matrices, functionals.kernel_table); past it the least
 # recently used goes.  A grid ladder uses one entry per level and extent,
 # and no benchmark workload needs more than 3 extents x 3 levels.
@@ -82,16 +82,12 @@ class Grid:
         x = self.coords1d()
         return np.meshgrid(x, x, indexing="ij")
 
-    @lru_cache(maxsize=_TABLE_CACHE_SIZE)
     def radius(self) -> np.ndarray:
-        """|x| at every node: one read-only n x n array, where a meshgrid
-        pair would make two more.  It is built once per grid value and
-        kept, for the _TABLE_CACHE_SIZE most recently used grids, so equal
-        grids share it."""
+        """|x| at every node: one fresh n x n array, where a meshgrid pair
+        would make two more.  It is not kept: each caller reads it once (the
+        weighted norm once per certificate) and may overwrite it."""
         x = self.coords1d()
-        r = np.hypot(x[:, None], x[None, :])
-        r.flags.writeable = False
-        return r
+        return np.hypot(x[:, None], x[None, :])
 
 
 @dataclass(frozen=True)
@@ -216,10 +212,12 @@ def _resample_matrix(source: Grid, grid: Grid, t: float) -> np.ndarray:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _prolongation_matrix(coarse: Grid, fine: Grid) -> np.ndarray:
-    """The read-only _resample_matrix at t = 1 from coarse onto fine, the
-    grid ladder's prolongation, kept per (coarse, fine) value for the
-    _TABLE_CACHE_SIZE most recently used pairs."""
-    M = _resample_matrix(coarse, fine, 1.0)
+    """The odd rows of the _resample_matrix at t = 1 from coarse onto fine,
+    the grid of twice its size: one contiguous read-only n x n array, n =
+    coarse.n, kept per (coarse, fine) value for the _TABLE_CACHE_SIZE most
+    recently used pairs.  The even rows are not kept: fine node 2i is
+    coarse node i, whose sample resample copies."""
+    M = np.ascontiguousarray(_resample_matrix(coarse, fine, 1.0)[1::2])
     M.flags.writeable = False
     return M
 
@@ -227,21 +225,28 @@ def _prolongation_matrix(coarse: Grid, fine: Grid) -> np.ndarray:
 def resample(u: Field, grid: Grid, t: float = 1.0) -> Field:
     """The trigonometric interpolant of u read at t x for the nodes x of
     grid, a grid of u's extent: M U M^T with M = _interpolation_matrix at
-    the indices of t x on u's grid.  Zero outside the domain; u's sample
-    where the index comes out whole, as it does at t = 1 on a finer grid
-    for each node of u whose coordinate -L/2 + i h is an exact float (every
-    node for L = 40).  At t = 1 onto the grid of twice u's size, the grid
-    ladder's prolongation, M is built once per pair of grids and kept
-    (_prolongation_matrix); every other M, a dilation's, is built on each
-    call, since its t seldom repeats.  Raises ValueError for a grid of
-    another extent."""
+    the indices of t x on u's grid.  Zero outside the domain, and u's
+    sample where the index comes out whole.  At t = 1 onto the grid of
+    twice u's size, the grid ladder's prolongation, fine node 2i is node i
+    of u: its sample is copied, at every extent, and only the odd rows of
+    M, kept per pair of grids (_prolongation_matrix), are multiplied, first
+    along rows and then along columns.  That is M U M^T bit for bit
+    wherever M's even rows are unit rows, as they are at L = 40.  Every
+    other M, a dilation's, is built in full on each call, since its t
+    seldom repeats.  Raises ValueError for a grid of another extent."""
     if grid.extent != u.grid.extent:
         raise ValueError(f"cannot resample a field on {u.grid} onto {grid}: the "
                          "grids must have the same extent")
     if t == 1.0 and grid.n == 2 * u.grid.n:
-        M = _prolongation_matrix(u.grid, grid)
-    else:
-        M = _resample_matrix(u.grid, grid, t)
+        odd = _prolongation_matrix(u.grid, grid)
+        rows = np.empty((grid.n, u.grid.n))
+        rows[0::2] = u.values
+        rows[1::2] = odd @ u.values
+        out = np.empty((grid.n, grid.n))
+        out[:, 0::2] = rows
+        out[:, 1::2] = rows @ odd.T
+        return Field(grid, out)
+    M = _resample_matrix(u.grid, grid, t)
     return Field(grid, M @ u.values @ M.T)
 
 

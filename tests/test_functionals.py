@@ -523,16 +523,20 @@ def _random_smooth(grid):
     return discretize(ProfileSpec.random_smooth(seed=3, cutoff=8), grid)
 
 
-@pytest.mark.parametrize("make", [_random_smooth,
-                                  lambda g: Field(g, np.random.default_rng(5)
-                                                  .standard_normal((g.n, g.n)))],
-                         ids=["random_smooth", "white_noise"])
-def test_prolong_then_inject_is_the_identity(make, grid128, grid256):
+def _white_noise(grid):
+    return Field(grid, np.random.default_rng(5).standard_normal((grid.n, grid.n)))
+
+
+@pytest.mark.parametrize("make, L", [
+    pytest.param(make, L, id=make.__name__[1:] + ("" if L == 40.0 else f"-L{L}"))
+    for L in (40.0, 40.1, 37.7) for make in (_random_smooth, _white_noise)])
+def test_prolong_then_inject_is_the_identity(make, L):
     # Every coarse node is a fine node, where the trigonometric interpolant
     # reads the coarse sample itself: any field, white noise included, comes
-    # back bit for bit.
-    u = make(grid128)
-    assert np.array_equal(resample(u, grid256).values[::2, ::2], u.values)
+    # back bit for bit, also at the extents 40.1 and 37.7, where a fine
+    # node's index on the coarse grid does not come out whole.
+    u = make(make_grid(L, 128))
+    assert np.array_equal(resample(u, make_grid(L, 256)).values[::2, ::2], u.values)
 
 
 def test_prolong_keeps_the_mass(grid128, grid256):

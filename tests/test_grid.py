@@ -227,24 +227,43 @@ def test_resample_onto_its_own_or_a_coarser_grid_reads_the_nodes(n, step, gauss1
     assert np.array_equal(got.values, gauss128.values[::step, ::step])
 
 
-def test_equal_grids_share_one_read_only_radius_and_prolongation():
-    # The node radius and the ladder's prolongation matrix are kept per
-    # grid value: two separately built equal grids read the same arrays,
-    # and neither array can be written.
+def test_equal_grids_share_one_read_only_prolongation():
+    # The ladder's prolongation keeps the odd rows of its matrix per grid
+    # value: two separately built equal grids read the same contiguous
+    # n x n array, which cannot be written.
     coarse, fine = make_grid(40.0, 64), make_grid(40.0, 128)
     coarse_again, fine_again = Grid(40.0, 64), Grid(40.0, 128)
     assert coarse_again is not coarse and coarse_again == coarse
-    r = fine.radius()
     M = grid_module._prolongation_matrix(coarse, fine)
-    assert fine_again.radius() is r
     assert grid_module._prolongation_matrix(coarse_again, fine_again) is M
-    x = fine.coords1d()
-    assert np.array_equal(r, np.hypot(x[:, None], x[None, :]))
-    assert np.array_equal(M, grid_module._resample_matrix(coarse, fine, 1.0))
-    with pytest.raises(ValueError):
-        r[0, 0] = 1.0
+    assert M.shape == (64, 64) and M.flags.c_contiguous
+    assert np.array_equal(M, grid_module._resample_matrix(coarse, fine, 1.0)[1::2])
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
+
+
+def test_node_radius_is_fresh_on_each_read():
+    g = make_grid(40.0, 64)
+    r = g.radius()
+    x = g.coords1d()
+    assert np.array_equal(r, np.hypot(x[:, None], x[None, :]))
+    assert g.radius() is not r
+    r[0, 0] = -1.0
+    assert g.radius()[0, 0] == np.hypot(x[0], x[0])
+
+
+@pytest.mark.parametrize("half", [64, 128, 256])
+@pytest.mark.parametrize("L", [40.0, 24.0, 16.0, 30.0])
+def test_prolongation_is_the_full_product_bit_for_bit(L, half):
+    # At these extents every even row of the full matrix is a unit row, so
+    # copying the coarse samples and multiplying by the odd rows alone,
+    # first along rows and then along columns, is M U M^T to the last bit.
+    coarse, fine = make_grid(L, half), make_grid(L, 2 * half)
+    M = grid_module._resample_matrix(coarse, fine, 1.0)
+    assert np.array_equal(M[0::2], np.eye(half))
+    U = np.random.default_rng(half).standard_normal((half, half))
+    got = resample(Field(coarse, U), fine).values
+    assert got.tobytes() == (M @ U @ M.T).tobytes()
 
 
 def test_prolongation_reads_the_kept_matrix(gauss128):

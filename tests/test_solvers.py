@@ -1,4 +1,10 @@
 import dataclasses
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ from planarsp.constants import (a_thresholds, c0, gn_profile_field, k0,
                                 kgn_estimate, mass_critical_threshold)
 from planarsp.fiber import _critical_point
 from planarsp.functionals import Evaluation, kernel_table
-from planarsp.grid import Grid, resample
+from planarsp.grid import resample
 
 from conftest import gaussian_on_branch, padded_reference
 
@@ -30,11 +36,16 @@ def choquard_report():
     return pr, global_minimize(pr, grid, CFG, ProfileSpec.gaussian(sigma=1.5))
 
 
-@pytest.fixture(scope="module")
-def p6_setup():
+def _p6_params():
+    """gamma = 1, a = 1, p = 6 at half the mass threshold c0."""
     p = 6.0
     czero = c0(p, 1.0, 1.0, kgn_estimate(p))
     return Params(gamma=1.0, a=1.0, p=p, c=0.5 * czero)
+
+
+@pytest.fixture(scope="module")
+def p6_setup():
+    return _p6_params()
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +99,17 @@ def _bench_solve(name, params6, grid, cfg=CFG, scale=None, init=None):
 def ladder_reports(p6_setup):
     return {name: _bench_solve(name, p6_setup, make_grid(extent, 256))
             for name, (extent, _) in BENCH_256.items()}
+
+
+def _bench_outcomes():
+    """The benchmark's four cases at 256^2, each as its CLI exit code and,
+    at EXIT_OK, its iterations, F and lambda."""
+    params6 = _p6_params()
+    outcomes = {}
+    for name, (extent, _) in BENCH_256.items():
+        code, rep = _exit_code(lambda: _bench_solve(name, params6, make_grid(extent, 256)))
+        outcomes[name] = [code] + ([rep.iters, rep.objective, rep.lam] if rep else [])
+    return outcomes
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +267,7 @@ _SYMMETRY_F_TOL = 10 * 4.9e-8
 
 
 def _exit_code(solve):
-    """The CLI's exit code of a solve, and F when it is EXIT_OK."""
+    """The CLI's exit code of a solve, and its report when it is EXIT_OK."""
     try:
         rep = solve()
     except ConvergenceError:
@@ -254,7 +276,7 @@ def _exit_code(solve):
         return EXIT_REGIME, None
     except PlanarSPError:
         return EXIT_CONFIG, None
-    return EXIT_OK, rep.objective
+    return EXIT_OK, rep
 
 
 def _drawn_start(kind, size, seed, offset, grid, c):
@@ -285,11 +307,11 @@ def test_symmetric_starts_give_one_answer(p6_setup, name, kind, size, seed, offs
     u = _drawn_start(kind, size * extent, seed, offset, grid, params.c)
     v = Field(grid, _IMAGES[image](u.values))
     cfg = SolverConfig()
-    code, F = _exit_code(lambda: _bench_solve(name, p6_setup, grid, cfg, init=u))
-    code_v, F_v = _exit_code(lambda: _bench_solve(name, p6_setup, grid, cfg, init=v))
+    code, rep = _exit_code(lambda: _bench_solve(name, p6_setup, grid, cfg, init=u))
+    code_v, rep_v = _exit_code(lambda: _bench_solve(name, p6_setup, grid, cfg, init=v))
     assert code_v == code
     if code == EXIT_OK:
-        assert abs(F_v - F) <= _SYMMETRY_F_TOL * abs(F)
+        assert abs(rep_v.objective - rep.objective) <= _SYMMETRY_F_TOL * abs(rep.objective)
 
 
 def test_certificate_reads_the_flow_gradient(choquard_report):
@@ -557,9 +579,9 @@ def test_ladder_certifies_once(monkeypatch):
 
 
 def test_solves_carry_no_state_between_them(p6_setup):
-    # The kernel tables, node radii and prolongation matrices are kept per
-    # grid; the benchmark's four cases solved in one process in two orders,
-    # the first from empty memos, give the same answers bit for bit.
+    # The kernel tables and prolongation matrices are kept per grid; the
+    # benchmark's four cases solved in one process in two orders, the first
+    # from empty memos, give the same answers bit for bit.
     def solve_all(names):
         reps = {name: _bench_solve(name, p6_setup, make_grid(BENCH_256[name][0], 256))
                 for name in names}
@@ -567,10 +589,66 @@ def test_solves_carry_no_state_between_them(p6_setup):
                        rep.pohozaev_res, rep.field.values.tobytes())
                 for name, rep in reps.items()}
 
-    Grid.radius.cache_clear()
     grid_module._prolongation_matrix.cache_clear()
     names = sorted(BENCH_256)
     assert solve_all(names) == solve_all(names[::-1])
+
+
+# The bounds on the relative move of F and of lambda of a benchmark case
+# under a second BLAS kernel: 10 times the largest moves measured, 8.2e-16
+# in F and 1.5e-15 in lambda (both minus_p6), between the default SkylakeX
+# kernel of OpenBLAS 0.3.31 and each of Prescott, Core2, Nehalem,
+# Sandybridge, Haswell, Zen, Cooperlake and SapphireRapids.
+_KERNEL_F_TOL = 10 * 8.2e-16
+_KERNEL_LAM_TOL = 10 * 1.5e-15
+
+# A child process prints _bench_outcomes() as JSON; argv[1] is this directory.
+_OUTCOMES_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+                   "import test_solvers; print(json.dumps(test_solvers._bench_outcomes()))")
+
+
+def test_a_second_blas_kernel_moves_the_bench_cases_by_round_off(tmp_path):
+    # Replay is byte for byte only on one BLAS kernel.  The four benchmark
+    # cases solved in a child process on OpenBLAS's Prescott kernel, the
+    # variable set on that child alone, exit as on the default kernel after
+    # as many iterations, with F and lambda within round-off.
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in blas.get("name", "").lower() \
+            or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not an OpenBLAS built "
+                    "with DYNAMIC_ARCH: OPENBLAS_CORETYPE selects no kernel")
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"Prescott is an x86-64 kernel; this is {platform.machine()}")
+    tests = Path(__file__).resolve().parent
+    children = {}
+    for coretype in ("default", "Prescott"):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / coretype),
+                   PYTHONPATH=str(tests.parent / "src"))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype != "default":
+            env["OPENBLAS_CORETYPE"] = coretype
+        children[coretype] = subprocess.Popen(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", _OUTCOMES_CHILD,
+             str(tests)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, cwd=tmp_path)
+    outcomes = {}
+    try:
+        for coretype, child in children.items():
+            out, err = child.communicate(timeout=60)
+            assert child.returncode == 0, err
+            outcomes[coretype] = json.loads(out)
+    finally:
+        for child in children.values():
+            child.kill()   # a no-op on a child that has exited
+    default, prescott = outcomes["default"], outcomes["Prescott"]
+    assert sorted(default) == sorted(BENCH_256)
+    for name, want in default.items():
+        got = prescott[name]
+        assert got[:2] == want[:2]   # the exit code and the iterations
+        if want[0] == EXIT_OK:
+            F, lam = want[2:]
+            assert abs(got[2] - F) <= _KERNEL_F_TOL * abs(F)
+            assert abs(got[3] - lam) <= _KERNEL_LAM_TOL * abs(lam)
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_256))
