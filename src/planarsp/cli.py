@@ -97,8 +97,9 @@ _PARAM_KEYS = ("gamma", "a", "p", "c")
 
 def _given_params(cfg: dict, args) -> dict:
     """The parameters the flags or the config's params section give, each
-    flag over its key, each value checked as a number (a null included)."""
-    section = _section(cfg, "params", **{k: getattr(args, k) for k in _PARAM_KEYS})
+    flag over its key, each value checked as a number (a null included).
+    A parameter a command has no flag for comes from the config alone."""
+    section = _section(cfg, "params", **{k: getattr(args, k, None) for k in _PARAM_KEYS})
     return {k: _number(f"params.{k}", section[k]) for k in _PARAM_KEYS
             if k in section}
 
@@ -145,7 +146,6 @@ def _merged_profile(cfg: dict, args, c: float) -> ProfileSpec:
 
     section = _section(cfg, "profile", kind=args.profile, sigma=args.sigma)
     kind = section.pop("kind", "gaussian")
-    section["c"] = c
     for key, val in section.items():
         where = f"profile.{key}"
         if key == "center":
@@ -156,6 +156,11 @@ def _merged_profile(cfg: dict, args, c: float) -> ProfileSpec:
             section[key] = _integer(where, val)
         else:
             section[key] = _number(where, val)
+    # The profile's mass is the solve's: a profile.c, such as a report.json
+    # records, must repeat params.c.
+    if section.setdefault("c", c) != c:
+        raise ConfigError(f"profile.c = {section['c']!r} differs from "
+                          f"params.c = {c!r}")
     try:
         return ProfileSpec(kind=kind, **section)
     except (TypeError, ValueError) as exc:
@@ -227,12 +232,13 @@ def cmd_classify(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = _load_config(args.config)
-    # The other parameters are optional here, but those given must be valid.
+    # constants reads p alone or the whole tuple (gamma, a, p, c): a partial
+    # tuple is refused by _merged_params, naming what it misses.
     given = _given_params(cfg, args)
     if "p" not in given:
         raise ConfigError("constants requires an exponent p")
     p = _exponent(given["p"])
-    params = _merged_params(cfg, args) if len(given) == 4 else None
+    params = _merged_params(cfg, args) if len(given) > 1 else None
     payload = _constants_payload(params, p)
     payload["kv2"] = K.kv2_estimate()
     print(_dumps(payload))
@@ -299,6 +305,8 @@ def _axis(name: str, lo: float, hi: float, n: int) -> List[float]:
 
 
 def cmd_sweep(args) -> int:
+    # The lattice sets a and c: a config's params.a and params.c are checked
+    # as numbers, as every given parameter is, and not read.
     given = _given_params(_load_config(args.config), args)
     if "gamma" not in given or "p" not in given:
         raise ConfigError("sweep requires gamma and p")
@@ -420,12 +428,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, grid=False, output=False, profile=False):
+_PARAM_HELP = {"gamma": "interaction sign/strength",
+               "a": "local nonlinearity coupling",
+               "p": "nonlinearity exponent (> 2)",
+               "c": "prescribed mass (> 0)"}
+
+
+def _add_common(sub, params=_PARAM_KEYS, grid=False, output=False, profile=False):
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--gamma", type=float, help="interaction sign/strength")
-    sub.add_argument("--a", type=float, help="local nonlinearity coupling")
-    sub.add_argument("--p", type=float, help="nonlinearity exponent (> 2)")
-    sub.add_argument("--c", type=float, help="prescribed mass (> 0)")
+    for key in params:
+        sub.add_argument(f"--{key}", type=float, help=_PARAM_HELP[key])
     if grid:
         sub.add_argument("--grid-L", type=float, help="domain extent")
         sub.add_argument("--grid-n", type=int, help="nodes per side (power of two)")
@@ -434,7 +446,8 @@ def _add_common(sub, grid=False, output=False, profile=False):
     if profile:
         sub.add_argument("--profile", choices=["gaussian", "ring", "two_bump",
                                                "random_smooth"], help="profile kind")
-        sub.add_argument("--sigma", type=float, help="profile width")
+        sub.add_argument("--sigma", type=float,
+                         help="width of a gaussian or ring profile")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_fiber)
 
     s = subs.add_parser("sweep", help="regime map over an (a, c) lattice")
-    _add_common(s, output=True)
+    _add_common(s, params=("gamma", "p"), output=True)  # the lattice sets a and c
     s.add_argument("--a-min", type=float, required=True)
     s.add_argument("--a-max", type=float, required=True)
     s.add_argument("--na", type=int, default=20)

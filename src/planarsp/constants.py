@@ -211,7 +211,7 @@ def _shoot(beta: float, p: float) -> _Shot:
     return _Shot(beta, sign, steps, state)
 
 
-def _radial_profile(shot: _Shot, p: float, shoots: int = 1) -> RadialGroundState:
+def _radial_profile(shot: _Shot, p: float, shoots: int) -> RadialGroundState:
     """The profile of a shot: its integrals and stopping radius from its last
     step end, and its step ends, once they pass the Pohozaev and decay
     checks.  shoots is the number of shoots made to find the shot."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import numbers
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import lru_cache
 from typing import Tuple
 
@@ -258,20 +258,33 @@ def resample(u: Field, grid: Grid, t: float = 1.0) -> Field:
 # The ProfileSpec fields that must be integers.
 _PROFILE_INTEGERS = ("scale", "seed", "cutoff")
 
+# The ProfileSpec fields each kind reads, beyond kind and c.
+_PROFILE_FIELDS = {
+    "gaussian": ("sigma", "center"),
+    "ring": ("r0", "sigma"),
+    "two_bump": ("separation", "scale", "radius"),
+    "random_smooth": ("seed", "cutoff"),
+}
+
 
 @dataclass(frozen=True)
 class ProfileSpec:
     """Recipe for a synthetic test profile with prescribed mass c.
 
-    Kinds:
+    Kinds, with the fields each reads besides kind and c:
       gaussian(sigma, center)     sqrt(c/pi)/sigma * exp(-|x - x0|^2 / (2 sigma^2))
       ring(r0, sigma)             exp(-(r - r0)^2 / (2 sigma^2)), renormalized
-      two_bump(separation, scale) compactly supported bump at the origin plus the
-                                  dilated copy (1/n) v((x - n R e1)/n); lobes carry
-                                  mass c/2 each and have disjoint supports
+      two_bump(separation, scale, radius)
+                                  compactly supported bump of radius radius at
+                                  the origin plus the dilated copy
+                                  (1/n) v((x - n R e1)/n); lobes carry mass c/2
+                                  each and have disjoint supports
       random_smooth(seed, cutoff) band-limited random field under a Gaussian
                                   envelope, renormalized; a cutoff above n/2
                                   of the grid is refused (ResolutionError)
+
+    A field the kind does not read must keep its default, else ValueError:
+    a setting that would change nothing is refused, not ignored.
     """
 
     kind: str
@@ -292,8 +305,14 @@ class ProfileSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"profile {name} must be an integer, got {value!r}")
-        if self.kind not in ("gaussian", "ring", "two_bump", "random_smooth"):
+        if self.kind not in _PROFILE_FIELDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        read = ("kind", "c", *_PROFILE_FIELDS[self.kind])
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in read and value != f.default:
+                raise ValueError(f"a {self.kind} profile does not read {f.name}: "
+                                 f"got {value!r}, leave it at {f.default!r}")
         if self.kind in ("gaussian", "ring") and self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.kind == "ring" and self.r0 < 0:

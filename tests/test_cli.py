@@ -898,9 +898,13 @@ def test_solve_refuses_malformed_config(tmp_path, capsys, cfg, key):
     ({"p": 3, "gamma": 1, "a": "1", "c": 1}, "params.a"),
     ({"p": 3, "gamma": 1, "a": 1, "c": -1}, "mass c"),
     ({"gamma": 1, "a": 1, "c": 1}, "constants requires an exponent p"),
-], ids=["partial_bool_gamma", "full_string_a", "full_negative_c", "no_p"])
+    ({"p": 3, "gamma": float("nan")}, "missing parameters: a, c"),
+    ({"p": 3, "c": -5}, "missing parameters: gamma, a"),
+], ids=["partial_bool_gamma", "full_string_a", "full_negative_c", "no_p",
+        "partial_nan_gamma", "partial_negative_c"])
 def test_constants_refuses_malformed_params(tmp_path, capsys, params, key):
-    # A partial parameter set is fine for constants; a malformed one is not.
+    # constants reads p alone or the whole tuple: a partial or malformed
+    # set is refused, and nothing is printed.
     code = run_cli(["constants", "--config",
                     str(_mk_cfg(tmp_path, {"params": params}))])
     assert code == 2
@@ -969,6 +973,100 @@ def test_verify_refuses_config(capsys):
         run_cli(["verify", "--config", "run.json"])
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, missing", [
+    (["--gamma", "nan"], "a, c"),
+    (["--c", "-5"], "gamma, a"),
+    (["--gamma", "1", "--a", "1"], "c"),
+], ids=["nan_gamma", "negative_c", "no_c"])
+def test_constants_refuses_a_partial_tuple(capsys, flags, missing):
+    # constants reads p alone or (gamma, a, p, c): a part of the tuple
+    # beyond p would be ignored, so it is refused by name.
+    assert run_cli(["constants", "--p", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: missing parameters: {missing}\n"
+
+
+@pytest.mark.parametrize("flag", [["--a", "99"], ["--c", "7"], ["--a", "nan"],
+                                  ["--c", "-5"]],
+                         ids=["a", "c", "nan_a", "negative_c"])
+def test_sweep_refuses_a_and_c(tmp_path, capsys, flag):
+    # The lattice sets a and c: sweep's parser has no --a or --c, so either
+    # is refused (exit 2, naming the option) rather than ignored, and
+    # nothing is written.
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--gamma", "-1", "--p", "3", *flag, "--a-min", "1",
+                 "--a-max", "2", "--c-min", "1", "--c-max", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"option: {flag[0]} " in captured.err
+    assert not out.exists()
+
+
+def test_sweep_does_not_read_the_configs_a_and_c(tmp_path):
+    # A config's params.a and params.c are checked as numbers and not read:
+    # the sweep.csv is that of gamma and p alone.
+    lattice = ["--a-min", "0.5", "--a-max", "12", "--na", "4", "--c-min", "0.5",
+               "--c-max", "2", "--nc", "3"]
+    cfg = _mk_cfg(tmp_path, {"params": {"gamma": -1, "p": 3.5, "a": 99, "c": 7}})
+    assert run_cli(["sweep", "--config", str(cfg), *lattice,
+                    "--out", str(tmp_path / "cfg")]) == 0
+    assert run_cli(["sweep", "--gamma", "-1", "--p", "3.5", *lattice,
+                    "--out", str(tmp_path / "flags")]) == 0
+    assert (tmp_path / "cfg" / "sweep.csv").read_bytes() == \
+        (tmp_path / "flags" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "fiber"])
+@pytest.mark.parametrize("flags, profile, message", [
+    (["--profile", "random_smooth", "--sigma", "7"], {},
+     "a random_smooth profile does not read sigma"),
+    (["--profile", "two_bump", "--sigma", "2"], {"separation": 4, "scale": 1},
+     "a two_bump profile does not read sigma"),
+    ([], {"kind": "gaussian", "seed": 3}, "a gaussian profile does not read seed"),
+    ([], {"kind": "ring", "r0": 2, "center": [1, 0]},
+     "a ring profile does not read center"),
+    ([], {"kind": "random_smooth", "r0": 1}, "a random_smooth profile does not read r0"),
+    ([], {"kind": "gaussian", "c": 5}, "profile.c = 5.0 differs from params.c = 1.0"),
+], ids=["random_smooth_sigma", "two_bump_sigma", "gaussian_seed", "ring_center",
+        "random_smooth_r0", "profile_c"])
+def test_profile_settings_that_change_nothing_are_refused(tmp_path, capsys, command,
+                                                          flags, profile, message):
+    # Each kind reads its own fields, and a profile takes the solve's mass:
+    # any other setting is refused by name (exit 2), and nothing is written.
+    out = tmp_path / "out"
+    cfg = _mk_cfg(tmp_path, {"params": _PARAMS, "grid": {"n": 64}, "profile": profile})
+    assert run_cli([command, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "gaussian", "sigma": 1.5, "center": [0.5, 0.0]},
+    {"kind": "ring", "r0": 1.0, "sigma": 1.2},
+    {"kind": "two_bump", "separation": 4.0, "scale": 1, "radius": 1.5},
+    {"kind": "random_smooth", "seed": 3, "cutoff": 4},
+], ids=lambda profile: profile["kind"])
+def test_solve_replays_each_profile_kind(tmp_path, profile):
+    # The report records every profile field, those its kind does not read
+    # at their defaults, and replays byte for byte.
+    from planarsp import ProfileSpec
+
+    first, again = tmp_path / "first", tmp_path / "again"
+    cfg = _mk_cfg(tmp_path, {"params": _PARAMS, "grid": {"n": 64}, "profile": profile})
+    assert run_cli(["solve", "--config", str(cfg), "--out", str(first)]) == 0
+    assert run_cli(["solve", "--config", str(first / "report.json"),
+                    "--out", str(again)]) == 0
+    for name in ("report.json", "solution.lpf"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    defaults = {f.name: f.default for f in dataclasses.fields(ProfileSpec)
+                if f.name != "kind"}
+    recorded = json.loads((first / "report.json").read_text())["config"]["profile"]
+    assert recorded == json.loads(json.dumps({**defaults, **profile}))
 
 
 def test_verify_runs_clean(capsys):

@@ -326,7 +326,7 @@ def test_ground_state_matches_the_plain_bisection(p):
     C._ground_state.cache_clear()
     beta = _plain_bisection(p)
     assert abs(ground_state_radial(p).beta - beta) <= 64 * math.ulp(beta)
-    gs = C._radial_profile(C._shoot(beta, p), p)
+    gs = C._radial_profile(C._shoot(beta, p), p, 1)
     assert kgn_estimate(p) == pytest.approx(
         gs.C / (gs.A ** (0.5 * p - 1.0) * gs.mass), rel=1e-13, abs=0.0)
 
@@ -371,10 +371,10 @@ def test_shooting_checks_refuse_a_moved_beta(p):
     import planarsp.constants as C
 
     gs = ground_state_radial(p)
-    C._radial_profile(C._shoot(gs.beta, p), p)
+    C._radial_profile(C._shoot(gs.beta, p), p, 1)
     for factor in (1.0 - 1e-5, 1.0 + 1e-5):
         with pytest.raises(ShootingError):
-            C._radial_profile(C._shoot(gs.beta * factor, p), p)
+            C._radial_profile(C._shoot(gs.beta * factor, p), p, 1)
 
 
 def test_profile_width_ignores_the_last_bits_of_beta():
@@ -389,7 +389,7 @@ def test_profile_width_ignores_the_last_bits_of_beta():
         beta = gs.beta
         for _ in range(20):
             beta = float(np.nextafter(beta, toward))
-        shifted = C._radial_profile(C._shoot(beta, p), p)
+        shifted = C._radial_profile(C._shoot(beta, p), p, 1)
         assert shifted.r_decay == pytest.approx(gs.r_decay, rel=1e-4)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,6 +165,36 @@ def test_profile_spec_validation():
         ProfileSpec(kind="blob")
     with pytest.raises(ValueError, match="cutoff"):
         ProfileSpec.random_smooth(seed=1, cutoff=0)
+
+
+# A value other than the default for each ProfileSpec field past kind and
+# c, the fields each kind reads, and the least extra setting each kind needs.
+_OTHER_VALUE = {"sigma": 2.0, "center": (1.0, 0.0), "r0": 1.0, "separation": 3.0,
+                "scale": 2, "radius": 2.0, "seed": 5, "cutoff": 3}
+_READS = {"gaussian": ("sigma", "center"), "ring": ("r0", "sigma"),
+          "two_bump": ("separation", "scale", "radius"),
+          "random_smooth": ("seed", "cutoff")}
+_BASE = {"two_bump": {"separation": 4.0}}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind in _READS
+                                        for name in _OTHER_VALUE
+                                        if name not in _READS[kind]])
+def test_profile_spec_refuses_a_field_its_kind_does_not_read(kind, name):
+    # A setting the kind's sampler never reads would change nothing: it is
+    # refused, naming the field and the kind, and its default is accepted.
+    base = _BASE.get(kind, {})
+    with pytest.raises(ValueError, match=f"a {kind} profile does not read {name}: "):
+        ProfileSpec(kind=kind, **base, **{name: _OTHER_VALUE[name]})
+    default = {f.name: f.default for f in dataclasses.fields(ProfileSpec)}[name]
+    assert getattr(ProfileSpec(kind=kind, **base, **{name: default}), name) == default
+
+
+@pytest.mark.parametrize("kind", sorted(_READS))
+def test_profile_spec_takes_every_field_its_kind_reads(kind):
+    read = {name: _OTHER_VALUE[name] for name in _READS[kind]}
+    spec = ProfileSpec(kind=kind, c=2.0, **read)
+    assert {name: getattr(spec, name) for name in read} == read
 
 
 @pytest.mark.parametrize("make", [

@@ -218,6 +218,35 @@ def test_start_whose_fiber_minimum_leaks_is_kept():
     assert rep.iters == direct.iters
 
 
+def test_start_whose_fiber_point_is_degenerate_is_kept():
+    # At p = 4 - 1e-7 the fiber root search of a unit Gaussian meets a phi
+    # that is not a finite float: project_to_lambda raises RegimeError,
+    # the start is kept as given, and the flow from it is certified.
+    pr = Params(gamma=1.0, a=1.0, p=3.9999999, c=1.0)
+    grid = make_grid(40.0, 64)
+    given = Evaluation(discretize(ProfileSpec.gaussian(), grid))
+    with pytest.raises(RegimeError, match="numerically degenerate"):
+        solvers.project_to_lambda(given, pr, "plus")
+    assert solvers._Energy(pr, "global_minimize").start(given) is given
+    rep = global_minimize(pr, grid, CFG, ProfileSpec.gaussian())
+    assert rep.converged and rep.extras["levels"][0]["iters"] > 0
+
+
+def test_settle_keeps_a_point_within_1e9_of_its_branch_point(p6_setup, monkeypatch):
+    # A flow that stops with its fiber parameter within 1e-9 of 1 is
+    # certified where it stopped: no dilation and no new evaluation.
+    def no_projection(*args):
+        raise AssertionError("settle must not dilate a point at s = 1")
+
+    ev = Evaluation(normalize(discretize(ProfileSpec.gaussian(sigma=2.0),
+                                         make_grid(24.0, 64)), p6_setup.c))
+    obj = solvers._FiberBranch(p6_setup, "plus", "plus")
+    monkeypatch.setattr(solvers, "project_to_lambda", no_projection)
+    for s in (1.0, 1.0 - 5e-10, 1.0 + 5e-10):
+        pt = solvers._Point(ev, 0.0, s, 1.0)
+        assert obj.settle(pt) is pt
+
+
 def test_branch_start_is_placed_on_its_branch():
     # The unit Gaussian at gamma = a = c = 1, p = 6 is narrower than two
     # cells of a 64^2 grid on L = 40 (A = 1 > c/(2h)^2 = 0.64); the solver
@@ -443,6 +472,13 @@ def test_capped_interior_certified(capped_report, p6_setup):
     assert rep.extras["cap_interior"]
     assert abs(rep.q_value) < 1e-3 * (rep.breakdown.A + cap)
     assert rep.el_res < 1e-3
+
+
+def test_capped_report_carries_its_cap(capped_report, plus_report, p6_setup):
+    # The report names the kinetic cap k0 that every iterate was held
+    # below; a branch solve, which has no cap, names none.
+    assert capped_report.summary()["k0"] == k0(p6_setup)
+    assert "k0" not in plus_report.summary()
 
 
 def test_capped_init_precontraction(p6_setup):
@@ -706,6 +742,35 @@ def test_ladder_refusal_falls_back_to_the_direct_solve(p6_setup, ladder_reports)
     assert rep.extras["recenters"] == direct.recenters
 
 
+def test_ladder_drops_the_levels_below_a_refused_one(monkeypatch):
+    # A refused 128^2 level drops the converged 64^2 solution below it: the
+    # 256^2 level flows from the start sampled on its own grid, as a direct
+    # solve does, and the report counts its iterations and trace rows only.
+    flow = solvers._flow
+
+    def refuse_128(start, obj, cfg):
+        run = flow(start, obj, cfg)
+        if start.u.grid.n != 128:
+            return run
+        return dataclasses.replace(run, error=ConvergenceError("refused at 128^2"))
+
+    monkeypatch.setattr(solvers, "_flow", refuse_128)
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    init = ProfileSpec.gaussian(sigma=1.5)
+    rep = global_minimize(pr, make_grid(40.0, 256), CFG, init)
+    coarse, middle, fine = rep.extras["levels"]
+    assert coarse["n"] == 64 and coarse["iters"] > 0
+    assert middle == {"n": 128, "refused": "refused at 128^2"}
+    assert (fine["n"], fine["iters"]) == (256, rep.iters)
+    assert "F_err_grid" not in rep.extras
+    assert len(rep.trace) == rep.iters + 1
+    obj = solvers._Energy(pr, "global_minimize")
+    u0 = normalize(discretize(init, make_grid(40.0, 256)), pr.c)
+    direct = flow(obj.start(Evaluation(u0)), obj, CFG)
+    assert direct.error is None and direct.iters == rep.iters
+    assert np.array_equal(rep.field.values, direct.pt.ev.u.values)
+
+
 def test_ladder_skips_grids_below_twice_the_floor(p6_setup):
     rep = local_minimize_capped(p6_setup, make_grid(24.0, 64), CFG,
                                 ProfileSpec.gaussian(sigma=1.5))
@@ -881,6 +946,33 @@ def test_refused_recenter_reports_its_last_admissible_point(p6_setup, monkeypatc
     assert report.extras["s_branch"] == pytest.approx(1.0 / 3.0, rel=0.01)
 
 
+def test_a_recenter_restarts_the_step_size_memory():
+    # The Barzilai-Borwein step differences two consecutive steps; a
+    # recenter is not a step, so the step after it is the last accepted
+    # one.  An identity recenter at iteration 1 shows it: the flow repeats
+    # that iteration's field and then leaves the path of the flow without
+    # the recenter (its tangent residual is 2.6e-2 where that flow's is
+    # 4.4e-3), which a Barzilai-Borwein step across the recenter would keep.
+    class IdentityRecenter(solvers._Energy):
+        calls = 0
+
+        def recenter(self, pt, stalled, recenters):
+            self.calls += 1
+            return pt.ev.u if self.calls == 2 else None
+
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    plain = solvers._Energy(pr, "plain")
+    grid = make_grid(40.0, 64)
+    start = plain.start(Evaluation(discretize(ProfileSpec.gaussian(sigma=1.5), grid)))
+    runs = [solvers._flow(Evaluation(start.u), obj, CFG)
+            for obj in (plain, IdentityRecenter(pr, "identity"))]
+    rows, moved = ([(row.F, row.grad_res) for row in run.trace] for run in runs)
+    assert runs[1].recenters == 1 and runs[1].error is None
+    assert moved[:3] == rows[:2] + [rows[1]]
+    assert moved[3] != rows[2]
+    assert runs[1].pt.ev.F(pr) == pytest.approx(runs[0].pt.ev.F(pr), rel=1e-8)
+
+
 # The scaling v = kappa u maps a solution at (gamma, a, 6, c) to one at
 # (gamma/kappa^2, a/kappa^4, 6, c kappa^2) with F scaled by kappa^2, and a
 # power-of-two kappa maps the discrete problem onto itself exactly.  The
@@ -926,6 +1018,21 @@ def test_init_field_on_another_grid_is_refused():
     with pytest.raises(ValueError, match="different grid"):
         global_minimize(Params(gamma=1.0, a=0.0, p=3.0, c=1.0), make_grid(40.0, 128),
                         CFG, u)
+
+
+def test_init_field_is_normalized_to_the_mass():
+    # A field start is scaled to mass c before its fiber is read: a copy
+    # of mass 2.89 c starts where the field of mass c does.
+    pr = Params(gamma=1.0, a=0.0, p=3.0, c=1.0)
+    grid = make_grid(40.0, 64)
+    u = discretize(ProfileSpec.gaussian(sigma=1.5), grid)
+    starts = []
+    for init in (u, Field(grid, 1.7 * u.values)):
+        with pytest.raises(ConvergenceError) as exc:
+            global_minimize(pr, grid, SolverConfig(max_iter=0), init)
+        starts.append(exc.value.report.field)
+    assert mass(starts[1]) == pytest.approx(pr.c, rel=1e-12)
+    assert np.allclose(starts[1].values, starts[0].values, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,6 +1161,16 @@ def test_two_bump_probe_small_run():
     for r in rows:
         assert r.q < 0.0
         assert r.q == pytest.approx(r.q_pred, abs=1e-2)
+
+
+def test_two_bump_probe_reports_python_integers():
+    # numpy integers are accepted in n_list and reported as Python ints,
+    # so a row serializes to JSON.
+    t1, _ = a_thresholds(3.0, -1.0, 1.0, kgn_estimate(3.0))
+    pr = Params(gamma=-1.0, a=3.0 * t1, p=3.0, c=1.0)
+    rows = two_bump_probe(pr, make_grid(80.0, 256), list(np.arange(1, 3)))
+    assert [type(row.n) for row in rows] == [int, int]
+    assert json.loads(json.dumps(dataclasses.asdict(rows[1])))["n"] == 2
 
 
 def test_masscritical_probe_dichotomy():
