@@ -20,11 +20,12 @@ whose bisection shoots every midpoint (12 to 27 shoots rather than 53 or
 those two floats, and its own shot gives the integrals and the stopping
 radius from its last step end, and the profile as a cubic Hermite
 interpolant of phi and phi' at its step ends, built in numpy on first use.
-The search stores its pair in a per-user cache file
-($XDG_CACHE_HOME/planarsp, by default ~/.cache/planarsp), keyed by this
-code, the interpreter and the platform; a later process re-certifies the
-stored pair in two shoots, an undershoot and an overshoot at adjacent
-floats, the search's own test of its end, and skips the search.
+The search stores the lower float of its pair in a per-user cache file
+of its exponent ($XDG_CACHE_HOME/planarsp, by default ~/.cache/planarsp),
+keyed by this code, the interpreter and the platform; a later process
+re-certifies the stored pair in two shoots, an undershoot and an
+overshoot at adjacent floats, the search's own test of its end, and
+skips the search.
 From K_GN all threshold constants of the problem follow in closed form:
 
     k0 = (p-2) |gamma| c^2 / (4 |p-4|)        kinetic cap level
@@ -40,7 +41,6 @@ records the inequality chain that fired.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -251,15 +251,15 @@ def ground_state_radial(p: float) -> RadialGroundState:
     so phi(0) need not be the plain bisection of [1, H]'s (60 ulps from it
     at p = 2.01), but it is a sign change all the same.
 
-    The search's final pair is stored in a per-user cache file under
-    $XDG_CACHE_HOME/planarsp (by default ~/.cache/planarsp), keyed by a
-    CRC-32 of this module, planarsp.dop853, the interpreter and the
-    platform.  A later process re-certifies the pair of its key in two
-    shoots: it is used only if its floats are adjacent, the lower one
+    The search's final pair is stored as its lower float, in one file per
+    exponent under $XDG_CACHE_HOME/planarsp (by default ~/.cache/planarsp),
+    keyed by a CRC-32 of this module, planarsp.dop853, the interpreter and
+    the platform.  A later process re-certifies the pair of its key, that
+    float and the next, in two shoots: it is used only if the lower one
     shoots no overshoot and the upper one an overshoot, the test the
     search's own end passes.  Then the profile is built from it as from
     the search, with the same checks, and phi(0) and every output are the
-    same as with no cache.  A missing, unreadable, foreign or failing entry
+    same as with no cache.  A missing, unreadable, foreign or failing file
     runs the search, whose pair then replaces it; a location that cannot
     be read or written is never an error."""
     return _ground_state(float(_exponent(p)))
@@ -288,7 +288,7 @@ def _ground_state(p: float) -> RadialGroundState:
     lo, hi = pair if hit else _search(p, shoot)
     gs = _radial_profile(shoot(0.5 * (lo + hi)), p, len(seen))
     if not hit:
-        _store_pair(p, lo, hi)
+        _store_pair(p, lo)
     return gs
 
 
@@ -351,15 +351,15 @@ def _search(p: float, shoot: Callable[[float], _Shot]) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _cache_file() -> str:
-    """The file of stored pairs, under $XDG_CACHE_HOME/planarsp (by default
-    ~/.cache/planarsp); OSError when no absolute location is known."""
+def _cache_file(p: float) -> str:
+    """p's file of the stored phi(0), under $XDG_CACHE_HOME/planarsp (by
+    default ~/.cache/planarsp); OSError when no absolute location is known."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.expanduser(os.path.join("~", ".cache"))
         if not os.path.isabs(base):
             raise OSError("no home directory for the ground-state cache")
-    return os.path.join(base, "planarsp", "ground_states.json")
+    return os.path.join(base, "planarsp", f"phi0_p{p!r}")
 
 
 @cache
@@ -382,47 +382,34 @@ def _cache_key() -> str:
     return f"{zlib.crc32(repr(host).encode(), crc):08x}"
 
 
-def _stored_pairs() -> dict:
-    """phi(0) pairs by repr(p), as stored under this code's key; {} when
-    the file is missing, unreadable, garbled or of another key."""
-    try:
-        with open(_cache_file(), encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and data.get("key") == _cache_key():
-            pairs = data.get("pairs")
-            if isinstance(pairs, dict):
-                return pairs
-    except (OSError, ValueError):
-        pass
-    return {}
-
-
 def _stored_pair(p: float) -> Optional[Tuple[float, float]]:
-    """The stored pair of p if it is two adjacent floats above 1 (phi(0)
-    of the constant solution, below every ground state's), else None."""
-    pair = _stored_pairs().get(repr(p))
-    if (isinstance(pair, list) and len(pair) == 2
-            and all(type(x) is float for x in pair)
-            and 1.0 < pair[0] and pair[1] == math.nextafter(pair[0], math.inf)):
-        return pair[0], pair[1]
-    return None
+    """p's stored pair (lo, the float after lo), if p's file is the one line
+    "<this code's key> <lo.hex()>" with lo above 1 (phi(0) of the constant
+    solution, below every ground state's); else None."""
+    try:
+        with open(_cache_file(p), encoding="utf-8") as fh:
+            key, lo = fh.read().split()
+        lo = float.fromhex(lo)
+    except (OSError, ValueError):
+        return None
+    if key != _cache_key() or not 1.0 < lo < math.inf:
+        return None
+    return lo, math.nextafter(lo, math.inf)
 
 
-def _store_pair(p: float, lo: float, hi: float) -> None:
-    """Store p's pair with the others of this key, through a temporary file
-    in the same directory that replaces the file at once; a location that
-    cannot be written leaves the cache as it is."""
+def _store_pair(p: float, lo: float) -> None:
+    """Write p's file alone, through a temporary file beside it that
+    replaces it at once; a location that cannot be written leaves the
+    cache as it is."""
     tmp = None
     try:
-        path = _cache_file()
-        pairs = _stored_pairs()
-        pairs[repr(p)] = [lo, hi]
+        path = _cache_file(p)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": _cache_key(), "pairs": pairs}, fh)
+            fh.write(f"{_cache_key()} {lo.hex()}\n")
         os.replace(tmp, path)
-    except (OSError, ValueError):
+    except OSError:
         if tmp is not None:
             try:
                 os.remove(tmp)

@@ -243,7 +243,10 @@ def critical_points(sc: FiberScalars) -> List[BranchPoint]:
         return [_branch_point(sc, math.sqrt(D / coef))]
 
     try:
-        ts = t_star(sc)
+        # A stationary point below the normal floats (it underflows near
+        # p = 4) is placed at the least one: phi is monotone on the floats
+        # above it all the same.
+        ts = max(t_star(sc), sys.float_info.min)
     except OverflowError:
         raise RegimeError(
             "fiber stationary point overflows double precision; the scalar "

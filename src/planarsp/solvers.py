@@ -80,6 +80,11 @@ branch it solved, and extras["s_branch"] and extras["gpp"], the branch
 point s of the reported field and g''(s).  extras["spectral_tail"] is the
 reported field's Evaluation.spectral_tail, the part of it the grid at half
 the resolution could not carry.
+
+The whole ladder runs under numpy's floating-point traps: a coupling under
+which an operation overflows, or gives an invalid value or a division by
+zero, raises ValueError naming (gamma, a, p, c) at that operation, before
+an inf or a NaN can reach a residual or the report.
 """
 
 from __future__ import annotations
@@ -540,6 +545,19 @@ _LADDER_FLOOR = 64
 
 
 def _ladder(grid: Grid, init: Union[ProfileSpec, Field], obj: _Objective,
+            cfg: SolverConfig, regime: K.RegimeLabel) -> SolveReport:
+    """_levels under numpy's floating-point traps (module docstring)."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            return _levels(grid, init, obj, cfg, regime)
+        except FloatingPointError as err:
+            pr = obj.params
+            raise ValueError(
+                f"(gamma, a, p, c) = ({pr.gamma!r}, {pr.a!r}, {pr.p!r}, {pr.c!r}) "
+                f"exceeds double precision in {obj.mode}: {err}") from err
+
+
+def _levels(grid: Grid, init: Union[ProfileSpec, Field], obj: _Objective,
             cfg: SolverConfig, regime: K.RegimeLabel) -> SolveReport:
     """Flow obj on grid and the grids of n/2, n/4, ... down to _LADDER_FLOOR
     (module docstring), and certify the result once, on grid.  A level

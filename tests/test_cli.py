@@ -146,9 +146,9 @@ def test_classify_from_a_stored_pair_prints_the_same_bytes(cache_home):
     # re-certify that pair, leaving the file as it is, and print the same
     # bytes.  The lookup, like the search, runs with numpy and scipy blocked.
     args = ["classify", "--gamma", "1", "--a", "1", "--p", "3", "--c", "1"]
-    stored = cache_home / "planarsp" / "ground_states.json"
+    stored = cache_home / "planarsp" / "phi0_p3.0"
     blocked_miss, normal_hit = _blocked_and_normal(args)
-    written = stored.stat()
+    written, line = stored.stat(), stored.read_bytes()
     blocked_hit, _ = _blocked_and_normal(args)
     assert blocked_miss.returncode == 0, blocked_miss.stderr
     assert b"ModuleNotFoundError" not in blocked_hit.stderr
@@ -157,6 +157,8 @@ def test_classify_from_a_stored_pair_prints_the_same_bytes(cache_home):
         (blocked_hit.returncode, blocked_hit.stdout, blocked_hit.stderr)
     after = stored.stat()
     assert (after.st_ino, after.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+    assert stored.read_bytes() == line and len(line.split()) == 2
+    assert [f.name for f in stored.parent.iterdir()] == [stored.name]
 
 
 def test_classify_with_an_unwritable_cache_location(tmp_path, monkeypatch):
@@ -441,6 +443,15 @@ def test_fiber_refuses_an_overflowing_stationary_point(tmp_path, capsys):
     assert not (out / "fiber.csv").exists()
 
 
+@pytest.mark.parametrize("p", ["3.9999999", "3.999"])
+def test_fiber_below_an_underflowing_stationary_point(tmp_path, p):
+    # t_star underflows to 0 near p = 4: the curve is written all the same
+    out = tmp_path / "fib"
+    assert run_cli(["fiber", "--gamma", "1", "--a", "1", "--p", p, "--c", "1",
+                    "--grid-n", "64", "--out", str(out)]) == 0
+    assert len((out / "fiber.csv").read_text().splitlines()) == 401
+
+
 def test_fiber_on_a_grid_too_large_for_memory_exits_2(tmp_path, capsys):
     # A 2^23 x 2^23 float64 array needs 512 TiB, more than a 47-bit address
     # space holds: numpy's MemoryError is refused on one line, not as a
@@ -470,6 +481,21 @@ def test_an_extent_whose_square_overflows_is_refused(tmp_path, capsys, command, 
                     "--grid-n", "64", "--grid-L", L, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coupling", [["--gamma", "1e300", "--a", "0"],
+                                      ["--gamma", "1", "--a", "1e300"]],
+                         ids=["gamma", "a"])
+def test_solve_refuses_an_overflowing_coupling(tmp_path, coupling):
+    # The solve's first numpy overflow is refused by name (exit 2), with no
+    # RuntimeWarning printed and nothing written.
+    out = tmp_path / "x"
+    proc = _run_cli_process(["solve", *coupling, "--p", "3", "--c", "1", "--grid-n", "64",
+                             "--out", str(out)], timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("config error: (gamma, a, p, c) = (")
+    assert "exceeds double precision in global_minimize: overflow" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and not out.exists()
 
 
 def test_fiber_range_override(tmp_path):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -108,57 +107,73 @@ def _counted_ground_state(monkeypatch, p):
     return gs, shoots
 
 
-def _cache_contents(cache_home):
-    return json.loads((cache_home / "planarsp" / "ground_states.json").read_text())
+def _stored_file(cache_home, p):
+    return cache_home / "planarsp" / f"phi0_p{p!r}"
 
 
 @pytest.mark.parametrize("p", [3.0, 6.0])
 def test_stored_pair_is_recertified_in_two_shoots(monkeypatch, cache_home, p):
-    # The search stores its pair; a later build of the state (a fresh
-    # process, here a cleared in-process cache) shoots just those two
-    # adjacent floats and builds the same state, step ends included.
+    # The search stores the lower float of its pair; a later build of the
+    # state (a fresh process, here a cleared in-process cache) shoots just
+    # that float and the next and builds the same state, step ends
+    # included.
     import planarsp.constants as C
 
     searched, _ = _counted_ground_state(monkeypatch, p)
     assert searched.shoots == {3.0: 18, 6.0: 15}[p]
-    stored = _cache_contents(cache_home)
-    assert stored["key"] == C._cache_key()
-    lo, hi = stored["pairs"][repr(p)]
-    assert hi == math.nextafter(lo, math.inf) and searched.beta in (lo, hi)
+    path = _stored_file(cache_home, p)
+    stored = path.read_text()
+    _, lo = stored.split()
+    assert stored == f"{C._cache_key()} {lo}\n"
+    lo = float.fromhex(lo)
+    hi = math.nextafter(lo, math.inf)
+    assert searched.beta in (lo, hi)
 
     hit, shoots = _counted_ground_state(monkeypatch, p)
     assert hit.shoots == 2 and shoots == [lo, hi]
     assert hit == searched and hit.steps == searched.steps
     assert kgn_estimate(p) == hit.C / (hit.A ** (0.5 * p - 1.0) * hit.mass)
-    assert _cache_contents(cache_home) == stored
+    assert path.read_text() == stored
 
 
-# Each entry must be ignored: the search runs as with no cache, and its
-# pair replaces the entry.
-_BAD_ENTRIES = {
-    "not_adjacent": lambda pairs, key: json.dumps(
-        {"key": key, "pairs": {"3.0": [pairs["3.0"][0], math.nextafter(
-            pairs["3.0"][1], math.inf)]}}),
-    # adjacent floats with the signs the other way round: an overshoot at
-    # lo (phi(0) = 3 is far above the ground state's 2.39) ...
-    "lo_overshoots": lambda pairs, key: json.dumps(
-        {"key": key, "pairs": {"3.0": [3.0, math.nextafter(3.0, math.inf)]}}),
+def test_storing_an_exponent_leaves_the_others_file_as_it_is(monkeypatch, cache_home):
+    # Each exponent has a file of its own: storing p = 6 neither rewrites
+    # nor replaces p = 3's.
+    _counted_ground_state(monkeypatch, 3.0)
+    p3 = _stored_file(cache_home, 3.0)
+    before, stored = p3.stat(), p3.read_bytes()
+    _counted_ground_state(monkeypatch, 6.0)
+    after = p3.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert p3.read_bytes() == stored
+    assert sorted(f.name for f in p3.parent.iterdir()) == ["phi0_p3.0", "phi0_p6.0"]
+
+
+# Each file must be ignored: the search runs as with no cache, and its pair
+# replaces the file.  Those of the first set are a miss before any shoot.
+_UNREAD_FILES = {
+    "garbage": lambda key, lo: f"{key} {lo.split('p')[0]}p",
+    "three_tokens": lambda key, lo: f"{key} {lo} {lo}\n",
+    "other_key": lambda key, lo: f"{'0' * len(key)} {lo}\n",
+    # phi(0) = 1 is the constant solution, below every ground state's
+    "lo_not_above_one": lambda key, lo: f"{key} {(1.0).hex()}\n",
+}
+_BAD_FILES = {
+    **_UNREAD_FILES,
+    # a pair whose shots fail the search's test: an overshoot at lo
+    # (phi(0) = 3 is far above the ground state's 2.39) ...
+    "lo_overshoots": lambda key, lo: f"{key} {(3.0).hex()}\n",
     # ... and an undershoot at hi (phi(0) = 2 is below it)
-    "hi_undershoots": lambda pairs, key: json.dumps(
-        {"key": key, "pairs": {"3.0": [2.0, math.nextafter(2.0, math.inf)]}}),
-    "garbage": lambda pairs, key: '{"key": "' + key + '", "pairs": {"3.0": [2.39',
-    "other_key": lambda pairs, key: json.dumps({"key": "0" * len(key), "pairs": pairs}),
-    "not_floats": lambda pairs, key: json.dumps(
-        {"key": key, "pairs": {"3.0": [str(x) for x in pairs["3.0"]]}}),
+    "hi_undershoots": lambda key, lo: f"{key} {(2.0).hex()}\n",
 }
 
 
-@pytest.mark.parametrize("entry", list(_BAD_ENTRIES))
+@pytest.mark.parametrize("entry", list(_BAD_FILES))
 def test_bad_stored_pair_is_searched_and_rewritten(monkeypatch, cache_home, entry):
     searched, search_shoots = _counted_ground_state(monkeypatch, 3.0)
-    stored = _cache_contents(cache_home)
-    path = cache_home / "planarsp" / "ground_states.json"
-    path.write_text(_BAD_ENTRIES[entry](stored["pairs"], stored["key"]))
+    path = _stored_file(cache_home, 3.0)
+    stored = path.read_text()
+    path.write_text(_BAD_FILES[entry](*stored.split()))
 
     gs, shoots = _counted_ground_state(monkeypatch, 3.0)
     assert gs == searched and gs.steps == searched.steps
@@ -166,7 +181,9 @@ def test_bad_stored_pair_is_searched_and_rewritten(monkeypatch, cache_home, entr
     # rejected check, and the count holds them all, each shot once.
     assert set(search_shoots) <= set(shoots) and len(set(shoots)) == len(shoots)
     assert gs.shoots == len(shoots) <= len(search_shoots) + 2
-    assert _cache_contents(cache_home) == stored
+    if entry in _UNREAD_FILES:
+        assert shoots == search_shoots
+    assert path.read_text() == stored
     assert [f.name for f in path.parent.iterdir()] == [path.name]
 
 
@@ -190,12 +207,12 @@ def test_cache_location_follows_xdg(monkeypatch, tmp_path):
 
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    assert C._cache_file() == str(tmp_path / "xdg" / "planarsp" / "ground_states.json")
-    default = str(tmp_path / ".cache" / "planarsp" / "ground_states.json")
+    assert C._cache_file(3.0) == str(tmp_path / "xdg" / "planarsp" / "phi0_p3.0")
+    default = str(tmp_path / ".cache" / "planarsp" / "phi0_p3.0")
     monkeypatch.setenv("XDG_CACHE_HOME", "relative")
-    assert C._cache_file() == default
+    assert C._cache_file(3.0) == default
     monkeypatch.delenv("XDG_CACHE_HOME")
-    assert C._cache_file() == default
+    assert C._cache_file(3.0) == default
 
 
 def test_overflowing_shoot_chains_the_overflow():

@@ -178,6 +178,19 @@ def test_critical_points_refuses_an_overflowing_stationary_point():
         critical_points(sc)
 
 
+@pytest.mark.parametrize("p", [4.0 - 1e-7, 4.0 - 1e-3])
+def test_critical_points_below_an_underflowing_stationary_point(p):
+    # The unit Gaussian's t_star = ratio^(1/(4-p)) underflows to 0: phi's
+    # minimum lies below every float, phi increases on the floats, and the
+    # one root is the plus point, next to the p = 4 point sqrt(D/(A - aC/2)).
+    C = (1.0 / math.pi) ** (0.5 * p) * (2.0 * math.pi / p)
+    sc = FiberScalars(A=1.0, C=C, V=0.0, params=Params(gamma=1.0, a=1.0, p=p, c=1.0))
+    assert t_star(sc) == 0.0
+    [pt] = critical_points(sc)
+    assert pt.branch == "plus" and abs(phi(sc, pt.s)) <= 1e-15
+    assert pt.s == pytest.approx(math.sqrt(0.25 / (1.0 - 0.25 / math.pi)), rel=1e-4)
+
+
 def test_critical_points_nonexistence_gamma_negative():
     # gamma < 0 with a <= 0: phi > 0 everywhere, no critical points
     rng = np.random.default_rng(77)
